@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 from . import intlinalg as la
 
@@ -24,8 +25,11 @@ class AbGroup:
     rels: tuple = ()  # ngens x k matrix, columns are relations
 
     def __post_init__(self):
-        if self.rels:
-            assert len(self.rels) == self.ngens
+        if self.rels and len(self.rels) != self.ngens:
+            raise ContractError(
+                "relation matrix has %d rows for %d generators"
+                % (len(self.rels), self.ngens)
+            )
         object.__setattr__(self, "rels", tuple(tuple(r) for r in self.rels))
 
     @property
@@ -66,7 +70,10 @@ class AbGroup:
         return self.invariants() == other.invariants()
 
     def is_zero_element(self, x):
-        assert len(x) == self.ngens
+        if len(x) != self.ngens:
+            raise ContractError(
+                "element has %d coordinates for %d generators" % (len(x), self.ngens)
+            )
         if all(v == 0 for v in x):
             return True
         if not self.rels or self.nrels == 0:
@@ -206,11 +213,13 @@ class AbHom:
 
     def compose(self, other):
         """self o other."""
-        assert other.tgt.ngens == self.src.ngens
+        if other.tgt.ngens != self.src.ngens:
+            raise ContractError("cannot compose %r after %r" % (self, other))
         return AbHom(other.src, self.tgt, la.matmul(self.mat, other.mat, other.src.ngens))
 
     def __add__(self, other):
-        assert self.src == other.src and self.tgt == other.tgt
+        if self.src != other.src or self.tgt != other.tgt:
+            raise ContractError("cannot add %r and %r" % (self, other))
         if not self.mat:
             return self
         return AbHom(self.src, self.tgt, la.matadd(self.mat, other.mat))
@@ -296,15 +305,6 @@ class AbHom:
     def is_iso(self):
         return self.is_injective() and self.is_surjective()
 
-    def restrict_through(self, src_incl, tgt_incl):
-        """Given inclusions src_incl: A -> src and tgt_incl: B -> tgt with
-        self(A) contained in B, return the induced hom A -> B."""
-        target = la.matmul(self.mat, src_incl.mat, src_incl.src.ngens)
-        x = tgt_incl.preimage_matrix(target)
-        if x is None:
-            raise ContractError("map does not restrict through the inclusion")
-        return AbHom(src_incl.src, tgt_incl.src, x)
-
     def __repr__(self):
         return "AbHom(%s -> %s)" % (self.src.describe(), self.tgt.describe())
 
@@ -322,17 +322,15 @@ def _lattice_constraints(basis, nrows, ncols, lattice):
     return tuple(sols[i] for i in range(ncols))
 
 
-def direct_sum(groups):
-    """(sum, inclusions, projections)."""
+def direct_sum_data(groups):
+    """(total, offsets): the sum group and the first generator of each summand."""
     groups = list(groups)
-    n = sum(g.ngens for g in groups)
-    rels_rows = [[] for _ in range(n)]
-    off = 0
     offsets = []
+    n = 0
     total_rels = 0
     for g in groups:
-        offsets.append(off)
-        off += g.ngens
+        offsets.append(n)
+        n += g.ngens
         total_rels += g.nrels
     rels = [[0] * total_rels for _ in range(n)]
     c = 0
@@ -341,7 +339,14 @@ def direct_sum(groups):
             for i in range(g.ngens):
                 rels[o + i][c] = g.rels[i][j]
             c += 1
-    total = AbGroup(n, tuple(tuple(r) for r in rels))
+    return AbGroup(n, tuple(tuple(r) for r in rels)), offsets
+
+
+def direct_sum(groups):
+    """(sum, inclusions, projections)."""
+    groups = list(groups)
+    total, offsets = direct_sum_data(groups)
+    n = total.ngens
     incls, projs = [], []
     for g, o in zip(groups, offsets):
         inc = [[0] * g.ngens for _ in range(n)]
@@ -354,32 +359,28 @@ def direct_sum(groups):
     return total, incls, projs
 
 
-def direct_sum_data(groups):
-    """(total, offsets): like direct_sum but returning generator offsets."""
-    groups = list(groups)
-    total, _, _ = direct_sum(groups)
-    offsets = []
-    off = 0
-    for g in groups:
-        offsets.append(off)
-        off += g.ngens
-    return total, offsets
-
-
 def assemble_block_hom(src_groups, tgt_groups, entries):
     """A hom between direct sums written blockwise in one pass.
 
     entries: iterable of (tgt_index, src_index, AbHom) blocks; repeated
     positions accumulate.  Returns (hom, src_total, tgt_total).
     """
+    src_groups, tgt_groups = list(src_groups), list(tgt_groups)
     src_total, src_off = direct_sum_data(src_groups)
     tgt_total, tgt_off = direct_sum_data(tgt_groups)
     mat = [[0] * src_total.ngens for _ in range(tgt_total.ngens)]
     for ti, si, hom in entries:
-        block = hom.mat
+        if not (0 <= ti < len(tgt_groups) and 0 <= si < len(src_groups)):
+            raise ContractError(
+                "block position (%d, %d) outside %d x %d summands"
+                % (ti, si, len(tgt_groups), len(src_groups))
+            )
+        shape = (tgt_groups[ti].ngens, src_groups[si].ngens)
+        if (hom.tgt.ngens, hom.src.ngens) != shape:
+            raise ContractError("block %r does not fit position (%d, %d)" % (hom, ti, si))
         ro = tgt_off[ti]
         co = src_off[si]
-        for r, row in enumerate(block):
+        for r, row in enumerate(hom.mat):
             target = mat[ro + r]
             for c, v in enumerate(row):
                 if v:
@@ -388,14 +389,24 @@ def assemble_block_hom(src_groups, tgt_groups, entries):
     return h, src_total, tgt_total
 
 
-def block_diagonal_hom(src_sum, tgt_sum, blocks):
-    """Assemble a hom between direct sums from per-summand homs."""
-    total_src, _, src_projs = src_sum
-    total_tgt, tgt_incls, _ = tgt_sum
-    out = AbHom.zero(total_src, total_tgt)
-    for blk, inc, prj in zip(blocks, tgt_incls, src_projs):
-        out = out + inc.compose(blk).compose(prj)
-    return out
+def _generator_positions(groups, kept):
+    offsets = list(accumulate((g.ngens for g in groups), initial=0))
+    positions = [offsets[i] + k for i in kept for k in range(groups[i].ngens)]
+    return offsets[-1], positions
+
+
+def restrict_blocks(h, src_groups, src_kept, tgt_groups, tgt_kept):
+    """The blocks of h: sum(src_groups) -> sum(tgt_groups) between the kept
+    summands, as a hom between the direct sums of the kept summands."""
+    src_groups, tgt_groups = list(src_groups), list(tgt_groups)
+    n_src, cols = _generator_positions(src_groups, src_kept)
+    n_tgt, rows = _generator_positions(tgt_groups, tgt_kept)
+    if (h.src.ngens, h.tgt.ngens) != (n_src, n_tgt):
+        raise ContractError("%r is not a hom between the given sums" % (h,))
+    src_sub, _ = direct_sum_data(src_groups[i] for i in src_kept)
+    tgt_sub, _ = direct_sum_data(tgt_groups[j] for j in tgt_kept)
+    mat = tuple(tuple(h.mat[r][c] for c in cols) for r in rows)
+    return AbHom(src_sub, tgt_sub, mat)
 
 
 def hom_group(a, b):

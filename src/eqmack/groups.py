@@ -175,9 +175,6 @@ class SubgroupRecord:
     def index(self):
         return self.group.order // len(self.elements)
 
-    def contains(self, g):
-        return g in self.elements
-
     def __repr__(self):
         return "SubgroupRecord(order=%d, class=%d)" % (self.order, self.class_id)
 

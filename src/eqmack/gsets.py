@@ -177,9 +177,6 @@ class Orbit:
     def std(self):
         return std_orbit(self.record.group, self.record)
 
-    def coset_of_point(self):
-        return dict(self.to_std)
-
 
 @lru_cache(maxsize=None)
 def orbit_decompose(S):
@@ -246,17 +243,6 @@ def product(S, T):
     p1 = GMap(p, S, tuple(s for s in range(S.size) for _ in range(T.size)))
     p2 = GMap(p, T, tuple(t for _ in range(S.size) for t in range(T.size)))
     return p, p1, p2
-
-
-def product_map(f, h):
-    """f x h on the product of sources."""
-    psrc, a1, a2 = product(f.src, h.src)
-    ptgt, _, _ = product(f.tgt, h.tgt)
-    vals = tuple(
-        f.values[a1.values[i]] * h.tgt.size + h.values[a2.values[i]]
-        for i in range(psrc.size)
-    )
-    return GMap(psrc, ptgt, vals)
 
 
 def pullback(h, k):

@@ -45,24 +45,19 @@ class SlicedValue:
     full: object  # Evaluated
     kept: tuple  # indices of kept orbits
     value: AbGroup
-    incls: tuple
-    projs: tuple
 
     def restrict_hom(self, h, target):
         """Slice h: full_src -> full_tgt to the kept blocks of both sides."""
-        out = AbHom.zero(self.value, target.value)
-        for a, i in enumerate(self.kept):
-            col = h.compose(self.full.incls[i])
-            for b, j in enumerate(target.kept):
-                blk = target.full.projs[j].compose(col)
-                out = out + target.incls[b].compose(blk).compose(self.projs[a])
-        return out
+        return ab.restrict_blocks(
+            h, self.full.summands, self.kept, target.full.summands, target.kept
+        )
 
     def include_into_full(self):
-        h = AbHom.zero(self.value, self.full.value)
-        for a, i in enumerate(self.kept):
-            h = h + self.full.incls[i].compose(self.projs[a])
-        return h
+        summands = self.full.summands
+        every = range(len(summands))
+        return ab.restrict_blocks(
+            AbHom.identity(self.full.value), summands, self.kept, summands, every
+        )
 
 
 def nondegenerate_slice(T, n, S):
@@ -76,11 +71,8 @@ def nondegenerate_slice(T, n, S):
         x = pair[0]
         if not flags[x]:
             kept.append(i)
-    summands = [ev.summands[i] for i in kept]
-    value, incls, projs = ab.direct_sum(summands)
-    return SlicedValue(
-        full=ev, kept=tuple(kept), value=value, incls=tuple(incls), projs=tuple(projs)
-    )
+    value, _ = ab.direct_sum_data(ev.summands[i] for i in kept)
+    return SlicedValue(full=ev, kept=tuple(kept), value=value)
 
 
 class MackeyChainComplex:
@@ -143,10 +135,6 @@ class MackeyChainComplex:
         return self._chainmaps[key]
 
 
-def normalized_chains(T):
-    return MackeyChainComplex(T)
-
-
 # -- Bredon homology -------------------------------------------------------------
 
 
@@ -155,7 +143,7 @@ def bredon_homology(X, M, n, based=True):
     if n >= X.bound:
         raise HomotopyError("degree %d is past the dimension bound %d" % (n, X.bound))
     T = TensorMackey(X, M, reduced=based)
-    chains = normalized_chains(T)
+    chains = MackeyChainComplex(T)
     G = M.group
     values = {}
     for rec in subgroup_classes(G):
@@ -173,7 +161,7 @@ def bredon_homology(X, M, n, based=True):
 def bredon_groups(X, M, degrees, based=True):
     """Invariant-factor table: degree -> class_id -> (free, torsion)."""
     T = TensorMackey(X, M, reduced=based)
-    chains = normalized_chains(T)
+    chains = MackeyChainComplex(T)
     out = {}
     for n in degrees:
         if n >= X.bound:
@@ -452,10 +440,6 @@ def _smash_pair_index(sm, m, kappa, tau_idx):
     return _smash_index_map(sm, m).get((kappa, tau_idx), sm.base(m))
 
 
-def mapping_complex(K, T, degree_bound):
-    return MappingComplex(K, T, degree_bound)
-
-
 # -- homotopy classes and the loop comparison -------------------------------------
 
 
@@ -465,7 +449,7 @@ def homotopy_classes(descs, X, M, degree_bound=2, bound=None):
     b = bound if bound is not None else X.bound
     K = sphere_for_descriptors(G, list(descs), b)
     T = reduced_tensor(X, M)
-    mc = mapping_complex(K, T, degree_bound)
+    mc = MappingComplex(K, T, degree_bound)
     return mc.homotopy_group(0)
 
 
@@ -506,7 +490,7 @@ def omega_spectrum_check(X, M, desc, n_max, degree_bound=None):
     G = M.group
     psi = PsiMap(desc, X, M)
     T = psi.T_src
-    chains = normalized_chains(T)
+    chains = MackeyChainComplex(T)
     bound = degree_bound if degree_bound is not None else n_max + 2
     entries = []
     for krec in subgroup_classes(G):
@@ -656,9 +640,9 @@ def cofibration_les(ses, rec, through_degree):
     degree through_degree down to 0 and exact_flags the exactness at each
     interior node.
     """
-    sub_ch = normalized_chains(ses.sub)
-    tot_ch = normalized_chains(ses.total)
-    quo_ch = normalized_chains(ses.quot)
+    sub_ch = MackeyChainComplex(ses.sub)
+    tot_ch = MackeyChainComplex(ses.total)
+    quo_ch = MackeyChainComplex(ses.quot)
     S = std_orbit(ses.M.group, rec)
     csub = sub_ch.complex(rec)
     ctot = tot_ch.complex(rec)
@@ -694,9 +678,9 @@ def cofibration_les(ses, rec, through_degree):
 
 def coefficient_les(ses, rec, through_degree):
     """The long exact homology sequence from an exact coefficient sequence."""
-    ch_m = normalized_chains(ses.T_m)
-    ch_n = normalized_chains(ses.T_n)
-    ch_p = normalized_chains(ses.T_p)
+    ch_m = MackeyChainComplex(ses.T_m)
+    ch_n = MackeyChainComplex(ses.T_n)
+    ch_p = MackeyChainComplex(ses.T_p)
     S = std_orbit(ses.T_m.group, rec)
     cm = ch_m.complex(rec)
     cn = ch_n.complex(rec)
@@ -900,7 +884,3 @@ class EquivariantMappingComplex:
         if sol is None:
             raise HomotopyError("the family is not equivariant or not simplicial")
         return sol
-
-
-def equivariant_mapping_complex(K, mt, degree_bound):
-    return EquivariantMappingComplex(K, mt, degree_bound)

@@ -20,14 +20,6 @@ def shape(a):
     return rows, cols
 
 
-def from_rows(rows):
-    rows = [tuple(int(x) for x in r) for r in rows]
-    if rows:
-        ncols = len(rows[0])
-        assert all(len(r) == ncols for r in rows)
-    return tuple(rows)
-
-
 def zeros(m, n):
     return tuple(tuple(0 for _ in range(n)) for _ in range(m))
 
@@ -75,10 +67,6 @@ def hstack(a, b):
         return a
     assert len(a) == len(b)
     return tuple(ra + rb for ra, rb in zip(a, b))
-
-
-def vstack(a, b):
-    return tuple(a) + tuple(b)
 
 
 def apply(a, v):

@@ -94,14 +94,6 @@ def orbit_maps_between(jrec, hrec):
     return tuple(out)
 
 
-def orbit_map_from_gmap(jrec, hrec, f):
-    """Convert a GMap between standard orbits into an OrbitMap."""
-    G = jrec.group
-    _, _, e_idx = coset_space(G, jrec.elements)
-    _, t_reps, _ = coset_space(G, hrec.elements)
-    return OrbitMap(jrec, hrec, t_reps[f.values[e_idx]])
-
-
 @dataclass(frozen=True)
 class WeylModule:
     """A module over a (Weyl) group: an abelian group with a left action."""
@@ -150,16 +142,6 @@ class WeylModule:
                 m[W.mul[g][h]][h] = 1
             mats.append(tuple(tuple(r) for r in m))
         return WeylModule(W, value, tuple(mats))
-
-    @staticmethod
-    def sign_for_cyclic2(W):
-        """Z with the nontrivial action of a two-element group."""
-        assert W.order == 2
-        g = next(x for x in W.elements() if x != W.identity)
-        mats = [None, None]
-        mats[W.identity] = ((1,),)
-        mats[g] = ((-1,),)
-        return WeylModule(W, AbGroup.free(1), tuple(mats))
 
 
 @dataclass
@@ -231,47 +213,21 @@ class MackeyFunctor:
             )
         return self._eval_cache[S]
 
-    def _blocks(self, f):
-        """Orbit maps covering f: for each source orbit, (tgt index, OrbitMap)."""
-        sev = self.evaluate(f.src)
-        tev = self.evaluate(f.tgt)
-        out = []
-        G = self.group
-        for o in sev.orbits:
-            t = f.values[o.basepoint]
-            j = tev.orbit_index_of_point(t)
-            to = tev.orbits[j]
-            c = next(
-                c
-                for c in G.elements()
-                if f.tgt.action[c][to.basepoint] == t
-            )
-            out.append((j, OrbitMap(o.record, to.record, c)))
-        return sev, tev, out
-
     def covariant(self, f):
         """M_*(f)."""
-        key = f
-        if key not in self._cov_cache:
-            sev, tev, blocks = self._blocks(f)
-            h = AbHom.zero(sev.value, tev.value)
-            for i, (j, om) in enumerate(blocks):
-                blk = self.orbit_covariant(om)
-                h = h + tev.incls[j].compose(blk).compose(sev.projs[i])
-            self._cov_cache[key] = h
-        return self._cov_cache[key]
+        if f not in self._cov_cache:
+            self._cov_cache[f] = covariant_between(
+                self, f, self.evaluate(f.src), self.evaluate(f.tgt)
+            )
+        return self._cov_cache[f]
 
     def contravariant(self, f):
         """M^*(f)."""
-        key = f
-        if key not in self._con_cache:
-            sev, tev, blocks = self._blocks(f)
-            h = AbHom.zero(tev.value, sev.value)
-            for i, (j, om) in enumerate(blocks):
-                blk = self.orbit_contravariant(om)
-                h = h + sev.incls[i].compose(blk).compose(tev.projs[j])
-            self._con_cache[key] = h
-        return self._con_cache[key]
+        if f not in self._con_cache:
+            self._con_cache[f] = contravariant_between(
+                self, f, self.evaluate(f.src), self.evaluate(f.tgt)
+            )
+        return self._con_cache[f]
 
     def weyl_action_hom(self, rec, w):
         """The left action of the Weyl element w on M(G/H)."""
@@ -286,18 +242,6 @@ class MackeyFunctor:
             self.weyl_action_hom(rec, w).mat for w in rec.weyl.elements()
         )
         return WeylModule(rec.weyl, self.orbit_value(rec), mats)
-
-
-def evaluate(M, S):
-    return M.evaluate(S)
-
-
-def covariant_map(M, f):
-    return M.covariant(f)
-
-
-def contravariant_map(M, f):
-    return M.contravariant(f)
 
 
 def evaluate_at_orbit(M, rec):
@@ -324,11 +268,11 @@ def based_value(M, S, base):
     )
 
 
-def _based_blocks(M, f, src_base, tgt_base):
-    sev = based_value(M, f.src, src_base)
-    tev = based_value(M, f.tgt, tgt_base)
+def _orbit_blocks(M, f, sev, tev, tgt_base):
+    """(src index, tgt index, OrbitMap) covering f orbit by orbit; source
+    orbits sent to tgt_base have no block."""
     G = M.group
-    blocks = []
+    out = []
     for i, o in enumerate(sev.orbits):
         t = f.values[o.basepoint]
         if t == tgt_base:
@@ -336,28 +280,38 @@ def _based_blocks(M, f, src_base, tgt_base):
         j = tev.orbit_index_of_point(t)
         to = tev.orbits[j]
         c = next(c for c in G.elements() if f.tgt.action[c][to.basepoint] == t)
-        blocks.append((i, j, OrbitMap(o.record, to.record, c)))
-    return sev, tev, blocks
+        out.append((i, j, OrbitMap(o.record, to.record, c)))
+    return out
+
+
+def covariant_between(M, f, sev, tev, tgt_base=None):
+    """M_*(f) from the presentation sev of f.src to tev of f.tgt."""
+    blocks = _orbit_blocks(M, f, sev, tev, tgt_base)
+    entries = [(j, i, M.orbit_covariant(om)) for i, j, om in blocks]
+    return ab.assemble_block_hom(sev.summands, tev.summands, entries)[0]
+
+
+def contravariant_between(M, f, sev, tev, tgt_base=None):
+    """M^*(f) from the presentation tev of f.tgt to sev of f.src."""
+    blocks = _orbit_blocks(M, f, sev, tev, tgt_base)
+    entries = [(i, j, M.orbit_contravariant(om)) for i, j, om in blocks]
+    return ab.assemble_block_hom(tev.summands, sev.summands, entries)[0]
 
 
 def based_covariant(M, f, src_base, tgt_base):
     if f.values[src_base] != tgt_base:
         raise MackeyError("map is not based")
-    sev, tev, blocks = _based_blocks(M, f, src_base, tgt_base)
-    h = AbHom.zero(sev.value, tev.value)
-    for i, j, om in blocks:
-        h = h + tev.incls[j].compose(M.orbit_covariant(om)).compose(sev.projs[i])
-    return h
+    sev = based_value(M, f.src, src_base)
+    tev = based_value(M, f.tgt, tgt_base)
+    return covariant_between(M, f, sev, tev, tgt_base)
 
 
 def based_contravariant(M, f, src_base, tgt_base):
     if f.values[src_base] != tgt_base:
         raise MackeyError("map is not based")
-    sev, tev, blocks = _based_blocks(M, f, src_base, tgt_base)
-    h = AbHom.zero(tev.value, sev.value)
-    for i, j, om in blocks:
-        h = h + sev.incls[i].compose(M.orbit_contravariant(om)).compose(tev.projs[j])
-    return h
+    sev = based_value(M, f.src, src_base)
+    tev = based_value(M, f.tgt, tgt_base)
+    return contravariant_between(M, f, sev, tev, tgt_base)
 
 
 # -- fixed point functors -----------------------------------------------------
@@ -387,23 +341,22 @@ class FixedPointMackey(MackeyFunctor):
             A = self.module
             k = len(fp.points)
             big, incls, projs = ab.direct_sum([A.value] * k)
-            rows = []
+            # one row of constraints psi(w.p) - w.psi(p) = 0 per (w, p)
+            ident = AbHom.identity(A.value)
+            entries = []
+            nrows = 0
             W = fp.weyl
             for w in W.elements():
                 if w == W.identity:
                     continue
+                minus_w = -A.hom(w)
                 for p in range(k):
-                    wp = fp.wset.action[w][p]
-                    rows.append(
-                        incls_proj_diff(big, incls, projs, wp, p, A.hom(w))
-                    )
-            cons = AbHom.zero(big, AbGroup.zero())
-            if rows:
-                tgt, tincls, _ = ab.direct_sum([A.value] * len(rows))
-                h = AbHom.zero(big, tgt)
-                for r, rowhom in enumerate(rows):
-                    h = h + tincls[r].compose(rowhom)
-                cons = h
+                    entries.append((nrows, fp.wset.action[w][p], ident))
+                    entries.append((nrows, p, minus_w))
+                    nrows += 1
+            cons, _, _ = ab.assemble_block_hom(
+                [A.value] * k, [A.value] * nrows, entries
+            )
             ker, incl = cons.kernel()
             self._containers[S] = (fp, big, incls, projs, ker, incl)
         return self._containers[S]
@@ -414,43 +367,39 @@ class FixedPointMackey(MackeyFunctor):
     def orbit_value(self, rec):
         return self.value_of(std_orbit(self.group, rec))
 
-    def _function_level(self, q):
-        """(src data, tgt data, fiber-sum matrix, precompose matrix)."""
-        ssrc = self._container(q.src)
-        stgt = self._container(q.tgt)
-        qh = restrict_map_to_fixed(q, self.hrec.elements)
-        return ssrc, stgt, qh
-
     def _orbit_covariant(self, om):
         return self.covariant_raw(om.gmap())
 
     def _orbit_contravariant(self, om):
         return self.contravariant_raw(om.gmap())
 
+    def _fixed_point_blocks(self, q):
+        """(summands over S^H, summands over T^H, identity blocks (q(s), s))
+        for q: S -> T; the ambient sums hold one copy of A per fixed point."""
+        A = self.module.value
+        ident = AbHom.identity(A)
+        qh = restrict_map_to_fixed(q, self.hrec.elements)
+        blocks = [(t, s, ident) for s, t in enumerate(qh.values)]
+        return [A] * qh.src.size, [A] * qh.tgt.size, blocks
+
     def covariant_raw(self, q):
         """Transfer along any G-map: fiber sums over H-fixed points."""
-        (fs, bs, is_, ps, ks, inks) = self._container(q.src)
-        (ft, bt, it_, pt, kt, inkt) = self._container(q.tgt)
-        qh = restrict_map_to_fixed(q, self.hrec.elements)
-        h = AbHom.zero(bs, bt)
-        for s in range(len(fs.points)):
-            h = h + it_[qh.values[s]].compose(ps[s])
-        induced = h.compose(inks)
-        out = inkt.preimage_matrix(induced.mat)
+        ks, inks = self._container(q.src)[4:]
+        kt, inkt = self._container(q.tgt)[4:]
+        src, tgt, blocks = self._fixed_point_blocks(q)
+        h, _, _ = ab.assemble_block_hom(src, tgt, blocks)
+        out = inkt.preimage_matrix(h.compose(inks).mat)
         if out is None:
             raise MackeyError("transfer does not preserve equivariance")
         return AbHom(ks, kt, out)
 
     def contravariant_raw(self, q):
         """Restriction along any G-map: precomposition on H-fixed points."""
-        (fs, bs, is_, ps, ks, inks) = self._container(q.src)
-        (ft, bt, it_, pt, kt, inkt) = self._container(q.tgt)
-        qh = restrict_map_to_fixed(q, self.hrec.elements)
-        h = AbHom.zero(bt, bs)
-        for s in range(len(fs.points)):
-            h = h + is_[s].compose(pt[qh.values[s]])
-        induced = h.compose(inkt)
-        out = inks.preimage_matrix(induced.mat)
+        ks, inks = self._container(q.src)[4:]
+        kt, inkt = self._container(q.tgt)[4:]
+        src, tgt, blocks = self._fixed_point_blocks(q)
+        h, _, _ = ab.assemble_block_hom(tgt, src, [(s, t, b) for t, s, b in blocks])
+        out = inks.preimage_matrix(h.compose(inkt).mat)
         if out is None:
             raise MackeyError("restriction does not preserve equivariance")
         return AbHom(kt, ks, out)
@@ -462,42 +411,19 @@ class FixedPointMackey(MackeyFunctor):
         return [projs[p](amb) for p in range(len(fp.points))]
 
 
-def incls_proj_diff(big, incls, projs, wp, p, ahom):
-    """The constraint psi(w.p) - w.psi(p) as a hom out of the big sum."""
-    return projs[wp] - ahom.compose(projs[p])
-
-
-def fixed_point_mackey(G, hrec, module):
-    return FixedPointMackey(G, hrec, module)
-
-
 def fp_postcompose(f_src, f_tgt, theta, S):
     """R(theta): Hom_W(S^H, A) -> Hom_W(S^H, B) for an equivariant theta."""
-    (fp_s, big_s, incls_s, projs_s, ker_s, incl_s) = f_src._container(S)
-    (fp_t, big_t, incls_t, projs_t, ker_t, incl_t) = f_tgt._container(S)
-    h = AbHom.zero(big_s, big_t)
-    for p in range(len(fp_s.points)):
-        h = h + incls_t[p].compose(theta).compose(projs_s[p])
+    (fp, _, _, _, ker_s, incl_s) = f_src._container(S)
+    ker_t, incl_t = f_tgt._container(S)[4:]
+    k = len(fp.points)
+    blocks = [(p, p, theta) for p in range(k)]
+    h, _, _ = ab.assemble_block_hom(
+        [f_src.module.value] * k, [f_tgt.module.value] * k, blocks
+    )
     out = incl_t.preimage_matrix(h.compose(incl_s).mat)
     if out is None:
         raise MackeyError("postcomposition does not preserve equivariance")
     return AbHom(ker_s, ker_t, out)
-
-
-def counit_evaluation(F):
-    """Evaluation Hom_W(W, A) -> A at the identity coset, an isomorphism."""
-    rec = F.hrec
-    orb = std_orbit(F.group, rec)
-    fp = fixed_points(orb, rec.elements)
-    _, _, e_idx = coset_space(F.group, rec.elements)
-    slot = fp.points.index(e_idx)
-    val = F.orbit_value(rec)
-    cols = []
-    for x in range(val.ngens):
-        vec = tuple(1 if i == x else 0 for i in range(val.ngens))
-        cols.append(F.function_of_element(orb, vec)[slot])
-    mat = la.transpose(tuple(cols), F.module.value.ngens)
-    return AbHom(val, F.module.value, mat)
 
 
 def fixed_point_morphism(f_src, f_tgt, theta):
@@ -766,12 +692,12 @@ class MackeyMorphism:
 
     def at(self, S):
         """The component on an arbitrary G-set, blockwise over orbits."""
-        sev = self.src.evaluate(S)
-        tev = self.tgt.evaluate(S)
-        h = AbHom.zero(sev.value, tev.value)
-        for i, o in enumerate(sev.orbits):
-            h = h + tev.incls[i].compose(self.comp(o.record)).compose(sev.projs[i])
-        return h
+        return self.between(self.src.evaluate(S), self.tgt.evaluate(S))
+
+    def between(self, sev, tev):
+        """The component between two presentations over the same orbits."""
+        entries = [(i, i, self.comp(o.record)) for i, o in enumerate(sev.orbits)]
+        return ab.assemble_block_hom(sev.summands, tev.summands, entries)[0]
 
     def compose(self, other):
         comps = {
@@ -895,42 +821,26 @@ def image_mackey(phi):
     return func, incl_morphism, proj_morphism
 
 
-def ses_tools(phi):
-    """(kernel, cokernel, image) of a Mackey morphism with their morphisms."""
-    return kernel_mackey(phi), cokernel_mackey(phi), image_mackey(phi)
-
-
 def direct_sum_mackey(ms):
     """Direct sum of Mackey functors over one group."""
     group = ms[0].group
     recs = subgroup_classes(group)
-    values = {}
-    sums = {}
-    for r in recs:
-        value, incls, projs = ab.direct_sum([m.orbit_value(r) for m in ms])
-        values[r.class_id] = value
-        sums[r.class_id] = (value, incls, projs)
+    sums = {r.class_id: ab.direct_sum([m.orbit_value(r) for m in ms]) for r in recs}
+    values = {cid: data[0] for cid, data in sums.items()}
 
-    def assemble(om, part):
-        _, si, sp = sums[om.src.class_id]
-        _, ti, tp = sums[om.tgt.class_id]
-        if part == "cov":
-            h = AbHom.zero(values[om.src.class_id], values[om.tgt.class_id])
-            for k, m in enumerate(ms):
-                h = h + ti[k].compose(m.orbit_covariant(om)).compose(sp[k])
-            return h
-        h = AbHom.zero(values[om.tgt.class_id], values[om.src.class_id])
-        for k, m in enumerate(ms):
-            h = h + si[k].compose(m.orbit_contravariant(om)).compose(tp[k])
-        return h
+    def cov(om):
+        src = [m.orbit_value(om.src) for m in ms]
+        tgt = [m.orbit_value(om.tgt) for m in ms]
+        blocks = [(k, k, m.orbit_covariant(om)) for k, m in enumerate(ms)]
+        return ab.assemble_block_hom(src, tgt, blocks)[0]
 
-    func = WrappedMackey(
-        group,
-        values,
-        lambda om: assemble(om, "cov"),
-        lambda om: assemble(om, "con"),
-        label="sum",
-    )
+    def con(om):
+        src = [m.orbit_value(om.tgt) for m in ms]
+        tgt = [m.orbit_value(om.src) for m in ms]
+        blocks = [(k, k, m.orbit_contravariant(om)) for k, m in enumerate(ms)]
+        return ab.assemble_block_hom(src, tgt, blocks)[0]
+
+    func = WrappedMackey(group, values, cov, con, label="sum")
     incl_ms = [
         MackeyMorphism(m, func, {r.class_id: sums[r.class_id][1][k] for r in recs})
         for k, m in enumerate(ms)

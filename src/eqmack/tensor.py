@@ -26,6 +26,7 @@ from .mackey import (
     based_contravariant,
     based_covariant,
     based_value,
+    covariant_between,
 )
 from .simplicial import SimplicialGMap, SimplicialGSet, smash
 
@@ -81,20 +82,8 @@ def smash_level(xlevel, xbase, S):
 
 def covariant_into_based(M, f, tgt_base):
     """M_* of a G-map from an unbased set into a based one, reduced target."""
-    sev = M.evaluate(f.src)
     tev = based_value(M, f.tgt, tgt_base)
-    G = M.group
-    h = AbHom.zero(sev.value, tev.value)
-    for i, o in enumerate(sev.orbits):
-        t = f.values[o.basepoint]
-        if t == tgt_base:
-            continue
-        j = tev.orbit_index_of_point(t)
-        to = tev.orbits[j]
-        c = next(c for c in G.elements() if f.tgt.action[c][to.basepoint] == t)
-        om = OrbitMap(o.record, to.record, c)
-        h = h + tev.incls[j].compose(M.orbit_covariant(om)).compose(sev.projs[i])
-    return h
+    return covariant_between(M, f, M.evaluate(f.src), tev, tgt_base)
 
 
 class TensorMackey:
@@ -296,17 +285,16 @@ def reduced_as_cokernel(X, M, n, S):
     G = M.group
     # send each reduced block to the cokernel class of the matching
     # unreduced block, transporting between the two basepoint choices
-    mapping = AbHom.zero(ev.value, coker)
+    entries = []
     for i, o in enumerate(ev.orbits):
         x, s = ls_red.pairs[o.basepoint]
         p_idx = x * S.size + s
         j = big.orbit_index_of_point(p_idx)
         oj = big.orbits[j]
         c = next(c for c in G.elements() if ls.gset.action[c][oj.basepoint] == p_idx)
-        om = OrbitMap(o.record, oj.record, c)
-        blk = proj.compose(big.incls[j]).compose(M.orbit_covariant(om))
-        mapping = mapping + blk.compose(ev.projs[i])
-    return coker, proj, mapping
+        entries.append((j, i, M.orbit_covariant(OrbitMap(o.record, oj.record, c))))
+    blocks, _, _ = ab.assemble_block_hom(ev.summands, big.summands, entries)
+    return coker, proj, proj.compose(blocks)
 
 
 # -- coend representatives ----------------------------------------------------
@@ -399,16 +387,17 @@ class ModuleTensor:
         if n not in self._levels:
             sup = self.support(n)
             pos = {x: i for i, x in enumerate(sup)}
-            value, incls, projs = ab.direct_sum([self.A.value] * len(sup))
+            summands = [self.A.value] * len(sup)
+            value, incls, projs = ab.direct_sum(summands)
             W = self.K.group
             mats = []
             for w in W.elements():
-                h = AbHom.zero(value, value)
-                for i, x in enumerate(sup):
-                    wx = self.K.levels[n].action[w][x]
-                    if wx in pos:
-                        h = h + incls[pos[wx]].compose(self.A.hom(w)).compose(projs[i])
-                mats.append(h.mat)
+                act = self.K.levels[n].action[w]
+                aw = self.A.hom(w)
+                blocks = [
+                    (pos[act[x]], i, aw) for i, x in enumerate(sup) if act[x] in pos
+                ]
+                mats.append(ab.assemble_block_hom(summands, summands, blocks)[0].mat)
             self._levels[n] = (
                 WeylModule(W, value, tuple(mats)),
                 sup,
@@ -420,63 +409,46 @@ class ModuleTensor:
     def module(self, n):
         return self.level_module(n)[0]
 
-    def _routed_hom(self, table, n_src, n_tgt):
-        msrc, sup_s, _, projs = self.level_module(n_src)
-        mtgt, sup_t, incls, _ = self.level_module(n_tgt)
-        pos = {x: i for i, x in enumerate(sup_t)}
-        h = AbHom.zero(msrc.value, mtgt.value)
-        for i, x in enumerate(sup_s):
-            y = table[x]
-            if y in pos:
-                h = h + incls[pos[y]].compose(projs[i])
-        return h
-
     def face_hom(self, n, i):
-        return self._routed_hom(self.K.faces[n][i].values, n, n - 1)
+        table = self.K.faces[n][i].values
+        return _routed_hom(self.A.value, self.support(n), self.support(n - 1), table)
 
     def degen_hom(self, n, i):
-        return self._routed_hom(self.K.degens[n][i].values, n, n + 1)
-
-    def op_hom(self, alpha, m, n):
-        return self._routed_hom(self.K.operator(alpha, m, n), n, m)
+        table = self.K.degens[n][i].values
+        return _routed_hom(self.A.value, self.support(n), self.support(n + 1), table)
 
     def chain_complex(self):
         """Alternating-sum complex on the normalized (nondegenerate) blocks."""
-        groups = {}
-        for n in range(self.K.bound + 1):
-            flags = self.K.degenerate_flags(n)
-            sup = self.support(n)
-            keep = [i for i, x in enumerate(sup) if not flags[x]]
-            value, kincls, kprojs = ab.direct_sum([self.A.value] * len(keep))
-            groups[n] = (value, keep, kincls, kprojs)
-        out_groups = {n: groups[n][0] for n in groups}
-        diffs = {
-            n: _normalized_diff(self, n, groups)
-            for n in range(1, self.K.bound + 1)
+        A = self.A.value
+        sups = [self.support(n) for n in range(self.K.bound + 1)]
+        keeps = [
+            [i for i, x in enumerate(sup) if not self.K.degenerate_flags(n)[x]]
+            for n, sup in enumerate(sups)
+        ]
+        groups = {
+            n: ab.direct_sum_data([A] * len(keep))[0] for n, keep in enumerate(keeps)
         }
-        return ab.ChainComplex(groups=out_groups, diffs=diffs)
+        diffs = {}
+        for n in range(1, self.K.bound + 1):
+            full = self.face_hom(n, 0)
+            for i in range(1, n + 1):
+                h = self.face_hom(n, i)
+                full = full + (h if i % 2 == 0 else h.scale(-1))
+            src, tgt = [A] * len(sups[n]), [A] * len(sups[n - 1])
+            diffs[n] = ab.restrict_blocks(full, src, keeps[n], tgt, keeps[n - 1])
+        return ab.ChainComplex(groups=groups, diffs=diffs)
 
 
-def _normalized_diff(mt, n, groups):
-    value, keep, kincls, kprojs = groups[n]
-    tvalue, tkeep, tincls, tprojs = groups[n - 1]
-    _, sup_s, sincls, sprojs = mt.level_module(n)
-    _, sup_t, tincls_full, tprojs_full = mt.level_module(n - 1)
-    m_full = AbHom.zero(mt.module(n).value, mt.module(n - 1).value)
-    for i in range(n + 1):
-        h = mt.face_hom(n, i)
-        m_full = m_full + (h if i % 2 == 0 else h.scale(-1))
-    out = AbHom.zero(value, tvalue)
-    for a, i in enumerate(keep):
-        col = m_full.compose(sincls[i])
-        for b, j in enumerate(tkeep):
-            blk = tprojs_full[j].compose(col)
-            out = out + tincls[b].compose(blk).compose(kprojs[a])
-    return out
-
-
-def module_tensor(K, A, reduced=True):
-    return ModuleTensor(K, A, reduced=reduced)
+def _routed_hom(A, sup_src, sup_tgt, table):
+    """The hom between sums of copies of A, one per support simplex, that
+    sends the block of x to the block of table[x]; a block sent off the
+    target support vanishes."""
+    pos = {x: i for i, x in enumerate(sup_tgt)}
+    ident = AbHom.identity(A)
+    blocks = [
+        (pos[table[x]], i, ident) for i, x in enumerate(sup_src) if table[x] in pos
+    ]
+    return ab.assemble_block_hom([A] * len(sup_src), [A] * len(sup_tgt), blocks)[0]
 
 
 def smash_module_map(Y, K, A, n, y):
@@ -497,25 +469,10 @@ def smash_module_map(Y, K, A, n, y):
             table.append(sm.base(n))
         else:
             table.append(index[(y, x)])
-    return _routed_between(mt_k, mt_s, tuple(table), n)
-
-
-def _routed_between(mt_src, mt_tgt, table, n):
-    msrc, sup_s, _, projs = mt_src.level_module(n)
-    mtgt, sup_t, incls, _ = mt_tgt.level_module(n)
-    pos = {x: i for i, x in enumerate(sup_t)}
-    h = AbHom.zero(msrc.value, mtgt.value)
-    for i, x in enumerate(sup_s):
-        y = table[x]
-        if y in pos:
-            h = h + incls[pos[y]].compose(projs[i])
-    return h
+    return _routed_hom(A.value, mt_k.support(n), mt_s.support(n), table)
 
 
 # -- the comparison with fixed-point coefficient systems ------------------------
-
-
-from .mackey import fp_postcompose  # re-exported for the rho naturality checks
 
 
 class RhoIso:
@@ -800,19 +757,11 @@ class CoefficientSES:
         self.T_n = TensorMackey(X, phi.tgt, reduced=reduced)
         self.T_p = TensorMackey(X, psi.tgt, reduced=reduced)
 
-    def _morphism_at(self, mor, T_src, T_tgt, n, S):
-        sev = T_src.value(n, S)
-        tev = T_tgt.value(n, S)
-        h = AbHom.zero(sev.value, tev.value)
-        for i, o in enumerate(sev.orbits):
-            h = h + tev.incls[i].compose(mor.comp(o.record)).compose(sev.projs[i])
-        return h
-
     def phi_at(self, n, S):
-        return self._morphism_at(self.phi, self.T_m, self.T_n, n, S)
+        return self.phi.between(self.T_m.value(n, S), self.T_n.value(n, S))
 
     def psi_at(self, n, S):
-        return self._morphism_at(self.psi, self.T_n, self.T_p, n, S)
+        return self.psi.between(self.T_n.value(n, S), self.T_p.value(n, S))
 
     def check_exact(self, n, S):
         f = self.phi_at(n, S)

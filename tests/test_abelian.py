@@ -1,4 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqmack import intlinalg as la
 from eqmack.abelian import (
@@ -6,12 +12,16 @@ from eqmack.abelian import (
     AbHom,
     ChainComplex,
     ChainMap,
+    ContractError,
+    assemble_block_hom,
     connecting_hom,
     direct_sum,
+    direct_sum_data,
     fmt_invariants,
     hom_group,
     homology_at,
     is_exact_at,
+    restrict_blocks,
 )
 
 
@@ -165,3 +175,134 @@ def test_induced_map_on_homology():
     ind = f.induced(0)
     # x3 on Z/2 is the identity
     assert ind.same_as(AbHom.identity(c.homology(0)))
+
+
+# -- block assembly -------------------------------------------------------------
+
+
+def dense_block_sum(src_groups, tgt_groups, entries):
+    """Reference: the running sum of incl o block o proj over dense matrices."""
+    src_total, _, projs = direct_sum(src_groups)
+    tgt_total, incls, _ = direct_sum(tgt_groups)
+    h = AbHom.zero(src_total, tgt_total)
+    for ti, si, blk in entries:
+        h = h + incls[ti].compose(blk).compose(projs[si])
+    return h
+
+
+def dense_restriction(h, src_groups, src_kept, tgt_groups, tgt_kept):
+    """Reference: incl o proj o h o incl o proj over every pair of kept blocks."""
+    _, s_incls, _ = direct_sum(src_groups)
+    _, _, t_projs = direct_sum(tgt_groups)
+    sub_src, _, sub_projs = direct_sum([src_groups[i] for i in src_kept])
+    sub_tgt, sub_incls, _ = direct_sum([tgt_groups[j] for j in tgt_kept])
+    out = AbHom.zero(sub_src, sub_tgt)
+    for a, i in enumerate(src_kept):
+        for b, j in enumerate(tgt_kept):
+            blk = t_projs[j].compose(h).compose(s_incls[i])
+            out = out + sub_incls[b].compose(blk).compose(sub_projs[a])
+    return out
+
+
+small_ints = st.integers(-3, 3)
+
+
+@st.composite
+def groups(draw):
+    """A small presented group; relation columns give torsion summands."""
+    n = draw(st.integers(0, 3))
+    k = draw(st.integers(0, 2))
+    if n == 0:
+        return AbGroup.zero()
+    return AbGroup(n, tuple(map(tuple, draw(matrices(n, k)))))
+
+
+def matrices(m, n):
+    return st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=m, max_size=m)
+
+
+@st.composite
+def block_systems(draw):
+    src = draw(st.lists(groups(), min_size=1, max_size=4))
+    tgt = draw(st.lists(groups(), min_size=1, max_size=4))
+    positions = st.tuples(st.integers(0, len(tgt) - 1), st.integers(0, len(src) - 1))
+    entries = []
+    for ti, si in draw(st.lists(positions, max_size=8)):
+        mat = draw(matrices(tgt[ti].ngens, src[si].ngens))
+        entries.append((ti, si, AbHom(src[si], tgt[ti], mat)))
+    return src, tgt, entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_systems())
+def test_assemble_block_hom_matches_dense_sum(system):
+    src, tgt, entries = system
+    h, src_total, tgt_total = assemble_block_hom(src, tgt, entries)
+    assert h == dense_block_sum(src, tgt, entries)
+    assert (src_total, tgt_total) == (h.src, h.tgt)
+    assert direct_sum_data(src)[0] == direct_sum(src)[0]
+    offsets = [sum(g.ngens for g in src[:i]) for i in range(len(src))]
+    assert direct_sum_data(src)[1] == offsets
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_systems(), st.data())
+def test_restrict_blocks_matches_dense_restriction(system, data):
+    src, tgt, entries = system
+    h = assemble_block_hom(src, tgt, entries)[0]
+    src_kept = sorted(data.draw(st.sets(st.integers(0, len(src) - 1))))
+    tgt_kept = sorted(data.draw(st.sets(st.integers(0, len(tgt) - 1))))
+    expected = dense_restriction(h, src, src_kept, tgt, tgt_kept)
+    assert restrict_blocks(h, src, src_kept, tgt, tgt_kept) == expected
+
+
+def test_assemble_block_hom_rejects_out_of_range_positions():
+    block = AbHom.identity(Z)
+    for position in [(1, 0), (0, 2), (-1, 0), (0, -1)]:
+        with pytest.raises(ContractError):
+            assemble_block_hom([Z, Z2], [Z], [(*position, block)])
+
+
+def test_assemble_block_hom_rejects_misfitting_blocks():
+    Z_2 = AbGroup.free(2)
+    wide = AbHom(Z_2, Z, ((1, 1),))
+    with pytest.raises(ContractError):
+        assemble_block_hom([Z, Z_2], [Z], [(0, 0, wide)])
+    tall = AbHom(Z, Z_2, ((1,), (1,)))
+    with pytest.raises(ContractError):
+        assemble_block_hom([Z], [Z, Z_2], [(0, 0, tall)])
+
+
+def test_restrict_blocks_rejects_a_hom_between_other_sums():
+    with pytest.raises(ContractError):
+        restrict_blocks(AbHom.identity(Z), [Z, Z], [0], [Z], [0])
+
+
+# -- input contracts ------------------------------------------------------------
+
+
+def test_input_contracts_raise_contract_error():
+    with pytest.raises(ContractError):
+        AbGroup(2, ((1,),))
+    with pytest.raises(ContractError):
+        Z2.is_zero_element((0, 0))
+    with pytest.raises(ContractError):
+        AbHom.identity(Z).compose(AbHom.identity(AbGroup.free(2)))
+    with pytest.raises(ContractError):
+        AbHom.identity(Z) + AbHom.zero(Z, Z2)
+
+
+def test_input_contracts_hold_under_optimized_python():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; sys.path.insert(0, %r)\n"
+        "from eqmack.abelian import AbGroup, ContractError\n"
+        "try:\n"
+        "    AbGroup(2, ((1,),))\n"
+        "except ContractError:\n"
+        "    print('rejected')\n" % src
+    )
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert run.stdout.strip() == "rejected", run.stderr

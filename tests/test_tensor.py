@@ -372,7 +372,7 @@ def test_rho_naturality_both_variances():
 
 
 def test_rho_naturality_in_x():
-    from eqmack.tensor import fp_postcompose
+    from eqmack.mackey import fp_postcompose
 
     G = C2
     e = subgroup_classes(G)[0]
