@@ -13,9 +13,7 @@ from functools import lru_cache
 
 from .groups import (
     FiniteGroup,
-    GroupError,
     classify_subgroup,
-    subgroup_classes,
     weyl_group,
 )
 
@@ -99,7 +97,8 @@ class GMap:
 
     def compose(self, other):
         """self o other."""
-        assert other.tgt == self.src
+        if other.tgt != self.src:
+            raise GSetError("composed maps do not meet")
         return GMap(other.src, self.tgt, tuple(self.values[v] for v in other.values))
 
     @staticmethod

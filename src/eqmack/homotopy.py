@@ -4,22 +4,28 @@ equivariant mapping complexes, loop-space comparisons, graded tables.
 Chains are normalized by splitting off the blocks carried by degenerate
 simplices; homotopy groups of strict mapping objects are the homology of
 the natural-family solution lattices, computed degreewise.
+
+There is one mapping-complex engine, MappingComplex.  A family natural over
+the orbit category and a W-equivariant map differ only in the charts and
+relations the engine is given: one chart per orbit class related by the
+orbit maps, or one chart related to itself by the elements of W
+(EquivariantMappingComplex).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
+from itertools import accumulate
 
 from . import abelian as ab
 from . import intlinalg as la
 from .abelian import AbGroup, AbHom, ChainComplex, ChainMap
 from .groups import subgroup_classes
-from .gsets import GMap, GSet, coset_space, disjoint_union, std_orbit
-from .mackey import MackeyError, OrbitMap, WrappedMackey, orbit_maps_between
+from .gsets import GSet, coset_space, disjoint_union, std_orbit
+from .mackey import OrbitMap, WrappedMackey, orbit_maps_between
 from .simplicial import (
     SimplicialGSet,
-    delta,
     discrete_space,
     fixed_system,
     monotones,
@@ -28,7 +34,7 @@ from .simplicial import (
     sphere_for_descriptors,
     standard_simplex_plus,
 )
-from .tensor import PsiMap, TensorMackey, reduced_tensor, tensor
+from .tensor import PsiMap, TensorMackey, reduced_tensor
 
 
 class HomotopyError(ValueError):
@@ -176,18 +182,6 @@ def bredon_groups(X, M, degrees, based=True):
 # -- mapping complexes ------------------------------------------------------------
 
 
-def _simplex_tau(plus_space, m, idx):
-    """Decode a Delta[k]_+ point index into its monotone map (or None)."""
-    dim = plus_space.levels[0].size - 2
-    table = [None] + list(monotones(m, dim))
-    return table[idx]
-
-
-def _tau_index(plus_space, m, tau):
-    dim = plus_space.levels[0].size - 2
-    return ([None] + list(monotones(m, dim))).index(tau)
-
-
 def normal_form(Y, m, p):
     """(level, core point, eta word bottom-up) for a point of a space."""
     word = []
@@ -208,46 +202,81 @@ def normal_form(Y, m, p):
     return level, p, word
 
 
-class MappingComplex:
-    """Natural families of based simplicial maps K smash Delta[n]_+ -> values.
+@dataclass
+class Chart:
+    """A based space with the target's levels over it.
 
-    K is a based simplicial G-set standing for its fixed-point system; the
-    target is a reduced tensor.  The degree-n group is the solution lattice
-    of the simplicial-map and orbit-naturality constraints.
+    value(m) is the target group at level m; face(m, i) and degen(m, i) are
+    its simplicial operators.
+    """
+
+    space: SimplicialGSet
+    value: object
+    face: object
+    degen: object
+
+
+@dataclass
+class Relation:
+    """hom(m) f_src(x) = f_tgt(level[m][x]) for every point x of the source
+    chart's space, where hom(m): value_src(m) -> value_tgt(m)."""
+
+    src: object  # chart key
+    tgt: object  # chart key
+    hom: object
+    level: tuple  # per-level point tables, source space -> target space
+
+
+class MappingComplex:
+    """Families of based simplicial maps K smash Delta[n]_+ -> values that
+    commute with a set of relations.
+
+    A family has one map per chart.  K is a based simplicial G-set standing
+    for its fixed-point system and the target is a reduced tensor T: the
+    chart of the orbit class H is K^H with T at G/H, and every non-identity
+    orbit map G/J -> G/H relates the charts of H and J.  The degree-n group
+    is the solution lattice of the simplicial and relation constraints.
     """
 
     def __init__(self, K, T, degree_bound):
-        if not K.based:
-            raise HomotopyError("the source must be based")
+        self._start(K, degree_bound)
         if not T.reduced:
             raise HomotopyError("mapping complexes target reduced tensors")
-        self.K = K
         self.T = T
-        self.degree_bound = degree_bound
-        self.G = T.group
-        self.recs = subgroup_classes(self.G)
-        self._fixed = {}
+        G = T.group
+        self.recs = subgroup_classes(G)
         for rec in self.recs:
-            y, pts = fixed_system(K, rec.elements)
-            self._fixed[rec.class_id] = y
-        self._omaps = [
-            om
-            for j in self.recs
-            for h in self.recs
-            for om in orbit_maps_between(j, h)
-            if not (j is h and om.c == self.G.identity)
-        ]
-        self._transitions = {om: phi_transition(K, om) for om in self._omaps}
+            S = std_orbit(G, rec)
+            self.charts[rec.class_id] = Chart(
+                fixed_system(K, rec.elements)[0],
+                partial(T.group_at, S=S),
+                partial(T.face, S=S),
+                partial(T.degen, S=S),
+            )
+        for j in self.recs:
+            for h in self.recs:
+                for om in orbit_maps_between(j, h):
+                    if j is h and om.c == G.identity:
+                        continue
+                    self.relations.append(
+                        Relation(
+                            h.class_id,
+                            j.class_id,
+                            partial(T.orbit_transition, om=om),
+                            phi_transition(K, om),
+                        )
+                    )
+
+    def _start(self, K, degree_bound):
+        if not K.based:
+            raise HomotopyError("the source must be based")
+        self.K = K
+        self.degree_bound = degree_bound
+        self.charts = {}
+        self.relations = []
         self._degree = {}
         self._diffs = {}
         self._complex = None
-
-    def _kd(self, rec, n):
-        """K^rec smash Delta[n]_+ together with its pair decoding."""
-        y = self._fixed[rec.class_id]
-        simplex = standard_simplex_plus(y.group, n, y.bound)
-        sm = smash(y, simplex)
-        return sm, simplex
 
     def degree_data(self, n):
         if n not in self._degree:
@@ -260,101 +289,78 @@ class MappingComplex:
         return self.degree_data(n)["group"]
 
     def _build_degree(self, n):
-        blocks = []  # (rec, m, sigma point index)
+        spaces = {}
+        blocks = []  # (chart key, m, point of K smash Delta[n]_+)
         offsets = {}
         values = []
-        kds = {}
-        for rec in self.recs:
-            sm, simplex = self._kd(rec, n)
-            kds[rec.class_id] = (sm, simplex)
-            S = std_orbit(self.G, rec)
+        for key, chart in self.charts.items():
+            y = chart.space
+            sm = smash(y, standard_simplex_plus(y.group, n, y.bound))
+            spaces[key] = sm
             for m in range(sm.bound + 1):
                 flags = sm.degenerate_flags(m)
                 for p in range(sm.levels[m].size):
                     if p == sm.base(m) or flags[p]:
                         continue
-                    offsets[(rec.class_id, m, p)] = len(blocks)
-                    blocks.append((rec, m, p))
-                    values.append(self.T.group_at(m, S))
-        total, incls, projs = ab.direct_sum(values)
-
-        def express(rec, m, p):
-            """Normal form of the value of f at an arbitrary point: either
-            None (basepoint) or (degeneracy hom, core unknown index)."""
-            sm, _ = kds[rec.class_id]
-            if p == sm.base(m):
-                return None
-            lvl, core, word = normal_form(sm, m, p)
-            S = std_orbit(self.G, rec)
-            cur = lvl
-            ops = AbHom.identity(self.T.group_at(lvl, S))
-            for i in word:
-                ops = self.T.degen(cur, i, S).compose(ops)
-                cur += 1
-            idx = offsets[(rec.class_id, lvl, core)]
-            return ops, idx
-
+                    offsets[(key, m, p)] = len(blocks)
+                    blocks.append((key, m, p))
+                    values.append(chart.value(m))
+        data = {"spaces": spaces, "offsets": offsets}
         targets = []
         entries = []
 
-        def add_row(target_group, terms):
+        def add_row(idx, hom, key, m, q):
+            """The row hom(f at block idx) - f(point q of chart key) = 0."""
             r = len(targets)
-            targets.append(target_group)
-            for idx, hom in terms:
-                entries.append((r, idx, hom))
+            targets.append(self.charts[key].value(m))
+            entries.append((r, idx, hom))
+            got = self._express(data, key, m, q)
+            if got is not None:
+                ops, j = got
+                entries.append((r, j, ops.scale(-1)))
 
-        for rec in self.recs:
-            sm, simplex = kds[rec.class_id]
-            S = std_orbit(self.G, rec)
-            for m in range(1, sm.bound + 1):
-                flags = sm.degenerate_flags(m)
-                for p in range(sm.levels[m].size):
-                    if p == sm.base(m) or flags[p]:
+        for idx, (key, m, p) in enumerate(blocks):
+            if m == 0:
+                continue
+            faces = spaces[key].faces[m]
+            for i in range(m + 1):
+                add_row(idx, self.charts[key].face(m, i), key, m - 1, faces[i].values[p])
+        for rel in self.relations:
+            src, tgt = spaces[rel.src], spaces[rel.tgt]
+            for m in range(src.bound + 1):
+                hom = rel.hom(m)
+                for p in range(src.levels[m].size):
+                    idx = offsets.get((rel.src, m, p))
+                    if idx is None:
                         continue
-                    src_idx = offsets[(rec.class_id, m, p)]
-                    for i in range(m + 1):
-                        q = sm.faces[m][i].values[p]
-                        terms = [(src_idx, self.T.face(m, i, S))]
-                        got = express(rec, m - 1, q)
-                        if got is not None:
-                            ops, idx = got
-                            terms.append((idx, ops.scale(-1)))
-                        add_row(self.T.group_at(m - 1, S), terms)
-        for om in self._omaps:
-            jrec, hrec = om.src, om.tgt
-            sm_h, _ = kds[hrec.class_id]
-            sm_j, _ = kds[jrec.class_id]
-            S_j = std_orbit(self.G, jrec)
-            trans = self._transitions[om]
-            for m in range(sm_h.bound + 1):
-                flags = sm_h.degenerate_flags(m)
-                resmap = self.T.orbit_transition(m, om)
-                for p in range(sm_h.levels[m].size):
-                    if p == sm_h.base(m) or flags[p]:
-                        continue
-                    src_idx = offsets[(hrec.class_id, m, p)]
-                    q = _transported_point(sm_h, sm_j, trans, m, p)
-                    terms = [(src_idx, resmap)]
-                    got = express(jrec, m, q)
-                    if got is not None:
-                        ops, idx = got
-                        terms.append((idx, ops.scale(-1)))
-                    add_row(self.T.group_at(m, S_j), terms)
+                    kappa, tau_idx = src._smash_points[m][p]
+                    q = _smash_pair_index(tgt, m, rel.level[m][kappa], tau_idx)
+                    add_row(idx, hom, rel.tgt, m, q)
 
-        cons, src_total, _ = ab.assemble_block_hom(values, targets, entries)
-        assert src_total == total
+        cons, total, _ = ab.assemble_block_hom(values, targets, entries)
         ker, incl = cons.kernel()
-        return {
-            "group": ker,
-            "incl": incl,
-            "total": total,
-            "incls": incls,
-            "projs": projs,
-            "values": tuple(values),
-            "blocks": tuple(blocks),
-            "offsets": offsets,
-            "kds": kds,
-        }
+        data.update(
+            group=ker,
+            incl=incl,
+            total=total,
+            starts=tuple(accumulate((v.ngens for v in values), initial=0)),
+            values=tuple(values),
+            blocks=tuple(blocks),
+        )
+        return data
+
+    def _express(self, data, key, m, p):
+        """The value of a family at point p of chart key's level m, as None
+        (the basepoint) or (degeneracy hom, index of the nondegenerate block)."""
+        sm = data["spaces"][key]
+        if p == sm.base(m):
+            return None
+        lvl, core, word = normal_form(sm, m, p)
+        chart = self.charts[key]
+        ops = AbHom.identity(chart.value(lvl))
+        for cur, i in enumerate(word, lvl):
+            ops = chart.degen(cur, i).compose(ops)
+        return ops, data["offsets"][(key, lvl, core)]
 
     def differential(self, n):
         """d_n: degree n -> degree n-1 via the alternating vertex maps."""
@@ -363,33 +369,22 @@ class MappingComplex:
         dsrc = self.degree_data(n)
         dtgt = self.degree_data(n - 1)
         entries = []
-        for bidx, (rec, m, p) in enumerate(dtgt["blocks"]):
-            sm_t, simplex_t = dtgt["kds"][rec.class_id]
-            sm_s, simplex_s = dsrc["kds"][rec.class_id]
-            kappa, tau_idx = sm_t._smash_points[m][p]
-            tau = _simplex_tau(simplex_t, m, tau_idx)
-            S = std_orbit(self.G, rec)
+        for bidx, (key, m, p) in enumerate(dtgt["blocks"]):
+            kappa, tau_idx = dtgt["spaces"][key]._smash_points[m][p]
+            tau = monotones(m, n - 1)[tau_idx - 1]
             for i in range(n + 1):
                 dtau = tuple(v if v < i else v + 1 for v in tau)
-                tidx = _tau_index(simplex_s, m, dtau)
-                src_p = _smash_pair_index(sm_s, m, kappa, tidx)
-                if src_p == sm_s.base(m):
-                    continue
-                lvl, core, word = normal_form(sm_s, m, src_p)
-                ops = AbHom.identity(self.T.group_at(lvl, S))
-                cur = lvl
-                for w in word:
-                    ops = self.T.degen(cur, w, S).compose(ops)
-                    cur += 1
-                idx = dsrc["offsets"][(rec.class_id, lvl, core)]
-                entries.append((bidx, idx, ops if i % 2 == 0 else ops.scale(-1)))
-        amb, _, _ = ab.assemble_block_hom(
-            dsrc["values"], [self.T.group_at(m, std_orbit(self.G, rec)) for (rec, m, _) in dtgt["blocks"]], entries
-        )
+                tidx = monotones(m, n).index(dtau) + 1
+                q = _smash_pair_index(dsrc["spaces"][key], m, kappa, tidx)
+                got = self._express(dsrc, key, m, q)
+                if got is not None:
+                    ops, idx = got
+                    entries.append((bidx, idx, ops if i % 2 == 0 else ops.scale(-1)))
+        amb, _, _ = ab.assemble_block_hom(dsrc["values"], dtgt["values"], entries)
         big = amb.compose(dsrc["incl"])
         out = dtgt["incl"].preimage_matrix(big.mat)
         if out is None:
-            raise HomotopyError("differential does not preserve naturality")
+            raise HomotopyError("differential does not preserve the relations")
         self._diffs[n] = AbHom(dsrc["group"], dtgt["group"], out)
         return self._diffs[n]
 
@@ -410,23 +405,41 @@ class MappingComplex:
         return self.chain_complex().homology(n)
 
     def element_from_blocks(self, n, assign):
-        """Encode a family given per (class_id, m, point) into coordinates."""
+        """Encode a family given per (chart key, m, point) into coordinates."""
         data = self.degree_data(n)
         amb = [0] * data["total"].ngens
         for key, vec in assign.items():
-            idx = data["offsets"][key]
-            w = data["incls"][idx](vec)
-            amb = [a + b for a, b in zip(amb, w)]
+            start = data["starts"][data["offsets"][key]]
+            for k, v in enumerate(vec):
+                amb[start + k] += v
         sol = data["incl"].preimage(tuple(amb))
         if sol is None:
-            raise HomotopyError("the family is not natural or not simplicial")
+            raise HomotopyError("the family is not simplicial or breaks a relation")
         return sol
 
 
-def _transported_point(sm_h, sm_j, trans, m, p):
-    kappa, tau_idx = sm_h._smash_points[m][p]
-    k2 = trans[m][kappa]
-    return _smash_pair_index(sm_j, m, k2, tau_idx)
+class EquivariantMappingComplex(MappingComplex):
+    """W-equivariant based simplicial maps K smash Delta[n]_+ -> module levels.
+
+    The mapping complex over one object: a single chart, key 0, with K and
+    the levels of mt, related to itself by every group element w != 1.
+    """
+
+    def __init__(self, K, mt, degree_bound):
+        self._start(K, degree_bound)
+        self.mt = mt
+        W = K.group
+        self.charts[0] = Chart(K, lambda m: mt.module(m).value, mt.face_hom, mt.degen_hom)
+        for w in W.elements():
+            if w != W.identity:
+                self.relations.append(
+                    Relation(
+                        0,
+                        0,
+                        lambda m, w=w: mt.module(m).hom(w),
+                        tuple(lv.action[w] for lv in K.levels),
+                    )
+                )
 
 
 @lru_cache(maxsize=None)
@@ -438,7 +451,6 @@ def _smash_index_map(sm, m):
 
 def _smash_pair_index(sm, m, kappa, tau_idx):
     return _smash_index_map(sm, m).get((kappa, tau_idx), sm.base(m))
-
 
 # -- homotopy classes and the loop comparison -------------------------------------
 
@@ -487,22 +499,23 @@ def omega_spectrum_check(X, M, desc, n_max, degree_bound=None):
     loop adjoint of the structure map is computed explicitly on cycles and
     must be an isomorphism onto the mapping-complex homology.
     """
+    bound = degree_bound if degree_bound is not None else n_max + 2
+    if bound <= n_max:
+        raise HomotopyError(
+            "degree bound %d too small for pi_%d" % (bound, n_max)
+        )
     G = M.group
     psi = PsiMap(desc, X, M)
-    T = psi.T_src
-    chains = MackeyChainComplex(T)
-    bound = degree_bound if degree_bound is not None else n_max + 2
+    chains = MackeyChainComplex(psi.T_src)
     entries = []
     for krec in subgroup_classes(G):
-        S_k = std_orbit(G, krec)
         orb_space = based_orbit_space(G, krec, psi.SW.bound)
         kspace = smash(psi.SW, orb_space)
         mc = MappingComplex(kspace, psi.T_tgt, bound)
-        rhs_complex = mc.chain_complex()
         lhs_complex = chains.complex(krec)
         for n in range(n_max + 1):
             lhs_h = lhs_complex.homology(n)
-            rhs_h = rhs_complex.homology(n)
+            rhs_h = mc.homotopy_group(n)
             ok, mat = _phi_induced(
                 psi, krec, kspace, orb_space, mc, chains, n
             )
@@ -523,24 +536,20 @@ def _phi_induced(psi, krec, kspace, orb_space, mc, chains, n):
     """The matrix of the loop-adjoint comparison on degree-n homology."""
     G = psi.M.group
     T = psi.T_src
-    S_k = std_orbit(G, krec)
     lhs_complex = chains.complex(krec)
     lhs_h = lhs_complex.homology(n)
-    rhs_complex = mc.chain_complex()
-    rhs_h = rhs_complex.homology(n)
-    sl = chains.slice(krec, n)
-    _, k_reps, _ = coset_space(G, krec.elements)
+    rhs_h = mc.homotopy_group(n)
+    include = chains.slice(krec, n).include_into_full()
+    data = mc.degree_data(n)
     cols = []
     for c in range(lhs_h.ngens):
         w = tuple(1 if i == c else 0 for i in range(lhs_h.ngens))
-        z = lhs_complex.cycle_of_class(n, w)
-        z_full = sl.include_into_full()(z)
+        z_full = include(lhs_complex.cycle_of_class(n, w))
         assign = {}
-        data = mc.degree_data(n)
-        for (rec, m, p) in data["blocks"]:
-            sm, simplex = data["kds"][rec.class_id]
-            kappa, tau_idx = sm._smash_points[m][p]
-            tau = _simplex_tau(simplex, m, tau_idx)
+        for (cid, m, p) in data["blocks"]:
+            rec = mc.recs[cid]
+            kappa, tau_idx = data["spaces"][cid]._smash_points[m][p]
+            tau = monotones(m, n)[tau_idx - 1]
             # kappa decodes into (sphere simplex, orbit point) of the smash
             alpha, u = _decode_kspace_point(kspace, orb_space, rec, m, kappa)
             S_j = std_orbit(G, rec)
@@ -549,12 +558,12 @@ def _phi_induced(psi, krec, kspace, orb_space, mc, chains, n):
             zj = T.contravariant_S(n, um.gmap())(z_full)
             zjm = T.op(tau, m, n, S_j)(zj)
             val = psi.component(rec, m, alpha)(zjm)
-            assign[(rec.class_id, m, p)] = val
+            assign[(cid, m, p)] = val
         try:
             sol = mc.element_from_blocks(n, assign)
         except HomotopyError:
             return False, None
-        cols.append(rhs_complex.homology_class(n, sol))
+        cols.append(mc.chain_complex().homology_class(n, sol))
     mat = la.transpose(tuple(cols), rhs_h.ngens)
     return True, AbHom(lhs_h, rhs_h, mat)
 
@@ -710,177 +719,3 @@ def coefficient_les(ses, rec, through_degree):
     for k in range(1, len(nodes) - 1):
         exact_flags.append(ab.is_exact_at(homs[k - 1], homs[k]))
     return nodes, exact_flags, homs
-
-
-# -- Weyl-equivariant mapping complexes --------------------------------------------
-
-
-class EquivariantMappingComplex:
-    """W-equivariant based simplicial maps K smash Delta[n]_+ -> module levels.
-
-    The one-group analogue of the orbit-natural mapping complex: unknowns
-    are values on nondegenerate simplices, constrained by the simplicial
-    relations and by equivariance for every group element.
-    """
-
-    def __init__(self, K, mt, degree_bound):
-        if not K.based:
-            raise HomotopyError("the source must be based")
-        self.K = K
-        self.mt = mt
-        self.W = K.group
-        self.degree_bound = degree_bound
-        self._degree = {}
-        self._diffs = {}
-        self._complex = None
-
-    def _kd(self, n):
-        simplex = standard_simplex_plus(self.W, n, self.K.bound)
-        return smash(self.K, simplex), simplex
-
-    def degree_data(self, n):
-        if n not in self._degree:
-            self._degree[n] = self._build(n)
-        return self._degree[n]
-
-    def group(self, n):
-        return self.degree_data(n)["group"]
-
-    def _build(self, n):
-        sm, simplex = self._kd(n)
-        blocks = []
-        offsets = {}
-        values = []
-        for m in range(sm.bound + 1):
-            flags = sm.degenerate_flags(m)
-            for p in range(sm.levels[m].size):
-                if p == sm.base(m) or flags[p]:
-                    continue
-                offsets[(m, p)] = len(blocks)
-                blocks.append((m, p))
-                values.append(self.mt.module(m).value)
-        total, incls, projs = ab.direct_sum(values)
-
-        def express(m, p):
-            if p == sm.base(m):
-                return None
-            lvl, core, word = normal_form(sm, m, p)
-            ops = AbHom.identity(self.mt.module(lvl).value)
-            cur = lvl
-            for i in word:
-                ops = self.mt.degen_hom(cur, i).compose(ops)
-                cur += 1
-            return ops, offsets[(lvl, core)]
-
-        targets = []
-        entries = []
-
-        def add_row(tg, terms):
-            r = len(targets)
-            targets.append(tg)
-            for idx, hom in terms:
-                entries.append((r, idx, hom))
-
-        for m in range(1, sm.bound + 1):
-            flags = sm.degenerate_flags(m)
-            for p in range(sm.levels[m].size):
-                if p == sm.base(m) or flags[p]:
-                    continue
-                src_idx = offsets[(m, p)]
-                for i in range(m + 1):
-                    q = sm.faces[m][i].values[p]
-                    terms = [(src_idx, self.mt.face_hom(m, i))]
-                    got = express(m - 1, q)
-                    if got is not None:
-                        ops, idx = got
-                        terms.append((idx, ops.scale(-1)))
-                    add_row(self.mt.module(m - 1).value, terms)
-        for w in self.W.elements():
-            if w == self.W.identity:
-                continue
-            for m in range(sm.bound + 1):
-                flags = sm.degenerate_flags(m)
-                rho = self.mt.module(m).hom(w)
-                for p in range(sm.levels[m].size):
-                    if p == sm.base(m) or flags[p]:
-                        continue
-                    src_idx = offsets[(m, p)]
-                    wp = sm.levels[m].action[w][p]
-                    terms = [(src_idx, rho)]
-                    got = express(m, wp)
-                    if got is not None:
-                        ops, idx = got
-                        terms.append((idx, ops.scale(-1)))
-                    add_row(self.mt.module(m).value, terms)
-
-        cons, src_total, _ = ab.assemble_block_hom(values, targets, entries)
-        ker, incl = cons.kernel()
-        return {
-            "group": ker,
-            "incl": incl,
-            "total": total,
-            "incls": incls,
-            "projs": projs,
-            "values": tuple(values),
-            "blocks": tuple(blocks),
-            "offsets": offsets,
-            "kd": (sm, simplex),
-        }
-
-    def differential(self, n):
-        if n in self._diffs:
-            return self._diffs[n]
-        dsrc = self.degree_data(n)
-        dtgt = self.degree_data(n - 1)
-        sm_t, simplex_t = dtgt["kd"]
-        sm_s, simplex_s = dsrc["kd"]
-        entries = []
-        for bidx, (m, p) in enumerate(dtgt["blocks"]):
-            kappa, tau_idx = sm_t._smash_points[m][p]
-            tau = _simplex_tau(simplex_t, m, tau_idx)
-            for i in range(n + 1):
-                dtau = tuple(v if v < i else v + 1 for v in tau)
-                tidx = _tau_index(simplex_s, m, dtau)
-                src_p = _smash_pair_index(sm_s, m, kappa, tidx)
-                if src_p == sm_s.base(m):
-                    continue
-                lvl, core, word = normal_form(sm_s, m, src_p)
-                ops = AbHom.identity(self.mt.module(lvl).value)
-                cur = lvl
-                for w in word:
-                    ops = self.mt.degen_hom(cur, w).compose(ops)
-                    cur += 1
-                idx = dsrc["offsets"][(lvl, core)]
-                entries.append((bidx, idx, ops if i % 2 == 0 else ops.scale(-1)))
-        amb, _, _ = ab.assemble_block_hom(
-            dsrc["values"],
-            [self.mt.module(m).value for (m, _) in dtgt["blocks"]],
-            entries,
-        )
-        big = amb.compose(dsrc["incl"])
-        out = dtgt["incl"].preimage_matrix(big.mat)
-        if out is None:
-            raise HomotopyError("differential does not preserve equivariance")
-        self._diffs[n] = AbHom(dsrc["group"], dtgt["group"], out)
-        return self._diffs[n]
-
-    def chain_complex(self):
-        if self._complex is None:
-            groups = {n: self.group(n) for n in range(self.degree_bound + 1)}
-            diffs = {
-                n: self.differential(n) for n in range(1, self.degree_bound + 1)
-            }
-            self._complex = ChainComplex(groups=groups, diffs=diffs)
-        return self._complex
-
-    def element_from_blocks(self, n, assign):
-        data = self.degree_data(n)
-        amb = [0] * data["total"].ngens
-        for key, vec in assign.items():
-            idx = data["offsets"][key]
-            w = data["incls"][idx](vec)
-            amb = [a + b for a, b in zip(amb, w)]
-        sol = data["incl"].preimage(tuple(amb))
-        if sol is None:
-            raise HomotopyError("the family is not equivariant or not simplicial")
-        return sol

@@ -65,7 +65,8 @@ def hstack(a, b):
         return b
     if not b:
         return a
-    assert len(a) == len(b)
+    if len(a) != len(b):
+        raise ValueError("hstack of %d and %d rows" % (len(a), len(b)))
     return tuple(ra + rb for ra, rb in zip(a, b))
 
 

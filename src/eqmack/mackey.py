@@ -10,7 +10,7 @@ images and homology give derived functors through a generic wrapper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import abelian as ab
@@ -18,11 +18,9 @@ from . import intlinalg as la
 from .abelian import AbGroup, AbHom
 from .groups import (
     FiniteGroup,
-    classify_subgroup,
     conjugation_witness,
     normalizer,
     subgroup_classes,
-    weyl_group,
 )
 from .gsets import (
     GMap,
@@ -30,7 +28,6 @@ from .gsets import (
     coset_space,
     fixed_points,
     orbit_decompose,
-    product,
     pullback,
     restrict_map_to_fixed,
     std_orbit,
@@ -74,7 +71,8 @@ class OrbitMap:
 
     def compose(self, other):
         """self o other (other first)."""
-        assert other.tgt is self.src or other.tgt == self.src
+        if other.tgt is not self.src and other.tgt != self.src:
+            raise MackeyError("composed orbit maps do not meet")
         G = self.group
         return OrbitMap(other.src, self.tgt, G.mul[other.c][self.c])
 

@@ -1120,12 +1120,9 @@ def cylinder_inclusions(X):
 
 
 def idx_of_vertex(simplex_plus, vertex, n):
-    """The level-n degeneracy of a vertex inside Delta[k]_+."""
-    target = tuple(vertex for _ in range(n + 1))
-    lv = [None] + list(monotones(n, _simplex_dim(simplex_plus)))
-    return lv.index(target)
+    """The level-n degeneracy of a vertex inside Delta[k]_+.
 
-
-def _simplex_dim(simplex_plus):
-    # number of vertices of the underlying simplex minus one
-    return simplex_plus.levels[0].size - 2
+    Point 0 is the basepoint and point i > 0 is monotones(n, k)[i - 1].
+    """
+    k = simplex_plus.levels[0].size - 2
+    return monotones(n, k).index((vertex,) * (n + 1)) + 1

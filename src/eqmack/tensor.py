@@ -13,14 +13,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import abelian as ab
-from .abelian import AbGroup, AbHom
+from .abelian import AbHom
 from .groups import subgroup_classes
-from .gsets import GMap, GSet, coset_space, orbit_decompose, product, pullback, std_orbit
+from .gsets import GMap, GSet, coset_space, product, pullback, std_orbit
 from .mackey import (
-    Evaluated,
     FixedPointMackey,
-    MackeyError,
-    MackeyMorphism,
     OrbitMap,
     WeylModule,
     based_contravariant,
@@ -28,7 +25,7 @@ from .mackey import (
     based_value,
     covariant_between,
 )
-from .simplicial import SimplicialGMap, SimplicialGSet, smash
+from .simplicial import smash
 
 
 class TensorError(ValueError):
@@ -267,8 +264,6 @@ def reduced_tensor(X, M):
 def reduced_as_cokernel(X, M, n, S):
     """The literal cokernel presentation of the reduced value, with the
     comparison iso onto the block presentation (a consistency oracle)."""
-    from .simplicial import point_space
-
     T = TensorMackey(X, M, reduced=False)
     ls = T.level_set(n, S)
     # basepoint inclusion pt x S -> X_n x S

@@ -296,13 +296,27 @@ def test_input_contracts_hold_under_optimized_python():
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         "import sys; sys.path.insert(0, %r)\n"
+        "from eqmack import intlinalg as la\n"
         "from eqmack.abelian import AbGroup, ContractError\n"
-        "try:\n"
-        "    AbGroup(2, ((1,),))\n"
-        "except ContractError:\n"
-        "    print('rejected')\n" % src
+        "from eqmack.groups import FiniteGroup, subgroup_classes\n"
+        "from eqmack.gsets import GMap, GSetError, point_gset, regular_gset\n"
+        "from eqmack.mackey import MackeyError, OrbitMap\n"
+        "C2 = FiniteGroup.cyclic(2)\n"
+        "e, g = subgroup_classes(C2)\n"
+        "pt, reg = GMap.identity(point_gset(C2)), GMap.identity(regular_gset(C2))\n"
+        "cases = [\n"
+        "    (ContractError, lambda: AbGroup(2, ((1,),))),\n"
+        "    (ValueError, lambda: la.hstack(((1,),), ((1,), (2,)))),\n"
+        "    (GSetError, lambda: pt.compose(reg)),\n"
+        "    (MackeyError, lambda: OrbitMap.identity(e).compose(OrbitMap.identity(g))),\n"
+        "]\n"
+        "for error, call in cases:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except error:\n"
+        "        print('rejected')\n" % src
     )
     run = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
     )
-    assert run.stdout.strip() == "rejected", run.stderr
+    assert run.stdout.split() == ["rejected"] * 4, run.stderr

@@ -4,6 +4,10 @@ Pairs of values are at G/e and G/G.  For C2 with constant Z the reduced
 homology of S^sigma is that of the cofibre C2_+ -> S^0, and S^{2 sigma} has
 its top class fixed; for S3 with Burnside coefficients H~_1(S^1) is the
 Burnside functor itself, of ranks 1, 2, 2 and 4 at the four orbit classes.
+
+Homotopy classes [S^V, HM]^G on C2 are M(G/G) for V = 0 and the kernel of
+the restriction M(G/G) -> M(G/e) for V = sigma.  Equivariant maps into a
+W-module A from S^0 or S^sigma have pi_0 = A^W and pi_1 = 0.
 """
 
 import pytest
@@ -11,15 +15,20 @@ import pytest
 from eqmack.abelian import AbGroup, AbHom
 from eqmack.groups import FiniteGroup, subgroup_classes
 from eqmack.homotopy import (
+    EquivariantMappingComplex,
+    HomotopyError,
+    MappingComplex,
     bredon_groups,
     bredon_homology,
     coefficient_les,
     cofibration_les,
+    homotopy_classes,
     omega_spectrum_check,
     ro_graded_table,
 )
 from eqmack.mackey import (
     MackeyMorphism,
+    WeylModule,
     burnside_mackey,
     constant_mackey,
     fixed_point_morphism,
@@ -32,7 +41,12 @@ from eqmack.simplicial import (
     sphere_for_descriptors,
     trivial_rep,
 )
-from eqmack.tensor import ses_from_coefficients, ses_from_cofibration
+from eqmack.tensor import (
+    ModuleTensor,
+    reduced_tensor,
+    ses_from_coefficients,
+    ses_from_cofibration,
+)
 
 Z = AbGroup.free(1)
 Z2 = AbGroup.cyclic(2)
@@ -115,3 +129,67 @@ def test_omega_check_in_degree_zero():
     report = omega_spectrum_check(s0_space(C2, 2), constant_mackey(C2, Z), sign_rep(), 0)
     assert report.passed
     assert [e[2:4] for e in report.entries] == [("Z", "Z"), ("Z", "Z")]
+
+
+def test_omega_check_rejects_a_degree_bound_without_the_next_differential():
+    # pi_1 needs d_2; with degree_bound 1 it would read as the cycles Z^3, Z^2
+    with pytest.raises(HomotopyError):
+        omega_spectrum_check(
+            s0_space(C2, 2), constant_mackey(C2, Z), sign_rep(), 1, degree_bound=1
+        )
+
+
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [("burnside", ["Z^2", "Z"]), ("Z", ["Z", "0"])],
+)
+def test_homotopy_classes_from_spheres(coeffs, expected):
+    M = burnside_mackey(C2) if coeffs == "burnside" else constant_mackey(C2, Z)
+    X = s0_space(C2, 3)
+    got = [homotopy_classes(V, X, M, degree_bound=2).describe() for V in ([], [sign_rep()])]
+    assert got == expected
+
+
+def module(name):
+    if name == "Z":
+        return WeylModule.trivial(C2, Z)
+    if name == "Z/2":
+        return WeylModule.trivial(C2, Z2)
+    return WeylModule.regular(C2)
+
+
+@pytest.mark.parametrize("sphere", ["S^0", "S^sigma"])
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [("Z", ["Z", "0"]), ("Z[C2]", ["Z", "0"]), ("Z/2", ["Z/2", "0"])],
+)
+def test_equivariant_mapping_complex_from_spheres(sphere, coeffs, expected):
+    K = s0_space(C2, 3) if sphere == "S^0" else sphere_for_descriptors(C2, [sign_rep()], 3)
+    mc = EquivariantMappingComplex(K, ModuleTensor(K, module(coeffs)), 2)
+    assert [mc.homotopy_group(n).describe() for n in (0, 1)] == expected
+    with pytest.raises(HomotopyError):
+        mc.group(3)
+
+
+def test_mapping_complex_degree_bound_is_checked():
+    K = sphere_for_descriptors(C2, [sign_rep()], 3)
+    mc = MappingComplex(K, reduced_tensor(s0_space(C2, 3), constant_mackey(C2, Z)), 2)
+    with pytest.raises(HomotopyError):
+        mc.group(3)
+    with pytest.raises(HomotopyError):
+        mc.homotopy_group(2)
+
+
+def test_element_from_blocks_accepts_natural_and_rejects_other_families():
+    K = s0_space(C2, 3)
+    emc = EquivariantMappingComplex(K, ModuleTensor(K, module("Z")), 2)
+    # chart 0, level 0, the non-base vertex: the generator of pi_0 = Z
+    unit = emc.element_from_blocks(0, {(0, 0, 1): (1,)})
+    assert emc.chain_complex().homology_class(0, unit) == (1,)
+    # K = S^sigma has the fixed points S^0: a value at G/G whose restriction
+    # to G/e is not matched there is simplicial but not natural
+    K = sphere_for_descriptors(C2, [sign_rep()], 3)
+    mc = MappingComplex(K, reduced_tensor(s0_space(C2, 3), constant_mackey(C2, Z)), 2)
+    assert (1, 0, 1) in mc.degree_data(0)["blocks"]
+    with pytest.raises(HomotopyError):
+        mc.element_from_blocks(0, {(1, 0, 1): (1,)})
