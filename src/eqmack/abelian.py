@@ -259,12 +259,13 @@ class AbHom:
     def preimage_matrix(self, b):
         """X with self o X == b columnwise (coordinates), or None."""
         _, k = la.shape(b)
+        red = self._graph_reduction()
         cols = []
         for j in range(k):
-            x = self.preimage(tuple(b[i][j] for i in range(self.tgt.ngens)))
+            x = red.solve(tuple(b[i][j] for i in range(self.tgt.ngens)))
             if x is None:
                 return None
-            cols.append(x)
+            cols.append(x[: self.src.ngens])
         return la.transpose(tuple(cols), self.src.ngens)
 
     def kernel(self):

@@ -242,6 +242,10 @@ class MappingComplex:
         self._start(K, degree_bound)
         if not T.reduced:
             raise HomotopyError("mapping complexes target reduced tensors")
+        if K.bound > T.X.bound:
+            raise HomotopyError(
+                "source bound %d exceeds the target's bound %d" % (K.bound, T.X.bound)
+            )
         self.T = T
         G = T.group
         self.recs = subgroup_classes(G)
@@ -401,6 +405,11 @@ class MappingComplex:
         if n + 1 > self.degree_bound:
             raise HomotopyError(
                 "degree bound %d too small for pi_%d" % (self.degree_bound, n)
+            )
+        if n + 1 > self.K.bound:
+            # Delta[n+1] has no nondegenerate top simplex below the bound
+            raise HomotopyError(
+                "source bound %d too small for pi_%d" % (self.K.bound, n)
             )
         return self.chain_complex().homology(n)
 

@@ -36,20 +36,23 @@ def transpose(a, ncols=None):
 
 
 def matmul(a, b, bcols=None):
+    """a times b, visiting only the nonzero entries of both."""
     m, n = shape(a)
     n2, p = shape(b)
     if bcols is not None:
         p = bcols
     if m and n2 and n != n2:
         raise ValueError("shape mismatch %s x %s" % ((m, n), (n2, p)))
-    if not m:
-        return ()
-    if not n:
-        return zeros(m, p)
-    bt = transpose(b, p)
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
-    )
+    brows = [[(j, y) for j, y in enumerate(rb) if y] for rb in b]
+    out = []
+    for ra in a:
+        row = [0] * p
+        for k, x in enumerate(ra):
+            if x:
+                for j, y in brows[k]:
+                    row[j] += x * y
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def matadd(a, b):
@@ -71,8 +74,9 @@ def hstack(a, b):
 
 
 def apply(a, v):
-    """Matrix times column vector (as tuple)."""
-    return tuple(sum(ra[k] * v[k] for k in range(len(v))) for ra in a)
+    """Matrix times column vector (as tuple), over the nonzeros of v."""
+    nz = [(k, x) for k, x in enumerate(v) if x]
+    return tuple(sum(ra[k] * x for k, x in nz) for ra in a)
 
 
 def is_zero(a):

@@ -144,14 +144,18 @@ class WeylModule:
 
 @dataclass
 class Evaluated:
-    """M(S) presented as the direct sum over the orbits of S."""
+    """M(S) presented as the direct sum over the orbits of S.
+
+    The summand of orbit i holds the generators offsets[i] up to
+    offsets[i] + summands[i].ngens of value: a block is read by slicing a
+    vector there and placed by adding it there.
+    """
 
     gset: GSet
     orbits: tuple
     summands: tuple
     value: AbGroup
-    incls: tuple
-    projs: tuple
+    offsets: tuple
 
     def orbit_index_of_point(self, p):
         for i, o in enumerate(self.orbits):
@@ -200,15 +204,8 @@ class MackeyFunctor:
         if S not in self._eval_cache:
             orbits = orbit_decompose(S)
             summands = tuple(self.orbit_value(o.record) for o in orbits)
-            value, incls, projs = ab.direct_sum(summands)
-            self._eval_cache[S] = Evaluated(
-                gset=S,
-                orbits=orbits,
-                summands=summands,
-                value=value,
-                incls=tuple(incls),
-                projs=tuple(projs),
-            )
+            value, offsets = ab.direct_sum_data(summands)
+            self._eval_cache[S] = Evaluated(S, orbits, summands, value, tuple(offsets))
         return self._eval_cache[S]
 
     def covariant(self, f):
@@ -254,16 +251,9 @@ def based_value(M, S, base):
     ev = M.evaluate(S)
     keep = [i for i, o in enumerate(ev.orbits) if base not in o.points]
     summands = tuple(ev.summands[i] for i in keep)
-    value, incls, projs = ab.direct_sum(summands)
+    value, offsets = ab.direct_sum_data(summands)
     kept_orbits = tuple(ev.orbits[i] for i in keep)
-    return Evaluated(
-        gset=S,
-        orbits=kept_orbits,
-        summands=summands,
-        value=value,
-        incls=tuple(incls),
-        projs=tuple(projs),
-    )
+    return Evaluated(S, kept_orbits, summands, value, tuple(offsets))
 
 
 def _orbit_blocks(M, f, sev, tev, tgt_base):
@@ -333,12 +323,13 @@ class FixedPointMackey(MackeyFunctor):
         )
 
     def _container(self, S):
-        """Equivariant-function group of an arbitrary G-set S."""
+        """(fixed points, generator offset of each point's copy of A,
+        equivariant-function group, its inclusion) for a G-set S."""
         if S not in self._containers:
             fp = fixed_points(S, self.hrec.elements)
             A = self.module
             k = len(fp.points)
-            big, incls, projs = ab.direct_sum([A.value] * k)
+            _, offsets = ab.direct_sum_data([A.value] * k)
             # one row of constraints psi(w.p) - w.psi(p) = 0 per (w, p)
             ident = AbHom.identity(A.value)
             entries = []
@@ -356,11 +347,11 @@ class FixedPointMackey(MackeyFunctor):
                 [A.value] * k, [A.value] * nrows, entries
             )
             ker, incl = cons.kernel()
-            self._containers[S] = (fp, big, incls, projs, ker, incl)
+            self._containers[S] = (fp, tuple(offsets), ker, incl)
         return self._containers[S]
 
     def value_of(self, S):
-        return self._container(S)[4]
+        return self._container(S)[2]
 
     def orbit_value(self, rec):
         return self.value_of(std_orbit(self.group, rec))
@@ -382,8 +373,8 @@ class FixedPointMackey(MackeyFunctor):
 
     def covariant_raw(self, q):
         """Transfer along any G-map: fiber sums over H-fixed points."""
-        ks, inks = self._container(q.src)[4:]
-        kt, inkt = self._container(q.tgt)[4:]
+        ks, inks = self._container(q.src)[2:]
+        kt, inkt = self._container(q.tgt)[2:]
         src, tgt, blocks = self._fixed_point_blocks(q)
         h, _, _ = ab.assemble_block_hom(src, tgt, blocks)
         out = inkt.preimage_matrix(h.compose(inks).mat)
@@ -393,8 +384,8 @@ class FixedPointMackey(MackeyFunctor):
 
     def contravariant_raw(self, q):
         """Restriction along any G-map: precomposition on H-fixed points."""
-        ks, inks = self._container(q.src)[4:]
-        kt, inkt = self._container(q.tgt)[4:]
+        ks, inks = self._container(q.src)[2:]
+        kt, inkt = self._container(q.tgt)[2:]
         src, tgt, blocks = self._fixed_point_blocks(q)
         h, _, _ = ab.assemble_block_hom(tgt, src, [(s, t, b) for t, s, b in blocks])
         out = inks.preimage_matrix(h.compose(inkt).mat)
@@ -404,15 +395,16 @@ class FixedPointMackey(MackeyFunctor):
 
     def function_of_element(self, S, x):
         """Decode an element into per-fixed-point values of A."""
-        (fp, big, incls, projs, ker, incl) = self._container(S)
+        _, offsets, _, incl = self._container(S)
         amb = incl(x)
-        return [projs[p](amb) for p in range(len(fp.points))]
+        a = self.module.value.ngens
+        return [amb[o : o + a] for o in offsets]
 
 
 def fp_postcompose(f_src, f_tgt, theta, S):
     """R(theta): Hom_W(S^H, A) -> Hom_W(S^H, B) for an equivariant theta."""
-    (fp, _, _, _, ker_s, incl_s) = f_src._container(S)
-    ker_t, incl_t = f_tgt._container(S)[4:]
+    fp, _, ker_s, incl_s = f_src._container(S)
+    ker_t, incl_t = f_tgt._container(S)[2:]
     k = len(fp.points)
     blocks = [(p, p, theta) for p in range(k)]
     h, _, _ = ab.assemble_block_hom(

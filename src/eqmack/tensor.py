@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import abelian as ab
+from . import intlinalg as la
 from .abelian import AbHom
 from .groups import subgroup_classes
-from .gsets import GMap, GSet, coset_space, product, pullback, std_orbit
+from .gsets import GMap, GSet, coset_space, fixed_points, product, pullback, std_orbit
 from .mackey import (
     FixedPointMackey,
     OrbitMap,
@@ -379,11 +380,12 @@ class ModuleTensor:
         return tuple(range(self.K.levels[n].size))
 
     def level_module(self, n):
+        """(module, support, generator offset of each support block)."""
         if n not in self._levels:
             sup = self.support(n)
             pos = {x: i for i, x in enumerate(sup)}
             summands = [self.A.value] * len(sup)
-            value, incls, projs = ab.direct_sum(summands)
+            value, offsets = ab.direct_sum_data(summands)
             W = self.K.group
             mats = []
             for w in W.elements():
@@ -393,12 +395,7 @@ class ModuleTensor:
                     (pos[act[x]], i, aw) for i, x in enumerate(sup) if act[x] in pos
                 ]
                 mats.append(ab.assemble_block_hom(summands, summands, blocks)[0].mat)
-            self._levels[n] = (
-                WeylModule(W, value, tuple(mats)),
-                sup,
-                incls,
-                projs,
-            )
+            self._levels[n] = (WeylModule(W, value, tuple(mats)), sup, tuple(offsets))
         return self._levels[n]
 
     def module(self, n):
@@ -498,60 +495,47 @@ class RhoIso:
             )
         return self._rhs[n]
 
-    def _index_data(self, rec, n):
-        G = self.hrec.group
-        S = std_orbit(G, rec)
-        ls = self.T.level_set(n, S)
-        lev = self.T.value(n, S)
-        rhs = self.rhs_functor(n)
-        (fp, big, incls, projs, ker, incl) = rhs._container(S)
-        _, sup, mincls, mprojs = self.MT.level_module(n)
-        return S, ls, lev, rhs, (fp, big, incls, projs, ker, incl), (sup, mincls, mprojs)
+    def _point_offset(self, n, S, p):
+        """The first generator of the block of the point p = (x, s) of
+        (X_n x S)^H in the ambient sum of the right-hand side at S."""
+        x, s = self.T.level_set(n, S).pairs[p]
+        fp, offsets = self.rhs_functor(n)._container(S)[:2]
+        _, sup, moffsets = self.MT.level_module(n)
+        xi = sup.index(self.ypoints[n].index(x))
+        return offsets[fp.points.index(s)] + moffsets[xi]
 
     def _lhs_function(self, rec, n, vec):
         """Decode an LHS element into A-vectors on (X_n x S)^H."""
         G = self.hrec.group
-        S, ls, lev, rhs, _, _ = self._index_data(rec, n)
+        lev = self.T.value(n, std_orbit(G, rec))
         out = {}
         for i, o in enumerate(lev.orbits):
-            block = lev.projs[i](vec)
+            start = lev.offsets[i]
+            block = vec[start : start + lev.summands[i].ngens]
             orb = std_orbit(G, o.record)
-            from .gsets import fixed_points as fpts
-
-            fo = fpts(orb, self.hrec.elements)
             fdata = self.RA.function_of_element(orb, block)
-            for slot, coset in enumerate(fo.points):
-                p = o.from_std[coset]
-                out[p] = fdata[slot]
+            for slot, coset in enumerate(fixed_points(orb, self.hrec.elements).points):
+                out[o.from_std[coset]] = fdata[slot]
         return out
 
     def rho(self, rec, n):
         key = (rec.class_id, n)
         if key not in self._rho:
-            G = self.hrec.group
-            S, ls, lev, rhs, (fp, big, incls, projs, ker, incl), (sup, mincls, mprojs) = self._index_data(rec, n)
-            from .gsets import fixed_points as fpts
-
-            fS = fpts(S, self.hrec.elements)
+            S = std_orbit(self.hrec.group, rec)
+            lev = self.T.value(n, S)
+            ker, incl = self.rhs_functor(n)._container(S)[2:]
+            a = self.module.value.ngens
             cols = []
             for c in range(lev.value.ngens):
                 unit = tuple(1 if i == c else 0 for i in range(lev.value.ngens))
-                func = self._lhs_function(rec, n, unit)
-                ambient = [0] * big.ngens
-                for p, avec in func.items():
-                    x, s = ls.pairs[p]
-                    xi = sup.index(self.ypoints[n].index(x))
-                    si = fS.points.index(s)
-                    slotvec = mincls[xi](avec)
-                    amb = incls[si](slotvec)
-                    ambient = [a + b for a, b in zip(ambient, amb)]
-                sol = incl.preimage(tuple(ambient))
-                if sol is None:
-                    raise TensorError("rho image is not equivariant")
-                cols.append(sol)
-            import eqmack.intlinalg as la
-
-            mat = la.transpose(tuple(cols), ker.ngens)
+                amb = [0] * incl.tgt.ngens
+                for p, avec in self._lhs_function(rec, n, unit).items():
+                    o = self._point_offset(n, S, p)
+                    amb[o : o + a] = [u + v for u, v in zip(amb[o : o + a], avec)]
+                cols.append(amb)
+            mat = incl.preimage_matrix(la.transpose(cols, incl.tgt.ngens))
+            if mat is None:
+                raise TensorError("rho image is not equivariant")
             self._rho[key] = AbHom(lev.value, ker, mat)
         return self._rho[key]
 
@@ -559,39 +543,24 @@ class RhoIso:
         key = (rec.class_id, n)
         if key not in self._sigma:
             G = self.hrec.group
-            S, ls, lev, rhs, (fp, big, incls, projs, ker, incl), (sup, mincls, mprojs) = self._index_data(rec, n)
-            from .gsets import fixed_points as fpts
-
-            fS = fpts(S, self.hrec.elements)
-            pair_index = {p: i for i, p in enumerate(ls.pairs) if p is not None}
-            cols = []
-            for c in range(ker.ngens):
-                unit = tuple(1 if i == c else 0 for i in range(ker.ngens))
-                fdata = rhs.function_of_element(S, unit)
-                # reassemble the LHS element orbit by orbit
-                out = [0] * lev.value.ngens
-                for i, o in enumerate(lev.orbits):
-                    orb = std_orbit(G, o.record)
-                    fo = fpts(orb, self.hrec.elements)
-                    (fpo, bigo, inclso, projso, kero, inclo) = self.RA._container(orb)
-                    amb_o = [0] * bigo.ngens
-                    for slot, coset in enumerate(fo.points):
-                        p = o.from_std[coset]
-                        x, s = ls.pairs[p]
-                        xi = sup.index(self.ypoints[n].index(x))
-                        si = fS.points.index(s)
-                        avec = mprojs[xi](fdata[si])
-                        amb = inclso[slot](avec)
-                        amb_o = [a + b for a, b in zip(amb_o, amb)]
-                    blk = inclo.preimage(tuple(amb_o))
-                    if blk is None:
-                        raise TensorError("sigma image is not equivariant")
-                    out = [a + b for a, b in zip(out, lev.incls[i](blk))]
-                cols.append(tuple(out))
-            import eqmack.intlinalg as la
-
-            mat = la.transpose(tuple(cols), lev.value.ngens)
-            self._sigma[key] = AbHom(ker, lev.value, mat)
+            S = std_orbit(G, rec)
+            lev = self.T.value(n, S)
+            ker, incl = self.rhs_functor(n)._container(S)[2:]
+            a = self.module.value.ngens
+            # the rows of incl at a point's offset are its A-vectors, one
+            # column per generator of the right-hand side
+            rows = []
+            for o in lev.orbits:
+                orb = std_orbit(G, o.record)
+                amb = []
+                for coset in fixed_points(orb, self.hrec.elements).points:
+                    start = self._point_offset(n, S, o.from_std[coset])
+                    amb.extend(incl.mat[start : start + a])
+                blk = self.RA._container(orb)[3].preimage_matrix(tuple(amb))
+                if blk is None:
+                    raise TensorError("sigma image is not equivariant")
+                rows.extend(blk)
+            self._sigma[key] = AbHom(ker, lev.value, tuple(rows))
         return self._sigma[key]
 
 

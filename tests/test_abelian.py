@@ -300,15 +300,24 @@ def test_input_contracts_hold_under_optimized_python():
         "from eqmack.abelian import AbGroup, ContractError\n"
         "from eqmack.groups import FiniteGroup, subgroup_classes\n"
         "from eqmack.gsets import GMap, GSetError, point_gset, regular_gset\n"
-        "from eqmack.mackey import MackeyError, OrbitMap\n"
+        "from eqmack.homotopy import HomotopyError, MappingComplex\n"
+        "from eqmack.mackey import MackeyError, OrbitMap, constant_mackey\n"
+        "from eqmack.simplicial import s0_space, sphere_for_descriptors, trivial_rep\n"
+        "from eqmack.tensor import reduced_tensor\n"
         "C2 = FiniteGroup.cyclic(2)\n"
         "e, g = subgroup_classes(C2)\n"
         "pt, reg = GMap.identity(point_gset(C2)), GMap.identity(regular_gset(C2))\n"
+        "Z = constant_mackey(C2, AbGroup.free(1))\n"
+        "def maps(kb, xb):\n"
+        "    T = reduced_tensor(sphere_for_descriptors(C2, [trivial_rep(1)], xb), Z)\n"
+        "    return MappingComplex(s0_space(C2, kb), T, 4)\n"
         "cases = [\n"
         "    (ContractError, lambda: AbGroup(2, ((1,),))),\n"
         "    (ValueError, lambda: la.hstack(((1,),), ((1,), (2,)))),\n"
         "    (GSetError, lambda: pt.compose(reg)),\n"
         "    (MackeyError, lambda: OrbitMap.identity(e).compose(OrbitMap.identity(g))),\n"
+        "    (HomotopyError, lambda: maps(1, 1).homotopy_group(1)),\n"
+        "    (HomotopyError, lambda: maps(4, 2)),\n"
         "]\n"
         "for error, call in cases:\n"
         "    try:\n"
@@ -319,4 +328,4 @@ def test_input_contracts_hold_under_optimized_python():
     run = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
     )
-    assert run.stdout.split() == ["rejected"] * 4, run.stderr
+    assert run.stdout.split() == ["rejected"] * 6, run.stderr

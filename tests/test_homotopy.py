@@ -180,6 +180,31 @@ def test_mapping_complex_degree_bound_is_checked():
         mc.homotopy_group(2)
 
 
+def _maps_into_trivial_sphere(d, kb, xb):
+    """Maps S^0 -> S^d (x~) Z on C2, with source bound kb and target bound xb."""
+    T = reduced_tensor(sphere_for_descriptors(C2, [trivial_rep(d)], xb), constant_mackey(C2, Z))
+    return MappingComplex(s0_space(C2, kb), T, 4)
+
+
+@pytest.mark.parametrize("d, kb, xb", [(1, 2, 2), (1, 3, 3), (1, 2, 4), (2, 3, 4), (2, 3, 3)])
+def test_mapping_complex_reads_pi_d_of_a_trivial_sphere(d, kb, xb):
+    assert _maps_into_trivial_sphere(d, kb, xb).homotopy_group(d).describe() == "Z"
+
+
+@pytest.mark.parametrize("d, kb, xb", [(1, 1, 1), (2, 2, 4)])
+def test_homotopy_group_past_the_source_bound_is_rejected(d, kb, xb):
+    # pi_d is read through Delta[d+1], whose top simplex a bound-d source lacks
+    with pytest.raises(HomotopyError, match="source bound %d" % kb):
+        _maps_into_trivial_sphere(d, kb, xb).homotopy_group(d)
+
+
+@pytest.mark.parametrize("xb", [2, 3])
+def test_source_bound_past_the_target_bound_is_rejected(xb):
+    # the degrees of such a complex would read target levels past its bound
+    with pytest.raises(HomotopyError, match="target's bound %d" % xb):
+        _maps_into_trivial_sphere(1, 4, xb)
+
+
 def test_element_from_blocks_accepts_natural_and_rejects_other_families():
     K = s0_space(C2, 3)
     emc = EquivariantMappingComplex(K, ModuleTensor(K, module("Z")), 2)

@@ -1,5 +1,9 @@
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from eqmack import intlinalg as la
 
 
@@ -83,3 +87,43 @@ def test_kernel_rank_via_random_rect():
     for j in range(2):
         col = tuple(k[i][j] for i in range(3))
         assert la.apply(a, col) == (0, 0)
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    """Sparse or dense integer matrices, some rows and columns zeroed."""
+    if draw(st.booleans()):
+        entry = st.sampled_from((0, 0, 0, 0, 1, -1, 7))
+    else:
+        entry = st.integers(-9, 9)
+    mat = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)) if rows else ():
+        mat[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)) if cols else ():
+        for row in mat:
+            row[j] = 0
+    return tuple(tuple(r) for r in mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_products_match_naive_triple_loop(m, n, p, data):
+    a = data.draw(matrices(m, n))
+    b = data.draw(matrices(n, p))
+    v = data.draw(matrices(1, n))[0]
+    naive = tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(p))
+        for i in range(m)
+    )
+    assert la.matmul(a, b, p) == naive
+    if n:  # with rows, b shows its own width
+        assert la.matmul(a, b) == naive
+    assert la.apply(a, v) == tuple(
+        sum(a[i][k] * v[k] for k in range(n)) for i in range(m)
+    )
+    if m:
+        n2 = data.draw(st.integers(1, 6).filter(lambda k: k != n))
+        with pytest.raises(ValueError):
+            la.matmul(a, la.zeros(n2, p), p)
+        with pytest.raises(ValueError):
+            la.matmul(a, data.draw(matrices(n2, p)))

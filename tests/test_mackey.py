@@ -147,6 +147,29 @@ def test_axioms_burnside(G):
     assert verify_axioms(burnside_mackey(G)).passed
 
 
+def test_function_of_element_matches_dense_projections():
+    from eqmack import abelian as ab
+
+    for G in (C2, S3):
+        u, _ = disjoint_union([regular_gset(G), point_gset(G)])
+        for hrec in subgroup_classes(G):
+            for module in (
+                WeylModule.trivial(hrec.weyl, AbGroup.free(1)),
+                WeylModule.trivial(hrec.weyl, AbGroup.cyclic(2)),
+                WeylModule.regular(hrec.weyl),
+            ):
+                M = FixedPointMackey(G, hrec, module)
+                for S in (point_gset(G), regular_gset(G), u, std_orbit(G, hrec)):
+                    fp, _, ker, incl = M._container(S)
+                    _, _, projs = ab.direct_sum([module.value] * len(fp.points))
+                    n = ker.ngens
+                    vecs = [tuple(int(i == c) for i in range(n)) for c in range(n)]
+                    vecs.append(tuple(range(2, n + 2)))
+                    for x in vecs:
+                        dense = [projs[p](incl(x)) for p in range(len(fp.points))]
+                        assert M.function_of_element(S, x) == dense
+
+
 def test_axioms_constant():
     assert verify_axioms(constant_mackey(C2, AbGroup.free(1))).passed
     assert verify_axioms(constant_mackey(C2, AbGroup.cyclic(2))).passed

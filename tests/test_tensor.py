@@ -31,6 +31,7 @@ from eqmack.simplicial import (
     sign_circle,
     smash,
     smash_assoc,
+    sphere_for_descriptors,
     trivial_rep,
     sign_rep,
 )
@@ -337,6 +338,47 @@ def test_rho_is_an_isomorphism(xname):
                 sig = iso.sigma(rec, n)
                 assert rho.compose(sig).same_as(AbHom.identity(rho.tgt))
                 assert sig.compose(rho).same_as(AbHom.identity(rho.src))
+
+
+def _perm(*cols):
+    return tuple(tuple(int(j == c) for j in range(len(cols))) for c in cols)
+
+
+# (subgroup of the coefficients, orbit class, level) -> (rho, sigma), each as
+# (source, target, matrix).  With Z[C2] at e, rho at G/e in level 1 reorders
+# the last four generators and sigma undoes it.  Captured from the code that
+# placed and read blocks through dense inclusion and projection matrices.
+RHO_SIGMA_C2_SIGN_SPHERE = {
+    ("e", 0, 0): (("Z^4", "Z^4", _perm(0, 1, 2, 3)),) * 2,
+    ("e", 0, 1): (
+        ("Z^8", "Z^8", _perm(0, 1, 2, 3, 7, 6, 4, 5)),
+        ("Z^8", "Z^8", _perm(0, 1, 2, 3, 6, 7, 5, 4)),
+    ),
+    ("e", 1, 0): (("Z^2", "Z^2", _perm(0, 1)),) * 2,
+    ("e", 1, 1): (("Z^4", "Z^4", _perm(0, 1, 2, 3)),) * 2,
+    ("G", 0, 0): (("0", "0", ()),) * 2,
+    ("G", 0, 1): (("0", "0", ()),) * 2,
+    ("G", 1, 0): (("Z^2", "Z^2", _perm(0, 1)),) * 2,
+    ("G", 1, 1): (("Z^2", "Z^2", _perm(0, 1)),) * 2,
+}
+
+
+def test_rho_sigma_matrices_are_pinned():
+    e, full = subgroup_classes(C2)
+    X = sphere_for_descriptors(C2, [sign_rep()], 2)
+    isos = {
+        "e": rho_iso(X, e, WeylModule.regular(e.weyl)),
+        "G": rho_iso(X, full, WeylModule.trivial(full.weyl, AbGroup.free(1))),
+    }
+    got = {}
+    for label, iso in isos.items():
+        for rec in subgroup_classes(C2):
+            for n in range(2):
+                got[(label, rec.class_id, n)] = tuple(
+                    (h.src.describe(), h.tgt.describe(), h.mat)
+                    for h in (iso.rho(rec, n), iso.sigma(rec, n))
+                )
+    assert got == RHO_SIGMA_C2_SIGN_SPHERE
 
 
 def test_rho_point_space_is_identity_sized():
