@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 
@@ -17,6 +17,28 @@ class GroupError(ValueError):
     pass
 
 
+def cached_hash(cls):
+    """Hash a frozen dataclass once per instance instead of on every lookup.
+
+    The generated __hash__ walks every nested field each time an instance is
+    a dict or lru_cache key.  This one hashes the same fields, those equality
+    compares, to the same value, and stores the result on the instance.
+    """
+    names = tuple(f.name for f in fields(cls) if f.compare)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(getattr(self, n) for n in names))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@cached_hash
 @dataclass(frozen=True)
 class FiniteGroup:
     mul: tuple  # mul[g][h] = g*h

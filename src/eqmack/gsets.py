@@ -13,6 +13,7 @@ from functools import lru_cache
 
 from .groups import (
     FiniteGroup,
+    cached_hash,
     classify_subgroup,
     weyl_group,
 )
@@ -22,6 +23,7 @@ class GSetError(ValueError):
     pass
 
 
+@cached_hash
 @dataclass(frozen=True)
 class GSet:
     group: FiniteGroup
@@ -72,6 +74,7 @@ class GSet:
         return "GSet(%s, size=%d)" % (self.group.name, self.size)
 
 
+@cached_hash
 @dataclass(frozen=True)
 class GMap:
     src: GSet

@@ -280,16 +280,16 @@ class MappingComplex:
         self.relations = []
         self._degree = {}
         self._diffs = {}
-        self._complex = None
+        self._complexes = {}  # top degree -> ChainComplex of degrees 0..top
 
     def degree_data(self, n):
         if n not in self._degree:
+            if n < 0 or n > self.degree_bound:
+                raise HomotopyError("degree %d outside the configured bound" % n)
             self._degree[n] = self._build_degree(n)
         return self._degree[n]
 
     def group(self, n):
-        if n < 0 or n > self.degree_bound:
-            raise HomotopyError("degree %d outside the configured bound" % n)
         return self.degree_data(n)["group"]
 
     def _build_degree(self, n):
@@ -392,16 +392,21 @@ class MappingComplex:
         self._diffs[n] = AbHom(dsrc["group"], dtgt["group"], out)
         return self._diffs[n]
 
-    def chain_complex(self):
-        if self._complex is None:
-            groups = {n: self.group(n) for n in range(self.degree_bound + 1)}
-            diffs = {
-                n: self.differential(n) for n in range(1, self.degree_bound + 1)
-            }
-            self._complex = ChainComplex(groups=groups, diffs=diffs)
-        return self._complex
+    def chain_complex(self, top=None):
+        """The complex of degrees 0..top, by default 0..degree_bound.
+
+        degree_bound is only an upper limit: nothing above top is built.
+        The complex lacks d_{top+1}, so its homology is valid below top only.
+        """
+        top = self.degree_bound if top is None else top
+        if top not in self._complexes:
+            groups = {n: self.group(n) for n in range(top + 1)}
+            diffs = {n: self.differential(n) for n in range(1, top + 1)}
+            self._complexes[top] = ChainComplex(groups=groups, diffs=diffs)
+        return self._complexes[top]
 
     def homotopy_group(self, n):
+        """pi_n, read from degrees 0..n + 1 only; degree_bound is an upper limit."""
         if n + 1 > self.degree_bound:
             raise HomotopyError(
                 "degree bound %d too small for pi_%d" % (self.degree_bound, n)
@@ -411,7 +416,7 @@ class MappingComplex:
             raise HomotopyError(
                 "source bound %d too small for pi_%d" % (self.K.bound, n)
             )
-        return self.chain_complex().homology(n)
+        return self.chain_complex(n + 1).homology(n)
 
     def element_from_blocks(self, n, assign):
         """Encode a family given per (chart key, m, point) into coordinates."""
@@ -506,12 +511,19 @@ def omega_spectrum_check(X, M, desc, n_max, degree_bound=None):
 
     For each orbit class K and n <= n_max the comparison map induced by the
     loop adjoint of the structure map is computed explicitly on cycles and
-    must be an isomorphism onto the mapping-complex homology.
+    must be an isomorphism onto the mapping-complex homology.  degree_bound
+    (default n_max + 2) is only an upper limit: pi_n reads the mapping
+    complex in degrees 0..n + 1, so nothing above n_max + 1 is built.
     """
     bound = degree_bound if degree_bound is not None else n_max + 2
     if bound <= n_max:
         raise HomotopyError(
             "degree bound %d too small for pi_%d" % (bound, n_max)
+        )
+    if n_max + 1 > X.bound:
+        # pi_n_max reads Delta[n_max + 1], whose top simplex X would lack
+        raise HomotopyError(
+            "source bound %d too small for pi_%d" % (X.bound, n_max)
         )
     G = M.group
     psi = PsiMap(desc, X, M)
@@ -572,7 +584,7 @@ def _phi_induced(psi, krec, kspace, orb_space, mc, chains, n):
             sol = mc.element_from_blocks(n, assign)
         except HomotopyError:
             return False, None
-        cols.append(mc.chain_complex().homology_class(n, sol))
+        cols.append(mc.chain_complex(n + 1).homology_class(n, sol))
     mat = la.transpose(tuple(cols), rhs_h.ngens)
     return True, AbHom(lhs_h, rhs_h, mat)
 

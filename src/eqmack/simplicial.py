@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, cached_hash
 from .gsets import GMap, GSet, fixed_points
 
 
@@ -83,6 +83,7 @@ def monotones(n, m):
 # -- the core container --------------------------------------------------------
 
 
+@cached_hash
 @dataclass(frozen=True)
 class SimplicialGSet:
     group: FiniteGroup

@@ -18,6 +18,7 @@ from eqmack.homotopy import (
     EquivariantMappingComplex,
     HomotopyError,
     MappingComplex,
+    based_orbit_space,
     bredon_groups,
     bredon_homology,
     coefficient_les,
@@ -38,11 +39,13 @@ from eqmack.simplicial import (
     discrete_inclusion,
     s0_space,
     sign_rep,
+    smash,
     sphere_for_descriptors,
     trivial_rep,
 )
 from eqmack.tensor import (
     ModuleTensor,
+    PsiMap,
     reduced_tensor,
     ses_from_coefficients,
     ses_from_cofibration,
@@ -131,6 +134,16 @@ def test_omega_check_in_degree_zero():
     assert [e[2:4] for e in report.entries] == [("Z", "Z"), ("Z", "Z")]
 
 
+def test_omega_check_rejects_a_source_too_short_before_building(monkeypatch):
+    # pi_2 reads Delta[3], which a bound-2 source lacks; nothing is built
+    def unreachable(*args):
+        raise AssertionError("PsiMap built before the bound check")
+
+    monkeypatch.setattr("eqmack.homotopy.PsiMap", unreachable)
+    with pytest.raises(HomotopyError, match="source bound 2"):
+        omega_spectrum_check(s0_space(C2, 2), constant_mackey(C2, Z), sign_rep(), 2)
+
+
 def test_omega_check_rejects_a_degree_bound_without_the_next_differential():
     # pi_1 needs d_2; with degree_bound 1 it would read as the cycles Z^3, Z^2
     with pytest.raises(HomotopyError):
@@ -178,12 +191,39 @@ def test_mapping_complex_degree_bound_is_checked():
         mc.group(3)
     with pytest.raises(HomotopyError):
         mc.homotopy_group(2)
+    with pytest.raises(HomotopyError):
+        mc.differential(0)  # d_0 would target a degree -1
+    with pytest.raises(HomotopyError):
+        mc.differential(5)
+    with pytest.raises(HomotopyError):
+        mc.element_from_blocks(3, {})
+    assert sorted(mc._degree) == [0]  # only d_0's valid source was built
 
 
-def _maps_into_trivial_sphere(d, kb, xb):
+@pytest.mark.parametrize("coeffs", ["burnside", "Z"])
+def test_truncated_pi_n_matches_the_full_complex(coeffs):
+    # the mapping complexes of the omega check of S^0 against sign, bound 2
+    M = burnside_mackey(C2) if coeffs == "burnside" else constant_mackey(C2, Z)
+    psi = PsiMap(sign_rep(), s0_space(C2, 2), M)
+    for krec in subgroup_classes(C2):
+        kspace = smash(psi.SW, based_orbit_space(C2, krec, psi.SW.bound))
+        truncated = MappingComplex(kspace, psi.T_tgt, 3)
+        full = MappingComplex(kspace, psi.T_tgt, 3)
+        for n in (0, 1):
+            got, want = truncated.homotopy_group(n), full.chain_complex().homology(n)
+            assert (got.ngens, got.rels) == (want.ngens, want.rels)
+
+
+def _maps_into_trivial_sphere(d, kb, xb, degree_bound=4):
     """Maps S^0 -> S^d (x~) Z on C2, with source bound kb and target bound xb."""
     T = reduced_tensor(sphere_for_descriptors(C2, [trivial_rep(d)], xb), constant_mackey(C2, Z))
-    return MappingComplex(s0_space(C2, kb), T, 4)
+    return MappingComplex(s0_space(C2, kb), T, degree_bound)
+
+
+def test_pi_n_builds_nothing_above_degree_n_plus_one():
+    mc = _maps_into_trivial_sphere(1, 3, 3, degree_bound=3)
+    mc.homotopy_group(0)
+    assert sorted(mc._degree) == [0, 1]
 
 
 @pytest.mark.parametrize("d, kb, xb", [(1, 2, 2), (1, 3, 3), (1, 2, 4), (2, 3, 4), (2, 3, 3)])

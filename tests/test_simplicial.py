@@ -235,3 +235,21 @@ def test_join_is_a_sphere():
     jb = j.as_based(0)
     assert reduced_homology(jb, 0) == (0, ())
     assert reduced_homology(jb, 1) == (1, ())
+
+
+def test_equal_instances_hash_equal():
+    # the hash is stored per instance; equal objects built apart must agree,
+    # also for groups whose names, which equality ignores, differ
+    from eqmack.gsets import GMap, regular_gset
+
+    a, b = FiniteGroup(C3.mul, name="a"), FiniteGroup(C3.mul, name="b")
+    pairs = [
+        (a, b),
+        (regular_gset(a), regular_gset(b)),
+        (GMap.identity(regular_gset(a)), GMap.identity(regular_gset(b))),
+        (rotation_sphere(a, 3, 1, 2), rotation_sphere(b, 3, 1, 2)),
+    ]
+    for x, y in pairs:
+        assert x is not y
+        assert x == y and hash(x) == hash(y)
+        assert {x: 1}[y] == 1
