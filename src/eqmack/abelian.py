@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
 
 from . import intlinalg as la
 
@@ -388,26 +387,6 @@ def assemble_block_hom(src_groups, tgt_groups, entries):
                     target[co + c] += v
     h = AbHom(src_total, tgt_total, tuple(tuple(r) for r in mat))
     return h, src_total, tgt_total
-
-
-def _generator_positions(groups, kept):
-    offsets = list(accumulate((g.ngens for g in groups), initial=0))
-    positions = [offsets[i] + k for i in kept for k in range(groups[i].ngens)]
-    return offsets[-1], positions
-
-
-def restrict_blocks(h, src_groups, src_kept, tgt_groups, tgt_kept):
-    """The blocks of h: sum(src_groups) -> sum(tgt_groups) between the kept
-    summands, as a hom between the direct sums of the kept summands."""
-    src_groups, tgt_groups = list(src_groups), list(tgt_groups)
-    n_src, cols = _generator_positions(src_groups, src_kept)
-    n_tgt, rows = _generator_positions(tgt_groups, tgt_kept)
-    if (h.src.ngens, h.tgt.ngens) != (n_src, n_tgt):
-        raise ContractError("%r is not a hom between the given sums" % (h,))
-    src_sub, _ = direct_sum_data(src_groups[i] for i in src_kept)
-    tgt_sub, _ = direct_sum_data(tgt_groups[j] for j in tgt_kept)
-    mat = tuple(tuple(h.mat[r][c] for c in cols) for r in rows)
-    return AbHom(src_sub, tgt_sub, mat)
 
 
 def hom_group(a, b):

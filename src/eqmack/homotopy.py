@@ -1,9 +1,11 @@
 """Homotopy-level computations: normalized chains, Bredon homology,
 equivariant mapping complexes, loop-space comparisons, graded tables.
 
-Chains are normalized by splitting off the blocks carried by degenerate
-simplices; homotopy groups of strict mapping objects are the homology of
-the natural-family solution lattices, computed degreewise.
+Normalized chains N_n are built on the nondegenerate n-simplices only: the
+degenerate part D of the chains C is a subcomplex and N = C/D, so a face
+that lands on a degenerate simplex or on the basepoint is dropped.  Homotopy
+groups of strict mapping objects are the homology of the natural-family
+solution lattices, computed degreewise.
 
 There is one mapping-complex engine, MappingComplex.  A family natural over
 the orbit category and a W-equivariant map differ only in the charts and
@@ -20,10 +22,18 @@ from itertools import accumulate
 
 from . import abelian as ab
 from . import intlinalg as la
-from .abelian import AbGroup, AbHom, ChainComplex, ChainMap
+from .abelian import AbHom, ChainComplex, ChainMap
 from .groups import subgroup_classes
-from .gsets import GSet, coset_space, disjoint_union, std_orbit
-from .mackey import OrbitMap, WrappedMackey, orbit_maps_between
+from .gsets import GMap, GSet, coset_space, disjoint_union, std_orbit
+from .mackey import (
+    OrbitMap,
+    WrappedMackey,
+    _orbit_blocks,
+    based_value,
+    contravariant_between,
+    covariant_between,
+    orbit_maps_between,
+)
 from .simplicial import (
     SimplicialGSet,
     discrete_space,
@@ -45,75 +55,89 @@ class HomotopyError(ValueError):
 
 
 @dataclass
-class SlicedValue:
-    """A sub-sum of an Evaluated value over a selected set of orbits."""
+class NondegenerateLevel:
+    """The level-n points (x, s) of a tensor at S whose simplex x is
+    nondegenerate (and, for a reduced tensor, not the basepoint), as a G-set
+    with one extra point 0, the sink.
 
-    full: object  # Evaluated
-    kept: tuple  # indices of kept orbits
-    value: AbGroup
+    The points keep their order in the full level, so value has the orbits,
+    basepoints and records of the full level's nondegenerate orbits.  value
+    omits the sink's orbit: a map sends to the sink every point that lands
+    on the basepoint or on a degenerate simplex, and so drops it.
+    """
 
-    def restrict_hom(self, h, target):
-        """Slice h: full_src -> full_tgt to the kept blocks of both sides."""
-        return ab.restrict_blocks(
-            h, self.full.summands, self.kept, target.full.summands, target.kept
-        )
+    gset: GSet
+    pairs: tuple  # point -> (x, s); the sink has None
+    index: dict  # (x, s) -> point
+    value: object  # Evaluated
 
-    def include_into_full(self):
-        summands = self.full.summands
-        every = range(len(summands))
-        return ab.restrict_blocks(
-            AbHom.identity(self.full.value), summands, self.kept, summands, every
-        )
-
-
-def nondegenerate_slice(T, n, S):
-    """The part of the tensor value carried by nondegenerate simplices."""
-    ev = T.value(n, S)
-    ls = T.level_set(n, S)
-    flags = T.X.degenerate_flags(n)
-    kept = []
-    for i, o in enumerate(ev.orbits):
-        pair = ls.pairs[o.basepoint]
-        x = pair[0]
-        if not flags[x]:
-            kept.append(i)
-    value, _ = ab.direct_sum_data(ev.summands[i] for i in kept)
-    return SlicedValue(full=ev, kept=tuple(kept), value=value)
+    def gmap(self, tgt, xtable=None, stable=None):
+        """The G-map (x, s) -> (xtable[x], stable[s]) into the level tgt."""
+        vals = [0]
+        for x, s in self.pairs[1:]:
+            key = (x if xtable is None else xtable[x], s if stable is None else stable[s])
+            vals.append(tgt.index.get(key, 0))
+        return GMap(self.gset, tgt.gset, tuple(vals))
 
 
 class MackeyChainComplex:
-    """Normalized chains of a simplicial Mackey functor, per orbit class."""
+    """Normalized chains of the tensor T, per orbit class.
+
+    N_n(G/H) is built on the nondegenerate n-simplices only, one block per
+    orbit, and never on the full level: the degenerate part D of the chains
+    C is a subcomplex, so N = C/D, and a face, transfer or restriction that
+    lands on a degenerate simplex or on the basepoint contributes nothing.
+    """
 
     def __init__(self, T):
         self.T = T
-        self._slices = {}
+        self._levels = {}
         self._complexes = {}
         self._chainmaps = {}
 
-    def slice(self, rec, n):
+    def level(self, rec, n):
+        """The NondegenerateLevel of level n at G/H."""
         key = (rec.class_id, n)
-        if key not in self._slices:
-            S = std_orbit(self.T.group, rec)
-            self._slices[key] = nondegenerate_slice(self.T, n, S)
-        return self._slices[key]
+        if key not in self._levels:
+            G, X, S = self.T.group, self.T.X, std_orbit(self.T.group, rec)
+            flags = X.degenerate_flags(n)
+            base = X.base(n) if self.T.reduced else None
+            pairs = [None] + [
+                (x, s)
+                for x in range(X.levels[n].size)
+                if not flags[x] and x != base
+                for s in range(S.size)
+            ]
+            index = {p: i for i, p in enumerate(pairs) if p is not None}
+            act = X.levels[n].action
+            action = [
+                (0,) + tuple(index[(act[g][x], S.action[g][s])] for x, s in pairs[1:])
+                for g in G.elements()
+            ]
+            gset = GSet(G, len(pairs), action)
+            value = based_value(self.T.M, gset, 0)
+            self._levels[key] = NondegenerateLevel(gset, tuple(pairs), index, value)
+        return self._levels[key]
 
     def complex(self, rec):
+        """N(G/H) with d_n = sum (-1)^i d_i, one block per nondegenerate
+        source orbit and face index whose face is kept."""
         if rec.class_id not in self._complexes:
-            S = std_orbit(self.T.group, rec)
-            groups = {}
+            M = self.T.M
+            faces = self.T.X.faces
+            groups = {n: self.level(rec, n).value.value for n in range(self.T.bound + 1)}
             diffs = {}
-            for n in range(self.T.bound + 1):
-                groups[n] = self.slice(rec, n).value
             for n in range(1, self.T.bound + 1):
-                full = AbHom.zero(
-                    self.T.group_at(n, S), self.T.group_at(n - 1, S)
-                )
+                src, tgt = self.level(rec, n), self.level(rec, n - 1)
+                entries = []
                 for i in range(n + 1):
-                    h = self.T.face(n, i, S)
-                    full = full + (h if i % 2 == 0 else h.scale(-1))
-                diffs[n] = self.slice(rec, n).restrict_hom(
-                    full, self.slice(rec, n - 1)
-                )
+                    f = src.gmap(tgt, xtable=faces[n][i].values)
+                    for si, ti, om in _orbit_blocks(M, f, src.value, tgt.value, 0):
+                        h = M.orbit_covariant(om)
+                        entries.append((ti, si, h if i % 2 == 0 else -h))
+                diffs[n] = ab.assemble_block_hom(
+                    src.value.summands, tgt.value.summands, entries
+                )[0]
             self._complexes[rec.class_id] = ChainComplex(groups=groups, diffs=diffs)
         return self._complexes[rec.class_id]
 
@@ -121,18 +145,14 @@ class MackeyChainComplex:
         """res (contravariant) or tr (covariant) as a chain map of complexes."""
         key = (om, variance)
         if key not in self._chainmaps:
-            f = om.gmap()
+            M = self.T.M
+            stable = om.gmap().values
             comps = {}
+            between = contravariant_between if variance == "res" else covariant_between
             for n in range(self.T.bound + 1):
-                if variance == "res":
-                    full = self.T.contravariant_S(n, f)
-                    src_rec, tgt_rec = om.tgt, om.src
-                else:
-                    full = self.T.covariant_S(n, f)
-                    src_rec, tgt_rec = om.src, om.tgt
-                comps[n] = self.slice(src_rec, n).restrict_hom(
-                    full, self.slice(tgt_rec, n)
-                )
+                src, tgt = self.level(om.src, n), self.level(om.tgt, n)
+                f = src.gmap(tgt, stable=stable)
+                comps[n] = between(M, f, src.value, tgt.value, 0)
             self._chainmaps[key] = ChainMap(
                 self.complex(om.tgt if variance == "res" else om.src),
                 self.complex(om.src if variance == "res" else om.tgt),
@@ -145,7 +165,10 @@ class MackeyChainComplex:
 
 
 def bredon_homology(X, M, n, based=True):
-    """H_n of the (reduced) tensor, as a Mackey functor on orbit classes."""
+    """H_n of the (reduced) tensor, as a Mackey functor on orbit classes.
+
+    Read off the normalized chains, built on nondegenerate simplices only.
+    """
     if n >= X.bound:
         raise HomotopyError("degree %d is past the dimension bound %d" % (n, X.bound))
     T = TensorMackey(X, M, reduced=based)
@@ -560,12 +583,23 @@ def _phi_induced(psi, krec, kspace, orb_space, mc, chains, n):
     lhs_complex = chains.complex(krec)
     lhs_h = lhs_complex.homology(n)
     rhs_h = mc.homotopy_group(n)
-    include = chains.slice(krec, n).include_into_full()
+    S_k = std_orbit(G, krec)
+    lvl = chains.level(krec, n)
+    full = T.value(n, S_k)
+    full_ls = T.level_set(n, S_k)
+    # the generator offset in the full level of each nondegenerate block
+    starts = [
+        full.offsets[full.orbit_index_of_point(full_ls.index_of(*lvl.pairs[o.basepoint]))]
+        for o in lvl.value.orbits
+    ]
     data = mc.degree_data(n)
     cols = []
     for c in range(lhs_h.ngens):
         w = tuple(1 if i == c else 0 for i in range(lhs_h.ngens))
-        z_full = include(lhs_complex.cycle_of_class(n, w))
+        z = lhs_complex.cycle_of_class(n, w)
+        z_full = [0] * full.value.ngens
+        for start, o, g in zip(starts, lvl.value.offsets, lvl.value.summands):
+            z_full[start : start + g.ngens] = z[o : o + g.ngens]
         assign = {}
         for (cid, m, p) in data["blocks"]:
             rec = mc.recs[cid]
@@ -663,80 +697,63 @@ def ro_graded_table(X, M, rows, bound=None):
 # -- long exact sequences -----------------------------------------------------------
 
 
-def cofibration_les(ses, rec, through_degree):
-    """The long exact homology sequence of a cofibration, with exactness data.
-
-    Returns (groups, exact_flags) where groups lists the LES nodes from
-    degree through_degree down to 0 and exact_flags the exactness at each
-    interior node.
-    """
-    sub_ch = MackeyChainComplex(ses.sub)
-    tot_ch = MackeyChainComplex(ses.total)
-    quo_ch = MackeyChainComplex(ses.quot)
-    S = std_orbit(ses.M.group, rec)
-    csub = sub_ch.complex(rec)
-    ctot = tot_ch.complex(rec)
-    cquo = quo_ch.complex(rec)
+def cofibration_chain_maps(ses, rec):
+    """(i_*, q_*) as chain maps of normalized chains at G/H."""
+    chains = [MackeyChainComplex(T) for T in (ses.sub, ses.total, ses.quot)]
     icomps = {}
     qcomps = {}
     for n in range(ses.sub.bound + 1):
-        icomps[n] = sub_ch.slice(rec, n).restrict_hom(
-            ses.i_star(n, S), tot_ch.slice(rec, n)
-        )
-        qcomps[n] = tot_ch.slice(rec, n).restrict_hom(
-            ses.q_star(n, S), quo_ch.slice(rec, n)
-        )
-    imap = ChainMap(csub, ctot, icomps)
-    qmap = ChainMap(ctot, cquo, qcomps)
+        sub, tot, quo = (ch.level(rec, n) for ch in chains)
+        f = sub.gmap(tot, xtable=ses.incl.comps[n].values)
+        icomps[n] = covariant_between(ses.M, f, sub.value, tot.value, 0)
+        f = tot.gmap(quo, xtable=ses.proj.comps[n].values)
+        qcomps[n] = covariant_between(ses.M, f, tot.value, quo.value, 0)
+    csub, ctot, cquo = (ch.complex(rec) for ch in chains)
+    return ChainMap(csub, ctot, icomps), ChainMap(ctot, cquo, qcomps)
+
+
+def coefficient_chain_maps(ses, rec):
+    """(phi_*, psi_*) as chain maps of normalized chains at G/H."""
+    chains = [MackeyChainComplex(T) for T in (ses.T_m, ses.T_n, ses.T_p)]
+    fcomps = {}
+    gcomps = {}
+    for n in range(ses.X.bound + 1):
+        vm, vn, vp = (ch.level(rec, n).value for ch in chains)
+        fcomps[n] = ses.phi.between(vm, vn)
+        gcomps[n] = ses.psi.between(vn, vp)
+    cm, cn, cp = (ch.complex(rec) for ch in chains)
+    return ChainMap(cm, cn, fcomps), ChainMap(cn, cp, gcomps)
+
+
+def _homology_les(fmap, gmap, through_degree, names):
+    """(nodes, exact_flags, homs) of the homology sequence of f then g,
+    from degree through_degree down to 0."""
     nodes = []
     homs = []
     for n in range(through_degree, -1, -1):
-        nodes.append(("H_%d sub" % n, csub.homology(n)))
-        homs.append(imap.induced(n))
-        nodes.append(("H_%d total" % n, ctot.homology(n)))
-        homs.append(qmap.induced(n))
-        nodes.append(("H_%d quot" % n, cquo.homology(n)))
+        nodes.append(("H_%d %s" % (n, names[0]), fmap.src.homology(n)))
+        homs.append(fmap.induced(n))
+        nodes.append(("H_%d %s" % (n, names[1]), fmap.tgt.homology(n)))
+        homs.append(gmap.induced(n))
+        nodes.append(("H_%d %s" % (n, names[2]), gmap.tgt.homology(n)))
         if n > 0:
-            homs.append(ab.connecting_hom(imap, qmap, n))
-    exact_flags = []
-    for k in range(1, len(nodes) - 1):
-        f = homs[k - 1]
-        g = homs[k]
-        exact_flags.append(ab.is_exact_at(f, g))
+            homs.append(ab.connecting_hom(fmap, gmap, n))
+    exact_flags = [ab.is_exact_at(homs[k - 1], homs[k]) for k in range(1, len(nodes) - 1)]
     return nodes, exact_flags, homs
+
+
+def cofibration_les(ses, rec, through_degree):
+    """The long exact homology sequence of a cofibration, with exactness data.
+
+    Returns (groups, exact_flags, homs) where groups lists the LES nodes from
+    degree through_degree down to 0, exact_flags the exactness at each
+    interior node and homs the maps between consecutive nodes.
+    """
+    imap, qmap = cofibration_chain_maps(ses, rec)
+    return _homology_les(imap, qmap, through_degree, ("sub", "total", "quot"))
 
 
 def coefficient_les(ses, rec, through_degree):
     """The long exact homology sequence from an exact coefficient sequence."""
-    ch_m = MackeyChainComplex(ses.T_m)
-    ch_n = MackeyChainComplex(ses.T_n)
-    ch_p = MackeyChainComplex(ses.T_p)
-    S = std_orbit(ses.T_m.group, rec)
-    cm = ch_m.complex(rec)
-    cn = ch_n.complex(rec)
-    cp = ch_p.complex(rec)
-    fcomps = {}
-    gcomps = {}
-    for n in range(ses.X.bound + 1):
-        fcomps[n] = ch_m.slice(rec, n).restrict_hom(
-            ses.phi_at(n, S), ch_n.slice(rec, n)
-        )
-        gcomps[n] = ch_n.slice(rec, n).restrict_hom(
-            ses.psi_at(n, S), ch_p.slice(rec, n)
-        )
-    fmap = ChainMap(cm, cn, fcomps)
-    gmap = ChainMap(cn, cp, gcomps)
-    nodes = []
-    homs = []
-    for n in range(through_degree, -1, -1):
-        nodes.append(("H_%d M" % n, cm.homology(n)))
-        homs.append(fmap.induced(n))
-        nodes.append(("H_%d N" % n, cn.homology(n)))
-        homs.append(gmap.induced(n))
-        nodes.append(("H_%d P" % n, cp.homology(n)))
-        if n > 0:
-            homs.append(ab.connecting_hom(fmap, gmap, n))
-    exact_flags = []
-    for k in range(1, len(nodes) - 1):
-        exact_flags.append(ab.is_exact_at(homs[k - 1], homs[k]))
-    return nodes, exact_flags, homs
+    fmap, gmap = coefficient_chain_maps(ses, rec)
+    return _homology_les(fmap, gmap, through_degree, ("M", "N", "P"))

@@ -10,7 +10,7 @@ images and homology give derived functors through a generic wrapper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import abelian as ab
@@ -156,12 +156,15 @@ class Evaluated:
     summands: tuple
     value: AbGroup
     offsets: tuple
+    _orbit_of: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._orbit_of = {p: i for i, o in enumerate(self.orbits) for p in o.points}
 
     def orbit_index_of_point(self, p):
-        for i, o in enumerate(self.orbits):
-            if p in o.points:
-                return i
-        raise MackeyError("point not found")
+        if p not in self._orbit_of:
+            raise MackeyError("point %r is in no orbit of this presentation" % (p,))
+        return self._orbit_of[p]
 
 
 class MackeyFunctor:

@@ -410,24 +410,24 @@ class ModuleTensor:
         return _routed_hom(self.A.value, self.support(n), self.support(n + 1), table)
 
     def chain_complex(self):
-        """Alternating-sum complex on the normalized (nondegenerate) blocks."""
+        """Alternating-sum complex on the normalized (nondegenerate) blocks;
+        a face that lands on a degenerate simplex or the basepoint vanishes."""
         A = self.A.value
-        sups = [self.support(n) for n in range(self.K.bound + 1)]
         keeps = [
-            [i for i, x in enumerate(sup) if not self.K.degenerate_flags(n)[x]]
-            for n, sup in enumerate(sups)
+            tuple(x for x in self.support(n) if not self.K.degenerate_flags(n)[x])
+            for n in range(self.K.bound + 1)
         ]
         groups = {
             n: ab.direct_sum_data([A] * len(keep))[0] for n, keep in enumerate(keeps)
         }
         diffs = {}
         for n in range(1, self.K.bound + 1):
-            full = self.face_hom(n, 0)
+            faces = self.K.faces[n]
+            d = _routed_hom(A, keeps[n], keeps[n - 1], faces[0].values)
             for i in range(1, n + 1):
-                h = self.face_hom(n, i)
-                full = full + (h if i % 2 == 0 else h.scale(-1))
-            src, tgt = [A] * len(sups[n]), [A] * len(sups[n - 1])
-            diffs[n] = ab.restrict_blocks(full, src, keeps[n], tgt, keeps[n - 1])
+                h = _routed_hom(A, keeps[n], keeps[n - 1], faces[i].values)
+                d = d + (h if i % 2 == 0 else -h)
+            diffs[n] = d
         return ab.ChainComplex(groups=groups, diffs=diffs)
 
 

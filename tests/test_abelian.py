@@ -21,7 +21,6 @@ from eqmack.abelian import (
     hom_group,
     homology_at,
     is_exact_at,
-    restrict_blocks,
 )
 
 
@@ -190,20 +189,6 @@ def dense_block_sum(src_groups, tgt_groups, entries):
     return h
 
 
-def dense_restriction(h, src_groups, src_kept, tgt_groups, tgt_kept):
-    """Reference: incl o proj o h o incl o proj over every pair of kept blocks."""
-    _, s_incls, _ = direct_sum(src_groups)
-    _, _, t_projs = direct_sum(tgt_groups)
-    sub_src, _, sub_projs = direct_sum([src_groups[i] for i in src_kept])
-    sub_tgt, sub_incls, _ = direct_sum([tgt_groups[j] for j in tgt_kept])
-    out = AbHom.zero(sub_src, sub_tgt)
-    for a, i in enumerate(src_kept):
-        for b, j in enumerate(tgt_kept):
-            blk = t_projs[j].compose(h).compose(s_incls[i])
-            out = out + sub_incls[b].compose(blk).compose(sub_projs[a])
-    return out
-
-
 small_ints = st.integers(-3, 3)
 
 
@@ -245,17 +230,6 @@ def test_assemble_block_hom_matches_dense_sum(system):
     assert direct_sum_data(src)[1] == offsets
 
 
-@settings(max_examples=60, deadline=None)
-@given(block_systems(), st.data())
-def test_restrict_blocks_matches_dense_restriction(system, data):
-    src, tgt, entries = system
-    h = assemble_block_hom(src, tgt, entries)[0]
-    src_kept = sorted(data.draw(st.sets(st.integers(0, len(src) - 1))))
-    tgt_kept = sorted(data.draw(st.sets(st.integers(0, len(tgt) - 1))))
-    expected = dense_restriction(h, src, src_kept, tgt, tgt_kept)
-    assert restrict_blocks(h, src, src_kept, tgt, tgt_kept) == expected
-
-
 def test_assemble_block_hom_rejects_out_of_range_positions():
     block = AbHom.identity(Z)
     for position in [(1, 0), (0, 2), (-1, 0), (0, -1)]:
@@ -271,11 +245,6 @@ def test_assemble_block_hom_rejects_misfitting_blocks():
     tall = AbHom(Z, Z_2, ((1,), (1,)))
     with pytest.raises(ContractError):
         assemble_block_hom([Z], [Z, Z_2], [(0, 0, tall)])
-
-
-def test_restrict_blocks_rejects_a_hom_between_other_sums():
-    with pytest.raises(ContractError):
-        restrict_blocks(AbHom.identity(Z), [Z, Z], [0], [Z], [0])
 
 
 # -- input contracts ------------------------------------------------------------

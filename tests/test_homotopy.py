@@ -12,16 +12,20 @@ W-module A from S^0 or S^sigma have pi_0 = A^W and pi_1 = 0.
 
 import pytest
 
-from eqmack.abelian import AbGroup, AbHom
+from eqmack.abelian import AbGroup, AbHom, direct_sum_data
 from eqmack.groups import FiniteGroup, subgroup_classes
+from eqmack.gsets import std_orbit
 from eqmack.homotopy import (
     EquivariantMappingComplex,
     HomotopyError,
+    MackeyChainComplex,
     MappingComplex,
     based_orbit_space,
     bredon_groups,
     bredon_homology,
+    coefficient_chain_maps,
     coefficient_les,
+    cofibration_chain_maps,
     cofibration_les,
     homotopy_classes,
     omega_spectrum_check,
@@ -33,10 +37,12 @@ from eqmack.mackey import (
     burnside_mackey,
     constant_mackey,
     fixed_point_morphism,
+    orbit_maps_between,
     verify_axioms,
 )
 from eqmack.simplicial import (
     discrete_inclusion,
+    rotation_rep,
     s0_space,
     sign_rep,
     smash,
@@ -46,6 +52,7 @@ from eqmack.simplicial import (
 from eqmack.tensor import (
     ModuleTensor,
     PsiMap,
+    TensorMackey,
     reduced_tensor,
     ses_from_coefficients,
     ses_from_cofibration,
@@ -82,6 +89,32 @@ def test_s3_circle_with_burnside_recovers_burnside_ranks():
         (2, ()),
         (4, ()),
     ]
+
+
+def test_c2_triple_sign_sphere_builds_no_full_level(monkeypatch):
+    # G/e: Z in degree 3; G/G: Z/2 in degrees 0 and 2 (the transfer is x2
+    # into the fixed 0-cell; sigma^3 reverses orientation, so the top class
+    # is not fixed).  Levels 4-6 have no nondegenerate simplex.
+    X = sphere_for_descriptors(C2, [sign_rep()] * 3, 6)
+    M = constant_mackey(C2, Z)
+
+    def refuse(*args):
+        raise AssertionError("a full tensor level was built")
+
+    monkeypatch.setattr(TensorMackey, "op", refuse)
+    monkeypatch.setattr(TensorMackey, "value", refuse)
+    table = bredon_groups(X, M, range(5))
+    assert described(table) == {
+        0: ["0", "Z/2"],
+        1: ["0", "0"],
+        2: ["0", "Z/2"],
+        3: ["Z", "0"],
+        4: ["0", "0"],
+    }
+    chains = MackeyChainComplex(reduced_tensor(X, M))
+    for rec in subgroup_classes(C2):
+        groups = chains.complex(rec).groups
+        assert [groups[n].ngens for n in (4, 5, 6)] == [0, 0, 0]
 
 
 def test_bredon_homology_is_a_mackey_functor():
@@ -258,3 +291,116 @@ def test_element_from_blocks_accepts_natural_and_rejects_other_families():
     assert (1, 0, 1) in mc.degree_data(0)["blocks"]
     with pytest.raises(HomotopyError):
         mc.element_from_blocks(0, {(1, 0, 1): (1,)})
+
+
+# -- normalized chains against the full levels ------------------------------------
+
+
+def nondegenerate_part(T, n, S):
+    """Reference: the group carried by the orbits of nondegenerate simplices
+    in the full level-n value, and the positions of its generators there."""
+    ev, ls = T.value(n, S), T.level_set(n, S)
+    flags = T.X.degenerate_flags(n)
+    kept = [i for i, o in enumerate(ev.orbits) if not flags[ls.pairs[o.basepoint][0]]]
+    group, _ = direct_sum_data(ev.summands[i] for i in kept)
+    positions = [ev.offsets[i] + k for i in kept for k in range(ev.summands[i].ngens)]
+    return group, positions
+
+
+def restricted(h, src, tgt):
+    """Reference: the rows and columns of a full-level hom at the
+    nondegenerate generators of its source and target."""
+    (src_group, cols), (tgt_group, rows) = src, tgt
+    return AbHom(src_group, tgt_group, tuple(tuple(h.mat[r][c] for c in cols) for r in rows))
+
+
+def full_differential(T, n, S):
+    """Reference: sum (-1)^i d_i over the full levels."""
+    d = AbHom.zero(T.group_at(n, S), T.group_at(n - 1, S))
+    for i in range(n + 1):
+        h = T.face(n, i, S)
+        d = d + (h if i % 2 == 0 else h.scale(-1))
+    return d
+
+
+def chain_spaces():
+    a3 = next(r for r in subgroup_classes(S3) if r.order == 3)
+    C3 = FiniteGroup.cyclic(3)
+    two_sigma = sphere_for_descriptors(C2, [sign_rep()] * 2, 4)
+    return {
+        "C2 S^2sigma, Z": (two_sigma, constant_mackey(C2, Z)),
+        "C2 S^2sigma, Z/2": (two_sigma, constant_mackey(C2, Z2)),
+        "C3 S^rot31, A": (
+            sphere_for_descriptors(C3, [rotation_rep(3, 1)], 3),
+            burnside_mackey(C3),
+        ),
+        "S3 S^sigma+1, A": (
+            sphere_for_descriptors(S3, [sign_rep(a3.elements), trivial_rep(1)], 3),
+            burnside_mackey(S3),
+        ),
+    }
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+@pytest.mark.parametrize("case", list(chain_spaces()))
+def test_normalized_chains_equal_the_restricted_full_levels(case, reduced):
+    X, M = chain_spaces()[case]
+    G = M.group
+    T = TensorMackey(X, M, reduced=reduced)
+    chains = MackeyChainComplex(T)
+    recs = subgroup_classes(G)
+    for rec in recs:
+        S = std_orbit(G, rec)
+        part = [nondegenerate_part(T, n, S) for n in range(X.bound + 1)]
+        c = chains.complex(rec)
+        assert [c.groups[n] for n in range(X.bound + 1)] == [g for g, _ in part]
+        for n in range(1, X.bound + 1):
+            ref = restricted(full_differential(T, n, S), part[n], part[n - 1])
+            assert c.diffs[n] == ref
+    for j in recs:
+        for h in recs:
+            for om in orbit_maps_between(j, h):
+                f = om.gmap()
+                tr = chains.transition_chain_map(om, "tr")
+                res = chains.transition_chain_map(om, "res")
+                for n in range(X.bound + 1):
+                    src, tgt = nondegenerate_part(T, n, f.src), nondegenerate_part(T, n, f.tgt)
+                    assert tr.comps[n] == restricted(T.covariant_S(n, f), src, tgt)
+                    assert res.comps[n] == restricted(T.contravariant_S(n, f), tgt, src)
+
+
+def test_cofibration_chain_maps_equal_the_restricted_full_levels():
+    bound = 4
+    sig = sphere_for_descriptors(C2, [sign_rep()], bound)
+    incl = discrete_inclusion(s0_space(C2, bound), sig, (0, 1))
+    for M in (burnside_mackey(C2), constant_mackey(C2, Z)):
+        ses = ses_from_cofibration(incl, M)
+        for rec in subgroup_classes(C2):
+            S = std_orbit(C2, rec)
+            imap, qmap = cofibration_chain_maps(ses, rec)
+            for n in range(bound + 1):
+                sub, tot, quo = (
+                    nondegenerate_part(T, n, S) for T in (ses.sub, ses.total, ses.quot)
+                )
+                assert imap.comps[n] == restricted(ses.i_star(n, S), sub, tot)
+                assert qmap.comps[n] == restricted(ses.q_star(n, S), tot, quo)
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+def test_coefficient_chain_maps_equal_the_restricted_full_levels(reduced):
+    bound = 4
+    M = constant_mackey(C2, Z)
+    P = constant_mackey(C2, Z2)
+    recs = subgroup_classes(C2)
+    twice = {r.class_id: AbHom(M.orbit_value(r), M.orbit_value(r), ((2,),)) for r in recs}
+    phi = MackeyMorphism(M, M, twice).check()
+    psi = fixed_point_morphism(M, P, AbHom(Z, Z2, ((1,),))).check()
+    X = sphere_for_descriptors(C2, [sign_rep()] * 2, bound)
+    ses = ses_from_coefficients(phi, psi, X, reduced=reduced)
+    for rec in recs:
+        S = std_orbit(C2, rec)
+        fmap, gmap = coefficient_chain_maps(ses, rec)
+        for n in range(bound + 1):
+            vm, vn, vp = (nondegenerate_part(T, n, S) for T in (ses.T_m, ses.T_n, ses.T_p))
+            assert fmap.comps[n] == restricted(ses.phi_at(n, S), vm, vn)
+            assert gmap.comps[n] == restricted(ses.psi_at(n, S), vn, vp)

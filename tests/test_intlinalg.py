@@ -127,3 +127,14 @@ def test_products_match_naive_triple_loop(m, n, p, data):
             la.matmul(a, la.zeros(n2, p), p)
         with pytest.raises(ValueError):
             la.matmul(a, data.draw(matrices(n2, p)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_invariant_factors_match_sympy(m, n, data):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    a = data.draw(matrices(m, n))
+    expected = [int(d) for d in invariant_factors(sympy.Matrix(a), domain=sympy.ZZ) if d]
+    assert la.invariant_factors(a) == expected

@@ -15,10 +15,12 @@ from eqmack.gsets import (
 from eqmack.mackey import (
     BurnsideMackey,
     FixedPointMackey,
+    MackeyError,
     MackeyMorphism,
     OrbitMap,
     TableMackey,
     WeylModule,
+    based_value,
     burnside_mackey,
     cokernel_mackey,
     constant_mackey,
@@ -168,6 +170,20 @@ def test_function_of_element_matches_dense_projections():
                     for x in vecs:
                         dense = [projs[p](incl(x)) for p in range(len(fp.points))]
                         assert M.function_of_element(S, x) == dense
+
+
+def test_orbit_index_of_point_covers_every_point_once():
+    u, _ = disjoint_union([regular_gset(S3), point_gset(S3), std_orbit(S3, rec_of(S3, 2))])
+    ev = burnside_mackey(S3).evaluate(u)
+    for p in range(u.size):
+        (i,) = [i for i, o in enumerate(ev.orbits) if p in o.points]
+        assert ev.orbit_index_of_point(p) == i
+    with pytest.raises(MackeyError):
+        ev.orbit_index_of_point(u.size)
+    based = based_value(burnside_mackey(S3), u, 6)
+    assert [based.orbit_index_of_point(p) for p in (0, 7, 8, 9)] == [0, 1, 1, 1]
+    with pytest.raises(MackeyError):
+        based.orbit_index_of_point(6)
 
 
 def test_axioms_constant():

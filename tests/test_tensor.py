@@ -256,6 +256,31 @@ def test_module_tensor_spheres():
     assert c2.homology(1).invariants() == (1, ())
 
 
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+def test_module_tensor_chains_equal_the_restricted_full_faces(reduced):
+    # reference: sum (-1)^i face_hom(n, i) over every support block, with
+    # the rows and columns of the nondegenerate blocks selected
+    K = sphere_for_descriptors(C2, [sign_rep()] * 2, 4)
+    for A in (WeylModule.regular(C2), WeylModule.trivial(C2, AbGroup.cyclic(2))):
+        mt = ModuleTensor(K, A, reduced=reduced)
+        a = A.value.ngens
+        c = mt.chain_complex()
+
+        def kept(n):
+            flags = K.degenerate_flags(n)
+            blocks = [i for i, x in enumerate(mt.support(n)) if not flags[x]]
+            return [i * a + k for i in blocks for k in range(a)]
+
+        for n in range(1, K.bound + 1):
+            full = mt.face_hom(n, 0)
+            for i in range(1, n + 1):
+                h = mt.face_hom(n, i)
+                full = full + (h if i % 2 == 0 else h.scale(-1))
+            rows, cols = kept(n - 1), kept(n)
+            assert c.diffs[n].mat == tuple(tuple(full.mat[r][j] for j in cols) for r in rows)
+            assert (c.diffs[n].src.ngens, c.diffs[n].tgt.ngens) == (len(cols), len(rows))
+
+
 def test_smash_module_map_unit():
     W = C2
     A = WeylModule.regular(W)
