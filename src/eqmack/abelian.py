@@ -9,7 +9,7 @@ Everything reduces to Smith normal form, integer kernels, and exact solving.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import intlinalg as la
 
@@ -35,6 +35,11 @@ class AbGroup:
     def nrels(self):
         return len(self.rels[0]) if self.rels else 0
 
+    @cached_property
+    def relcols(self):
+        """The relations as sparse columns."""
+        return tuple(la.columns(self.rels, self.nrels))
+
     @staticmethod
     def free(n):
         return AbGroup(n, la.zeros(n, 0))
@@ -49,7 +54,7 @@ class AbGroup:
 
     def invariants(self):
         """(free_rank, torsion factors in divisibility order, >1 each)."""
-        return _invariants(self)
+        return _invariants_cached(self.ngens, self.rels)
 
     def is_trivial(self):
         free, tors = self.invariants()
@@ -84,7 +89,7 @@ class AbGroup:
 
     def element_key(self, x):
         """Canonical residue key: equal iff elements are equal."""
-        d, u, _ = _snf_rels(self)
+        d, u, _ = _snf_rels_cached(self.ngens, self.rels)
         z = la.apply(u, x) if self.ngens else ()
         key = []
         diag = la.diagonal(d)
@@ -98,7 +103,7 @@ class AbGroup:
         free, tors = self.invariants()
         if free:
             raise ContractError("cannot enumerate an infinite group")
-        d, u, _ = _snf_rels(self)
+        d, u, _ = _snf_rels_cached(self.ngens, self.rels)
         uinv = _unimodular_inverse(u)
         diag = la.diagonal(d)
         diag = diag + [0] * (self.ngens - len(diag))
@@ -137,19 +142,11 @@ def _invariants_cached(ngens, rels):
     return (free, tors)
 
 
-def _invariants(g):
-    return _invariants_cached(g.ngens, g.rels)
-
-
 @lru_cache(maxsize=None)
 def _snf_rels_cached(ngens, rels):
     if not rels:
         rels = la.zeros(ngens, 0)
     return la.snf(rels)
-
-
-def _snf_rels(g):
-    return _snf_rels_cached(g.ngens, g.rels)
 
 
 @lru_cache(maxsize=None)
@@ -171,36 +168,67 @@ def fmt_invariants(inv):
     return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
 class AbHom:
-    src: AbGroup
-    tgt: AbGroup
-    mat: tuple  # tgt.ngens x src.ngens
+    """A hom src -> tgt, stored as sparse columns: cols[j] is the image of
+    generator j as {row: value}, zeros omitted.
 
-    def __post_init__(self):
-        object.__setattr__(self, "mat", tuple(tuple(r) for r in self.mat))
-        m, n = la.shape(self.mat)
-        if self.tgt.ngens and self.src.ngens:
-            if (m, n) != (self.tgt.ngens, self.src.ngens):
-                raise ContractError(
-                    "matrix shape %s does not match %d x %d"
-                    % ((m, n), self.tgt.ngens, self.src.ngens)
-                )
+    mat, the dense tgt.ngens x src.ngens row tuples, is the API form.  A hom
+    made from columns builds it only when something reads it; one made from
+    mat builds its columns on first use.  Neither form is ever mutated.
+    """
+
+    __slots__ = ("src", "tgt", "_mat", "_cols", "_red")
+
+    def __init__(self, src, tgt, mat):
+        mat = tuple(tuple(r) for r in mat)
+        m, n = la.shape(mat)
+        # a matrix without rows also stands for any hom with a zero side
+        if (m, n) != (tgt.ngens, src.ngens) and (m or tgt.ngens and src.ngens):
+            raise ContractError(
+                "matrix shape %s does not match %d x %d" % ((m, n), tgt.ngens, src.ngens)
+            )
+        self.src, self.tgt, self._mat, self._cols, self._red = src, tgt, mat, None, None
+
+    @classmethod
+    def from_columns(cls, src, tgt, cols):
+        if len(cols) != src.ngens:
+            raise ContractError("%d columns for %d generators" % (len(cols), src.ngens))
+        h = cls.__new__(cls)
+        h.src, h.tgt, h._mat, h._cols, h._red = src, tgt, None, tuple(cols), None
+        return h
+
+    @property
+    def cols(self):
+        if self._cols is None:
+            self._cols = tuple(la.columns(self._mat, self.src.ngens))
+        return self._cols
+
+    @property
+    def mat(self):
+        if self._mat is None:
+            self._mat = la.dense(self._cols, self.tgt.ngens)
+        return self._mat
+
+    def __eq__(self, other):
+        if not isinstance(other, AbHom):
+            return NotImplemented
+        return (self.src, self.tgt, self.cols) == (other.src, other.tgt, other.cols)
+
+    def __hash__(self):
+        return hash((self.src, self.tgt, tuple(frozenset(c.items()) for c in self.cols)))
 
     @staticmethod
     def identity(g):
-        return AbHom(g, g, la.identity(g.ngens))
+        return AbHom.from_columns(g, g, [{i: 1} for i in range(g.ngens)])
 
     @staticmethod
     def zero(src, tgt):
-        return AbHom(src, tgt, la.zeros(tgt.ngens, src.ngens))
+        return AbHom.from_columns(src, tgt, [{} for _ in range(src.ngens)])
 
     def is_well_defined(self):
-        for j in range(self.src.nrels):
-            col = tuple(self.src.rels[i][j] for i in range(self.src.ngens))
-            if not self.tgt.is_zero_element(la.apply(self.mat, col)):
-                return False
-        return True
+        return all(
+            self.tgt.is_zero_element(self(col)) for col in zip(*self.src.rels)
+        )
 
     def check(self):
         if not self.is_well_defined():
@@ -208,45 +236,53 @@ class AbHom:
         return self
 
     def __call__(self, x):
-        return la.apply(self.mat, x) if self.tgt.ngens else ()
+        y = la.combine(self.cols, ((j, v) for j, v in enumerate(x) if v))
+        return tuple(y.get(i, 0) for i in range(self.tgt.ngens))
 
     def compose(self, other):
         """self o other."""
         if other.tgt.ngens != self.src.ngens:
             raise ContractError("cannot compose %r after %r" % (self, other))
-        return AbHom(other.src, self.tgt, la.matmul(self.mat, other.mat, other.src.ngens))
+        cols = [la.combine(self.cols, col.items()) for col in other.cols]
+        return AbHom.from_columns(other.src, self.tgt, cols)
 
     def __add__(self, other):
         if self.src != other.src or self.tgt != other.tgt:
             raise ContractError("cannot add %r and %r" % (self, other))
-        if not self.mat:
-            return self
-        return AbHom(self.src, self.tgt, la.matadd(self.mat, other.mat))
+        pairs = ((0, 1), (1, 1))
+        cols = [la.combine(ab, pairs) for ab in zip(self.cols, other.cols)]
+        return AbHom.from_columns(self.src, self.tgt, cols)
 
     def __neg__(self):
-        return AbHom(self.src, self.tgt, la.matneg(self.mat))
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return AbHom(self.src, self.tgt, tuple(tuple(c * x for x in r) for r in self.mat))
+        cols = [{i: c * x for i, x in col.items()} if c else {} for col in self.cols]
+        return AbHom.from_columns(self.src, self.tgt, cols)
 
     def is_zero_hom(self):
-        for j in range(self.src.ngens):
-            col = tuple(self.mat[i][j] for i in range(self.tgt.ngens))
-            if not self.tgt.is_zero_element(col):
-                return False
-        return True
+        n = self.tgt.ngens
+        return all(
+            not col or self.tgt.is_zero_element(tuple(col.get(i, 0) for i in range(n)))
+            for col in self.cols
+        )
 
     def same_as(self, other):
         return (self - other).is_zero_hom()
 
     def _graph_reduction(self):
-        # solver for mat * x = y mod tgt relations: [mat | rels]
-        aug = la.hstack(self.mat, self.tgt.rels)
-        ncols = self.src.ngens + self.tgt.nrels
-        return la.reduction(aug, self.tgt.ngens, ncols)
+        # solver for mat * x = y mod tgt relations: [mat | rels], kept on self
+        if self._red is None:
+            self._red = la.ColumnReduction(self.cols + self.tgt.relcols, self.tgt.ngens)
+        return self._red
+
+    def _solutions(self):
+        """Sparse columns spanning {x : self(x) = 0 in tgt}: the x-parts of
+        the kernel of [mat | rels]."""
+        return _heads(self._graph_reduction().kernel_basis(), self.src.ngens)
 
     def preimage(self, y):
         """Some x with self(x) == y in tgt, or None."""
@@ -256,27 +292,23 @@ class AbHom:
         return sol[: self.src.ngens]
 
     def preimage_matrix(self, b):
-        """X with self o X == b columnwise (coordinates), or None."""
-        _, k = la.shape(b)
+        """The hom X: b.src -> self.src with self o X == b on coordinates,
+        or None when some column of b has no preimage."""
+        if b.tgt.ngens != self.tgt.ngens:
+            raise ContractError("cannot lift %r through %r" % (b, self))
         red = self._graph_reduction()
-        cols = []
-        for j in range(k):
-            x = red.solve(tuple(b[i][j] for i in range(self.tgt.ngens)))
-            if x is None:
-                return None
-            cols.append(x[: self.src.ngens])
-        return la.transpose(tuple(cols), self.src.ngens)
+        cols = [red.solve_column(col) for col in b.cols]
+        if None in cols:
+            return None
+        return AbHom.from_columns(b.src, self.src, _heads(cols, self.src.ngens))
 
     def kernel(self):
         """(K, incl) with 0 -> K -> src exact."""
-        n = self.src.ngens
-        aug = la.hstack(self.mat, self.tgt.rels)
-        sols = la.reduction(aug, self.tgt.ngens, n + self.tgt.nrels).kernel_basis()
-        r = len(sols[0]) if sols else 0
-        basis = tuple(sols[i] for i in range(n))  # x-part of the solutions
-        rels = _lattice_constraints(basis, n, r, self.src.rels)
-        k = AbGroup(r, rels)
-        incl = AbHom(k, self.src, basis)
+        basis = self._solutions()
+        red = la.ColumnReduction([*basis, *self.src.relcols], self.src.ngens)
+        k = AbGroup(len(basis), _relations(red, len(basis)))
+        incl = AbHom.from_columns(k, self.src, basis)
+        incl._red = red  # its graph reduction: [basis | rels]
         return k, incl
 
     def cokernel(self):
@@ -288,11 +320,12 @@ class AbHom:
     def image(self):
         """(I, incl into tgt, proj from src)."""
         n = self.src.ngens
-        aug = la.hstack(self.mat, self.tgt.rels)
-        sols = la.reduction(aug, self.tgt.ngens, n + self.tgt.nrels).kernel_basis()
-        pre = tuple(sols[i] for i in range(n)) if sols else la.zeros(n, 0)
-        img = AbGroup(n, pre)
-        return img, AbHom(img, self.tgt, self.mat), AbHom(self.src, img, la.identity(n))
+        img = AbGroup(n, la.dense(self._solutions(), n))
+        return (
+            img,
+            AbHom.from_columns(img, self.tgt, self.cols),
+            AbHom.from_columns(self.src, img, [{i: 1} for i in range(n)]),
+        )
 
     def is_injective(self):
         k, _ = self.kernel()
@@ -309,53 +342,37 @@ class AbHom:
         return "AbHom(%s -> %s)" % (self.src.describe(), self.tgt.describe())
 
 
-def _lattice_constraints(basis, nrows, ncols, lattice):
-    """Relations {z : basis*z lies in the given lattice} as matrix columns."""
-    nl = len(lattice[0]) if lattice else 0
-    aug = la.hstack(basis, lattice) if nl else basis
-    if not aug and nrows == 0:
-        # zero ambient group: everything is a relation
-        return la.identity(ncols)
-    sols = la.reduction(aug, nrows, ncols + nl).kernel_basis()
-    if not sols:
-        return la.zeros(ncols, 0)
-    return tuple(sols[i] for i in range(ncols))
+def _heads(cols, r):
+    """The first r rows of sparse columns."""
+    return [{i: v for i, v in col.items() if i < r} for col in cols]
+
+
+def _relations(red, r):
+    """For a reduction of [basis | lattice] with r basis columns, the
+    relations {z : basis z lies in the lattice} as a dense r-row matrix."""
+    return la.dense(_heads(red.kernel_basis(), r), r)
 
 
 def direct_sum_data(groups):
     """(total, offsets): the sum group and the first generator of each summand."""
-    groups = list(groups)
-    offsets = []
+    offsets, relcols = [], []
     n = 0
-    total_rels = 0
     for g in groups:
         offsets.append(n)
+        relcols += ({n + i: x for i, x in col.items()} for col in g.relcols)
         n += g.ngens
-        total_rels += g.nrels
-    rels = [[0] * total_rels for _ in range(n)]
-    c = 0
-    for g, o in zip(groups, offsets):
-        for j in range(g.nrels):
-            for i in range(g.ngens):
-                rels[o + i][c] = g.rels[i][j]
-            c += 1
-    return AbGroup(n, tuple(tuple(r) for r in rels)), offsets
+    return AbGroup(n, la.dense(relcols, n)), offsets
 
 
 def direct_sum(groups):
     """(sum, inclusions, projections)."""
     groups = list(groups)
     total, offsets = direct_sum_data(groups)
-    n = total.ngens
     incls, projs = [], []
     for g, o in zip(groups, offsets):
-        inc = [[0] * g.ngens for _ in range(n)]
-        prj = [[0] * n for _ in range(g.ngens)]
-        for i in range(g.ngens):
-            inc[o + i][i] = 1
-            prj[i][o + i] = 1
-        incls.append(AbHom(g, total, tuple(tuple(r) for r in inc)))
-        projs.append(AbHom(total, g, tuple(tuple(r) for r in prj)))
+        incls.append(AbHom.from_columns(g, total, [{o + i: 1} for i in range(g.ngens)]))
+        cols = [{k - o: 1} if 0 <= k - o < g.ngens else {} for k in range(total.ngens)]
+        projs.append(AbHom.from_columns(total, g, cols))
     return total, incls, projs
 
 
@@ -368,7 +385,7 @@ def assemble_block_hom(src_groups, tgt_groups, entries):
     src_groups, tgt_groups = list(src_groups), list(tgt_groups)
     src_total, src_off = direct_sum_data(src_groups)
     tgt_total, tgt_off = direct_sum_data(tgt_groups)
-    mat = [[0] * src_total.ngens for _ in range(tgt_total.ngens)]
+    cols = [{} for _ in range(src_total.ngens)]
     for ti, si, hom in entries:
         if not (0 <= ti < len(tgt_groups) and 0 <= si < len(src_groups)):
             raise ContractError(
@@ -378,14 +395,16 @@ def assemble_block_hom(src_groups, tgt_groups, entries):
         shape = (tgt_groups[ti].ngens, src_groups[si].ngens)
         if (hom.tgt.ngens, hom.src.ngens) != shape:
             raise ContractError("block %r does not fit position (%d, %d)" % (hom, ti, si))
-        ro = tgt_off[ti]
-        co = src_off[si]
-        for r, row in enumerate(hom.mat):
-            target = mat[ro + r]
-            for c, v in enumerate(row):
-                if v:
-                    target[co + c] += v
-    h = AbHom(src_total, tgt_total, tuple(tuple(r) for r in mat))
+        ro, co = tgt_off[ti], src_off[si]
+        for c, col in enumerate(hom.cols):
+            target = cols[co + c]
+            for r, v in col.items():
+                w = target.get(ro + r, 0) + v
+                if w:
+                    target[ro + r] = w
+                else:
+                    del target[ro + r]
+    h = AbHom.from_columns(src_total, tgt_total, cols)
     return h, src_total, tgt_total
 
 
@@ -395,40 +414,33 @@ def hom_group(a, b):
     na, nb = a.ngens, b.ngens
     nunk = na * nb  # X[i][j], flattened row-major: index i*na + j
 
-    rows = []
-    kb = b.nrels
-    for rj in range(a.nrels):
-        rel = tuple(a.rels[i][rj] for i in range(na))
-        for t in range(nb):
-            row = [0] * (nunk + kb * a.nrels)
-            for j in range(na):
-                row[t * na + j] = rel[j]
-            # minus b-relations slack for this constraint block
-            for s in range(kb):
-                row[nunk + rj * kb + s] = -b.rels[t][s]
-            rows.append(tuple(row))
-    ncols = nunk + kb * a.nrels
-    if rows:
-        sols = la.reduction(tuple(rows), len(rows), ncols).kernel_basis()
-        lat = tuple(sols[i] for i in range(nunk)) if sols else la.zeros(nunk, 0)
-    else:
-        lat = la.identity(nunk)
-    r = len(lat[0]) if nunk and lat else (0 if nunk else 0)
+    # one constraint row X rel = (b-relation slack) per a-relation rj and
+    # target generator t, at row rj * nb + t; slack columns follow X's
+    ka, kb = a.nrels, b.nrels
+    cols = [
+        {rj * nb + t: a.rels[j][rj] for rj in range(ka) if a.rels[j][rj]}
+        for t in range(nb)
+        for j in range(na)
+    ] + [
+        {rj * nb + t: -b.rels[t][s] for t in range(nb) if b.rels[t][s]}
+        for rj in range(ka)
+        for s in range(kb)
+    ]
+    lat = _heads(la.ColumnReduction(cols, ka * nb).kernel_basis(), nunk)
+    r = len(lat)
 
     # trivial maps: every generator image lies in the relation lattice of b
-    triv = [[0] * (na * kb) for _ in range(nunk)]
-    for j in range(na):
-        for s in range(kb):
-            for t in range(nb):
-                triv[t * na + j][j * kb + s] = b.rels[t][s]
-    triv = tuple(tuple(x) for x in triv)
-    rels = _lattice_constraints(lat, nunk, r, triv)
-    h = AbGroup(r, rels)
+    triv = [
+        {t * na + j: b.rels[t][s] for t in range(nb) if b.rels[t][s]}
+        for j in range(na)
+        for s in range(kb)
+    ]
+    h = AbGroup(r, _relations(la.ColumnReduction(lat + triv, nunk), r))
 
     basis = []
     for c in range(r):
         mat = tuple(
-            tuple(lat[t * na + j][c] for j in range(na)) for t in range(nb)
+            tuple(lat[c].get(t * na + j, 0) for j in range(na)) for t in range(nb)
         )
         basis.append(AbHom(a, b, mat))
 
@@ -474,28 +486,13 @@ class ChainComplex:
                 raise ContractError("d o d != 0 at degree %d" % n)
         return self
 
-    def cycle_basis(self, n):
-        g = self.group(n)
-        d = self.diff(n)
-        if d.tgt.ngens == 0:
-            return la.identity(g.ngens)
-        aug = la.hstack(d.mat, d.tgt.rels)
-        sols = la.reduction(aug, d.tgt.ngens, g.ngens + d.tgt.nrels).kernel_basis()
-        if not sols:
-            return la.zeros(g.ngens, 0)
-        return tuple(sols[i] for i in range(g.ngens))
-
     def homology(self, n):
         if n not in self._hcache:
-            g = self.group(n)
-            zb = self.cycle_basis(n)
-            r = len(zb[0]) if zb else 0
-            dn1 = self.diff(n + 1)
-            bnd = dn1.mat if dn1.src.ngens else la.zeros(g.ngens, 0)
-            lat = la.hstack(g.rels, bnd)
-            rels = _lattice_constraints(zb, g.ngens, r, lat)
-            h = AbGroup(r, rels)
-            self._hcache[n] = (h, zb)
+            g, d = self.group(n), self.diff(n)
+            zb = d._solutions() if d.tgt.ngens else [{i: 1} for i in range(g.ngens)]
+            lat = [*zb, *g.relcols, *self.diff(n + 1).cols]
+            rels = _relations(la.ColumnReduction(lat, g.ngens), len(zb))
+            self._hcache[n] = (AbGroup(len(zb), rels), la.dense(zb, g.ngens))
         return self._hcache[n][0]
 
     def homology_class(self, n, z):

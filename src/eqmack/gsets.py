@@ -99,10 +99,15 @@ class GMap:
         return self.values[x]
 
     def compose(self, other):
-        """self o other."""
+        """self o other.  A composite of equivariant maps is equivariant, so
+        it skips the equivariance check of the constructor."""
         if other.tgt != self.src:
             raise GSetError("composed maps do not meet")
-        return GMap(other.src, self.tgt, tuple(self.values[v] for v in other.values))
+        out = object.__new__(GMap)
+        object.__setattr__(out, "src", other.src)
+        object.__setattr__(out, "tgt", self.tgt)
+        object.__setattr__(out, "values", tuple(self.values[v] for v in other.values))
+        return out
 
     @staticmethod
     def identity(s):

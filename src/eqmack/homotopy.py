@@ -332,7 +332,7 @@ class MappingComplex:
                     offsets[(key, m, p)] = len(blocks)
                     blocks.append((key, m, p))
                     values.append(chart.value(m))
-        data = {"spaces": spaces, "offsets": offsets}
+        data = {"spaces": spaces, "offsets": offsets, "ops": {}}
         targets = []
         entries = []
 
@@ -343,8 +343,8 @@ class MappingComplex:
             entries.append((r, idx, hom))
             got = self._express(data, key, m, q)
             if got is not None:
-                ops, j = got
-                entries.append((r, j, ops.scale(-1)))
+                _, minus, j = got
+                entries.append((r, j, minus))
 
         for idx, (key, m, p) in enumerate(blocks):
             if m == 0:
@@ -378,16 +378,20 @@ class MappingComplex:
 
     def _express(self, data, key, m, p):
         """The value of a family at point p of chart key's level m, as None
-        (the basepoint) or (degeneracy hom, index of the nondegenerate block)."""
+        (the basepoint) or (degeneracy hom, its negative, index of the
+        nondegenerate block).  The homs are built once per degree and word."""
         sm = data["spaces"][key]
         if p == sm.base(m):
             return None
         lvl, core, word = normal_form(sm, m, p)
-        chart = self.charts[key]
-        ops = AbHom.identity(chart.value(lvl))
-        for cur, i in enumerate(word, lvl):
-            ops = chart.degen(cur, i).compose(ops)
-        return ops, data["offsets"][(key, lvl, core)]
+        memo = (key, lvl, tuple(word))
+        if memo not in data["ops"]:
+            chart = self.charts[key]
+            ops = AbHom.identity(chart.value(lvl))
+            for cur, i in enumerate(word, lvl):
+                ops = chart.degen(cur, i).compose(ops)
+            data["ops"][memo] = (ops, -ops)
+        return data["ops"][memo] + (data["offsets"][(key, lvl, core)],)
 
     def differential(self, n):
         """d_n: degree n -> degree n-1 via the alternating vertex maps."""
@@ -405,15 +409,13 @@ class MappingComplex:
                 q = _smash_pair_index(dsrc["spaces"][key], m, kappa, tidx)
                 got = self._express(dsrc, key, m, q)
                 if got is not None:
-                    ops, idx = got
-                    entries.append((bidx, idx, ops if i % 2 == 0 else ops.scale(-1)))
+                    entries.append((bidx, got[2], got[i % 2]))
         amb, _, _ = ab.assemble_block_hom(dsrc["values"], dtgt["values"], entries)
-        big = amb.compose(dsrc["incl"])
-        out = dtgt["incl"].preimage_matrix(big.mat)
+        out = dtgt["incl"].preimage_matrix(amb.compose(dsrc["incl"]))
         if out is None:
             raise HomotopyError("differential does not preserve the relations")
-        self._diffs[n] = AbHom(dsrc["group"], dtgt["group"], out)
-        return self._diffs[n]
+        self._diffs[n] = out
+        return out
 
     def chain_complex(self, top=None):
         """The complex of degrees 0..top, by default 0..degree_bound.

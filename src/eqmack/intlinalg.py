@@ -1,17 +1,17 @@
 """Exact integer linear algebra: Smith normal form, kernels, solving.
 
-Matrices are tuples of row tuples of Python ints (arbitrary precision).
-The column-reduction engine keeps sparse columns and prefers unit pivots,
-which keeps the big, mostly-unimodular systems produced by simplicial
-constraints fast and free of coefficient swell.
+Python ints throughout (arbitrary precision).  A matrix has two forms.  The
+API form is a tuple of row tuples.  The reduction input is a list of sparse
+columns, one {row: value} dict per column with zeros omitted: the big,
+mostly-unimodular constraint systems of the simplicial layers are assembled
+as columns and never made dense.  columns() and dense() convert.  The
+column-reduction engine prefers unit pivots, which keeps those systems fast
+and free of coefficient swell.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-
-Matrix = tuple  # tuple[tuple[int, ...], ...]
 
 
 def shape(a):
@@ -59,10 +59,6 @@ def matadd(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def matneg(a):
-    return tuple(tuple(-x for x in ra) for ra in a)
-
-
 def hstack(a, b):
     if not a:
         return b
@@ -77,6 +73,34 @@ def apply(a, v):
     """Matrix times column vector (as tuple), over the nonzeros of v."""
     nz = [(k, x) for k, x in enumerate(v) if x]
     return tuple(sum(ra[k] * x for k, x in nz) for ra in a)
+
+
+def columns(a, ncols):
+    """The sparse columns of a dense matrix with ncols columns, in one row scan."""
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return cols
+
+
+def dense(cols, nrows):
+    """The row tuples of a matrix given by its sparse columns."""
+    rows = [[0] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    return tuple(map(tuple, rows))
+
+
+def combine(cols, coeffs):
+    """The sparse column sum of x * cols[k] over the pairs (k, x) of coeffs."""
+    acc = {}
+    for k, x in coeffs:
+        for i, y in cols[k].items():
+            acc[i] = acc.get(i, 0) + x * y
+    return {i: v for i, v in acc.items() if v}
 
 
 def is_zero(a):
@@ -204,20 +228,11 @@ class ColumnReduction:
     solving both fall out.
     """
 
-    def __init__(self, a, nrows=None, ncols=None):
-        if nrows is None:
-            nrows, ncols = shape(a)
+    def __init__(self, cols, nrows):
+        """cols: the sparse columns of A, which has nrows rows; not modified."""
         self.nrows = nrows
-        self.ncols = ncols
-        cols = []
-        for j in range(ncols):
-            col = {}
-            for i in range(nrows):
-                x = a[i][j]
-                if x:
-                    col[i] = x
-            cols.append(col)
-        self._run(cols)
+        self.ncols = len(cols)
+        self._run([dict(c) for c in cols])
 
     def _run(self, cols):
         ncols = self.ncols
@@ -284,23 +299,24 @@ class ColumnReduction:
         self._assigned = assigned
 
     def kernel_basis(self):
-        """Columns spanning {x : A x = 0}, as an ncols x k matrix."""
-        ker = [
+        """Sparse columns spanning {x : A x = 0}."""
+        return [
             self.v[j]
             for j in range(self.ncols)
             if j not in self._assigned and not self.h[j]
         ]
-        return tuple(
-            tuple(col.get(i, 0) for col in ker) for i in range(self.ncols)
-        )
 
     def solve(self, b):
         """Some x with A x = b, or None.  b has length nrows."""
-        resid = {}
-        for i, x in enumerate(b):
-            if x:
-                resid[i] = x
-        y = {}
+        x = self.solve_column({i: v for i, v in enumerate(b) if v})
+        if x is None:
+            return None
+        return tuple(x.get(i, 0) for i in range(self.ncols))
+
+    def solve_column(self, b):
+        """Some x with A x = b, or None; b and x as sparse columns."""
+        resid = dict(b)
+        y = []
         for row, j, val in self.pivots:
             r = resid.get(row, 0)
             if r == 0:
@@ -308,7 +324,7 @@ class ColumnReduction:
             if r % val != 0:
                 return None
             q = r // val
-            y[j] = q
+            y.append((j, q))
             for i, x in self.h[j].items():
                 nv = resid.get(i, 0) - q * x
                 if nv:
@@ -317,29 +333,12 @@ class ColumnReduction:
                     del resid[i]
         if resid:
             return None
-        x = [0] * self.ncols
-        for j, q in y.items():
-            for i, val in self.v[j].items():
-                x[i] += q * val
-        return tuple(x)
-
-    def solve_matrix(self, b, bcols=None):
-        """X with A X = B, or None; B given as a dense matrix."""
-        if bcols is None:
-            _, bcols = shape(b)
-        sols = []
-        for j in range(bcols):
-            col = tuple(b[i][j] for i in range(self.nrows))
-            x = self.solve(col)
-            if x is None:
-                return None
-            sols.append(x)
-        return tuple(tuple(s[i] for s in sols) for i in range(self.ncols))
+        return combine(self.v, y)
 
 
 @lru_cache(maxsize=None)
 def _reduction(a, nrows, ncols):
-    return ColumnReduction(a, nrows, ncols)
+    return ColumnReduction(columns(a, ncols), nrows)
 
 
 def reduction(a, nrows=None, ncols=None):
@@ -349,7 +348,8 @@ def reduction(a, nrows=None, ncols=None):
 
 
 def kernel_basis(a, nrows=None, ncols=None):
-    return reduction(a, nrows, ncols).kernel_basis()
+    red = reduction(a, nrows, ncols)
+    return dense(red.kernel_basis(), red.ncols)
 
 
 def solve(a, b):
@@ -357,4 +357,7 @@ def solve(a, b):
 
 
 def solve_matrix(a, b, nrows=None, ncols=None):
-    return reduction(a, nrows, ncols).solve_matrix(b)
+    """X with A X = B, or None; B given as a dense matrix."""
+    red = reduction(a, nrows, ncols)
+    xs = [red.solve_column(col) for col in columns(b[: red.nrows], shape(b)[1])]
+    return None if None in xs else dense(xs, red.ncols)

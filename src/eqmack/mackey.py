@@ -376,25 +376,25 @@ class FixedPointMackey(MackeyFunctor):
 
     def covariant_raw(self, q):
         """Transfer along any G-map: fiber sums over H-fixed points."""
-        ks, inks = self._container(q.src)[2:]
-        kt, inkt = self._container(q.tgt)[2:]
+        inks = self._container(q.src)[3]
+        inkt = self._container(q.tgt)[3]
         src, tgt, blocks = self._fixed_point_blocks(q)
         h, _, _ = ab.assemble_block_hom(src, tgt, blocks)
-        out = inkt.preimage_matrix(h.compose(inks).mat)
+        out = inkt.preimage_matrix(h.compose(inks))
         if out is None:
             raise MackeyError("transfer does not preserve equivariance")
-        return AbHom(ks, kt, out)
+        return out
 
     def contravariant_raw(self, q):
         """Restriction along any G-map: precomposition on H-fixed points."""
-        ks, inks = self._container(q.src)[2:]
-        kt, inkt = self._container(q.tgt)[2:]
+        inks = self._container(q.src)[3]
+        inkt = self._container(q.tgt)[3]
         src, tgt, blocks = self._fixed_point_blocks(q)
         h, _, _ = ab.assemble_block_hom(tgt, src, [(s, t, b) for t, s, b in blocks])
-        out = inks.preimage_matrix(h.compose(inkt).mat)
+        out = inks.preimage_matrix(h.compose(inkt))
         if out is None:
             raise MackeyError("restriction does not preserve equivariance")
-        return AbHom(kt, ks, out)
+        return out
 
     def function_of_element(self, S, x):
         """Decode an element into per-fixed-point values of A."""
@@ -406,17 +406,17 @@ class FixedPointMackey(MackeyFunctor):
 
 def fp_postcompose(f_src, f_tgt, theta, S):
     """R(theta): Hom_W(S^H, A) -> Hom_W(S^H, B) for an equivariant theta."""
-    fp, _, ker_s, incl_s = f_src._container(S)
-    ker_t, incl_t = f_tgt._container(S)[2:]
+    fp, _, _, incl_s = f_src._container(S)
+    incl_t = f_tgt._container(S)[3]
     k = len(fp.points)
     blocks = [(p, p, theta) for p in range(k)]
     h, _, _ = ab.assemble_block_hom(
         [f_src.module.value] * k, [f_tgt.module.value] * k, blocks
     )
-    out = incl_t.preimage_matrix(h.compose(incl_s).mat)
+    out = incl_t.preimage_matrix(h.compose(incl_s))
     if out is None:
         raise MackeyError("postcomposition does not preserve equivariance")
-    return AbHom(ker_s, ker_t, out)
+    return out
 
 
 def fixed_point_morphism(f_src, f_tgt, theta):
@@ -742,17 +742,17 @@ def kernel_mackey(phi):
 
     def cov(om):
         big = phi.src.orbit_covariant(om).compose(incls[om.src.class_id])
-        out = incls[om.tgt.class_id].preimage_matrix(big.mat)
+        out = incls[om.tgt.class_id].preimage_matrix(big)
         if out is None:
             raise MackeyError("covariant part does not preserve the kernel")
-        return AbHom(kers[om.src.class_id], kers[om.tgt.class_id], out)
+        return out
 
     def con(om):
         big = phi.src.orbit_contravariant(om).compose(incls[om.tgt.class_id])
-        out = incls[om.src.class_id].preimage_matrix(big.mat)
+        out = incls[om.src.class_id].preimage_matrix(big)
         if out is None:
             raise MackeyError("contravariant part does not preserve the kernel")
-        return AbHom(kers[om.tgt.class_id], kers[om.src.class_id], out)
+        return out
 
     func = WrappedMackey(phi.src.group, kers, cov, con, label="kernel")
     incl_morphism = MackeyMorphism(func, phi.src, incls)
@@ -770,12 +770,12 @@ def cokernel_mackey(phi):
         projs[r.class_id] = proj
 
     def cov(om):
-        inner = phi.tgt.orbit_covariant(om)
-        return AbHom(cokers[om.src.class_id], cokers[om.tgt.class_id], inner.mat)
+        inner = phi.tgt.orbit_covariant(om).cols
+        return AbHom.from_columns(cokers[om.src.class_id], cokers[om.tgt.class_id], inner)
 
     def con(om):
-        inner = phi.tgt.orbit_contravariant(om)
-        return AbHom(cokers[om.tgt.class_id], cokers[om.src.class_id], inner.mat)
+        inner = phi.tgt.orbit_contravariant(om).cols
+        return AbHom.from_columns(cokers[om.tgt.class_id], cokers[om.src.class_id], inner)
 
     func = WrappedMackey(phi.src.group, cokers, cov, con, label="cokernel")
     proj_morphism = MackeyMorphism(phi.tgt, func, projs)
@@ -796,17 +796,17 @@ def image_mackey(phi):
 
     def cov(om):
         big = phi.tgt.orbit_covariant(om).compose(incls[om.src.class_id])
-        out = incls[om.tgt.class_id].preimage_matrix(big.mat)
+        out = incls[om.tgt.class_id].preimage_matrix(big)
         if out is None:
             raise MackeyError("covariant part does not preserve the image")
-        return AbHom(imgs[om.src.class_id], imgs[om.tgt.class_id], out)
+        return out
 
     def con(om):
         big = phi.tgt.orbit_contravariant(om).compose(incls[om.tgt.class_id])
-        out = incls[om.src.class_id].preimage_matrix(big.mat)
+        out = incls[om.src.class_id].preimage_matrix(big)
         if out is None:
             raise MackeyError("contravariant part does not preserve the image")
-        return AbHom(imgs[om.tgt.class_id], imgs[om.src.class_id], out)
+        return out
 
     func = WrappedMackey(phi.src.group, imgs, cov, con, label="image")
     incl_morphism = MackeyMorphism(func, phi.tgt, incls)

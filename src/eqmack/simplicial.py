@@ -119,35 +119,36 @@ class SimplicialGSet:
                 raise SimplicialError("level %d needs %d faces" % (n, n + 1))
             if n < b and len(self.degens[n]) != n + 1:
                 raise SimplicialError("level %d needs %d degeneracies" % (n, n + 1))
+        for n in range(b + 1):
+            for i, op in enumerate(self.faces[n]):
+                if op.src != self.levels[n] or op.tgt != self.levels[n - 1]:
+                    raise SimplicialError("d_%d of level %d is mis-levelled" % (i, n))
+            for i, op in enumerate(self.degens[n] if n < b else ()):
+                if op.src != self.levels[n] or op.tgt != self.levels[n + 1]:
+                    raise SimplicialError("s_%d of level %d is mis-levelled" % (i, n))
+        d, s = self.face, self.degen
         for n in range(2, b + 1):
             for j in range(n + 1):
                 for i in range(j):
-                    lhs = self.face(n - 1, i).compose(self.face(n, j))
-                    rhs = self.face(n - 1, j - 1).compose(self.face(n, i))
-                    if lhs.values != rhs.values:
+                    if _table(d(n - 1, i), d(n, j)) != _table(d(n - 1, j - 1), d(n, i)):
                         raise SimplicialError("d_i d_j fails at level %d" % n)
         for n in range(b - 1):
             for j in range(n + 1):
                 for i in range(j + 1):
-                    lhs = self.degen(n + 1, j + 1).compose(self.degen(n, i))
-                    rhs = self.degen(n + 1, i).compose(self.degen(n, j))
-                    if lhs.values != rhs.values:
+                    if _table(s(n + 1, j + 1), s(n, i)) != _table(s(n + 1, i), s(n, j)):
                         raise SimplicialError("s_i s_j fails at level %d" % n)
         for n in range(b):
             for j in range(n + 1):
                 for i in range(n + 2):
-                    comp = self.face(n + 1, i).compose(self.degen(n, j))
+                    comp = _table(d(n + 1, i), s(n, j))
                     if i == j or i == j + 1:
-                        if comp.values != tuple(range(self.levels[n].size)):
+                        if comp != tuple(range(self.levels[n].size)):
                             raise SimplicialError("d_i s_j != id at level %d" % n)
                     elif i < j:
-                        rhs = self.degen(n - 1, j - 1).compose(self.face(n, i))
-                        if comp.values != rhs.values:
+                        if comp != _table(s(n - 1, j - 1), d(n, i)):
                             raise SimplicialError("d_i s_j fails at level %d" % n)
-                    else:
-                        rhs = self.degen(n - 1, j).compose(self.face(n, i - 1))
-                        if comp.values != rhs.values:
-                            raise SimplicialError("d_i s_j fails at level %d" % n)
+                    elif comp != _table(s(n - 1, j), d(n, i - 1)):
+                        raise SimplicialError("d_i s_j fails at level %d" % n)
         if self.based:
             G = self.group
             for n in range(b + 1):
@@ -198,6 +199,12 @@ class SimplicialGSet:
             self.group, self.levels, self.faces, self.degens, tuple(pts)
         )
         return out.check()
+
+
+def _table(f, g):
+    """The point table of the composite f o g of level maps."""
+    values = f.values
+    return tuple(values[v] for v in g.values)
 
 
 def degeneracy_word(pi):
@@ -334,18 +341,18 @@ class SimplicialGMap:
         return self.comps[n]
 
     def check(self):
-        b = min(self.src.bound, self.tgt.bound)
+        X, Y, f = self.src, self.tgt, self.comps
+        b = min(X.bound, Y.bound)
+        for n in range(b + 1):
+            if f[n].src != X.levels[n] or f[n].tgt != Y.levels[n]:
+                raise SimplicialError("component %d of the map is mis-levelled" % n)
         for n in range(1, b + 1):
             for i in range(n + 1):
-                lhs = self.tgt.face(n, i).compose(self.comps[n])
-                rhs = self.comps[n - 1].compose(self.src.face(n, i))
-                if lhs.values != rhs.values:
+                if _table(Y.face(n, i), f[n]) != _table(f[n - 1], X.face(n, i)):
                     raise SimplicialError("map does not commute with d_%d" % i)
         for n in range(b):
             for i in range(n + 1):
-                lhs = self.tgt.degen(n, i).compose(self.comps[n])
-                rhs = self.comps[n + 1].compose(self.src.degen(n, i))
-                if lhs.values != rhs.values:
+                if _table(Y.degen(n, i), f[n]) != _table(f[n + 1], X.degen(n, i)):
                     raise SimplicialError("map does not commute with s_%d" % i)
         if self.src.based and self.tgt.based:
             for n in range(b + 1):

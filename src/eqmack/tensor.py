@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import abelian as ab
-from . import intlinalg as la
 from .abelian import AbHom
 from .groups import subgroup_classes
 from .gsets import GMap, GSet, coset_space, fixed_points, product, pullback, std_orbit
@@ -486,6 +485,7 @@ class RhoIso:
         self._rhs = {}
         self._rho = {}
         self._sigma = {}
+        self._offsets = {}  # (n, S) -> (fixed point -> offset, X point -> offset)
 
     def rhs_functor(self, n):
         """The fixed-point Mackey functor with coefficients A[X^H_n]."""
@@ -498,11 +498,17 @@ class RhoIso:
     def _point_offset(self, n, S, p):
         """The first generator of the block of the point p = (x, s) of
         (X_n x S)^H in the ambient sum of the right-hand side at S."""
+        if (n, S) not in self._offsets:
+            fp, offsets = self.rhs_functor(n)._container(S)[:2]
+            _, sup, moffsets = self.MT.level_module(n)
+            ypoints = self.ypoints[n]
+            self._offsets[(n, S)] = (
+                dict(zip(fp.points, offsets)),
+                {ypoints[y]: o for y, o in zip(sup, moffsets)},
+            )
         x, s = self.T.level_set(n, S).pairs[p]
-        fp, offsets = self.rhs_functor(n)._container(S)[:2]
-        _, sup, moffsets = self.MT.level_module(n)
-        xi = sup.index(self.ypoints[n].index(x))
-        return offsets[fp.points.index(s)] + moffsets[xi]
+        by_s, by_x = self._offsets[(n, S)]
+        return by_s[s] + by_x[x]
 
     def _lhs_function(self, rec, n, vec):
         """Decode an LHS element into A-vectors on (X_n x S)^H."""
@@ -523,7 +529,7 @@ class RhoIso:
         if key not in self._rho:
             S = std_orbit(self.hrec.group, rec)
             lev = self.T.value(n, S)
-            ker, incl = self.rhs_functor(n)._container(S)[2:]
+            incl = self.rhs_functor(n)._container(S)[3]
             a = self.module.value.ngens
             cols = []
             for c in range(lev.value.ngens):
@@ -532,11 +538,11 @@ class RhoIso:
                 for p, avec in self._lhs_function(rec, n, unit).items():
                     o = self._point_offset(n, S, p)
                     amb[o : o + a] = [u + v for u, v in zip(amb[o : o + a], avec)]
-                cols.append(amb)
-            mat = incl.preimage_matrix(la.transpose(cols, incl.tgt.ngens))
-            if mat is None:
+                cols.append({i: x for i, x in enumerate(amb) if x})
+            out = incl.preimage_matrix(AbHom.from_columns(lev.value, incl.tgt, cols))
+            if out is None:
                 raise TensorError("rho image is not equivariant")
-            self._rho[key] = AbHom(lev.value, ker, mat)
+            self._rho[key] = out
         return self._rho[key]
 
     def sigma(self, rec, n):
@@ -556,10 +562,11 @@ class RhoIso:
                 for coset in fixed_points(orb, self.hrec.elements).points:
                     start = self._point_offset(n, S, o.from_std[coset])
                     amb.extend(incl.mat[start : start + a])
-                blk = self.RA._container(orb)[3].preimage_matrix(tuple(amb))
+                inner = self.RA._container(orb)[3]
+                blk = inner.preimage_matrix(AbHom(ker, inner.tgt, tuple(amb)))
                 if blk is None:
                     raise TensorError("sigma image is not equivariant")
-                rows.extend(blk)
+                rows.extend(blk.mat)
             self._sigma[key] = AbHom(ker, lev.value, tuple(rows))
         return self._sigma[key]
 

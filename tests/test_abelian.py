@@ -193,10 +193,10 @@ small_ints = st.integers(-3, 3)
 
 
 @st.composite
-def groups(draw):
+def groups(draw, torsion=False):
     """A small presented group; relation columns give torsion summands."""
-    n = draw(st.integers(0, 3))
-    k = draw(st.integers(0, 2))
+    n = draw(st.integers(1 if torsion else 0, 3))
+    k = draw(st.integers(1 if torsion else 0, 2))
     if n == 0:
         return AbGroup.zero()
     return AbGroup(n, tuple(map(tuple, draw(matrices(n, k)))))
@@ -228,6 +228,64 @@ def test_assemble_block_hom_matches_dense_sum(system):
     assert direct_sum_data(src)[0] == direct_sum(src)[0]
     offsets = [sum(g.ngens for g in src[:i]) for i in range(len(src))]
     assert direct_sum_data(src)[1] == offsets
+
+
+# -- sparse columns and the dense matrix ----------------------------------------
+
+
+def by_columns(h):
+    """The same hom made from sparse columns, keys in descending row order."""
+    m, n = h.tgt.ngens, h.src.ngens
+    cols = [{i: h.mat[i][j] for i in reversed(range(m)) if h.mat[i][j]} for j in range(n)]
+    return AbHom.from_columns(h.src, h.tgt, cols)
+
+
+def dense_reduction(f):
+    """Reference: the solver for f(x) = y mod tgt relations on [mat | rels]."""
+    return la.reduction(la.hstack(f.mat, f.tgt.rels), f.tgt.ngens, f.src.ngens + f.tgt.nrels)
+
+
+def dense_kernel_and_image(f):
+    """Reference: kernel and image groups and the kernel's inclusion matrix,
+    computed on dense matrices."""
+    n = f.src.ngens
+    sols = la.kernel_basis(la.hstack(f.mat, f.tgt.rels), f.tgt.ngens, n + f.tgt.nrels)
+    r = len(sols[0]) if sols else 0
+    basis, nl = sols[:n], f.src.nrels
+    aug = la.hstack(basis, f.src.rels) if nl else basis
+    rels = la.kernel_basis(aug, n, r + nl)[:r] if n else la.identity(r)
+    return AbGroup(r, rels), basis, AbGroup(n, basis if sols else la.zeros(n, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sparse_and_dense_homs_agree(data):
+    src, other = data.draw(groups()), data.draw(groups())
+    tgt = data.draw(st.one_of(groups(), groups(torsion=True)))
+
+    def hom(a, b):
+        return AbHom(a, b, data.draw(matrices(b.ngens, a.ngens)))
+
+    f, f2, g, b = hom(src, tgt), hom(src, tgt), hom(other, src), hom(other, tgt)
+    x = tuple(data.draw(matrices(1, src.ngens))[0])
+    kernel, basis, image = dense_kernel_and_image(f)
+    bcols = [tuple(b.mat[i][j] for i in range(tgt.ngens)) for j in range(other.ngens)]
+    lifts = [dense_reduction(f).solve(col) for col in bcols]
+    lift = None if None in lifts else la.transpose(tuple(v[: src.ngens] for v in lifts), src.ngens)
+    for h, h2, k, c in ((f, f2, g, b), tuple(map(by_columns, (f, f2, g, b)))):
+        assert h == f and h.mat == f.mat
+        assert h.compose(k).mat == la.matmul(f.mat, g.mat, other.ngens)
+        assert (h + h2).mat == la.matadd(f.mat, f2.mat)
+        assert h(x) == la.apply(f.mat, x)
+        k_group, k_incl = h.kernel()
+        assert (k_group, k_incl.mat) == (kernel, basis)
+        assert h.compose(k_incl).is_zero_hom()
+        img, incl, proj = h.image()
+        assert (img, incl.mat, proj.mat) == (image, f.mat, la.identity(src.ngens))
+        got = h.preimage_matrix(c)
+        assert (got if got is None else got.mat) == lift
+        if got is not None:
+            assert (h.compose(got) - c).is_zero_hom()
 
 
 def test_assemble_block_hom_rejects_out_of_range_positions():

@@ -1,4 +1,7 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +241,33 @@ def test_fixed_points_preserve_pullbacks():
             for c in fs.points
         ]
         assert len(fa.points) == len(pairs)
+
+
+def test_constructor_checks_equivariance_and_compose_keeps_it():
+    reg, pt = regular_gset(C2), point_gset(C2)
+    with pytest.raises(GSetError, match="equivariant"):
+        GMap(pt, reg, (0,))  # the fixed point cannot land on a free orbit
+    # composites skip the check but equal, and hash like, checked maps
+    swap = GMap(reg, reg, (1, 0))
+    composite = GMap(reg, pt, (0, 0)).compose(swap)
+    assert composite == GMap(reg, pt, (0, 0))
+    assert hash(composite) == hash(GMap(reg, pt, (0, 0)))
+    assert swap.compose(swap) == GMap.identity(reg)
+
+
+def test_equivariance_check_holds_under_optimized_python():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; sys.path.insert(0, %r)\n"
+        "from eqmack.groups import FiniteGroup\n"
+        "from eqmack.gsets import GMap, GSetError, point_gset, regular_gset\n"
+        "C2 = FiniteGroup.cyclic(2)\n"
+        "try:\n"
+        "    GMap(point_gset(C2), regular_gset(C2), (0,))\n"
+        "except GSetError:\n"
+        "    print('rejected')\n" % src
+    )
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert run.stdout.split() == ["rejected"], run.stderr

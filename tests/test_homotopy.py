@@ -10,6 +10,8 @@ the restriction M(G/G) -> M(G/e) for V = sigma.  Equivariant maps into a
 W-module A from S^0 or S^sigma have pi_0 = A^W and pi_1 = 0.
 """
 
+import hashlib
+
 import pytest
 
 from eqmack.abelian import AbGroup, AbHom, direct_sum_data
@@ -167,6 +169,15 @@ def test_omega_check_in_degree_zero():
     assert [e[2:4] for e in report.entries] == [("Z", "Z"), ("Z", "Z")]
 
 
+def test_c3_rotation_omega_check_passes_at_its_valid_bound():
+    # pi_0 is Z at G/e and the Burnside ring A(C3) = Z^2 at G/G; with dense
+    # constraint matrices this case ran out of 3 GB
+    C3 = FiniteGroup.cyclic(3)
+    report = omega_spectrum_check(s0_space(C3, 3), burnside_mackey(C3), rotation_rep(3, 1), 0)
+    assert report.passed
+    assert [e[2:4] for e in report.entries] == [("Z", "Z"), ("Z^2", "Z^2")]
+
+
 def test_omega_check_rejects_a_source_too_short_before_building(monkeypatch):
     # pi_2 reads Delta[3], which a bound-2 source lacks; nothing is built
     def unreachable(*args):
@@ -245,6 +256,57 @@ def test_truncated_pi_n_matches_the_full_complex(coeffs):
         for n in (0, 1):
             got, want = truncated.homotopy_group(n), full.chain_complex().homology(n)
             assert (got.ngens, got.rels) == (want.ngens, want.rels)
+
+
+def omega_complexes(M):
+    """The mapping complexes of the omega check of S^0 against sign, bound 2,
+    one per orbit class."""
+    psi = PsiMap(sign_rep(), s0_space(C2, 2), M)
+    for krec in subgroup_classes(C2):
+        kspace = smash(psi.SW, based_orbit_space(C2, krec, psi.SW.bound))
+        yield MappingComplex(kspace, psi.T_tgt, 3)
+
+
+# sha256 of the repr of the degree groups, their inclusions into the unknowns
+# and the differentials below, recorded when every mapping-complex matrix was
+# still assembled and reduced dense
+OMEGA_COMPLEXES_SHA256 = "391c80ad1f7fdfcd082d541e794b01b022683598bc8e544d1bd8817709784630"
+
+
+def test_omega_mapping_complexes_are_bit_identical():
+    parts = []
+    for M in (burnside_mackey(C2), constant_mackey(C2, Z), constant_mackey(C2, Z2)):
+        for mc in omega_complexes(M):
+            for n in range(3):
+                data = mc.degree_data(n)
+                parts.append((n, data["group"].ngens, data["group"].rels, data["incl"].mat))
+                if n:
+                    parts.append(mc.differential(n).mat)
+    assert hashlib.sha256(repr(parts).encode()).hexdigest() == OMEGA_COMPLEXES_SHA256
+
+
+@pytest.mark.parametrize("coeffs", ["burnside", "Z"])
+def test_omega_pi_n_forms_no_dense_matrix(coeffs, monkeypatch):
+    def coefficients():
+        return burnside_mackey(C2) if coeffs == "burnside" else constant_mackey(C2, Z)
+
+    def groups():
+        return [
+            (g.ngens, g.rels)
+            for mc in omega_complexes(coefficients())
+            for g in (mc.homotopy_group(0), mc.homotopy_group(1))
+        ]
+
+    want = groups()
+    dense = AbHom.mat
+
+    def guarded(h):
+        if h._mat is None:
+            raise AssertionError("a hom made from sparse columns was made dense")
+        return dense.fget(h)
+
+    monkeypatch.setattr(AbHom, "mat", property(guarded))
+    assert groups() == want
 
 
 def _maps_into_trivial_sphere(d, kb, xb, degree_bound=4):

@@ -138,3 +138,31 @@ def test_invariant_factors_match_sympy(m, n, data):
     a = data.draw(matrices(m, n))
     expected = [int(d) for d in invariant_factors(sympy.Matrix(a), domain=sympy.ZZ) if d]
     assert la.invariant_factors(a) == expected
+
+
+def dense_scan_reduction(a, nrows, ncols):
+    """Reference: the dense entry the reduction once had, which scanned the
+    matrix column by column (a[i][j]) into its working columns."""
+    red = la.ColumnReduction.__new__(la.ColumnReduction)
+    red.nrows, red.ncols = nrows, ncols
+    red._run([{i: a[i][j] for i in range(nrows) if a[i][j]} for j in range(ncols)])
+    return red
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_reduction_from_columns_matches_the_dense_scan(m, n, data):
+    a = data.draw(matrices(m, n))
+    ref = dense_scan_reduction(a, m, n)
+    cols = la.columns(a, n)
+    assert la.dense(cols, m) == a
+    # block assembly leaves column keys in no particular order
+    shuffled = [dict(reversed(list(col.items()))) for col in cols]
+    for red in (la.ColumnReduction(shuffled, m), la.reduction(a, m, n)):
+        assert (red.nrows, red.ncols) == (m, n)
+        assert (red.pivots, red.h, red.v) == (ref.pivots, ref.h, ref.v)
+    assert shuffled == cols  # the reduction works on copies
+    # a consistent right-hand side, given and solved as sparse columns
+    b = la.apply(a, data.draw(matrices(1, n))[0]) if n else (0,) * m
+    x = la.ColumnReduction(cols, m).solve_column({i: v for i, v in enumerate(b) if v})
+    assert la.apply(a, tuple(x.get(j, 0) for j in range(n))) == b

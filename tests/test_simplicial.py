@@ -253,3 +253,44 @@ def test_equal_instances_hash_equal():
         assert x is not y
         assert x == y and hash(x) == hash(y)
         assert {x: 1}[y] == 1
+
+
+def test_check_rejects_a_broken_identity_and_a_mis_levelled_face():
+    from eqmack.gsets import GMap
+    from eqmack.simplicial import SimplicialGSet
+
+    X = standard_simplex_plus(C2, 1)
+    assert X.check() is X
+
+    def with_faces(n, faces_n):
+        faces = X.faces[:n] + (tuple(faces_n),) + X.faces[n + 1 :]
+        return SimplicialGSet(X.group, X.levels, faces, X.degens, X.basepoints)
+
+    # swapped d_0 and d_1 on edges: d_0 d_1 = d_0 d_0 fails on (011)
+    with pytest.raises(SimplicialError, match="d_i d_j fails"):
+        with_faces(1, reversed(X.faces[1])).check()
+    # a level-2 face landing in level 2: caught before any table is read
+    bad = list(X.faces[2])
+    bad[1] = GMap.identity(X.levels[2])
+    with pytest.raises(SimplicialError, match="mis-levelled"):
+        with_faces(2, bad).check()
+
+
+def test_map_check_rejects_a_broken_square_and_a_mis_levelled_component():
+    from eqmack.gsets import GMap
+
+    X = standard_simplex_plus(C2, 1)
+    ident = SimplicialGMap.identity(X)
+    assert ident.check() is ident
+    # swap the two vertices but not the edges: d_0 no longer commutes
+    base = X.base(0)
+    u, v = (p for p in range(X.levels[0].size) if p != base)
+    swap = [base] * X.levels[0].size
+    swap[u], swap[v] = v, u
+    comps = list(ident.comps)
+    comps[0] = GMap(X.levels[0], X.levels[0], tuple(swap))
+    with pytest.raises(SimplicialError, match="commute with d_"):
+        SimplicialGMap(X, X, tuple(comps)).check()
+    comps[0] = GMap.identity(X.levels[1])
+    with pytest.raises(SimplicialError, match="mis-levelled"):
+        SimplicialGMap(X, X, tuple(comps)).check()
