@@ -115,9 +115,8 @@ class AbGroup:
             if i == self.ngens:
                 out.append(la.apply(uinv, tuple(z)) if self.ngens else ())
                 return
-            di = diag[i]
-            assert di != 0
-            for v in range(di):
+            # free == 0 above, so no diagonal entry is 0
+            for v in range(diag[i]):
                 rec(i + 1, z + [v])
 
         rec(0, [])
@@ -153,7 +152,8 @@ def _snf_rels_cached(ngens, rels):
 def _unimodular_inverse(u):
     n = len(u)
     inv = la.solve_matrix(u, la.identity(n), n, n)
-    assert inv is not None
+    if inv is None:
+        raise ContractError("matrix is not unimodular")
     return inv
 
 

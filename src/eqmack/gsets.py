@@ -294,9 +294,10 @@ class FixedPoints:
     points: tuple  # wset point index -> point of S
     weyl: FiniteGroup
     weyl_reps: tuple
+    index: dict = field(hash=False, compare=False)  # point of S -> wset point index
 
     def index_of(self, p):
-        return self.points.index(p)
+        return self.index[p]
 
 
 @lru_cache(maxsize=None)
@@ -310,7 +311,7 @@ def fixed_points(S, elems):
         tuple(index[S.action[reps[w]][p]] for p in pts) for w in W.elements()
     )
     return FixedPoints(
-        wset=GSet(W, len(pts), action), points=pts, weyl=W, weyl_reps=reps
+        wset=GSet(W, len(pts), action), points=pts, weyl=W, weyl_reps=reps, index=index
     )
 
 
@@ -318,7 +319,7 @@ def restrict_map_to_fixed(f, elems):
     """A G-map restricted to H-fixed points, as a Weyl-group map."""
     fs = fixed_points(f.src, elems)
     ft = fixed_points(f.tgt, elems)
-    vals = tuple(ft.points.index(f.values[p]) for p in fs.points)
+    vals = tuple(ft.index[f.values[p]] for p in fs.points)
     return GMap(fs.wset, ft.wset, vals)
 
 
@@ -422,7 +423,7 @@ def induce_from_weyl(G, helems, Y):
     lset = GSet(G, len(classes), tuple(action))
 
     fp = fixed_points(lset, helems)
-    unit_vals = tuple(fp.points.index(cindex[(e_idx, y)]) for y in range(Y.size))
+    unit_vals = tuple(fp.index[cindex[(e_idx, y)]] for y in range(Y.size))
     unit = GMap(Y, fp.wset, unit_vals)
     return Induction(
         group=G,

@@ -380,10 +380,7 @@ class FixedPointMackey(MackeyFunctor):
         inkt = self._container(q.tgt)[3]
         src, tgt, blocks = self._fixed_point_blocks(q)
         h, _, _ = ab.assemble_block_hom(src, tgt, blocks)
-        out = inkt.preimage_matrix(h.compose(inks))
-        if out is None:
-            raise MackeyError("transfer does not preserve equivariance")
-        return out
+        return _restricted(h, inks, inkt, "transfer does not preserve equivariance")
 
     def contravariant_raw(self, q):
         """Restriction along any G-map: precomposition on H-fixed points."""
@@ -391,10 +388,7 @@ class FixedPointMackey(MackeyFunctor):
         inkt = self._container(q.tgt)[3]
         src, tgt, blocks = self._fixed_point_blocks(q)
         h, _, _ = ab.assemble_block_hom(tgt, src, [(s, t, b) for t, s, b in blocks])
-        out = inks.preimage_matrix(h.compose(inkt))
-        if out is None:
-            raise MackeyError("restriction does not preserve equivariance")
-        return out
+        return _restricted(h, inkt, inks, "restriction does not preserve equivariance")
 
     def function_of_element(self, S, x):
         """Decode an element into per-fixed-point values of A."""
@@ -413,9 +407,15 @@ def fp_postcompose(f_src, f_tgt, theta, S):
     h, _, _ = ab.assemble_block_hom(
         [f_src.module.value] * k, [f_tgt.module.value] * k, blocks
     )
+    return _restricted(h, incl_s, incl_t, "postcomposition does not preserve equivariance")
+
+
+def _restricted(h, incl_s, incl_t, error):
+    """The hom between subgroups that h induces, for h sending the image of
+    the inclusion incl_s into the image of incl_t; raises error if it does not."""
     out = incl_t.preimage_matrix(h.compose(incl_s))
     if out is None:
-        raise MackeyError("postcomposition does not preserve equivariance")
+        raise MackeyError(error)
     return out
 
 
@@ -433,7 +433,8 @@ def fixed_point_morphism(f_src, f_tgt, theta):
 def constant_mackey(G, value):
     """The fixed-point functor of the trivial module at the trivial subgroup."""
     e = subgroup_classes(G)[0]
-    assert e.order == 1
+    if e.order != 1:
+        raise MackeyError("the first subgroup class must be the trivial subgroup")
     return FixedPointMackey(G, e, WeylModule.trivial(e.weyl, value))
 
 
@@ -730,6 +731,30 @@ class WrappedMackey(MackeyFunctor):
         return self._con_fn(om)
 
 
+def _sub_functor(M, values, incls, label):
+    """The sub-functor of M whose value at the class c is values[c],
+    included into M's value by incls[c]; its structure maps are M's,
+    restricted."""
+
+    def cov(om):
+        return _restricted(
+            M.orbit_covariant(om),
+            incls[om.src.class_id],
+            incls[om.tgt.class_id],
+            "covariant part does not preserve the %s" % label,
+        )
+
+    def con(om):
+        return _restricted(
+            M.orbit_contravariant(om),
+            incls[om.tgt.class_id],
+            incls[om.src.class_id],
+            "contravariant part does not preserve the %s" % label,
+        )
+
+    return WrappedMackey(M.group, values, cov, con, label=label)
+
+
 def kernel_mackey(phi):
     """Levelwise kernel of a Mackey morphism, with induced structure maps."""
     recs = subgroup_classes(phi.src.group)
@@ -739,22 +764,7 @@ def kernel_mackey(phi):
         k, incl = phi.comp(r).kernel()
         kers[r.class_id] = k
         incls[r.class_id] = incl
-
-    def cov(om):
-        big = phi.src.orbit_covariant(om).compose(incls[om.src.class_id])
-        out = incls[om.tgt.class_id].preimage_matrix(big)
-        if out is None:
-            raise MackeyError("covariant part does not preserve the kernel")
-        return out
-
-    def con(om):
-        big = phi.src.orbit_contravariant(om).compose(incls[om.tgt.class_id])
-        out = incls[om.src.class_id].preimage_matrix(big)
-        if out is None:
-            raise MackeyError("contravariant part does not preserve the kernel")
-        return out
-
-    func = WrappedMackey(phi.src.group, kers, cov, con, label="kernel")
+    func = _sub_functor(phi.src, kers, incls, "kernel")
     incl_morphism = MackeyMorphism(func, phi.src, incls)
     return func, incl_morphism
 
@@ -793,22 +803,7 @@ def image_mackey(phi):
         imgs[r.class_id] = img
         incls[r.class_id] = incl
         projs[r.class_id] = proj
-
-    def cov(om):
-        big = phi.tgt.orbit_covariant(om).compose(incls[om.src.class_id])
-        out = incls[om.tgt.class_id].preimage_matrix(big)
-        if out is None:
-            raise MackeyError("covariant part does not preserve the image")
-        return out
-
-    def con(om):
-        big = phi.tgt.orbit_contravariant(om).compose(incls[om.tgt.class_id])
-        out = incls[om.src.class_id].preimage_matrix(big)
-        if out is None:
-            raise MackeyError("contravariant part does not preserve the image")
-        return out
-
-    func = WrappedMackey(phi.src.group, imgs, cov, con, label="image")
+    func = _sub_functor(phi.tgt, imgs, incls, "image")
     incl_morphism = MackeyMorphism(func, phi.tgt, incls)
     proj_morphism = MackeyMorphism(phi.src, func, projs)
     return func, incl_morphism, proj_morphism

@@ -1,20 +1,23 @@
 """Truncated simplicial G-sets: spheres, smashes, joins, fixed points.
 
 A simplicial G-set is stored as one GSet per level together with face and
-degeneracy GMaps, truncated at a dimension bound.  The generating builder
-takes nondegenerate simplices with face tables and fills in degeneracies
-via the unique (generator, surjection) normal form; derived constructions
-(smash, join, collapse) work on full levels directly.
+degeneracy GMaps, truncated at a dimension bound.  One routine, _assemble,
+lays out every constructed object: a constructor lists the points of each
+level and gives a point rule for the action, each face and each
+degeneracy, and _assemble tabulates them.  The generating builder's points
+are the (generator, surjection) normal forms of the nondegenerate
+simplices; smash, wedge, collapse and Delta[n]_+ add a crushed basepoint.
+Maps given by a rule on points are tabulated and checked by _levelwise.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .groups import FiniteGroup, cached_hash
-from .gsets import GMap, GSet, fixed_points
+from .gsets import GMap, GSet, fixed_points, point_gset, trivial_gset
 
 
 class SimplicialError(ValueError):
@@ -173,21 +176,25 @@ class SimplicialGSet:
     def operator(self, alpha, n_src, n_tgt):
         """The simplicial operator alpha*: level n_tgt -> level n_src for a
         monotone alpha: [n_src] -> [n_tgt], as a point table."""
+        if (
+            len(alpha) != n_src + 1
+            or any(not 0 <= v <= n_tgt for v in alpha)
+            or any(u > v for u, v in zip(alpha, alpha[1:]))
+        ):
+            raise SimplicialError(
+                "%r is not a monotone map [%d] -> [%d]" % (alpha, n_src, n_tgt)
+            )
         iota, pi = epi_mono(alpha)
-        k = len(iota) - 1
         vals = list(range(self.levels[n_tgt].size))
         cur = n_tgt
         miss = [v for v in range(n_tgt + 1) if v not in iota]
         for j in sorted(miss, reverse=True):
             vals = [self.faces[cur][j].values[v] for v in vals]
             cur -= 1
-        assert cur == k
-        # now apply the degeneracies encoded by pi: [n_src] ->> [k]
-        word = degeneracy_word(pi)
-        for i in word:
+        # now apply the degeneracies encoded by pi: [n_src] ->> [cur]
+        for i in degeneracy_word(pi):
             vals = [self.degens[cur][i].values[v] for v in vals]
             cur += 1
-        assert cur == n_src
         return tuple(vals)
 
     def as_based(self, base_vertex):
@@ -240,6 +247,53 @@ def _degenerate_flags(X, n):
     return tuple(flags)
 
 
+# -- assembly from point rules -------------------------------------------------
+
+
+def _assemble(G, pts, act, face, degen, basepoints=None):
+    """The simplicial G-set whose level n has the points pts[n], with the
+    per-level point -> index dicts.
+
+    act(g, n), face(n, i) and degen(n, i) each return the point rule of
+    that operator: a function from a point of its source level to a point
+    of its target level.  The point None, where a level has it, is a
+    crushed basepoint; every operator fixes it and its rule never sees it.
+    basepoints lists a point per level, or is None for an unbased object.
+    """
+    index = [{p: i for i, p in enumerate(lv)} for lv in pts]
+
+    def table(n_src, n_tgt, rule):
+        idx = index[n_tgt]
+        return tuple(idx[None] if p is None else idx[rule(p)] for p in pts[n_src])
+
+    bound = len(pts) - 1
+    levels = tuple(
+        GSet(G, len(pts[n]), tuple(table(n, n, act(g, n)) for g in G.elements()))
+        for n in range(bound + 1)
+    )
+    faces = ((),) + tuple(
+        tuple(GMap(levels[n], levels[n - 1], table(n, n - 1, face(n, i))) for i in range(n + 1))
+        for n in range(1, bound + 1)
+    )
+    degens = tuple(
+        tuple(GMap(levels[n], levels[n + 1], table(n, n + 1, degen(n, i))) for i in range(n + 1))
+        for n in range(bound)
+    ) + ((),)
+    if basepoints is not None:
+        basepoints = tuple(idx[p] for idx, p in zip(index, basepoints))
+    return SimplicialGSet(G, levels, faces, degens, basepoints), index
+
+
+def _levelwise(X, Y, rule):
+    """The checked simplicial map X -> Y sending the level-n point p to the
+    point rule(n, p) of Y_n."""
+    comps = tuple(
+        GMap(X.levels[n], Y.levels[n], tuple(rule(n, p) for p in range(X.levels[n].size)))
+        for n in range(min(X.bound, Y.bound) + 1)
+    )
+    return SimplicialGMap(X, Y, comps).check()
+
+
 # -- generation from nondegenerate data ----------------------------------------
 
 
@@ -253,7 +307,6 @@ def build_from_generators(G, nd_levels, nd_faces, bound=DEFAULT_BOUND, base_vert
     """
     ndmax = len(nd_levels) - 1
     points = []  # per level: sorted list of triples
-    index = []  # per level: triple -> index
     for n in range(bound + 1):
         pts = []
         for m in range(min(n, ndmax) + 1):
@@ -262,12 +315,8 @@ def build_from_generators(G, nd_levels, nd_faces, bound=DEFAULT_BOUND, base_vert
                     pts.append((m, x, s))
         pts.sort()
         points.append(pts)
-        index.append({p: i for i, p in enumerate(pts)})
 
-    def decode(level, idx):
-        return points[level][idx]
-
-    def act_total(triple, alpha):
+    def act_total(alpha, triple):
         """alpha* applied to a full-level point."""
         m, x, sigma = triple
         tau = compose_monotone(sigma, alpha)
@@ -282,49 +331,22 @@ def build_from_generators(G, nd_levels, nd_faces, bound=DEFAULT_BOUND, base_vert
         missing = max(v for v in range(m + 1) if v not in iota)
         iota2 = tuple(v if v < missing else v - 1 for v in iota)
         fidx = nd_faces[m][missing][x]
-        return act_total(decode(m - 1, fidx), iota2)
+        return act_total(iota2, points[m - 1][fidx])
 
-    levels = []
-    for n in range(bound + 1):
-        pts = points[n]
-        idx = index[n]
-        action = tuple(
-            tuple(idx[(m, nd_levels[m].action[g][x], s)] for (m, x, s) in pts)
-            for g in G.elements()
-        )
-        levels.append(GSet(G, len(pts), action))
+    def act(g, n):
+        return lambda t: (t[0], nd_levels[t[0]].action[g][t[1]], t[2])
 
-    faces = [()]
-    for n in range(1, bound + 1):
-        row = []
-        for i in range(n + 1):
-            al = delta(i, n)
-            vals = tuple(index[n - 1][act_total(t, al)] for t in points[n])
-            row.append(GMap(levels[n], levels[n - 1], vals))
-        faces.append(tuple(row))
+    def face(n, i):
+        return partial(act_total, delta(i, n))
 
-    degens = []
-    for n in range(bound):
-        row = []
-        for i in range(n + 1):
-            e = eta(i, n)
-            vals = tuple(
-                index[n + 1][(m, x, compose_monotone(s, e))]
-                for (m, x, s) in points[n]
-            )
-            row.append(GMap(levels[n], levels[n + 1], vals))
-        degens.append(tuple(row))
-    degens.append(())
+    def degen(n, i):
+        e = eta(i, n)
+        return lambda t: (t[0], t[1], compose_monotone(t[2], e))
 
     basepoints = None
     if base_vertex is not None:
-        basepoints = tuple(
-            index[n][(0, base_vertex, surjections(n, 0)[0])]
-            for n in range(bound + 1)
-        )
-    out = SimplicialGSet(
-        G, tuple(levels), tuple(faces), tuple(degens), basepoints
-    )
+        basepoints = [(0, base_vertex, surjections(n, 0)[0]) for n in range(bound + 1)]
+    out, _ = _assemble(G, points, act, face, degen, basepoints)
     return out.check()
 
 
@@ -371,23 +393,17 @@ class SimplicialGMap:
 
 
 def point_space(G, bound=DEFAULT_BOUND):
-    from .gsets import point_gset
-
     pt = point_gset(G)
     return build_from_generators(G, [pt], [None], bound=bound, base_vertex=0)
 
 
 def s0_space(G, bound=DEFAULT_BOUND):
-    from .gsets import trivial_gset
-
     v = trivial_gset(G, 2)
     return build_from_generators(G, [v], [None], bound=bound, base_vertex=0)
 
 
 def circle_space(G, bound=DEFAULT_BOUND):
     """Minimal based circle with trivial action: one vertex, one edge."""
-    from .gsets import trivial_gset
-
     v = trivial_gset(G, 1)
     e = trivial_gset(G, 1)
     faces1 = [(0,), (0,)]  # both ends at the vertex
@@ -443,8 +459,6 @@ def rotation_sphere(G, n, k, bound=DEFAULT_BOUND):
         [None, [tuple((i + 1) % n for i in range(n)), tuple(range(n))]],
         bound=bound,
     )
-    from .gsets import trivial_gset
-
     poles = build_from_generators(
         G, [trivial_gset(G, 2)], [None], bound=bound
     )
@@ -455,7 +469,6 @@ def rotation_sphere(G, n, k, bound=DEFAULT_BOUND):
 
 def join(K, L):
     """The join of two unbased simplicial G-sets."""
-    G = K.group
     bound = min(K.bound, L.bound)
     pts = []
     for n in range(bound + 1):
@@ -471,13 +484,12 @@ def join(K, L):
                     level.append(("b", p, x, y))
         level.sort()
         pts.append(level)
-    index = [{p: i for i, p in enumerate(lv)} for lv in pts]
 
     def face_point(n, i, p):
         if p[0] == "l":
-            return ("l", K.faces[n][i].values[p[1]]) if n else None
+            return ("l", K.faces[n][i].values[p[1]])
         if p[0] == "r":
-            return ("r", L.faces[n][i].values[p[1]]) if n else None
+            return ("r", L.faces[n][i].values[p[1]])
         _, pp, x, y = p
         q = n - 1 - pp
         if i <= pp:
@@ -510,39 +522,13 @@ def join(K, L):
         q = n - 1 - pp
         return ("b", pp, K.levels[pp].action[g][x], L.levels[q].action[g][y])
 
-    levels = []
-    for n in range(bound + 1):
-        action = tuple(
-            tuple(index[n][act_point(g, n, p)] for p in pts[n])
-            for g in G.elements()
-        )
-        levels.append(GSet(G, len(pts[n]), action))
-    faces = [()]
-    for n in range(1, bound + 1):
-        faces.append(
-            tuple(
-                GMap(
-                    levels[n],
-                    levels[n - 1],
-                    tuple(index[n - 1][face_point(n, i, p)] for p in pts[n]),
-                )
-                for i in range(n + 1)
-            )
-        )
-    degens = []
-    for n in range(bound):
-        degens.append(
-            tuple(
-                GMap(
-                    levels[n],
-                    levels[n + 1],
-                    tuple(index[n + 1][degen_point(n, i, p)] for p in pts[n]),
-                )
-                for i in range(n + 1)
-            )
-        )
-    degens.append(())
-    out = SimplicialGSet(G, tuple(levels), tuple(faces), tuple(degens))
+    out, _ = _assemble(
+        K.group,
+        pts,
+        lambda g, n: partial(act_point, g, n),
+        lambda n, i: partial(face_point, n, i),
+        lambda n, i: partial(degen_point, n, i),
+    )
     object.__setattr__(out, "_join_points", pts)
     return out.check()
 
@@ -554,7 +540,6 @@ def smash(X, Y):
     """Levelwise smash product of based simplicial G-sets."""
     if not (X.based and Y.based):
         raise SimplicialError("smash needs based inputs")
-    G = X.group
     bound = min(X.bound, Y.bound)
     pts = []
     for n in range(bound + 1):
@@ -567,72 +552,32 @@ def smash(X, Y):
                     continue
                 level.append((x, y))
         pts.append(level)
-    index = [
-        {p: i for i, p in enumerate(lv) if p is not None} for lv in pts
-    ]
 
-    def push(n, x, y):
-        if x == X.base(n) or y == Y.base(n):
-            return 0
-        return index[n][(x, y)]
+    def pair_rule(m, fx, fy):
+        """(x, y) -> (fx[x], fy[y]) into level m, crushing the basepoints."""
+        bx, by = X.base(m), Y.base(m)
 
-    levels = []
-    for n in range(bound + 1):
-        action = []
-        for g in G.elements():
-            row = [0]
-            for p in pts[n][1:]:
-                x, y = p
-                row.append(
-                    push(n, X.levels[n].action[g][x], Y.levels[n].action[g][y])
-                )
-            action.append(tuple(row))
-        levels.append(GSet(G, len(pts[n]), tuple(action)))
-    faces = [()]
-    for n in range(1, bound + 1):
-        row = []
-        for i in range(n + 1):
-            vals = [0]
-            for p in pts[n][1:]:
-                x, y = p
-                vals.append(
-                    push(n - 1, X.faces[n][i].values[x], Y.faces[n][i].values[y])
-                )
-            row.append(GMap(levels[n], levels[n - 1], tuple(vals)))
-        faces.append(tuple(row))
-    degens = []
-    for n in range(bound):
-        row = []
-        for i in range(n + 1):
-            vals = [0]
-            for p in pts[n][1:]:
-                x, y = p
-                vals.append(
-                    push(n + 1, X.degens[n][i].values[x], Y.degens[n][i].values[y])
-                )
-            row.append(GMap(levels[n], levels[n + 1], tuple(vals)))
-        degens.append(tuple(row))
-    degens.append(())
-    out = SimplicialGSet(
-        G,
-        tuple(levels),
-        tuple(faces),
-        tuple(degens),
-        tuple(0 for _ in range(bound + 1)),
+        def rule(p):
+            x, y = fx[p[0]], fy[p[1]]
+            return None if x == bx or y == by else (x, y)
+
+        return rule
+
+    out, index = _assemble(
+        X.group,
+        pts,
+        lambda g, n: pair_rule(n, X.levels[n].action[g], Y.levels[n].action[g]),
+        lambda n, i: pair_rule(n - 1, X.faces[n][i].values, Y.faces[n][i].values),
+        lambda n, i: pair_rule(n + 1, X.degens[n][i].values, Y.degens[n][i].values),
+        [None] * (bound + 1),
     )
     object.__setattr__(out, "_smash_points", pts)
+    object.__setattr__(out, "_smash_index", index)
     return out.check()
-
-
-def smash_projections(X, Y):
-    """Point decoding for a smash: per level, index -> (x, y) or None."""
-    s = smash(X, Y)
-    return s, s._smash_points
 
 
 def wedge(X, Y):
     """One-point union of based simplicial G-sets."""
-    G = X.group
     bound = min(X.bound, Y.bound)
     pts = []
     for n in range(bound + 1):
@@ -644,99 +589,32 @@ def wedge(X, Y):
             if y != Y.base(n):
                 level.append(("r", y))
         pts.append(level)
-    index = [
-        {p: i for i, p in enumerate(lv) if p is not None} for lv in pts
-    ]
 
-    def pushx(n, x):
-        return 0 if x == X.base(n) else index[n][("l", x)]
+    def side_rule(m, fx, fy):
+        """(l, x) -> (l, fx[x]) and (r, y) -> (r, fy[y]) into level m,
+        crushing the basepoints."""
+        bx, by = X.base(m), Y.base(m)
 
-    def pushy(n, y):
-        return 0 if y == Y.base(n) else index[n][("r", y)]
+        def rule(p):
+            side, v = p
+            if side == "l":
+                v = fx[v]
+                return None if v == bx else ("l", v)
+            v = fy[v]
+            return None if v == by else ("r", v)
 
-    def mapped(n, p, fx, fy):
-        if p is None:
-            return 0
-        side, v = p
-        if side == "l":
-            return pushx(n, fx(v))
-        return pushy(n, fy(v))
+        return rule
 
-    levels = []
-    for n in range(bound + 1):
-        action = tuple(
-            tuple(
-                mapped(
-                    n,
-                    p,
-                    lambda v, g=g: X.levels[n].action[g][v],
-                    lambda v, g=g: Y.levels[n].action[g][v],
-                )
-                for p in pts[n]
-            )
-            for g in G.elements()
-        )
-        levels.append(GSet(G, len(pts[n]), action))
-    faces = [()]
-    for n in range(1, bound + 1):
-        faces.append(
-            tuple(
-                GMap(
-                    levels[n],
-                    levels[n - 1],
-                    tuple(
-                        mapped(
-                            n - 1,
-                            p,
-                            lambda v, i=i: X.faces[n][i].values[v],
-                            lambda v, i=i: Y.faces[n][i].values[v],
-                        )
-                        for p in pts[n]
-                    ),
-                )
-                for i in range(n + 1)
-            )
-        )
-    degens = []
-    for n in range(bound):
-        degens.append(
-            tuple(
-                GMap(
-                    levels[n],
-                    levels[n + 1],
-                    tuple(
-                        mapped(
-                            n + 1,
-                            p,
-                            lambda v, i=i: X.degens[n][i].values[v],
-                            lambda v, i=i: Y.degens[n][i].values[v],
-                        )
-                        for p in pts[n]
-                    ),
-                )
-                for i in range(n + 1)
-            )
-        )
-    degens.append(())
-    out = SimplicialGSet(
-        G,
-        tuple(levels),
-        tuple(faces),
-        tuple(degens),
-        tuple(0 for _ in range(bound + 1)),
+    out, index = _assemble(
+        X.group,
+        pts,
+        lambda g, n: side_rule(n, X.levels[n].action[g], Y.levels[n].action[g]),
+        lambda n, i: side_rule(n - 1, X.faces[n][i].values, Y.faces[n][i].values),
+        lambda n, i: side_rule(n + 1, X.degens[n][i].values, Y.degens[n][i].values),
+        [None] * (bound + 1),
     )
-    incl_x = SimplicialGMap(
-        X, out, tuple(
-            GMap(X.levels[n], out.levels[n], tuple(pushx(n, x) for x in range(X.levels[n].size)))
-            for n in range(bound + 1)
-        )
-    ).check()
-    incl_y = SimplicialGMap(
-        Y, out, tuple(
-            GMap(Y.levels[n], out.levels[n], tuple(pushy(n, y) for y in range(Y.levels[n].size)))
-            for n in range(bound + 1)
-        )
-    ).check()
+    incl_x = _levelwise(X, out, lambda n, x: index[n][None if x == X.base(n) else ("l", x)])
+    incl_y = _levelwise(Y, out, lambda n, y: index[n][None if y == Y.base(n) else ("r", y)])
     return out, incl_x, incl_y
 
 
@@ -766,79 +644,31 @@ def collapse(X, subcomplex_points):
                         raise SimplicialError("subcomplex not closed under degeneracies")
         if X.based and X.base(n) not in subs[n]:
             raise SimplicialError("subcomplex must contain the basepoint")
-    pts = []
-    for n in range(bound + 1):
-        level = [None] + [
-            p for p in range(X.levels[n].size) if p not in subs[n]
-        ]
-        pts.append(level)
-    index = [
-        {p: i for i, p in enumerate(lv) if p is not None} for lv in pts
+    pts = [
+        [None] + [p for p in range(X.levels[n].size) if p not in subs[n]]
+        for n in range(bound + 1)
     ]
 
-    def push(n, p):
-        return 0 if p in subs[n] else index[n][p]
+    def crush_rule(m, f):
+        """p -> f[p] into level m, crushing the subcomplex."""
+        sub = subs[m]
 
-    levels = []
-    for n in range(bound + 1):
-        action = tuple(
-            tuple(
-                0 if p is None else push(n, X.levels[n].action[g][p])
-                for p in pts[n]
-            )
-            for g in G.elements()
-        )
-        levels.append(GSet(G, len(pts[n]), action))
-    faces = [()]
-    for n in range(1, bound + 1):
-        faces.append(
-            tuple(
-                GMap(
-                    levels[n],
-                    levels[n - 1],
-                    tuple(
-                        0 if p is None else push(n - 1, X.faces[n][i].values[p])
-                        for p in pts[n]
-                    ),
-                )
-                for i in range(n + 1)
-            )
-        )
-    degens = []
-    for n in range(bound):
-        degens.append(
-            tuple(
-                GMap(
-                    levels[n],
-                    levels[n + 1],
-                    tuple(
-                        0 if p is None else push(n + 1, X.degens[n][i].values[p])
-                        for p in pts[n]
-                    ),
-                )
-                for i in range(n + 1)
-            )
-        )
-    degens.append(())
-    out = SimplicialGSet(
+        def rule(p):
+            q = f[p]
+            return None if q in sub else q
+
+        return rule
+
+    out, index = _assemble(
         G,
-        tuple(levels),
-        tuple(faces),
-        tuple(degens),
-        tuple(0 for _ in range(bound + 1)),
-    ).check()
-    proj = SimplicialGMap(
-        X,
-        out,
-        tuple(
-            GMap(
-                X.levels[n],
-                out.levels[n],
-                tuple(push(n, p) for p in range(X.levels[n].size)),
-            )
-            for n in range(bound + 1)
-        ),
-    ).check()
+        pts,
+        lambda g, n: crush_rule(n, X.levels[n].action[g]),
+        lambda n, i: crush_rule(n - 1, X.faces[n][i].values),
+        lambda n, i: crush_rule(n + 1, X.degens[n][i].values),
+        [None] * (bound + 1),
+    )
+    out.check()
+    proj = _levelwise(X, out, lambda n, p: index[n][None if p in subs[n] else p])
     return out, proj
 
 
@@ -853,10 +683,11 @@ def fixed_system(X, helems):
     levels = tuple(fp.wset for fp in fps)
 
     def restrict(f, n_src, n_tgt):
+        index = fps[n_tgt].index
         return GMap(
             levels[n_src],
             levels[n_tgt],
-            tuple(fps[n_tgt].points.index(f.values[p]) for p in fps[n_src].points),
+            tuple(index[f.values[p]] for p in fps[n_src].points),
         )
 
     faces = [()]
@@ -873,7 +704,7 @@ def fixed_system(X, helems):
     basepoints = None
     if X.based:
         basepoints = tuple(
-            fps[n].points.index(X.base(n)) for n in range(X.bound + 1)
+            fps[n].index[X.base(n)] for n in range(X.bound + 1)
         )
     Y = SimplicialGSet(W, levels, tuple(faces), tuple(degens), basepoints)
     return Y, tuple(fp.points for fp in fps)
@@ -881,14 +712,12 @@ def fixed_system(X, helems):
 
 def phi_transition(X, om):
     """Point tables (S^H -> S^J per level) induced by an orbit map G/J -> G/H."""
-    yh, ph = fixed_system(X, om.tgt.elements)
-    yj, pj = fixed_system(X, om.src.elements)
     c = om.c
     out = []
     for n in range(X.bound + 1):
-        out.append(
-            tuple(pj[n].index(X.levels[n].action[c][p]) for p in ph[n])
-        )
+        src = fixed_points(X.levels[n], om.tgt.elements)
+        tgt = fixed_points(X.levels[n], om.src.elements)
+        out.append(tuple(tgt.index[X.levels[n].action[c][p]] for p in src.points))
     return tuple(out)
 
 
@@ -970,17 +799,15 @@ def vertex_degeneracy(X, vertex, n):
 
 def discrete_inclusion(src, tgt, vertex_values):
     """A simplicial map out of a discrete space, given on vertices."""
-    comps = []
-    for n in range(min(src.bound, tgt.bound) + 1):
-        vals = []
-        for p in range(src.levels[n].size):
-            # every point of a discrete space is a vertex degeneracy
-            v = p
-            for m in range(n, 0, -1):
-                v = src.faces[m][0].values[v]
-            vals.append(vertex_degeneracy(tgt, vertex_values[v], n))
-        comps.append(GMap(src.levels[n], tgt.levels[n], tuple(vals)))
-    return SimplicialGMap(src, tgt, tuple(comps)).check()
+
+    def value(n, p):
+        # every point of a discrete space is a vertex degeneracy
+        v = p
+        for m in range(n, 0, -1):
+            v = src.faces[m][0].values[v]
+        return vertex_degeneracy(tgt, vertex_values[v], n)
+
+    return _levelwise(src, tgt, value)
 
 
 def smash_assoc(A, B, C):
@@ -989,21 +816,16 @@ def smash_assoc(A, B, C):
     left = smash(A, inner_r)
     inner_l = smash(A, B)
     right = smash(inner_l, C)
-    comps = []
-    for n in range(min(left.bound, right.bound) + 1):
-        r_idx = {
-            p: i for i, p in enumerate(right._smash_points[n]) if p is not None
-        }
-        l_inner_idx = {
-            p: i for i, p in enumerate(inner_l._smash_points[n]) if p is not None
-        }
-        vals = [0]
-        for p in left._smash_points[n][1:]:
-            a, bc = p
-            b, c = inner_r._smash_points[n][bc]
-            vals.append(r_idx[(l_inner_idx[(a, b)], c)])
-        comps.append(GMap(left.levels[n], right.levels[n], tuple(vals)))
-    return SimplicialGMap(left, right, tuple(comps)).check()
+
+    def value(n, p):
+        pair = left._smash_points[n][p]
+        if pair is None:
+            return right.base(n)
+        a, bc = pair
+        b, c = inner_r._smash_points[n][bc]
+        return right._smash_index[n][(inner_l._smash_index[n][(a, b)], c)]
+
+    return _levelwise(left, right, value)
 
 
 # -- chains of the underlying simplicial set ------------------------------------
@@ -1046,83 +868,32 @@ def underlying_reduced_chains(X):
 
 def standard_simplex_plus(G, n, bound=DEFAULT_BOUND):
     """Delta[n] with a disjoint G-fixed basepoint, trivial action."""
-    pts = []
-    for m in range(bound + 1):
-        level = [None] + list(monotones(m, n))
-        pts.append(level)
-    index = [
-        {p: i for i, p in enumerate(lv) if p is not None} for lv in pts
-    ]
-    levels = tuple(
-        GSet(
-            G,
-            len(pts[m]),
-            tuple(tuple(range(len(pts[m]))) for _ in G.elements()),
-        )
-        for m in range(bound + 1)
-    )
-    faces = [()]
-    for m in range(1, bound + 1):
-        faces.append(
-            tuple(
-                GMap(
-                    levels[m],
-                    levels[m - 1],
-                    tuple(
-                        0
-                        if p is None
-                        else index[m - 1][compose_monotone(p, delta(i, m))]
-                        for p in pts[m]
-                    ),
-                )
-                for i in range(m + 1)
-            )
-        )
-    degens = []
-    for m in range(bound):
-        degens.append(
-            tuple(
-                GMap(
-                    levels[m],
-                    levels[m + 1],
-                    tuple(
-                        0
-                        if p is None
-                        else index[m + 1][compose_monotone(p, eta(i, m))]
-                        for p in pts[m]
-                    ),
-                )
-                for i in range(m + 1)
-            )
-        )
-    degens.append(())
-    return SimplicialGSet(
+    pts = [[None] + list(monotones(m, n)) for m in range(bound + 1)]
+
+    def op_rule(alpha):
+        return lambda p: compose_monotone(p, alpha)
+
+    out, _ = _assemble(
         G,
-        levels,
-        tuple(faces),
-        tuple(degens),
-        tuple(0 for _ in range(bound + 1)),
-    ).check()
+        pts,
+        lambda g, m: lambda p: p,
+        lambda m, i: op_rule(delta(i, m)),
+        lambda m, i: op_rule(eta(i, m)),
+        [None] * (bound + 1),
+    )
+    return out.check()
 
 
 def cylinder_inclusions(X):
     """(X smash Delta[1]_+, ins_0, ins_1): the two ends of the cylinder."""
     cyl_factor = standard_simplex_plus(X.group, 1, X.bound)
-    cyl, pts = smash_projections(X, cyl_factor)
-    idx = [
-        {p: i for i, p in enumerate(lv) if p is not None} for lv in pts
-    ]
+    cyl = smash(X, cyl_factor)
 
     def ins(vertex):
-        comps = []
-        for n in range(X.bound + 1):
-            vtx = idx_of_vertex(cyl_factor, vertex, n)
-            vals = tuple(
-                0 if x == X.base(n) else idx[n][(x, vtx)]
-                for x in range(X.levels[n].size)
-            )
-            comps.append(GMap(X.levels[n], cyl.levels[n], vals))
-        return SimplicialGMap(X, cyl, tuple(comps)).check()
+        vtx = [idx_of_vertex(cyl_factor, vertex, n) for n in range(X.bound + 1)]
+        return _levelwise(
+            X, cyl, lambda n, x: cyl._smash_index[n][None if x == X.base(n) else (x, vtx[n])]
+        )
 
     return cyl, ins(0), ins(1)
 

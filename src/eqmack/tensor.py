@@ -9,7 +9,7 @@ contravariant maps can be exercised against the collapsed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import abelian as ab
@@ -25,7 +25,7 @@ from .mackey import (
     based_value,
     covariant_between,
 )
-from .simplicial import smash
+from .simplicial import collapse, delta, eta, fixed_system, representation_sphere, smash
 
 
 class TensorError(ValueError):
@@ -39,16 +39,37 @@ class LevelSet:
     gset: GSet
     base: object  # point index or None
     pairs: tuple  # point index -> (x, s); the base has pair None
+    xbase: object  # the crushed simplex of X_n, or None if unbased
+    index: dict = field(hash=False, compare=False)  # (x, s) -> point index
 
     def index_of(self, x, s):
-        return self.pairs.index((x, s))
+        return self.index[(x, s)]
+
+    def gmap(self, tgt, rule):
+        """The G-map into the level set tgt sending (x, s) to rule(x, s).
+
+        The base, and every point whose image simplex is tgt.xbase, goes to
+        tgt.base; any other image must be a point of tgt.
+        """
+        if self.base is not None and tgt.base is None:
+            raise TensorError("a reduced level set has no map into an unreduced one")
+        index, xbase, base = tgt.index, tgt.xbase, tgt.base
+        vals = []
+        for p in self.pairs:
+            if p is None:
+                vals.append(base)
+                continue
+            x, s = rule(*p)
+            vals.append(base if x == xbase else index[(x, s)])
+        return GMap(self.gset, tgt.gset, tuple(vals))
 
 
 @lru_cache(maxsize=None)
 def product_level(xlevel, S):
     p, _, _ = product(xlevel, S)
     pairs = tuple((x, s) for x in range(xlevel.size) for s in range(S.size))
-    return LevelSet(gset=p, base=None, pairs=pairs)
+    index = {q: i for i, q in enumerate(pairs)}
+    return LevelSet(gset=p, base=None, pairs=pairs, xbase=None, index=index)
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +94,7 @@ def smash_level(xlevel, xbase, S):
             row.append(push(xlevel.action[g][x], S.action[g][s]))
         action.append(tuple(row))
     return LevelSet(
-        gset=GSet(G, len(pts), tuple(action)), base=0, pairs=tuple(pts)
+        gset=GSet(G, len(pts), tuple(action)), base=0, pairs=tuple(pts), xbase=xbase, index=index
     )
 
 
@@ -129,92 +150,43 @@ class TensorMackey:
     def group_at(self, n, S):
         return self.value(n, S).value
 
-    def _xmap_levelwise(self, table, n_src, n_tgt, S):
-        """The G-map (x, s) -> (table[x], s) between level sets."""
-        src = self.level_set(n_src, S)
-        tgt = self.level_set(n_tgt, S)
+    def _induced(self, kind, f):
+        """M_* ("cov") or M^* ("con") of a G-map between level sets."""
         if self.reduced:
-            vals = [0]
-            tgt_index = {p: i for i, p in enumerate(tgt.pairs) if p is not None}
-            xbase = self.X.base(n_tgt)
-            for p in src.pairs[1:]:
-                x, s = p
-                x2 = table[x]
-                vals.append(0 if x2 == xbase else tgt_index[(x2, s)])
-            return GMap(src.gset, tgt.gset, tuple(vals))
-        vals = tuple(
-            table[x] * S.size + s for (x, s) in src.pairs
-        )
-        return GMap(src.gset, tgt.gset, vals)
-
-    def _value_hom(self, f, n_src, n_tgt, S):
-        if self.reduced:
-            return based_covariant(self.M, f, 0, 0)
-        return self.M.covariant(f)
+            based = based_covariant if kind == "cov" else based_contravariant
+            return based(self.M, f, 0, 0)
+        return (self.M.covariant if kind == "cov" else self.M.contravariant)(f)
 
     def op(self, alpha, m, n, S):
         """The simplicial operator alpha* for monotone alpha: [m] -> [n]."""
         key = ("op", alpha, m, n, S)
         if key not in self._homs:
             table = self.X.operator(alpha, m, n)
-            f = self._xmap_levelwise(table, n, m, S)
-            self._homs[key] = self._value_hom(f, n, m, S)
+            f = self.level_set(n, S).gmap(self.level_set(m, S), lambda x, s: (table[x], s))
+            self._homs[key] = self._induced("cov", f)
         return self._homs[key]
 
     def face(self, n, i, S):
-        from .simplicial import delta
-
         return self.op(delta(i, n), n - 1, n, S)
 
     def degen(self, n, i, S):
-        from .simplicial import eta
-
         return self.op(eta(i, n), n + 1, n, S)
 
     def covariant_S(self, n, f):
         """Transfer along f: S -> T at level n."""
-        key = ("cov", n, f)
-        if key not in self._homs:
-            src = self.level_set(n, f.src)
-            tgt = self.level_set(n, f.tgt)
-            if self.reduced:
-                tgt_index = {
-                    p: i for i, p in enumerate(tgt.pairs) if p is not None
-                }
-                vals = [0] + [
-                    tgt_index[(x, f.values[s])] for (x, s) in src.pairs[1:]
-                ]
-                g = GMap(src.gset, tgt.gset, tuple(vals))
-                self._homs[key] = based_covariant(self.M, g, 0, 0)
-            else:
-                vals = tuple(
-                    x * f.tgt.size + f.values[s] for (x, s) in src.pairs
-                )
-                g = GMap(src.gset, tgt.gset, vals)
-                self._homs[key] = self.M.covariant(g)
-        return self._homs[key]
+        return self._along_S("cov", n, f)
 
     def contravariant_S(self, n, f):
         """Restriction along f: S -> T at level n (from T-value to S-value)."""
-        key = ("con", n, f)
+        return self._along_S("con", n, f)
+
+    def _along_S(self, kind, n, f):
+        key = (kind, n, f)
         if key not in self._homs:
-            src = self.level_set(n, f.src)
-            tgt = self.level_set(n, f.tgt)
-            if self.reduced:
-                tgt_index = {
-                    p: i for i, p in enumerate(tgt.pairs) if p is not None
-                }
-                vals = [0] + [
-                    tgt_index[(x, f.values[s])] for (x, s) in src.pairs[1:]
-                ]
-                g = GMap(src.gset, tgt.gset, tuple(vals))
-                self._homs[key] = based_contravariant(self.M, g, 0, 0)
-            else:
-                vals = tuple(
-                    x * f.tgt.size + f.values[s] for (x, s) in src.pairs
-                )
-                g = GMap(src.gset, tgt.gset, vals)
-                self._homs[key] = self.M.contravariant(g)
+            g = self.level_set(n, f.src).gmap(
+                self.level_set(n, f.tgt), lambda x, s: (x, f.values[s])
+            )
+            self._homs[key] = self._induced(kind, g)
         return self._homs[key]
 
     def orbit_transition(self, n, om):
@@ -225,29 +197,13 @@ class TensorMackey:
         """The hom induced by a level map of spaces (x, s) -> (table[x], s).
 
         `other` is the tensor of the target space with the same coefficients;
-        for reduced tensors, points landing on the basepoint are crushed.
+        for a reduced target, points landing on the basepoint are crushed.  A
+        reduced tensor has no such hom into an unreduced one.
         """
-        src = self.level_set(n, S)
-        tgt = other.level_set(n, S)
-        if self.reduced or other.reduced:
-            tgt_index = {p: i for i, p in enumerate(tgt.pairs) if p is not None}
-            vals = []
-            for p in src.pairs:
-                if p is None:
-                    vals.append(0)
-                    continue
-                x, s = p
-                x2 = table[x]
-                if other.reduced and x2 == other.X.base(n):
-                    vals.append(0)
-                else:
-                    vals.append(tgt_index[(x2, s)])
-            g = GMap(src.gset, tgt.gset, tuple(vals))
-            if self.reduced:
-                return based_covariant(self.M, g, 0, 0)
+        g = self.level_set(n, S).gmap(other.level_set(n, S), lambda x, s: (table[x], s))
+        if other.reduced and not self.reduced:
             return covariant_into_based(self.M, g, 0)
-        vals = tuple(table[x] * S.size + s for (x, s) in src.pairs)
-        return self.M.covariant(GMap(src.gset, tgt.gset, vals))
+        return self._induced("cov", g)
 
     def describe(self, n, S):
         return self.group_at(n, S).describe()
@@ -269,7 +225,7 @@ def reduced_as_cokernel(X, M, n, S):
     # basepoint inclusion pt x S -> X_n x S
     base = X.base(n)
     ptset = GSet(M.group, S.size, S.action)
-    vals = tuple(base * S.size + s for s in range(S.size))
+    vals = tuple(ls.index[(base, s)] for s in range(S.size))
     incl = GMap(ptset, ls.gset, vals)
     i_star = M.covariant(incl)
     coker, proj = i_star.cokernel()
@@ -283,7 +239,7 @@ def reduced_as_cokernel(X, M, n, S):
     entries = []
     for i, o in enumerate(ev.orbits):
         x, s = ls_red.pairs[o.basepoint]
-        p_idx = x * S.size + s
+        p_idx = ls.index[(x, s)]
         j = big.orbit_index_of_point(p_idx)
         oj = big.orbits[j]
         c = next(c for c in G.elements() if ls.gset.action[c][oj.basepoint] == p_idx)
@@ -347,10 +303,7 @@ def transfer_via_pullback(T, n, f, rep):
     """
     if T.reduced:
         raise TensorError("the pullback recipe is exercised on the unreduced tensor")
-    tgt_ls = T.level_set(n, f.tgt)
-    src_ls = T.level_set(n, f.src)
-    vals = tuple(x * f.tgt.size + f.values[s] for (x, s) in src_ls.pairs)
-    idxf = GMap(src_ls.gset, tgt_ls.gset, vals)
+    idxf = T.level_set(n, f.src).gmap(T.level_set(n, f.tgt), lambda x, s: (x, f.values[s]))
     b, beta, fmap = pullback(idxf, rep.gmap)
     coeff = T.M.contravariant(fmap)(rep.coeff)
     return T.M.covariant(beta)(coeff)
@@ -452,14 +405,11 @@ def smash_module_map(Y, K, A, n, y):
     sm = smash(Y, K)
     mt_k = ModuleTensor(K, A)
     mt_s = ModuleTensor(sm, A)
-    pts = sm._smash_points
-    index = {p: i for i, p in enumerate(pts[n]) if p is not None}
-    table = []
-    for x in range(K.levels[n].size):
-        if y == Y.base(n) or x == K.base(n):
-            table.append(sm.base(n))
-        else:
-            table.append(index[(y, x)])
+    index = sm._smash_index[n]
+    table = [
+        index[None if y == Y.base(n) or x == K.base(n) else (y, x)]
+        for x in range(K.levels[n].size)
+    ]
     return _routed_hom(A.value, mt_k.support(n), mt_s.support(n), table)
 
 
@@ -478,10 +428,8 @@ class RhoIso:
         self.reduced = reduced
         self.RA = FixedPointMackey(G, hrec, module)
         self.T = TensorMackey(X, self.RA, reduced=reduced)
-        y, pts = _fixed_system_of(X, hrec)
-        self.Y = y
-        self.ypoints = pts
-        self.MT = ModuleTensor(y, _weyl_restrict(module, y.group), reduced=reduced)
+        self.Y, self.ypoints = fixed_system(X, hrec.elements)
+        self.MT = ModuleTensor(self.Y, module, reduced=reduced)
         self._rhs = {}
         self._rho = {}
         self._sigma = {}
@@ -571,18 +519,6 @@ class RhoIso:
         return self._sigma[key]
 
 
-def _fixed_system_of(X, hrec):
-    from .simplicial import fixed_system
-
-    return fixed_system(X, hrec.elements)
-
-
-def _weyl_restrict(module, wgroup):
-    if module.group != wgroup:
-        raise TensorError("module is not over the expected Weyl group")
-    return module
-
-
 def rho_iso(X, hrec, module, reduced=False):
     return RhoIso(X, hrec, module, reduced=reduced)
 
@@ -594,8 +530,6 @@ class PsiMap:
     """The map smashing a fixed sphere simplex onto a reduced tensor class."""
 
     def __init__(self, desc, X, M, bound=None, sphere=None):
-        from .simplicial import representation_sphere
-
         G = M.group
         b = bound if bound is not None else X.bound
         self.desc = desc
@@ -605,10 +539,6 @@ class PsiMap:
         self.SX = smash(self.SW, X)
         self.T_src = TensorMackey(X, M, reduced=True)
         self.T_tgt = TensorMackey(self.SX, M, reduced=True)
-        self._smash_index = [
-            {p: i for i, p in enumerate(lv) if p is not None}
-            for lv in self.SX._smash_points
-        ]
 
     @classmethod
     def from_sphere(cls, sphere, X, M):
@@ -627,19 +557,15 @@ class PsiMap:
         G = self.M.group
         S = std_orbit(G, rec)
         _, reps, _ = coset_space(G, rec.elements)
-        src = self.T_src.level_set(n, S)
-        tgt = self.T_tgt.level_set(n, S)
-        tgt_index = {p: i for i, p in enumerate(tgt.pairs) if p is not None}
-        vals = [0]
-        for p in src.pairs[1:]:
-            x, t = p
-            w = self.SW.levels[n].action[reps[t]][alpha]
-            if w == self.SW.base(n):
-                vals.append(0)
-                continue
-            sm = self._smash_index[n][(w, x)]
-            vals.append(tgt_index[(sm, t)] if sm != self.SX.base(n) else 0)
-        return GMap(src.gset, tgt.gset, tuple(vals))
+        act = self.SW.levels[n].action
+        wbase = self.SW.base(n)
+        index = self.SX._smash_index[n]
+
+        def rule(x, t):
+            w = act[reps[t]][alpha]
+            return index[None if w == wbase else (w, x)], t
+
+        return self.T_src.level_set(n, S).gmap(self.T_tgt.level_set(n, S), rule)
 
     def component(self, rec, n, alpha):
         """The homomorphism induced by a fixed sphere simplex alpha."""
@@ -662,8 +588,6 @@ class CofibrationSES:
     """0 -> Y (x) M -> X (x) M -> (X/Y) (x~) M -> 0 for a based subcomplex."""
 
     def __init__(self, incl, M):
-        from .simplicial import collapse
-
         self.incl = incl.check()
         self.M = M
         Y, X = incl.src, incl.tgt
@@ -677,24 +601,10 @@ class CofibrationSES:
         self.quot = TensorMackey(self.quotient, M, reduced=True)
 
     def i_star(self, n, S):
-        f = self.incl.comps[n]
-        src = self.sub.level_set(n, S)
-        tgt = self.total.level_set(n, S)
-        vals = tuple(f.values[x] * S.size + s for (x, s) in src.pairs)
-        return self.M.covariant(GMap(src.gset, tgt.gset, vals))
+        return self.sub.space_hom(self.total, self.incl.comps[n].values, n, S)
 
     def q_star(self, n, S):
-        p = self.proj.comps[n]
-        src = self.total.level_set(n, S)
-        tgt = self.quot.level_set(n, S)
-        tgt_index = {q: i for i, q in enumerate(tgt.pairs) if q is not None}
-        vals = []
-        for (x, s) in src.pairs:
-            q = p.values[x]
-            vals.append(0 if q == self.quotient.base(n) else tgt_index[(q, s)])
-        return covariant_into_based(
-            self.M, GMap(src.gset, tgt.gset, tuple(vals)), 0
-        )
+        return self.total.space_hom(self.quot, self.proj.comps[n].values, n, S)
 
     def check_exact(self, n, S):
         i = self.i_star(n, S)

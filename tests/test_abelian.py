@@ -329,7 +329,7 @@ def test_input_contracts_hold_under_optimized_python():
         "from eqmack.gsets import GMap, GSetError, point_gset, regular_gset\n"
         "from eqmack.homotopy import HomotopyError, MappingComplex, omega_spectrum_check\n"
         "from eqmack.mackey import MackeyError, OrbitMap, constant_mackey\n"
-        "from eqmack.simplicial import s0_space, sign_rep, sphere_for_descriptors, trivial_rep\n"
+        "from eqmack.simplicial import SimplicialError, s0_space, sign_rep, sphere_for_descriptors, trivial_rep\n"
         "from eqmack.tensor import reduced_tensor\n"
         "C2 = FiniteGroup.cyclic(2)\n"
         "e, g = subgroup_classes(C2)\n"
@@ -346,6 +346,7 @@ def test_input_contracts_hold_under_optimized_python():
         "    (HomotopyError, lambda: maps(1, 1).homotopy_group(1)),\n"
         "    (HomotopyError, lambda: maps(4, 2)),\n"
         "    (HomotopyError, lambda: omega_spectrum_check(s0_space(C2, 2), Z, sign_rep(), 2)),\n"
+        "    (SimplicialError, lambda: sphere_for_descriptors(C2, [sign_rep()]).operator((0, 1), 0, 1)),\n"
         "]\n"
         "for error, call in cases:\n"
         "    try:\n"
@@ -356,4 +357,4 @@ def test_input_contracts_hold_under_optimized_python():
     run = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
     )
-    assert run.stdout.split() == ["rejected"] * 7, run.stderr
+    assert run.stdout.split() == ["rejected"] * 8, run.stderr

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -294,3 +295,86 @@ def test_map_check_rejects_a_broken_square_and_a_mis_levelled_component():
     comps[0] = GMap.identity(X.levels[1])
     with pytest.raises(SimplicialError, match="mis-levelled"):
         SimplicialGMap(X, X, tuple(comps)).check()
+
+
+def test_operator_rejects_a_map_that_is_not_monotone_into_its_levels():
+    X = sign_circle(C2, (0,), 2)
+    # (0, 0): [1] -> [1] is s_0 d_1
+    assert X.operator((0, 0), 1, 1) == X.degen(0, 0).compose(X.face(1, 1)).values
+    bad = [((0, 1), 0, 1), ((1, 0), 1, 1), ((0, 2), 1, 1), ((-1, 0), 1, 1)]
+    for alpha, n_src, n_tgt in bad:
+        with pytest.raises(SimplicialError, match="not a monotone map"):
+            X.operator(alpha, n_src, n_tgt)
+
+
+def _space_data(X):
+    smash_pts = getattr(X, "_smash_points", None)
+    join_pts = getattr(X, "_join_points", None)
+    return (
+        X.group.mul,
+        tuple((lv.size, lv.action) for lv in X.levels),
+        tuple(tuple(f.values for f in row) for row in X.faces),
+        tuple(tuple(s.values for s in row) for row in X.degens),
+        X.basepoints,
+        smash_pts and tuple(map(tuple, smash_pts)),
+        join_pts and tuple(map(tuple, join_pts)),
+    )
+
+
+def _map_data(f):
+    return (_space_data(f.src), _space_data(f.tgt), tuple(c.values for c in f.comps))
+
+
+def constructor_outputs():
+    """The tables of spheres, standard simplices, wedges, collapses, joins,
+    inclusions, cylinders, associators and fixed-point systems."""
+    from eqmack.gsets import trivial_gset
+    from eqmack.mackey import orbit_maps_between
+    from eqmack.simplicial import discrete_inclusion, phi_transition, smash_assoc
+
+    S3 = FiniteGroup.symmetric(3)
+    a3 = next(r for r in subgroup_classes(S3) if r.order == 3)
+    rows = [
+        (C2, [sign_rep(), sign_rep()]),
+        (C3, [rotation_rep(3, 1)]),
+        (S3, [sign_rep(a3.elements), trivial_rep(1)]),
+        (S3, [trivial_rep(2)]),
+    ]
+    out = []
+    for G, descs in rows:
+        for bound in (2, 3, 4):
+            X = sphere_for_descriptors(G, descs, bound)
+            out.append(_space_data(X))
+            for rec in subgroup_classes(G):
+                Y, pts = fixed_system(X, rec.elements)
+                out.append((_space_data(Y), pts))
+            for jrec in subgroup_classes(G):
+                for hrec in subgroup_classes(G):
+                    for om in orbit_maps_between(jrec, hrec):
+                        out.append(phi_transition(X, om))
+    for n in range(3):
+        out.append(_space_data(standard_simplex_plus(C2, n, 3)))
+    sig = sign_circle(C2, (0,), 3)
+    c = circle_space(C2, 3)
+    w, ix, iy = wedge(c, sig)
+    out.extend([_space_data(w), _map_data(ix), _map_data(iy)])
+    q, proj = collapse(sig, vertex_subcomplex(sig))
+    out.extend([_space_data(q), _map_data(proj)])
+    out.append(_map_data(discrete_inclusion(s0_space(C2, 3), sig, (0, 1))))
+    cyl, i0, i1 = cylinder_inclusions(sig)
+    out.extend([_space_data(cyl), _map_data(i0), _map_data(i1)])
+    out.append(_map_data(smash_assoc(sig, c, sig)))
+    poles = build_from_generators(C2, [trivial_gset(C2, 2)], [None], bound=3)
+    out.append(_space_data(join(sig, poles)))
+    out.append(_space_data(join(poles, poles)))
+    return out
+
+
+# sha256 of the repr of constructor_outputs(), recorded before the
+# constructors shared one assembly routine
+CONSTRUCTORS_SHA256 = "6e5570e6ac235c746020f5d107729f210fc7380b0d15e6c25056c7888944b747"
+
+
+def test_constructors_are_bit_identical():
+    digest = hashlib.sha256(repr(constructor_outputs()).encode()).hexdigest()
+    assert digest == CONSTRUCTORS_SHA256

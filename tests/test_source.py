@@ -29,3 +29,18 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def assert_statements(tree):
+    """Lines of the assert statements, which python -O strips."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+def test_assert_statements_are_found():
+    assert assert_statements(ast.parse("x = 1\nassert x\nif x:\n    assert x, 'x'\n")) == [2, 4]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # an input check must raise the module's own error, also under python -O
+    assert assert_statements(ast.parse(path.read_text())) == []

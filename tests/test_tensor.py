@@ -39,6 +39,7 @@ from eqmack.tensor import (
     CoendRep,
     ModuleTensor,
     PsiMap,
+    TensorError,
     TensorMackey,
     identity_rep,
     injective_normal_form,
@@ -568,3 +569,55 @@ def test_ses_from_coefficients_split():
     ses = ses_from_coefficients(incls[0], projs[1], X)
     for n in range(2):
         assert ses.check_exact(n, std_orbit(G, subgroup_classes(G)[0]))
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_level_set_gmap_matches_the_index_formulas(reduced):
+    X = sphere_for_descriptors(C2, [sign_rep(), trivial_rep(1)], 2)
+    T = TensorMackey(X, constant_mackey(C2, AbGroup.free(1)), reduced=reduced)
+    suite = gset_suite(C2)
+
+    def expected(src, tgt, xtable, f, xbase):
+        """The table of (x, s) -> (xtable[x], f(s)) as written out by hand
+        before LevelSet.gmap."""
+        if not reduced:
+            return tuple(xtable[x] * f.tgt.size + f.values[s] for (x, s) in src.pairs)
+        tgt_index = {p: i for i, p in enumerate(tgt.pairs) if p is not None}
+        return (0,) + tuple(
+            0 if xtable[x] == xbase else tgt_index[(xtable[x], f.values[s])]
+            for (x, s) in src.pairs[1:]
+        )
+
+    for n in range(1, X.bound + 1):
+        for i in range(n + 1):
+            table = X.faces[n][i].values
+            for S in suite:
+                src, tgt = T.level_set(n, S), T.level_set(n - 1, S)
+                f = src.gmap(tgt, lambda x, s: (table[x], s))
+                assert f.values == expected(src, tgt, table, GMap.identity(S), X.base(n - 1))
+    for n in range(X.bound + 1):
+        ident = tuple(range(X.levels[n].size))
+        for S, U in itertools.product(suite, repeat=2):
+            for f in enumerate_gmaps(S, U):
+                src, tgt = T.level_set(n, S), T.level_set(n, U)
+                g = src.gmap(tgt, lambda x, s: (x, f.values[s]))
+                assert g.values == expected(src, tgt, ident, f, X.base(n))
+    # a point whose image is missing from the target, and not crushed, raises
+    src = T.level_set(1, suite[0])
+    with pytest.raises(KeyError):
+        src.gmap(src, lambda x, s: (x, s + suite[0].size))
+
+
+@pytest.mark.parametrize("rec", subgroup_classes(C2), ids=lambda r: "order%d" % r.order)
+def test_space_hom_from_reduced_into_unreduced_is_rejected(rec):
+    X = sphere_for_descriptors(C2, [sign_rep()], 2)
+    Z = constant_mackey(C2, AbGroup.free(1))
+    S = std_orbit(C2, rec)
+    ident = tuple(range(X.levels[0].size))
+    with pytest.raises(TensorError):
+        reduced_tensor(X, Z).space_hom(tensor(X, Z), ident, 0, S)
+    # the other three directions are homs between the level-0 groups
+    pairs = [(tensor, tensor), (tensor, reduced_tensor), (reduced_tensor, reduced_tensor)]
+    for src, tgt in ((a(X, Z), b(X, Z)) for a, b in pairs):
+        h = src.space_hom(tgt, ident, 0, S)
+        assert (h.src, h.tgt) == (src.group_at(0, S), tgt.group_at(0, S))
