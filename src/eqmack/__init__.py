@@ -1,8 +1,8 @@
 """eqmack: exact equivariant homological algebra over finite groups.
 
 Finite G-sets, Mackey functors, the tensor of a simplicial G-set with a
-Mackey functor, Bredon and RO(G)-graded homology, loop-space comparisons,
-and a bar-construction coalescence, all over exact integer arithmetic.
+Mackey functor, Bredon and RO(G)-graded homology and loop-space
+comparisons, all over exact integer arithmetic.
 """
 
 __version__ = "0.1.0"

@@ -532,15 +532,18 @@ class ChainMap:
         return self
 
     def induced(self, n):
-        hs = self.src.homology(n)
-        ht = self.tgt.homology(n)
-        cols = []
-        for c in range(hs.ngens):
-            z = self.src.cycle_of_class(n, tuple(1 if i == c else 0 for i in range(hs.ngens)))
-            w = self.comp(n)(z)
-            cols.append(self.tgt.homology_class(n, w))
-        mat = la.transpose(tuple(cols), ht.ngens)
-        return AbHom(hs, ht, mat)
+        return homology_map(self.src, n, self.tgt, n, self.comp(n))
+
+
+def homology_map(src, n, tgt, m, lift):
+    """The hom H_n(src) -> H_m(tgt) sending the class of each generator's
+    cycle z to the class of the cycle lift(z)."""
+    hs, ht = src.homology(n), tgt.homology(m)
+    cols = []
+    for c in range(hs.ngens):
+        z = src.cycle_of_class(n, tuple(1 if i == c else 0 for i in range(hs.ngens)))
+        cols.append(tgt.homology_class(m, lift(z)))
+    return AbHom(hs, ht, la.transpose(tuple(cols), ht.ngens))
 
 
 def homology_at(f, g):
@@ -561,18 +564,14 @@ def is_exact_at(f, g):
 def connecting_hom(f, g, n):
     """Connecting homomorphism H_n(C) -> H_{n-1}(A) of a short exact sequence
     of complexes 0 -> A -f-> B -g-> C -> 0."""
-    ha = f.src.homology(n - 1)
-    hc = g.tgt.homology(n)
-    cols = []
-    for c in range(hc.ngens):
-        z = g.tgt.cycle_of_class(n, tuple(1 if i == c else 0 for i in range(hc.ngens)))
+
+    def lift(z):
         b = g.comp(n).preimage(z)
         if b is None:
             raise ContractError("quotient chain map is not surjective")
-        db = f.tgt.diff(n)(b)
-        a = f.comp(n - 1).preimage(db)
+        a = f.comp(n - 1).preimage(f.tgt.diff(n)(b))
         if a is None:
             raise ContractError("boundary does not lift to the subcomplex")
-        cols.append(f.src.homology_class(n - 1, a))
-    mat = la.transpose(tuple(cols), ha.ngens)
-    return AbHom(hc, ha, mat)
+        return a
+
+    return homology_map(g.tgt, n, f.src, n - 1, lift)

@@ -3,9 +3,11 @@ equivariant mapping complexes, loop-space comparisons, graded tables.
 
 Normalized chains N_n are built on the nondegenerate n-simplices only: the
 degenerate part D of the chains C is a subcomplex and N = C/D, so a face
-that lands on a degenerate simplex or on the basepoint is dropped.  Homotopy
-groups of strict mapping objects are the homology of the natural-family
-solution lattices, computed degreewise.
+that lands on a degenerate simplex or on the basepoint is dropped.  Each
+level is a tensor.LevelSet that keeps the nondegenerate simplices, and a
+dropped point goes to its sink.  Homotopy groups of strict mapping objects
+are the homology of the natural-family solution lattices, computed
+degreewise.
 
 There is one mapping-complex engine, MappingComplex.  A family natural over
 the orbit category and a W-equivariant map differ only in the charts and
@@ -21,10 +23,9 @@ from functools import lru_cache, partial
 from itertools import accumulate
 
 from . import abelian as ab
-from . import intlinalg as la
 from .abelian import AbHom, ChainComplex, ChainMap
 from .groups import subgroup_classes
-from .gsets import GMap, GSet, coset_space, disjoint_union, std_orbit
+from .gsets import GSet, coset_space, disjoint_union, std_orbit
 from .mackey import (
     OrbitMap,
     WrappedMackey,
@@ -44,7 +45,7 @@ from .simplicial import (
     sphere_for_descriptors,
     standard_simplex_plus,
 )
-from .tensor import PsiMap, TensorMackey, reduced_tensor
+from .tensor import PsiMap, TensorMackey, _build_level, reduced_tensor
 
 
 class HomotopyError(ValueError):
@@ -52,32 +53,6 @@ class HomotopyError(ValueError):
 
 
 # -- normalized chains ----------------------------------------------------------
-
-
-@dataclass
-class NondegenerateLevel:
-    """The level-n points (x, s) of a tensor at S whose simplex x is
-    nondegenerate (and, for a reduced tensor, not the basepoint), as a G-set
-    with one extra point 0, the sink.
-
-    The points keep their order in the full level, so value has the orbits,
-    basepoints and records of the full level's nondegenerate orbits.  value
-    omits the sink's orbit: a map sends to the sink every point that lands
-    on the basepoint or on a degenerate simplex, and so drops it.
-    """
-
-    gset: GSet
-    pairs: tuple  # point -> (x, s); the sink has None
-    index: dict  # (x, s) -> point
-    value: object  # Evaluated
-
-    def gmap(self, tgt, xtable=None, stable=None):
-        """The G-map (x, s) -> (xtable[x], stable[s]) into the level tgt."""
-        vals = [0]
-        for x, s in self.pairs[1:]:
-            key = (x if xtable is None else xtable[x], s if stable is None else stable[s])
-            vals.append(tgt.index.get(key, 0))
-        return GMap(self.gset, tgt.gset, tuple(vals))
 
 
 class MackeyChainComplex:
@@ -96,27 +71,17 @@ class MackeyChainComplex:
         self._chainmaps = {}
 
     def level(self, rec, n):
-        """The NondegenerateLevel of level n at G/H."""
+        """(LevelSet, Evaluated) of level n at G/H on the nondegenerate
+        simplices, minus the basepoint for a reduced tensor; the value omits
+        the orbit of the sink, so a point sent there is dropped."""
         key = (rec.class_id, n)
         if key not in self._levels:
-            G, X, S = self.T.group, self.T.X, std_orbit(self.T.group, rec)
+            X = self.T.X
             flags = X.degenerate_flags(n)
             base = X.base(n) if self.T.reduced else None
-            pairs = [None] + [
-                (x, s)
-                for x in range(X.levels[n].size)
-                if not flags[x] and x != base
-                for s in range(S.size)
-            ]
-            index = {p: i for i, p in enumerate(pairs) if p is not None}
-            act = X.levels[n].action
-            action = [
-                (0,) + tuple(index[(act[g][x], S.action[g][s])] for x, s in pairs[1:])
-                for g in G.elements()
-            ]
-            gset = GSet(G, len(pairs), action)
-            value = based_value(self.T.M, gset, 0)
-            self._levels[key] = NondegenerateLevel(gset, tuple(pairs), index, value)
+            kept = [x for x in range(X.levels[n].size) if not flags[x] and x != base]
+            ls = _build_level(X.levels[n], kept, std_orbit(self.T.group, rec), sink=True)
+            self._levels[key] = ls, based_value(self.T.M, ls.gset, 0)
         return self._levels[key]
 
     def complex(self, rec):
@@ -125,19 +90,18 @@ class MackeyChainComplex:
         if rec.class_id not in self._complexes:
             M = self.T.M
             faces = self.T.X.faces
-            groups = {n: self.level(rec, n).value.value for n in range(self.T.bound + 1)}
+            groups = {n: self.level(rec, n)[1].value for n in range(self.T.bound + 1)}
             diffs = {}
             for n in range(1, self.T.bound + 1):
-                src, tgt = self.level(rec, n), self.level(rec, n - 1)
+                (src, sev), (tgt, tev) = self.level(rec, n), self.level(rec, n - 1)
                 entries = []
                 for i in range(n + 1):
-                    f = src.gmap(tgt, xtable=faces[n][i].values)
-                    for si, ti, om in _orbit_blocks(M, f, src.value, tgt.value, 0):
+                    table = faces[n][i].values
+                    f = src.gmap(tgt, lambda x, s: (table[x], s))
+                    for si, ti, om in _orbit_blocks(M, f, sev, tev, 0):
                         h = M.orbit_covariant(om)
                         entries.append((ti, si, h if i % 2 == 0 else -h))
-                diffs[n] = ab.assemble_block_hom(
-                    src.value.summands, tgt.value.summands, entries
-                )[0]
+                diffs[n] = ab.assemble_block_hom(sev.summands, tev.summands, entries)[0]
             self._complexes[rec.class_id] = ChainComplex(groups=groups, diffs=diffs)
         return self._complexes[rec.class_id]
 
@@ -150,9 +114,9 @@ class MackeyChainComplex:
             comps = {}
             between = contravariant_between if variance == "res" else covariant_between
             for n in range(self.T.bound + 1):
-                src, tgt = self.level(om.src, n), self.level(om.tgt, n)
-                f = src.gmap(tgt, stable=stable)
-                comps[n] = between(M, f, src.value, tgt.value, 0)
+                (src, sev), (tgt, tev) = self.level(om.src, n), self.level(om.tgt, n)
+                f = src.gmap(tgt, lambda x, s: (x, stable[s]))
+                comps[n] = between(M, f, sev, tev, 0)
             self._chainmaps[key] = ChainMap(
                 self.complex(om.tgt if variance == "res" else om.src),
                 self.complex(om.src if variance == "res" else om.tgt),
@@ -582,26 +546,16 @@ def _phi_induced(psi, krec, kspace, orb_space, mc, chains, n):
     """The matrix of the loop-adjoint comparison on degree-n homology."""
     G = psi.M.group
     T = psi.T_src
-    lhs_complex = chains.complex(krec)
-    lhs_h = lhs_complex.homology(n)
-    rhs_h = mc.homotopy_group(n)
+    mc.homotopy_group(n)  # raises past the bounds, outside the try below
     S_k = std_orbit(G, krec)
-    lvl = chains.level(krec, n)
-    full = T.value(n, S_k)
-    full_ls = T.level_set(n, S_k)
-    # the generator offset in the full level of each nondegenerate block
-    starts = [
-        full.offsets[full.orbit_index_of_point(full_ls.index_of(*lvl.pairs[o.basepoint]))]
-        for o in lvl.value.orbits
-    ]
+    lvl, lev = chains.level(krec, n)
+    # the normalized level is a sub-G-set of the full level
+    full = lvl.gmap(T.level_set(n, S_k), lambda x, s: (x, s))
+    incl = covariant_between(psi.M, full, lev, T.value(n, S_k), 0)
     data = mc.degree_data(n)
-    cols = []
-    for c in range(lhs_h.ngens):
-        w = tuple(1 if i == c else 0 for i in range(lhs_h.ngens))
-        z = lhs_complex.cycle_of_class(n, w)
-        z_full = [0] * full.value.ngens
-        for start, o, g in zip(starts, lvl.value.offsets, lvl.value.summands):
-            z_full[start : start + g.ngens] = z[o : o + g.ngens]
+
+    def lift(z):
+        z_full = incl(z)
         assign = {}
         for (cid, m, p) in data["blocks"]:
             rec = mc.recs[cid]
@@ -611,18 +565,17 @@ def _phi_induced(psi, krec, kspace, orb_space, mc, chains, n):
             alpha, u = _decode_kspace_point(kspace, orb_space, rec, m, kappa)
             S_j = std_orbit(G, rec)
             # transport z along the orbit map determined by u, then tau
-            um = OrbitMap(rec, krec, _coset_rep_element(G, krec, u))
+            um = OrbitMap(rec, krec, coset_space(G, krec.elements)[1][u])
             zj = T.contravariant_S(n, um.gmap())(z_full)
             zjm = T.op(tau, m, n, S_j)(zj)
-            val = psi.component(rec, m, alpha)(zjm)
-            assign[(cid, m, p)] = val
-        try:
-            sol = mc.element_from_blocks(n, assign)
-        except HomotopyError:
-            return False, None
-        cols.append(mc.chain_complex(n + 1).homology_class(n, sol))
-    mat = la.transpose(tuple(cols), rhs_h.ngens)
-    return True, AbHom(lhs_h, rhs_h, mat)
+            assign[(cid, m, p)] = psi.component(rec, m, alpha)(zjm)
+        return mc.element_from_blocks(n, assign)
+
+    try:
+        mat = ab.homology_map(chains.complex(krec), n, mc.chain_complex(n + 1), n, lift)
+    except HomotopyError:
+        return False, None
+    return True, mat
 
 
 def _decode_kspace_point(kspace, orb_space, rec, m, kappa):
@@ -644,11 +597,6 @@ def _discrete_vertex_table(space, m):
             v = space.faces[lvl][0].values[v]
         out.append(v)
     return tuple(out)
-
-
-def _coset_rep_element(G, krec, u):
-    _, reps, _ = coset_space(G, krec.elements)
-    return reps[u]
 
 
 # -- graded tables -----------------------------------------------------------------
@@ -681,17 +629,24 @@ class GradedTable:
 
 
 def ro_graded_table(X, M, rows, bound=None):
-    """Entries H~_p(S^W smash X; M) per orbit class, for requested rows."""
+    """Entries H~_p(S^W smash X; M) per orbit class, for requested rows.
+
+    S^W smash X and its chains are built once per twist W, for all of that
+    twist's degrees."""
     G = M.group
     b = bound if bound is not None else X.bound
+    spaces, degrees = {}, {}
+    for p, descs in rows:
+        key = tuple(descs)
+        if key not in spaces:
+            spaces[key] = smash(sphere_for_descriptors(G, list(descs), b), X)
+        if p >= spaces[key].bound:
+            raise HomotopyError("degree %d past bound %d" % (p, spaces[key].bound))
+        degrees.setdefault(key, []).append(p)
+    groups = {key: bredon_groups(spaces[key], M, degrees[key]) for key in spaces}
     out = []
     for p, descs in rows:
-        sphere = sphere_for_descriptors(G, list(descs), b)
-        space = smash(sphere, X)
-        if p >= space.bound:
-            raise HomotopyError("degree %d past bound %d" % (p, space.bound))
-        hn = bredon_groups(space, M, [p], based=True)[p]
-        cells = {cid: g.describe() for cid, g in hn.items()}
+        cells = {cid: g.describe() for cid, g in groups[tuple(descs)][p].items()}
         out.append((p, tuple(descs), cells))
     return GradedTable(group_name=G.name, rows=tuple(out))
 
@@ -705,11 +660,12 @@ def cofibration_chain_maps(ses, rec):
     icomps = {}
     qcomps = {}
     for n in range(ses.sub.bound + 1):
-        sub, tot, quo = (ch.level(rec, n) for ch in chains)
-        f = sub.gmap(tot, xtable=ses.incl.comps[n].values)
-        icomps[n] = covariant_between(ses.M, f, sub.value, tot.value, 0)
-        f = tot.gmap(quo, xtable=ses.proj.comps[n].values)
-        qcomps[n] = covariant_between(ses.M, f, tot.value, quo.value, 0)
+        (sub, vsub), (tot, vtot), (quo, vquo) = (ch.level(rec, n) for ch in chains)
+        itable, qtable = ses.incl.comps[n].values, ses.proj.comps[n].values
+        f = sub.gmap(tot, lambda x, s: (itable[x], s))
+        icomps[n] = covariant_between(ses.M, f, vsub, vtot, 0)
+        f = tot.gmap(quo, lambda x, s: (qtable[x], s))
+        qcomps[n] = covariant_between(ses.M, f, vtot, vquo, 0)
     csub, ctot, cquo = (ch.complex(rec) for ch in chains)
     return ChainMap(csub, ctot, icomps), ChainMap(ctot, cquo, qcomps)
 
@@ -720,7 +676,7 @@ def coefficient_chain_maps(ses, rec):
     fcomps = {}
     gcomps = {}
     for n in range(ses.X.bound + 1):
-        vm, vn, vp = (ch.level(rec, n).value for ch in chains)
+        vm, vn, vp = (ch.level(rec, n)[1] for ch in chains)
         fcomps[n] = ses.phi.between(vm, vn)
         gcomps[n] = ses.psi.between(vn, vp)
     cm, cn, cp = (ch.complex(rec) for ch in chains)

@@ -18,6 +18,7 @@ from . import intlinalg as la
 from .abelian import AbGroup, AbHom
 from .groups import (
     FiniteGroup,
+    all_subgroups,
     conjugation_witness,
     normalizer,
     subgroup_classes,
@@ -26,6 +27,7 @@ from .gsets import (
     GMap,
     GSet,
     coset_space,
+    disjoint_union,
     fixed_points,
     orbit_decompose,
     pullback,
@@ -466,8 +468,6 @@ class BurnsideMackey(MackeyFunctor):
     def basis(self, S):
         """Iso classes of maps from orbits into S: pairs (subgroup, point)."""
         if S not in self._basis_cache:
-            from .groups import all_subgroups
-
             G = self.group
             classes = set()
             for k in all_subgroups(G):
@@ -906,8 +906,6 @@ def verify_axioms(M, size_bound=None):
                                 l.class_id,
                             )
     checks.append(("functoriality", ok, witness))
-
-    from .gsets import disjoint_union
 
     ok = True
     witness = ""

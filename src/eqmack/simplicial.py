@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
+from .abelian import AbGroup, AbHom, ChainComplex
 from .groups import FiniteGroup, cached_hash
 from .gsets import GMap, GSet, fixed_points, point_gset, trivial_gset
 
@@ -833,8 +834,6 @@ def smash_assoc(A, B, C):
 
 def underlying_reduced_chains(X):
     """Integral chains on nondegenerate non-basepoint simplices."""
-    from .abelian import AbGroup, AbHom, ChainComplex
-
     groups = {}
     gens = {}
     for n in range(X.bound + 1):

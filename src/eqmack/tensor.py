@@ -5,6 +5,11 @@ M(X_n x S) (reduced: the quotient by the basepoint part, presented as the
 sum over non-basepoint orbits).  Coend representatives exist as explicit
 objects only at the API boundary, where the pullback recipe for the
 contravariant maps can be exercised against the collapsed form.
+
+Every level has one layout, LevelSet: the points (x, s) of X_n x S on the
+kept simplices x, with a sink when some simplex is left out.  Full,
+reduced and normalized levels differ only in the simplices they keep, and
+every map between levels, including the comparison rho, reads that layout.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from functools import lru_cache
 from . import abelian as ab
 from .abelian import AbHom
 from .groups import subgroup_classes
-from .gsets import GMap, GSet, coset_space, fixed_points, product, pullback, std_orbit
+from .gsets import GMap, GSet, coset_space, fixed_points, pullback, std_orbit
 from .mackey import (
     FixedPointMackey,
     OrbitMap,
@@ -34,12 +39,18 @@ class TensorError(ValueError):
 
 @dataclass(frozen=True)
 class LevelSet:
-    """The level-n based or unbased G-set underlying a tensor value."""
+    """The layout of a tensor level: the points (x, s) of X_n x S whose
+    simplex x is kept, plus a sink at point 0 when some simplex is left out.
+
+    A full level keeps every simplex, or every simplex but the basepoint for
+    a reduced tensor; a normalized level keeps the nondegenerate ones.  The
+    points keep their order in X_n x S.
+    """
 
     gset: GSet
-    base: object  # point index or None
-    pairs: tuple  # point index -> (x, s); the base has pair None
-    xbase: object  # the crushed simplex of X_n, or None if unbased
+    base: object  # the sink 0, or None
+    pairs: tuple  # point index -> (x, s); the sink has pair None
+    kept: frozenset  # the kept simplices of X_n
     index: dict = field(hash=False, compare=False)  # (x, s) -> point index
 
     def index_of(self, x, s):
@@ -48,60 +59,48 @@ class LevelSet:
     def gmap(self, tgt, rule):
         """The G-map into the level set tgt sending (x, s) to rule(x, s).
 
-        The base, and every point whose image simplex is tgt.xbase, goes to
-        tgt.base; any other image must be a point of tgt.
+        The sink, and every point whose image simplex tgt does not keep,
+        goes to tgt.base; any other image must be a point of tgt.
         """
         if self.base is not None and tgt.base is None:
             raise TensorError("a reduced level set has no map into an unreduced one")
-        index, xbase, base = tgt.index, tgt.xbase, tgt.base
+        index, kept, base = tgt.index, tgt.kept, tgt.base
         vals = []
         for p in self.pairs:
             if p is None:
                 vals.append(base)
                 continue
             x, s = rule(*p)
-            vals.append(base if x == xbase else index[(x, s)])
+            vals.append(index[(x, s)] if x in kept else base)
         return GMap(self.gset, tgt.gset, tuple(vals))
+
+
+def _build_level(xlevel, kept, S, sink):
+    """The LevelSet of xlevel x S on the simplices in kept, a G-invariant
+    set, with a sink at point 0 if sink."""
+    kept = frozenset(kept)
+    pairs = ((None,) if sink else ()) + tuple(
+        (x, s) for x in range(xlevel.size) if x in kept for s in range(S.size)
+    )
+    index = {p: i for i, p in enumerate(pairs) if p is not None}
+    xact, sact = xlevel.action, S.action
+    action = [
+        tuple(0 if p is None else index[(xact[g][p[0]], sact[g][p[1]])] for p in pairs)
+        for g in xlevel.group.elements()
+    ]
+    gset = GSet(xlevel.group, len(pairs), action)
+    return LevelSet(gset, 0 if sink else None, pairs, kept, index)
 
 
 @lru_cache(maxsize=None)
 def product_level(xlevel, S):
-    p, _, _ = product(xlevel, S)
-    pairs = tuple((x, s) for x in range(xlevel.size) for s in range(S.size))
-    index = {q: i for i, q in enumerate(pairs)}
-    return LevelSet(gset=p, base=None, pairs=pairs, xbase=None, index=index)
+    return _build_level(xlevel, range(xlevel.size), S, sink=False)
 
 
 @lru_cache(maxsize=None)
 def smash_level(xlevel, xbase, S):
     """(X_n smash S_+): collapse of the basepoint column of X_n x S."""
-    pts = [None] + [
-        (x, s) for x in range(xlevel.size) if x != xbase for s in range(S.size)
-    ]
-    index = {p: i for i, p in enumerate(pts) if p is not None}
-    G = xlevel.group
-
-    def push(x, s):
-        if x == xbase:
-            return 0
-        return index[(x, s)]
-
-    action = []
-    for g in G.elements():
-        row = [0]
-        for p in pts[1:]:
-            x, s = p
-            row.append(push(xlevel.action[g][x], S.action[g][s]))
-        action.append(tuple(row))
-    return LevelSet(
-        gset=GSet(G, len(pts), tuple(action)), base=0, pairs=tuple(pts), xbase=xbase, index=index
-    )
-
-
-def covariant_into_based(M, f, tgt_base):
-    """M_* of a G-map from an unbased set into a based one, reduced target."""
-    tev = based_value(M, f.tgt, tgt_base)
-    return covariant_between(M, f, M.evaluate(f.src), tev, tgt_base)
+    return _build_level(xlevel, set(range(xlevel.size)) - {xbase}, S, sink=True)
 
 
 class TensorMackey:
@@ -115,7 +114,6 @@ class TensorMackey:
         self.X = X
         self.M = M
         self.reduced = reduced
-        self._levels = {}
         self._values = {}
         self._homs = {}
 
@@ -128,13 +126,9 @@ class TensorMackey:
         return self.X.bound
 
     def level_set(self, n, S):
-        key = (n, S)
-        if key not in self._levels:
-            if self.reduced:
-                self._levels[key] = smash_level(self.X.levels[n], self.X.base(n), S)
-            else:
-                self._levels[key] = product_level(self.X.levels[n], S)
-        return self._levels[key]
+        if self.reduced:
+            return smash_level(self.X.levels[n], self.X.base(n), S)
+        return product_level(self.X.levels[n], S)
 
     def value(self, n, S):
         """The Evaluated presentation of the level-n value at S."""
@@ -202,7 +196,7 @@ class TensorMackey:
         """
         g = self.level_set(n, S).gmap(other.level_set(n, S), lambda x, s: (table[x], s))
         if other.reduced and not self.reduced:
-            return covariant_into_based(self.M, g, 0)
+            return covariant_between(self.M, g, self.value(n, S), other.value(n, S), 0)
         return self._induced("cov", g)
 
     def describe(self, n, S):
@@ -331,13 +325,12 @@ class ModuleTensor:
             )
         return tuple(range(self.K.levels[n].size))
 
-    def level_module(self, n):
-        """(module, support, generator offset of each support block)."""
+    def module(self, n):
+        """The level-n W-module: one copy of A per support simplex."""
         if n not in self._levels:
             sup = self.support(n)
             pos = {x: i for i, x in enumerate(sup)}
             summands = [self.A.value] * len(sup)
-            value, offsets = ab.direct_sum_data(summands)
             W = self.K.group
             mats = []
             for w in W.elements():
@@ -347,11 +340,9 @@ class ModuleTensor:
                     (pos[act[x]], i, aw) for i, x in enumerate(sup) if act[x] in pos
                 ]
                 mats.append(ab.assemble_block_hom(summands, summands, blocks)[0].mat)
-            self._levels[n] = (WeylModule(W, value, tuple(mats)), sup, tuple(offsets))
+            value = ab.direct_sum_data(summands)[0]
+            self._levels[n] = WeylModule(W, value, tuple(mats))
         return self._levels[n]
-
-    def module(self, n):
-        return self.level_module(n)[0]
 
     def face_hom(self, n, i):
         table = self.K.faces[n][i].values
@@ -418,7 +409,16 @@ def smash_module_map(Y, K, A, n, y):
 
 class RhoIso:
     """The natural identification of X (x) R_A with the fixed-point functor
-    of the linearized fixed-point space, level by level and orbit by orbit."""
+    of the linearized fixed-point space, level by level and orbit by orbit.
+
+    Both sides are A-valued functions on (X_n x S)^H, one copy of A per
+    H-fixed point (x, s).  The left side orders those copies by orbit of
+    X_n x S, then by H-fixed coset; the right side by s in S^H, then by x.
+    rho lifts, through the right-hand container's inclusion, the block
+    permutation between the two orders after the direct sum of the orbit
+    containers' inclusions; sigma lifts the inverse permutation back
+    through that direct sum.
+    """
 
     def __init__(self, X, hrec, module, reduced=False):
         G = hrec.group
@@ -433,7 +433,6 @@ class RhoIso:
         self._rhs = {}
         self._rho = {}
         self._sigma = {}
-        self._offsets = {}  # (n, S) -> (fixed point -> offset, X point -> offset)
 
     def rhs_functor(self, n):
         """The fixed-point Mackey functor with coefficients A[X^H_n]."""
@@ -443,51 +442,35 @@ class RhoIso:
             )
         return self._rhs[n]
 
-    def _point_offset(self, n, S, p):
-        """The first generator of the block of the point p = (x, s) of
-        (X_n x S)^H in the ambient sum of the right-hand side at S."""
-        if (n, S) not in self._offsets:
-            fp, offsets = self.rhs_functor(n)._container(S)[:2]
-            _, sup, moffsets = self.MT.level_module(n)
-            ypoints = self.ypoints[n]
-            self._offsets[(n, S)] = (
-                dict(zip(fp.points, offsets)),
-                {ypoints[y]: o for y, o in zip(sup, moffsets)},
-            )
-        x, s = self.T.level_set(n, S).pairs[p]
-        by_s, by_x = self._offsets[(n, S)]
-        return by_s[s] + by_x[x]
-
-    def _lhs_function(self, rec, n, vec):
-        """Decode an LHS element into A-vectors on (X_n x S)^H."""
+    def _layout(self, rec, n):
+        """(sum, order, incl): the direct sum of the orbit containers'
+        inclusions, the right-hand position of each left-hand copy of A,
+        and the right-hand container's inclusion, at G/H and level n."""
         G = self.hrec.group
-        lev = self.T.value(n, std_orbit(G, rec))
-        out = {}
-        for i, o in enumerate(lev.orbits):
-            start = lev.offsets[i]
-            block = vec[start : start + lev.summands[i].ngens]
+        S = std_orbit(G, rec)
+        lev = self.T.value(n, S)
+        pairs = self.T.level_set(n, S).pairs
+        fp, _, _, incl = self.rhs_functor(n)._container(S)
+        sup = self.MT.support(n)
+        xpos = {self.ypoints[n][y]: i for i, y in enumerate(sup)}
+        inners, order = [], []
+        for o in lev.orbits:
             orb = std_orbit(G, o.record)
-            fdata = self.RA.function_of_element(orb, block)
-            for slot, coset in enumerate(fixed_points(orb, self.hrec.elements).points):
-                out[o.from_std[coset]] = fdata[slot]
-        return out
+            inners.append(self.RA._container(orb)[3])
+            for coset in fixed_points(orb, self.hrec.elements).points:
+                x, s = pairs[o.from_std[coset]]
+                order.append(fp.index[s] * len(sup) + xpos[x])
+        blocks = [(i, i, h) for i, h in enumerate(inners)]
+        total = ab.assemble_block_hom(lev.summands, [h.tgt for h in inners], blocks)[0]
+        return total, order, incl
 
     def rho(self, rec, n):
         key = (rec.class_id, n)
         if key not in self._rho:
-            S = std_orbit(self.hrec.group, rec)
-            lev = self.T.value(n, S)
-            incl = self.rhs_functor(n)._container(S)[3]
-            a = self.module.value.ngens
-            cols = []
-            for c in range(lev.value.ngens):
-                unit = tuple(1 if i == c else 0 for i in range(lev.value.ngens))
-                amb = [0] * incl.tgt.ngens
-                for p, avec in self._lhs_function(rec, n, unit).items():
-                    o = self._point_offset(n, S, p)
-                    amb[o : o + a] = [u + v for u, v in zip(amb[o : o + a], avec)]
-                cols.append({i: x for i, x in enumerate(amb) if x})
-            out = incl.preimage_matrix(AbHom.from_columns(lev.value, incl.tgt, cols))
+            total, order, incl = self._layout(rec, n)
+            k = range(len(order))
+            perm = _routed_hom(self.module.value, k, k, order)
+            out = incl.preimage_matrix(perm.compose(total))
             if out is None:
                 raise TensorError("rho image is not equivariant")
             self._rho[key] = out
@@ -496,26 +479,14 @@ class RhoIso:
     def sigma(self, rec, n):
         key = (rec.class_id, n)
         if key not in self._sigma:
-            G = self.hrec.group
-            S = std_orbit(G, rec)
-            lev = self.T.value(n, S)
-            ker, incl = self.rhs_functor(n)._container(S)[2:]
-            a = self.module.value.ngens
-            # the rows of incl at a point's offset are its A-vectors, one
-            # column per generator of the right-hand side
-            rows = []
-            for o in lev.orbits:
-                orb = std_orbit(G, o.record)
-                amb = []
-                for coset in fixed_points(orb, self.hrec.elements).points:
-                    start = self._point_offset(n, S, o.from_std[coset])
-                    amb.extend(incl.mat[start : start + a])
-                inner = self.RA._container(orb)[3]
-                blk = inner.preimage_matrix(AbHom(ker, inner.tgt, tuple(amb)))
-                if blk is None:
-                    raise TensorError("sigma image is not equivariant")
-                rows.extend(blk.mat)
-            self._sigma[key] = AbHom(ker, lev.value, tuple(rows))
+            total, order, incl = self._layout(rec, n)
+            k = range(len(order))
+            # the inverse permutation: right-hand position -> left-hand copy
+            back = _routed_hom(self.module.value, k, k, sorted(k, key=order.__getitem__))
+            out = total.preimage_matrix(back.compose(incl))
+            if out is None:
+                raise TensorError("sigma image is not equivariant")
+            self._sigma[key] = out
         return self._sigma[key]
 
 

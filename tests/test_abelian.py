@@ -3,7 +3,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eqmack import intlinalg as la
@@ -286,6 +286,21 @@ def test_sparse_and_dense_homs_agree(data):
         assert (got if got is None else got.mat) == lift
         if got is not None:
             assert (h.compose(got) - c).is_zero_hom()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kernel_and_cokernel_are_exact(data):
+    src = data.draw(groups())
+    tgt = data.draw(st.one_of(groups(), groups(torsion=True)))
+    f = AbHom(src, tgt, data.draw(matrices(tgt.ngens, src.ngens)))
+    assume(f.is_well_defined())
+    _, incl = f.kernel()
+    _, proj = f.cokernel()
+    assert incl.is_injective() and proj.is_surjective()
+    assert is_exact_at(incl, f) and is_exact_at(f, proj)
+    # the first isomorphism theorem: im f = src / ker f
+    assert f.image()[0].iso_eq(incl.cokernel()[0])
 
 
 def test_assemble_block_hom_rejects_out_of_range_positions():

@@ -22,6 +22,7 @@ from eqmack.homotopy import (
     HomotopyError,
     MackeyChainComplex,
     MappingComplex,
+    _phi_induced,
     based_orbit_space,
     bredon_groups,
     bredon_homology,
@@ -161,6 +162,29 @@ def test_coefficient_les_of_times_two_is_exact():
         assert all(flags)
     # at G/e, S^sigma is the circle: H_1 runs Z -2-> Z -> Z/2
     assert [g.describe() for _, g in at_e[0][3:6]] == ["Z", "Z", "Z/2"]
+
+
+def test_ro_graded_table_builds_each_twist_once(monkeypatch):
+    X, M = s0_space(C2, 3), constant_mackey(C2, Z)
+    rows = [(1, [sign_rep()]), (0, []), (2, [sign_rep()] * 2), (0, [sign_rep()]), (1, [])]
+    want = [
+        (p, tuple(d), bredon_groups(smash(sphere_for_descriptors(C2, d, 3), X), M, [p])[p])
+        for p, d in rows
+    ]
+    built = []
+
+    def counted(G, descs, bound):
+        built.append(tuple(descs))
+        return sphere_for_descriptors(G, descs, bound)
+
+    monkeypatch.setattr("eqmack.homotopy.sphere_for_descriptors", counted)
+    table = ro_graded_table(X, M, rows)
+    assert built == [(sign_rep(),), (), (sign_rep(), sign_rep())]
+    assert table.rows == tuple(
+        (p, d, {cid: g.describe() for cid, g in groups.items()}) for p, d, groups in want
+    )
+    with pytest.raises(HomotopyError, match="degree 3 past bound 3"):
+        ro_graded_table(X, M, [(0, []), (3, [sign_rep()])])
 
 
 def test_omega_check_in_degree_zero():
@@ -431,6 +455,37 @@ def test_normalized_chains_equal_the_restricted_full_levels(case, reduced):
                     assert res.comps[n] == restricted(T.contravariant_S(n, f), tgt, src)
 
 
+def test_normalized_level_gmap_sends_dropped_simplices_to_the_sink():
+    X = sphere_for_descriptors(C2, [sign_rep()] * 2, 4)
+    chains = MackeyChainComplex(reduced_tensor(X, constant_mackey(C2, Z)))
+    rec = subgroup_classes(C2)[0]
+    levels = [chains.level(rec, n)[0] for n in range(3)]
+    for n, ls in enumerate(levels):
+        flags = X.degenerate_flags(n)
+        assert (ls.base, ls.pairs[0]) == (0, None)
+        assert ls.kept == {x for x in range(X.levels[n].size) if not (flags[x] or x == X.base(n))}
+    # the faces d_i: level 1 -> level 0, where some edge ends at the basepoint
+    crushed = 0
+    for i in range(2):
+        table = X.faces[1][i].values
+        f = levels[1].gmap(levels[0], lambda x, s: (table[x], s))
+        for p, (x, s) in enumerate(levels[1].pairs[1:], 1):
+            if table[x] == X.base(0):
+                crushed += 1
+                assert f.values[p] == 0
+            else:
+                assert f.values[p] == levels[0].index[(table[x], s)]
+    assert crushed
+    # the degeneracy s_0: level 1 -> level 2 lands on degenerate simplices only
+    table = X.degens[1][0].values
+    f = levels[1].gmap(levels[2], lambda x, s: (table[x], s))
+    assert set(f.values) == {0}
+    # an image on a kept simplex must be a point of the target
+    y = min(levels[0].kept)
+    with pytest.raises(KeyError):
+        levels[1].gmap(levels[0], lambda x, s: (y, s + 2))
+
+
 def test_cofibration_chain_maps_equal_the_restricted_full_levels():
     bound = 4
     sig = sphere_for_descriptors(C2, [sign_rep()], bound)
@@ -466,3 +521,98 @@ def test_coefficient_chain_maps_equal_the_restricted_full_levels(reduced):
             vm, vn, vp = (nondegenerate_part(T, n, S) for T in (ses.T_m, ses.T_n, ses.T_p))
             assert fmap.comps[n] == restricted(ses.phi_at(n, S), vm, vn)
             assert gmap.comps[n] == restricted(ses.psi_at(n, S), vn, vp)
+
+
+# -- bit-identical normalized chains, exact sequences and loop comparisons ----------
+
+
+def _group_data(g):
+    return g.ngens, g.rels
+
+
+def _hom_data(h):
+    return _group_data(h.src), _group_data(h.tgt), h.mat
+
+
+def normalized_chain_outputs():
+    """The complexes and transition chain maps of chain_spaces(), reduced
+    and unreduced."""
+    out = []
+    for X, M in chain_spaces().values():
+        recs = subgroup_classes(M.group)
+        for reduced in (True, False):
+            chains = MackeyChainComplex(TensorMackey(X, M, reduced=reduced))
+            for rec in recs:
+                c = chains.complex(rec)
+                out.append([_group_data(c.groups[n]) for n in range(X.bound + 1)])
+                out.append([_hom_data(c.diffs[n]) for n in range(1, X.bound + 1)])
+            for j in recs:
+                for h in recs:
+                    for om in orbit_maps_between(j, h):
+                        for variance in ("tr", "res"):
+                            f = chains.transition_chain_map(om, variance)
+                            out.append([_hom_data(f.comps[n]) for n in range(X.bound + 1)])
+    return out
+
+
+def les_outputs():
+    """The groups and homs of the cofibration LES of S^0 -> S^sigma and of
+    the coefficient LES of Z -2-> Z -> Z/2 on S^sigma, on C2 at bound 4."""
+    bound = 4
+    recs = subgroup_classes(C2)
+    sig = sphere_for_descriptors(C2, [sign_rep()], bound)
+    incl = discrete_inclusion(s0_space(C2, bound), sig, (0, 1))
+    M = constant_mackey(C2, Z)
+    twice = {r.class_id: AbHom(M.orbit_value(r), M.orbit_value(r), ((2,),)) for r in recs}
+    phi = MackeyMorphism(M, M, twice)
+    psi = fixed_point_morphism(M, constant_mackey(C2, Z2), AbHom(Z, Z2, ((1,),)))
+    out = []
+    for rec in recs:
+        sequences = [
+            cofibration_les(ses_from_cofibration(incl, coeffs), rec, bound - 2)
+            for coeffs in (burnside_mackey(C2), M)
+        ]
+        for reduced in (False, True):
+            ses = ses_from_coefficients(phi, psi, sig, reduced=reduced)
+            sequences.append(coefficient_les(ses, rec, bound - 2))
+        for nodes, flags, homs in sequences:
+            out.append(([_group_data(g) for _, g in nodes], flags, [_hom_data(h) for h in homs]))
+    return out
+
+
+def phi_outputs():
+    """The matrices of the loop comparison in the omega checks of S^0
+    against sign on C2, bound 2, n_max 1, for Burnside and Z coefficients."""
+    out = []
+    for M in (burnside_mackey(C2), constant_mackey(C2, Z)):
+        psi = PsiMap(sign_rep(), s0_space(C2, 2), M)
+        chains = MackeyChainComplex(psi.T_src)
+        for krec in subgroup_classes(C2):
+            orb_space = based_orbit_space(C2, krec, psi.SW.bound)
+            kspace = smash(psi.SW, orb_space)
+            mc = MappingComplex(kspace, psi.T_tgt, 3)
+            for n in (0, 1):
+                ok, mat = _phi_induced(psi, krec, kspace, orb_space, mc, chains, n)
+                out.append((ok, _hom_data(mat)))
+    return out
+
+
+# sha256 of the repr of each output list, recorded when the normalized levels
+# had their own layout class and the loop comparison copied each
+# nondegenerate block to its offset in the full level by hand
+NORMALIZED_CHAINS_SHA256 = "dd9cb56dd1a35318d2fc728b3fc4a2f4aa7a3a763783f30519a2458320dc32dc"
+LES_SHA256 = "5ba8a5c45fb5332da73b1cd4e5125975d576c5326c0720f7bd71a7512abdf9d6"
+PHI_SHA256 = "f01ae533ad45cad7eb591d2246df0919beb4bafdd08e97e062dc1f3dd7629b96"
+
+
+@pytest.mark.parametrize(
+    "outputs, digest",
+    [
+        (normalized_chain_outputs, NORMALIZED_CHAINS_SHA256),
+        (les_outputs, LES_SHA256),
+        (phi_outputs, PHI_SHA256),
+    ],
+    ids=["normalized-chains", "les", "phi"],
+)
+def test_homotopy_outputs_are_bit_identical(outputs, digest):
+    assert hashlib.sha256(repr(outputs()).encode()).hexdigest() == digest

@@ -44,3 +44,27 @@ def test_assert_statements_are_found():
 def test_no_assert_statements(path):
     # an input check must raise the module's own error, also under python -O
     assert assert_statements(ast.parse(path.read_text())) == []
+
+
+def function_imports(tree):
+    """Lines of the import statements inside a function body."""
+    return sorted(
+        {
+            node.lineno
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
+def test_function_imports_are_found():
+    source = "import os\ndef f():\n    import re\n    def g():\n        from math import pi\n"
+    assert function_imports(ast.parse(source)) == [3, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_imports(path):
+    # every import is at the module top, where an import cycle shows at once
+    assert function_imports(ast.parse(path.read_text())) == []

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -27,6 +28,7 @@ from eqmack.simplicial import (
     discrete_inclusion,
     discrete_space,
     point_space,
+    rotation_rep,
     s0_space,
     sign_circle,
     smash,
@@ -405,6 +407,50 @@ def test_rho_sigma_matrices_are_pinned():
                     for h in (iso.rho(rec, n), iso.sigma(rec, n))
                 )
     assert got == RHO_SIGMA_C2_SIGN_SPHERE
+
+
+def _group_data(g):
+    return g.ngens, g.rels
+
+
+def _hom_data(h):
+    return _group_data(h.src), _group_data(h.tgt), h.mat
+
+
+def rho_sigma_outputs():
+    """rho and sigma at every orbit class and level, for every subgroup H
+    and the modules Z, Z[W] and Z/2, reduced and unreduced."""
+    C3 = FiniteGroup.cyclic(3)
+    a3 = next(r for r in subgroup_classes(S3) if r.order == 3)
+    rows = [(C2, sign_rep()), (C3, rotation_rep(3, 1)), (S3, sign_rep(a3.elements))]
+    out = []
+    for G, desc in rows:
+        X = sphere_for_descriptors(G, [desc], 2)
+        for hrec in subgroup_classes(G):
+            W = hrec.weyl
+            modules = (
+                WeylModule.trivial(W, AbGroup.free(1)),
+                WeylModule.regular(W),
+                WeylModule.trivial(W, AbGroup.cyclic(2)),
+            )
+            for module in modules:
+                for reduced in (False, True):
+                    iso = rho_iso(X, hrec, module, reduced=reduced)
+                    for rec in subgroup_classes(G):
+                        for n in range(X.bound + 1):
+                            out.append(_hom_data(iso.rho(rec, n)))
+                            out.append(_hom_data(iso.sigma(rec, n)))
+    return out
+
+
+# sha256 of the repr of rho_sigma_outputs(), recorded when rho decoded one
+# unit vector at a time and sigma sliced rows of the dense container inclusion
+RHO_SIGMA_SHA256 = "ff17a799c5dcf8e095ccba40ef7a22ef372f3e4c85134cedaa2ac96d234c39fb"
+
+
+def test_rho_sigma_on_three_groups_are_bit_identical():
+    digest = hashlib.sha256(repr(rho_sigma_outputs()).encode()).hexdigest()
+    assert digest == RHO_SIGMA_SHA256
 
 
 def test_rho_point_space_is_identity_sized():
