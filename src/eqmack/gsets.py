@@ -98,16 +98,22 @@ class GMap:
     def __call__(self, x):
         return self.values[x]
 
+    @staticmethod
+    def _trusted(src, tgt, values):
+        """The map of a table that is equivariant by construction, built
+        without the constructor's checks."""
+        out = object.__new__(GMap)
+        object.__setattr__(out, "src", src)
+        object.__setattr__(out, "tgt", tgt)
+        object.__setattr__(out, "values", tuple(values))
+        return out
+
     def compose(self, other):
         """self o other.  A composite of equivariant maps is equivariant, so
         it skips the equivariance check of the constructor."""
         if other.tgt != self.src:
             raise GSetError("composed maps do not meet")
-        out = object.__new__(GMap)
-        object.__setattr__(out, "src", other.src)
-        object.__setattr__(out, "tgt", self.tgt)
-        object.__setattr__(out, "values", tuple(self.values[v] for v in other.values))
-        return out
+        return GMap._trusted(other.src, self.tgt, (self.values[v] for v in other.values))
 
     @staticmethod
     def identity(s):

@@ -5,22 +5,25 @@ Normalized chains N_n are built on the nondegenerate n-simplices only: the
 degenerate part D of the chains C is a subcomplex and N = C/D, so a face
 that lands on a degenerate simplex or on the basepoint is dropped.  Each
 level is a tensor.LevelSet that keeps the nondegenerate simplices, and a
-dropped point goes to its sink.  Homotopy groups of strict mapping objects
-are the homology of the natural-family solution lattices, computed
-degreewise.
+dropped point goes to its sink.
 
-There is one mapping-complex engine, MappingComplex.  A family natural over
-the orbit category and a W-equivariant map differ only in the charts and
-relations the engine is given: one chart per orbit class related by the
-orbit maps, or one chart related to itself by the elements of W
-(EquivariantMappingComplex).
+Homotopy groups of mapping objects are read from Hom complexes of
+normalized chains.  The target T is a simplicial abelian group, so based
+maps K -> T are the homs Z~K -> T, and by Dold-Kan pi_n of the mapping
+space is H_n of Hom(N Z~K, N T), whose degree n holds the families
+N_k Z~K -> N_{k+n} T and whose degree 0 holds the chain maps.  There is one
+engine, MappingComplex.  A family natural over the orbit category and a
+W-equivariant map differ only in the charts and relations the engine is
+given: one chart per orbit class related by the orbit maps, or one chart
+related to itself by the elements of W (EquivariantMappingComplex).  The
+loop comparison lifts a cycle by the Eilenberg-Zilber shuffle map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, combinations
 
 from . import abelian as ab
 from .abelian import AbHom, ChainComplex, ChainMap
@@ -39,11 +42,9 @@ from .simplicial import (
     SimplicialGSet,
     discrete_space,
     fixed_system,
-    monotones,
     phi_transition,
     smash,
     sphere_for_descriptors,
-    standard_simplex_plus,
 )
 from .tensor import PsiMap, TensorMackey, _build_level, reduced_tensor
 
@@ -169,60 +170,49 @@ def bredon_groups(X, M, degrees, based=True):
 # -- mapping complexes ------------------------------------------------------------
 
 
-def normal_form(Y, m, p):
-    """(level, core point, eta word bottom-up) for a point of a space."""
-    word = []
-    level = m
-    while level > 0:
-        flags = Y.degenerate_flags(level)
-        if not flags[p]:
-            break
-        for i in range(level):
-            if Y.degens[level - 1][i].values[Y.faces[level][i].values[p]] == p:
-                word.append(i)
-                p = Y.faces[level][i].values[p]
-                level -= 1
-                break
-        else:
-            raise HomotopyError("degenerate point without a section")
-    word.reverse()
-    return level, p, word
-
-
 @dataclass
 class Chart:
-    """A based space with the target's levels over it.
+    """A based space and the normalized chains of the target over it.
 
-    value(m) is the target group at level m; face(m, i) and degen(m, i) are
-    its simplicial operators.
+    A degree-n family has one block per nondegenerate non-base k-simplex y
+    of space, valued in chains.groups[k + n]; a block whose level k + n is
+    past the top of chains is empty.
     """
 
     space: SimplicialGSet
-    value: object
-    face: object
-    degen: object
+    chains: ChainComplex
 
 
 @dataclass
 class Relation:
-    """hom(m) f_src(x) = f_tgt(level[m][x]) for every point x of the source
-    chart's space, where hom(m): value_src(m) -> value_tgt(m)."""
+    """hom[k + n] f_src(y) = f_tgt(level[k][y]) for every block y of the
+    source chart in degree n, where hom[m] maps level m of the source
+    chart's chains to level m of the target chart's.  level[k] is an
+    injective simplicial point table, so it keeps simplices nondegenerate."""
 
     src: object  # chart key
     tgt: object  # chart key
-    hom: object
+    hom: dict  # chain level -> AbHom
     level: tuple  # per-level point tables, source space -> target space
 
 
 class MappingComplex:
-    """Families of based simplicial maps K smash Delta[n]_+ -> values that
-    commute with a set of relations.
+    """The Hom complex of normalized chains Hom(N Z~K, N T), natural over
+    a set of relations; its H_n is pi_n of Map_*(K, T) by Dold-Kan
+    (Goerss-Jardine, Simplicial Homotopy Theory, III.2).
 
-    A family has one map per chart.  K is a based simplicial G-set standing
-    for its fixed-point system and the target is a reduced tensor T: the
-    chart of the orbit class H is K^H with T at G/H, and every non-identity
-    orbit map G/J -> G/H relates the charts of H and J.  The degree-n group
-    is the solution lattice of the simplicial and relation constraints.
+    Degree n holds the families f = (f_key : N_k Z~K_key -> N_{k+n} T_key)_k,
+    one per chart, that commute with every relation; degree 0 holds only
+    the chain maps, the cycles of D_0, so that H_0 is pi_0.  D f = d_T f -
+    (-1)^n f d_K, where a face of K on a degenerate simplex or the
+    basepoint is dropped.
+
+    Here K is a based simplicial G-set standing for its fixed-point system
+    and T a reduced tensor: the chart of the orbit class H is K^H with the
+    normalized chains of T at G/H, and every non-identity orbit map G/J ->
+    G/H relates the charts of H and J by the normalized restriction and
+    phi_transition.  A block past T.X.bound is empty, which is exact when
+    T.X has no nondegenerate simplex past its bound.
     """
 
     def __init__(self, K, T, degree_bound):
@@ -234,28 +224,21 @@ class MappingComplex:
                 "source bound %d exceeds the target's bound %d" % (K.bound, T.X.bound)
             )
         self.T = T
+        self.chains = MackeyChainComplex(T)
         G = T.group
         self.recs = subgroup_classes(G)
         for rec in self.recs:
-            S = std_orbit(G, rec)
             self.charts[rec.class_id] = Chart(
-                fixed_system(K, rec.elements)[0],
-                partial(T.group_at, S=S),
-                partial(T.face, S=S),
-                partial(T.degen, S=S),
+                fixed_system(K, rec.elements)[0], self.chains.complex(rec)
             )
         for j in self.recs:
             for h in self.recs:
                 for om in orbit_maps_between(j, h):
                     if j is h and om.c == G.identity:
                         continue
+                    res = self.chains.transition_chain_map(om, "res")
                     self.relations.append(
-                        Relation(
-                            h.class_id,
-                            j.class_id,
-                            partial(T.orbit_transition, om=om),
-                            phi_transition(K, om),
-                        )
+                        Relation(h.class_id, j.class_id, res.comps, phi_transition(K, om))
                     )
 
     def _start(self, K, degree_bound):
@@ -279,101 +262,75 @@ class MappingComplex:
     def group(self, n):
         return self.degree_data(n)["group"]
 
-    def _build_degree(self, n):
-        spaces = {}
-        blocks = []  # (chart key, m, point of K smash Delta[n]_+)
-        offsets = {}
-        values = []
+    def _layout(self, n):
+        """(blocks, values) of degree n, also of degree -1: a block (key, k,
+        y) per chart and nondegenerate non-base k-simplex y whose level
+        k + n is one of the chart's chains, valued there."""
+        blocks, values = [], []
         for key, chart in self.charts.items():
-            y = chart.space
-            sm = smash(y, standard_simplex_plus(y.group, n, y.bound))
-            spaces[key] = sm
-            for m in range(sm.bound + 1):
-                flags = sm.degenerate_flags(m)
-                for p in range(sm.levels[m].size):
-                    if p == sm.base(m) or flags[p]:
-                        continue
-                    offsets[(key, m, p)] = len(blocks)
-                    blocks.append((key, m, p))
-                    values.append(chart.value(m))
-        data = {"spaces": spaces, "offsets": offsets, "ops": {}}
+            Y, groups = chart.space, chart.chains.groups
+            for k in range(max(0, -n), Y.bound + 1):
+                if k + n not in groups:
+                    break
+                base = Y.base(k)
+                for y in Y.nondegenerate(k):
+                    if y != base:
+                        blocks.append((key, k, y))
+                        values.append(groups[k + n])
+        return blocks, values
+
+    def _d_entries(self, offsets, tgt_blocks, n):
+        """The blocks of D_n from the degree-n blocks at offsets into
+        tgt_blocks: d_T on the same simplex, -(-1)^n (-1)^i on its i-th face."""
+        entries = []
+        for t, (key, k, y) in enumerate(tgt_blocks):
+            chart = self.charts[key]
+            if (key, k, y) in offsets:
+                entries.append((t, offsets[(key, k, y)], chart.chains.diffs[k + n]))
+            one = AbHom.identity(chart.chains.groups[k + n - 1])
+            for i, face in enumerate(chart.space.faces[k]):
+                s = offsets.get((key, k - 1, face.values[y]))
+                if s is not None:
+                    entries.append((t, s, one.scale((-1) ** (n + i + 1))))
+        return entries
+
+    def _build_degree(self, n):
+        blocks, values = self._layout(n)
+        offsets = {b: i for i, b in enumerate(blocks)}
         targets = []
         entries = []
-
-        def add_row(idx, hom, key, m, q):
-            """The row hom(f at block idx) - f(point q of chart key) = 0."""
-            r = len(targets)
-            targets.append(self.charts[key].value(m))
-            entries.append((r, idx, hom))
-            got = self._express(data, key, m, q)
-            if got is not None:
-                _, minus, j = got
-                entries.append((r, j, minus))
-
-        for idx, (key, m, p) in enumerate(blocks):
-            if m == 0:
-                continue
-            faces = spaces[key].faces[m]
-            for i in range(m + 1):
-                add_row(idx, self.charts[key].face(m, i), key, m - 1, faces[i].values[p])
         for rel in self.relations:
-            src, tgt = spaces[rel.src], spaces[rel.tgt]
-            for m in range(src.bound + 1):
-                hom = rel.hom(m)
-                for p in range(src.levels[m].size):
-                    idx = offsets.get((rel.src, m, p))
-                    if idx is None:
-                        continue
-                    kappa, tau_idx = src._smash_points[m][p]
-                    q = _smash_pair_index(tgt, m, rel.level[m][kappa], tau_idx)
-                    add_row(idx, hom, rel.tgt, m, q)
-
+            for idx, (key, k, y) in enumerate(blocks):
+                if key != rel.src:
+                    continue
+                # the row hom f_src(y) - f_tgt(level(y)) = 0
+                r = len(targets)
+                targets.append(self.charts[rel.tgt].chains.groups[k + n])
+                entries.append((r, idx, rel.hom[k + n]))
+                j = offsets.get((rel.tgt, k, rel.level[k][y]))
+                if j is not None:
+                    entries.append((r, j, -AbHom.identity(targets[r])))
+        if n == 0:
+            # degree 0 holds the natural chain maps: the rows of D_0
+            low, low_values = self._layout(-1)
+            r = len(targets)
+            targets.extend(low_values)
+            entries.extend((r + t, s, h) for t, s, h in self._d_entries(offsets, low, 0))
         cons, total, _ = ab.assemble_block_hom(values, targets, entries)
         ker, incl = cons.kernel()
-        data.update(
-            group=ker,
-            incl=incl,
-            total=total,
-            starts=tuple(accumulate((v.ngens for v in values), initial=0)),
-            values=tuple(values),
-            blocks=tuple(blocks),
+        starts = tuple(accumulate((v.ngens for v in values), initial=0))
+        return dict(
+            group=ker, incl=incl, total=total, offsets=offsets, starts=starts,
+            values=tuple(values), blocks=tuple(blocks),
         )
-        return data
-
-    def _express(self, data, key, m, p):
-        """The value of a family at point p of chart key's level m, as None
-        (the basepoint) or (degeneracy hom, its negative, index of the
-        nondegenerate block).  The homs are built once per degree and word."""
-        sm = data["spaces"][key]
-        if p == sm.base(m):
-            return None
-        lvl, core, word = normal_form(sm, m, p)
-        memo = (key, lvl, tuple(word))
-        if memo not in data["ops"]:
-            chart = self.charts[key]
-            ops = AbHom.identity(chart.value(lvl))
-            for cur, i in enumerate(word, lvl):
-                ops = chart.degen(cur, i).compose(ops)
-            data["ops"][memo] = (ops, -ops)
-        return data["ops"][memo] + (data["offsets"][(key, lvl, core)],)
 
     def differential(self, n):
-        """d_n: degree n -> degree n-1 via the alternating vertex maps."""
+        """D_n: degree n -> degree n-1 on the natural families."""
         if n in self._diffs:
             return self._diffs[n]
         dsrc = self.degree_data(n)
         dtgt = self.degree_data(n - 1)
-        entries = []
-        for bidx, (key, m, p) in enumerate(dtgt["blocks"]):
-            kappa, tau_idx = dtgt["spaces"][key]._smash_points[m][p]
-            tau = monotones(m, n - 1)[tau_idx - 1]
-            for i in range(n + 1):
-                dtau = tuple(v if v < i else v + 1 for v in tau)
-                tidx = monotones(m, n).index(dtau) + 1
-                q = _smash_pair_index(dsrc["spaces"][key], m, kappa, tidx)
-                got = self._express(dsrc, key, m, q)
-                if got is not None:
-                    entries.append((bidx, got[2], got[i % 2]))
+        entries = self._d_entries(dsrc["offsets"], dtgt["blocks"], n)
         amb, _, _ = ab.assemble_block_hom(dsrc["values"], dtgt["values"], entries)
         out = dtgt["incl"].preimage_matrix(amb.compose(dsrc["incl"]))
         if out is None:
@@ -401,14 +358,16 @@ class MappingComplex:
                 "degree bound %d too small for pi_%d" % (self.degree_bound, n)
             )
         if n + 1 > self.K.bound:
-            # Delta[n+1] has no nondegenerate top simplex below the bound
+            # kept as is: the Hom complex is exact without it when K and T
+            # have no nondegenerate simplex past their bounds
             raise HomotopyError(
                 "source bound %d too small for pi_%d" % (self.K.bound, n)
             )
         return self.chain_complex(n + 1).homology(n)
 
     def element_from_blocks(self, n, assign):
-        """Encode a family given per (chart key, m, point) into coordinates."""
+        """Encode a family given per block (chart key, k, simplex) into
+        coordinates."""
         data = self.degree_data(n)
         amb = [0] * data["total"].ngens
         for key, vec in assign.items():
@@ -422,38 +381,39 @@ class MappingComplex:
 
 
 class EquivariantMappingComplex(MappingComplex):
-    """W-equivariant based simplicial maps K smash Delta[n]_+ -> module levels.
+    """The Hom complex of W-equivariant families N Z~K -> N(mt).
 
     The mapping complex over one object: a single chart, key 0, with K and
-    the levels of mt, related to itself by every group element w != 1.
+    the normalized chains of mt (ModuleTensor.chain_complex()), related to
+    itself by every group element w != 1 through the action of w on the
+    normalized blocks.
     """
 
     def __init__(self, K, mt, degree_bound):
         self._start(K, degree_bound)
         self.mt = mt
         W = K.group
-        self.charts[0] = Chart(K, lambda m: mt.module(m).value, mt.face_hom, mt.degen_hom)
+        chains = mt.chain_complex()
+        self.charts[0] = Chart(K, chains)
         for w in W.elements():
             if w != W.identity:
                 self.relations.append(
                     Relation(
                         0,
                         0,
-                        lambda m, w=w: mt.module(m).hom(w),
+                        {m: mt.chain_action(m, w) for m in chains.groups},
                         tuple(lv.action[w] for lv in K.levels),
                     )
                 )
 
 
+# bench/tracer.CACHES pins this cache; nothing in the package calls it
 @lru_cache(maxsize=None)
 def _smash_index_map(sm, m):
     return {
         q: i for i, q in enumerate(sm._smash_points[m]) if q is not None
     }
 
-
-def _smash_pair_index(sm, m, kappa, tau_idx):
-    return _smash_index_map(sm, m).get((kappa, tau_idx), sm.base(m))
 
 # -- homotopy classes and the loop comparison -------------------------------------
 
@@ -510,7 +470,7 @@ def omega_spectrum_check(X, M, desc, n_max, degree_bound=None):
             "degree bound %d too small for pi_%d" % (bound, n_max)
         )
     if n_max + 1 > X.bound:
-        # pi_n_max reads Delta[n_max + 1], whose top simplex X would lack
+        # the mapping complexes' guard: pi_n_max needs n_max + 1 <= bound
         raise HomotopyError(
             "source bound %d too small for pi_%d" % (X.bound, n_max)
         )
@@ -543,32 +503,47 @@ def omega_spectrum_check(X, M, desc, n_max, degree_bound=None):
 
 
 def _phi_induced(psi, krec, kspace, orb_space, mc, chains, n):
-    """The matrix of the loop-adjoint comparison on degree-n homology."""
+    """The matrix of the loop-adjoint comparison on degree-n homology.
+
+    A cycle z of N_n T_src(G/K) lifts to the family whose value on a
+    nondegenerate k-simplex y = (alpha, u) of (S^W smash (G/K)_+)^H is the
+    Eilenberg-Zilber shuffle map of z tensor y:
+
+        f(y) = sum over (k, n)-shuffles (mu, nu) of
+               sign(nu, mu) psi(s_nu alpha smash s_mu z_u),
+
+    projected onto the normalized level k + n of T_tgt.  z_u is z restricted
+    to G/H along the orbit map named by u; y steps up at the positions mu
+    and z at nu, so s_nu and s_mu repeat the positions nu and mu; and
+    sign(nu, mu) = (-1)^(kn) sign(mu, nu) is the sign of the permutation
+    listing nu before mu.  With that sign f is a cycle of D f = d f -
+    (-1)^n f d.
+    """
     G = psi.M.group
-    T = psi.T_src
     mc.homotopy_group(n)  # raises past the bounds, outside the try below
-    S_k = std_orbit(G, krec)
-    lvl, lev = chains.level(krec, n)
-    # the normalized level is a sub-G-set of the full level
-    full = lvl.gmap(T.level_set(n, S_k), lambda x, s: (x, s))
-    incl = covariant_between(psi.M, full, lev, T.value(n, S_k), 0)
     data = mc.degree_data(n)
+    reps = coset_space(G, krec.elements)[1]
+    homs = {}
+
+    def block_hom(cid, k, y):
+        """N_n T_src(G/K) -> N_{k+n} T_tgt(G/H): the lift's block at y."""
+        rec = mc.recs[cid]
+        alpha, u = _decode_kspace_point(kspace, orb_space, rec, k, y)
+        res = chains.transition_chain_map(OrbitMap(rec, krec, reps[u]), "res").comps[n]
+        (src, sev), (tgt, tev) = chains.level(rec, n), mc.chains.level(rec, k + n)
+        h = AbHom.zero(sev.value, tev.value)
+        for sign, up_y, up_z in _shuffles(k, n):
+            a = psi.SW.operator(up_y, k + n, k)[alpha]
+            f = psi.pair_map(rec, k + n, a, src, tgt, psi.X.operator(up_z, k + n, n))
+            h = h + covariant_between(psi.M, f, sev, tev, 0).scale(sign)
+        return h.compose(res)
 
     def lift(z):
-        z_full = incl(z)
         assign = {}
-        for (cid, m, p) in data["blocks"]:
-            rec = mc.recs[cid]
-            kappa, tau_idx = data["spaces"][cid]._smash_points[m][p]
-            tau = monotones(m, n)[tau_idx - 1]
-            # kappa decodes into (sphere simplex, orbit point) of the smash
-            alpha, u = _decode_kspace_point(kspace, orb_space, rec, m, kappa)
-            S_j = std_orbit(G, rec)
-            # transport z along the orbit map determined by u, then tau
-            um = OrbitMap(rec, krec, coset_space(G, krec.elements)[1][u])
-            zj = T.contravariant_S(n, um.gmap())(z_full)
-            zjm = T.op(tau, m, n, S_j)(zj)
-            assign[(cid, m, p)] = psi.component(rec, m, alpha)(zjm)
+        for block in data["blocks"]:
+            if block not in homs:
+                homs[block] = block_hom(*block)
+            assign[block] = homs[block](z)
         return mc.element_from_blocks(n, assign)
 
     try:
@@ -576,6 +551,16 @@ def _phi_induced(psi, krec, kspace, orb_space, mc, chains, n):
     except HomotopyError:
         return False, None
     return True, mat
+
+
+def _shuffles(k, n):
+    """(sign, up_y, up_z) per (k, n)-shuffle (mu, nu): the monotone
+    surjections [k+n] -> [k] and [k+n] -> [n] that step up at the positions
+    mu and nu, and the sign of the permutation listing nu before mu."""
+    for mu in combinations(range(k + n), k):
+        up_y = tuple(sum(i < j for i in mu) for j in range(k + n + 1))
+        inversions = sum(n + p - i for p, i in enumerate(mu))  # pairs mu_p < nu_q
+        yield (-1) ** inversions, up_y, tuple(j - c for j, c in enumerate(up_y))
 
 
 def _decode_kspace_point(kspace, orb_space, rec, m, kappa):

@@ -251,7 +251,7 @@ def _degenerate_flags(X, n):
 # -- assembly from point rules -------------------------------------------------
 
 
-def _assemble(G, pts, act, face, degen, basepoints=None):
+def _assemble(G, pts, act, face, degen, basepoints=None, trusted=False):
     """The simplicial G-set whose level n has the points pts[n], with the
     per-level point -> index dicts.
 
@@ -260,6 +260,8 @@ def _assemble(G, pts, act, face, degen, basepoints=None):
     of its target level.  The point None, where a level has it, is a
     crushed basepoint; every operator fixes it and its rule never sees it.
     basepoints lists a point per level, or is None for an unbased object.
+    trusted skips the equivariance check of each face and degeneracy, for
+    rules that are equivariant by construction.
     """
     index = [{p: i for i, p in enumerate(lv)} for lv in pts]
 
@@ -268,16 +270,17 @@ def _assemble(G, pts, act, face, degen, basepoints=None):
         return tuple(idx[None] if p is None else idx[rule(p)] for p in pts[n_src])
 
     bound = len(pts) - 1
+    gmap = GMap._trusted if trusted else GMap
     levels = tuple(
         GSet(G, len(pts[n]), tuple(table(n, n, act(g, n)) for g in G.elements()))
         for n in range(bound + 1)
     )
     faces = ((),) + tuple(
-        tuple(GMap(levels[n], levels[n - 1], table(n, n - 1, face(n, i))) for i in range(n + 1))
+        tuple(gmap(levels[n], levels[n - 1], table(n, n - 1, face(n, i))) for i in range(n + 1))
         for n in range(1, bound + 1)
     )
     degens = tuple(
-        tuple(GMap(levels[n], levels[n + 1], table(n, n + 1, degen(n, i))) for i in range(n + 1))
+        tuple(gmap(levels[n], levels[n + 1], table(n, n + 1, degen(n, i))) for i in range(n + 1))
         for n in range(bound)
     ) + ((),)
     if basepoints is not None:
@@ -538,7 +541,12 @@ def join(K, L):
 
 
 def smash(X, Y):
-    """Levelwise smash product of based simplicial G-sets."""
+    """Levelwise smash product of based simplicial G-sets.
+
+    The product of two simplicial G-sets is one, and so is its quotient by
+    the wedge: built from checked factors, the smash is not re-checked, and
+    its faces and degeneracies skip the equivariance check of GMap.
+    """
     if not (X.based and Y.based):
         raise SimplicialError("smash needs based inputs")
     bound = min(X.bound, Y.bound)
@@ -571,10 +579,11 @@ def smash(X, Y):
         lambda n, i: pair_rule(n - 1, X.faces[n][i].values, Y.faces[n][i].values),
         lambda n, i: pair_rule(n + 1, X.degens[n][i].values, Y.degens[n][i].values),
         [None] * (bound + 1),
+        trusted=True,
     )
     object.__setattr__(out, "_smash_points", pts)
     object.__setattr__(out, "_smash_index", index)
-    return out.check()
+    return out
 
 
 def wedge(X, Y):

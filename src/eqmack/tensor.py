@@ -30,7 +30,7 @@ from .mackey import (
     based_value,
     covariant_between,
 )
-from .simplicial import collapse, delta, eta, fixed_system, representation_sphere, smash
+from .simplicial import collapse, delta, fixed_system, representation_sphere, smash
 
 
 class TensorError(ValueError):
@@ -162,9 +162,6 @@ class TensorMackey:
 
     def face(self, n, i, S):
         return self.op(delta(i, n), n - 1, n, S)
-
-    def degen(self, n, i, S):
-        return self.op(eta(i, n), n + 1, n, S)
 
     def covariant_S(self, n, f):
         """Transfer along f: S -> T at level n."""
@@ -348,18 +345,16 @@ class ModuleTensor:
         table = self.K.faces[n][i].values
         return _routed_hom(self.A.value, self.support(n), self.support(n - 1), table)
 
-    def degen_hom(self, n, i):
-        table = self.K.degens[n][i].values
-        return _routed_hom(self.A.value, self.support(n), self.support(n + 1), table)
+    def normalized_support(self, n):
+        """The nondegenerate support simplices of level n."""
+        flags = self.K.degenerate_flags(n)
+        return tuple(x for x in self.support(n) if not flags[x])
 
     def chain_complex(self):
         """Alternating-sum complex on the normalized (nondegenerate) blocks;
         a face that lands on a degenerate simplex or the basepoint vanishes."""
         A = self.A.value
-        keeps = [
-            tuple(x for x in self.support(n) if not self.K.degenerate_flags(n)[x])
-            for n in range(self.K.bound + 1)
-        ]
+        keeps = [self.normalized_support(n) for n in range(self.K.bound + 1)]
         groups = {
             n: ab.direct_sum_data([A] * len(keep))[0] for n, keep in enumerate(keeps)
         }
@@ -372,6 +367,16 @@ class ModuleTensor:
                 d = d + (h if i % 2 == 0 else -h)
             diffs[n] = d
         return ab.ChainComplex(groups=groups, diffs=diffs)
+
+    def chain_action(self, n, w):
+        """The action of w on level n of chain_complex(): the block of x goes
+        to the block of w x through the action of w on A."""
+        keep = self.normalized_support(n)
+        pos = {x: i for i, x in enumerate(keep)}
+        act, aw = self.K.levels[n].action[w], self.A.hom(w)
+        blocks = [(pos[act[x]], i, aw) for i, x in enumerate(keep)]
+        summands = [self.A.value] * len(keep)
+        return ab.assemble_block_hom(summands, summands, blocks)[0]
 
 
 def _routed_hom(A, sup_src, sup_tgt, table):
@@ -525,18 +530,25 @@ class PsiMap:
 
     def level_map(self, rec, n, alpha):
         """The based G-map (x, t) |-> ((alpha-hat(t), x), t) at level n."""
-        G = self.M.group
-        S = std_orbit(G, rec)
-        _, reps, _ = coset_space(G, rec.elements)
+        S = std_orbit(self.M.group, rec)
+        src, tgt = self.T_src.level_set(n, S), self.T_tgt.level_set(n, S)
+        return self.pair_map(rec, n, alpha, src, tgt, range(self.X.levels[n].size))
+
+    def pair_map(self, rec, n, alpha, src, tgt, op):
+        """The G-map of level sets (x, t) |-> ((alpha-hat(t), op[x]), t) into
+        level n of the smash, for a fixed sphere simplex alpha of level n and
+        a point table op into level n of X; a pair on a basepoint, or on a
+        simplex tgt leaves out, goes to tgt's sink."""
+        _, reps, _ = coset_space(self.M.group, rec.elements)
         act = self.SW.levels[n].action
-        wbase = self.SW.base(n)
+        wbase, xbase = self.SW.base(n), self.X.base(n)
         index = self.SX._smash_index[n]
 
         def rule(x, t):
-            w = act[reps[t]][alpha]
-            return index[None if w == wbase else (w, x)], t
+            w, v = act[reps[t]][alpha], op[x]
+            return index[None if w == wbase or v == xbase else (w, v)], t
 
-        return self.T_src.level_set(n, S).gmap(self.T_tgt.level_set(n, S), rule)
+        return src.gmap(tgt, rule)
 
     def component(self, rec, n, alpha):
         """The homomorphism induced by a fixed sphere simplex alpha."""

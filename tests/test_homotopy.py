@@ -11,6 +11,8 @@ W-module A from S^0 or S^sigma have pi_0 = A^W and pi_1 = 0.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,6 @@ from eqmack.homotopy import (
     HomotopyError,
     MackeyChainComplex,
     MappingComplex,
-    _phi_induced,
     based_orbit_space,
     bredon_groups,
     bredon_homology,
@@ -59,6 +60,13 @@ from eqmack.tensor import (
     reduced_tensor,
     ses_from_coefficients,
     ses_from_cofibration,
+)
+
+from delta_reference import (
+    DeltaEquivariantMappingComplex,
+    DeltaMappingComplex,
+    delta_omega_entries,
+    delta_phi_induced,
 )
 
 Z = AbGroup.free(1)
@@ -282,25 +290,26 @@ def test_truncated_pi_n_matches_the_full_complex(coeffs):
             assert (got.ngens, got.rels) == (want.ngens, want.rels)
 
 
-def omega_complexes(M):
+def omega_complexes(M, engine=MappingComplex):
     """The mapping complexes of the omega check of S^0 against sign, bound 2,
     one per orbit class."""
     psi = PsiMap(sign_rep(), s0_space(C2, 2), M)
     for krec in subgroup_classes(C2):
         kspace = smash(psi.SW, based_orbit_space(C2, krec, psi.SW.bound))
-        yield MappingComplex(kspace, psi.T_tgt, 3)
+        yield engine(kspace, psi.T_tgt, 3)
 
 
 # sha256 of the repr of the degree groups, their inclusions into the unknowns
 # and the differentials below, recorded when every mapping-complex matrix was
-# still assembled and reduced dense
+# still assembled and reduced dense; the K smash Delta[n]_+ engine, now the
+# reference in delta_reference.py, still gives them
 OMEGA_COMPLEXES_SHA256 = "391c80ad1f7fdfcd082d541e794b01b022683598bc8e544d1bd8817709784630"
 
 
 def test_omega_mapping_complexes_are_bit_identical():
     parts = []
     for M in (burnside_mackey(C2), constant_mackey(C2, Z), constant_mackey(C2, Z2)):
-        for mc in omega_complexes(M):
+        for mc in omega_complexes(M, DeltaMappingComplex):
             for n in range(3):
                 data = mc.degree_data(n)
                 parts.append((n, data["group"].ngens, data["group"].rels, data["incl"].mat))
@@ -581,8 +590,9 @@ def les_outputs():
 
 
 def phi_outputs():
-    """The matrices of the loop comparison in the omega checks of S^0
-    against sign on C2, bound 2, n_max 1, for Burnside and Z coefficients."""
+    """The matrices of the loop comparison of the reference engine in the
+    omega checks of S^0 against sign on C2, bound 2, n_max 1, for Burnside
+    and Z coefficients."""
     out = []
     for M in (burnside_mackey(C2), constant_mackey(C2, Z)):
         psi = PsiMap(sign_rep(), s0_space(C2, 2), M)
@@ -590,9 +600,9 @@ def phi_outputs():
         for krec in subgroup_classes(C2):
             orb_space = based_orbit_space(C2, krec, psi.SW.bound)
             kspace = smash(psi.SW, orb_space)
-            mc = MappingComplex(kspace, psi.T_tgt, 3)
+            mc = DeltaMappingComplex(kspace, psi.T_tgt, 3)
             for n in (0, 1):
-                ok, mat = _phi_induced(psi, krec, kspace, orb_space, mc, chains, n)
+                ok, mat = delta_phi_induced(psi, krec, kspace, orb_space, mc, chains, n)
                 out.append((ok, _hom_data(mat)))
     return out
 
@@ -616,3 +626,92 @@ PHI_SHA256 = "f01ae533ad45cad7eb591d2246df0919beb4bafdd08e97e062dc1f3dd7629b96"
 )
 def test_homotopy_outputs_are_bit_identical(outputs, digest):
     assert hashlib.sha256(repr(outputs()).encode()).hexdigest() == digest
+
+
+# -- the Hom complex against the K smash Delta[n]_+ reference ------------------------
+
+
+def test_omega_rows_past_the_delta_truncation_pass():
+    # C2, Z, sign, n_max 1 at bound 2: K smash Delta[2]_+ needs level 3, so
+    # the reference engine failed these rows there.  The Hom complex reads
+    # N_{k+n} T only, and S^sigma smash X has no simplex past level 2.  The
+    # values are the reference's at bound 3.
+    M = constant_mackey(C2, Z)
+    s1 = omega_spectrum_check(sphere_for_descriptors(C2, [trivial_rep(1)], 2), M, sign_rep(), 1)
+    assert s1.passed is True
+    assert [e[2:4] for e in s1.entries if e[1] == 1] == [("Z", "Z"), ("Z", "Z")]
+    ssig = omega_spectrum_check(sphere_for_descriptors(C2, [sign_rep()], 2), M, sign_rep(), 1)
+    assert ssig.passed is True
+    assert [e[1:4] for e in ssig.entries if e[0] == 1] == [(0, "Z/2", "Z/2"), (1, "0", "0")]
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+
+
+@pytest.mark.parametrize("case", ["c2_omega_A", "c2_omega_Z"])
+def test_benchmark_omega_cases_build_no_delta_n_plus(case, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a standard simplex was built")
+
+    monkeypatch.setattr("eqmack.simplicial.standard_simplex_plus", refuse)
+    M = burnside_mackey(C2) if case == "c2_omega_A" else constant_mackey(C2, Z)
+    report = omega_spectrum_check(s0_space(C2, 2), M, sign_rep(), 1)
+    golden = json.loads(GOLDEN.read_text())["answers"]["omega"][case]
+    assert {"passed": report.passed, "entries": [list(e) for e in report.entries]} == golden
+
+
+def coefficients(name, G=C2):
+    if name == "burnside":
+        return burnside_mackey(G)
+    return constant_mackey(G, Z if name == "Z" else Z2)
+
+
+@pytest.mark.parametrize("coeffs", ["burnside", "Z", "Z/2"])
+@pytest.mark.parametrize("sphere", ["S^0", "S^sigma"])
+def test_mapping_complex_matches_the_reference(sphere, coeffs):
+    # the complexes of homotopy_classes: maps S^V -> S^0 (x~) M, bound 3
+    K = sphere_for_descriptors(C2, [] if sphere == "S^0" else [sign_rep()], 3)
+    T = reduced_tensor(s0_space(C2, 3), coefficients(coeffs))
+    got, want = MappingComplex(K, T, 2), DeltaMappingComplex(K, T, 2)
+    for n in (0, 1):
+        assert got.homotopy_group(n).invariants() == want.homotopy_group(n).invariants()
+
+
+@pytest.mark.parametrize("d, kb, xb", [(1, 2, 2), (1, 3, 3), (1, 2, 4), (2, 3, 4), (2, 3, 3)])
+def test_maps_into_trivial_spheres_match_the_reference(d, kb, xb):
+    got = _maps_into_trivial_sphere(d, kb, xb)
+    want = DeltaMappingComplex(got.K, got.T, got.degree_bound)
+    for n in range(d + 1):
+        assert got.homotopy_group(n).invariants() == want.homotopy_group(n).invariants()
+
+
+@pytest.mark.parametrize("coeffs", ["Z", "Z/2", "Z[C2]"])
+@pytest.mark.parametrize("sphere", ["S^0", "S^sigma"])
+def test_equivariant_mapping_complex_matches_the_reference(sphere, coeffs):
+    K = s0_space(C2, 3) if sphere == "S^0" else sphere_for_descriptors(C2, [sign_rep()], 3)
+    mt = ModuleTensor(K, module(coeffs))
+    got, want = EquivariantMappingComplex(K, mt, 2), DeltaEquivariantMappingComplex(K, mt, 2)
+    for n in (0, 1):
+        assert got.homotopy_group(n).invariants() == want.homotopy_group(n).invariants()
+
+
+@pytest.mark.parametrize(
+    "G, X, coeffs, desc, n_max, bound",
+    [
+        (C2, [], "Z", sign_rep(), 0, 2),
+        (C2, [], "burnside", sign_rep(), 1, 3),
+        (C2, [], "Z", sign_rep(), 1, 3),
+        (C2, [trivial_rep(1)], "Z", sign_rep(), 1, 3),
+        (C2, [sign_rep()], "Z", sign_rep(), 1, 3),
+        (FiniteGroup.cyclic(3), [], "burnside", rotation_rep(3, 1), 0, 3),
+    ],
+    ids=["S^0-Z-0", "S^0-A-1", "S^0-Z-1", "S^1-Z-1", "S^sigma-Z-1", "C3-rot-A-0"],
+)
+def test_omega_check_matches_the_reference(G, X, coeffs, desc, n_max, bound):
+    # at the valid bound dim S^W + n_max + 1, where the reference is exact
+    space = sphere_for_descriptors(G, X, bound)
+    M = coefficients(coeffs, G)
+    got = omega_spectrum_check(space, M, desc, n_max)
+    assert got.entries == delta_omega_entries(space, M, desc, n_max)
+    assert got.passed
+

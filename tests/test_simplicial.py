@@ -277,6 +277,37 @@ def test_check_rejects_a_broken_identity_and_a_mis_levelled_face():
         with_faces(2, bad).check()
 
 
+def test_smash_trusts_its_checked_factors(monkeypatch):
+    # smash builds no checked GMap and skips SimplicialGSet.check, yet its
+    # results pass both checks
+    from eqmack.gsets import GMap
+
+    pairs = [
+        (sign_circle(C2, (0,), 3), circle_space(C2, 3)),
+        (sphere_for_descriptors(C3, [rotation_rep(3, 1)], 3), s0_space(C3, 3)),
+        (standard_simplex_plus(C2, 1, 2), sign_circle(C2, (0,), 2)),
+    ]
+    checked = GMap.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(self)
+        checked(self)
+
+    monkeypatch.setattr(GMap, "__post_init__", counted)
+    monkeypatch.setattr(
+        "eqmack.simplicial.SimplicialGSet.check", lambda self: pytest.fail("re-checked")
+    )
+    products = [smash(X, Y) for X, Y in pairs]
+    assert built == []
+    monkeypatch.undo()
+    for sm in products:
+        assert sm.check() is sm
+        for row in sm.faces + sm.degens:
+            for f in row:
+                assert GMap(f.src, f.tgt, f.values) == f
+
+
 def test_map_check_rejects_a_broken_square_and_a_mis_levelled_component():
     from eqmack.gsets import GMap
 
