@@ -1,15 +1,21 @@
-"""Finitely generated abelian groups presented by integer relation matrices.
+"""Finitely generated abelian groups presented by sparse relation columns.
 
-A group is Z^n modulo the column span of its relation matrix.  Elements are
-length-n coordinate vectors; homomorphisms are integer matrices on
-generators that carry the source relation lattice into the target lattice.
-Everything reduces to Smith normal form, integer kernels, and exact solving.
+A group is Z^n modulo the span of its relations, stored as sparse columns
+({generator: coefficient} dicts, zeros omitted); elements are length-n
+coordinate vectors, and homomorphisms carry the source relation lattice into
+the target lattice.  Sums, kernels, cokernels, images, Hom groups and
+homology are built as columns and solved by column reduction.  Invariants
+remove the unit pivots of the relations first and run Smith normal form
+only on what remains.  The dense relation matrix `rels` and the dense SNF of
+element_key() and elements() are built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import islice, product
+from math import prod
 
 from . import intlinalg as la
 
@@ -18,43 +24,74 @@ class ContractError(ValueError):
     """Raised when data violates a structural precondition (e.g. not a map)."""
 
 
-@dataclass(frozen=True)
 class AbGroup:
-    ngens: int
-    rels: tuple = ()  # ngens x k matrix, columns are relations
+    """Z^ngens modulo the span of relcols.  Equal groups have the same
+    ngens and the same relation columns, in order."""
 
-    def __post_init__(self):
-        if self.rels and len(self.rels) != self.ngens:
+    __slots__ = ("ngens", "relcols", "_key", "_rels", "_red")
+
+    def __init__(self, ngens, rels=()):
+        """rels: the dense ngens x k relation matrix, columns are relations."""
+        rels = tuple(map(tuple, rels))
+        if rels and len(rels) != ngens:
             raise ContractError(
-                "relation matrix has %d rows for %d generators"
-                % (len(self.rels), self.ngens)
+                "relation matrix has %d rows for %d generators" % (len(rels), ngens)
             )
-        object.__setattr__(self, "rels", tuple(tuple(r) for r in self.rels))
+        self._set(ngens, la.columns(rels, len(rels[0]) if rels else 0))
+
+    @classmethod
+    def from_columns(cls, ngens, cols):
+        """The group Z^ngens / <cols>, cols as sparse columns."""
+        g = cls.__new__(cls)
+        g._set(ngens, cols)
+        return g
+
+    def _set(self, ngens, cols):
+        # without generators a presentation has no room for relation columns
+        self.ngens, self.relcols = ngens, tuple(cols) if ngens else ()
+        self._key = self._rels = self._red = None
 
     @property
     def nrels(self):
-        return len(self.rels[0]) if self.rels else 0
+        return len(self.relcols)
 
-    @cached_property
-    def relcols(self):
-        """The relations as sparse columns."""
-        return tuple(la.columns(self.rels, self.nrels))
+    @property
+    def rels(self):
+        """The dense ngens x nrels relation matrix."""
+        if self._rels is None:
+            self._rels = la.dense(self.relcols, self.ngens)
+        return self._rels
+
+    @property
+    def key(self):
+        """The relation columns as a hashable key."""
+        if self._key is None:
+            self._key = tuple(frozenset(c.items()) for c in self.relcols)
+        return self._key
+
+    def __eq__(self, other):
+        if not isinstance(other, AbGroup):
+            return NotImplemented
+        return self is other or (self.ngens, self.relcols) == (other.ngens, other.relcols)
+
+    def __hash__(self):
+        return hash((self.ngens, self.key))
 
     @staticmethod
     def free(n):
-        return AbGroup(n, la.zeros(n, 0))
+        return AbGroup.from_columns(n, ())
 
     @staticmethod
     def cyclic(d):
-        return AbGroup(1, ((d,),))
+        return AbGroup.from_columns(1, ({0: d} if d else {},))
 
     @staticmethod
     def zero():
-        return AbGroup(0, ())
+        return AbGroup.from_columns(0, ())
 
     def invariants(self):
         """(free_rank, torsion factors in divisibility order, >1 each)."""
-        return _invariants_cached(self.ngens, self.rels)
+        return _invariants_cached(self.ngens, self.key)
 
     def is_trivial(self):
         free, tors = self.invariants()
@@ -63,64 +100,44 @@ class AbGroup:
     def order(self):
         """Group order, or None if infinite."""
         free, tors = self.invariants()
-        if free:
-            return None
-        n = 1
-        for d in tors:
-            n *= d
-        return n
+        return None if free else prod(tors)
 
     def iso_eq(self, other):
         return self.invariants() == other.invariants()
+
+    def contains(self, col):
+        """Whether the sparse column col lies in the relation lattice."""
+        if not col:
+            return True
+        if self._red is None:
+            self._red = la.ColumnReduction(self.relcols, self.ngens)
+        return self._red.solve_column(col) is not None
 
     def is_zero_element(self, x):
         if len(x) != self.ngens:
             raise ContractError(
                 "element has %d coordinates for %d generators" % (len(x), self.ngens)
             )
-        if all(v == 0 for v in x):
-            return True
-        if not self.rels or self.nrels == 0:
-            return False
-        return la.reduction(self.rels, self.ngens, self.nrels).solve(x) is not None
+        return self.contains({i: v for i, v in enumerate(x) if v})
 
     def elements_equal(self, x, y):
         return self.is_zero_element(tuple(a - b for a, b in zip(x, y)))
 
     def element_key(self, x):
         """Canonical residue key: equal iff elements are equal."""
-        d, u, _ = _snf_rels_cached(self.ngens, self.rels)
-        z = la.apply(u, x) if self.ngens else ()
-        key = []
-        diag = la.diagonal(d)
-        for i in range(self.ngens):
-            di = diag[i] if i < len(diag) else 0
-            key.append(z[i] % di if di else z[i])
-        return tuple(key)
+        d, u, _ = _snf_rels_cached(self.ngens, self.key)
+        diag = la.diagonal(d) + [0] * self.ngens
+        return tuple(z % di if di else z for z, di in zip(la.apply(u, x), diag))
 
     def elements(self, limit=None):
         """Enumerate all elements (finite groups only), as coordinate vectors."""
-        free, tors = self.invariants()
-        if free:
+        if self.invariants()[0]:
             raise ContractError("cannot enumerate an infinite group")
-        d, u, _ = _snf_rels_cached(self.ngens, self.rels)
+        d, u, _ = _snf_rels_cached(self.ngens, self.key)
         uinv = _unimodular_inverse(u)
-        diag = la.diagonal(d)
-        diag = diag + [0] * (self.ngens - len(diag))
-        out = []
-
-        def rec(i, z):
-            if limit is not None and len(out) >= limit:
-                return
-            if i == self.ngens:
-                out.append(la.apply(uinv, tuple(z)) if self.ngens else ())
-                return
-            # free == 0 above, so no diagonal entry is 0
-            for v in range(diag[i]):
-                rec(i + 1, z + [v])
-
-        rec(0, [])
-        return out
+        # a finite group has rank ngens, so its first ngens diagonal entries are nonzero
+        residues = product(*(range(di) for di in la.diagonal(d)[: self.ngens]))
+        return [la.apply(uinv, z) for z in islice(residues, limit)]
 
     def describe(self):
         return fmt_invariants(self.invariants())
@@ -130,22 +147,15 @@ class AbGroup:
 
 
 @lru_cache(maxsize=None)
-def _invariants_cached(ngens, rels):
-    if ngens == 0:
-        return (0, ())
-    if not rels or not rels[0]:
-        return (ngens, ())
-    facs = la.invariant_factors(rels)
-    free = ngens - len(facs)
-    tors = tuple(d for d in facs if d != 1)
-    return (free, tors)
+def _invariants_cached(ngens, key):
+    units, rest = la.prune_units(map(dict, key))
+    facs = la.invariant_factors(rest)
+    return (ngens - units - len(facs), tuple(d for d in facs if d != 1))
 
 
 @lru_cache(maxsize=None)
-def _snf_rels_cached(ngens, rels):
-    if not rels:
-        rels = la.zeros(ngens, 0)
-    return la.snf(rels)
+def _snf_rels_cached(ngens, key):
+    return la.snf(la.dense([dict(c) for c in key], ngens))
 
 
 @lru_cache(maxsize=None)
@@ -219,16 +229,15 @@ class AbHom:
 
     @staticmethod
     def identity(g):
-        return AbHom.from_columns(g, g, [{i: 1} for i in range(g.ngens)])
+        return AbHom.from_columns(g, g, _units(g.ngens))
 
     @staticmethod
     def zero(src, tgt):
         return AbHom.from_columns(src, tgt, [{} for _ in range(src.ngens)])
 
     def is_well_defined(self):
-        return all(
-            self.tgt.is_zero_element(self(col)) for col in zip(*self.src.rels)
-        )
+        cols = self.cols
+        return all(self.tgt.contains(la.combine(cols, r.items())) for r in self.src.relcols)
 
     def check(self):
         if not self.is_well_defined():
@@ -264,11 +273,7 @@ class AbHom:
         return AbHom.from_columns(self.src, self.tgt, cols)
 
     def is_zero_hom(self):
-        n = self.tgt.ngens
-        return all(
-            not col or self.tgt.is_zero_element(tuple(col.get(i, 0) for i in range(n)))
-            for col in self.cols
-        )
+        return all(map(self.tgt.contains, self.cols))
 
     def same_as(self, other):
         return (self - other).is_zero_hom()
@@ -306,25 +311,24 @@ class AbHom:
         """(K, incl) with 0 -> K -> src exact."""
         basis = self._solutions()
         red = la.ColumnReduction([*basis, *self.src.relcols], self.src.ngens)
-        k = AbGroup(len(basis), _relations(red, len(basis)))
+        k = AbGroup.from_columns(len(basis), _relations(red, len(basis)))
         incl = AbHom.from_columns(k, self.src, basis)
         incl._red = red  # its graph reduction: [basis | rels]
         return k, incl
 
     def cokernel(self):
         """(C, proj) with tgt -> C -> 0 exact."""
-        rels = la.hstack(self.tgt.rels, self.mat)
-        c = AbGroup(self.tgt.ngens, rels)
-        return c, AbHom(self.tgt, c, la.identity(self.tgt.ngens))
+        c = AbGroup.from_columns(self.tgt.ngens, self.tgt.relcols + self.cols)
+        return c, AbHom.from_columns(self.tgt, c, _units(self.tgt.ngens))
 
     def image(self):
         """(I, incl into tgt, proj from src)."""
         n = self.src.ngens
-        img = AbGroup(n, la.dense(self._solutions(), n))
+        img = AbGroup.from_columns(n, self._solutions())
         return (
             img,
             AbHom.from_columns(img, self.tgt, self.cols),
-            AbHom.from_columns(self.src, img, [{i: 1} for i in range(n)]),
+            AbHom.from_columns(self.src, img, _units(n)),
         )
 
     def is_injective(self):
@@ -347,10 +351,15 @@ def _heads(cols, r):
     return [{i: v for i, v in col.items() if i < r} for col in cols]
 
 
+def _units(n):
+    """The sparse columns of the n x n identity."""
+    return [{i: 1} for i in range(n)]
+
+
 def _relations(red, r):
     """For a reduction of [basis | lattice] with r basis columns, the
-    relations {z : basis z lies in the lattice} as a dense r-row matrix."""
-    return la.dense(_heads(red.kernel_basis(), r), r)
+    relations {z : basis z lies in the lattice} as sparse columns."""
+    return _heads(red.kernel_basis(), r)
 
 
 def direct_sum_data(groups):
@@ -361,7 +370,7 @@ def direct_sum_data(groups):
         offsets.append(n)
         relcols += ({n + i: x for i, x in col.items()} for col in g.relcols)
         n += g.ngens
-    return AbGroup(n, la.dense(relcols, n)), offsets
+    return AbGroup.from_columns(n, relcols), offsets
 
 
 def direct_sum(groups):
@@ -397,13 +406,7 @@ def assemble_block_hom(src_groups, tgt_groups, entries):
             raise ContractError("block %r does not fit position (%d, %d)" % (hom, ti, si))
         ro, co = tgt_off[ti], src_off[si]
         for c, col in enumerate(hom.cols):
-            target = cols[co + c]
-            for r, v in col.items():
-                w = target.get(ro + r, 0) + v
-                if w:
-                    target[ro + r] = w
-                else:
-                    del target[ro + r]
+            la.subtract(cols[co + c], {ro + r: v for r, v in col.items()}, -1)
     h = AbHom.from_columns(src_total, tgt_total, cols)
     return h, src_total, tgt_total
 
@@ -412,45 +415,38 @@ def hom_group(a, b):
     """Hom(a, b) as (group, basis maps, evaluate) where evaluate(z, x) applies
     the class with coordinates z to the element x of a."""
     na, nb = a.ngens, b.ngens
-    nunk = na * nb  # X[i][j], flattened row-major: index i*na + j
+    nunk = na * nb  # X[t][j], flattened row-major: index t*na + j
 
     # one constraint row X rel = (b-relation slack) per a-relation rj and
     # target generator t, at row rj * nb + t; slack columns follow X's
-    ka, kb = a.nrels, b.nrels
-    cols = [
-        {rj * nb + t: a.rels[j][rj] for rj in range(ka) if a.rels[j][rj]}
-        for t in range(nb)
-        for j in range(na)
-    ] + [
-        {rj * nb + t: -b.rels[t][s] for t in range(nb) if b.rels[t][s]}
-        for rj in range(ka)
-        for s in range(kb)
+    cols = [{} for _ in range(nunk)]
+    for rj, rel in enumerate(a.relcols):
+        for j, x in rel.items():
+            for t in range(nb):
+                cols[t * na + j][rj * nb + t] = x
+    cols += [
+        {rj * nb + t: -x for t, x in rel.items()}
+        for rj in range(a.nrels)
+        for rel in b.relcols
     ]
-    lat = _heads(la.ColumnReduction(cols, ka * nb).kernel_basis(), nunk)
+    lat = _heads(la.ColumnReduction(cols, a.nrels * nb).kernel_basis(), nunk)
     r = len(lat)
 
     # trivial maps: every generator image lies in the relation lattice of b
-    triv = [
-        {t * na + j: b.rels[t][s] for t in range(nb) if b.rels[t][s]}
-        for j in range(na)
-        for s in range(kb)
-    ]
-    h = AbGroup(r, _relations(la.ColumnReduction(lat + triv, nunk), r))
+    triv = [{t * na + j: x for t, x in rel.items()} for j in range(na) for rel in b.relcols]
+    h = AbGroup.from_columns(r, _relations(la.ColumnReduction(lat + triv, nunk), r))
 
     basis = []
-    for c in range(r):
-        mat = tuple(
-            tuple(lat[c].get(t * na + j, 0) for j in range(na)) for t in range(nb)
-        )
-        basis.append(AbHom(a, b, mat))
+    for v in lat:
+        maps = [{} for _ in range(na)]
+        for k, x in sorted(v.items()):
+            t, j = divmod(k, na)
+            maps[j][t] = x
+        basis.append(AbHom.from_columns(a, b, maps))
 
     def evaluate(z, x):
-        out = [0] * nb
-        for c, zc in enumerate(z):
-            if zc:
-                v = basis[c](x)
-                out = [o + zc * w for o, w in zip(out, v)]
-        return tuple(out)
+        images = [h(x) for h in basis]
+        return tuple(sum(zc * y[t] for zc, y in zip(z, images)) for t in range(nb))
 
     return h, basis, evaluate
 
@@ -487,29 +483,34 @@ class ChainComplex:
         return self
 
     def homology(self, n):
+        return self._homology(n)[0]
+
+    def _homology(self, n):
+        """(H_n, cycle basis as sparse columns, solver for [cycles | rels])."""
         if n not in self._hcache:
             g, d = self.group(n), self.diff(n)
-            zb = d._solutions() if d.tgt.ngens else [{i: 1} for i in range(g.ngens)]
+            zb = d._solutions() if d.tgt.ngens else _units(g.ngens)
             lat = [*zb, *g.relcols, *self.diff(n + 1).cols]
             rels = _relations(la.ColumnReduction(lat, g.ngens), len(zb))
-            self._hcache[n] = (AbGroup(len(zb), rels), la.dense(zb, g.ngens))
-        return self._hcache[n][0]
+            self._hcache[n] = [AbGroup.from_columns(len(zb), rels), zb, None]
+        return self._hcache[n]
 
     def homology_class(self, n, z):
         """Coordinates of the cycle z in homology(n)."""
-        h = self.homology(n)
-        zb = self._hcache[n][1]
-        g = self.group(n)
-        aug = la.hstack(zb, g.rels)
-        sol = la.reduction(aug, g.ngens, h.ngens + g.nrels).solve(tuple(z))
+        entry = self._homology(n)
+        h, zb, red = entry
+        if red is None:
+            g = self.group(n)
+            red = entry[2] = la.ColumnReduction([*zb, *g.relcols], g.ngens)
+        sol = red.solve(tuple(z))
         if sol is None:
             raise ContractError("vector is not a cycle in degree %d" % n)
         return sol[: h.ngens]
 
     def cycle_of_class(self, n, w):
-        self.homology(n)
-        zb = self._hcache[n][1]
-        return la.apply(zb, w) if zb else ()
+        zb = self._homology(n)[1]
+        y = la.combine(zb, ((c, x) for c, x in enumerate(w) if x))
+        return tuple(y.get(i, 0) for i in range(self.group(n).ngens))
 
 
 @dataclass
@@ -542,19 +543,15 @@ def homology_map(src, n, tgt, m, lift):
     cols = []
     for c in range(hs.ngens):
         z = src.cycle_of_class(n, tuple(1 if i == c else 0 for i in range(hs.ngens)))
-        cols.append(tgt.homology_class(m, lift(z)))
-    return AbHom(hs, ht, la.transpose(tuple(cols), ht.ngens))
+        cols.append({i: x for i, x in enumerate(tgt.homology_class(m, lift(z))) if x})
+    return AbHom.from_columns(hs, ht, cols)
 
 
 def homology_at(f, g):
     """ker(g)/im(f) for composable homs with g o f = 0."""
     if not g.compose(f).is_zero_hom():
         raise ContractError("composite is not zero")
-    c = ChainComplex(
-        groups={0: g.tgt, 1: g.src, 2: f.src},
-        diffs={1: g, 2: f},
-    )
-    return c.homology(1)
+    return ChainComplex({0: g.tgt, 1: g.src, 2: f.src}, {1: g, 2: f}).homology(1)
 
 
 def is_exact_at(f, g):

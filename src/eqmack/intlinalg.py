@@ -1,16 +1,17 @@
 """Exact integer linear algebra: Smith normal form, kernels, solving.
 
-Python ints throughout (arbitrary precision).  A matrix has two forms.  The
-API form is a tuple of row tuples.  The reduction input is a list of sparse
-columns, one {row: value} dict per column with zeros omitted: the big,
-mostly-unimodular constraint systems of the simplicial layers are assembled
-as columns and never made dense.  columns() and dense() convert.  The
-column-reduction engine prefers unit pivots, which keeps those systems fast
-and free of coefficient swell.
+Python ints throughout (arbitrary precision).  A matrix is stored as sparse
+columns, one {row: value} dict per column with zeros omitted; the big,
+mostly-unimodular systems of the simplicial layers are assembled, reduced
+and presented as columns.  The dense form, a tuple of row tuples, is built
+by dense() for snf() and the small dense helpers; columns() converts back.
+Column reduction and prune_units() pivot on units first, which keeps both
+fast and free of coefficient swell, so snf() sees only a small remainder.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 
 
@@ -20,19 +21,8 @@ def shape(a):
     return rows, cols
 
 
-def zeros(m, n):
-    return tuple(tuple(0 for _ in range(n)) for _ in range(m))
-
-
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def transpose(a, ncols=None):
-    m, n = shape(a)
-    if ncols is not None:
-        n = ncols
-    return tuple(tuple(a[i][j] for i in range(m)) for j in range(n))
 
 
 def matmul(a, b, bcols=None):
@@ -103,63 +93,45 @@ def combine(cols, coeffs):
     return {i: v for i, v in acc.items() if v}
 
 
-def is_zero(a):
-    return all(all(x == 0 for x in r) for r in a)
-
-
 def snf(a):
     """Smith normal form: returns (d, u, v) with d = u a v, u, v unimodular,
     and the diagonal of d satisfying d1 | d2 | ... (nonnegative)."""
     m, n = shape(a)
-    d = [list(r) for r in a]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # one table w for all three: row i < m is d[i] + u[i] and row m + r is
+    # v[r], so row operations on d carry u along and column operations v
+    w = [list(r) + [int(i == k) for k in range(m)] for i, r in enumerate(a)]
+    w += [[int(r == j) for j in range(n)] for r in range(n)]
 
     def swap_rows(i, k):
-        d[i], d[k] = d[k], d[i]
-        u[i], u[k] = u[k], u[i]
+        w[i], w[k] = w[k], w[i]
 
     def swap_cols(j, k):
-        for r in range(m):
-            d[r][j], d[r][k] = d[r][k], d[r][j]
-        for r in range(n):
-            v[r][j], v[r][k] = v[r][k], v[r][j]
+        for r in w:
+            r[j], r[k] = r[k], r[j]
 
     def row_op(i, k, q):  # row_i -= q * row_k
         if q:
-            dk, di = d[k], d[i]
-            for c in range(n):
-                di[c] -= q * dk[c]
-            uk, ui = u[k], u[i]
-            for c in range(m):
-                ui[c] -= q * uk[c]
+            wi, wk = w[i], w[k]
+            for c in range(n + m):
+                wi[c] -= q * wk[c]
 
     def col_op(j, k, q):  # col_j -= q * col_k
         if q:
-            for r in range(m):
-                d[r][j] -= q * d[r][k]
-            for r in range(n):
-                v[r][j] -= q * v[r][k]
+            for r in w:
+                r[j] -= q * r[k]
 
     t = 0
     while t < m and t < n:
+        # the first entry of least absolute value in row-major order; a unit ends the scan
         piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = d[i][j]
-                if x:
-                    ax = abs(x)
-                    if best is None or ax < best:
-                        best = ax
-                        piv = (i, j)
-                        if ax == 1:
-                            break
-            if best == 1:
-                break
+        for e in ((abs(w[i][j]), i, j) for i in range(t, m) for j in range(t, n) if w[i][j]):
+            if piv is None or e < piv:
+                piv = e
+                if e[0] == 1:
+                    break
         if piv is None:
             break
-        i, j = piv
+        _, i, j = piv
         if i != t:
             swap_rows(i, t)
         if j != t:
@@ -167,19 +139,17 @@ def snf(a):
         while True:
             again = False
             for i in range(m):
-                if i != t and d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    row_op(i, t, q)
-                    if d[i][t]:
+                if i != t and w[i][t]:
+                    row_op(i, t, w[i][t] // w[t][t])
+                    if w[i][t]:
                         swap_rows(i, t)
                         again = True
             if again:
                 continue
             for j in range(n):
-                if j != t and d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    col_op(j, t, q)
-                    if d[t][j]:
+                if j != t and w[t][j]:
+                    col_op(j, t, w[t][j] // w[t][t])
+                    if w[t][j]:
                         swap_cols(j, t)
                         again = True
             if not again:
@@ -189,22 +159,17 @@ def snf(a):
     rank = t
     for t in range(rank - 1):
         for k in range(t + 1, rank):
-            if d[k][k] % d[t][t] != 0:
+            if w[k][k] % w[t][t] != 0:
                 col_op(t, k, -1)  # col_t += col_k
-                while d[k][t]:
-                    q = d[t][t] // d[k][t]
-                    row_op(t, k, q)
+                while w[k][t]:
+                    row_op(t, k, w[t][t] // w[k][t])
                     swap_rows(t, k)
-                col_op(k, t, d[t][k] // d[t][t])
+                col_op(k, t, w[t][k] // w[t][t])
     for t in range(min(m, n)):
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-    return (
-        tuple(tuple(r) for r in d),
-        tuple(tuple(r) for r in u),
-        tuple(tuple(r) for r in v),
-    )
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
+    d, u = (tuple(tuple(r[c]) for r in w[:m]) for c in (slice(n), slice(n, None)))
+    return d, u, tuple(map(tuple, w[m:]))
 
 
 def diagonal(a):
@@ -216,6 +181,65 @@ def invariant_factors(a):
     """Nonzero SNF diagonal entries, in divisibility order."""
     d, _, _ = snf(a)
     return [x for x in diagonal(d) if x != 0]
+
+
+def _rows_of(cols):
+    """{row: set of the columns nonzero in it} for sparse columns."""
+    rows_of = defaultdict(set)
+    for j, col in enumerate(cols):
+        for i in col:
+            rows_of[i].add(j)
+    return rows_of
+
+
+def subtract(a, b, q):
+    """a -= q * b on sparse columns, in place."""
+    for i, x in b.items():
+        y = a.get(i, 0) - q * x
+        if y:
+            a[i] = y
+        elif i in a:
+            del a[i]
+
+
+def _subtract_tracked(cols, j, k, q, rows_of):
+    """cols[j] -= q * cols[k] in place, keeping rows_of (see _rows_of) current."""
+    cj = cols[j]
+    for i, x in cols[k].items():
+        y = cj.get(i, 0) - q * x
+        if y:
+            cj[i] = y
+            rows_of[i].add(j)
+        elif i in cj:
+            del cj[i]
+            rows_of[i].discard(j)
+
+
+def prune_units(cols):
+    """Remove the unit pivots of the presentation Z^n / <cols>: each solves one
+    generator by the others and is cleared from the other relations, taking
+    short relations and sparse rows first to limit fill-in.  Returns (k, rest):
+    the number of pivots removed and the dense matrix of the remaining nonzero
+    relations on the rows they touch; the group is Z^(n - k - len(rest)) +
+    coker(rest)."""
+    cols = [dict(c) for c in cols if c]
+    rows_of = _rows_of(cols)
+    k, found = 0, True
+    while found:
+        found = False
+        for j in sorted(range(len(cols)), key=lambda j: len(cols[j])):
+            pivot, units = cols[j], [i for i, x in cols[j].items() if x in (1, -1)]
+            if not units:
+                continue
+            r = min(units, key=lambda i: len(rows_of[i]))
+            for c in rows_of[r] - {j}:
+                _subtract_tracked(cols, c, j, cols[c][r] * pivot[r], rows_of)
+            for i in pivot:
+                rows_of[i].discard(j)
+            cols[j] = {}
+            k, found = k + 1, True
+    rows, rest = sorted(i for i, js in rows_of.items() if js), [col for col in cols if col]
+    return k, tuple(tuple(col.get(i, 0) for col in rest) for i in rows)
 
 
 class ColumnReduction:
@@ -237,34 +261,9 @@ class ColumnReduction:
     def _run(self, cols):
         ncols = self.ncols
         vcols = [{j: 1} for j in range(ncols)]
-        rows_of = {}
-        for j, col in enumerate(cols):
-            for i in col:
-                rows_of.setdefault(i, set()).add(j)
+        rows_of = _rows_of(cols)
         assigned = set()
         pivots = []  # (row, col, value) in processing order
-
-        def addmul(j, k, q):
-            # col_j -= q * col_k
-            if q == 0:
-                return
-            cj, ck = cols[j], cols[k]
-            for i, x in list(ck.items()):
-                y = cj.get(i, 0) - q * x
-                if y:
-                    cj[i] = y
-                    rows_of.setdefault(i, set()).add(j)
-                else:
-                    if i in cj:
-                        del cj[i]
-                        rows_of[i].discard(j)
-            vj, vk = vcols[j], vcols[k]
-            for i, x in vk.items():
-                y = vj.get(i, 0) - q * x
-                if y:
-                    vj[i] = y
-                elif i in vj:
-                    del vj[i]
 
         for row in sorted(rows_of):
             live = [j for j in rows_of.get(row, ()) if j not in assigned]
@@ -284,7 +283,9 @@ class ColumnReduction:
                     break
                 for k in others:
                     q = cols[k][row] // cols[j][row]
-                    addmul(k, j, q)
+                    if q:  # col_k -= q * col_j
+                        _subtract_tracked(cols, k, j, q, rows_of)
+                        subtract(vcols[k], vcols[j], q)
                     if row in cols[k] and abs(cols[k][row]) < abs(
                         cols[j][row]
                     ):
@@ -325,12 +326,7 @@ class ColumnReduction:
                 return None
             q = r // val
             y.append((j, q))
-            for i, x in self.h[j].items():
-                nv = resid.get(i, 0) - q * x
-                if nv:
-                    resid[i] = nv
-                elif i in resid:
-                    del resid[i]
+            subtract(resid, self.h[j], q)
         if resid:
             return None
         return combine(self.v, y)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import abelian as ab
-from . import intlinalg as la
 from .abelian import AbGroup, AbHom
 from .groups import (
     FiniteGroup,
@@ -100,17 +99,17 @@ class WeylModule:
 
     group: FiniteGroup
     value: AbGroup
-    action: tuple  # one generator matrix per group element
+    action: tuple  # one AbHom value -> value per group element
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "action", tuple(tuple(tuple(r) for r in m) for m in self.action)
-        )
+        object.__setattr__(self, "action", tuple(self.action))
         if len(self.action) != self.group.order:
-            raise MackeyError("need one action matrix per group element")
+            raise MackeyError("need one action hom per group element")
+        if any((h.src, h.tgt) != (self.value, self.value) for h in self.action):
+            raise MackeyError("an action hom is not an endomorphism of the value")
 
     def hom(self, g):
-        return AbHom(self.value, self.value, self.action[g])
+        return self.action[g]
 
     def check(self):
         W = self.group
@@ -127,21 +126,17 @@ class WeylModule:
 
     @staticmethod
     def trivial(W, value):
-        n = value.ngens
-        return WeylModule(W, value, tuple(la.identity(n) for _ in W.elements()))
+        return WeylModule(W, value, (AbHom.identity(value),) * W.order)
 
     @staticmethod
     def regular(W):
         """The integral group ring Z[W] under left translation."""
-        n = W.order
-        value = AbGroup.free(n)
-        mats = []
-        for g in W.elements():
-            m = [[0] * n for _ in range(n)]
-            for h in W.elements():
-                m[W.mul[g][h]][h] = 1
-            mats.append(tuple(tuple(r) for r in m))
-        return WeylModule(W, value, tuple(mats))
+        value = AbGroup.free(W.order)
+        homs = [
+            AbHom.from_columns(value, value, [{W.mul[g][h]: 1} for h in W.elements()])
+            for g in W.elements()
+        ]
+        return WeylModule(W, value, tuple(homs))
 
 
 @dataclass
@@ -238,10 +233,8 @@ class MackeyFunctor:
 
     def weyl_module_at(self, rec):
         """M(G/H) as a module over the Weyl group of H."""
-        mats = tuple(
-            self.weyl_action_hom(rec, w).mat for w in rec.weyl.elements()
-        )
-        return WeylModule(rec.weyl, self.orbit_value(rec), mats)
+        homs = tuple(self.weyl_action_hom(rec, w) for w in rec.weyl.elements())
+        return WeylModule(rec.weyl, self.orbit_value(rec), homs)
 
 
 def evaluate_at_orbit(M, rec):
@@ -486,36 +479,21 @@ class BurnsideMackey(MackeyFunctor):
         return self.basis(S).index(self._canonical(S, k, s))
 
     def covariant_raw(self, q):
-        bs = self.basis(q.src)
-        bt = self.basis(q.tgt)
-        cols = []
-        for (k, s) in bs:
-            col = [0] * len(bt)
-            col[self.class_index(q.tgt, k, q.values[s])] += 1
-            cols.append(tuple(col))
-        return AbHom(
-            self.value_of(q.src), self.value_of(q.tgt), la.transpose(tuple(cols), len(bt))
-        )
+        cols = [{self.class_index(q.tgt, k, q.values[s]): 1} for k, s in self.basis(q.src)]
+        return AbHom.from_columns(self.value_of(q.src), self.value_of(q.tgt), cols)
 
     def contravariant_raw(self, q):
         """Pull a span over the target back along q and re-decompose."""
         G = self.group
-        bs = self.basis(q.src)
-        bt = self.basis(q.tgt)
         cols = []
-        for (k, t) in bt:
-            orbit = std_orbit_for_subgroup(G, k)
-            span = span_map(G, k, q.tgt, t)
-            a, f, g = pullback(q, span)
-            col = [0] * len(bs)
+        for (k, t) in self.basis(q.tgt):
+            a, f, g = pullback(q, span_map(G, k, q.tgt, t))
+            col = {}
             for o in orbit_decompose(a):
-                s = f.values[o.basepoint]
-                stab = a.stabilizer(o.basepoint)
-                col[self.class_index(q.src, stab, s)] += 1
-            cols.append(tuple(col))
-        return AbHom(
-            self.value_of(q.tgt), self.value_of(q.src), la.transpose(tuple(cols), len(bs))
-        )
+                i = self.class_index(q.src, a.stabilizer(o.basepoint), f.values[o.basepoint])
+                col[i] = col.get(i, 0) + 1
+            cols.append(col)
+        return AbHom.from_columns(self.value_of(q.tgt), self.value_of(q.src), cols)
 
     def _orbit_covariant(self, om):
         return self.covariant_raw(om.gmap())

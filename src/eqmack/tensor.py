@@ -329,16 +329,15 @@ class ModuleTensor:
             pos = {x: i for i, x in enumerate(sup)}
             summands = [self.A.value] * len(sup)
             W = self.K.group
-            mats = []
+            homs = []
             for w in W.elements():
                 act = self.K.levels[n].action[w]
                 aw = self.A.hom(w)
                 blocks = [
                     (pos[act[x]], i, aw) for i, x in enumerate(sup) if act[x] in pos
                 ]
-                mats.append(ab.assemble_block_hom(summands, summands, blocks)[0].mat)
-            value = ab.direct_sum_data(summands)[0]
-            self._levels[n] = WeylModule(W, value, tuple(mats))
+                homs.append(ab.assemble_block_hom(summands, summands, blocks)[0])
+            self._levels[n] = WeylModule(W, homs[0].src, tuple(homs))
         return self._levels[n]
 
     def face_hom(self, n, i):

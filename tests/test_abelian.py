@@ -44,6 +44,16 @@ def test_zero_and_free():
     assert AbGroup.cyclic(1).is_trivial()
 
 
+def test_equal_presentations_compare_equal():
+    plain, free = AbGroup(2), AbGroup.free(2)
+    assert plain == free and hash(plain) == hash(free)
+    assert plain.rels == free.rels == ((), ())
+    assert (AbHom.identity(plain) + AbHom.identity(free)).mat == ((2, 0), (0, 2))
+    # equality compares presentations, not isomorphism types
+    assert AbGroup(1, ((2,),)) != AbGroup(1, ((-2,),))
+    assert AbGroup(1, ((0,),)) != AbGroup.free(1)
+
+
 def test_element_equality():
     g = AbGroup(2, ((2, 0), (0, 3)))
     assert g.is_zero_element((2, 3))
@@ -233,6 +243,28 @@ def test_assemble_block_hom_matches_dense_sum(system):
 # -- sparse columns and the dense matrix ----------------------------------------
 
 
+@st.composite
+def presentations(draw):
+    """(ngens, sparse relation columns) with torsion, zero rows and columns,
+    no generators, and, when scaled, no unit entry at all."""
+    n = draw(st.integers(0, 7))
+    scale = draw(st.sampled_from([1, 1, 2, 3]))
+    entries = st.integers(-4, 4).map(lambda x: scale * x)
+    rows = st.integers(0, max(n - 1, 0))
+    cols = draw(st.lists(st.dictionaries(rows, entries, max_size=n), max_size=8))
+    return n, [{i: x for i, x in col.items() if x} for col in cols]
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations())
+def test_unit_pivot_invariants_match_dense_snf(presentation):
+    n, cols = presentation
+    g, reference = AbGroup.from_columns(n, cols), AbGroup(n, la.dense(cols, n))
+    assert g == reference and hash(g) == hash(reference) and g.rels == reference.rels
+    facs = la.invariant_factors(g.rels)
+    assert g.invariants() == (n - len(facs), tuple(d for d in facs if d != 1))
+
+
 def by_columns(h):
     """The same hom made from sparse columns, keys in descending row order."""
     m, n = h.tgt.ngens, h.src.ngens
@@ -254,7 +286,7 @@ def dense_kernel_and_image(f):
     basis, nl = sols[:n], f.src.nrels
     aug = la.hstack(basis, f.src.rels) if nl else basis
     rels = la.kernel_basis(aug, n, r + nl)[:r] if n else la.identity(r)
-    return AbGroup(r, rels), basis, AbGroup(n, basis if sols else la.zeros(n, 0))
+    return AbGroup(r, rels), basis, AbGroup(n, basis)
 
 
 @settings(max_examples=80, deadline=None)
@@ -271,7 +303,7 @@ def test_sparse_and_dense_homs_agree(data):
     kernel, basis, image = dense_kernel_and_image(f)
     bcols = [tuple(b.mat[i][j] for i in range(tgt.ngens)) for j in range(other.ngens)]
     lifts = [dense_reduction(f).solve(col) for col in bcols]
-    lift = None if None in lifts else la.transpose(tuple(v[: src.ngens] for v in lifts), src.ngens)
+    lift = None if None in lifts else tuple(tuple(v[i] for v in lifts) for i in range(src.ngens))
     for h, h2, k, c in ((f, f2, g, b), tuple(map(by_columns, (f, f2, g, b)))):
         assert h == f and h.mat == f.mat
         assert h.compose(k).mat == la.matmul(f.mat, g.mat, other.ngens)

@@ -239,6 +239,40 @@ def test_homotopy_classes_from_spheres(coeffs, expected):
     assert got == expected
 
 
+def test_homotopy_classes_of_a_large_zero_presentation_use_a_small_snf(monkeypatch):
+    # [S^{3 sigma}, S^4 (x~) Z]^C2 is 0 by hand; H_0 of the mapping complex
+    # is presented on about a thousand generators, nearly all unit pivots
+    from eqmack import intlinalg as la
+
+    snf = la.snf
+
+    def small_snf(a):
+        if len(a) > 64 or (a and len(a[0]) > 64):
+            raise AssertionError("snf of a %d x %d matrix" % (len(a), len(a[0])))
+        return snf(a)
+
+    monkeypatch.setattr(la, "snf", small_snf)
+    X = sphere_for_descriptors(C2, [trivial_rep(4)], 5)
+    got = homotopy_classes([sign_rep()] * 3, X, constant_mackey(C2, Z), bound=5)
+    assert got.describe() == "0"
+
+
+def test_cofibration_les_forms_no_dense_matrix(monkeypatch):
+    from eqmack import intlinalg as la
+
+    def dense(cols, nrows):
+        raise AssertionError("a dense matrix was formed")
+
+    monkeypatch.setattr(la, "dense", dense)
+    bound = 4
+    sig = sphere_for_descriptors(C2, [sign_rep()], bound)
+    incl = discrete_inclusion(s0_space(C2, bound), sig, (0, 1))
+    ses = ses_from_cofibration(incl, constant_mackey(C2, Z2))
+    for rec in subgroup_classes(C2):
+        nodes, flags, _ = cofibration_les(ses, rec, bound - 2)
+        assert len(flags) == len(nodes) - 2 and all(flags)
+
+
 def module(name):
     if name == "Z":
         return WeylModule.trivial(C2, Z)

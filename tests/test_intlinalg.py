@@ -22,9 +22,9 @@ def test_snf_example():
 
 
 def test_snf_zero():
-    a = la.zeros(2, 3)
+    a = ((0, 0, 0), (0, 0, 0))
     d, u, v = la.snf(a)
-    assert la.is_zero(d)
+    assert not any(map(any, d))
 
 
 def test_snf_divisibility_and_recomposition():
@@ -124,7 +124,7 @@ def test_products_match_naive_triple_loop(m, n, p, data):
     if m:
         n2 = data.draw(st.integers(1, 6).filter(lambda k: k != n))
         with pytest.raises(ValueError):
-            la.matmul(a, la.zeros(n2, p), p)
+            la.matmul(a, ((0,) * p,) * n2, p)
         with pytest.raises(ValueError):
             la.matmul(a, data.draw(matrices(n2, p)))
 

@@ -324,15 +324,15 @@ def _module_of_set(gset, A):
 
     n = gset.size - 1
     value, incls, projs = ab.direct_sum([A.value] * n)
-    mats = []
+    homs = []
     for g in gset.group.elements():
         h = AbHom.zero(value, value)
         for i in range(n):
             tgtp = gset.action[g][i + 1]
             if tgtp != 0:
                 h = h + incls[tgtp - 1].compose(A.hom(g)).compose(projs[i])
-        mats.append(h.mat)
-    return WeylModule(gset.group, value, tuple(mats))
+        homs.append(h)
+    return WeylModule(gset.group, value, tuple(homs))
 
 
 def _fixed_subgroup(module):
@@ -366,6 +366,23 @@ def test_rho_is_an_isomorphism(xname):
                 sig = iso.sigma(rec, n)
                 assert rho.compose(sig).same_as(AbHom.identity(rho.tgt))
                 assert sig.compose(rho).same_as(AbHom.identity(rho.src))
+
+
+def test_rho_forms_no_dense_matrix(monkeypatch):
+    from eqmack import intlinalg as la
+
+    def dense(cols, nrows):
+        raise AssertionError("a dense matrix was formed")
+
+    monkeypatch.setattr(la, "dense", dense)
+    e, full = subgroup_classes(C2)
+    X = sphere_for_descriptors(C2, [sign_rep(), sign_rep()], 3)
+    iso = rho_iso(X, e, WeylModule.regular(e.weyl))
+    for rec in subgroup_classes(C2):
+        for n in range(3):
+            rho, sig = iso.rho(rec, n), iso.sigma(rec, n)
+            assert rho.is_iso()
+            assert sig.compose(rho).same_as(AbHom.identity(rho.src))
 
 
 def _perm(*cols):
