@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 from math import prod
 
 from . import intlinalg as la
@@ -129,7 +129,7 @@ class AbGroup:
         diag = la.diagonal(d) + [0] * self.ngens
         return tuple(z % di if di else z for z, di in zip(la.apply(u, x), diag))
 
-    def elements(self, limit=None):
+    def elements(self):
         """Enumerate all elements (finite groups only), as coordinate vectors."""
         if self.invariants()[0]:
             raise ContractError("cannot enumerate an infinite group")
@@ -137,7 +137,7 @@ class AbGroup:
         uinv = _unimodular_inverse(u)
         # a finite group has rank ngens, so its first ngens diagonal entries are nonzero
         residues = product(*(range(di) for di in la.diagonal(d)[: self.ngens]))
-        return [la.apply(uinv, z) for z in islice(residues, limit)]
+        return [la.apply(uinv, z) for z in residues]
 
     def describe(self):
         return fmt_invariants(self.invariants())

@@ -211,12 +211,17 @@ class MappingComplex:
     and T a reduced tensor: the chart of the orbit class H is K^H with the
     normalized chains of T at G/H, and every non-identity orbit map G/J ->
     G/H relates the charts of H and J by the normalized restriction and
-    phi_transition.  A block past T.X.bound is empty, which is exact when
-    T.X has no nondegenerate simplex past its bound.
+    phi_transition.
+
+    The only truncation is the bounds of the spaces: K.bound ends the
+    source's simplices and T.X.bound the target's chains.  A block past
+    T.X.bound is empty, which is exact when T.X has no nondegenerate simplex
+    past its bound; so every degree n >= 0 is defined, and it is the zero
+    group once n exceeds T.X.bound.
     """
 
-    def __init__(self, K, T, degree_bound):
-        self._start(K, degree_bound)
+    def __init__(self, K, T):
+        self._start(K)
         if not T.reduced:
             raise HomotopyError("mapping complexes target reduced tensors")
         if K.bound > T.X.bound:
@@ -241,11 +246,10 @@ class MappingComplex:
                         Relation(h.class_id, j.class_id, res.comps, phi_transition(K, om))
                     )
 
-    def _start(self, K, degree_bound):
+    def _start(self, K):
         if not K.based:
             raise HomotopyError("the source must be based")
         self.K = K
-        self.degree_bound = degree_bound
         self.charts = {}
         self.relations = []
         self._degree = {}
@@ -254,8 +258,8 @@ class MappingComplex:
 
     def degree_data(self, n):
         if n not in self._degree:
-            if n < 0 or n > self.degree_bound:
-                raise HomotopyError("degree %d outside the configured bound" % n)
+            if n < 0:
+                raise HomotopyError("degree %d is negative" % n)
             self._degree[n] = self._build_degree(n)
         return self._degree[n]
 
@@ -338,13 +342,12 @@ class MappingComplex:
         self._diffs[n] = out
         return out
 
-    def chain_complex(self, top=None):
-        """The complex of degrees 0..top, by default 0..degree_bound.
+    def chain_complex(self, top):
+        """The complex of degrees 0..top; nothing above top is built.
 
-        degree_bound is only an upper limit: nothing above top is built.
-        The complex lacks d_{top+1}, so its homology is valid below top only.
+        The complex lacks d_{top+1}, so its homology is valid below top only:
+        H_n needs top >= n + 1.
         """
-        top = self.degree_bound if top is None else top
         if top not in self._complexes:
             groups = {n: self.group(n) for n in range(top + 1)}
             diffs = {n: self.differential(n) for n in range(1, top + 1)}
@@ -352,11 +355,11 @@ class MappingComplex:
         return self._complexes[top]
 
     def homotopy_group(self, n):
-        """pi_n, read from degrees 0..n + 1 only; degree_bound is an upper limit."""
-        if n + 1 > self.degree_bound:
-            raise HomotopyError(
-                "degree bound %d too small for pi_%d" % (self.degree_bound, n)
-            )
+        """pi_n = H_n, read from the Hom complex in degrees 0..n + 1 only.
+
+        The source's bound must reach n + 1; the target's bound needs no
+        check, since degrees past it are the zero group.
+        """
         if n + 1 > self.K.bound:
             # kept as is: the Hom complex is exact without it when K and T
             # have no nondegenerate simplex past their bounds
@@ -389,8 +392,8 @@ class EquivariantMappingComplex(MappingComplex):
     normalized blocks.
     """
 
-    def __init__(self, K, mt, degree_bound):
-        self._start(K, degree_bound)
+    def __init__(self, K, mt):
+        self._start(K)
         self.mt = mt
         W = K.group
         chains = mt.chain_complex()
@@ -418,14 +421,14 @@ def _smash_index_map(sm, m):
 # -- homotopy classes and the loop comparison -------------------------------------
 
 
-def homotopy_classes(descs, X, M, degree_bound=2, bound=None):
-    """[Phi S^V, X (x~) M] as the 0-th homology of the mapping complex."""
-    G = M.group
-    b = bound if bound is not None else X.bound
-    K = sphere_for_descriptors(G, list(descs), b)
-    T = reduced_tensor(X, M)
-    mc = MappingComplex(K, T, degree_bound)
-    return mc.homotopy_group(0)
+def homotopy_classes(descs, X, M):
+    """[S^V, X (x~) M]^G as pi_0 of the mapping complex.
+
+    S^V is built at X.bound, the only truncation; pi_0 reads the Hom
+    complex in degrees 0 and 1 only.
+    """
+    K = sphere_for_descriptors(M.group, list(descs), X.bound)
+    return MappingComplex(K, reduced_tensor(X, M)).homotopy_group(0)
 
 
 def based_orbit_space(G, rec, bound):
@@ -455,20 +458,15 @@ class OmegaReport:
         return "\n".join(lines)
 
 
-def omega_spectrum_check(X, M, desc, n_max, degree_bound=None):
+def omega_spectrum_check(X, M, desc, n_max):
     """Compare pi_n of the tensor with pi_n of the looped suspension.
 
     For each orbit class K and n <= n_max the comparison map induced by the
     loop adjoint of the structure map is computed explicitly on cycles and
-    must be an isomorphism onto the mapping-complex homology.  degree_bound
-    (default n_max + 2) is only an upper limit: pi_n reads the mapping
-    complex in degrees 0..n + 1, so nothing above n_max + 1 is built.
+    must be an isomorphism onto the mapping-complex homology.  S^W is built
+    at X.bound, the only truncation; pi_n reads the mapping complex in
+    degrees 0..n + 1, so nothing above n_max + 1 is built.
     """
-    bound = degree_bound if degree_bound is not None else n_max + 2
-    if bound <= n_max:
-        raise HomotopyError(
-            "degree bound %d too small for pi_%d" % (bound, n_max)
-        )
     if n_max + 1 > X.bound:
         # the mapping complexes' guard: pi_n_max needs n_max + 1 <= bound
         raise HomotopyError(
@@ -481,7 +479,7 @@ def omega_spectrum_check(X, M, desc, n_max, degree_bound=None):
     for krec in subgroup_classes(G):
         orb_space = based_orbit_space(G, krec, psi.SW.bound)
         kspace = smash(psi.SW, orb_space)
-        mc = MappingComplex(kspace, psi.T_tgt, bound)
+        mc = MappingComplex(kspace, psi.T_tgt)
         lhs_complex = chains.complex(krec)
         for n in range(n_max + 1):
             lhs_h = lhs_complex.homology(n)
@@ -574,14 +572,9 @@ def _decode_kspace_point(kspace, orb_space, rec, m, kappa):
 
 @lru_cache(maxsize=None)
 def _discrete_vertex_table(space, m):
-    """level-m point -> its vertex, for a discrete space."""
-    out = []
-    for p in range(space.levels[m].size):
-        v = p
-        for lvl in range(m, 0, -1):
-            v = space.faces[lvl][0].values[v]
-        out.append(v)
-    return tuple(out)
+    """level-m point -> its last vertex, which is its only one for a
+    discrete space."""
+    return space.operator((m,), 0, m)
 
 
 # -- graded tables -----------------------------------------------------------------
@@ -613,18 +606,18 @@ class GradedTable:
         ]
 
 
-def ro_graded_table(X, M, rows, bound=None):
+def ro_graded_table(X, M, rows):
     """Entries H~_p(S^W smash X; M) per orbit class, for requested rows.
 
+    S^W is built at X.bound, the only truncation, so p must lie below it.
     S^W smash X and its chains are built once per twist W, for all of that
     twist's degrees."""
     G = M.group
-    b = bound if bound is not None else X.bound
     spaces, degrees = {}, {}
     for p, descs in rows:
         key = tuple(descs)
         if key not in spaces:
-            spaces[key] = smash(sphere_for_descriptors(G, list(descs), b), X)
+            spaces[key] = smash(sphere_for_descriptors(G, list(descs), X.bound), X)
         if p >= spaces[key].bound:
             raise HomotopyError("degree %d past bound %d" % (p, spaces[key].bound))
         degrees.setdefault(key, []).append(p)

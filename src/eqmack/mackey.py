@@ -25,6 +25,7 @@ from .groups import (
 from .gsets import (
     GMap,
     GSet,
+    _coset_index,
     coset_space,
     disjoint_union,
     fixed_points,
@@ -59,16 +60,10 @@ class OrbitMap:
         return self.src.group
 
     def gmap(self):
-        G = self.group
+        G, helems = self.group, self.tgt.elements
         s_space, s_reps, _ = coset_space(G, self.src.elements)
-        t_space, t_reps, _ = coset_space(G, self.tgt.elements)
-        hs = frozenset(self.tgt.elements)
-        vals = []
-        for r in s_reps:
-            g = G.mul[r][self.c]
-            coset = tuple(sorted(G.mul[g][h] for h in hs))
-            vals.append(t_reps.index(coset[0]))
-        return GMap(s_space, t_space, tuple(vals))
+        vals = tuple(_coset_index(G, helems, G.mul[r][self.c]) for r in s_reps)
+        return GMap(s_space, coset_space(G, helems)[0], vals)
 
     def compose(self, other):
         """self o other (other first)."""
@@ -175,14 +170,16 @@ class MackeyFunctor:
         self._orbit_memo = {}
 
     # -- backing interface -------------------------------------------------
+    # a subclass gives value_of, covariant_raw and contravariant_raw on any
+    # G-set, or overrides the three orbit methods below
     def orbit_value(self, rec):
-        raise NotImplementedError
+        return self.value_of(std_orbit(self.group, rec))
 
     def _orbit_covariant(self, om):
-        raise NotImplementedError
+        return self.covariant_raw(om.gmap())
 
     def _orbit_contravariant(self, om):
-        raise NotImplementedError
+        return self.contravariant_raw(om.gmap())
 
     def orbit_covariant(self, om):
         key = ("cov", om)
@@ -351,15 +348,6 @@ class FixedPointMackey(MackeyFunctor):
     def value_of(self, S):
         return self._container(S)[2]
 
-    def orbit_value(self, rec):
-        return self.value_of(std_orbit(self.group, rec))
-
-    def _orbit_covariant(self, om):
-        return self.covariant_raw(om.gmap())
-
-    def _orbit_contravariant(self, om):
-        return self.contravariant_raw(om.gmap())
-
     def _fixed_point_blocks(self, q):
         """(summands over S^H, summands over T^H, identity blocks (q(s), s))
         for q: S -> T; the ambient sums hold one copy of A per fixed point."""
@@ -472,9 +460,6 @@ class BurnsideMackey(MackeyFunctor):
     def value_of(self, S):
         return AbGroup.free(len(self.basis(S)))
 
-    def orbit_value(self, rec):
-        return self.value_of(std_orbit(self.group, rec))
-
     def class_index(self, S, k, s):
         return self.basis(S).index(self._canonical(S, k, s))
 
@@ -494,12 +479,6 @@ class BurnsideMackey(MackeyFunctor):
                 col[i] = col.get(i, 0) + 1
             cols.append(col)
         return AbHom.from_columns(self.value_of(q.tgt), self.value_of(q.src), cols)
-
-    def _orbit_covariant(self, om):
-        return self.covariant_raw(om.gmap())
-
-    def _orbit_contravariant(self, om):
-        return self.contravariant_raw(om.gmap())
 
 
 @lru_cache(maxsize=None)
@@ -531,14 +510,13 @@ class TableMackey(MackeyFunctor):
     this factorization incomplete are rejected.
     """
 
-    def __init__(self, group, values, weyl_mats, res, tr, check=True):
+    def __init__(self, group, values, weyl_mats, res, tr):
         super().__init__(group)
         self.values = dict(values)  # class_id -> AbGroup
         self.weyl_mats = {k: tuple(v) for k, v in weyl_mats.items()}
         self.res = dict(res)  # (j, h) -> matrix  M(G/H) -> M(G/J)
         self.tr = dict(tr)  # (j, h) -> matrix  M(G/J) -> M(G/H)
-        if check:
-            self._check_fusion()
+        self._check_fusion()
 
     def name(self):
         return "table"
@@ -837,7 +815,7 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def verify_axioms(M, size_bound=None):
+def verify_axioms(M):
     """Check identity, functoriality, additivity and the pullback axiom."""
     G = M.group
     recs = subgroup_classes(G)
@@ -909,15 +887,8 @@ def verify_axioms(M, size_bound=None):
     ok = True
     witness = ""
     for drec in recs:
-        d = std_orbit(G, drec)
         for brec in recs:
-            b = std_orbit(G, brec)
-            if size_bound and b.size > size_bound:
-                continue
             for crec in recs:
-                c = std_orbit(G, crec)
-                if size_bound and c.size > size_bound:
-                    continue
                 for hm in (om.gmap() for om in orbit_maps_between(brec, drec)):
                     for km in (om.gmap() for om in orbit_maps_between(crec, drec)):
                         a, f, g = pullback(hm, km)

@@ -763,6 +763,8 @@ def rotation_rep(n, k):
 
 def representation_sphere(G, desc, bound=DEFAULT_BOUND):
     if desc.kind == "trivial":
+        if desc.n < 0:
+            raise SimplicialError("trivial sphere of negative dimension %d" % desc.n)
         if desc.n == 0:
             return s0_space(G, bound)
         out = circle_space(G, bound)
@@ -789,9 +791,9 @@ def sphere_for_descriptors(G, descs, bound=DEFAULT_BOUND):
     return out
 
 
-def suspend(X, desc, bound=None):
-    b = bound if bound is not None else X.bound
-    return smash(representation_sphere(X.group, desc, b), X)
+def suspend(X, desc):
+    """S^W smash X, with S^W built at X.bound, the only truncation."""
+    return smash(representation_sphere(X.group, desc, X.bound), X)
 
 
 def discrete_space(G, S, bound=DEFAULT_BOUND, base_vertex=None):
@@ -801,23 +803,16 @@ def discrete_space(G, S, bound=DEFAULT_BOUND, base_vertex=None):
 
 def vertex_degeneracy(X, vertex, n):
     """The level-n point obtained by degenerating a vertex."""
-    y = vertex
-    for m in range(n):
-        y = X.degens[m][0].values[y]
-    return y
+    return X.operator((0,) * (n + 1), n, 0)[vertex]
 
 
 def discrete_inclusion(src, tgt, vertex_values):
     """A simplicial map out of a discrete space, given on vertices."""
-
-    def value(n, p):
-        # every point of a discrete space is a vertex degeneracy
-        v = p
-        for m in range(n, 0, -1):
-            v = src.faces[m][0].values[v]
-        return vertex_degeneracy(tgt, vertex_values[v], n)
-
-    return _levelwise(src, tgt, value)
+    # every point of a discrete space is a degeneracy of its last vertex
+    levels = range(min(src.bound, tgt.bound) + 1)
+    vertex = [src.operator((n,), 0, n) for n in levels]
+    degen = [tgt.operator((0,) * (n + 1), n, 0) for n in levels]
+    return _levelwise(src, tgt, lambda n, p: degen[n][vertex_values[vertex[n][p]]])
 
 
 def smash_assoc(A, B, C):

@@ -502,15 +502,14 @@ def rho_iso(X, hrec, module, reduced=False):
 
 
 class PsiMap:
-    """The map smashing a fixed sphere simplex onto a reduced tensor class."""
+    """The map smashing a fixed sphere simplex onto a reduced tensor class;
+    S^W is sphere, or else the sphere of desc built at X.bound."""
 
-    def __init__(self, desc, X, M, bound=None, sphere=None):
-        G = M.group
-        b = bound if bound is not None else X.bound
+    def __init__(self, desc, X, M, sphere=None):
         self.desc = desc
         self.X = X
         self.M = M
-        self.SW = sphere if sphere is not None else representation_sphere(G, desc, b)
+        self.SW = sphere if sphere is not None else representation_sphere(M.group, desc, X.bound)
         self.SX = smash(self.SW, X)
         self.T_src = TensorMackey(X, M, reduced=True)
         self.T_tgt = TensorMackey(self.SX, M, reduced=True)
@@ -559,8 +558,8 @@ class PsiMap:
         return based_covariant(self.M, self.level_map(rec, n, alpha), 0, 0)
 
 
-def structure_map_psi(desc, X, M, bound=None):
-    return PsiMap(desc, X, M, bound=bound)
+def structure_map_psi(desc, X, M):
+    return PsiMap(desc, X, M)
 
 
 # -- exact sequence constructors -------------------------------------------------

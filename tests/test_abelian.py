@@ -384,7 +384,7 @@ def test_input_contracts_hold_under_optimized_python():
         "Z = constant_mackey(C2, AbGroup.free(1))\n"
         "def maps(kb, xb):\n"
         "    T = reduced_tensor(sphere_for_descriptors(C2, [trivial_rep(1)], xb), Z)\n"
-        "    return MappingComplex(s0_space(C2, kb), T, 4)\n"
+        "    return MappingComplex(s0_space(C2, kb), T)\n"
         "cases = [\n"
         "    (ContractError, lambda: AbGroup(2, ((1,),))),\n"
         "    (ValueError, lambda: la.hstack(((1,),), ((1,), (2,)))),\n"
@@ -394,6 +394,7 @@ def test_input_contracts_hold_under_optimized_python():
         "    (HomotopyError, lambda: maps(4, 2)),\n"
         "    (HomotopyError, lambda: omega_spectrum_check(s0_space(C2, 2), Z, sign_rep(), 2)),\n"
         "    (SimplicialError, lambda: sphere_for_descriptors(C2, [sign_rep()]).operator((0, 1), 0, 1)),\n"
+        "    (SimplicialError, lambda: sphere_for_descriptors(C2, [trivial_rep(-1)], 3)),\n"
         "]\n"
         "for error, call in cases:\n"
         "    try:\n"
@@ -404,4 +405,4 @@ def test_input_contracts_hold_under_optimized_python():
     run = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
     )
-    assert run.stdout.split() == ["rejected"] * 8, run.stderr
+    assert run.stdout.split() == ["rejected"] * 9, run.stderr

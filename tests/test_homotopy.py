@@ -12,6 +12,7 @@ W-module A from S^0 or S^sigma have pi_0 = A^W and pi_1 = 0.
 
 import hashlib
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -220,14 +221,6 @@ def test_omega_check_rejects_a_source_too_short_before_building(monkeypatch):
         omega_spectrum_check(s0_space(C2, 2), constant_mackey(C2, Z), sign_rep(), 2)
 
 
-def test_omega_check_rejects_a_degree_bound_without_the_next_differential():
-    # pi_1 needs d_2; with degree_bound 1 it would read as the cycles Z^3, Z^2
-    with pytest.raises(HomotopyError):
-        omega_spectrum_check(
-            s0_space(C2, 2), constant_mackey(C2, Z), sign_rep(), 1, degree_bound=1
-        )
-
-
 @pytest.mark.parametrize(
     "coeffs, expected",
     [("burnside", ["Z^2", "Z"]), ("Z", ["Z", "0"])],
@@ -235,8 +228,16 @@ def test_omega_check_rejects_a_degree_bound_without_the_next_differential():
 def test_homotopy_classes_from_spheres(coeffs, expected):
     M = burnside_mackey(C2) if coeffs == "burnside" else constant_mackey(C2, Z)
     X = s0_space(C2, 3)
-    got = [homotopy_classes(V, X, M, degree_bound=2).describe() for V in ([], [sign_rep()])]
+    got = [homotopy_classes(V, X, M).describe() for V in ([], [sign_rep()])]
     assert got == expected
+
+
+def test_homotopy_classes_build_the_sphere_at_the_target_bound():
+    # [S^{2 sigma}, S^2 (x~) Z]^C2 = H~^2_G(S^{2 sigma}; Z) = Z by hand: the
+    # top class of S^{2 sigma} is fixed.  A sphere cut below its dimension
+    # would read 0.
+    X = sphere_for_descriptors(C2, [trivial_rep(2)], 4)
+    assert homotopy_classes([sign_rep()] * 2, X, constant_mackey(C2, Z)).describe() == "Z"
 
 
 def test_homotopy_classes_of_a_large_zero_presentation_use_a_small_snf(monkeypatch):
@@ -253,7 +254,7 @@ def test_homotopy_classes_of_a_large_zero_presentation_use_a_small_snf(monkeypat
 
     monkeypatch.setattr(la, "snf", small_snf)
     X = sphere_for_descriptors(C2, [trivial_rep(4)], 5)
-    got = homotopy_classes([sign_rep()] * 3, X, constant_mackey(C2, Z), bound=5)
+    got = homotopy_classes([sign_rep()] * 3, X, constant_mackey(C2, Z))
     assert got.describe() == "0"
 
 
@@ -288,26 +289,22 @@ def module(name):
 )
 def test_equivariant_mapping_complex_from_spheres(sphere, coeffs, expected):
     K = s0_space(C2, 3) if sphere == "S^0" else sphere_for_descriptors(C2, [sign_rep()], 3)
-    mc = EquivariantMappingComplex(K, ModuleTensor(K, module(coeffs)), 2)
+    mc = EquivariantMappingComplex(K, ModuleTensor(K, module(coeffs)))
     assert [mc.homotopy_group(n).describe() for n in (0, 1)] == expected
-    with pytest.raises(HomotopyError):
-        mc.group(3)
+    # N_3 of the target is 0, so degree 3 has only zero blocks
+    assert mc.group(3).describe() == "0"
 
 
-def test_mapping_complex_degree_bound_is_checked():
+def test_mapping_complex_degrees_past_the_target_are_zero():
     K = sphere_for_descriptors(C2, [sign_rep()], 3)
-    mc = MappingComplex(K, reduced_tensor(s0_space(C2, 3), constant_mackey(C2, Z)), 2)
-    with pytest.raises(HomotopyError):
-        mc.group(3)
-    with pytest.raises(HomotopyError):
-        mc.homotopy_group(2)
+    mc = MappingComplex(K, reduced_tensor(s0_space(C2, 3), constant_mackey(C2, Z)))
     with pytest.raises(HomotopyError):
         mc.differential(0)  # d_0 would target a degree -1
-    with pytest.raises(HomotopyError):
-        mc.differential(5)
-    with pytest.raises(HomotopyError):
-        mc.element_from_blocks(3, {})
     assert sorted(mc._degree) == [0]  # only d_0's valid source was built
+    # S^0 (x~) Z has chains in degree 0 only: degree 3 is 0, and pi_2 of maps
+    # into the Eilenberg-Mac Lane space K(Z, 0) is 0
+    assert mc.group(3).describe() == "0"
+    assert mc.homotopy_group(2).describe() == "0"
 
 
 @pytest.mark.parametrize("coeffs", ["burnside", "Z"])
@@ -317,10 +314,10 @@ def test_truncated_pi_n_matches_the_full_complex(coeffs):
     psi = PsiMap(sign_rep(), s0_space(C2, 2), M)
     for krec in subgroup_classes(C2):
         kspace = smash(psi.SW, based_orbit_space(C2, krec, psi.SW.bound))
-        truncated = MappingComplex(kspace, psi.T_tgt, 3)
-        full = MappingComplex(kspace, psi.T_tgt, 3)
+        truncated = MappingComplex(kspace, psi.T_tgt)
+        full = MappingComplex(kspace, psi.T_tgt)
         for n in (0, 1):
-            got, want = truncated.homotopy_group(n), full.chain_complex().homology(n)
+            got, want = truncated.homotopy_group(n), full.chain_complex(3).homology(n)
             assert (got.ngens, got.rels) == (want.ngens, want.rels)
 
 
@@ -330,7 +327,7 @@ def omega_complexes(M, engine=MappingComplex):
     psi = PsiMap(sign_rep(), s0_space(C2, 2), M)
     for krec in subgroup_classes(C2):
         kspace = smash(psi.SW, based_orbit_space(C2, krec, psi.SW.bound))
-        yield engine(kspace, psi.T_tgt, 3)
+        yield engine(kspace, psi.T_tgt)
 
 
 # sha256 of the repr of the degree groups, their inclusions into the unknowns
@@ -343,7 +340,7 @@ OMEGA_COMPLEXES_SHA256 = "391c80ad1f7fdfcd082d541e794b01b022683598bc8e544d1bd881
 def test_omega_mapping_complexes_are_bit_identical():
     parts = []
     for M in (burnside_mackey(C2), constant_mackey(C2, Z), constant_mackey(C2, Z2)):
-        for mc in omega_complexes(M, DeltaMappingComplex):
+        for mc in omega_complexes(M, partial(DeltaMappingComplex, degree_bound=3)):
             for n in range(3):
                 data = mc.degree_data(n)
                 parts.append((n, data["group"].ngens, data["group"].rels, data["incl"].mat))
@@ -376,14 +373,14 @@ def test_omega_pi_n_forms_no_dense_matrix(coeffs, monkeypatch):
     assert groups() == want
 
 
-def _maps_into_trivial_sphere(d, kb, xb, degree_bound=4):
+def _maps_into_trivial_sphere(d, kb, xb):
     """Maps S^0 -> S^d (x~) Z on C2, with source bound kb and target bound xb."""
     T = reduced_tensor(sphere_for_descriptors(C2, [trivial_rep(d)], xb), constant_mackey(C2, Z))
-    return MappingComplex(s0_space(C2, kb), T, degree_bound)
+    return MappingComplex(s0_space(C2, kb), T)
 
 
 def test_pi_n_builds_nothing_above_degree_n_plus_one():
-    mc = _maps_into_trivial_sphere(1, 3, 3, degree_bound=3)
+    mc = _maps_into_trivial_sphere(1, 3, 3)
     mc.homotopy_group(0)
     assert sorted(mc._degree) == [0, 1]
 
@@ -409,14 +406,14 @@ def test_source_bound_past_the_target_bound_is_rejected(xb):
 
 def test_element_from_blocks_accepts_natural_and_rejects_other_families():
     K = s0_space(C2, 3)
-    emc = EquivariantMappingComplex(K, ModuleTensor(K, module("Z")), 2)
+    emc = EquivariantMappingComplex(K, ModuleTensor(K, module("Z")))
     # chart 0, level 0, the non-base vertex: the generator of pi_0 = Z
     unit = emc.element_from_blocks(0, {(0, 0, 1): (1,)})
-    assert emc.chain_complex().homology_class(0, unit) == (1,)
+    assert emc.chain_complex(1).homology_class(0, unit) == (1,)
     # K = S^sigma has the fixed points S^0: a value at G/G whose restriction
     # to G/e is not matched there is simplicial but not natural
     K = sphere_for_descriptors(C2, [sign_rep()], 3)
-    mc = MappingComplex(K, reduced_tensor(s0_space(C2, 3), constant_mackey(C2, Z)), 2)
+    mc = MappingComplex(K, reduced_tensor(s0_space(C2, 3), constant_mackey(C2, Z)))
     assert (1, 0, 1) in mc.degree_data(0)["blocks"]
     with pytest.raises(HomotopyError):
         mc.element_from_blocks(0, {(1, 0, 1): (1,)})
@@ -706,7 +703,7 @@ def test_mapping_complex_matches_the_reference(sphere, coeffs):
     # the complexes of homotopy_classes: maps S^V -> S^0 (x~) M, bound 3
     K = sphere_for_descriptors(C2, [] if sphere == "S^0" else [sign_rep()], 3)
     T = reduced_tensor(s0_space(C2, 3), coefficients(coeffs))
-    got, want = MappingComplex(K, T, 2), DeltaMappingComplex(K, T, 2)
+    got, want = MappingComplex(K, T), DeltaMappingComplex(K, T, 2)
     for n in (0, 1):
         assert got.homotopy_group(n).invariants() == want.homotopy_group(n).invariants()
 
@@ -714,7 +711,7 @@ def test_mapping_complex_matches_the_reference(sphere, coeffs):
 @pytest.mark.parametrize("d, kb, xb", [(1, 2, 2), (1, 3, 3), (1, 2, 4), (2, 3, 4), (2, 3, 3)])
 def test_maps_into_trivial_spheres_match_the_reference(d, kb, xb):
     got = _maps_into_trivial_sphere(d, kb, xb)
-    want = DeltaMappingComplex(got.K, got.T, got.degree_bound)
+    want = DeltaMappingComplex(got.K, got.T, 4)
     for n in range(d + 1):
         assert got.homotopy_group(n).invariants() == want.homotopy_group(n).invariants()
 
@@ -724,7 +721,7 @@ def test_maps_into_trivial_spheres_match_the_reference(d, kb, xb):
 def test_equivariant_mapping_complex_matches_the_reference(sphere, coeffs):
     K = s0_space(C2, 3) if sphere == "S^0" else sphere_for_descriptors(C2, [sign_rep()], 3)
     mt = ModuleTensor(K, module(coeffs))
-    got, want = EquivariantMappingComplex(K, mt, 2), DeltaEquivariantMappingComplex(K, mt, 2)
+    got, want = EquivariantMappingComplex(K, mt), DeltaEquivariantMappingComplex(K, mt, 2)
     for n in (0, 1):
         assert got.homotopy_group(n).invariants() == want.homotopy_group(n).invariants()
 

@@ -129,6 +129,12 @@ def test_representation_sphere_dispatch():
     assert reduced_homology(smashsp, 2) == (1, ())
 
 
+def test_negative_trivial_sphere_is_rejected():
+    # trivial_rep(-1) once built S^1, with the same level sizes 1, 2, 3, 4
+    with pytest.raises(SimplicialError, match="negative dimension -1"):
+        representation_sphere(C2, trivial_rep(-1), 3)
+
+
 def test_suspension():
     s0 = s0_space(C2)
     s1 = suspend(s0, trivial_rep(1))
