@@ -10,9 +10,6 @@ only on what remains.  The dense relation matrix `rels` and the dense SNF of
 element_key() and elements() are built only when read.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import prod
@@ -451,13 +448,13 @@ def hom_group(a, b):
     return h, basis, evaluate
 
 
-@dataclass
 class ChainComplex:
     """Bounded complex ... -> C_n -> C_{n-1} -> ...; diffs[n]: C_n -> C_{n-1}."""
 
-    groups: dict
-    diffs: dict
-    _hcache: dict = field(default_factory=dict, repr=False)
+    def __init__(self, groups, diffs, _hcache=None):
+        self.groups = groups
+        self.diffs = diffs
+        self._hcache = {} if _hcache is None else _hcache
 
     def group(self, n):
         return self.groups.get(n, AbGroup.zero())
@@ -513,11 +510,11 @@ class ChainComplex:
         return tuple(y.get(i, 0) for i in range(self.group(n).ngens))
 
 
-@dataclass
 class ChainMap:
-    src: ChainComplex
-    tgt: ChainComplex
-    comps: dict  # n -> AbHom  C_n(src) -> C_n(tgt)
+    def __init__(self, src, tgt, comps):
+        self.src = src
+        self.tgt = tgt
+        self.comps = comps  # n -> AbHom  C_n(src) -> C_n(tgt)
 
     def comp(self, n):
         if n in self.comps:

@@ -5,11 +5,8 @@ interest fit in a few dozen elements, so O(|G|^3) validation and exhaustive
 subgroup enumeration are the simplest trustworthy tools.
 """
 
-from __future__ import annotations
-
 import itertools
 import json
-from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 
@@ -17,45 +14,78 @@ class GroupError(ValueError):
     pass
 
 
-def cached_hash(cls):
-    """Hash a frozen dataclass once per instance instead of on every lookup.
+class Frozen:
+    """An immutable value: == and hash read the tuple of compared fields.
 
-    The generated __hash__ walks every nested field each time an instance is
-    a dict or lru_cache key.  This one hashes the same fields, those equality
-    compares, to the same value, and stores the result on the instance.
+    A subclass lists its fields in __slots__ and sets them in __init__
+    through object.__setattr__, together with _key, the tuple of the fields
+    that are compared.  A field left out of _key, such as a lookup dict, is
+    stored but neither compared nor hashed.  Keeping _key makes == a single
+    tuple comparison, which matters when a cache lookup compares two equal
+    spaces field by field, down to their groups.  Instances are dict and
+    lru_cache keys whose fields are deep tuples, so the hash is worked out
+    once and kept in the _hash slot.  Assigning to a field raises
+    AttributeError.  The repr lists the fields, those in __slots__ without
+    a leading underscore, unless the subclass writes its own.
     """
-    names = tuple(f.name for f in fields(cls) if f.compare)
+
+    __slots__ = ("_key", "_hash")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            h = hash(tuple(getattr(self, n) for n in names))
+            h = hash(self._key)
             object.__setattr__(self, "_hash", h)
             return h
 
-    cls.__hash__ = __hash__
-    return cls
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of %s" % (name, type(self).__name__))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of %s" % (name, type(self).__name__))
+
+    def __getstate__(self):
+        # copy and pickle take the set slots but not the hash: a str field
+        # hashes differently in another process
+        names = type(self).__slots__ + ("_key",)
+        return {n: getattr(self, n) for n in names if hasattr(self, n)}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+    def __repr__(self):
+        fields = (n for n in type(self).__slots__ if not n.startswith("_"))
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (n, getattr(self, n)) for n in fields),
+        )
 
 
-@cached_hash
-@dataclass(frozen=True)
-class FiniteGroup:
-    mul: tuple  # mul[g][h] = g*h
-    name: str = field(default="G", compare=False)
+class FiniteGroup(Frozen):
+    __slots__ = ("mul", "name", "_identity", "_inv")  # mul[g][h] = g*h
 
-    def __post_init__(self):
-        object.__setattr__(self, "mul", tuple(tuple(r) for r in self.mul))
-        n = len(self.mul)
-        for row in self.mul:
+    def __init__(self, mul, name="G"):
+        mul = tuple(tuple(r) for r in mul)
+        object.__setattr__(self, "mul", mul)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_key", (mul,))  # the name is not compared
+        n = len(mul)
+        for row in mul:
             if len(row) != n or sorted(row) != list(range(n)):
                 raise GroupError("multiplication table rows must be permutations")
-        for col in zip(*self.mul) if n else ():
+        for col in zip(*mul) if n else ():
             if sorted(col) != list(range(n)):
                 raise GroupError("multiplication table columns must be permutations")
         ident = None
         for e in range(n):
-            if all(self.mul[e][g] == g and self.mul[g][e] == g for g in range(n)):
+            if all(mul[e][g] == g and mul[g][e] == g for g in range(n)):
                 ident = e
                 break
         if ident is None:
@@ -64,16 +94,16 @@ class FiniteGroup:
         inv = [None] * n
         for g in range(n):
             for h in range(n):
-                if self.mul[g][h] == ident:
+                if mul[g][h] == ident:
                     inv[g] = h
         if any(i is None for i in inv):
             raise GroupError("missing inverses")
         object.__setattr__(self, "_inv", tuple(inv))
         for a in range(n):
             for b in range(n):
-                ab = self.mul[a][b]
+                ab = mul[a][b]
                 for c in range(n):
-                    if self.mul[ab][c] != self.mul[a][self.mul[b][c]]:
+                    if mul[ab][c] != mul[a][mul[b][c]]:
                         raise GroupError("associativity fails at (%d,%d,%d)" % (a, b, c))
 
     @property
@@ -178,16 +208,25 @@ def load_group(data, name=None):
     raise GroupError("group description needs 'mul' or 'perm_generators'")
 
 
-@dataclass(frozen=True)
-class SubgroupRecord:
-    """One conjugacy class of subgroups, named by its minimal representative."""
+class SubgroupRecord(Frozen):
+    """One conjugacy class of subgroups, named by its minimal representative.
 
-    group: FiniteGroup
-    elements: tuple  # sorted member indices of the representative
-    normalizer: tuple
-    weyl: FiniteGroup  # N(H)/H with its own table
-    weyl_reps: tuple  # a coset representative in G per Weyl element
-    class_id: int
+    elements are the sorted member indices of the representative, weyl is
+    N(H)/H with its own table and weyl_reps has a coset representative in G
+    per Weyl element.
+    """
+
+    __slots__ = ("group", "elements", "normalizer", "weyl", "weyl_reps", "class_id")
+
+    def __init__(self, group, elements, normalizer, weyl, weyl_reps, class_id):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "normalizer", normalizer)
+        object.__setattr__(self, "weyl", weyl)
+        object.__setattr__(self, "weyl_reps", weyl_reps)
+        object.__setattr__(self, "class_id", class_id)
+        key = (group, elements, normalizer, weyl, weyl_reps, class_id)
+        object.__setattr__(self, "_key", key)
 
     @property
     def order(self):

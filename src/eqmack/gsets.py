@@ -6,14 +6,10 @@ plain array manipulations with lexicographic tie-breaking, so every
 derived object is reproducible bit for bit.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .groups import (
-    FiniteGroup,
-    cached_hash,
+    Frozen,
     classify_subgroup,
     weyl_group,
 )
@@ -23,29 +19,27 @@ class GSetError(ValueError):
     pass
 
 
-@cached_hash
-@dataclass(frozen=True)
-class GSet:
-    group: FiniteGroup
-    size: int
-    action: tuple  # order x size, action[g][x]
+class GSet(Frozen):
+    __slots__ = ("group", "size", "action")  # action[g][x], order x size
 
-    def __post_init__(self):
-        object.__setattr__(self, "action", tuple(tuple(r) for r in self.action))
-        if len(self.action) != self.group.order:
+    def __init__(self, group, size, action):
+        action = tuple(tuple(r) for r in action)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "_key", (group, size, action))
+        if len(action) != group.order:
             raise GSetError("need one action row per group element")
-        for row in self.action:
-            if len(row) != self.size or (self.size and sorted(row) != list(range(self.size))):
+        for row in action:
+            if len(row) != size or (size and sorted(row) != list(range(size))):
                 raise GSetError("action rows must permute the points")
-        e = self.group.identity
-        if self.size and self.action[e] != tuple(range(self.size)):
+        if size and action[group.identity] != tuple(range(size)):
             raise GSetError("identity must act trivially")
-        G = self.group
-        for g in G.elements():
-            for h in G.elements():
-                gh = G.mul[g][h]
-                for x in range(self.size):
-                    if self.action[g][self.action[h][x]] != self.action[gh][x]:
+        for g in group.elements():
+            for h in group.elements():
+                gh = group.mul[g][h]
+                for x in range(size):
+                    if action[g][action[h][x]] != action[gh][x]:
                         raise GSetError("action is not a homomorphism")
 
     def act(self, g, x):
@@ -74,25 +68,25 @@ class GSet:
         return "GSet(%s, size=%d)" % (self.group.name, self.size)
 
 
-@cached_hash
-@dataclass(frozen=True)
-class GMap:
-    src: GSet
-    tgt: GSet
-    values: tuple
+class GMap(Frozen):
+    __slots__ = ("src", "tgt", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != self.src.size:
+    def __init__(self, src, tgt, values):
+        values = tuple(values)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "tgt", tgt)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_key", (src, tgt, values))
+        if len(values) != src.size:
             raise GSetError("map needs one value per point")
-        if any(not (0 <= v < self.tgt.size) for v in self.values):
+        if any(not (0 <= v < tgt.size) for v in values):
             raise GSetError("map value out of range")
-        G = self.src.group
-        if G is not self.tgt.group and G != self.tgt.group:
+        G = src.group
+        if G is not tgt.group and G != tgt.group:
             raise GSetError("source and target must share the group")
         for g in G.elements():
-            for x in range(self.src.size):
-                if self.values[self.src.action[g][x]] != self.tgt.action[g][self.values[x]]:
+            for x in range(src.size):
+                if values[src.action[g][x]] != tgt.action[g][values[x]]:
                     raise GSetError("map is not equivariant")
 
     def __call__(self, x):
@@ -102,10 +96,12 @@ class GMap:
     def _trusted(src, tgt, values):
         """The map of a table that is equivariant by construction, built
         without the constructor's checks."""
+        values = tuple(values)
         out = object.__new__(GMap)
         object.__setattr__(out, "src", src)
         object.__setattr__(out, "tgt", tgt)
-        object.__setattr__(out, "values", tuple(values))
+        object.__setattr__(out, "values", values)
+        object.__setattr__(out, "_key", (src, tgt, values))
         return out
 
     def compose(self, other):
@@ -178,13 +174,21 @@ def std_orbit(G, rec):
     return coset_space(G, rec.elements)[0]
 
 
-@dataclass(frozen=True)
-class Orbit:
-    points: tuple
-    basepoint: int  # smallest point whose stabilizer is the class representative
-    record: object  # SubgroupRecord
-    from_std: tuple  # coset index in std orbit -> point of the ambient set
-    to_std: tuple  # pairs (point, coset index)
+class Orbit(Frozen):
+    """One orbit of a G-set.  basepoint is its smallest point whose
+    stabilizer is the class representative of the SubgroupRecord record;
+    from_std sends a coset index of the standard orbit to a point of the
+    ambient set, and to_std lists the pairs (point, coset index)."""
+
+    __slots__ = ("points", "basepoint", "record", "from_std", "to_std")
+
+    def __init__(self, points, basepoint, record, from_std, to_std):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "basepoint", basepoint)
+        object.__setattr__(self, "record", record)
+        object.__setattr__(self, "from_std", from_std)
+        object.__setattr__(self, "to_std", to_std)
+        object.__setattr__(self, "_key", (points, basepoint, record, from_std, to_std))
 
     @property
     def std(self):
@@ -292,15 +296,19 @@ def pullback_mediator(f, g, u, v):
     return GMap(u.src, f.src, vals)
 
 
-@dataclass(frozen=True)
-class FixedPoints:
-    """S^H with its Weyl group action."""
+class FixedPoints(Frozen):
+    """S^H with its Weyl group action.  points sends a wset point index to
+    a point of S and index, which is not compared, goes back."""
 
-    wset: GSet
-    points: tuple  # wset point index -> point of S
-    weyl: FiniteGroup
-    weyl_reps: tuple
-    index: dict = field(hash=False, compare=False)  # point of S -> wset point index
+    __slots__ = ("wset", "points", "weyl", "weyl_reps", "index")
+
+    def __init__(self, wset, points, weyl, weyl_reps, index):
+        object.__setattr__(self, "wset", wset)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weyl", weyl)
+        object.__setattr__(self, "weyl_reps", weyl_reps)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_key", (wset, points, weyl, weyl_reps))
 
     def index_of(self, p):
         return self.index[p]
@@ -356,17 +364,25 @@ def enumerate_gmaps(S, T):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Induction:
-    """Balanced product G/H x_W Y for a Weyl-group set Y."""
+class Induction(Frozen):
+    """Balanced product G/H x_W Y for a Weyl-group set Y, the source.
 
-    group: FiniteGroup
-    helems: tuple
-    source: GSet  # the W-set Y
-    gset: GSet
-    classes: tuple  # class index -> canonical (coset index, y)
-    class_index: dict = field(hash=False, compare=False)
-    unit: GMap = None  # Y -> (LY)^H as a W-map
+    classes sends a class index to its canonical (coset index, y) and
+    class_index, which is not compared, goes back; unit is Y -> (LY)^H as
+    a W-map.
+    """
+
+    __slots__ = ("group", "helems", "source", "gset", "classes", "class_index", "unit")
+
+    def __init__(self, group, helems, source, gset, classes, class_index, unit=None):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "helems", helems)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "gset", gset)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "class_index", class_index)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "_key", (group, helems, source, gset, classes, unit))
 
     def class_of(self, coset_idx, y):
         return self.class_index[(coset_idx, y)]

@@ -19,9 +19,6 @@ related to itself by the elements of W (EquivariantMappingComplex).  The
 loop comparison lifts a cycle by the Eilenberg-Zilber shuffle map.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
 
@@ -39,7 +36,6 @@ from .mackey import (
     orbit_maps_between,
 )
 from .simplicial import (
-    SimplicialGSet,
     discrete_space,
     fixed_system,
     phi_transition,
@@ -170,7 +166,6 @@ def bredon_groups(X, M, degrees, based=True):
 # -- mapping complexes ------------------------------------------------------------
 
 
-@dataclass
 class Chart:
     """A based space and the normalized chains of the target over it.
 
@@ -179,21 +174,23 @@ class Chart:
     past the top of chains is empty.
     """
 
-    space: SimplicialGSet
-    chains: ChainComplex
+    def __init__(self, space, chains):
+        self.space = space
+        self.chains = chains
 
 
-@dataclass
 class Relation:
     """hom[k + n] f_src(y) = f_tgt(level[k][y]) for every block y of the
     source chart in degree n, where hom[m] maps level m of the source
     chart's chains to level m of the target chart's.  level[k] is an
-    injective simplicial point table, so it keeps simplices nondegenerate."""
+    injective simplicial point table, so it keeps simplices nondegenerate.
+    src and tgt are chart keys."""
 
-    src: object  # chart key
-    tgt: object  # chart key
-    hom: dict  # chain level -> AbHom
-    level: tuple  # per-level point tables, source space -> target space
+    def __init__(self, src, tgt, hom, level):
+        self.src = src
+        self.tgt = tgt
+        self.hom = hom
+        self.level = level
 
 
 class MappingComplex:
@@ -358,8 +355,11 @@ class MappingComplex:
         """pi_n = H_n, read from the Hom complex in degrees 0..n + 1 only.
 
         The source's bound must reach n + 1; the target's bound needs no
-        check, since degrees past it are the zero group.
+        check, since degrees past it are the zero group.  The complex starts
+        at the chain maps in degree 0, so no pi_n with n < 0 is read.
         """
+        if n < 0:
+            raise HomotopyError("degree %d is negative" % n)
         if n + 1 > self.K.bound:
             # kept as is: the Hom complex is exact without it when K and T
             # have no nondegenerate simplex past their bounds
@@ -439,10 +439,10 @@ def based_orbit_space(G, rec, bound):
     return discrete_space(G, plus, bound=bound, base_vertex=base)
 
 
-@dataclass
 class OmegaReport:
-    desc: object
-    entries: tuple  # (class_id, n, lhs invariants, rhs invariants, iso ok)
+    def __init__(self, desc, entries):
+        self.desc = desc
+        self.entries = entries  # (class_id, n, lhs invariants, rhs invariants, iso ok)
 
     @property
     def passed(self):
@@ -580,10 +580,10 @@ def _discrete_vertex_table(space, m):
 # -- graded tables -----------------------------------------------------------------
 
 
-@dataclass
 class GradedTable:
-    group_name: str
-    rows: tuple  # ((p, descs, {class_id: invariants-string}), ...)
+    def __init__(self, group_name, rows):
+        self.group_name = group_name
+        self.rows = rows  # ((p, descs, {class_id: invariants-string}), ...)
 
     def to_text(self):
         lines = []

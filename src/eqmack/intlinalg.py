@@ -9,8 +9,6 @@ Column reduction and prune_units() pivot on units first, which keeps both
 fast and free of coefficient swell, so snf() sees only a small remainder.
 """
 
-from __future__ import annotations
-
 from collections import defaultdict
 from functools import lru_cache
 

@@ -8,15 +8,12 @@ modules, the Burnside functor, and explicit tables; kernels, cokernels,
 images and homology give derived functors through a generic wrapper.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import abelian as ab
 from .abelian import AbGroup, AbHom
 from .groups import (
-    FiniteGroup,
+    Frozen,
     all_subgroups,
     conjugation_witness,
     normalizer,
@@ -24,7 +21,6 @@ from .groups import (
 )
 from .gsets import (
     GMap,
-    GSet,
     _coset_index,
     coset_space,
     disjoint_union,
@@ -40,19 +36,21 @@ class MackeyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class OrbitMap:
-    """The G-map G/J -> G/H, gJ |-> g c H (J, H class representatives)."""
+class OrbitMap(Frozen):
+    """The G-map G/J -> G/H, gJ |-> g c H, for the SubgroupRecords src and
+    tgt of the class representatives J and H."""
 
-    src: object  # SubgroupRecord
-    tgt: object
-    c: int
+    __slots__ = ("src", "tgt", "c")
 
-    def __post_init__(self):
-        G = self.src.group
-        cinv = G.inv(self.c)
-        for j in self.src.elements:
-            if G.conj(cinv, j) not in self.tgt.elements:
+    def __init__(self, src, tgt, c):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "tgt", tgt)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_key", (src, tgt, c))
+        G = src.group
+        cinv = G.inv(c)
+        for j in src.elements:
+            if G.conj(cinv, j) not in tgt.elements:
                 raise MackeyError("c^-1 J c is not contained in H")
 
     @property
@@ -88,19 +86,21 @@ def orbit_maps_between(jrec, hrec):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class WeylModule:
-    """A module over a (Weyl) group: an abelian group with a left action."""
+class WeylModule(Frozen):
+    """A module over a (Weyl) group: an abelian group with a left action,
+    one AbHom value -> value per group element."""
 
-    group: FiniteGroup
-    value: AbGroup
-    action: tuple  # one AbHom value -> value per group element
+    __slots__ = ("group", "value", "action")
 
-    def __post_init__(self):
-        object.__setattr__(self, "action", tuple(self.action))
-        if len(self.action) != self.group.order:
+    def __init__(self, group, value, action):
+        action = tuple(action)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "_key", (group, value, action))
+        if len(action) != group.order:
             raise MackeyError("need one action hom per group element")
-        if any((h.src, h.tgt) != (self.value, self.value) for h in self.action):
+        if any((h.src, h.tgt) != (value, value) for h in action):
             raise MackeyError("an action hom is not an endomorphism of the value")
 
     def hom(self, g):
@@ -134,7 +134,6 @@ class WeylModule:
         return WeylModule(W, value, tuple(homs))
 
 
-@dataclass
 class Evaluated:
     """M(S) presented as the direct sum over the orbits of S.
 
@@ -143,15 +142,13 @@ class Evaluated:
     vector there and placed by adding it there.
     """
 
-    gset: GSet
-    orbits: tuple
-    summands: tuple
-    value: AbGroup
-    offsets: tuple
-    _orbit_of: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._orbit_of = {p: i for i, o in enumerate(self.orbits) for p in o.points}
+    def __init__(self, gset, orbits, summands, value, offsets):
+        self.gset = gset
+        self.orbits = orbits
+        self.summands = summands
+        self.value = value
+        self.offsets = offsets
+        self._orbit_of = {p: i for i, o in enumerate(orbits) for p in o.points}
 
     def orbit_index_of_point(self, p):
         if p not in self._orbit_of:
@@ -615,11 +612,11 @@ def tabulate(M):
 # -- morphisms and derived functors -------------------------------------------
 
 
-@dataclass
 class MackeyMorphism:
-    src: MackeyFunctor
-    tgt: MackeyFunctor
-    comps: dict  # class_id -> AbHom
+    def __init__(self, src, tgt, comps):
+        self.src = src
+        self.tgt = tgt
+        self.comps = comps  # class_id -> AbHom
 
     def comp(self, rec):
         return self.comps[rec.class_id]
@@ -799,10 +796,10 @@ def direct_sum_mackey(ms):
 # -- axiom verification --------------------------------------------------------
 
 
-@dataclass
 class AxiomReport:
-    passed: bool
-    checks: tuple  # (name, ok, witness-string)
+    def __init__(self, passed, checks):
+        self.passed = passed
+        self.checks = checks  # (name, ok, witness-string)
 
     def failures(self):
         return [c for c in self.checks if not c[1]]

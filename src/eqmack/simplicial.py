@@ -10,14 +10,11 @@ simplices; smash, wedge, collapse and Delta[n]_+ add a crushed basepoint.
 Maps given by a rule on points are tabulated and checked by _levelwise.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .abelian import AbGroup, AbHom, ChainComplex
-from .groups import FiniteGroup, cached_hash
+from .groups import Frozen
 from .gsets import GMap, GSet, fixed_points, point_gset, trivial_gset
 
 
@@ -87,14 +84,31 @@ def monotones(n, m):
 # -- the core container --------------------------------------------------------
 
 
-@cached_hash
-@dataclass(frozen=True)
-class SimplicialGSet:
-    group: FiniteGroup
-    levels: tuple  # GSet per degree 0..bound
-    faces: tuple  # faces[n][i]: GMap levels[n] -> levels[n-1]; faces[0] = ()
-    degens: tuple  # degens[n][i]: GMap levels[n] -> levels[n+1]; last entry ()
-    basepoints: tuple = None  # per-level basepoint index, or None if unbased
+class SimplicialGSet(Frozen):
+    """levels holds a GSet per degree 0..bound; faces[n][i] is the GMap
+    levels[n] -> levels[n-1], with faces[0] = (), and degens[n][i] the GMap
+    levels[n] -> levels[n+1], with an empty last entry; basepoints holds the
+    basepoint index per level, or is None if the space is unbased.  The
+    builders of smashes and joins attach their point tables afterwards."""
+
+    __slots__ = (
+        "group",
+        "levels",
+        "faces",
+        "degens",
+        "basepoints",
+        "_smash_points",
+        "_smash_index",
+        "_join_points",
+    )
+
+    def __init__(self, group, levels, faces, degens, basepoints=None):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "degens", degens)
+        object.__setattr__(self, "basepoints", basepoints)
+        object.__setattr__(self, "_key", (group, levels, faces, degens, basepoints))
 
     @property
     def bound(self):
@@ -357,11 +371,14 @@ def build_from_generators(G, nd_levels, nd_faces, bound=DEFAULT_BOUND, base_vert
 # -- maps of simplicial G-sets --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimplicialGMap:
-    src: SimplicialGSet
-    tgt: SimplicialGSet
-    comps: tuple  # GMap per level
+class SimplicialGMap(Frozen):
+    __slots__ = ("src", "tgt", "comps")  # comps: GMap per level
+
+    def __init__(self, src, tgt, comps):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "tgt", tgt)
+        object.__setattr__(self, "comps", comps)
+        object.__setattr__(self, "_key", (src, tgt, comps))
 
     def comp(self, n):
         return self.comps[n]
@@ -734,12 +751,15 @@ def phi_transition(X, om):
 # -- representation spheres -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RepDescriptor:
-    kind: str  # trivial | sign | rotation
-    n: int = 0
-    k: int = 1
-    kernel: tuple = ()
+class RepDescriptor(Frozen):
+    __slots__ = ("kind", "n", "k", "kernel")  # kind: trivial | sign | rotation
+
+    def __init__(self, kind, n=0, k=1, kernel=()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "_key", (kind, n, k, kernel))
 
     def __str__(self):
         if self.kind == "trivial":
@@ -799,11 +819,6 @@ def suspend(X, desc):
 def discrete_space(G, S, bound=DEFAULT_BOUND, base_vertex=None):
     """The discrete simplicial G-set on a finite G-set."""
     return build_from_generators(G, [S], [None], bound=bound, base_vertex=base_vertex)
-
-
-def vertex_degeneracy(X, vertex, n):
-    """The level-n point obtained by degenerating a vertex."""
-    return X.operator((0,) * (n + 1), n, 0)[vertex]
 
 
 def discrete_inclusion(src, tgt, vertex_values):

@@ -12,14 +12,11 @@ reduced and normalized levels differ only in the simplices they keep, and
 every map between levels, including the comparison rho, reads that layout.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import abelian as ab
 from .abelian import AbHom
-from .groups import subgroup_classes
+from .groups import Frozen, subgroup_classes
 from .gsets import GMap, GSet, coset_space, fixed_points, pullback, std_orbit
 from .mackey import (
     FixedPointMackey,
@@ -37,21 +34,26 @@ class TensorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LevelSet:
+class LevelSet(Frozen):
     """The layout of a tensor level: the points (x, s) of X_n x S whose
     simplex x is kept, plus a sink at point 0 when some simplex is left out.
 
     A full level keeps every simplex, or every simplex but the basepoint for
     a reduced tensor; a normalized level keeps the nondegenerate ones.  The
-    points keep their order in X_n x S.
+    points keep their order in X_n x S.  base is the sink 0, or None; pairs
+    sends a point index to its (x, s), the sink to None, and index, which
+    is not compared, goes back; kept holds the kept simplices of X_n.
     """
 
-    gset: GSet
-    base: object  # the sink 0, or None
-    pairs: tuple  # point index -> (x, s); the sink has pair None
-    kept: frozenset  # the kept simplices of X_n
-    index: dict = field(hash=False, compare=False)  # (x, s) -> point index
+    __slots__ = ("gset", "base", "pairs", "kept", "index")
+
+    def __init__(self, gset, base, pairs, kept, index):
+        object.__setattr__(self, "gset", gset)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "kept", kept)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_key", (gset, base, pairs, kept))
 
     def index_of(self, x, s):
         return self.index[(x, s)]
@@ -242,13 +244,16 @@ def reduced_as_cokernel(X, M, n, S):
 # -- coend representatives ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoendRep:
+class CoendRep(Frozen):
     """(carrier, map into X_n x S, coefficient in M(carrier))."""
 
-    carrier: GSet
-    gmap: GMap
-    coeff: tuple
+    __slots__ = ("carrier", "gmap", "coeff")
+
+    def __init__(self, carrier, gmap, coeff):
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "gmap", gmap)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "_key", (carrier, gmap, coeff))
 
     def is_injective(self):
         return self.gmap.is_injective()

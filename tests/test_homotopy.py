@@ -141,6 +141,8 @@ def test_ro_graded_table_row():
     assert table.to_json() == [
         {"degree": 1, "twist": ["sign"], "groups": {"0": "Z", "1": "0"}}
     ]
+    # the label is padded to 18 columns, then one cell per orbit class
+    assert table.to_text() == "(1; sign)          G/0: Z  G/1: 0"
 
 
 @pytest.mark.parametrize("coeffs", ["burnside", "Z"])
@@ -200,6 +202,21 @@ def test_omega_check_in_degree_zero():
     report = omega_spectrum_check(s0_space(C2, 2), constant_mackey(C2, Z), sign_rep(), 0)
     assert report.passed
     assert [e[2:4] for e in report.entries] == [("Z", "Z"), ("Z", "Z")]
+
+
+def test_omega_check_summary_text():
+    # Burnside coefficients: pi_0 is A(e) = Z at G/e and A(C2) = Z^2 at G/G,
+    # pi_1 is 0 at both, and every comparison map is an isomorphism
+    report = omega_spectrum_check(s0_space(C2, 2), burnside_mackey(C2), sign_rep(), 1)
+    assert report.summary() == "\n".join(
+        [
+            "omega-check: PASS",
+            "  ok   class 0, pi_0: Z vs Z",
+            "  ok   class 0, pi_1: 0 vs 0",
+            "  ok   class 1, pi_0: Z^2 vs Z^2",
+            "  ok   class 1, pi_1: 0 vs 0",
+        ]
+    )
 
 
 def test_c3_rotation_omega_check_passes_at_its_valid_bound():
@@ -305,6 +322,15 @@ def test_mapping_complex_degrees_past_the_target_are_zero():
     # into the Eilenberg-Mac Lane space K(Z, 0) is 0
     assert mc.group(3).describe() == "0"
     assert mc.homotopy_group(2).describe() == "0"
+
+
+def test_homotopy_group_of_a_negative_degree_is_rejected():
+    # maps S^0 -> S^0 (x~) Z: pi_0 is [S^0, HZ]^G = Z(G/G) = Z, and the Hom
+    # complex starts at the chain maps in degree 0, so pi_-1 has no answer
+    mc = MappingComplex(s0_space(C2, 3), reduced_tensor(s0_space(C2, 3), constant_mackey(C2, Z)))
+    assert mc.homotopy_group(0).describe() == "Z"
+    with pytest.raises(HomotopyError, match="negative"):
+        mc.homotopy_group(-1)
 
 
 @pytest.mark.parametrize("coeffs", ["burnside", "Z"])

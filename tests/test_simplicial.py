@@ -293,14 +293,14 @@ def test_smash_trusts_its_checked_factors(monkeypatch):
         (sphere_for_descriptors(C3, [rotation_rep(3, 1)], 3), s0_space(C3, 3)),
         (standard_simplex_plus(C2, 1, 2), sign_circle(C2, (0,), 2)),
     ]
-    checked = GMap.__post_init__
+    checked = GMap.__init__
     built = []
 
-    def counted(self):
-        built.append(self)
-        checked(self)
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        checked(self, *args, **kwargs)
 
-    monkeypatch.setattr(GMap, "__post_init__", counted)
+    monkeypatch.setattr(GMap, "__init__", counted)
     monkeypatch.setattr(
         "eqmack.simplicial.SimplicialGSet.check", lambda self: pytest.fail("re-checked")
     )

@@ -1,11 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "eqmack").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "eqmack").glob("*.py"))
 
 
 def unused_imports(tree):
@@ -68,3 +71,46 @@ def test_function_imports_are_found():
 def test_no_function_imports(path):
     # every import is at the module top, where an import cycle shows at once
     assert function_imports(ast.parse(path.read_text())) == []
+
+
+def generated_code(tree):
+    """Lines that import dataclasses, whose decorator writes and compiles
+    its methods' source at import, or that call exec or eval."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").split(".")[0] == "dataclasses"
+        elif isinstance(node, ast.Call):
+            hit = isinstance(node.func, ast.Name) and node.func.id in ("exec", "eval")
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_generated_code_is_found():
+    source = (
+        "import os\nimport dataclasses.field\nfrom dataclasses import dataclass\n"
+        "exec('x = 1')\ny = eval('2')\nprint(os.sep)\n"
+    )
+    assert generated_code(ast.parse(source)) == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_generated_code(path):
+    # the value classes are written out, so importing the package compiles
+    # only its own source
+    assert generated_code(ast.parse(path.read_text())) == []
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    code = (
+        "import sys; sys.path.insert(0, %r)\n"
+        "import eqmack.homotopy, eqmack.tensor\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n" % str(SRC)
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert run.stdout.split() == ["[]"], run.stderr
