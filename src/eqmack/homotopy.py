@@ -30,8 +30,6 @@ from .mackey import (
     OrbitMap,
     WrappedMackey,
     _orbit_blocks,
-    based_value,
-    contravariant_between,
     covariant_between,
     orbit_maps_between,
 )
@@ -78,7 +76,7 @@ class MackeyChainComplex:
             base = X.base(n) if self.T.reduced else None
             kept = [x for x in range(X.levels[n].size) if not flags[x] and x != base]
             ls = _build_level(X.levels[n], kept, std_orbit(self.T.group, rec), sink=True)
-            self._levels[key] = ls, based_value(self.T.M, ls.gset, 0)
+            self._levels[key] = ls, self.T.M.evaluate(ls.gset, 0)
         return self._levels[key]
 
     def complex(self, rec):
@@ -109,11 +107,10 @@ class MackeyChainComplex:
             M = self.T.M
             stable = om.gmap().values
             comps = {}
-            between = contravariant_between if variance == "res" else covariant_between
+            induced = M.contravariant if variance == "res" else M.covariant
             for n in range(self.T.bound + 1):
-                (src, sev), (tgt, tev) = self.level(om.src, n), self.level(om.tgt, n)
-                f = src.gmap(tgt, lambda x, s: (x, stable[s]))
-                comps[n] = between(M, f, sev, tev, 0)
+                src, tgt = self.level(om.src, n)[0], self.level(om.tgt, n)[0]
+                comps[n] = induced(src.gmap(tgt, lambda x, s: (x, stable[s])), 0, 0)
             self._chainmaps[key] = ChainMap(
                 self.complex(om.tgt if variance == "res" else om.src),
                 self.complex(om.src if variance == "res" else om.tgt),
@@ -424,9 +421,13 @@ def _smash_index_map(sm, m):
 def homotopy_classes(descs, X, M):
     """[S^V, X (x~) M]^G as pi_0 of the mapping complex.
 
-    S^V is built at X.bound, the only truncation; pi_0 reads the Hom
-    complex in degrees 0 and 1 only.
+    S^V is built at X.bound, the only truncation, so dim V must not exceed
+    it: a sphere cut below its dimension gives a wrong answer.  pi_0 reads
+    the Hom complex in degrees 0 and 1 only.
     """
+    dim = sum(d.dim for d in descs)
+    if dim > X.bound:
+        raise HomotopyError("S^V of dimension %d is cut short at bound %d" % (dim, X.bound))
     K = sphere_for_descriptors(M.group, list(descs), X.bound)
     return MappingComplex(K, reduced_tensor(X, M)).homotopy_group(0)
 
@@ -638,12 +639,10 @@ def cofibration_chain_maps(ses, rec):
     icomps = {}
     qcomps = {}
     for n in range(ses.sub.bound + 1):
-        (sub, vsub), (tot, vtot), (quo, vquo) = (ch.level(rec, n) for ch in chains)
+        sub, tot, quo = (ch.level(rec, n)[0] for ch in chains)
         itable, qtable = ses.incl.comps[n].values, ses.proj.comps[n].values
-        f = sub.gmap(tot, lambda x, s: (itable[x], s))
-        icomps[n] = covariant_between(ses.M, f, vsub, vtot, 0)
-        f = tot.gmap(quo, lambda x, s: (qtable[x], s))
-        qcomps[n] = covariant_between(ses.M, f, vtot, vquo, 0)
+        icomps[n] = ses.M.covariant(sub.gmap(tot, lambda x, s: (itable[x], s)), 0, 0)
+        qcomps[n] = ses.M.covariant(tot.gmap(quo, lambda x, s: (qtable[x], s)), 0, 0)
     csub, ctot, cquo = (ch.complex(rec) for ch in chains)
     return ChainMap(csub, ctot, icomps), ChainMap(ctot, cquo, qcomps)
 

@@ -3,9 +3,13 @@
 A functor is specified by its behaviour on the standard orbits of subgroup
 class representatives; evaluation on an arbitrary G-set is the direct sum
 over its orbit decomposition, and a map of G-sets acts blockwise through
-orbit maps.  Three backings are provided: fixed-point functors of Weyl
-modules, the Burnside functor, and explicit tables; kernels, cokernels,
-images and homology give derived functors through a generic wrapper.
+orbit maps.  A basepoint is an argument: the reduced value of a based G-set
+is the same sum with the basepoint's orbit left out, and a block sent to
+the target's basepoint vanishes, so reduced and unreduced values and maps
+share one evaluation and one cache per operation.  Three backings are
+provided: fixed-point functors of Weyl modules, the Burnside functor, and
+explicit tables; kernels, cokernels, images and homology give derived
+functors through a generic wrapper.
 """
 
 from functools import lru_cache
@@ -193,30 +197,33 @@ class MackeyFunctor:
     def name(self):
         return type(self).__name__
 
-    # -- generic layer -----------------------------------------------------
-    def evaluate(self, S):
-        if S not in self._eval_cache:
-            orbits = orbit_decompose(S)
+    # -- generic layer: a basepoint of None means an unbased G-set ---------
+    def evaluate(self, S, base=None):
+        """M(S), or the reduced value at the basepoint base: the sum over
+        the orbits of S that miss base."""
+        key = (S, base)
+        if key not in self._eval_cache:
+            orbits = tuple(o for o in orbit_decompose(S) if base not in o.points)
             summands = tuple(self.orbit_value(o.record) for o in orbits)
             value, offsets = ab.direct_sum_data(summands)
-            self._eval_cache[S] = Evaluated(S, orbits, summands, value, tuple(offsets))
-        return self._eval_cache[S]
+            self._eval_cache[key] = Evaluated(S, orbits, summands, value, tuple(offsets))
+        return self._eval_cache[key]
 
-    def covariant(self, f):
-        """M_*(f)."""
-        if f not in self._cov_cache:
-            self._cov_cache[f] = covariant_between(
-                self, f, self.evaluate(f.src), self.evaluate(f.tgt)
-            )
-        return self._cov_cache[f]
+    def covariant(self, f, src_base=None, tgt_base=None):
+        """M_*(f) between the values at the basepoints."""
+        key = (f, src_base, tgt_base)
+        if key not in self._cov_cache:
+            sev, tev = self.evaluate(f.src, src_base), self.evaluate(f.tgt, tgt_base)
+            self._cov_cache[key] = covariant_between(self, f, sev, tev, tgt_base)
+        return self._cov_cache[key]
 
-    def contravariant(self, f):
-        """M^*(f)."""
-        if f not in self._con_cache:
-            self._con_cache[f] = contravariant_between(
-                self, f, self.evaluate(f.src), self.evaluate(f.tgt)
-            )
-        return self._con_cache[f]
+    def contravariant(self, f, src_base=None, tgt_base=None):
+        """M^*(f) between the values at the basepoints."""
+        key = (f, src_base, tgt_base)
+        if key not in self._con_cache:
+            sev, tev = self.evaluate(f.src, src_base), self.evaluate(f.tgt, tgt_base)
+            self._con_cache[key] = contravariant_between(self, f, sev, tev, tgt_base)
+        return self._con_cache[key]
 
     def weyl_action_hom(self, rec, w):
         """The left action of the Weyl element w on M(G/H)."""
@@ -236,16 +243,12 @@ def evaluate_at_orbit(M, rec):
 
 
 # -- based (reduced) evaluation ---------------------------------------------
+# the generic methods at given basepoints; based_* also check a map is based
 
 
 def based_value(M, S, base):
     """M-tilde of a based G-set: the sum over the non-basepoint orbits."""
-    ev = M.evaluate(S)
-    keep = [i for i, o in enumerate(ev.orbits) if base not in o.points]
-    summands = tuple(ev.summands[i] for i in keep)
-    value, offsets = ab.direct_sum_data(summands)
-    kept_orbits = tuple(ev.orbits[i] for i in keep)
-    return Evaluated(S, kept_orbits, summands, value, tuple(offsets))
+    return M.evaluate(S, base)
 
 
 def _orbit_blocks(M, f, sev, tev, tgt_base):
@@ -281,17 +284,13 @@ def contravariant_between(M, f, sev, tev, tgt_base=None):
 def based_covariant(M, f, src_base, tgt_base):
     if f.values[src_base] != tgt_base:
         raise MackeyError("map is not based")
-    sev = based_value(M, f.src, src_base)
-    tev = based_value(M, f.tgt, tgt_base)
-    return covariant_between(M, f, sev, tev, tgt_base)
+    return M.covariant(f, src_base, tgt_base)
 
 
 def based_contravariant(M, f, src_base, tgt_base):
     if f.values[src_base] != tgt_base:
         raise MackeyError("map is not based")
-    sev = based_value(M, f.src, src_base)
-    tev = based_value(M, f.tgt, tgt_base)
-    return contravariant_between(M, f, sev, tev, tgt_base)
+    return M.contravariant(f, src_base, tgt_base)
 
 
 # -- fixed point functors -----------------------------------------------------

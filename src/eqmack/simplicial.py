@@ -13,7 +13,6 @@ Maps given by a rule on points are tabulated and checked by _levelwise.
 import itertools
 from functools import lru_cache, partial
 
-from .abelian import AbGroup, AbHom, ChainComplex
 from .groups import Frozen
 from .gsets import GMap, GSet, fixed_points, point_gset, trivial_gset
 
@@ -768,6 +767,11 @@ class RepDescriptor(Frozen):
             return "sign"
         return "rot:%d:%d" % (self.n, self.k)
 
+    @property
+    def dim(self):
+        """The real dimension: n for trivial:n, 1 for sign, 2 for a rotation."""
+        return {"trivial": self.n, "sign": 1}.get(self.kind, 2)
+
 
 def trivial_rep(n):
     return RepDescriptor("trivial", n=n)
@@ -846,39 +850,6 @@ def smash_assoc(A, B, C):
         return right._smash_index[n][(inner_l._smash_index[n][(a, b)], c)]
 
     return _levelwise(left, right, value)
-
-
-# -- chains of the underlying simplicial set ------------------------------------
-
-
-def underlying_reduced_chains(X):
-    """Integral chains on nondegenerate non-basepoint simplices."""
-    groups = {}
-    gens = {}
-    for n in range(X.bound + 1):
-        nd = [
-            p
-            for p in X.nondegenerate(n)
-            if not (X.based and p == X.base(n))
-        ]
-        gens[n] = nd
-        groups[n] = AbGroup.free(len(nd))
-    diffs = {}
-    for n in range(1, X.bound + 1):
-        rows = []
-        pos = {p: i for i, p in enumerate(gens[n - 1])}
-        mat = [[0] * len(gens[n]) for _ in range(len(gens[n - 1]))]
-        flags = X.degenerate_flags(n - 1)
-        for j, p in enumerate(gens[n]):
-            for i in range(n + 1):
-                q = X.faces[n][i].values[p]
-                if flags[q] or (X.based and q == X.base(n - 1)):
-                    continue
-                mat[pos[q]][j] += (-1) ** i
-        diffs[n] = AbHom(
-            groups[n], groups[n - 1], tuple(tuple(r) for r in mat)
-        )
-    return ChainComplex(groups=groups, diffs=diffs)
 
 
 # -- auxiliary: standard simplex and cylinder ------------------------------------

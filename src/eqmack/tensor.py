@@ -10,6 +10,8 @@ Every level has one layout, LevelSet: the points (x, s) of X_n x S on the
 kept simplices x, with a sink when some simplex is left out.  Full,
 reduced and normalized levels differ only in the simplices they keep, and
 every map between levels, including the comparison rho, reads that layout.
+A level's sink is its basepoint: values and maps are the coefficients'
+evaluations at the level sets' basepoints, reduced or not alike.
 """
 
 from functools import lru_cache
@@ -18,15 +20,7 @@ from . import abelian as ab
 from .abelian import AbHom
 from .groups import Frozen, subgroup_classes
 from .gsets import GMap, GSet, coset_space, fixed_points, pullback, std_orbit
-from .mackey import (
-    FixedPointMackey,
-    OrbitMap,
-    WeylModule,
-    based_contravariant,
-    based_covariant,
-    based_value,
-    covariant_between,
-)
+from .mackey import FixedPointMackey, OrbitMap, WeylModule
 from .simplicial import collapse, delta, fixed_system, representation_sphere, smash
 
 
@@ -106,7 +100,12 @@ def smash_level(xlevel, xbase, S):
 
 
 class TensorMackey:
-    """X (x) M and its reduced variant, level by level and G-set by G-set."""
+    """X (x) M and its reduced variant, level by level and G-set by G-set.
+
+    A reduced level set is based at its sink and an unreduced one is not;
+    every value and map is M's, evaluated at those basepoints and cached by
+    M, so the two variants share one evaluation path.
+    """
 
     def __init__(self, X, M, reduced=False):
         if reduced and not X.based:
@@ -116,7 +115,6 @@ class TensorMackey:
         self.X = X
         self.M = M
         self.reduced = reduced
-        self._values = {}
         self._homs = {}
 
     @property
@@ -134,32 +132,25 @@ class TensorMackey:
 
     def value(self, n, S):
         """The Evaluated presentation of the level-n value at S."""
-        key = (n, S)
-        if key not in self._values:
-            ls = self.level_set(n, S)
-            if self.reduced:
-                self._values[key] = based_value(self.M, ls.gset, ls.base)
-            else:
-                self._values[key] = self.M.evaluate(ls.gset)
-        return self._values[key]
+        ls = self.level_set(n, S)
+        return self.M.evaluate(ls.gset, ls.base)
 
     def group_at(self, n, S):
         return self.value(n, S).value
 
-    def _induced(self, kind, f):
-        """M_* ("cov") or M^* ("con") of a G-map between level sets."""
-        if self.reduced:
-            based = based_covariant if kind == "cov" else based_contravariant
-            return based(self.M, f, 0, 0)
-        return (self.M.covariant if kind == "cov" else self.M.contravariant)(f)
+    def _induced(self, kind, src, tgt, rule):
+        """M_* ("cov") or M^* ("con") of the G-map src -> tgt of level sets
+        given by rule, between their basepoints."""
+        induced = self.M.covariant if kind == "cov" else self.M.contravariant
+        return induced(src.gmap(tgt, rule), src.base, tgt.base)
 
     def op(self, alpha, m, n, S):
         """The simplicial operator alpha* for monotone alpha: [m] -> [n]."""
         key = ("op", alpha, m, n, S)
         if key not in self._homs:
             table = self.X.operator(alpha, m, n)
-            f = self.level_set(n, S).gmap(self.level_set(m, S), lambda x, s: (table[x], s))
-            self._homs[key] = self._induced("cov", f)
+            src, tgt = self.level_set(n, S), self.level_set(m, S)
+            self._homs[key] = self._induced("cov", src, tgt, lambda x, s: (table[x], s))
         return self._homs[key]
 
     def face(self, n, i, S):
@@ -176,10 +167,8 @@ class TensorMackey:
     def _along_S(self, kind, n, f):
         key = (kind, n, f)
         if key not in self._homs:
-            g = self.level_set(n, f.src).gmap(
-                self.level_set(n, f.tgt), lambda x, s: (x, f.values[s])
-            )
-            self._homs[key] = self._induced(kind, g)
+            src, tgt = self.level_set(n, f.src), self.level_set(n, f.tgt)
+            self._homs[key] = self._induced(kind, src, tgt, lambda x, s: (x, f.values[s]))
         return self._homs[key]
 
     def orbit_transition(self, n, om):
@@ -193,10 +182,8 @@ class TensorMackey:
         for a reduced target, points landing on the basepoint are crushed.  A
         reduced tensor has no such hom into an unreduced one.
         """
-        g = self.level_set(n, S).gmap(other.level_set(n, S), lambda x, s: (table[x], s))
-        if other.reduced and not self.reduced:
-            return covariant_between(self.M, g, self.value(n, S), other.value(n, S), 0)
-        return self._induced("cov", g)
+        src, tgt = self.level_set(n, S), other.level_set(n, S)
+        return self._induced("cov", src, tgt, lambda x, s: (table[x], s))
 
     def describe(self, n, S):
         return self.group_at(n, S).describe()
@@ -330,20 +317,20 @@ class ModuleTensor:
     def module(self, n):
         """The level-n W-module: one copy of A per support simplex."""
         if n not in self._levels:
-            sup = self.support(n)
-            pos = {x: i for i, x in enumerate(sup)}
-            summands = [self.A.value] * len(sup)
             W = self.K.group
-            homs = []
-            for w in W.elements():
-                act = self.K.levels[n].action[w]
-                aw = self.A.hom(w)
-                blocks = [
-                    (pos[act[x]], i, aw) for i, x in enumerate(sup) if act[x] in pos
-                ]
-                homs.append(ab.assemble_block_hom(summands, summands, blocks)[0])
-            self._levels[n] = WeylModule(W, homs[0].src, tuple(homs))
+            homs = tuple(self._action(self.support(n), n, w) for w in W.elements())
+            self._levels[n] = WeylModule(W, homs[0].src, homs)
         return self._levels[n]
+
+    def _action(self, keep, n, w):
+        """The action of w on one copy of A per simplex in keep, a set of
+        level-n simplices: the block of x goes to the block of w x through
+        the action of w on A, and vanishes when w x is not kept."""
+        pos = {x: i for i, x in enumerate(keep)}
+        act, aw = self.K.levels[n].action[w], self.A.hom(w)
+        blocks = [(pos[act[x]], i, aw) for i, x in enumerate(keep) if act[x] in pos]
+        summands = [self.A.value] * len(keep)
+        return ab.assemble_block_hom(summands, summands, blocks)[0]
 
     def face_hom(self, n, i):
         table = self.K.faces[n][i].values
@@ -362,25 +349,23 @@ class ModuleTensor:
         groups = {
             n: ab.direct_sum_data([A] * len(keep))[0] for n, keep in enumerate(keeps)
         }
+        signs = (AbHom.identity(A), -AbHom.identity(A))
         diffs = {}
         for n in range(1, self.K.bound + 1):
-            faces = self.K.faces[n]
-            d = _routed_hom(A, keeps[n], keeps[n - 1], faces[0].values)
-            for i in range(1, n + 1):
-                h = _routed_hom(A, keeps[n], keeps[n - 1], faces[i].values)
-                d = d + (h if i % 2 == 0 else -h)
-            diffs[n] = d
+            pos = {x: i for i, x in enumerate(keeps[n - 1])}
+            entries = [
+                (pos[face.values[x]], j, signs[i % 2])
+                for i, face in enumerate(self.K.faces[n])
+                for j, x in enumerate(keeps[n])
+                if face.values[x] in pos
+            ]
+            src, tgt = [A] * len(keeps[n]), [A] * len(keeps[n - 1])
+            diffs[n] = ab.assemble_block_hom(src, tgt, entries)[0]
         return ab.ChainComplex(groups=groups, diffs=diffs)
 
     def chain_action(self, n, w):
-        """The action of w on level n of chain_complex(): the block of x goes
-        to the block of w x through the action of w on A."""
-        keep = self.normalized_support(n)
-        pos = {x: i for i, x in enumerate(keep)}
-        act, aw = self.K.levels[n].action[w], self.A.hom(w)
-        blocks = [(pos[act[x]], i, aw) for i, x in enumerate(keep)]
-        summands = [self.A.value] * len(keep)
-        return ab.assemble_block_hom(summands, summands, blocks)[0]
+        """The action of w on level n of chain_complex()."""
+        return self._action(self.normalized_support(n), n, w)
 
 
 def _routed_hom(A, sup_src, sup_tgt, table):
@@ -560,7 +545,7 @@ class PsiMap:
             return AbHom.zero(
                 self.T_src.group_at(n, S), self.T_tgt.group_at(n, S)
             )
-        return based_covariant(self.M, self.level_map(rec, n, alpha), 0, 0)
+        return self.M.covariant(self.level_map(rec, n, alpha), 0, 0)
 
 
 def structure_map_psi(desc, X, M):

@@ -257,6 +257,42 @@ def test_homotopy_classes_build_the_sphere_at_the_target_bound():
     assert homotopy_classes([sign_rep()] * 2, X, constant_mackey(C2, Z)).describe() == "Z"
 
 
+def sign_sphere_classes_by_hand(k, n):
+    """[S^{k sigma}, S^n (x~) Z]^C2 for constant Z: the reduced cohomology
+    H~^n of the orbit space S^{k sigma}/C2, which is S^0 for k = 0 and the
+    suspension of RP^{k-1} for k >= 1; RP^1 has H~^1 = Z and RP^2 has
+    H~^2 = Z/2, and every other group with k <= 3 is 0."""
+    return {(0, 0): "Z", (2, 2): "Z", (3, 3): "Z/2"}.get((k, n), "0")
+
+
+@pytest.mark.parametrize(
+    "k, n, bound",
+    [
+        (k, n, max(k, n, 1) + extra)
+        for k in range(4)
+        for n in range(k + 2)
+        for extra in (0, 1)
+    ],
+)
+def test_homotopy_classes_of_sign_spheres_match_the_hand_values(k, n, bound):
+    X = sphere_for_descriptors(C2, [trivial_rep(n)], bound)
+    got = homotopy_classes([sign_rep()] * k, X, constant_mackey(C2, Z))
+    assert got.describe() == sign_sphere_classes_by_hand(k, n)
+
+
+@pytest.mark.parametrize("k, n, bound", [(2, 1, 1), (3, 1, 1), (3, 2, 2)])
+def test_homotopy_classes_reject_a_sphere_cut_below_its_dimension(k, n, bound):
+    # S^{k sigma} built at bound < k reads Z^3, Z^12 and Z^24 here, not 0
+    X = sphere_for_descriptors(C2, [trivial_rep(n)], bound)
+    with pytest.raises(HomotopyError, match="dimension %d" % k):
+        homotopy_classes([sign_rep()] * k, X, constant_mackey(C2, Z))
+
+
+def test_representation_dimensions():
+    dims = [d.dim for d in (sign_rep(), trivial_rep(0), trivial_rep(3), rotation_rep(3, 1))]
+    assert dims == [1, 0, 3, 2]
+
+
 def test_homotopy_classes_of_a_large_zero_presentation_use_a_small_snf(monkeypatch):
     # [S^{3 sigma}, S^4 (x~) Z]^C2 is 0 by hand; H_0 of the mapping complex
     # is presented on about a thousand generators, nearly all unit pivots

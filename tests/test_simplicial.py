@@ -3,7 +3,9 @@ import itertools
 
 import pytest
 
+from eqmack.abelian import AbGroup
 from eqmack.groups import FiniteGroup, subgroup_classes
+from eqmack.mackey import WeylModule
 from eqmack.simplicial import (
     DEFAULT_BOUND,
     RepDescriptor,
@@ -33,16 +35,19 @@ from eqmack.simplicial import (
     surjections,
     suspend,
     trivial_rep,
-    underlying_reduced_chains,
     wedge,
 )
+from eqmack.tensor import ModuleTensor
 
 C2 = FiniteGroup.cyclic(2)
 C3 = FiniteGroup.cyclic(3)
 
 
 def reduced_homology(X, n):
-    return underlying_reduced_chains(X).homology(n).invariants()
+    """Integral homology of the underlying simplicial set, reduced when X
+    is based."""
+    trivial = WeylModule.trivial(X.group, AbGroup.free(1))
+    return ModuleTensor(X, trivial, reduced=X.based).chain_complex().homology(n).invariants()
 
 
 def test_monotone_helpers():

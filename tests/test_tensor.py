@@ -17,8 +17,12 @@ from eqmack.gsets import (
 )
 from eqmack.mackey import (
     FixedPointMackey,
+    MackeyError,
     MackeyMorphism,
     WeylModule,
+    based_contravariant,
+    based_covariant,
+    based_value,
     burnside_mackey,
     constant_mackey,
     orbit_maps_between,
@@ -684,3 +688,31 @@ def test_space_hom_from_reduced_into_unreduced_is_rejected(rec):
     for src, tgt in ((a(X, Z), b(X, Z)) for a, b in pairs):
         h = src.space_hom(tgt, ident, 0, S)
         assert (h.src, h.tgt) == (src.group_at(0, S), tgt.group_at(0, S))
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["unreduced", "reduced"])
+def test_reduced_and_unreduced_share_the_functor_caches(reduced):
+    X = sphere_for_descriptors(C2, [sign_rep()], 2)
+    M = burnside_mackey(C2)
+    T = TensorMackey(X, M, reduced=reduced)
+    for S in gset_suite(C2):
+        assert M.evaluate(S) is M.evaluate(S, None)
+        for n in range(X.bound + 1):
+            ls = T.level_set(n, S)
+            assert ls.base == (0 if reduced else None)
+            assert T.value(n, S) is M.evaluate(ls.gset, ls.base)
+            if reduced:
+                assert based_value(M, ls.gset, 0) is T.value(n, S)
+    # the level map of a face, based at the sinks 0 of reduced levels
+    S = gset_suite(C2)[0]
+    table = X.faces[1][0].values
+    src, tgt = T.level_set(1, S), T.level_set(0, S)
+    f = src.gmap(tgt, lambda x, s: (table[x], s))
+    assert T.face(1, 0, S) is M.covariant(f, src.base, tgt.base)
+    if reduced:
+        assert based_covariant(M, f, 0, 0) is M.covariant(f, 0, 0)
+        assert based_contravariant(M, f, 0, 0) is M.contravariant(f, 0, 0)
+        assert M.covariant(f, 0, 0) is not M.covariant(f)
+        for based in (based_covariant, based_contravariant):
+            with pytest.raises(MackeyError, match="not based"):
+                based(M, f, 0, 1)
