@@ -179,12 +179,12 @@ class AbHom:
     """A hom src -> tgt, stored as sparse columns: cols[j] is the image of
     generator j as {row: value}, zeros omitted.
 
-    mat, the dense tgt.ngens x src.ngens row tuples, is the API form.  A hom
-    made from columns builds it only when something reads it; one made from
-    mat builds its columns on first use.  Neither form is ever mutated.
+    A hom made from the dense matrix converts it to columns at once.  mat,
+    the dense tgt.ngens x src.ngens row tuples, is built on first read and
+    then kept, as AbGroup.rels is.  Neither form is ever mutated.
     """
 
-    __slots__ = ("src", "tgt", "_mat", "_cols", "_red")
+    __slots__ = ("src", "tgt", "cols", "_mat", "_red")
 
     def __init__(self, src, tgt, mat):
         mat = tuple(tuple(r) for r in mat)
@@ -194,26 +194,21 @@ class AbHom:
             raise ContractError(
                 "matrix shape %s does not match %d x %d" % ((m, n), tgt.ngens, src.ngens)
             )
-        self.src, self.tgt, self._mat, self._cols, self._red = src, tgt, mat, None, None
+        self.src, self.tgt, self._mat, self._red = src, tgt, None, None
+        self.cols = tuple(la.columns(mat, src.ngens))
 
     @classmethod
     def from_columns(cls, src, tgt, cols):
         if len(cols) != src.ngens:
             raise ContractError("%d columns for %d generators" % (len(cols), src.ngens))
         h = cls.__new__(cls)
-        h.src, h.tgt, h._mat, h._cols, h._red = src, tgt, None, tuple(cols), None
+        h.src, h.tgt, h.cols, h._mat, h._red = src, tgt, tuple(cols), None, None
         return h
-
-    @property
-    def cols(self):
-        if self._cols is None:
-            self._cols = tuple(la.columns(self._mat, self.src.ngens))
-        return self._cols
 
     @property
     def mat(self):
         if self._mat is None:
-            self._mat = la.dense(self._cols, self.tgt.ngens)
+            self._mat = la.dense(self.cols, self.tgt.ngens)
         return self._mat
 
     def __eq__(self, other):

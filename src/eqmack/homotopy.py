@@ -17,6 +17,14 @@ W-equivariant map differ only in the charts and relations the engine is
 given: one chart per orbit class related by the orbit maps, or one chart
 related to itself by the elements of W (EquivariantMappingComplex).  The
 loop comparison lifts a cycle by the Eilenberg-Zilber shuffle map.
+
+Truncation.  Every space is cut off at its bound, and by Dold-Kan two rules
+decide what such a cut reads exactly, each stated once below.  The chain
+rule (_check_degree): chains cut off at bound b lack d_{b+1}, so H_n is read
+only for n < b.  The source rule (_check_dimension): a sphere S^V built at
+X.bound has no nondegenerate simplex past it only when dim V <= X.bound.  A
+MappingComplex is exact when K and T.X have no nondegenerate simplex past
+their bounds.
 """
 
 from functools import lru_cache
@@ -45,6 +53,21 @@ from .tensor import PsiMap, TensorMackey, _build_level, reduced_tensor
 
 class HomotopyError(ValueError):
     pass
+
+
+def _check_degree(n, bound):
+    """The chain rule: chains cut off at bound lack d_{bound + 1}, so H_n
+    is read only for n < bound."""
+    if n >= bound:
+        raise HomotopyError("degree %d past bound %d" % (n, bound))
+
+
+def _check_dimension(descs, bound):
+    """The source rule: S^V built at bound has no nondegenerate simplex past
+    it only when dim V <= bound; a sphere cut shorter gives wrong answers."""
+    dim = sum(d.dim for d in descs)
+    if dim > bound:
+        raise HomotopyError("S^V of dimension %d is cut short at bound %d" % (dim, bound))
 
 
 # -- normalized chains ----------------------------------------------------------
@@ -78,6 +101,11 @@ class MackeyChainComplex:
             ls = _build_level(X.levels[n], kept, std_orbit(self.T.group, rec), sink=True)
             self._levels[key] = ls, self.T.M.evaluate(ls.gset, 0)
         return self._levels[key]
+
+    def homology(self, rec, n):
+        """H_n at G/H under the chain rule."""
+        _check_degree(n, self.T.bound)
+        return self.complex(rec).homology(n)
 
     def complex(self, rec):
         """N(G/H) with d_n = sum (-1)^i d_i, one block per nondegenerate
@@ -127,14 +155,12 @@ def bredon_homology(X, M, n, based=True):
 
     Read off the normalized chains, built on nondegenerate simplices only.
     """
-    if n >= X.bound:
-        raise HomotopyError("degree %d is past the dimension bound %d" % (n, X.bound))
     T = TensorMackey(X, M, reduced=based)
     chains = MackeyChainComplex(T)
     G = M.group
     values = {}
     for rec in subgroup_classes(G):
-        values[rec.class_id] = chains.complex(rec).homology(n)
+        values[rec.class_id] = chains.homology(rec, n)
 
     def cov(om):
         return chains.transition_chain_map(om, "tr").induced(n)
@@ -151,12 +177,7 @@ def bredon_groups(X, M, degrees, based=True):
     chains = MackeyChainComplex(T)
     out = {}
     for n in degrees:
-        if n >= X.bound:
-            raise HomotopyError("degree %d past bound %d" % (n, X.bound))
-        out[n] = {
-            rec.class_id: chains.complex(rec).homology(n)
-            for rec in subgroup_classes(M.group)
-        }
+        out[n] = {rec.class_id: chains.homology(rec, n) for rec in subgroup_classes(M.group)}
     return out
 
 
@@ -207,21 +228,16 @@ class MappingComplex:
     G/H relates the charts of H and J by the normalized restriction and
     phi_transition.
 
-    The only truncation is the bounds of the spaces: K.bound ends the
-    source's simplices and T.X.bound the target's chains.  A block past
-    T.X.bound is empty, which is exact when T.X has no nondegenerate simplex
-    past its bound; so every degree n >= 0 is defined, and it is the zero
-    group once n exceeds T.X.bound.
+    K.bound ends the source's simplices and T.X.bound the target's chains,
+    and a block past T.X.bound is empty.  The complex is exact when K and
+    T.X have no nondegenerate simplex past their bounds; every degree n >= 0
+    is defined, and it is the zero group once n exceeds T.X.bound.
     """
 
     def __init__(self, K, T):
         self._start(K)
         if not T.reduced:
             raise HomotopyError("mapping complexes target reduced tensors")
-        if K.bound > T.X.bound:
-            raise HomotopyError(
-                "source bound %d exceeds the target's bound %d" % (K.bound, T.X.bound)
-            )
         self.T = T
         self.chains = MackeyChainComplex(T)
         G = T.group
@@ -351,18 +367,11 @@ class MappingComplex:
     def homotopy_group(self, n):
         """pi_n = H_n, read from the Hom complex in degrees 0..n + 1 only.
 
-        The source's bound must reach n + 1; the target's bound needs no
-        check, since degrees past it are the zero group.  The complex starts
-        at the chain maps in degree 0, so no pi_n with n < 0 is read.
+        The complex starts at the chain maps in degree 0, so no pi_n with
+        n < 0 is read.
         """
         if n < 0:
             raise HomotopyError("degree %d is negative" % n)
-        if n + 1 > self.K.bound:
-            # kept as is: the Hom complex is exact without it when K and T
-            # have no nondegenerate simplex past their bounds
-            raise HomotopyError(
-                "source bound %d too small for pi_%d" % (self.K.bound, n)
-            )
         return self.chain_complex(n + 1).homology(n)
 
     def element_from_blocks(self, n, assign):
@@ -421,13 +430,10 @@ def _smash_index_map(sm, m):
 def homotopy_classes(descs, X, M):
     """[S^V, X (x~) M]^G as pi_0 of the mapping complex.
 
-    S^V is built at X.bound, the only truncation, so dim V must not exceed
-    it: a sphere cut below its dimension gives a wrong answer.  pi_0 reads
-    the Hom complex in degrees 0 and 1 only.
+    S^V is built at X.bound under the source rule.  pi_0 reads the Hom
+    complex in degrees 0 and 1 only.
     """
-    dim = sum(d.dim for d in descs)
-    if dim > X.bound:
-        raise HomotopyError("S^V of dimension %d is cut short at bound %d" % (dim, X.bound))
+    _check_dimension(descs, X.bound)
     K = sphere_for_descriptors(M.group, list(descs), X.bound)
     return MappingComplex(K, reduced_tensor(X, M)).homotopy_group(0)
 
@@ -465,25 +471,24 @@ def omega_spectrum_check(X, M, desc, n_max):
     For each orbit class K and n <= n_max the comparison map induced by the
     loop adjoint of the structure map is computed explicitly on cycles and
     must be an isomorphism onto the mapping-complex homology.  S^W is built
-    at X.bound, the only truncation; pi_n reads the mapping complex in
-    degrees 0..n + 1, so nothing above n_max + 1 is built.
+    at X.bound under the source rule, and the left side is read under the
+    chain rule; both are checked before anything is built.  pi_n reads the
+    mapping complex in degrees 0..n + 1, so nothing above n_max + 1 is built.
     """
-    if n_max + 1 > X.bound:
-        # the mapping complexes' guard: pi_n_max needs n_max + 1 <= bound
-        raise HomotopyError(
-            "source bound %d too small for pi_%d" % (X.bound, n_max)
-        )
+    if n_max < 0:
+        raise HomotopyError("degree %d is negative" % n_max)
+    _check_degree(n_max, X.bound)
+    _check_dimension([desc], X.bound)
     G = M.group
-    psi = PsiMap(desc, X, M)
+    psi = PsiMap([desc], X, M)
     chains = MackeyChainComplex(psi.T_src)
     entries = []
     for krec in subgroup_classes(G):
         orb_space = based_orbit_space(G, krec, psi.SW.bound)
         kspace = smash(psi.SW, orb_space)
         mc = MappingComplex(kspace, psi.T_tgt)
-        lhs_complex = chains.complex(krec)
         for n in range(n_max + 1):
-            lhs_h = lhs_complex.homology(n)
+            lhs_h = chains.homology(krec, n)
             rhs_h = mc.homotopy_group(n)
             ok, mat = _phi_induced(
                 psi, krec, kspace, orb_space, mc, chains, n
@@ -519,7 +524,6 @@ def _phi_induced(psi, krec, kspace, orb_space, mc, chains, n):
     (-1)^n f d.
     """
     G = psi.M.group
-    mc.homotopy_group(n)  # raises past the bounds, outside the try below
     data = mc.degree_data(n)
     reps = coset_space(G, krec.elements)[1]
     homs = {}
@@ -610,17 +614,15 @@ class GradedTable:
 def ro_graded_table(X, M, rows):
     """Entries H~_p(S^W smash X; M) per orbit class, for requested rows.
 
-    S^W is built at X.bound, the only truncation, so p must lie below it.
-    S^W smash X and its chains are built once per twist W, for all of that
-    twist's degrees."""
+    S^W is built at X.bound, and bredon_groups reads p under the chain
+    rule.  S^W smash X and its chains are built once per twist W, for all of
+    that twist's degrees."""
     G = M.group
     spaces, degrees = {}, {}
     for p, descs in rows:
         key = tuple(descs)
         if key not in spaces:
             spaces[key] = smash(sphere_for_descriptors(G, list(descs), X.bound), X)
-        if p >= spaces[key].bound:
-            raise HomotopyError("degree %d past bound %d" % (p, spaces[key].bound))
         degrees.setdefault(key, []).append(p)
     groups = {key: bredon_groups(spaces[key], M, degrees[key]) for key in spaces}
     out = []
@@ -635,6 +637,11 @@ def ro_graded_table(X, M, rows):
 
 def cofibration_chain_maps(ses, rec):
     """(i_*, q_*) as chain maps of normalized chains at G/H."""
+    return _cofibration_chains(ses, rec)[1:]
+
+
+def _cofibration_chains(ses, rec):
+    """The normalized chains of sub, total and quot, and i_* and q_*."""
     chains = [MackeyChainComplex(T) for T in (ses.sub, ses.total, ses.quot)]
     icomps = {}
     qcomps = {}
@@ -644,11 +651,16 @@ def cofibration_chain_maps(ses, rec):
         icomps[n] = ses.M.covariant(sub.gmap(tot, lambda x, s: (itable[x], s)), 0, 0)
         qcomps[n] = ses.M.covariant(tot.gmap(quo, lambda x, s: (qtable[x], s)), 0, 0)
     csub, ctot, cquo = (ch.complex(rec) for ch in chains)
-    return ChainMap(csub, ctot, icomps), ChainMap(ctot, cquo, qcomps)
+    return chains, ChainMap(csub, ctot, icomps), ChainMap(ctot, cquo, qcomps)
 
 
 def coefficient_chain_maps(ses, rec):
     """(phi_*, psi_*) as chain maps of normalized chains at G/H."""
+    return _coefficient_chains(ses, rec)[1:]
+
+
+def _coefficient_chains(ses, rec):
+    """The normalized chains over M, N and P, and phi_* and psi_*."""
     chains = [MackeyChainComplex(T) for T in (ses.T_m, ses.T_n, ses.T_p)]
     fcomps = {}
     gcomps = {}
@@ -657,20 +669,18 @@ def coefficient_chain_maps(ses, rec):
         fcomps[n] = ses.phi.between(vm, vn)
         gcomps[n] = ses.psi.between(vn, vp)
     cm, cn, cp = (ch.complex(rec) for ch in chains)
-    return ChainMap(cm, cn, fcomps), ChainMap(cn, cp, gcomps)
+    return chains, ChainMap(cm, cn, fcomps), ChainMap(cn, cp, gcomps)
 
 
-def _homology_les(fmap, gmap, through_degree, names):
-    """(nodes, exact_flags, homs) of the homology sequence of f then g,
-    from degree through_degree down to 0."""
+def _homology_les(chains, fmap, gmap, rec, through_degree, names):
+    """(nodes, exact_flags, homs) of the homology sequence of f then g
+    between the three chains at G/H, from degree through_degree down to 0."""
     nodes = []
     homs = []
     for n in range(through_degree, -1, -1):
-        nodes.append(("H_%d %s" % (n, names[0]), fmap.src.homology(n)))
-        homs.append(fmap.induced(n))
-        nodes.append(("H_%d %s" % (n, names[1]), fmap.tgt.homology(n)))
-        homs.append(gmap.induced(n))
-        nodes.append(("H_%d %s" % (n, names[2]), gmap.tgt.homology(n)))
+        groups = [ch.homology(rec, n) for ch in chains]
+        nodes.extend(("H_%d %s" % (n, name), h) for name, h in zip(names, groups))
+        homs.extend((fmap.induced(n), gmap.induced(n)))
         if n > 0:
             homs.append(ab.connecting_hom(fmap, gmap, n))
     exact_flags = [ab.is_exact_at(homs[k - 1], homs[k]) for k in range(1, len(nodes) - 1)]
@@ -684,11 +694,11 @@ def cofibration_les(ses, rec, through_degree):
     degree through_degree down to 0, exact_flags the exactness at each
     interior node and homs the maps between consecutive nodes.
     """
-    imap, qmap = cofibration_chain_maps(ses, rec)
-    return _homology_les(imap, qmap, through_degree, ("sub", "total", "quot"))
+    les = _cofibration_chains(ses, rec)
+    return _homology_les(*les, rec, through_degree, ("sub", "total", "quot"))
 
 
 def coefficient_les(ses, rec, through_degree):
     """The long exact homology sequence from an exact coefficient sequence."""
-    fmap, gmap = coefficient_chain_maps(ses, rec)
-    return _homology_les(fmap, gmap, through_degree, ("M", "N", "P"))
+    les = _coefficient_chains(ses, rec)
+    return _homology_les(*les, rec, through_degree, ("M", "N", "P"))

@@ -852,7 +852,7 @@ def smash_assoc(A, B, C):
     return _levelwise(left, right, value)
 
 
-# -- auxiliary: standard simplex and cylinder ------------------------------------
+# -- auxiliary: standard simplex ------------------------------------------------
 
 
 def standard_simplex_plus(G, n, bound=DEFAULT_BOUND):
@@ -871,26 +871,3 @@ def standard_simplex_plus(G, n, bound=DEFAULT_BOUND):
         [None] * (bound + 1),
     )
     return out.check()
-
-
-def cylinder_inclusions(X):
-    """(X smash Delta[1]_+, ins_0, ins_1): the two ends of the cylinder."""
-    cyl_factor = standard_simplex_plus(X.group, 1, X.bound)
-    cyl = smash(X, cyl_factor)
-
-    def ins(vertex):
-        vtx = [idx_of_vertex(cyl_factor, vertex, n) for n in range(X.bound + 1)]
-        return _levelwise(
-            X, cyl, lambda n, x: cyl._smash_index[n][None if x == X.base(n) else (x, vtx[n])]
-        )
-
-    return cyl, ins(0), ins(1)
-
-
-def idx_of_vertex(simplex_plus, vertex, n):
-    """The level-n degeneracy of a vertex inside Delta[k]_+.
-
-    Point 0 is the basepoint and point i > 0 is monotones(n, k)[i - 1].
-    """
-    k = simplex_plus.levels[0].size - 2
-    return monotones(n, k).index((vertex,) * (n + 1)) + 1

@@ -21,7 +21,7 @@ from .abelian import AbHom
 from .groups import Frozen, subgroup_classes
 from .gsets import GMap, GSet, coset_space, fixed_points, pullback, std_orbit
 from .mackey import FixedPointMackey, OrbitMap, WeylModule
-from .simplicial import collapse, delta, fixed_system, representation_sphere, smash
+from .simplicial import collapse, delta, fixed_system, smash, sphere_for_descriptors
 
 
 class TensorError(ValueError):
@@ -493,20 +493,16 @@ def rho_iso(X, hrec, module, reduced=False):
 
 class PsiMap:
     """The map smashing a fixed sphere simplex onto a reduced tensor class;
-    S^W is sphere, or else the sphere of desc built at X.bound."""
+    S^W is the sphere of the descriptors descs, built at X.bound."""
 
-    def __init__(self, desc, X, M, sphere=None):
-        self.desc = desc
+    def __init__(self, descs, X, M):
+        self.descs = descs
         self.X = X
         self.M = M
-        self.SW = sphere if sphere is not None else representation_sphere(M.group, desc, X.bound)
+        self.SW = sphere_for_descriptors(M.group, list(descs), X.bound)
         self.SX = smash(self.SW, X)
         self.T_src = TensorMackey(X, M, reduced=True)
         self.T_tgt = TensorMackey(self.SX, M, reduced=True)
-
-    @classmethod
-    def from_sphere(cls, sphere, X, M):
-        return cls(None, X, M, sphere=sphere)
 
     def sphere_fixed_simplices(self, rec, n):
         """Raw sphere simplices fixed by the subgroup, basepoint excluded."""
@@ -549,7 +545,7 @@ class PsiMap:
 
 
 def structure_map_psi(desc, X, M):
-    return PsiMap(desc, X, M)
+    return PsiMap([desc], X, M)
 
 
 # -- exact sequence constructors -------------------------------------------------

@@ -12,7 +12,9 @@ The package reads the same homotopy groups from the Hom complexes of
 normalized chains (eqmack.homotopy.MappingComplex).  This copy of the older
 engine stays as an independent oracle: pinned digests of its complexes and
 of its comparison matrices show it is faithful, and the tests compare the
-package's pi_n and Omega verdicts against it.
+package's pi_n and Omega verdicts against it.  The cylinder X smash
+Delta[1]_+ and its two end inclusions are kept here too, for the pinned
+constructor digest.
 """
 
 from dataclasses import dataclass
@@ -31,6 +33,7 @@ from eqmack.homotopy import (
 )
 from eqmack.mackey import OrbitMap, covariant_between, orbit_maps_between
 from eqmack.simplicial import (
+    _levelwise,
     eta,
     fixed_system,
     monotones,
@@ -81,6 +84,29 @@ class Relation:
     tgt: object
     hom: object
     level: tuple
+
+
+def idx_of_vertex(simplex_plus, vertex, n):
+    """The level-n degeneracy of a vertex inside Delta[k]_+.
+
+    Point 0 is the basepoint and point i > 0 is monotones(n, k)[i - 1].
+    """
+    k = simplex_plus.levels[0].size - 2
+    return monotones(n, k).index((vertex,) * (n + 1)) + 1
+
+
+def cylinder_inclusions(X):
+    """(X smash Delta[1]_+, ins_0, ins_1): the two ends of the cylinder."""
+    cyl_factor = standard_simplex_plus(X.group, 1, X.bound)
+    cyl = smash(X, cyl_factor)
+
+    def ins(vertex):
+        vtx = [idx_of_vertex(cyl_factor, vertex, n) for n in range(X.bound + 1)]
+        return _levelwise(
+            X, cyl, lambda n, x: cyl._smash_index[n][None if x == X.base(n) else (x, vtx[n])]
+        )
+
+    return cyl, ins(0), ins(1)
 
 
 @lru_cache(maxsize=None)
@@ -343,7 +369,7 @@ def delta_omega_entries(X, M, desc, n_max):
     """The entries of the Omega-check of X against desc, read through this
     engine: (class_id, n, lhs, rhs, iso ok) per orbit class and n."""
     G = M.group
-    psi = PsiMap(desc, X, M)
+    psi = PsiMap([desc], X, M)
     chains = MackeyChainComplex(psi.T_src)
     entries = []
     for krec in subgroup_classes(G):

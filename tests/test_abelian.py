@@ -374,25 +374,28 @@ def test_input_contracts_hold_under_optimized_python():
         "from eqmack.abelian import AbGroup, ContractError\n"
         "from eqmack.groups import FiniteGroup, subgroup_classes\n"
         "from eqmack.gsets import GMap, GSetError, point_gset, regular_gset\n"
-        "from eqmack.homotopy import HomotopyError, MappingComplex, omega_spectrum_check\n"
+        "from eqmack.homotopy import HomotopyError, cofibration_les, omega_spectrum_check\n"
         "from eqmack.mackey import MackeyError, OrbitMap, constant_mackey\n"
-        "from eqmack.simplicial import SimplicialError, s0_space, sign_rep, sphere_for_descriptors, trivial_rep\n"
-        "from eqmack.tensor import reduced_tensor\n"
+        "from eqmack.simplicial import SimplicialError, discrete_inclusion, s0_space, sign_rep\n"
+        "from eqmack.simplicial import sphere_for_descriptors, trivial_rep\n"
+        "from eqmack.tensor import ses_from_cofibration\n"
         "C2 = FiniteGroup.cyclic(2)\n"
         "e, g = subgroup_classes(C2)\n"
         "pt, reg = GMap.identity(point_gset(C2)), GMap.identity(regular_gset(C2))\n"
         "Z = constant_mackey(C2, AbGroup.free(1))\n"
-        "def maps(kb, xb):\n"
-        "    T = reduced_tensor(sphere_for_descriptors(C2, [trivial_rep(1)], xb), Z)\n"
-        "    return MappingComplex(s0_space(C2, kb), T)\n"
+        "def les(bound):\n"
+        "    X = sphere_for_descriptors(C2, [sign_rep()] * 2, bound)\n"
+        "    incl = discrete_inclusion(s0_space(C2, bound), X, (0, 1))\n"
+        "    return cofibration_les(ses_from_cofibration(incl, Z), g, 1)\n"
         "cases = [\n"
         "    (ContractError, lambda: AbGroup(2, ((1,),))),\n"
         "    (ValueError, lambda: la.hstack(((1,),), ((1,), (2,)))),\n"
         "    (GSetError, lambda: pt.compose(reg)),\n"
         "    (MackeyError, lambda: OrbitMap.identity(e).compose(OrbitMap.identity(g))),\n"
-        "    (HomotopyError, lambda: maps(1, 1).homotopy_group(1)),\n"
-        "    (HomotopyError, lambda: maps(4, 2)),\n"
+        "    (HomotopyError, lambda: les(1)),\n"
+        "    (HomotopyError, lambda: omega_spectrum_check(s0_space(C2, 2), Z, trivial_rep(3), 1)),\n"
         "    (HomotopyError, lambda: omega_spectrum_check(s0_space(C2, 2), Z, sign_rep(), 2)),\n"
+        "    (HomotopyError, lambda: omega_spectrum_check(s0_space(C2, 2), Z, sign_rep(), -1)),\n"
         "    (SimplicialError, lambda: sphere_for_descriptors(C2, [sign_rep()]).operator((0, 1), 0, 1)),\n"
         "    (SimplicialError, lambda: sphere_for_descriptors(C2, [trivial_rep(-1)], 3)),\n"
         "]\n"
@@ -405,4 +408,4 @@ def test_input_contracts_hold_under_optimized_python():
     run = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
     )
-    assert run.stdout.split() == ["rejected"] * 9, run.stderr
+    assert run.stdout.split() == ["rejected"] * 10, run.stderr

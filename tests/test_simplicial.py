@@ -15,7 +15,6 @@ from eqmack.simplicial import (
     circle_space,
     collapse,
     compose_monotone,
-    cylinder_inclusions,
     delta,
     epi_mono,
     eta,
@@ -38,6 +37,8 @@ from eqmack.simplicial import (
     wedge,
 )
 from eqmack.tensor import ModuleTensor
+
+from delta_reference import cylinder_inclusions
 
 C2 = FiniteGroup.cyclic(2)
 C3 = FiniteGroup.cyclic(3)

@@ -543,12 +543,13 @@ def test_psi_transitivity_square():
     G = C2
     M = constant_mackey(G, AbGroup.free(1))
     X = s0_space(G, bound=3)
-    psi_w = PsiMap(sign_rep(), X, M)
+    psi_w = PsiMap([sign_rep()], X, M)
     x1 = psi_w.SX  # S^sigma smash X
-    psi_u = PsiMap(trivial_rep(1), x1, M)
+    psi_u = PsiMap([trivial_rep(1)], x1, M)
     combined_sphere = smash(psi_u.SW, psi_w.SW)
     assoc = smash_assoc(psi_u.SW, psi_w.SW, X)
-    psi_uw = PsiMap.from_sphere(combined_sphere, X, M)
+    psi_uw = PsiMap([trivial_rep(1), sign_rep()], X, M)
+    assert psi_uw.SW == combined_sphere
     for rec in subgroup_classes(G):
         S = std_orbit(G, rec)
         for n in range(2):
