@@ -21,12 +21,14 @@ class Frozen:
     through object.__setattr__, together with _key, the tuple of the fields
     that are compared.  A field left out of _key, such as a lookup dict, is
     stored but neither compared nor hashed.  Keeping _key makes == a single
-    tuple comparison, which matters when a cache lookup compares two equal
-    spaces field by field, down to their groups.  Instances are dict and
-    lru_cache keys whose fields are deep tuples, so the hash is worked out
-    once and kept in the _hash slot.  Assigning to a field raises
-    AttributeError.  The repr lists the fields, those in __slots__ without
-    a leading underscore, unless the subclass writes its own.
+    tuple comparison, but two equal objects built apart still compare field
+    by field, down to their groups; so what is derived from an object, such
+    as a space's degeneracy flags, is kept in a slot of its own left out of
+    _key.  Instances are dict and lru_cache keys whose fields are deep
+    tuples, so the hash is worked out once and kept in the _hash slot.
+    Assigning to a field raises AttributeError.  The repr lists the fields,
+    those in __slots__ without a leading underscore, unless the subclass
+    writes its own.
     """
 
     __slots__ = ("_key", "_hash")
@@ -43,6 +45,16 @@ class Frozen:
             h = hash(self._key)
             object.__setattr__(self, "_hash", h)
             return h
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """An instance of a class whose _key is its __slots__ in order, from
+        fields that are valid by construction: no constructor check runs."""
+        out = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(out, name, value)
+        object.__setattr__(out, "_key", fields)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r of %s" % (name, type(self).__name__))

@@ -4,6 +4,11 @@ Points are 0..size-1; the action is a table action[g][x].  All categorical
 constructions (orbits, fixed points, pullbacks, balanced products) are
 plain array manipulations with lexicographic tie-breaking, so every
 derived object is reproducible bit for bit.
+
+Checks run at the public boundary: GSet(...) checks its action and
+GMap(...) its equivariance.  Tables derived by constructions that keep both,
+such as composites, smash faces and tensor level sets and their maps, are
+built with GSet._trusted and GMap._trusted, which skip the checks.
 """
 
 from functools import lru_cache
@@ -92,24 +97,12 @@ class GMap(Frozen):
     def __call__(self, x):
         return self.values[x]
 
-    @staticmethod
-    def _trusted(src, tgt, values):
-        """The map of a table that is equivariant by construction, built
-        without the constructor's checks."""
-        values = tuple(values)
-        out = object.__new__(GMap)
-        object.__setattr__(out, "src", src)
-        object.__setattr__(out, "tgt", tgt)
-        object.__setattr__(out, "values", values)
-        object.__setattr__(out, "_key", (src, tgt, values))
-        return out
-
     def compose(self, other):
         """self o other.  A composite of equivariant maps is equivariant, so
         it skips the equivariance check of the constructor."""
         if other.tgt != self.src:
             raise GSetError("composed maps do not meet")
-        return GMap._trusted(other.src, self.tgt, (self.values[v] for v in other.values))
+        return GMap._trusted(other.src, self.tgt, tuple(self.values[v] for v in other.values))
 
     @staticmethod
     def identity(s):

@@ -614,10 +614,13 @@ class GradedTable:
 def ro_graded_table(X, M, rows):
     """Entries H~_p(S^W smash X; M) per orbit class, for requested rows.
 
-    S^W is built at X.bound, and bredon_groups reads p under the chain
-    rule.  S^W smash X and its chains are built once per twist W, for all of
-    that twist's degrees."""
+    S^W is built at X.bound, so S^W smash X has X.bound too, and every row
+    is checked against the chain rule before any is computed.  S^W smash X
+    and its chains are built once per twist W, for all of that twist's
+    degrees."""
     G = M.group
+    for p, _ in rows:
+        _check_degree(p, X.bound)
     spaces, degrees = {}, {}
     for p, descs in rows:
         key = tuple(descs)

@@ -9,6 +9,7 @@ Column reduction and prune_units() pivot on units first, which keeps both
 fast and free of coefficient swell, so snf() sees only a small remainder.
 """
 
+import heapq
 from collections import defaultdict
 from functools import lru_cache
 
@@ -295,6 +296,7 @@ class ColumnReduction:
         self.h = cols
         self.v = vcols
         self.pivots = pivots
+        self._pivot_of = {row: (j, val) for row, j, val in pivots}
         self._assigned = assigned
 
     def kernel_basis(self):
@@ -313,20 +315,29 @@ class ColumnReduction:
         return tuple(x.get(i, 0) for i in range(self.ncols))
 
     def solve_column(self, b):
-        """Some x with A x = b, or None; b and x as sparse columns."""
+        """Some x with A x = b, or None; b and x as sparse columns.  A pivot
+        column is zero above its pivot row, so only its own pivot clears the
+        residual's smallest row, and the solve fails where none does."""
         resid = dict(b)
+        rows = list(resid)
+        heapq.heapify(rows)
         y = []
-        for row, j, val in self.pivots:
+        while rows:
+            row = heapq.heappop(rows)
             r = resid.get(row, 0)
             if r == 0:
                 continue
-            if r % val != 0:
+            pivot = self._pivot_of.get(row)
+            if pivot is None or r % pivot[1] != 0:
                 return None
+            j, val = pivot
             q = r // val
             y.append((j, q))
-            subtract(resid, self.h[j], q)
-        if resid:
-            return None
+            col = self.h[j]
+            for i in col:
+                if i not in resid:
+                    heapq.heappush(rows, i)
+            subtract(resid, col, q)
         return combine(self.v, y)
 
 

@@ -88,7 +88,8 @@ class SimplicialGSet(Frozen):
     levels[n] -> levels[n-1], with faces[0] = (), and degens[n][i] the GMap
     levels[n] -> levels[n+1], with an empty last entry; basepoints holds the
     basepoint index per level, or is None if the space is unbased.  The
-    builders of smashes and joins attach their point tables afterwards."""
+    builders of smashes and joins attach their point tables afterwards, and
+    _flags, which is not compared, keeps the degeneracy flags read so far."""
 
     __slots__ = (
         "group",
@@ -99,6 +100,7 @@ class SimplicialGSet(Frozen):
         "_smash_points",
         "_smash_index",
         "_join_points",
+        "_flags",
     )
 
     def __init__(self, group, levels, faces, degens, basepoints=None):
@@ -108,6 +110,7 @@ class SimplicialGSet(Frozen):
         object.__setattr__(self, "degens", degens)
         object.__setattr__(self, "basepoints", basepoints)
         object.__setattr__(self, "_key", (group, levels, faces, degens, basepoints))
+        object.__setattr__(self, "_flags", {})
 
     @property
     def bound(self):
@@ -180,8 +183,12 @@ class SimplicialGSet(Frozen):
         return self
 
     def degenerate_flags(self, n):
-        """True where a level-n point is degenerate."""
-        return _degenerate_flags(self, n)
+        """True where a level-n point is degenerate.  Kept on the space, so
+        a read after the first compares no spaces."""
+        flags = self._flags.get(n)
+        if flags is None:
+            flags = self._flags[n] = _degenerate_flags(self, n)
+        return flags
 
     def nondegenerate(self, n):
         flags = self.degenerate_flags(n)
@@ -371,16 +378,31 @@ def build_from_generators(G, nd_levels, nd_faces, bound=DEFAULT_BOUND, base_vert
 
 
 class SimplicialGMap(Frozen):
-    __slots__ = ("src", "tgt", "comps")  # comps: GMap per level
+    """comps holds a GMap per level; _cofiber, which is not compared, keeps
+    the cofiber once it is built."""
+
+    __slots__ = ("src", "tgt", "comps", "_cofiber")
 
     def __init__(self, src, tgt, comps):
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "tgt", tgt)
         object.__setattr__(self, "comps", comps)
         object.__setattr__(self, "_key", (src, tgt, comps))
+        object.__setattr__(self, "_cofiber", None)
 
     def comp(self, n):
         return self.comps[n]
+
+    def cofiber(self):
+        """(tgt / image, projection) for a checked levelwise injection,
+        built once per map."""
+        if self._cofiber is None:
+            X = self.check().tgt
+            if not all(f.is_injective() for f in self.comps):
+                raise SimplicialError("cofibration needs a levelwise injection")
+            subs = [set(self.comps[n].values) for n in range(X.bound + 1)]
+            object.__setattr__(self, "_cofiber", collapse(X, subs))
+        return self._cofiber
 
     def check(self):
         X, Y, f = self.src, self.tgt, self.comps

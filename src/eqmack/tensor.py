@@ -21,7 +21,7 @@ from .abelian import AbHom
 from .groups import Frozen, subgroup_classes
 from .gsets import GMap, GSet, coset_space, fixed_points, pullback, std_orbit
 from .mackey import FixedPointMackey, OrbitMap, WeylModule
-from .simplicial import collapse, delta, fixed_system, smash, sphere_for_descriptors
+from .simplicial import delta, fixed_system, smash, sphere_for_descriptors
 
 
 class TensorError(ValueError):
@@ -56,7 +56,8 @@ class LevelSet(Frozen):
         """The G-map into the level set tgt sending (x, s) to rule(x, s).
 
         The sink, and every point whose image simplex tgt does not keep,
-        goes to tgt.base; any other image must be a point of tgt.
+        goes to tgt.base; any other image must be a point of tgt.  The rule
+        must be equivariant, which is not checked.
         """
         if self.base is not None and tgt.base is None:
             raise TensorError("a reduced level set has no map into an unreduced one")
@@ -68,23 +69,25 @@ class LevelSet(Frozen):
                 continue
             x, s = rule(*p)
             vals.append(index[(x, s)] if x in kept else base)
-        return GMap(self.gset, tgt.gset, tuple(vals))
+        return GMap._trusted(self.gset, tgt.gset, tuple(vals))
 
 
 def _build_level(xlevel, kept, S, sink):
     """The LevelSet of xlevel x S on the simplices in kept, a G-invariant
-    set, with a sink at point 0 if sink."""
+    set, with a sink at point 0 if sink.  The product action restricted to
+    an invariant set is an action, so the G-set skips GSet's checks; a kept
+    set that is not invariant fails at the index lookup."""
     kept = frozenset(kept)
     pairs = ((None,) if sink else ()) + tuple(
         (x, s) for x in range(xlevel.size) if x in kept for s in range(S.size)
     )
     index = {p: i for i, p in enumerate(pairs) if p is not None}
     xact, sact = xlevel.action, S.action
-    action = [
+    action = tuple(
         tuple(0 if p is None else index[(xact[g][p[0]], sact[g][p[1]])] for p in pairs)
         for g in xlevel.group.elements()
-    ]
-    gset = GSet(xlevel.group, len(pairs), action)
+    )
+    gset = GSet._trusted(xlevel.group, len(pairs), action)
     return LevelSet(gset, 0 if sink else None, pairs, kept, index)
 
 
@@ -425,6 +428,7 @@ class RhoIso:
         self.Y, self.ypoints = fixed_system(X, hrec.elements)
         self.MT = ModuleTensor(self.Y, module, reduced=reduced)
         self._rhs = {}
+        self._layouts = {}
         self._rho = {}
         self._sigma = {}
 
@@ -439,7 +443,14 @@ class RhoIso:
     def _layout(self, rec, n):
         """(sum, order, incl): the direct sum of the orbit containers'
         inclusions, the right-hand position of each left-hand copy of A,
-        and the right-hand container's inclusion, at G/H and level n."""
+        and the right-hand container's inclusion, at G/H and level n; built
+        once for rho and sigma."""
+        key = (rec.class_id, n)
+        if key not in self._layouts:
+            self._layouts[key] = self._build_layout(rec, n)
+        return self._layouts[key]
+
+    def _build_layout(self, rec, n):
         G = self.hrec.group
         S = std_orbit(G, rec)
         lev = self.T.value(n, S)
@@ -552,19 +563,20 @@ def structure_map_psi(desc, X, M):
 
 
 class CofibrationSES:
-    """0 -> Y (x) M -> X (x) M -> (X/Y) (x~) M -> 0 for a based subcomplex."""
+    """0 -> Y (x) M -> X (x) M -> (X/Y) (x~) M -> 0 for a based subcomplex.
+
+    The quotient X/Y and its projection are incl.cofiber(), which the map
+    builds and checks once: every sequence of one inclusion, whatever its
+    coefficients, shares one quotient, so their tensors meet the functor
+    caches by identity.
+    """
 
     def __init__(self, incl, M):
-        self.incl = incl.check()
+        self.incl = incl
         self.M = M
-        Y, X = incl.src, incl.tgt
-        for n in range(min(Y.bound, X.bound) + 1):
-            if not incl.comps[n].is_injective():
-                raise TensorError("cofibration needs a levelwise injection")
-        subs = [set(incl.comps[n].values) for n in range(X.bound + 1)]
-        self.quotient, self.proj = collapse(X, subs)
-        self.sub = TensorMackey(Y, M, reduced=False)
-        self.total = TensorMackey(X, M, reduced=False)
+        self.quotient, self.proj = incl.cofiber()
+        self.sub = TensorMackey(incl.src, M, reduced=False)
+        self.total = TensorMackey(incl.tgt, M, reduced=False)
         self.quot = TensorMackey(self.quotient, M, reduced=True)
 
     def i_star(self, n, S):

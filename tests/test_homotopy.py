@@ -19,7 +19,7 @@ import pytest
 
 from eqmack.abelian import AbGroup, AbHom, direct_sum_data
 from eqmack.groups import FiniteGroup, subgroup_classes
-from eqmack.gsets import std_orbit
+from eqmack.gsets import GMap, GSet, std_orbit
 from eqmack.homotopy import (
     EquivariantMappingComplex,
     HomotopyError,
@@ -58,9 +58,12 @@ from eqmack.tensor import (
     ModuleTensor,
     PsiMap,
     TensorMackey,
+    product_level,
     reduced_tensor,
+    rho_iso,
     ses_from_coefficients,
     ses_from_cofibration,
+    smash_level,
 )
 
 from delta_reference import (
@@ -462,6 +465,66 @@ def test_pi_n_builds_nothing_above_degree_n_plus_one():
 )
 def test_mapping_complex_reads_pi_d_of_a_trivial_sphere(d, kb, xb):
     assert _maps_into_trivial_sphere(d, kb, xb).homotopy_group(d).describe() == "Z"
+
+
+def test_ro_graded_table_checks_every_row_before_computing_any(monkeypatch):
+    called = []
+    monkeypatch.setattr("eqmack.homotopy.bredon_groups", lambda *args: called.append(args))
+    monkeypatch.setattr("eqmack.homotopy.smash", lambda *args: called.append(args))
+    X, M = s0_space(C2, 3), constant_mackey(C2, Z)
+    with pytest.raises(HomotopyError, match="degree 3 past bound 3"):
+        ro_graded_table(X, M, [(0, []), (3, [sign_rep()])])
+    assert called == []
+
+
+def _answers_through_derived_tables():
+    """Answers of every path that builds G-sets or G-maps with _trusted: a
+    Bredon table, the two Omega-checks, rho and sigma on S^{2 sigma}, and
+    both long exact sequences."""
+    recs = subgroup_classes(C2)
+    M, P, A = constant_mackey(C2, Z), constant_mackey(C2, Z2), burnside_mackey(C2)
+    rows = [(p, [sign_rep()] * k) for p in range(3) for k in range(3)]
+    out = [ro_graded_table(s0_space(C2, 3), M, rows).rows]
+    for N in (A, M):
+        report = omega_spectrum_check(s0_space(C2, 2), N, sign_rep(), 1)
+        out.append((report.passed, report.entries))
+    X = sphere_for_descriptors(C2, [sign_rep()] * 2, 3)
+    e, full = recs
+    modules = ((e, WeylModule.regular(e.weyl)), (full, WeylModule.trivial(full.weyl, Z)))
+    for hrec, module in modules:
+        iso = rho_iso(X, hrec, module)
+        out.extend((iso.rho(rec, n), iso.sigma(rec, n)) for rec in recs for n in range(3))
+    sig = sphere_for_descriptors(C2, [sign_rep()], 4)
+    incl = discrete_inclusion(s0_space(C2, 4), sig, (0, 1))
+    twice = {r.class_id: AbHom(M.orbit_value(r), M.orbit_value(r), ((2,),)) for r in recs}
+    phi = MackeyMorphism(M, M, twice).check()
+    psi = fixed_point_morphism(M, P, AbHom(Z, Z2, ((1,),))).check()
+    coef = ses_from_coefficients(phi, psi, sig)
+    for rec in recs:
+        for N in (A, M, P):
+            out.append(cofibration_les(ses_from_cofibration(incl, N), rec, 2)[:2])
+        out.append(coefficient_les(coef, rec, 2)[:2])
+    return out
+
+
+def test_derived_tables_pass_the_checking_constructors(monkeypatch):
+    want = _answers_through_derived_tables()
+    built = set()
+
+    def checking(cls):
+        def build(*args):
+            built.add(cls)
+            return cls(*args)
+
+        return staticmethod(build)
+
+    monkeypatch.setattr(GSet, "_trusted", checking(GSet))
+    monkeypatch.setattr(GMap, "_trusted", checking(GMap))
+    # the level sets of earlier tensors are kept across calls
+    product_level.cache_clear()
+    smash_level.cache_clear()
+    assert _answers_through_derived_tables() == want  # and no GSetError
+    assert built == {GSet, GMap}
 
 
 def test_exact_sequences_read_homology_below_the_bound_only():

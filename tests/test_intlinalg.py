@@ -166,3 +166,45 @@ def test_reduction_from_columns_matches_the_dense_scan(m, n, data):
     b = la.apply(a, data.draw(matrices(1, n))[0]) if n else (0,) * m
     x = la.ColumnReduction(cols, m).solve_column({i: v for i, v in enumerate(b) if v})
     assert la.apply(a, tuple(x.get(j, 0) for j in range(n))) == b
+
+
+def pivot_walk_solve(red, b):
+    """Reference: the forward substitution that visits every pivot of the
+    reduction in order, whatever the residual."""
+    resid = dict(b)
+    y = []
+    for row, j, val in red.pivots:
+        r = resid.get(row, 0)
+        if r == 0:
+            continue
+        if r % val != 0:
+            return None
+        q = r // val
+        y.append((j, q))
+        la.subtract(resid, red.h[j], q)
+    if resid:
+        return None
+    return la.combine(red.v, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7), st.booleans(), st.data())
+def test_solve_by_the_residual_matches_the_pivot_walk(m, n, torsion, data):
+    """Solvable, unsolvable and non-divisible right-hand sides, over unit
+    entries only or over entries that give torsion."""
+    if torsion:
+        a = data.draw(matrices(m, n))
+    else:
+        entry = st.sampled_from((0, 0, 1, -1))
+        a = tuple(tuple(data.draw(entry) for _ in range(n)) for _ in range(m))
+    red = la.ColumnReduction(la.columns(a, n), m)
+    x0 = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    noise = data.draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)), min_size=m, max_size=m))
+    b = [u + v for u, v in zip(la.apply(a, tuple(x0)) if n else (0,) * m, noise)]
+    col = {i: v for i, v in enumerate(b) if v}
+    x, ref = red.solve_column(col), pivot_walk_solve(red, col)
+    assert x == ref
+    if x is not None:
+        assert list(x.items()) == list(ref.items())
+        assert la.apply(a, tuple(x.get(j, 0) for j in range(n))) == tuple(b)
+    assert col == {i: v for i, v in enumerate(b) if v}  # b is not modified

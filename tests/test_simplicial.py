@@ -175,6 +175,28 @@ def test_degeneracy_status_is_invariant():
                 assert flags[p] == flags[sig.levels[n].action[g][p]]
 
 
+def test_degeneracy_flags_are_kept_on_the_space(monkeypatch):
+    from eqmack.groups import Frozen
+
+    first = sphere_for_descriptors(C2, [sign_rep()], 6)
+    second = sphere_for_descriptors(C2, [sign_rep()], 6)
+    assert first == second and first is not second
+    levels = range(first.bound + 1)
+    want = [first.degenerate_flags(n) for n in levels]
+    # the first read of an equal copy may compare it with the first space
+    assert [second.degenerate_flags(n) for n in levels] == want
+    compared = []
+    eq = Frozen.__eq__
+
+    def counted(self, other):
+        compared.append(type(self).__name__)
+        return eq(self, other)
+
+    monkeypatch.setattr(Frozen, "__eq__", counted)
+    assert [second.degenerate_flags(n) for n in levels] == want
+    assert compared == []
+
+
 def test_operator_matches_faces():
     sig = sign_circle(C2, (0,))
     for n in range(1, sig.bound + 1):

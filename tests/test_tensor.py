@@ -28,6 +28,7 @@ from eqmack.mackey import (
     orbit_maps_between,
 )
 from eqmack.simplicial import (
+    SimplicialError,
     circle_space,
     discrete_inclusion,
     discrete_space,
@@ -45,6 +46,7 @@ from eqmack.tensor import (
     CoendRep,
     ModuleTensor,
     PsiMap,
+    RhoIso,
     TensorError,
     TensorMackey,
     identity_rep,
@@ -389,6 +391,26 @@ def test_rho_forms_no_dense_matrix(monkeypatch):
             assert sig.compose(rho).same_as(AbHom.identity(rho.src))
 
 
+def test_rho_and_sigma_share_each_layout(monkeypatch):
+    built = []
+    build = RhoIso._build_layout
+
+    def counted(self, rec, n):
+        built.append((rec.class_id, n))
+        return build(self, rec, n)
+
+    monkeypatch.setattr(RhoIso, "_build_layout", counted)
+    e, full = subgroup_classes(C2)
+    X = sphere_for_descriptors(C2, [sign_rep(), sign_rep()], 3)
+    iso = rho_iso(X, e, WeylModule.regular(e.weyl))
+    for rec in subgroup_classes(C2):
+        for n in range(3):
+            rho, sig = iso.rho(rec, n), iso.sigma(rec, n)
+            assert sig.compose(rho).same_as(AbHom.identity(rho.src))
+    keys = [(rec.class_id, n) for rec in subgroup_classes(C2) for n in range(3)]
+    assert built == keys
+
+
 def _perm(*cols):
     return tuple(tuple(int(j == c) for j in range(len(cols))) for c in cols)
 
@@ -601,6 +623,33 @@ def test_ses_cofibration_trivial_cases():
     ses2 = ses_from_cofibration(full_incl, M)
     for n in range(2):
         assert ses2.quot.group_at(n, std_orbit(G, subgroup_classes(G)[1])).is_trivial()
+
+
+def test_sequences_of_one_inclusion_share_the_cofiber(monkeypatch):
+    from eqmack import simplicial
+
+    collapsed = []
+    collapse = simplicial.collapse
+
+    def counted(X, subs):
+        collapsed.append(X)
+        return collapse(X, subs)
+
+    monkeypatch.setattr(simplicial, "collapse", counted)
+    sig = sign_circle(C2, (0,), bound=3)
+    incl = discrete_inclusion(s0_space(C2, bound=3), sig, (0, 1))
+    first = ses_from_cofibration(incl, burnside_mackey(C2))
+    second = ses_from_cofibration(incl, constant_mackey(C2, AbGroup.free(1)))
+    assert first.quotient is second.quotient and first.proj is second.proj
+    assert collapsed == [sig]
+    # the memo is not compared: the map still equals a fresh copy of itself
+    assert incl == discrete_inclusion(s0_space(C2, bound=3), sig, (0, 1))
+    for S in gset_suite(C2)[:2]:
+        assert first.check_exact(1, S) and second.check_exact(1, S)
+    # a map that is not levelwise injective has no cofiber
+    fold = discrete_inclusion(s0_space(C2, bound=3), sig, (0, 0))
+    with pytest.raises(SimplicialError, match="levelwise injection"):
+        ses_from_cofibration(fold, burnside_mackey(C2))
 
 
 def constant_mod2(G):
