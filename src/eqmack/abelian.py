@@ -478,13 +478,17 @@ class ChainComplex:
         return self._homology(n)[0]
 
     def _homology(self, n):
-        """(H_n, cycle basis as sparse columns, solver for [cycles | rels])."""
+        """(H_n, cycle basis as sparse columns, solver for [cycles | rels]);
+        a degree without generators is its own homology, with no reduction."""
         if n not in self._hcache:
             g, d = self.group(n), self.diff(n)
-            zb = d._solutions() if d.tgt.ngens else _units(g.ngens)
-            lat = [*zb, *g.relcols, *self.diff(n + 1).cols]
-            rels = _relations(la.ColumnReduction(lat, g.ngens), len(zb))
-            self._hcache[n] = [AbGroup.from_columns(len(zb), rels), zb, None]
+            if not g.ngens:
+                self._hcache[n] = [g, [], None]
+            else:
+                zb = d._solutions() if d.tgt.ngens else _units(g.ngens)
+                lat = [*zb, *g.relcols, *self.diff(n + 1).cols]
+                rels = _relations(la.ColumnReduction(lat, g.ngens), len(zb))
+                self._hcache[n] = [AbGroup.from_columns(len(zb), rels), zb, None]
         return self._hcache[n]
 
     def homology_class(self, n, z):
@@ -530,7 +534,9 @@ class ChainMap:
 
 def homology_map(src, n, tgt, m, lift):
     """The hom H_n(src) -> H_m(tgt) sending the class of each generator's
-    cycle z to the class of the cycle lift(z)."""
+    cycle z to the class of the cycle lift(z).  A zero source gives the hom
+    with no columns; a zero target still lifts every class, since the lift
+    is what checks a chain map or a connecting map."""
     hs, ht = src.homology(n), tgt.homology(m)
     cols = []
     for c in range(hs.ngens):
@@ -540,7 +546,10 @@ def homology_map(src, n, tgt, m, lift):
 
 
 def homology_at(f, g):
-    """ker(g)/im(f) for composable homs with g o f = 0."""
+    """ker(g)/im(f) for composable homs with g o f = 0; a middle group
+    without generators is its own homology."""
+    if not (f.tgt.ngens or g.src.ngens):
+        return g.src
     if not g.compose(f).is_zero_hom():
         raise ContractError("composite is not zero")
     return ChainComplex({0: g.tgt, 1: g.src, 2: f.src}, {1: g, 2: f}).homology(1)

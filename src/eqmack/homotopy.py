@@ -24,7 +24,9 @@ rule (_check_degree): chains cut off at bound b lack d_{b+1}, so H_n is read
 only for n < b.  The source rule (_check_dimension): a sphere S^V built at
 X.bound has no nondegenerate simplex past it only when dim V <= X.bound.  A
 MappingComplex is exact when K and T.X have no nondegenerate simplex past
-their bounds.
+their bounds.  Below the bound, a level with no kept simplex is the zero
+group: every map into or out of it is zero and is built without a G-map,
+and its homology is read without a reduction.
 """
 
 from functools import lru_cache
@@ -62,6 +64,12 @@ def _check_degree(n, bound):
         raise HomotopyError("degree %d past bound %d" % (n, bound))
 
 
+def _check_nonnegative(n):
+    """No complex here has a degree below 0, so none is read there."""
+    if n < 0:
+        raise HomotopyError("degree %d is negative" % n)
+
+
 def _check_dimension(descs, bound):
     """The source rule: S^V built at bound has no nondegenerate simplex past
     it only when dim V <= bound; a sphere cut shorter gives wrong answers."""
@@ -80,6 +88,11 @@ class MackeyChainComplex:
     orbit, and never on the full level: the degenerate part D of the chains
     C is a subcomplex, so N = C/D, and a face, transfer or restriction that
     lands on a degenerate simplex or on the basepoint contributes nothing.
+    A level with no kept simplex has no orbit and is the zero group, and
+    every map into or out of it is the zero hom, built without a G-map.
+    The level sets and face maps do not depend on the coefficients, so they
+    are kept on the space (SimplicialGSet._layouts) and shared by every
+    tensor over it.
     """
 
     def __init__(self, T):
@@ -91,16 +104,30 @@ class MackeyChainComplex:
     def level(self, rec, n):
         """(LevelSet, Evaluated) of level n at G/H on the nondegenerate
         simplices, minus the basepoint for a reduced tensor; the value omits
-        the orbit of the sink, so a point sent there is dropped."""
+        the orbit of the sink, so a point sent there is dropped.  The level
+        set is kept on the space, for every tensor over it."""
         key = (rec.class_id, n)
         if key not in self._levels:
-            X = self.T.X
-            flags = X.degenerate_flags(n)
-            base = X.base(n) if self.T.reduced else None
-            kept = [x for x in range(X.levels[n].size) if not flags[x] and x != base]
-            ls = _build_level(X.levels[n], kept, std_orbit(self.T.group, rec), sink=True)
+            X, layout = self.T.X, (self.T.reduced, rec.class_id, n)
+            if layout not in X._layouts:
+                flags = X.degenerate_flags(n)
+                base = X.base(n) if self.T.reduced else None
+                kept = [x for x in range(X.levels[n].size) if not flags[x] and x != base]
+                S = std_orbit(self.T.group, rec)
+                X._layouts[layout] = _build_level(X.levels[n], kept, S, sink=True)
+            ls = X._layouts[layout]
             self._levels[key] = ls, self.T.M.evaluate(ls.gset, 0)
         return self._levels[key]
+
+    def _face(self, rec, n, i):
+        """d_i of level n at G/H as a G-map of level sets, kept on the space."""
+        X = self.T.X
+        key = (self.T.reduced, rec.class_id, n, i)
+        if key not in X._layouts:
+            table = X.faces[n][i].values
+            src, tgt = self.level(rec, n)[0], self.level(rec, n - 1)[0]
+            X._layouts[key] = src.gmap(tgt, lambda x, s: (table[x], s))
+        return X._layouts[key]
 
     def homology(self, rec, n):
         """H_n at G/H under the chain rule."""
@@ -111,22 +138,22 @@ class MackeyChainComplex:
         """N(G/H) with d_n = sum (-1)^i d_i, one block per nondegenerate
         source orbit and face index whose face is kept."""
         if rec.class_id not in self._complexes:
-            M = self.T.M
-            faces = self.T.X.faces
             groups = {n: self.level(rec, n)[1].value for n in range(self.T.bound + 1)}
             diffs = {}
             for n in range(1, self.T.bound + 1):
-                (src, sev), (tgt, tev) = self.level(rec, n), self.level(rec, n - 1)
-                entries = []
-                for i in range(n + 1):
-                    table = faces[n][i].values
-                    f = src.gmap(tgt, lambda x, s: (table[x], s))
-                    for si, ti, om in _orbit_blocks(M, f, sev, tev, 0):
-                        h = M.orbit_covariant(om)
-                        entries.append((ti, si, h if i % 2 == 0 else -h))
-                diffs[n] = ab.assemble_block_hom(sev.summands, tev.summands, entries)[0]
+                sev, tev = self.level(rec, n)[1], self.level(rec, n - 1)[1]
+                diffs[n] = _zero_between(sev, tev) or self._differential(rec, n, sev, tev)
             self._complexes[rec.class_id] = ChainComplex(groups=groups, diffs=diffs)
         return self._complexes[rec.class_id]
+
+    def _differential(self, rec, n, sev, tev):
+        """d_n at G/H between the level values sev and tev."""
+        M, entries = self.T.M, []
+        for i in range(n + 1):
+            for si, ti, om in _orbit_blocks(M, self._face(rec, n, i), sev, tev, 0):
+                h = M.orbit_covariant(om)
+                entries.append((ti, si, h if i % 2 == 0 else -h))
+        return ab.assemble_block_hom(sev.summands, tev.summands, entries)[0]
 
     def transition_chain_map(self, om, variance):
         """res (contravariant) or tr (covariant) as a chain map of complexes."""
@@ -137,14 +164,22 @@ class MackeyChainComplex:
             comps = {}
             induced = M.contravariant if variance == "res" else M.covariant
             for n in range(self.T.bound + 1):
-                src, tgt = self.level(om.src, n)[0], self.level(om.tgt, n)[0]
-                comps[n] = induced(src.gmap(tgt, lambda x, s: (x, stable[s])), 0, 0)
+                (src, sev), (tgt, tev) = self.level(om.src, n), self.level(om.tgt, n)
+                zero = _zero_between(*((tev, sev) if variance == "res" else (sev, tev)))
+                comps[n] = zero or induced(src.gmap(tgt, lambda x, s: (x, stable[s])), 0, 0)
             self._chainmaps[key] = ChainMap(
                 self.complex(om.tgt if variance == "res" else om.src),
                 self.complex(om.src if variance == "res" else om.tgt),
                 comps,
             )
         return self._chainmaps[key]
+
+
+def _zero_between(sev, tev):
+    """The zero hom from the level value sev to tev when either level has
+    no orbit, built without a G-map; None when both have one."""
+    if not (sev.orbits and tev.orbits):
+        return AbHom.zero(sev.value, tev.value)
 
 
 # -- Bredon homology -------------------------------------------------------------
@@ -268,8 +303,7 @@ class MappingComplex:
 
     def degree_data(self, n):
         if n not in self._degree:
-            if n < 0:
-                raise HomotopyError("degree %d is negative" % n)
+            _check_nonnegative(n)
             self._degree[n] = self._build_degree(n)
         return self._degree[n]
 
@@ -370,8 +404,7 @@ class MappingComplex:
         The complex starts at the chain maps in degree 0, so no pi_n with
         n < 0 is read.
         """
-        if n < 0:
-            raise HomotopyError("degree %d is negative" % n)
+        _check_nonnegative(n)
         return self.chain_complex(n + 1).homology(n)
 
     def element_from_blocks(self, n, assign):
@@ -475,8 +508,7 @@ def omega_spectrum_check(X, M, desc, n_max):
     chain rule; both are checked before anything is built.  pi_n reads the
     mapping complex in degrees 0..n + 1, so nothing above n_max + 1 is built.
     """
-    if n_max < 0:
-        raise HomotopyError("degree %d is negative" % n_max)
+    _check_nonnegative(n_max)
     _check_degree(n_max, X.bound)
     _check_dimension([desc], X.bound)
     G = M.group
@@ -542,11 +574,13 @@ def _phi_induced(psi, krec, kspace, orb_space, mc, chains, n):
         return h.compose(res)
 
     def lift(z):
+        # a block valued in a group without generators has nothing to assign
         assign = {}
-        for block in data["blocks"]:
-            if block not in homs:
-                homs[block] = block_hom(*block)
-            assign[block] = homs[block](z)
+        for block, value in zip(data["blocks"], data["values"]):
+            if value.ngens:
+                if block not in homs:
+                    homs[block] = block_hom(*block)
+                assign[block] = homs[block](z)
         return mc.element_from_blocks(n, assign)
 
     try:
@@ -649,10 +683,14 @@ def _cofibration_chains(ses, rec):
     icomps = {}
     qcomps = {}
     for n in range(ses.sub.bound + 1):
-        sub, tot, quo = (ch.level(rec, n)[0] for ch in chains)
+        (sub, vsub), (tot, vtot), (quo, vquo) = (ch.level(rec, n) for ch in chains)
         itable, qtable = ses.incl.comps[n].values, ses.proj.comps[n].values
-        icomps[n] = ses.M.covariant(sub.gmap(tot, lambda x, s: (itable[x], s)), 0, 0)
-        qcomps[n] = ses.M.covariant(tot.gmap(quo, lambda x, s: (qtable[x], s)), 0, 0)
+        icomps[n] = _zero_between(vsub, vtot) or ses.M.covariant(
+            sub.gmap(tot, lambda x, s: (itable[x], s)), 0, 0
+        )
+        qcomps[n] = _zero_between(vtot, vquo) or ses.M.covariant(
+            tot.gmap(quo, lambda x, s: (qtable[x], s)), 0, 0
+        )
     csub, ctot, cquo = (ch.complex(rec) for ch in chains)
     return chains, ChainMap(csub, ctot, icomps), ChainMap(ctot, cquo, qcomps)
 
@@ -669,8 +707,8 @@ def _coefficient_chains(ses, rec):
     gcomps = {}
     for n in range(ses.X.bound + 1):
         vm, vn, vp = (ch.level(rec, n)[1] for ch in chains)
-        fcomps[n] = ses.phi.between(vm, vn)
-        gcomps[n] = ses.psi.between(vn, vp)
+        fcomps[n] = _zero_between(vm, vn) or ses.phi.between(vm, vn)
+        gcomps[n] = _zero_between(vn, vp) or ses.psi.between(vn, vp)
     cm, cn, cp = (ch.complex(rec) for ch in chains)
     return chains, ChainMap(cm, cn, fcomps), ChainMap(cn, cp, gcomps)
 
@@ -697,11 +735,13 @@ def cofibration_les(ses, rec, through_degree):
     degree through_degree down to 0, exact_flags the exactness at each
     interior node and homs the maps between consecutive nodes.
     """
+    _check_nonnegative(through_degree)
     les = _cofibration_chains(ses, rec)
     return _homology_les(*les, rec, through_degree, ("sub", "total", "quot"))
 
 
 def coefficient_les(ses, rec, through_degree):
     """The long exact homology sequence from an exact coefficient sequence."""
+    _check_nonnegative(through_degree)
     les = _coefficient_chains(ses, rec)
     return _homology_les(*les, rec, through_degree, ("M", "N", "P"))

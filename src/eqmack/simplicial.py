@@ -88,8 +88,11 @@ class SimplicialGSet(Frozen):
     levels[n] -> levels[n-1], with faces[0] = (), and degens[n][i] the GMap
     levels[n] -> levels[n+1], with an empty last entry; basepoints holds the
     basepoint index per level, or is None if the space is unbased.  The
-    builders of smashes and joins attach their point tables afterwards, and
-    _flags, which is not compared, keeps the degeneracy flags read so far."""
+    builders of smashes and joins attach their point tables afterwards.
+    Two slots are not compared: _flags keeps the degeneracy flags read so
+    far, and _layouts the normalized level sets and their face maps that
+    the chains over the space have built (homotopy.MackeyChainComplex), so
+    that every tensor over the space shares them."""
 
     __slots__ = (
         "group",
@@ -101,6 +104,7 @@ class SimplicialGSet(Frozen):
         "_smash_index",
         "_join_points",
         "_flags",
+        "_layouts",
     )
 
     def __init__(self, group, levels, faces, degens, basepoints=None):
@@ -111,6 +115,7 @@ class SimplicialGSet(Frozen):
         object.__setattr__(self, "basepoints", basepoints)
         object.__setattr__(self, "_key", (group, levels, faces, degens, basepoints))
         object.__setattr__(self, "_flags", {})
+        object.__setattr__(self, "_layouts", {})
 
     @property
     def bound(self):
@@ -813,9 +818,9 @@ def representation_sphere(G, desc, bound=DEFAULT_BOUND):
             raise SimplicialError("trivial sphere of negative dimension %d" % desc.n)
         if desc.n == 0:
             return s0_space(G, bound)
-        out = circle_space(G, bound)
+        out = circle = circle_space(G, bound)
         for _ in range(desc.n - 1):
-            out = smash(circle_space(G, bound), out)
+            out = smash(circle, out)
         return out
     if desc.kind == "sign":
         kernel = desc.kernel or ((G.identity,) if G.order == 2 else None)
@@ -828,12 +833,15 @@ def representation_sphere(G, desc, bound=DEFAULT_BOUND):
 
 
 def sphere_for_descriptors(G, descs, bound=DEFAULT_BOUND):
-    """Smash of representation spheres; the empty list gives S^0."""
+    """Smash of representation spheres; the empty list gives S^0.  Each
+    distinct descriptor's sphere is built once and smashed in for every
+    repeat."""
     if not descs:
         return s0_space(G, bound)
-    out = representation_sphere(G, descs[0], bound)
+    spheres = {d: representation_sphere(G, d, bound) for d in dict.fromkeys(descs)}
+    out = spheres[descs[0]]
     for d in descs[1:]:
-        out = smash(out, representation_sphere(G, d, bound))
+        out = smash(out, spheres[d])
     return out
 
 

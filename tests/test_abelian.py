@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -352,6 +353,129 @@ def test_assemble_block_hom_rejects_misfitting_blocks():
         assemble_block_hom([Z], [Z, Z_2], [(0, 0, tall)])
 
 
+# -- complexes with zero degrees ------------------------------------------------
+
+
+@st.composite
+def sparse_complexes(draw, torsion):
+    """A presented complex in degrees 0..top with zero groups interleaved.
+
+    No three consecutive degrees have generators, so d d = 0 by
+    construction.  A generator has modulus 0 (free) or, with torsion, 2, 3
+    or 4; each entry of d is scaled so that d maps relations to relations.
+    """
+    top = draw(st.integers(1, 5))
+    sizes = []
+    for n in range(top + 1):
+        size = draw(st.integers(0, 3))
+        sizes.append(0 if n >= 2 and sizes[-1] and sizes[-2] else size)
+    modulus = st.sampled_from([0, 2, 3, 4]) if torsion else st.just(0)
+    moduli = [[draw(modulus) for _ in range(k)] for k in sizes]
+    groups = {
+        n: AbGroup.from_columns(len(ms), [{i: m} for i, m in enumerate(ms) if m])
+        for n, ms in enumerate(moduli)
+    }
+    diffs = {}
+    for n in range(1, top + 1):
+        mat = [list(row) for row in draw(matrices(sizes[n - 1], sizes[n]))]
+        for j, mt in enumerate(moduli[n - 1]):
+            for i, m in enumerate(moduli[n]):
+                if m:
+                    mat[j][i] = mat[j][i] * mt // gcd(mt, m) if mt else 0
+        diffs[n] = AbHom(groups[n], groups[n - 1], mat)
+    return ChainComplex(groups, diffs).check()
+
+
+def snf_homology(complex_, n):
+    """(free rank, torsion) of H_n by Smith forms in sympy.
+
+    H_n = Z_n / B_n.  Z_n = {x : d_n x lies in the relations of C_{n-1}} is
+    spanned by the columns of p, the head of the kernel of [d_n | rels], and
+    B_n by the relations of C_n and the image of d_{n+1}.  With U p V = S
+    of rank k, p X = B_n and ker p is spanned by the last columns of V, so
+    H_n is the cokernel of [X | ker p].
+    """
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
+
+    def smith(m):
+        s, u, v = smith_normal_decomp(sympy.Matrix(m), domain=sympy.ZZ)
+        return [s[i, i] for i in range(min(s.shape)) if s[i, i]], u, v
+
+    g, low = complex_.group(n), complex_.group(n - 1)
+    if not g.ngens:
+        return 0, ()
+    if low.ngens:
+        a = [d + r for d, r in zip(complex_.diff(n).mat, low.rels)]
+        diag, _, v = smith(a)
+        p = v[: g.ngens, len(diag) :]
+    else:
+        p = sympy.eye(g.ngens)
+    if not p.cols:
+        return 0, ()
+    diag, u, v = smith(p)
+    k = len(diag)
+    cols = [list(v.col(j)) for j in range(k, v.cols)]
+    b = [r + d for r, d in zip(g.rels, complex_.diff(n + 1).mat)]
+    if b[0]:
+        ub = u * sympy.Matrix(b)
+        y = sympy.Matrix(k, ub.cols, lambda i, j: ub[i, j] / diag[i])
+        assert all(e.is_integer for e in y) and not any(ub[k:, :])  # B_n lies in Z_n
+        x = v[:, :k] * y
+        cols += [list(x.col(j)) for j in range(x.cols)]
+    if not cols:
+        return p.cols, ()
+    facs = [int(d) for d in invariant_factors(sympy.Matrix(cols).T, domain=sympy.ZZ) if d]
+    return p.cols - len(facs), tuple(d for d in facs if d != 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.booleans().flatmap(sparse_complexes), st.data())
+def test_homology_with_zero_degrees_matches_the_smith_oracle(complex_, data):
+    c = complex_
+    top = max(c.degrees())
+    ident = ChainMap(c, c, {n: AbHom.identity(c.group(n)) for n in c.degrees()})
+    for n in range(-1, top + 2):
+        h = c.homology(n)
+        assert h.invariants() == snf_homology(c, n)
+        assert homology_at(c.diff(n + 1), c.diff(n)).invariants() == h.invariants()
+        assert ident.induced(n).same_as(AbHom.identity(h))
+        # homology_class inverts cycle_of_class on every class
+        w = tuple(data.draw(matrices(1, h.ngens))[0])
+        for v in [w] + [tuple(int(i == j) for j in range(h.ngens)) for i in range(h.ngens)]:
+            assert h.elements_equal(c.homology_class(n, c.cycle_of_class(n, v)), v)
+
+
+def test_zero_middle_groups_keep_the_composability_checks():
+    zero = AbGroup.zero()
+    assert homology_at(AbHom.zero(Z, zero), AbHom.zero(zero, Z2)) is zero
+    for f, g in [
+        (AbHom.zero(Z, zero), AbHom.identity(Z)),
+        (AbHom.identity(Z), AbHom.zero(zero, Z)),
+    ]:
+        with pytest.raises(ContractError, match="cannot compose"):
+            homology_at(f, g)
+    with pytest.raises(ContractError, match="composite is not zero"):
+        homology_at(AbHom.identity(Z), AbHom.identity(Z))
+
+
+def test_connecting_hom_still_lifts_into_a_zero_homology():
+    # A is zero, so every H(A) is zero; C = Z in degree 1 with H_1(C) = Z
+    zero = AbGroup.zero()
+    a = ChainComplex(groups={0: zero, 1: zero}, diffs={})
+    c = ChainComplex(groups={0: zero, 1: Z}, diffs={})
+    # B = 0: the class of C does not lift to B
+    b = ChainComplex(groups={0: zero, 1: zero}, diffs={})
+    f, g = ChainMap(a, b, {}), ChainMap(b, c, {})
+    with pytest.raises(ContractError, match="not surjective"):
+        connecting_hom(f, g, 1)
+    # B = Z -id-> Z: the class lifts, but its boundary misses A
+    b = ChainComplex(groups={0: Z, 1: Z}, diffs={1: AbHom.identity(Z)})
+    f, g = ChainMap(a, b, {}), ChainMap(b, c, {1: AbHom.identity(Z)})
+    with pytest.raises(ContractError, match="does not lift"):
+        connecting_hom(f, g, 1)
+
+
 # -- input contracts ------------------------------------------------------------
 
 
@@ -371,14 +495,16 @@ def test_input_contracts_hold_under_optimized_python():
     code = (
         "import sys; sys.path.insert(0, %r)\n"
         "from eqmack import intlinalg as la\n"
-        "from eqmack.abelian import AbGroup, ContractError\n"
+        "from eqmack.abelian import AbGroup, AbHom, ContractError\n"
         "from eqmack.groups import FiniteGroup, subgroup_classes\n"
         "from eqmack.gsets import GMap, GSetError, point_gset, regular_gset\n"
-        "from eqmack.homotopy import HomotopyError, cofibration_les, omega_spectrum_check\n"
-        "from eqmack.mackey import MackeyError, OrbitMap, constant_mackey\n"
+        "from eqmack.homotopy import HomotopyError, coefficient_les, cofibration_les\n"
+        "from eqmack.homotopy import omega_spectrum_check\n"
+        "from eqmack.mackey import MackeyError, MackeyMorphism, OrbitMap, constant_mackey\n"
+        "from eqmack.mackey import fixed_point_morphism\n"
         "from eqmack.simplicial import SimplicialError, discrete_inclusion, s0_space, sign_rep\n"
         "from eqmack.simplicial import sphere_for_descriptors, trivial_rep\n"
-        "from eqmack.tensor import ses_from_cofibration\n"
+        "from eqmack.tensor import ses_from_coefficients, ses_from_cofibration\n"
         "C2 = FiniteGroup.cyclic(2)\n"
         "e, g = subgroup_classes(C2)\n"
         "pt, reg = GMap.identity(point_gset(C2)), GMap.identity(regular_gset(C2))\n"
@@ -387,12 +513,20 @@ def test_input_contracts_hold_under_optimized_python():
         "    X = sphere_for_descriptors(C2, [sign_rep()] * 2, bound)\n"
         "    incl = discrete_inclusion(s0_space(C2, bound), X, (0, 1))\n"
         "    return cofibration_les(ses_from_cofibration(incl, Z), g, 1)\n"
+        "sig = sphere_for_descriptors(C2, [sign_rep()], 4)\n"
+        "cofib = ses_from_cofibration(discrete_inclusion(s0_space(C2, 4), sig, (0, 1)), Z)\n"
+        "one, Z2 = AbGroup.free(1), AbGroup.cyclic(2)\n"
+        "twice = MackeyMorphism(Z, Z, {r.class_id: AbHom(one, one, ((2,),)) for r in (e, g)})\n"
+        "mod2 = fixed_point_morphism(Z, constant_mackey(C2, Z2), AbHom(one, Z2, ((1,),)))\n"
+        "coef = ses_from_coefficients(twice, mod2, sig)\n"
         "cases = [\n"
         "    (ContractError, lambda: AbGroup(2, ((1,),))),\n"
         "    (ValueError, lambda: la.hstack(((1,),), ((1,), (2,)))),\n"
         "    (GSetError, lambda: pt.compose(reg)),\n"
         "    (MackeyError, lambda: OrbitMap.identity(e).compose(OrbitMap.identity(g))),\n"
         "    (HomotopyError, lambda: les(1)),\n"
+        "    (HomotopyError, lambda: cofibration_les(cofib, g, -1)),\n"
+        "    (HomotopyError, lambda: coefficient_les(coef, g, -1)),\n"
         "    (HomotopyError, lambda: omega_spectrum_check(s0_space(C2, 2), Z, trivial_rep(3), 1)),\n"
         "    (HomotopyError, lambda: omega_spectrum_check(s0_space(C2, 2), Z, sign_rep(), 2)),\n"
         "    (HomotopyError, lambda: omega_spectrum_check(s0_space(C2, 2), Z, sign_rep(), -1)),\n"
@@ -408,4 +542,4 @@ def test_input_contracts_hold_under_optimized_python():
     run = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
     )
-    assert run.stdout.split() == ["rejected"] * 10, run.stderr
+    assert run.stdout.split() == ["rejected"] * 12, run.stderr

@@ -39,6 +39,7 @@ from eqmack.homotopy import (
 from eqmack.mackey import (
     MackeyMorphism,
     WeylModule,
+    _orbit_blocks,
     burnside_mackey,
     constant_mackey,
     fixed_point_morphism,
@@ -58,6 +59,7 @@ from eqmack.tensor import (
     ModuleTensor,
     PsiMap,
     TensorMackey,
+    _build_level,
     product_level,
     reduced_tensor,
     rho_iso,
@@ -707,6 +709,73 @@ def test_coefficient_chain_maps_equal_the_restricted_full_levels(reduced):
             vm, vn, vp = (nondegenerate_part(T, n, S) for T in (ses.T_m, ses.T_n, ses.T_p))
             assert fmap.comps[n] == restricted(ses.phi_at(n, S), vm, vn)
             assert gmap.comps[n] == restricted(ses.psi_at(n, S), vn, vp)
+
+
+# -- empty levels and layouts kept on the space ----------------------------------
+
+
+def test_empty_levels_build_no_gmap(monkeypatch):
+    # S^sigma has nondegenerate simplices in degrees 0 and 1 only: reduced,
+    # one vertex and two edges; S^0 unreduced has two vertices; the cofibre
+    # S^sigma / S^0 reduced has only the two edges.
+    sig = sphere_for_descriptors(C2, [sign_rep()], 6)
+    sources = []
+
+    def counting(M, f, sev, tev, tgt_base):
+        sources.append(f.src)
+        return _orbit_blocks(M, f, sev, tev, tgt_base)
+
+    monkeypatch.setattr("eqmack.homotopy._orbit_blocks", counting)
+    for rec in subgroup_classes(C2):
+        chains = MackeyChainComplex(reduced_tensor(sig, burnside_mackey(C2)))
+        sources.clear()
+        c = chains.complex(rec)
+        # d_1 alone, once per face
+        assert sources == [chains.level(rec, 1)[0].gset] * 2
+        assert [c.groups[n].ngens for n in range(2, 7)] == [0] * 5
+
+    M = constant_mackey(C2, Z)
+    ses = ses_from_cofibration(discrete_inclusion(s0_space(C2, 6), sig, (0, 1)), M)
+    calls = []
+
+    def covariant(f, src_base=None, tgt_base=None):
+        calls.append((f.src, f.tgt))
+        return type(M).covariant(M, f, src_base, tgt_base)
+
+    monkeypatch.setattr(M, "covariant", covariant)
+    for rec in subgroup_classes(C2):
+        calls.clear()
+        cofibration_les(ses, rec, 4)
+        # i_* in degree 0, where S^0 has its vertices, and q_* in degree 1,
+        # where the cofibre has its edges
+        assert len(calls) == 2
+        assert all(M.evaluate(s, 0).orbits and M.evaluate(t, 0).orbits for s, t in calls)
+
+
+def test_tensors_over_one_space_share_their_layouts(monkeypatch):
+    X = sphere_for_descriptors(C2, [sign_rep()] * 2, 4)
+    built = []
+
+    def counting(xlevel, kept, S, sink):
+        built.append(S)
+        return _build_level(xlevel, kept, S, sink)
+
+    monkeypatch.setattr("eqmack.homotopy._build_level", counting)
+    recs = subgroup_classes(C2)
+    coeffs = (burnside_mackey(C2), constant_mackey(C2, Z), constant_mackey(C2, Z2))
+    for reduced in (True, False):
+        chains = [MackeyChainComplex(TensorMackey(X, M, reduced=reduced)) for M in coeffs]
+        for rec in recs:
+            for n in range(X.bound + 1):
+                first, *rest = (ch.level(rec, n)[0] for ch in chains)
+                assert all(ls is first for ls in rest)
+            for ch in chains:
+                ch.complex(rec)
+            for n in range(1, X.bound + 1):
+                first, *rest = ([ch._face(rec, n, i) for i in range(n + 1)] for ch in chains)
+                assert all(f is g for faces in rest for f, g in zip(first, faces))
+    # once per (reduced, class, n)
+    assert len(built) == 2 * len(recs) * (X.bound + 1)
 
 
 # -- bit-identical normalized chains, exact sequences and loop comparisons ----------

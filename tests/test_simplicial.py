@@ -443,3 +443,24 @@ CONSTRUCTORS_SHA256 = "6e5570e6ac235c746020f5d107729f210fc7380b0d15e6c25056c7888
 def test_constructors_are_bit_identical():
     digest = hashlib.sha256(repr(constructor_outputs()).encode()).hexdigest()
     assert digest == CONSTRUCTORS_SHA256
+
+
+def test_each_sphere_is_built_once_per_call(monkeypatch):
+    built = []
+
+    def counting(name, build):
+        def wrapped(*args):
+            built.append(name)
+            return build(*args)
+
+        return wrapped
+
+    # S^{sigma + 2 + sigma}, with every factor built on its own
+    sig, plane = sign_circle(C2, (0,), 3), smash(circle_space(C2, 3), circle_space(C2, 3))
+    want = smash(smash(sig, plane), sign_circle(C2, (0,), 3))
+    descs = [sign_rep(), trivial_rep(2), sign_rep()]
+    sphere = counting("sphere", representation_sphere)
+    monkeypatch.setattr("eqmack.simplicial.representation_sphere", sphere)
+    monkeypatch.setattr("eqmack.simplicial.circle_space", counting("circle", circle_space))
+    assert sphere_for_descriptors(C2, descs, 3) == want
+    assert built == ["sphere", "sphere", "circle"]
