@@ -10,9 +10,10 @@ dropped point goes to its sink.
 Homotopy groups of mapping objects are read from Hom complexes of
 normalized chains.  The target T is a simplicial abelian group, so based
 maps K -> T are the homs Z~K -> T, and by Dold-Kan pi_n of the mapping
-space is H_n of Hom(N Z~K, N T), whose degree n holds the families
-N_k Z~K -> N_{k+n} T and whose degree 0 holds the chain maps.  There is one
-engine, MappingComplex.  A family natural over the orbit category and a
+space is H_n of Hom(N Z~K, N T), whose degree n holds the natural families
+N_k Z~K -> N_{k+n} T, one block per orbit representative, from degree -1
+up, so that the chain maps are the cycles of D_0.  There is one engine,
+MappingComplex.  A family natural over the orbit category and a
 W-equivariant map differ only in the charts and relations the engine is
 given: one chart per orbit class related by the orbit maps, or one chart
 related to itself by the elements of W (EquivariantMappingComplex).  The
@@ -33,7 +34,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 
 from . import abelian as ab
-from .abelian import AbHom, ChainComplex, ChainMap
+from .abelian import AbGroup, AbHom, ChainComplex, ChainMap
 from .groups import subgroup_classes
 from .gsets import GSet, coset_space, disjoint_union, std_orbit
 from .mackey import (
@@ -65,7 +66,7 @@ def _check_degree(n, bound):
 
 
 def _check_nonnegative(n):
-    """No complex here has a degree below 0, so none is read there."""
+    """No homology below degree 0 is read here."""
     if n < 0:
         raise HomotopyError("degree %d is negative" % n)
 
@@ -237,7 +238,9 @@ class Relation:
     source chart in degree n, where hom[m] maps level m of the source
     chart's chains to level m of the target chart's.  level[k] is an
     injective simplicial point table, so it keeps simplices nondegenerate.
-    src and tgt are chart keys."""
+    src and tgt are chart keys, and src is never below tgt.  A relation
+    carries a representative's value to a block of its orbit; one that
+    returns a representative to itself cuts it to the fixed points of hom."""
 
     def __init__(self, src, tgt, hom, level):
         self.src = src
@@ -251,22 +254,25 @@ class MappingComplex:
     a set of relations; its H_n is pi_n of Map_*(K, T) by Dold-Kan
     (Goerss-Jardine, Simplicial Homotopy Theory, III.2).
 
-    Degree n holds the families f = (f_key : N_k Z~K_key -> N_{k+n} T_key)_k,
-    one per chart, that commute with every relation; degree 0 holds only
-    the chain maps, the cycles of D_0, so that H_0 is pi_0.  D f = d_T f -
-    (-1)^n f d_K, where a face of K on a degenerate simplex or the
-    basepoint is dropped.
+    Degree n holds the natural families f = (f_key : N_k Z~K_key ->
+    N_{k+n} T_key)_k, one per chart, in orbit coordinates: one block per
+    orbit representative, whose relations carry its value to the rest of
+    its orbit (incl), so no naturality condition is solved.  D f = d_T f -
+    (-1)^n f d_K, where a face of K on a degenerate simplex or the basepoint
+    is dropped.  Degree -1 is built as any other: the chain maps are the
+    cycles of D_0, and H_0 is pi_0.
 
     Here K is a based simplicial G-set standing for its fixed-point system
     and T a reduced tensor: the chart of the orbit class H is K^H with the
     normalized chains of T at G/H, and every non-identity orbit map G/J ->
     G/H relates the charts of H and J by the normalized restriction and
-    phi_transition.
+    phi_transition.  By Yoneda a G-orbit [y] of simplices is one free block
+    N T(G/G_y) (Bredon, LNM 34), at its representative in the chart of G_y.
 
     K.bound ends the source's simplices and T.X.bound the target's chains,
     and a block past T.X.bound is empty.  The complex is exact when K and
-    T.X have no nondegenerate simplex past their bounds; every degree n >= 0
-    is defined, and it is the zero group once n exceeds T.X.bound.
+    T.X have no nondegenerate simplex past their bounds; every degree
+    n >= -1 is defined, and it is the zero group once n exceeds T.X.bound.
     """
 
     def __init__(self, K, T):
@@ -299,11 +305,12 @@ class MappingComplex:
         self.relations = []
         self._degree = {}
         self._diffs = {}
-        self._complexes = {}  # top degree -> ChainComplex of degrees 0..top
+        self._complexes = {}  # top degree -> ChainComplex of degrees -1..top
 
     def degree_data(self, n):
         if n not in self._degree:
-            _check_nonnegative(n)
+            if n < -1:
+                raise HomotopyError("the Hom complex starts in degree -1, not %d" % n)
             self._degree[n] = self._build_degree(n)
         return self._degree[n]
 
@@ -311,12 +318,12 @@ class MappingComplex:
         return self.degree_data(n)["group"]
 
     def _layout(self, n):
-        """(blocks, values) of degree n, also of degree -1: a block (key, k,
-        y) per chart and nondegenerate non-base k-simplex y whose level
-        k + n is one of the chart's chains, valued there."""
+        """(blocks, values) of degree n: a block (key, k, y) per chart, from
+        the highest key down, and nondegenerate non-base k-simplex y whose
+        level k + n is one of the chart's chains, valued there."""
         blocks, values = [], []
-        for key, chart in self.charts.items():
-            Y, groups = chart.space, chart.chains.groups
+        for key in sorted(self.charts, reverse=True):
+            Y, groups = self.charts[key].space, self.charts[key].chains.groups
             for k in range(max(0, -n), Y.bound + 1):
                 if k + n not in groups:
                     break
@@ -343,83 +350,107 @@ class MappingComplex:
         return entries
 
     def _build_degree(self, n):
+        """Degree n in one walk over the blocks: a block no relation has
+        reached is the next representative, cut to the fixed points of the
+        relations that return it to itself, and the relations from it give
+        incl on the blocks of its orbit."""
         blocks, values = self._layout(n)
         offsets = {b: i for i, b in enumerate(blocks)}
-        targets = []
-        entries = []
-        for rel in self.relations:
-            for idx, (key, k, y) in enumerate(blocks):
-                if key != rel.src:
-                    continue
-                # the row hom f_src(y) - f_tgt(level(y)) = 0
-                r = len(targets)
-                targets.append(self.charts[rel.tgt].chains.groups[k + n])
-                entries.append((r, idx, rel.hom[k + n]))
-                j = offsets.get((rel.tgt, k, rel.level[k][y]))
-                if j is not None:
-                    entries.append((r, j, -AbHom.identity(targets[r])))
-        if n == 0:
-            # degree 0 holds the natural chain maps: the rows of D_0
-            low, low_values = self._layout(-1)
-            r = len(targets)
-            targets.extend(low_values)
-            entries.extend((r + t, s, h) for t, s, h in self._d_entries(offsets, low, 0))
-        cons, total, _ = ab.assemble_block_hom(values, targets, entries)
-        ker, incl = cons.kernel()
+        source, reps, entries = {}, [], []
+        for i, (key, k, y) in enumerate(blocks):
+            if i in source:
+                continue
+            p = source[i] = len(reps)
+            rels = (r for r in self.relations if r.src == key)
+            moves = [((r.tgt, k, r.level[k][y]), r.hom[k + n]) for r in rels]
+            loops = [h for b, h in moves if b == blocks[i]]
+            inc = None
+            if loops:  # one kernel on one block: the fixed points of the loops
+                v, one = values[i], AbHom.identity(values[i])
+                rows = [(r, 0, h - one) for r, h in enumerate(loops)]
+                inc = ab.assemble_block_hom([v], [v] * len(rows), rows)[0].kernel()[1]
+            reps.append((i, inc))
+            entries.append((i, p, inc or AbHom.identity(values[i])))
+            for b, h in moves:
+                j = offsets[b]
+                if j not in source:
+                    source[j] = p
+                    entries.append((j, p, h.compose(inc) if inc else h))
+                elif source[j] != p:
+                    raise HomotopyError("a relation joins two representatives")
+        groups = [inc.src if inc else values[i] for i, inc in reps]
+        incl, group, total = ab.assemble_block_hom(groups, values, entries)
         starts = tuple(accumulate((v.ngens for v in values), initial=0))
         return dict(
-            group=ker, incl=incl, total=total, offsets=offsets, starts=starts,
-            values=tuple(values), blocks=tuple(blocks),
+            group=group, incl=incl, total=total, offsets=offsets, starts=starts,
+            values=tuple(values), blocks=tuple(blocks), reps=tuple(reps),
         )
 
-    def differential(self, n):
-        """D_n: degree n -> degree n-1 on the natural families."""
-        if n in self._diffs:
-            return self._diffs[n]
-        dsrc = self.degree_data(n)
-        dtgt = self.degree_data(n - 1)
-        entries = self._d_entries(dsrc["offsets"], dtgt["blocks"], n)
-        amb, _, _ = ab.assemble_block_hom(dsrc["values"], dtgt["values"], entries)
-        out = dtgt["incl"].preimage_matrix(amb.compose(dsrc["incl"]))
-        if out is None:
-            raise HomotopyError("differential does not preserve the relations")
-        self._diffs[n] = out
+    def _read_reps(self, data, cols):
+        """Columns over the values of the representatives of data in the
+        coordinates of its group: a stabilized block is read through its
+        fixed points, and a value outside them raises."""
+        if not any(inc for _, inc in data["reps"]):
+            return cols
+        out, lo, start, free = [{} for _ in cols], 0, 0, AbGroup.free(len(cols))
+        for i, inc in data["reps"]:
+            v = data["values"][i]
+            hi = lo + v.ngens
+            part = [{r - lo: x for r, x in c.items() if lo <= r < hi} for c in cols]
+            if inc:
+                part = inc.preimage_matrix(AbHom.from_columns(free, v, part))
+                if part is None:
+                    raise HomotopyError("a value at a stabilized simplex is not fixed")
+                part = part.cols
+            for o, c in zip(out, part):
+                o.update((start + r, x) for r, x in c.items())
+            lo, start = hi, start + (inc.src if inc else v).ngens
         return out
 
-    def chain_complex(self, top):
-        """The complex of degrees 0..top; nothing above top is built.
+    def differential(self, n):
+        """D_n: degree n -> degree n-1, read on the representatives of
+        degree n-1."""
+        if n not in self._diffs:
+            dsrc, dtgt = self.degree_data(n), self.degree_data(n - 1)
+            tgt = [(dtgt["blocks"][i], dtgt["values"][i]) for i, _ in dtgt["reps"]]
+            entries = self._d_entries(dsrc["offsets"], [b for b, _ in tgt], n)
+            amb = ab.assemble_block_hom(dsrc["values"], [v for _, v in tgt], entries)[0]
+            cols = self._read_reps(dtgt, amb.compose(dsrc["incl"]).cols)
+            self._diffs[n] = AbHom.from_columns(dsrc["group"], dtgt["group"], cols)
+        return self._diffs[n]
 
-        The complex lacks d_{top+1}, so its homology is valid below top only:
-        H_n needs top >= n + 1.
-        """
+    def chain_complex(self, top):
+        """The complex of degrees -1..top; nothing above top is built.  It
+        lacks d_{top+1}, so its homology is valid below top only: H_n needs
+        top >= n + 1."""
         if top not in self._complexes:
-            groups = {n: self.group(n) for n in range(top + 1)}
-            diffs = {n: self.differential(n) for n in range(1, top + 1)}
+            groups = {n: self.group(n) for n in range(-1, top + 1)}
+            diffs = {n: self.differential(n) for n in range(top + 1)}
             self._complexes[top] = ChainComplex(groups=groups, diffs=diffs)
         return self._complexes[top]
 
     def homotopy_group(self, n):
-        """pi_n = H_n, read from the Hom complex in degrees 0..n + 1 only.
-
-        The complex starts at the chain maps in degree 0, so no pi_n with
-        n < 0 is read.
-        """
+        """pi_n = H_n, read from the Hom complex in degrees -1..n + 1 only;
+        degree -1 is there for D_0 alone, so no pi_n with n < 0 is read."""
         _check_nonnegative(n)
         return self.chain_complex(n + 1).homology(n)
 
     def element_from_blocks(self, n, assign):
-        """Encode a family given per block (chart key, k, simplex) into
-        coordinates."""
+        """Encode a family given per block (chart key, k, simplex) by its
+        values at the representatives; raise unless incl gives the family
+        back, that is unless it is natural."""
         data = self.degree_data(n)
-        amb = [0] * data["total"].ngens
+        starts, amb = data["starts"], [0] * data["total"].ngens
         for key, vec in assign.items():
-            start = data["starts"][data["offsets"][key]]
+            start = starts[data["offsets"][key]]
             for k, v in enumerate(vec):
                 amb[start + k] += v
-        sol = data["incl"].preimage(tuple(amb))
-        if sol is None:
-            raise HomotopyError("the family is not simplicial or breaks a relation")
-        return sol
+        col = [amb[s] for i, _ in data["reps"] for s in range(starts[i], starts[i + 1])]
+        x = self._read_reps(data, [{r: v for r, v in enumerate(col) if v}])[0]
+        x = tuple(x.get(r, 0) for r in range(data["group"].ngens))
+        if not data["total"].elements_equal(data["incl"](x), amb):
+            raise HomotopyError("the family is not natural")
+        return x
 
 
 class EquivariantMappingComplex(MappingComplex):
@@ -428,7 +459,8 @@ class EquivariantMappingComplex(MappingComplex):
     The mapping complex over one object: a single chart, key 0, with K and
     the normalized chains of mt (ModuleTensor.chain_complex()), related to
     itself by every group element w != 1 through the action of w on the
-    normalized blocks.
+    normalized blocks.  A W-orbit [y] has one block, its representative's,
+    cut to the fixed points of the stabilizer W_y.
     """
 
     def __init__(self, K, mt):
@@ -439,14 +471,9 @@ class EquivariantMappingComplex(MappingComplex):
         self.charts[0] = Chart(K, chains)
         for w in W.elements():
             if w != W.identity:
-                self.relations.append(
-                    Relation(
-                        0,
-                        0,
-                        {m: mt.chain_action(m, w) for m in chains.groups},
-                        tuple(lv.action[w] for lv in K.levels),
-                    )
-                )
+                hom = {m: mt.chain_action(m, w) for m in chains.groups}
+                level = tuple(lv.action[w] for lv in K.levels)
+                self.relations.append(Relation(0, 0, hom, level))
 
 
 # bench/tracer.CACHES pins this cache; nothing in the package calls it
@@ -464,7 +491,7 @@ def homotopy_classes(descs, X, M):
     """[S^V, X (x~) M]^G as pi_0 of the mapping complex.
 
     S^V is built at X.bound under the source rule.  pi_0 reads the Hom
-    complex in degrees 0 and 1 only.
+    complex in degrees -1..1 only.
     """
     _check_dimension(descs, X.bound)
     K = sphere_for_descriptors(M.group, list(descs), X.bound)
@@ -506,7 +533,7 @@ def omega_spectrum_check(X, M, desc, n_max):
     must be an isomorphism onto the mapping-complex homology.  S^W is built
     at X.bound under the source rule, and the left side is read under the
     chain rule; both are checked before anything is built.  pi_n reads the
-    mapping complex in degrees 0..n + 1, so nothing above n_max + 1 is built.
+    mapping complex in degrees -1..n + 1, so nothing above n_max + 1 is built.
     """
     _check_nonnegative(n_max)
     _check_degree(n_max, X.bound)
@@ -520,21 +547,10 @@ def omega_spectrum_check(X, M, desc, n_max):
         kspace = smash(psi.SW, orb_space)
         mc = MappingComplex(kspace, psi.T_tgt)
         for n in range(n_max + 1):
-            lhs_h = chains.homology(krec, n)
-            rhs_h = mc.homotopy_group(n)
-            ok, mat = _phi_induced(
-                psi, krec, kspace, orb_space, mc, chains, n
-            )
-            iso_ok = ok and mat.is_iso()
-            entries.append(
-                (
-                    krec.class_id,
-                    n,
-                    lhs_h.describe(),
-                    rhs_h.describe(),
-                    iso_ok,
-                )
-            )
+            lhs, rhs = chains.homology(krec, n), mc.homotopy_group(n)
+            ok, mat = _phi_induced(psi, krec, kspace, orb_space, mc, chains, n)
+            row = (lhs.describe(), rhs.describe(), ok and mat.is_iso())
+            entries.append((krec.class_id, n, *row))
     return OmegaReport(desc=desc, entries=tuple(entries))
 
 
@@ -736,6 +752,7 @@ def cofibration_les(ses, rec, through_degree):
     interior node and homs the maps between consecutive nodes.
     """
     _check_nonnegative(through_degree)
+    _check_degree(through_degree, ses.sub.bound)
     les = _cofibration_chains(ses, rec)
     return _homology_les(*les, rec, through_degree, ("sub", "total", "quot"))
 
@@ -743,5 +760,6 @@ def cofibration_les(ses, rec, through_degree):
 def coefficient_les(ses, rec, through_degree):
     """The long exact homology sequence from an exact coefficient sequence."""
     _check_nonnegative(through_degree)
+    _check_degree(through_degree, ses.X.bound)
     les = _coefficient_chains(ses, rec)
     return _homology_les(*les, rec, through_degree, ("M", "N", "P"))

@@ -12,13 +12,14 @@ W-module A from S^0 or S^sigma have pi_0 = A^W and pi_1 = 0.
 
 import hashlib
 import json
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
 import pytest
 
 from eqmack.abelian import AbGroup, AbHom, direct_sum_data
-from eqmack.groups import FiniteGroup, subgroup_classes
+from eqmack.groups import FiniteGroup, classify_subgroup, subgroup_classes
 from eqmack.gsets import GMap, GSet, std_orbit
 from eqmack.homotopy import (
     EquivariantMappingComplex,
@@ -79,6 +80,7 @@ Z = AbGroup.free(1)
 Z2 = AbGroup.cyclic(2)
 C2 = FiniteGroup.cyclic(2)
 S3 = FiniteGroup.symmetric(3)
+SIGN_A3 = sign_rep(next(r for r in subgroup_classes(S3) if r.order == 3).elements)
 
 
 def described(table):
@@ -233,6 +235,23 @@ def test_c3_rotation_omega_check_passes_at_its_valid_bound():
     assert [e[2:4] for e in report.entries] == [("Z", "Z"), ("Z^2", "Z^2")]
 
 
+@pytest.mark.parametrize(
+    "G, desc, bound, n_max, burnside_ranks",
+    [
+        (S3, SIGN_A3, 2, 1, ["Z", "Z^2", "Z^2", "Z^4"]),
+        (FiniteGroup.cyclic(4), rotation_rep(4, 1), 3, 0, ["Z", "Z^2", "Z^3"]),
+    ],
+    ids=["S3-sign", "C4-rot41"],
+)
+def test_burnside_omega_checks_on_weyl_automorphisms(G, desc, bound, n_max, burnside_ranks):
+    # S3 has a non-abelian orbit category and C4 has Weyl automorphisms at
+    # G/e and G/C2; pi_0 at G/H is the Burnside ring A(H) and pi_1 is 0
+    report = omega_spectrum_check(s0_space(G, bound), burnside_mackey(G), desc, n_max)
+    assert report.passed
+    assert [e[3] for e in report.entries if e[1] == 0] == burnside_ranks
+    assert all(e[2:4] == ("0", "0") for e in report.entries if e[1] == 1)
+
+
 def test_omega_check_rejects_a_source_too_short_before_building(monkeypatch):
     # the left side's pi_2 needs d_3, which chains cut off at 2 lack; S^3
     # cut at bound 2 would read pi_0 as "Z vs Z^25"; n_max = -1 would pass
@@ -273,9 +292,10 @@ def test_homotopy_classes_build_the_sphere_at_the_target_bound():
 def sign_sphere_classes_by_hand(k, n):
     """[S^{k sigma}, S^n (x~) Z]^C2 for constant Z: the reduced cohomology
     H~^n of the orbit space S^{k sigma}/C2, which is S^0 for k = 0 and the
-    suspension of RP^{k-1} for k >= 1; RP^1 has H~^1 = Z and RP^2 has
-    H~^2 = Z/2, and every other group with k <= 3 is 0."""
-    return {(0, 0): "Z", (2, 2): "Z", (3, 3): "Z/2"}.get((k, n), "0")
+    suspension of RP^{k-1} for k >= 1; RP^1 has H~^1 = Z, RP^2 has
+    H~^2 = Z/2 and RP^3 has H~^2 = Z/2, and every other group with k <= 3,
+    or with k = 4 and n <= 3, is 0."""
+    return {(0, 0): "Z", (2, 2): "Z", (3, 3): "Z/2", (4, 3): "Z/2"}.get((k, n), "0")
 
 
 @pytest.mark.parametrize(
@@ -285,7 +305,8 @@ def sign_sphere_classes_by_hand(k, n):
         for k in range(4)
         for n in range(k + 2)
         for extra in (0, 1)
-    ],
+    ]
+    + [(4, n, 4) for n in range(4)],
 )
 def test_homotopy_classes_of_sign_spheres_match_the_hand_values(k, n, bound):
     X = sphere_for_descriptors(C2, [trivial_rep(n)], bound)
@@ -308,7 +329,8 @@ def test_representation_dimensions():
 
 def test_homotopy_classes_of_a_large_zero_presentation_use_a_small_snf(monkeypatch):
     # [S^{3 sigma}, S^4 (x~) Z]^C2 is 0 by hand; H_0 of the mapping complex
-    # is presented on about a thousand generators, nearly all unit pivots
+    # is presented on the 1,033 cycles of D_0 with 2,055 boundaries as
+    # relations, nearly all unit pivots
     from eqmack import intlinalg as la
 
     snf = la.snf
@@ -365,8 +387,8 @@ def test_mapping_complex_degrees_past_the_target_are_zero():
     K = sphere_for_descriptors(C2, [sign_rep()], 3)
     mc = MappingComplex(K, reduced_tensor(s0_space(C2, 3), constant_mackey(C2, Z)))
     with pytest.raises(HomotopyError):
-        mc.differential(0)  # d_0 would target a degree -1
-    assert sorted(mc._degree) == [0]  # only d_0's valid source was built
+        mc.differential(-1)  # d_-1 would target a degree -2
+    assert sorted(mc._degree) == [-1]  # only d_-1's valid source was built
     # S^0 (x~) Z has chains in degree 0 only: degree 3 is 0, and pi_2 of maps
     # into the Eilenberg-Mac Lane space K(Z, 0) is 0
     assert mc.group(3).describe() == "0"
@@ -396,13 +418,123 @@ def test_truncated_pi_n_matches_the_full_complex(coeffs):
             assert (got.ngens, got.rels) == (want.ngens, want.rels)
 
 
-def omega_complexes(M, engine=MappingComplex):
-    """The mapping complexes of the omega check of S^0 against sign, bound 2,
-    one per orbit class."""
-    psi = PsiMap([sign_rep()], s0_space(C2, 2), M)
-    for krec in subgroup_classes(C2):
-        kspace = smash(psi.SW, based_orbit_space(C2, krec, psi.SW.bound))
+def omega_complexes(M, engine=MappingComplex, desc=sign_rep()):
+    """The mapping complexes of the omega check of S^0 against desc (sign
+    by default), bound 2, one per orbit class."""
+    G = M.group
+    psi = PsiMap([desc], s0_space(G, 2), M)
+    for krec in subgroup_classes(G):
+        kspace = smash(psi.SW, based_orbit_space(G, krec, psi.SW.bound))
         yield engine(kspace, psi.T_tgt)
+
+
+def generators_by_orbit(K, value):
+    """The generators of degree n of a Hom complex out of K by Yoneda, read
+    off K's action alone: per G-orbit [y] of non-base nondegenerate
+    k-simplices of K, the generators of value(k, stabilizer of y)."""
+    counts = Counter()
+    for k in range(K.bound + 1):
+        level, seen = K.levels[k], {K.base(k)}
+        for y in K.nondegenerate(k):
+            if y not in seen:
+                seen.update(level.orbit_of(y))
+                counts[k, level.stabilizer(y)] += 1
+    return lambda n: sum(c * value(k + n, stab) for (k, stab), c in counts.items())
+
+
+def orbit_class_generators(T):
+    """value(m, H) for a Hom complex into T: the generators of N_m T at G/H."""
+    chains = MackeyChainComplex(T)
+
+    def value(m, stab):
+        groups = chains.complex(classify_subgroup(T.group, stab)[0]).groups
+        return groups[m].ngens if m in groups else 0
+
+    return value
+
+
+def fixed_rank(mt):
+    """value(m, W_y) for a W-equivariant Hom complex into mt: the rank of the
+    W_y-fixed points of the free group N_m(mt), that of the norm map."""
+    groups = mt.chain_complex().groups
+
+    def value(m, stab):
+        if m not in groups:
+            return 0
+        norm = AbHom.zero(groups[m], groups[m])
+        for w in stab:
+            norm = norm + mt.chain_action(m, w)
+        return groups[m].ngens - norm.cokernel()[0].invariants()[0]
+
+    return value
+
+
+def sigma_into_two_sigma_mod_2():
+    """The Hom complex of C2 maps S^sigma -> S^{2 sigma} (x~) Z/2, bound 3."""
+    K = sphere_for_descriptors(C2, [sign_rep()], 3)
+    X = sphere_for_descriptors(C2, [sign_rep()] * 2, 3)
+    return MappingComplex(K, reduced_tensor(X, constant_mackey(C2, Z2)))
+
+
+def orbit_count_cases():
+    for M in (burnside_mackey(C2), constant_mackey(C2, Z), constant_mackey(C2, Z2)):
+        for mc in omega_complexes(M):
+            yield mc, orbit_class_generators(mc.T)
+    for mc in omega_complexes(burnside_mackey(S3), desc=SIGN_A3):
+        yield mc, orbit_class_generators(mc.T)
+    mc = sigma_into_two_sigma_mod_2()
+    yield mc, orbit_class_generators(mc.T)
+    K = sphere_for_descriptors(C2, [sign_rep()], 3)
+    for coeffs in ("Z", "Z[C2]"):
+        mt = ModuleTensor(K, module(coeffs))
+        yield EquivariantMappingComplex(K, mt), fixed_rank(mt)
+
+
+def test_degree_generators_are_counted_by_orbits():
+    # one block per orbit representative, valued in N_{k+n} T at G/G_y, or
+    # in the W_y-fixed points for a W-equivariant complex
+    for mc, value in orbit_count_cases():
+        count = generators_by_orbit(mc.K, value)
+        assert [mc.group(n).ngens for n in range(-1, 3)] == [count(n) for n in range(-1, 3)]
+        if isinstance(mc, EquivariantMappingComplex):
+            continue
+        # the orbit category has no stabilized block: every block is free
+        assert all(inc is None for n in range(-1, 3) for _, inc in mc.degree_data(n)["reps"])
+
+
+def test_maps_into_a_torsion_target_have_one_block_per_orbit():
+    # each degree is a sum of the representatives' values, with no kernel
+    # presentation around them
+    mc = sigma_into_two_sigma_mod_2()
+    assert [mc.group(n).ngens for n in range(3)] == [17, 24, 8]
+
+
+def test_mapping_complexes_form_no_whole_degree_kernel(monkeypatch):
+    complexes = [
+        mc for M in (burnside_mackey(C2), constant_mackey(C2, Z)) for mc in omega_complexes(M)
+    ]
+
+    def refuse(h):
+        raise AssertionError("a kernel was formed")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(AbHom, "kernel", refuse)
+        for mc in complexes:
+            mc.chain_complex(2)
+    # the W-equivariant complex cuts each stabilized block to its fixed
+    # points, one block at a time
+    K = sphere_for_descriptors(C2, [sign_rep()], 3)
+    emc = EquivariantMappingComplex(K, ModuleTensor(K, module("Z/2")))
+    kernel, sources = AbHom.kernel, []
+
+    def recorded(h):
+        sources.append(h.src)
+        return kernel(h)
+
+    monkeypatch.setattr(AbHom, "kernel", recorded)
+    emc.chain_complex(2)
+    blocks = {v for n in range(-1, 3) for v in emc.degree_data(n)["values"]}
+    assert sources and all(src in blocks for src in sources)
 
 
 # sha256 of the repr of the degree groups, their inclusions into the unknowns
@@ -454,7 +586,7 @@ def _maps_into_trivial_sphere(d, kb, xb):
 def test_pi_n_builds_nothing_above_degree_n_plus_one():
     mc = _maps_into_trivial_sphere(1, 3, 3)
     mc.homotopy_group(0)
-    assert sorted(mc._degree) == [0, 1]
+    assert sorted(mc._degree) == [-1, 0, 1]
 
 
 @pytest.mark.parametrize(
@@ -550,6 +682,27 @@ def test_exact_sequences_read_homology_below_the_bound_only():
                 else:
                     nodes, flags, _ = les(rec, 1)
                     assert nodes[1][1].describe() == "0" and all(flags)
+
+
+def test_exact_sequences_check_their_degree_before_building(monkeypatch):
+    bound = 4
+    recs = subgroup_classes(C2)
+    M = constant_mackey(C2, Z)
+    sig = sphere_for_descriptors(C2, [sign_rep()], bound)
+    cofib = ses_from_cofibration(discrete_inclusion(s0_space(C2, bound), sig, (0, 1)), M)
+    twice = {r.class_id: AbHom(M.orbit_value(r), M.orbit_value(r), ((2,),)) for r in recs}
+    psi = fixed_point_morphism(M, constant_mackey(C2, Z2), AbHom(Z, Z2, ((1,),)))
+    coef = ses_from_coefficients(MackeyMorphism(M, M, twice), psi, sig)
+
+    def unreachable(*args):
+        raise AssertionError("chains built before the degree check")
+
+    monkeypatch.setattr("eqmack.homotopy._cofibration_chains", unreachable)
+    monkeypatch.setattr("eqmack.homotopy._coefficient_chains", unreachable)
+    for rec in recs:
+        for les in (partial(cofibration_les, cofib), partial(coefficient_les, coef)):
+            with pytest.raises(HomotopyError, match="degree 4 past bound 4"):
+                les(rec, bound)
 
 
 def test_element_from_blocks_accepts_natural_and_rejects_other_families():
