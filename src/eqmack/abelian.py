@@ -21,6 +21,12 @@ class ContractError(ValueError):
     """Raised when data violates a structural precondition (e.g. not a map)."""
 
 
+def _check_length(x, ngens):
+    """Raise unless the coordinate vector x has one entry per generator."""
+    if len(x) != ngens:
+        raise ContractError("element has %d coordinates for %d generators" % (len(x), ngens))
+
+
 class AbGroup:
     """Z^ngens modulo the span of relcols.  Equal groups have the same
     ngens and the same relation columns, in order."""
@@ -111,17 +117,17 @@ class AbGroup:
         return self._red.solve_column(col) is not None
 
     def is_zero_element(self, x):
-        if len(x) != self.ngens:
-            raise ContractError(
-                "element has %d coordinates for %d generators" % (len(x), self.ngens)
-            )
+        _check_length(x, self.ngens)
         return self.contains({i: v for i, v in enumerate(x) if v})
 
     def elements_equal(self, x, y):
+        _check_length(x, self.ngens)
+        _check_length(y, self.ngens)
         return self.is_zero_element(tuple(a - b for a, b in zip(x, y)))
 
     def element_key(self, x):
         """Canonical residue key: equal iff elements are equal."""
+        _check_length(x, self.ngens)
         d, u, _ = _snf_rels_cached(self.ngens, self.key)
         diag = la.diagonal(d) + [0] * self.ngens
         return tuple(z % di if di else z for z, di in zip(la.apply(u, x), diag))
@@ -237,6 +243,7 @@ class AbHom:
         return self
 
     def __call__(self, x):
+        _check_length(x, self.src.ngens)
         y = la.combine(self.cols, ((j, v) for j, v in enumerate(x) if v))
         return tuple(y.get(i, 0) for i in range(self.tgt.ngens))
 
@@ -283,6 +290,7 @@ class AbHom:
 
     def preimage(self, y):
         """Some x with self(x) == y in tgt, or None."""
+        _check_length(y, self.tgt.ngens)
         sol = self._graph_reduction().solve(tuple(y))
         if sol is None:
             return None
@@ -446,10 +454,10 @@ def hom_group(a, b):
 class ChainComplex:
     """Bounded complex ... -> C_n -> C_{n-1} -> ...; diffs[n]: C_n -> C_{n-1}."""
 
-    def __init__(self, groups, diffs, _hcache=None):
+    def __init__(self, groups, diffs):
         self.groups = groups
         self.diffs = diffs
-        self._hcache = {} if _hcache is None else _hcache
+        self._hcache = {}
 
     def group(self, n):
         return self.groups.get(n, AbGroup.zero())
@@ -493,6 +501,7 @@ class ChainComplex:
 
     def homology_class(self, n, z):
         """Coordinates of the cycle z in homology(n)."""
+        _check_length(z, self.group(n).ngens)
         entry = self._homology(n)
         h, zb, red = entry
         if red is None:
@@ -504,7 +513,8 @@ class ChainComplex:
         return sol[: h.ngens]
 
     def cycle_of_class(self, n, w):
-        zb = self._homology(n)[1]
+        h, zb, _ = self._homology(n)
+        _check_length(w, h.ngens)
         y = la.combine(zb, ((c, x) for c, x in enumerate(w) if x))
         return tuple(y.get(i, 0) for i in range(self.group(n).ngens))
 

@@ -11,13 +11,14 @@ Homotopy groups of mapping objects are read from Hom complexes of
 normalized chains.  The target T is a simplicial abelian group, so based
 maps K -> T are the homs Z~K -> T, and by Dold-Kan pi_n of the mapping
 space is H_n of Hom(N Z~K, N T), whose degree n holds the natural families
-N_k Z~K -> N_{k+n} T, one block per orbit representative, from degree -1
-up, so that the chain maps are the cycles of D_0.  There is one engine,
-MappingComplex.  A family natural over the orbit category and a
-W-equivariant map differ only in the charts and relations the engine is
-given: one chart per orbit class related by the orbit maps, or one chart
-related to itself by the elements of W (EquivariantMappingComplex).  The
-loop comparison lifts a cycle by the Eilenberg-Zilber shuffle map.
+N_k Z~K -> N_{k+n} T, one free block per orbit representative, from degree
+-1 up, so that the chain maps are the cycles of D_0.  There is one engine,
+MappingComplex, over the orbit category.  A W-equivariant map Z~K -> A[Y]
+is a family natural over the orbit category of W into Y (x~) R_A, where
+R_A is the fixed-point functor W/J |-> A^J, so that (Y (x~) R_A)(W/J) is
+A~[Y]^J (Elmendorf, Systems of fixed point sets, 1983); the
+EquivariantMappingComplex is that orbit-category complex.  The loop
+comparison lifts a cycle by the Eilenberg-Zilber shuffle map.
 
 Truncation.  Every space is cut off at its bound, and by Dold-Kan two rules
 decide what such a cut reads exactly, each stated once below.  The chain
@@ -34,10 +35,11 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 
 from . import abelian as ab
-from .abelian import AbGroup, AbHom, ChainComplex, ChainMap
+from .abelian import AbHom, ChainComplex, ChainMap
 from .groups import subgroup_classes
 from .gsets import GSet, coset_space, disjoint_union, std_orbit
 from .mackey import (
+    FixedPointMackey,
     OrbitMap,
     WrappedMackey,
     _orbit_blocks,
@@ -239,8 +241,7 @@ class Relation:
     chart's chains to level m of the target chart's.  level[k] is an
     injective simplicial point table, so it keeps simplices nondegenerate.
     src and tgt are chart keys, and src is never below tgt.  A relation
-    carries a representative's value to a block of its orbit; one that
-    returns a representative to itself cuts it to the fixed points of hom."""
+    carries a representative's value to a block of its orbit."""
 
     def __init__(self, src, tgt, hom, level):
         self.src = src
@@ -251,23 +252,24 @@ class Relation:
 
 class MappingComplex:
     """The Hom complex of normalized chains Hom(N Z~K, N T), natural over
-    a set of relations; its H_n is pi_n of Map_*(K, T) by Dold-Kan
+    the orbit category; its H_n is pi_n of Map_*(K, T) by Dold-Kan
     (Goerss-Jardine, Simplicial Homotopy Theory, III.2).
 
     Degree n holds the natural families f = (f_key : N_k Z~K_key ->
-    N_{k+n} T_key)_k, one per chart, in orbit coordinates: one block per
-    orbit representative, whose relations carry its value to the rest of
-    its orbit (incl), so no naturality condition is solved.  D f = d_T f -
-    (-1)^n f d_K, where a face of K on a degenerate simplex or the basepoint
-    is dropped.  Degree -1 is built as any other: the chain maps are the
-    cycles of D_0, and H_0 is pi_0.
+    N_{k+n} T_key)_k, one per chart, in orbit coordinates: one free block
+    per orbit representative, whose relations carry its value to the rest
+    of its orbit (incl), so no naturality condition is solved.  D f = d_T f
+    - (-1)^n f d_K, where a face of K on a degenerate simplex or the
+    basepoint is dropped.  Degree -1 is built as any other: the chain maps
+    are the cycles of D_0, and H_0 is pi_0.
 
     Here K is a based simplicial G-set standing for its fixed-point system
-    and T a reduced tensor: the chart of the orbit class H is K^H with the
-    normalized chains of T at G/H, and every non-identity orbit map G/J ->
-    G/H relates the charts of H and J by the normalized restriction and
-    phi_transition.  By Yoneda a G-orbit [y] of simplices is one free block
-    N T(G/G_y) (Bredon, LNM 34), at its representative in the chart of G_y.
+    and T a reduced tensor over the same group: the chart of the orbit
+    class H is K^H with the normalized chains of T at G/H, and every
+    non-identity orbit map G/J -> G/H relates the charts of H and J by the
+    normalized restriction and phi_transition.  By Yoneda a G-orbit [y] of
+    simplices is one free block N T(G/G_y) (Bredon, LNM 34), at its
+    representative in the chart of G_y.
 
     K.bound ends the source's simplices and T.X.bound the target's chains,
     and a block past T.X.bound is empty.  The complex is exact when K and
@@ -276,11 +278,16 @@ class MappingComplex:
     """
 
     def __init__(self, K, T):
-        self._start(K)
+        if not K.based:
+            raise HomotopyError("the source must be based")
         if not T.reduced:
             raise HomotopyError("mapping complexes target reduced tensors")
-        self.T = T
+        if K.group != T.group:
+            raise HomotopyError("the source and the target are over different groups")
+        self.K, self.T = K, T
         self.chains = MackeyChainComplex(T)
+        self.charts, self.relations = {}, []
+        self._degree, self._diffs, self._complexes = {}, {}, {}
         G = T.group
         self.recs = subgroup_classes(G)
         for rec in self.recs:
@@ -296,16 +303,6 @@ class MappingComplex:
                     self.relations.append(
                         Relation(h.class_id, j.class_id, res.comps, phi_transition(K, om))
                     )
-
-    def _start(self, K):
-        if not K.based:
-            raise HomotopyError("the source must be based")
-        self.K = K
-        self.charts = {}
-        self.relations = []
-        self._degree = {}
-        self._diffs = {}
-        self._complexes = {}  # top degree -> ChainComplex of degrees -1..top
 
     def degree_data(self, n):
         if n not in self._degree:
@@ -351,9 +348,9 @@ class MappingComplex:
 
     def _build_degree(self, n):
         """Degree n in one walk over the blocks: a block no relation has
-        reached is the next representative, cut to the fixed points of the
-        relations that return it to itself, and the relations from it give
-        incl on the blocks of its orbit."""
+        reached is the next representative, and the relations from it give
+        incl on the blocks of its orbit.  The orbit category relates no
+        block to itself, so a block reached twice raises."""
         blocks, values = self._layout(n)
         offsets = {b: i for i, b in enumerate(blocks)}
         source, reps, entries = {}, [], []
@@ -361,62 +358,32 @@ class MappingComplex:
             if i in source:
                 continue
             p = source[i] = len(reps)
-            rels = (r for r in self.relations if r.src == key)
-            moves = [((r.tgt, k, r.level[k][y]), r.hom[k + n]) for r in rels]
-            loops = [h for b, h in moves if b == blocks[i]]
-            inc = None
-            if loops:  # one kernel on one block: the fixed points of the loops
-                v, one = values[i], AbHom.identity(values[i])
-                rows = [(r, 0, h - one) for r, h in enumerate(loops)]
-                inc = ab.assemble_block_hom([v], [v] * len(rows), rows)[0].kernel()[1]
-            reps.append((i, inc))
-            entries.append((i, p, inc or AbHom.identity(values[i])))
-            for b, h in moves:
-                j = offsets[b]
-                if j not in source:
+            reps.append(i)
+            entries.append((i, p, AbHom.identity(values[i])))
+            for r in self.relations:
+                if r.src == key:
+                    j = offsets[(r.tgt, k, r.level[k][y])]
+                    if j in source:
+                        raise HomotopyError("a relation joins two representatives")
                     source[j] = p
-                    entries.append((j, p, h.compose(inc) if inc else h))
-                elif source[j] != p:
-                    raise HomotopyError("a relation joins two representatives")
-        groups = [inc.src if inc else values[i] for i, inc in reps]
-        incl, group, total = ab.assemble_block_hom(groups, values, entries)
+                    entries.append((j, p, r.hom[k + n]))
+        incl, group, total = ab.assemble_block_hom([values[i] for i in reps], values, entries)
         starts = tuple(accumulate((v.ngens for v in values), initial=0))
         return dict(
             group=group, incl=incl, total=total, offsets=offsets, starts=starts,
             values=tuple(values), blocks=tuple(blocks), reps=tuple(reps),
         )
 
-    def _read_reps(self, data, cols):
-        """Columns over the values of the representatives of data in the
-        coordinates of its group: a stabilized block is read through its
-        fixed points, and a value outside them raises."""
-        if not any(inc for _, inc in data["reps"]):
-            return cols
-        out, lo, start, free = [{} for _ in cols], 0, 0, AbGroup.free(len(cols))
-        for i, inc in data["reps"]:
-            v = data["values"][i]
-            hi = lo + v.ngens
-            part = [{r - lo: x for r, x in c.items() if lo <= r < hi} for c in cols]
-            if inc:
-                part = inc.preimage_matrix(AbHom.from_columns(free, v, part))
-                if part is None:
-                    raise HomotopyError("a value at a stabilized simplex is not fixed")
-                part = part.cols
-            for o, c in zip(out, part):
-                o.update((start + r, x) for r, x in c.items())
-            lo, start = hi, start + (inc.src if inc else v).ngens
-        return out
-
     def differential(self, n):
         """D_n: degree n -> degree n-1, read on the representatives of
         degree n-1."""
         if n not in self._diffs:
             dsrc, dtgt = self.degree_data(n), self.degree_data(n - 1)
-            tgt = [(dtgt["blocks"][i], dtgt["values"][i]) for i, _ in dtgt["reps"]]
-            entries = self._d_entries(dsrc["offsets"], [b for b, _ in tgt], n)
-            amb = ab.assemble_block_hom(dsrc["values"], [v for _, v in tgt], entries)[0]
-            cols = self._read_reps(dtgt, amb.compose(dsrc["incl"]).cols)
-            self._diffs[n] = AbHom.from_columns(dsrc["group"], dtgt["group"], cols)
+            reps = dtgt["reps"]
+            entries = self._d_entries(dsrc["offsets"], [dtgt["blocks"][i] for i in reps], n)
+            tgt = [dtgt["values"][i] for i in reps]
+            amb = ab.assemble_block_hom(dsrc["values"], tgt, entries)[0].compose(dsrc["incl"])
+            self._diffs[n] = AbHom.from_columns(dsrc["group"], dtgt["group"], amb.cols)
         return self._diffs[n]
 
     def chain_complex(self, top):
@@ -445,9 +412,7 @@ class MappingComplex:
             start = starts[data["offsets"][key]]
             for k, v in enumerate(vec):
                 amb[start + k] += v
-        col = [amb[s] for i, _ in data["reps"] for s in range(starts[i], starts[i + 1])]
-        x = self._read_reps(data, [{r: v for r, v in enumerate(col) if v}])[0]
-        x = tuple(x.get(r, 0) for r in range(data["group"].ngens))
+        x = tuple(amb[s] for i in data["reps"] for s in range(starts[i], starts[i + 1]))
         if not data["total"].elements_equal(data["incl"](x), amb):
             raise HomotopyError("the family is not natural")
         return x
@@ -456,24 +421,19 @@ class MappingComplex:
 class EquivariantMappingComplex(MappingComplex):
     """The Hom complex of W-equivariant families N Z~K -> N(mt).
 
-    The mapping complex over one object: a single chart, key 0, with K and
-    the normalized chains of mt (ModuleTensor.chain_complex()), related to
-    itself by every group element w != 1 through the action of w on the
-    normalized blocks.  A W-orbit [y] has one block, its representative's,
-    cut to the fixed points of the stabilizer W_y.
+    A W-map Z~K -> A[Y] is a family natural over the orbit category of W
+    into Y (x~) R_A, with R_A the fixed-point functor of the module A at the
+    trivial subgroup, R_A(W/J) = A^J.  So this is the MappingComplex of K
+    into the reduced tensor of mt.K with R_A, and every block is free: a
+    W-orbit [y] has one block, at its representative in the chart of W_y,
+    valued in the W_y-fixed chains of mt.
     """
 
     def __init__(self, K, mt):
-        self._start(K)
+        W = mt.K.group
+        R = FixedPointMackey(W, subgroup_classes(W)[0], mt.A)
+        super().__init__(K, TensorMackey(mt.K, R, reduced=mt.reduced))
         self.mt = mt
-        W = K.group
-        chains = mt.chain_complex()
-        self.charts[0] = Chart(K, chains)
-        for w in W.elements():
-            if w != W.identity:
-                hom = {m: mt.chain_action(m, w) for m in chains.groups}
-                level = tuple(lv.action[w] for lv in K.levels)
-                self.relations.append(Relation(0, 0, hom, level))
 
 
 # bench/tracer.CACHES pins this cache; nothing in the package calls it

@@ -495,7 +495,7 @@ def test_input_contracts_hold_under_optimized_python():
     code = (
         "import sys; sys.path.insert(0, %r)\n"
         "from eqmack import intlinalg as la\n"
-        "from eqmack.abelian import AbGroup, AbHom, ContractError\n"
+        "from eqmack.abelian import AbGroup, AbHom, ChainComplex, ContractError\n"
         "from eqmack.groups import FiniteGroup, subgroup_classes\n"
         "from eqmack.gsets import GMap, GSetError, point_gset, regular_gset\n"
         "from eqmack.homotopy import HomotopyError, coefficient_les, cofibration_les\n"
@@ -519,8 +519,17 @@ def test_input_contracts_hold_under_optimized_python():
         "twice = MackeyMorphism(Z, Z, {r.class_id: AbHom(one, one, ((2,),)) for r in (e, g)})\n"
         "mod2 = fixed_point_morphism(Z, constant_mackey(C2, Z2), AbHom(one, Z2, ((1,),)))\n"
         "coef = ses_from_coefficients(twice, mod2, sig)\n"
+        "two = AbGroup.free(2)\n"
+        "flat = ChainComplex(groups={0: two}, diffs={})\n"
         "cases = [\n"
         "    (ContractError, lambda: AbGroup(2, ((1,),))),\n"
+        "    (ContractError, lambda: one.elements_equal((0,), (0, 5))),\n"
+        "    (ContractError, lambda: two.element_key((1,))),\n"
+        "    (ContractError, lambda: AbHom.identity(two)((1,))),\n"
+        "    (ContractError, lambda: AbHom.identity(two)((1, 0, 7))),\n"
+        "    (ContractError, lambda: AbHom.identity(two).preimage((1, 0, 7))),\n"
+        "    (ContractError, lambda: flat.homology_class(0, (1,))),\n"
+        "    (ContractError, lambda: flat.cycle_of_class(0, (1, 0, 7))),\n"
         "    (ValueError, lambda: la.hstack(((1,),), ((1,), (2,)))),\n"
         "    (GSetError, lambda: pt.compose(reg)),\n"
         "    (MackeyError, lambda: OrbitMap.identity(e).compose(OrbitMap.identity(g))),\n"
@@ -542,4 +551,4 @@ def test_input_contracts_hold_under_optimized_python():
     run = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
     )
-    assert run.stdout.split() == ["rejected"] * 12, run.stderr
+    assert run.stdout.split() == ["rejected"] * 19, run.stderr

@@ -383,6 +383,32 @@ def test_equivariant_mapping_complex_from_spheres(sphere, coeffs, expected):
     assert mc.group(3).describe() == "0"
 
 
+@pytest.mark.parametrize("order", [3, 4])
+def test_maps_into_a_coinduced_module_read_the_underlying_sphere(order):
+    # Z[W] is coinduced, so Map_W(S^V, Z[W][S^V]) is Map(S^2, Z[S^2]) and
+    # pi_n is H~_{2+n}(S^2): Z for n = 0 and 0 for n = 1
+    W = FiniteGroup.cyclic(order)
+    K = sphere_for_descriptors(W, [rotation_rep(order, 1)], 3)
+    mc = EquivariantMappingComplex(K, ModuleTensor(K, WeylModule.regular(W)))
+    assert [mc.homotopy_group(n).describe() for n in (0, 1)] == ["Z", "0"]
+
+
+def test_mapping_complexes_reject_a_source_over_another_group():
+    T = reduced_tensor(s0_space(C2, 2), constant_mackey(C2, Z))
+    for order in (3, 4):
+        with pytest.raises(HomotopyError, match="different groups"):
+            MappingComplex(s0_space(FiniteGroup.cyclic(order), 2), T)
+    K = s0_space(C2, 2)
+    with pytest.raises(HomotopyError, match="different groups"):
+        EquivariantMappingComplex(s0_space(FiniteGroup.cyclic(4), 2), ModuleTensor(K, module("Z")))
+
+
+def test_equivariant_mapping_complexes_reject_an_unreduced_target():
+    K = s0_space(C2, 2)
+    with pytest.raises(HomotopyError, match="reduced"):
+        EquivariantMappingComplex(K, ModuleTensor(K, module("Z"), reduced=False))
+
+
 def test_mapping_complex_degrees_past_the_target_are_zero():
     K = sphere_for_descriptors(C2, [sign_rep()], 3)
     mc = MappingComplex(K, reduced_tensor(s0_space(C2, 3), constant_mackey(C2, Z)))
@@ -496,10 +522,12 @@ def test_degree_generators_are_counted_by_orbits():
     for mc, value in orbit_count_cases():
         count = generators_by_orbit(mc.K, value)
         assert [mc.group(n).ngens for n in range(-1, 3)] == [count(n) for n in range(-1, 3)]
-        if isinstance(mc, EquivariantMappingComplex):
-            continue
-        # the orbit category has no stabilized block: every block is free
-        assert all(inc is None for n in range(-1, 3) for _, inc in mc.degree_data(n)["reps"])
+        # the orbit category has no stabilized block: every block is free,
+        # and each degree is the sum of its representatives' values
+        for n in range(-1, 3):
+            data = mc.degree_data(n)
+            reps = [data["values"][i] for i in data["reps"]]
+            assert data["group"] == direct_sum_data(reps)[0]
 
 
 def test_maps_into_a_torsion_target_have_one_block_per_orbit():
@@ -517,24 +545,13 @@ def test_mapping_complexes_form_no_whole_degree_kernel(monkeypatch):
     def refuse(h):
         raise AssertionError("a kernel was formed")
 
-    with monkeypatch.context() as patched:
-        patched.setattr(AbHom, "kernel", refuse)
-        for mc in complexes:
-            mc.chain_complex(2)
-    # the W-equivariant complex cuts each stabilized block to its fixed
-    # points, one block at a time
+    # the W-equivariant complex evaluates its target's chains, whose fixed
+    # points FixedPointMackey presents as kernels, when it is built
     K = sphere_for_descriptors(C2, [sign_rep()], 3)
-    emc = EquivariantMappingComplex(K, ModuleTensor(K, module("Z/2")))
-    kernel, sources = AbHom.kernel, []
-
-    def recorded(h):
-        sources.append(h.src)
-        return kernel(h)
-
-    monkeypatch.setattr(AbHom, "kernel", recorded)
-    emc.chain_complex(2)
-    blocks = {v for n in range(-1, 3) for v in emc.degree_data(n)["values"]}
-    assert sources and all(src in blocks for src in sources)
+    complexes.append(EquivariantMappingComplex(K, ModuleTensor(K, module("Z/2"))))
+    monkeypatch.setattr(AbHom, "kernel", refuse)
+    for mc in complexes:
+        mc.chain_complex(2)
 
 
 # sha256 of the repr of the degree groups, their inclusions into the unknowns
@@ -708,9 +725,20 @@ def test_exact_sequences_check_their_degree_before_building(monkeypatch):
 def test_element_from_blocks_accepts_natural_and_rejects_other_families():
     K = s0_space(C2, 3)
     emc = EquivariantMappingComplex(K, ModuleTensor(K, module("Z")))
-    # chart 0, level 0, the non-base vertex: the generator of pi_0 = Z
-    unit = emc.element_from_blocks(0, {(0, 0, 1): (1,)})
-    assert emc.chain_complex(1).homology_class(0, unit) == (1,)
+    # the fixed non-base vertex of S^0 has its representative in the chart
+    # of C2, class 1, and its restriction in the chart of e, class 0
+    data = emc.degree_data(0)
+    assert [data["blocks"][i] for i in data["reps"]] == [(1, 0, 1)]
+    assert (0, 0, 1) in data["blocks"] and data["group"].ngens == 1
+    # the natural family of the generator of pi_0 = Z, read off incl
+    unit = (1,)
+    amb, starts = data["incl"](unit), data["starts"]
+    family = {b: amb[starts[i] : starts[i + 1]] for i, b in enumerate(data["blocks"])}
+    assert emc.element_from_blocks(0, family) == unit
+    assert emc.chain_complex(1).homology_class(0, unit) in ((1,), (-1,))
+    # its restriction alone, without the value at C2/C2, is not natural
+    with pytest.raises(HomotopyError):
+        emc.element_from_blocks(0, {(0, 0, 1): family[(0, 0, 1)]})
     # K = S^sigma has the fixed points S^0: a value at G/G whose restriction
     # to G/e is not matched there is simplicial but not natural
     K = sphere_for_descriptors(C2, [sign_rep()], 3)
