@@ -303,9 +303,6 @@ class FixedPoints(Frozen):
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "_key", (wset, points, weyl, weyl_reps))
 
-    def index_of(self, p):
-        return self.index[p]
-
 
 @lru_cache(maxsize=None)
 def fixed_points(S, elems):

@@ -31,7 +31,7 @@ group: every map into or out of it is zero and is built without a G-map,
 and its homology is read without a reduction.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, combinations
 
 from . import abelian as ab
@@ -159,22 +159,20 @@ class MackeyChainComplex:
         return ab.assemble_block_hom(sev.summands, tev.summands, entries)[0]
 
     def transition_chain_map(self, om, variance):
-        """res (contravariant) or tr (covariant) as a chain map of complexes."""
+        """res (contravariant, G/H -> G/J) or tr (covariant, G/J -> G/H) as
+        a chain map of complexes, for the orbit map om: G/J -> G/H."""
         key = (om, variance)
         if key not in self._chainmaps:
-            M = self.T.M
-            stable = om.gmap().values
-            comps = {}
-            induced = M.contravariant if variance == "res" else M.covariant
-            for n in range(self.T.bound + 1):
-                (src, sev), (tgt, tev) = self.level(om.src, n), self.level(om.tgt, n)
-                zero = _zero_between(*((tev, sev) if variance == "res" else (sev, tev)))
-                comps[n] = zero or induced(src.gmap(tgt, lambda x, s: (x, stable[s])), 0, 0)
-            self._chainmaps[key] = ChainMap(
-                self.complex(om.tgt if variance == "res" else om.src),
-                self.complex(om.src if variance == "res" else om.tgt),
-                comps,
-            )
+            M, stable = self.T.M, om.gmap().values
+
+            def along(a, b):
+                return a.gmap(b, lambda x, s: (x, stable[s]))
+
+            if variance == "res":
+                ends, hom = (om.tgt, om.src), lambda n, a, b: M.contravariant(along(b, a), 0, 0)
+            else:
+                ends, hom = (om.src, om.tgt), lambda n, a, b: M.covariant(along(a, b), 0, 0)
+            self._chainmaps[key] = _chain_map(self, ends[0], self, ends[1], hom)
         return self._chainmaps[key]
 
 
@@ -183,6 +181,17 @@ def _zero_between(sev, tev):
     no orbit, built without a G-map; None when both have one."""
     if not (sev.orbits and tev.orbits):
         return AbHom.zero(sev.value, tev.value)
+
+
+def _chain_map(src, src_rec, tgt, tgt_rec, hom):
+    """The chain map from the normalized chains src at src_rec to tgt at
+    tgt_rec whose level-n component is hom(n, a, b), for the level sets a of
+    src and b of tgt; a level with no orbit gets the zero hom instead."""
+    comps = {}
+    for n in range(src.T.bound + 1):
+        (a, sev), (b, tev) = src.level(src_rec, n), tgt.level(tgt_rec, n)
+        comps[n] = _zero_between(sev, tev) or hom(n, a, b)
+    return ChainMap(src.complex(src_rec), tgt.complex(tgt_rec), comps)
 
 
 # -- Bredon homology -------------------------------------------------------------
@@ -648,55 +657,36 @@ def ro_graded_table(X, M, rows):
 # -- long exact sequences -----------------------------------------------------------
 
 
-def cofibration_chain_maps(ses, rec):
-    """(i_*, q_*) as chain maps of normalized chains at G/H."""
-    return _cofibration_chains(ses, rec)[1:]
+def exact_chain_maps(ses, rec):
+    """The two maps of the short exact sequence ses as chain maps of
+    normalized chains at G/H."""
+    return _exact_chains(ses, rec)[1:]
 
 
-def _cofibration_chains(ses, rec):
-    """The normalized chains of sub, total and quot, and i_* and q_*."""
-    chains = [MackeyChainComplex(T) for T in (ses.sub, ses.total, ses.quot)]
-    icomps = {}
-    qcomps = {}
-    for n in range(ses.sub.bound + 1):
-        (sub, vsub), (tot, vtot), (quo, vquo) = (ch.level(rec, n) for ch in chains)
-        itable, qtable = ses.incl.comps[n].values, ses.proj.comps[n].values
-        icomps[n] = _zero_between(vsub, vtot) or ses.M.covariant(
-            sub.gmap(tot, lambda x, s: (itable[x], s)), 0, 0
-        )
-        qcomps[n] = _zero_between(vtot, vquo) or ses.M.covariant(
-            tot.gmap(quo, lambda x, s: (qtable[x], s)), 0, 0
-        )
-    csub, ctot, cquo = (ch.complex(rec) for ch in chains)
-    return chains, ChainMap(csub, ctot, icomps), ChainMap(ctot, cquo, qcomps)
+def _exact_chains(ses, rec):
+    """The normalized chains of ses's three tensors at G/H, and its two
+    maps between them."""
+    chains = [MackeyChainComplex(T) for T in ses.tensors]
+    f, g = (_chain_map(chains[k], rec, chains[k + 1], rec, partial(ses.map, k)) for k in (0, 1))
+    return chains, f, g
 
 
-def coefficient_chain_maps(ses, rec):
-    """(phi_*, psi_*) as chain maps of normalized chains at G/H."""
-    return _coefficient_chains(ses, rec)[1:]
+def homology_les(ses, rec, through_degree):
+    """The long exact homology sequence of a short exact sequence of
+    tensors, a CofibrationSES or a CoefficientSES, with exactness data.
 
-
-def _coefficient_chains(ses, rec):
-    """The normalized chains over M, N and P, and phi_* and psi_*."""
-    chains = [MackeyChainComplex(T) for T in (ses.T_m, ses.T_n, ses.T_p)]
-    fcomps = {}
-    gcomps = {}
-    for n in range(ses.X.bound + 1):
-        vm, vn, vp = (ch.level(rec, n)[1] for ch in chains)
-        fcomps[n] = _zero_between(vm, vn) or ses.phi.between(vm, vn)
-        gcomps[n] = _zero_between(vn, vp) or ses.psi.between(vn, vp)
-    cm, cn, cp = (ch.complex(rec) for ch in chains)
-    return chains, ChainMap(cm, cn, fcomps), ChainMap(cn, cp, gcomps)
-
-
-def _homology_les(chains, fmap, gmap, rec, through_degree, names):
-    """(nodes, exact_flags, homs) of the homology sequence of f then g
-    between the three chains at G/H, from degree through_degree down to 0."""
+    Returns (nodes, exact_flags, homs): nodes lists the LES nodes (name,
+    group) from degree through_degree down to 0, exact_flags the exactness
+    at each interior node and homs the maps between consecutive nodes.
+    """
+    _check_nonnegative(through_degree)
+    _check_degree(through_degree, ses.tensors[0].bound)
+    chains, fmap, gmap = _exact_chains(ses, rec)
     nodes = []
     homs = []
     for n in range(through_degree, -1, -1):
         groups = [ch.homology(rec, n) for ch in chains]
-        nodes.extend(("H_%d %s" % (n, name), h) for name, h in zip(names, groups))
+        nodes.extend(("H_%d %s" % (n, name), h) for name, h in zip(ses.names, groups))
         homs.extend((fmap.induced(n), gmap.induced(n)))
         if n > 0:
             homs.append(ab.connecting_hom(fmap, gmap, n))
@@ -704,22 +694,4 @@ def _homology_les(chains, fmap, gmap, rec, through_degree, names):
     return nodes, exact_flags, homs
 
 
-def cofibration_les(ses, rec, through_degree):
-    """The long exact homology sequence of a cofibration, with exactness data.
-
-    Returns (groups, exact_flags, homs) where groups lists the LES nodes from
-    degree through_degree down to 0, exact_flags the exactness at each
-    interior node and homs the maps between consecutive nodes.
-    """
-    _check_nonnegative(through_degree)
-    _check_degree(through_degree, ses.sub.bound)
-    les = _cofibration_chains(ses, rec)
-    return _homology_les(*les, rec, through_degree, ("sub", "total", "quot"))
-
-
-def coefficient_les(ses, rec, through_degree):
-    """The long exact homology sequence from an exact coefficient sequence."""
-    _check_nonnegative(through_degree)
-    _check_degree(through_degree, ses.X.bound)
-    les = _coefficient_chains(ses, rec)
-    return _homology_les(*les, rec, through_degree, ("M", "N", "P"))
+cofibration_les = coefficient_les = homology_les

@@ -613,9 +613,19 @@ def tabulate(M):
 
 class MackeyMorphism:
     def __init__(self, src, tgt, comps):
+        """comps: class_id -> AbHom src(G/H) -> tgt(G/H), one per orbit class;
+        only the generator counts are checked, as a component may present
+        an equal group with its relations in another order."""
+        recs = subgroup_classes(src.group)
+        for r in recs:
+            h, shape = comps.get(r.class_id), (src.orbit_value(r).ngens, tgt.orbit_value(r).ngens)
+            if h is None or (h.src.ngens, h.tgt.ngens) != shape:
+                raise MackeyError("MackeyMorphism needs a hom src -> tgt at class %d" % r.class_id)
+        if len(comps) != len(recs):
+            raise MackeyError("MackeyMorphism has components off the orbit classes")
         self.src = src
         self.tgt = tgt
-        self.comps = comps  # class_id -> AbHom
+        self.comps = comps
 
     def comp(self, rec):
         return self.comps[rec.class_id]

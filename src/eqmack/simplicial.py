@@ -403,6 +403,10 @@ class SimplicialGMap(Frozen):
         built once per map."""
         if self._cofiber is None:
             X = self.check().tgt
+            if self.src.bound != X.bound:
+                raise SimplicialError(
+                    "a cofibration needs one bound, not %d and %d" % (self.src.bound, X.bound)
+                )
             if not all(f.is_injective() for f in self.comps):
                 raise SimplicialError("cofibration needs a levelwise injection")
             subs = [set(self.comps[n].values) for n in range(X.bound + 1)]
@@ -856,7 +860,11 @@ def discrete_space(G, S, bound=DEFAULT_BOUND, base_vertex=None):
 
 
 def discrete_inclusion(src, tgt, vertex_values):
-    """A simplicial map out of a discrete space, given on vertices."""
+    """A simplicial map out of a discrete space, given on vertices: one
+    vertex of tgt per vertex of src."""
+    vertices = range(tgt.levels[0].size)
+    if len(vertex_values) != src.levels[0].size or not all(v in vertices for v in vertex_values):
+        raise SimplicialError("need one vertex of the target per vertex of the source")
     # every point of a discrete space is a degeneracy of its last vertex
     levels = range(min(src.bound, tgt.bound) + 1)
     vertex = [src.operator((n,), 0, n) for n in levels]

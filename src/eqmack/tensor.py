@@ -49,9 +49,6 @@ class LevelSet(Frozen):
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "_key", (gset, base, pairs, kept))
 
-    def index_of(self, x, s):
-        return self.index[(x, s)]
-
     def gmap(self, tgt, rule):
         """The G-map into the level set tgt sending (x, s) to rule(x, s).
 
@@ -562,71 +559,81 @@ def structure_map_psi(desc, X, M):
 # -- exact sequence constructors -------------------------------------------------
 
 
-class CofibrationSES:
+class ShortExactSequence:
+    """0 -> A -> B -> C -> 0, level by level, for the tensors (A, B, C).
+
+    A subclass states its two maps once, in map(k, n, src, tgt): the first
+    (k = 0) or the second (k = 1) map at level n, from the level set src of
+    tensors[k] to the level set tgt of tensors[k + 1].  Full and normalized
+    levels are both LevelSets, so map reads them alike: at(n, S) gives the
+    maps on the full levels, homotopy.exact_chain_maps on normalized chains.
+    names label the three tensors in the long exact sequence.
+    """
+
+    def at(self, n, S):
+        """The two maps between the full level-n values at S."""
+        a, b, c = (T.level_set(n, S) for T in self.tensors)
+        return self.map(0, n, a, b), self.map(1, n, b, c)
+
+    def check_exact(self, n, S):
+        return _exact_pair(*self.at(n, S))
+
+
+def _exact_pair(f, g):
+    """Whether 0 -> . -f-> . -g-> . -> 0 is exact."""
+    return f.is_injective() and g.is_surjective() and ab.is_exact_at(f, g)
+
+
+class CofibrationSES(ShortExactSequence):
     """0 -> Y (x) M -> X (x) M -> (X/Y) (x~) M -> 0 for a based subcomplex.
 
     The quotient X/Y and its projection are incl.cofiber(), which the map
     builds and checks once: every sequence of one inclusion, whatever its
     coefficients, shares one quotient, so their tensors meet the functor
-    caches by identity.
+    caches by identity.  The maps are M_* of incl and proj.
     """
+
+    names = ("sub", "total", "quot")
 
     def __init__(self, incl, M):
         self.incl = incl
-        self.M = M
         self.quotient, self.proj = incl.cofiber()
         self.sub = TensorMackey(incl.src, M, reduced=False)
         self.total = TensorMackey(incl.tgt, M, reduced=False)
         self.quot = TensorMackey(self.quotient, M, reduced=True)
+        self.tensors = (self.sub, self.total, self.quot)
 
-    def i_star(self, n, S):
-        return self.sub.space_hom(self.total, self.incl.comps[n].values, n, S)
-
-    def q_star(self, n, S):
-        return self.total.space_hom(self.quot, self.proj.comps[n].values, n, S)
-
-    def check_exact(self, n, S):
-        i = self.i_star(n, S)
-        q = self.q_star(n, S)
-        return (
-            i.is_injective()
-            and q.is_surjective()
-            and ab.is_exact_at(i, q)
-        )
+    def map(self, k, n, src, tgt):
+        table = (self.incl, self.proj)[k].comps[n].values
+        return self.tensors[k]._induced("cov", src, tgt, lambda x, s: (table[x], s))
 
 
 def ses_from_cofibration(incl, M):
     return CofibrationSES(incl, M)
 
 
-class CoefficientSES:
-    """0 -> X (x) M -> X (x) N -> X (x) P -> 0 from an exact coefficient pair."""
+class CoefficientSES(ShortExactSequence):
+    """0 -> X (x) M -> X (x) N -> X (x) P -> 0 from an exact coefficient pair;
+    the maps are phi and psi between the values of the level sets."""
+
+    names = ("M", "N", "P")
 
     def __init__(self, phi, psi, X, reduced=False):
         self.phi = phi
         self.psi = psi
-        self.X = X
-        self.reduced = reduced
-        G = phi.src.group
-        for rec in subgroup_classes(G):
-            f = phi.comp(rec)
-            g = psi.comp(rec)
-            if not (f.is_injective() and g.is_surjective() and ab.is_exact_at(f, g)):
+        for rec in subgroup_classes(phi.src.group):
+            if not _exact_pair(phi.comp(rec), psi.comp(rec)):
                 raise TensorError("coefficients are not exact at class %d" % rec.class_id)
         self.T_m = TensorMackey(X, phi.src, reduced=reduced)
         self.T_n = TensorMackey(X, phi.tgt, reduced=reduced)
         self.T_p = TensorMackey(X, psi.tgt, reduced=reduced)
+        self.tensors = (self.T_m, self.T_n, self.T_p)
 
-    def phi_at(self, n, S):
-        return self.phi.between(self.T_m.value(n, S), self.T_n.value(n, S))
-
-    def psi_at(self, n, S):
-        return self.psi.between(self.T_n.value(n, S), self.T_p.value(n, S))
-
-    def check_exact(self, n, S):
-        f = self.phi_at(n, S)
-        g = self.psi_at(n, S)
-        return f.is_injective() and g.is_surjective() and ab.is_exact_at(f, g)
+    def map(self, k, n, src, tgt):
+        # the coefficients cache their values: a level read before is not evaluated again
+        sev = self.tensors[k].M.evaluate(src.gset, src.base)
+        tev = self.tensors[k + 1].M.evaluate(tgt.gset, tgt.base)
+        return (self.phi, self.psi)[k].between(sev, tev)
 
 
 def ses_from_coefficients(phi, psi, X, reduced=False):

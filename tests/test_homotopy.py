@@ -29,10 +29,9 @@ from eqmack.homotopy import (
     based_orbit_space,
     bredon_groups,
     bredon_homology,
-    coefficient_chain_maps,
     coefficient_les,
-    cofibration_chain_maps,
     cofibration_les,
+    exact_chain_maps,
     homotopy_classes,
     omega_spectrum_check,
     ro_graded_table,
@@ -714,8 +713,7 @@ def test_exact_sequences_check_their_degree_before_building(monkeypatch):
     def unreachable(*args):
         raise AssertionError("chains built before the degree check")
 
-    monkeypatch.setattr("eqmack.homotopy._cofibration_chains", unreachable)
-    monkeypatch.setattr("eqmack.homotopy._coefficient_chains", unreachable)
+    monkeypatch.setattr("eqmack.homotopy._exact_chains", unreachable)
     for rec in recs:
         for les in (partial(cofibration_les, cofib), partial(coefficient_les, coef)):
             with pytest.raises(HomotopyError, match="degree 4 past bound 4"):
@@ -855,41 +853,38 @@ def test_normalized_level_gmap_sends_dropped_simplices_to_the_sink():
         levels[1].gmap(levels[0], lambda x, s: (y, s + 2))
 
 
-def test_cofibration_chain_maps_equal_the_restricted_full_levels():
-    bound = 4
-    sig = sphere_for_descriptors(C2, [sign_rep()], bound)
-    incl = discrete_inclusion(s0_space(C2, bound), sig, (0, 1))
-    for M in (burnside_mackey(C2), constant_mackey(C2, Z)):
-        ses = ses_from_cofibration(incl, M)
-        for rec in subgroup_classes(C2):
-            S = std_orbit(C2, rec)
-            imap, qmap = cofibration_chain_maps(ses, rec)
-            for n in range(bound + 1):
-                sub, tot, quo = (
-                    nondegenerate_part(T, n, S) for T in (ses.sub, ses.total, ses.quot)
-                )
-                assert imap.comps[n] == restricted(ses.i_star(n, S), sub, tot)
-                assert qmap.comps[n] == restricted(ses.q_star(n, S), tot, quo)
-
-
-@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
-def test_coefficient_chain_maps_equal_the_restricted_full_levels(reduced):
-    bound = 4
-    M = constant_mackey(C2, Z)
-    P = constant_mackey(C2, Z2)
+def c2_exact_sequence(kind, bound):
+    """The C2 sequence kind at bound: the cofibration S^0 -> S^sigma with
+    Burnside or Z coefficients, or Z -2-> Z -> Z/2 over S^{2 sigma}, reduced
+    or unreduced."""
+    family, option = kind.split("-")
+    if family == "cofibration":
+        sig = sphere_for_descriptors(C2, [sign_rep()], bound)
+        M = burnside_mackey(C2) if option == "Burnside" else constant_mackey(C2, Z)
+        return ses_from_cofibration(discrete_inclusion(s0_space(C2, bound), sig, (0, 1)), M)
+    M, P = constant_mackey(C2, Z), constant_mackey(C2, Z2)
     recs = subgroup_classes(C2)
     twice = {r.class_id: AbHom(M.orbit_value(r), M.orbit_value(r), ((2,),)) for r in recs}
     phi = MackeyMorphism(M, M, twice).check()
     psi = fixed_point_morphism(M, P, AbHom(Z, Z2, ((1,),))).check()
     X = sphere_for_descriptors(C2, [sign_rep()] * 2, bound)
-    ses = ses_from_coefficients(phi, psi, X, reduced=reduced)
-    for rec in recs:
+    return ses_from_coefficients(phi, psi, X, reduced=option == "reduced")
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["cofibration-Burnside", "cofibration-Z", "coefficients-reduced", "coefficients-unreduced"],
+)
+def test_exact_chain_maps_equal_the_restricted_full_levels(kind):
+    bound = 4
+    ses = c2_exact_sequence(kind, bound)
+    for rec in subgroup_classes(C2):
         S = std_orbit(C2, rec)
-        fmap, gmap = coefficient_chain_maps(ses, rec)
+        maps = exact_chain_maps(ses, rec)
         for n in range(bound + 1):
-            vm, vn, vp = (nondegenerate_part(T, n, S) for T in (ses.T_m, ses.T_n, ses.T_p))
-            assert fmap.comps[n] == restricted(ses.phi_at(n, S), vm, vn)
-            assert gmap.comps[n] == restricted(ses.psi_at(n, S), vn, vp)
+            parts = [nondegenerate_part(T, n, S) for T in ses.tensors]
+            for k, full in enumerate(ses.at(n, S)):
+                assert maps[k].comps[n] == restricted(full, parts[k], parts[k + 1])
 
 
 # -- empty levels and layouts kept on the space ----------------------------------

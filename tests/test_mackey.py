@@ -20,12 +20,14 @@ from eqmack.mackey import (
     OrbitMap,
     TableMackey,
     WeylModule,
+    WrappedMackey,
     based_value,
     burnside_mackey,
     cokernel_mackey,
     constant_mackey,
     direct_sum_mackey,
     evaluate_at_orbit,
+    fixed_point_morphism,
     image_mackey,
     kernel_mackey,
     orbit_maps_between,
@@ -296,3 +298,36 @@ def test_weyl_action_is_left_action():
         for rec in subgroup_classes(G):
             wm = A.weyl_module_at(rec)
             wm.check()
+
+
+def test_morphism_needs_one_hom_per_orbit_class():
+    M = constant_mackey(C2, AbGroup.free(1))
+    e, full = subgroup_classes(C2)
+    one = AbHom.identity(M.orbit_value(e))
+    for comps in ({}, {e.class_id: one}, {e.class_id: one, full.class_id: one, 7: one}):
+        with pytest.raises(MackeyError, match="MackeyMorphism"):
+            MackeyMorphism(M, M, comps)
+    wide = AbHom.zero(AbGroup.free(2), M.orbit_value(full))
+    with pytest.raises(MackeyError, match="at class %d" % full.class_id):
+        MackeyMorphism(M, M, {e.class_id: one, full.class_id: wide})
+    # Z/2 + Z/3 with its relations in the other order is an equal group of
+    # the same generator count, so it may present a component's source
+    A = AbGroup(2, ((2, 0), (0, 3)))
+    B = AbGroup(2, ((0, 2), (3, 0)))
+    W = WrappedMackey(C2, {e.class_id: A, full.class_id: A}, None, None)
+    MackeyMorphism(W, W, {r.class_id: AbHom(B, A, ((1, 0), (0, 1))) for r in (e, full)})
+
+
+def test_every_morphism_construction_has_a_hom_per_orbit_class():
+    Z = AbGroup.free(1)
+    M, P = constant_mackey(C2, Z), constant_mackey(C2, AbGroup.cyclic(2))
+    mod2 = fixed_point_morphism(M, P, AbHom(Z, AbGroup.cyclic(2), ((1,),))).check()
+    ident = MackeyMorphism.identity(M).check()
+    assert ident.compose(MackeyMorphism.identity(M)).check().comps == ident.comps
+    assert mod2.compose(ident).check().comps == mod2.comps
+    _, incl = kernel_mackey(mod2)
+    _, proj = cokernel_mackey(mod2)
+    _, img_incl, img_proj = image_mackey(mod2)
+    _, incls, projs = direct_sum_mackey([M, P])
+    for f in (incl, proj, img_incl, img_proj, *incls, *projs):
+        f.check()

@@ -16,6 +16,7 @@ from eqmack.simplicial import (
     collapse,
     compose_monotone,
     delta,
+    discrete_inclusion,
     epi_mono,
     eta,
     fixed_system,
@@ -464,3 +465,12 @@ def test_each_sphere_is_built_once_per_call(monkeypatch):
     monkeypatch.setattr("eqmack.simplicial.circle_space", counting("circle", circle_space))
     assert sphere_for_descriptors(C2, descs, 3) == want
     assert built == ["sphere", "sphere", "circle"]
+
+
+def test_discrete_inclusion_needs_one_target_vertex_per_source_vertex():
+    s0, sig = s0_space(C2, 3), sphere_for_descriptors(C2, [sign_rep()], 3)
+    assert discrete_inclusion(s0, sig, (0, 1)).comps[0].values == (0, 1)
+    # -1 would wrap to the last vertex and give the map (0, 1) back
+    for values in ((0, -1), (0, 5), (0,), (0, 1, 1)):
+        with pytest.raises(SimplicialError, match="one vertex of the target per vertex"):
+            discrete_inclusion(s0, sig, values)

@@ -652,6 +652,16 @@ def test_sequences_of_one_inclusion_share_the_cofiber(monkeypatch):
         ses_from_cofibration(fold, burnside_mackey(C2))
 
 
+@pytest.mark.parametrize("bounds", [(4, 6), (6, 4)], ids=["into-longer", "into-shorter"])
+def test_a_cofibration_needs_spaces_of_one_bound(bounds):
+    # a map of spaces of two bounds has levels up to the lower one only, so
+    # the three tensors of its sequence would end at different levels
+    s0, sig = s0_space(C2, bounds[0]), sphere_for_descriptors(C2, [sign_rep()], bounds[1])
+    incl = discrete_inclusion(s0, sig, (0, 1))
+    with pytest.raises(SimplicialError, match="one bound, not %d and %d" % bounds):
+        ses_from_cofibration(incl, constant_mackey(C2, AbGroup.free(1)))
+
+
 def constant_mod2(G):
     return constant_mackey(G, AbGroup.cyclic(2))
 
