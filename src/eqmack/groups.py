@@ -81,13 +81,15 @@ class Frozen:
 
 
 class FiniteGroup(Frozen):
-    __slots__ = ("mul", "name", "_identity", "_inv")  # mul[g][h] = g*h
+    # mul[g][h] = g*h; _weyl, not compared, keeps weyl_group's results
+    __slots__ = ("mul", "name", "_identity", "_inv", "_weyl")
 
     def __init__(self, mul, name="G"):
         mul = tuple(tuple(r) for r in mul)
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_key", (mul,))  # the name is not compared
+        object.__setattr__(self, "_weyl", {})
         n = len(mul)
         for row in mul:
             if len(row) != n or sorted(row) != list(range(n)):
@@ -302,9 +304,19 @@ def is_subgroup(G, elems):
 
 
 def weyl_group(G, elems):
-    """(W, reps): the quotient N(H)/H as a FiniteGroup plus coset reps in G."""
+    """(W, reps): the quotient N(H)/H as a FiniteGroup plus coset reps in G,
+    kept on G once found.  A class representative's is the one on its
+    SubgroupRecord, which equal groups share, so fixed points and records
+    carry the same W."""
     hs = frozenset(elems)
-    norm = normalizer(G, elems)
+    if hs not in G._weyl:
+        rec = next((r for r in subgroup_classes(G) if frozenset(r.elements) == hs), None)
+        G._weyl[hs] = (rec.weyl, rec.weyl_reps) if rec else _weyl_group(G, hs)
+    return G._weyl[hs]
+
+
+def _weyl_group(G, hs):
+    norm = normalizer(G, hs)
     cosets = []
     seen = set()
     for n in norm:
@@ -348,7 +360,7 @@ def subgroup_classes(G):
     classes.sort(key=lambda t: (len(t), t))
     records = []
     for cid, rep in enumerate(classes):
-        W, reps = weyl_group(G, rep)
+        W, reps = _weyl_group(G, frozenset(rep))
         records.append(
             SubgroupRecord(
                 group=G,

@@ -319,14 +319,6 @@ def fixed_points(S, elems):
     )
 
 
-def restrict_map_to_fixed(f, elems):
-    """A G-map restricted to H-fixed points, as a Weyl-group map."""
-    fs = fixed_points(f.src, elems)
-    ft = fixed_points(f.tgt, elems)
-    vals = tuple(ft.index[f.values[p]] for p in fs.points)
-    return GMap(fs.wset, ft.wset, vals)
-
-
 def enumerate_gmaps(S, T):
     """All equivariant maps S -> T, in a deterministic order."""
     orbits = orbit_decompose(S)

@@ -176,6 +176,15 @@ class MackeyChainComplex:
         return self._chainmaps[key]
 
 
+def normalized_chains(T):
+    """The MackeyChainComplex of the tensor T, built once and kept on T, as
+    the level layouts are kept on the space: every mapping complex into T
+    shares its complexes and restriction chain maps."""
+    if T._chains is None:
+        T._chains = MackeyChainComplex(T)
+    return T._chains
+
+
 def _zero_between(sev, tev):
     """The zero hom from the level value sev to tev when either level has
     no orbit, built without a G-map; None when both have one."""
@@ -294,7 +303,7 @@ class MappingComplex:
         if K.group != T.group:
             raise HomotopyError("the source and the target are over different groups")
         self.K, self.T = K, T
-        self.chains = MackeyChainComplex(T)
+        self.chains = normalized_chains(T)
         self.charts, self.relations = {}, []
         self._degree, self._diffs, self._complexes = {}, {}, {}
         G = T.group
@@ -509,7 +518,7 @@ def omega_spectrum_check(X, M, desc, n_max):
     _check_dimension([desc], X.bound)
     G = M.group
     psi = PsiMap([desc], X, M)
-    chains = MackeyChainComplex(psi.T_src)
+    chains = normalized_chains(psi.T_src)
     entries = []
     for krec in subgroup_classes(G):
         orb_space = based_orbit_space(G, krec, psi.SW.bound)
@@ -666,7 +675,7 @@ def exact_chain_maps(ses, rec):
 def _exact_chains(ses, rec):
     """The normalized chains of ses's three tensors at G/H, and its two
     maps between them."""
-    chains = [MackeyChainComplex(T) for T in ses.tensors]
+    chains = [normalized_chains(T) for T in ses.tensors]
     f, g = (_chain_map(chains[k], rec, chains[k + 1], rec, partial(ses.map, k)) for k in (0, 1))
     return chains, f, g
 

@@ -31,7 +31,7 @@ from .gsets import (
     fixed_points,
     orbit_decompose,
     pullback,
-    restrict_map_to_fixed,
+    regular_gset,
     std_orbit,
 )
 
@@ -90,11 +90,30 @@ def orbit_maps_between(jrec, hrec):
     return tuple(out)
 
 
+def _orbits_under(action, elems, size):
+    """The orbits of the points 0..size-1 under the ascending group elements
+    elems, acting by the tables action[w]: (reps, stabs, where) with the
+    smallest point of each orbit, its stabilizer as a sorted tuple, and per
+    point p the pair (orbit, smallest w in elems with w rep = p)."""
+    reps, stabs, where = [], [], [None] * size
+    for p in (p for p in range(size) if where[p] is None):
+        reps.append(p)
+        stabs.append(tuple(w for w in elems if action[w][p] == p))
+        for w in reversed(elems):
+            where[action[w][p]] = (len(reps) - 1, w)
+    return reps, stabs, where
+
+
 class WeylModule(Frozen):
     """A module over a (Weyl) group: an abelian group with a left action,
-    one AbHom value -> value per group element."""
+    one AbHom value -> value per group element.
 
-    __slots__ = ("group", "value", "action")
+    The fixed parts A^K of subgroups K and the maps between them are kept
+    in _fixed, which is not compared.  A permutation module also keeps in
+    _perm its base module and W-set, so its fixed parts split over orbits.
+    """
+
+    __slots__ = ("group", "value", "action", "_perm", "_fixed")
 
     def __init__(self, group, value, action):
         action = tuple(action)
@@ -102,6 +121,8 @@ class WeylModule(Frozen):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "_key", (group, value, action))
+        object.__setattr__(self, "_perm", None)
+        object.__setattr__(self, "_fixed", {})
         if len(action) != group.order:
             raise MackeyError("need one action hom per group element")
         if any((h.src, h.tgt) != (value, value) for h in action):
@@ -111,6 +132,11 @@ class WeylModule(Frozen):
         return self.action[g]
 
     def check(self):
+        """Check the action; a permutation module's moves its base's along
+        the action of a W-set, so only the base is checked."""
+        if self._perm is not None:
+            self._perm[0].check()
+            return self
         W = self.group
         ident = self.hom(W.identity)
         if not ident.same_as(AbHom.identity(self.value)):
@@ -130,12 +156,88 @@ class WeylModule(Frozen):
     @staticmethod
     def regular(W):
         """The integral group ring Z[W] under left translation."""
-        value = AbGroup.free(W.order)
-        homs = [
-            AbHom.from_columns(value, value, [{W.mul[g][h]: 1} for h in W.elements()])
-            for g in W.elements()
-        ]
-        return WeylModule(W, value, tuple(homs))
+        return WeylModule.permutation(WeylModule.trivial(W, AbGroup.free(1)), regular_gset(W))
+
+    @staticmethod
+    def permutation(base, wset):
+        """One copy of the module base per point of the W-set wset, w
+        sending the copy of x to that of w x through its action on base."""
+        A, size, table = base.value, wset.size, wset.action
+        value, homs = ab.direct_sum_data([A] * size)[0], []
+        for w in base.group.elements():
+            blocks = [(table[w][x], x, base.hom(w)) for x in range(size)]
+            cols = ab.assemble_block_hom([A] * size, [A] * size, blocks)[0].cols
+            homs.append(AbHom.from_columns(value, value, cols))
+        module = WeylModule(base.group, value, homs)
+        object.__setattr__(module, "_perm", (base, wset))
+        return module
+
+    def orbits(self, K):
+        """_orbits_under for the W-set of a permutation module under the
+        subgroup K, a sorted tuple of elements."""
+        if ("orbits", K) not in self._fixed:
+            wset = self._perm[1]
+            self._fixed["orbits", K] = _orbits_under(wset.action, K, wset.size)
+        return self._fixed["orbits", K]
+
+    def fixed(self, K):
+        """(A^K, its inclusion into A) for the subgroup K.  A^K is A when K
+        acts trivially; for a permutation module it is the sum over the
+        K-orbits [y] of base^{K_y}, each value translated over its orbit;
+        any other K costs one kernel on a single copy of A."""
+        if ("fixed", K) not in self._fixed:
+            A, ident, e = self.value, AbHom.identity(self.value), self.group.identity
+            nontrivial = [k for k in K if k != e]
+            if self._perm is not None and nontrivial:
+                base, lay, unit = self._perm[0], self.orbits(K), self.orbits((e,))
+                F = ab.direct_sum_data([base.fixed(k)[0] for k in lay[1]])[0]
+                incl = _fixed_block_hom(base, lay, unit, [[(y, e)] for y in unit[0]], F, A)
+            else:
+                moving = [(r, 0, self.hom(k) - ident) for r, k in enumerate(nontrivial)]
+                F, incl = A, ident
+                if not all(h.is_zero_hom() for _, _, h in moving):
+                    F, incl = ab.assemble_block_hom([A], [A] * len(moving), moving)[0].kernel()
+            self._fixed["fixed", K] = F, incl
+        return self._fixed["fixed", K]
+
+    def fixed_map(self, src, tgt, ws):
+        """The hom A^src -> A^tgt, a |-> sum over w in ws of w a, for
+        subgroups src and tgt with tgt fixing each such sum and ws a sorted
+        tuple of elements.  A permutation module reads the sum at the
+        representatives of the tgt-orbits, through its base; any other
+        module lifts it through A^tgt, a single copy of A."""
+        key = (src, tgt, ws)
+        if key not in self._fixed:
+            (fs, incl_s), (ft, incl_t), W = self.fixed(src), self.fixed(tgt), self.group
+            if self._perm is not None:
+                (base, wset), lay = self._perm, self.orbits(tgt)
+                terms = [[(wset.action[W.inv(w)][y], w) for w in ws] for y in lay[0]]
+                out = _fixed_block_hom(base, self.orbits(src), lay, terms, fs, ft)
+            else:
+                out = sum((self.hom(w) for w in ws[1:]), self.hom(ws[0])).compose(incl_s)
+                out = out if ft is self.value else incl_t.preimage_matrix(out)
+                if out is None:
+                    raise MackeyError("a sum of translates is not fixed")
+            self._fixed[key] = out
+        return self._fixed[key]
+
+
+def _fixed_block_hom(A, src, tgt, terms, src_value, tgt_value):
+    """The hom src_value -> tgt_value between sums of fixed parts of the
+    module A, one per orbit of the layouts src and tgt (_orbits_under),
+    whose value at the j-th tgt representative is the sum of w f(z) over the
+    pairs (z, w) in terms[j], f(z) being the value at the src point z; it
+    reads f(z) = u f(rep) off src, so it is a block map of fixed parts."""
+    W, entries = A.group, []
+    for j, pairs in enumerate(terms):
+        acc = {}
+        for z, w in pairs:
+            i, u = src[2][z]
+            acc.setdefault(i, []).append(W.mul[w][u])
+        for i, us in acc.items():
+            entries.append((j, i, A.fixed_map(src[1][i], tgt[1][j], tuple(sorted(us)))))
+    parts = [[A.fixed(k)[0] for k in lay[1]] for lay in (src, tgt)]
+    return AbHom.from_columns(src_value, tgt_value, ab.assemble_block_hom(*parts, entries)[0].cols)
 
 
 class Evaluated:
@@ -297,7 +399,19 @@ def based_contravariant(M, f, src_base, tgt_base):
 
 
 class FixedPointMackey(MackeyFunctor):
-    """S |-> Hom_W(S^H, A) for a subgroup H and a Weyl module A."""
+    """S |-> Hom_W(S^H, A) for a subgroup H and a Weyl module A, in orbit
+    coordinates.
+
+    By Yoneda (Bredon, LNM 34) an equivariant function psi on S^H is its
+    values at the representatives p of the W-orbits of S^H, each in the
+    fixed part A^{W_p}, and psi(w p) = w psi(p); so the value at S is the
+    sum of those fixed parts (Thevenaz-Webb, Trans. AMS 347).  Restriction
+    along q: S -> T reads psi(q p) = w psi(t) for q p = w t with t a
+    representative, an inclusion of fixed points; transfer sums the values
+    w psi(p) over the fiber of each representative t, a relative norm.
+    Both are block maps of fixed parts (WeylModule.fixed_map), so no kernel
+    and no lift is formed over S.
+    """
 
     def __init__(self, group, hrec, module):
         super().__init__(group)
@@ -305,7 +419,7 @@ class FixedPointMackey(MackeyFunctor):
         self.module = module.check()
         if module.group != hrec.weyl:
             raise MackeyError("module must be over the Weyl group of H")
-        self._containers = {}
+        self._layouts = {}
 
     def name(self):
         return "fixed-point(H=%s, A=%s)" % (
@@ -313,89 +427,49 @@ class FixedPointMackey(MackeyFunctor):
             self.module.value.describe(),
         )
 
-    def _container(self, S):
-        """(fixed points, generator offset of each point's copy of A,
-        equivariant-function group, its inclusion) for a G-set S."""
-        if S not in self._containers:
+    def _orbit_layout(self, S):
+        """(fixed points, (reps, stabs, where), value) for a G-set S: the
+        W-orbits of S^H as _orbits_under gives them, and the sum of the
+        fixed parts A^{W_p} of their representatives p."""
+        if S not in self._layouts:
             fp = fixed_points(S, self.hrec.elements)
-            A = self.module
-            k = len(fp.points)
-            _, offsets = ab.direct_sum_data([A.value] * k)
-            # one row of constraints psi(w.p) - w.psi(p) = 0 per (w, p)
-            ident = AbHom.identity(A.value)
-            entries = []
-            nrows = 0
-            W = fp.weyl
-            for w in W.elements():
-                if w == W.identity:
-                    continue
-                minus_w = -A.hom(w)
-                for p in range(k):
-                    entries.append((nrows, fp.wset.action[w][p], ident))
-                    entries.append((nrows, p, minus_w))
-                    nrows += 1
-            cons, _, _ = ab.assemble_block_hom(
-                [A.value] * k, [A.value] * nrows, entries
-            )
-            ker, incl = cons.kernel()
-            self._containers[S] = (fp, tuple(offsets), ker, incl)
-        return self._containers[S]
+            orbits = _orbits_under(fp.wset.action, fp.weyl.elements(), fp.wset.size)
+            value = ab.direct_sum_data([self.module.fixed(k)[0] for k in orbits[1]])[0]
+            self._layouts[S] = fp, orbits, value
+        return self._layouts[S]
 
     def value_of(self, S):
-        return self._container(S)[2]
-
-    def _fixed_point_blocks(self, q):
-        """(summands over S^H, summands over T^H, identity blocks (q(s), s))
-        for q: S -> T; the ambient sums hold one copy of A per fixed point."""
-        A = self.module.value
-        ident = AbHom.identity(A)
-        qh = restrict_map_to_fixed(q, self.hrec.elements)
-        blocks = [(t, s, ident) for s, t in enumerate(qh.values)]
-        return [A] * qh.src.size, [A] * qh.tgt.size, blocks
+        return self._orbit_layout(S)[2]
 
     def covariant_raw(self, q):
         """Transfer along any G-map: fiber sums over H-fixed points."""
-        inks = self._container(q.src)[3]
-        inkt = self._container(q.tgt)[3]
-        src, tgt, blocks = self._fixed_point_blocks(q)
-        h, _, _ = ab.assemble_block_hom(src, tgt, blocks)
-        return _restricted(h, inks, inkt, "transfer does not preserve equivariance")
+        (fs, src, sv), (ft, tgt, tv) = self._orbit_layout(q.src), self._orbit_layout(q.tgt)
+        fibers = {}
+        for p, s in enumerate(fs.points):
+            fibers.setdefault(ft.index[q.values[s]], []).append((p, fs.weyl.identity))
+        terms = [fibers.get(t, []) for t in tgt[0]]
+        return _fixed_block_hom(self.module, src, tgt, terms, sv, tv)
 
     def contravariant_raw(self, q):
         """Restriction along any G-map: precomposition on H-fixed points."""
-        inks = self._container(q.src)[3]
-        inkt = self._container(q.tgt)[3]
-        src, tgt, blocks = self._fixed_point_blocks(q)
-        h, _, _ = ab.assemble_block_hom(tgt, src, [(s, t, b) for t, s, b in blocks])
-        return _restricted(h, inkt, inks, "restriction does not preserve equivariance")
-
-    def function_of_element(self, S, x):
-        """Decode an element into per-fixed-point values of A."""
-        _, offsets, _, incl = self._container(S)
-        amb = incl(x)
-        a = self.module.value.ngens
-        return [amb[o : o + a] for o in offsets]
+        (fs, src, sv), (ft, tgt, tv) = self._orbit_layout(q.src), self._orbit_layout(q.tgt)
+        terms = [[(ft.index[q.values[fs.points[p]]], fs.weyl.identity)] for p in src[0]]
+        return _fixed_block_hom(self.module, tgt, src, terms, tv, sv)
 
 
 def fp_postcompose(f_src, f_tgt, theta, S):
-    """R(theta): Hom_W(S^H, A) -> Hom_W(S^H, B) for an equivariant theta."""
-    fp, _, _, incl_s = f_src._container(S)
-    incl_t = f_tgt._container(S)[3]
-    k = len(fp.points)
-    blocks = [(p, p, theta) for p in range(k)]
-    h, _, _ = ab.assemble_block_hom(
-        [f_src.module.value] * k, [f_tgt.module.value] * k, blocks
-    )
-    return _restricted(h, incl_s, incl_t, "postcomposition does not preserve equivariance")
-
-
-def _restricted(h, incl_s, incl_t, error):
-    """The hom between subgroups that h induces, for h sending the image of
-    the inclusion incl_s into the image of incl_t; raises error if it does not."""
-    out = incl_t.preimage_matrix(h.compose(incl_s))
-    if out is None:
-        raise MackeyError(error)
-    return out
+    """R(theta): Hom_W(S^H, A) -> Hom_W(S^H, B) for a W-equivariant theta:
+    theta from A^{W_p} to B^{W_p} at each representative p."""
+    A, B = f_src.module, f_tgt.module
+    for w in A.group.elements():
+        if not theta.compose(A.hom(w)).same_as(B.hom(w).compose(theta)):
+            raise MackeyError("postcomposition does not preserve equivariance")
+    (_, orbits, sv), tv = f_src._orbit_layout(S), f_tgt.value_of(S)
+    parts, entries = [[M.fixed(k)[0] for k in orbits[1]] for M in (A, B)], []
+    for i, k in enumerate(orbits[1]):
+        h, (fb, incl) = theta.compose(A.fixed(k)[1]), B.fixed(k)
+        entries.append((i, i, h if fb is B.value else incl.preimage_matrix(h)))
+    return AbHom.from_columns(sv, tv, ab.assemble_block_hom(*parts, entries)[0].cols)
 
 
 def fixed_point_morphism(f_src, f_tgt, theta):
@@ -698,21 +772,17 @@ def _sub_functor(M, values, incls, label):
     included into M's value by incls[c]; its structure maps are M's,
     restricted."""
 
+    def restricted(h, src, tgt, kind):
+        out = incls[tgt.class_id].preimage_matrix(h.compose(incls[src.class_id]))
+        if out is None:
+            raise MackeyError("%s part does not preserve the %s" % (kind, label))
+        return out
+
     def cov(om):
-        return _restricted(
-            M.orbit_covariant(om),
-            incls[om.src.class_id],
-            incls[om.tgt.class_id],
-            "covariant part does not preserve the %s" % label,
-        )
+        return restricted(M.orbit_covariant(om), om.src, om.tgt, "covariant")
 
     def con(om):
-        return _restricted(
-            M.orbit_contravariant(om),
-            incls[om.tgt.class_id],
-            incls[om.src.class_id],
-            "contravariant part does not preserve the %s" % label,
-        )
+        return restricted(M.orbit_contravariant(om), om.tgt, om.src, "contravariant")
 
     return WrappedMackey(M.group, values, cov, con, label=label)
 

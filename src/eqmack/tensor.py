@@ -15,12 +15,13 @@ evaluations at the level sets' basepoints, reduced or not alike.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 
 from . import abelian as ab
 from .abelian import AbHom
 from .groups import Frozen, subgroup_classes
-from .gsets import GMap, GSet, coset_space, fixed_points, pullback, std_orbit
-from .mackey import FixedPointMackey, OrbitMap, WeylModule
+from .gsets import GMap, GSet, coset_space, pullback, std_orbit
+from .mackey import FixedPointMackey, WeylModule, _fixed_block_hom
 from .simplicial import delta, fixed_system, smash, sphere_for_descriptors
 
 
@@ -115,7 +116,7 @@ class TensorMackey:
         self.X = X
         self.M = M
         self.reduced = reduced
-        self._homs = {}
+        self._homs, self._chains = {}, None  # _chains: homotopy.normalized_chains
 
     @property
     def group(self):
@@ -195,37 +196,6 @@ def tensor(X, M):
 
 def reduced_tensor(X, M):
     return TensorMackey(X, M, reduced=True)
-
-
-def reduced_as_cokernel(X, M, n, S):
-    """The literal cokernel presentation of the reduced value, with the
-    comparison iso onto the block presentation (a consistency oracle)."""
-    T = TensorMackey(X, M, reduced=False)
-    ls = T.level_set(n, S)
-    # basepoint inclusion pt x S -> X_n x S
-    base = X.base(n)
-    ptset = GSet(M.group, S.size, S.action)
-    vals = tuple(ls.index[(base, s)] for s in range(S.size))
-    incl = GMap(ptset, ls.gset, vals)
-    i_star = M.covariant(incl)
-    coker, proj = i_star.cokernel()
-    red = TensorMackey(X, M, reduced=True)
-    ev = red.value(n, S)
-    ls_red = red.level_set(n, S)
-    big = T.value(n, S)
-    G = M.group
-    # send each reduced block to the cokernel class of the matching
-    # unreduced block, transporting between the two basepoint choices
-    entries = []
-    for i, o in enumerate(ev.orbits):
-        x, s = ls_red.pairs[o.basepoint]
-        p_idx = ls.index[(x, s)]
-        j = big.orbit_index_of_point(p_idx)
-        oj = big.orbits[j]
-        c = next(c for c in G.elements() if ls.gset.action[c][oj.basepoint] == p_idx)
-        entries.append((j, i, M.orbit_covariant(OrbitMap(o.record, oj.record, c))))
-    blocks, _, _ = ab.assemble_block_hom(ev.summands, big.summands, entries)
-    return coker, proj, proj.compose(blocks)
 
 
 # -- coend representatives ----------------------------------------------------
@@ -315,57 +285,22 @@ class ModuleTensor:
         return tuple(range(self.K.levels[n].size))
 
     def module(self, n):
-        """The level-n W-module: one copy of A per support simplex."""
+        """The level-n W-module: one copy of A per support simplex, a
+        permutation module, so its fixed parts split over orbits."""
         if n not in self._levels:
-            W = self.K.group
-            homs = tuple(self._action(self.support(n), n, w) for w in W.elements())
-            self._levels[n] = WeylModule(W, homs[0].src, homs)
+            self._levels[n] = self._permutation(self.support(n), n)
         return self._levels[n]
 
-    def _action(self, keep, n, w):
-        """The action of w on one copy of A per simplex in keep, a set of
-        level-n simplices: the block of x goes to the block of w x through
-        the action of w on A, and vanishes when w x is not kept."""
-        pos = {x: i for i, x in enumerate(keep)}
-        act, aw = self.K.levels[n].action[w], self.A.hom(w)
-        blocks = [(pos[act[x]], i, aw) for i, x in enumerate(keep) if act[x] in pos]
-        summands = [self.A.value] * len(keep)
-        return ab.assemble_block_hom(summands, summands, blocks)[0]
+    def _permutation(self, keep, n):
+        """The permutation module of A on keep, a W-stable set of level-n
+        simplices."""
+        W, pos, act = self.K.group, {x: i for i, x in enumerate(keep)}, self.K.levels[n].action
+        rows = tuple(tuple(pos[act[w][x]] for x in keep) for w in W.elements())
+        return WeylModule.permutation(self.A, GSet._trusted(W, len(keep), rows))
 
     def face_hom(self, n, i):
         table = self.K.faces[n][i].values
         return _routed_hom(self.A.value, self.support(n), self.support(n - 1), table)
-
-    def normalized_support(self, n):
-        """The nondegenerate support simplices of level n."""
-        flags = self.K.degenerate_flags(n)
-        return tuple(x for x in self.support(n) if not flags[x])
-
-    def chain_complex(self):
-        """Alternating-sum complex on the normalized (nondegenerate) blocks;
-        a face that lands on a degenerate simplex or the basepoint vanishes."""
-        A = self.A.value
-        keeps = [self.normalized_support(n) for n in range(self.K.bound + 1)]
-        groups = {
-            n: ab.direct_sum_data([A] * len(keep))[0] for n, keep in enumerate(keeps)
-        }
-        signs = (AbHom.identity(A), -AbHom.identity(A))
-        diffs = {}
-        for n in range(1, self.K.bound + 1):
-            pos = {x: i for i, x in enumerate(keeps[n - 1])}
-            entries = [
-                (pos[face.values[x]], j, signs[i % 2])
-                for i, face in enumerate(self.K.faces[n])
-                for j, x in enumerate(keeps[n])
-                if face.values[x] in pos
-            ]
-            src, tgt = [A] * len(keeps[n]), [A] * len(keeps[n - 1])
-            diffs[n] = ab.assemble_block_hom(src, tgt, entries)[0]
-        return ab.ChainComplex(groups=groups, diffs=diffs)
-
-    def chain_action(self, n, w):
-        """The action of w on level n of chain_complex()."""
-        return self._action(self.normalized_support(n), n, w)
 
 
 def _routed_hom(A, sup_src, sup_tgt, table):
@@ -405,13 +340,14 @@ class RhoIso:
     """The natural identification of X (x) R_A with the fixed-point functor
     of the linearized fixed-point space, level by level and orbit by orbit.
 
-    Both sides are A-valued functions on (X_n x S)^H, one copy of A per
-    H-fixed point (x, s).  The left side orders those copies by orbit of
-    X_n x S, then by H-fixed coset; the right side by s in S^H, then by x.
-    rho lifts, through the right-hand container's inclusion, the block
-    permutation between the two orders after the direct sum of the orbit
-    containers' inclusions; sigma lifts the inverse permutation back
-    through that direct sum.
+    Both sides are A-valued W-equivariant functions on (X_n x S)^H = Y_n x
+    S^H, in orbit coordinates: a value in A^{W_c} at the representative c
+    of each W-orbit.  The left side takes its representatives orbit by
+    orbit of X_n x S, the right side by W-orbit [s] of S^H and then by
+    W_s-orbit of Y_n.  A left representative is w times a right one, so
+    rho is the block map a |-> w^-1 a and sigma the block map b |-> w b
+    between fixed parts of A (WeylModule.fixed_map); neither solves over
+    the sums.
     """
 
     def __init__(self, X, hrec, module, reduced=False):
@@ -424,10 +360,7 @@ class RhoIso:
         self.T = TensorMackey(X, self.RA, reduced=reduced)
         self.Y, self.ypoints = fixed_system(X, hrec.elements)
         self.MT = ModuleTensor(self.Y, module, reduced=reduced)
-        self._rhs = {}
-        self._layouts = {}
-        self._rho = {}
-        self._sigma = {}
+        self._rhs, self._layouts, self._homs = {}, {}, {}
 
     def rhs_functor(self, n):
         """The fixed-point Mackey functor with coefficients A[X^H_n]."""
@@ -438,58 +371,55 @@ class RhoIso:
         return self._rhs[n]
 
     def _layout(self, rec, n):
-        """(sum, order, incl): the direct sum of the orbit containers'
-        inclusions, the right-hand position of each left-hand copy of A,
-        and the right-hand container's inclusion, at G/H and level n; built
-        once for rho and sigma."""
+        """(left value, right value, left orbits, right orbits, rho's terms,
+        sigma's terms) at G/H and level n, the orbits with their stabilizers
+        as _orbits_under gives them; built once for rho and sigma."""
         key = (rec.class_id, n)
         if key not in self._layouts:
             self._layouts[key] = self._build_layout(rec, n)
         return self._layouts[key]
 
     def _build_layout(self, rec, n):
-        G = self.hrec.group
-        S = std_orbit(G, rec)
-        lev = self.T.value(n, S)
-        pairs = self.T.level_set(n, S).pairs
-        fp, _, _, incl = self.rhs_functor(n)._container(S)
-        sup = self.MT.support(n)
-        xpos = {self.ypoints[n][y]: i for i, y in enumerate(sup)}
-        inners, order = [], []
+        G, W = self.hrec.group, self.hrec.weyl
+        S, big = std_orbit(G, rec), self.MT.module(n)
+        lev, pairs = self.T.value(n, S), self.T.level_set(n, S).pairs
+        fp, (_, s_stabs, s_where), rvalue = self.rhs_functor(n)._orbit_layout(S)
+        table = big._perm[1].action  # W on the support of Y_n
+        ypos = {self.ypoints[n][y]: i for i, y in enumerate(self.MT.support(n))}
+        # the right-hand orbits: by orbit [s] of S^H, then by W_s-orbit of Y_n
+        starts = list(accumulate((len(big.orbits(k)[0]) for k in s_stabs), initial=0))
+        rstabs = [k for stab in s_stabs for k in big.orbits(stab)[1]]
+        lstabs, to_left, to_right = [], [], [None] * len(rstabs)
         for o in lev.orbits:
-            orb = std_orbit(G, o.record)
-            inners.append(self.RA._container(orb)[3])
-            for coset in fixed_points(orb, self.hrec.elements).points:
-                x, s = pairs[o.from_std[coset]]
-                order.append(fp.index[s] * len(sup) + xpos[x])
-        blocks = [(i, i, h) for i, h in enumerate(inners)]
-        total = ab.assemble_block_hom(lev.summands, [h.tgt for h in inners], blocks)[0]
-        return total, order, incl
+            fo, (reps, stabs, _), _ = self.RA._orbit_layout(std_orbit(G, o.record))
+            for c, k in zip(reps, stabs):
+                # the left representative (x, s) is w = u v times a right one
+                x, s = pairs[o.from_std[fo.points[c]]]
+                i, u = s_where[fp.index[s]]
+                j, v = big.orbits(s_stabs[i])[2][table[W.inv(u)][ypos[x]]]
+                w, r = W.mul[u][v], starts[i] + j
+                to_right[r] = [(len(lstabs), W.inv(w))]
+                to_left.append([(r, w)])
+                lstabs.append(k)
+        # as layouts for _fixed_block_hom, each representative its own orbit
+        ends = [(None, st, [(i, W.identity) for i in range(len(st))]) for st in (lstabs, rstabs)]
+        return lev.value, rvalue, *ends, to_right, to_left
 
     def rho(self, rec, n):
-        key = (rec.class_id, n)
-        if key not in self._rho:
-            total, order, incl = self._layout(rec, n)
-            k = range(len(order))
-            perm = _routed_hom(self.module.value, k, k, order)
-            out = incl.preimage_matrix(perm.compose(total))
-            if out is None:
-                raise TensorError("rho image is not equivariant")
-            self._rho[key] = out
-        return self._rho[key]
+        """a |-> w^-1 a from each left representative to its right one."""
+        key = ("rho", rec.class_id, n)
+        if key not in self._homs:
+            lv, rv, left, right, terms, _ = self._layout(rec, n)
+            self._homs[key] = _fixed_block_hom(self.module, left, right, terms, lv, rv)
+        return self._homs[key]
 
     def sigma(self, rec, n):
-        key = (rec.class_id, n)
-        if key not in self._sigma:
-            total, order, incl = self._layout(rec, n)
-            k = range(len(order))
-            # the inverse permutation: right-hand position -> left-hand copy
-            back = _routed_hom(self.module.value, k, k, sorted(k, key=order.__getitem__))
-            out = total.preimage_matrix(back.compose(incl))
-            if out is None:
-                raise TensorError("sigma image is not equivariant")
-            self._sigma[key] = out
-        return self._sigma[key]
+        """b |-> w b from each right representative to its left one."""
+        key = ("sigma", rec.class_id, n)
+        if key not in self._homs:
+            lv, rv, left, right, _, terms = self._layout(rec, n)
+            self._homs[key] = _fixed_block_hom(self.module, right, left, terms, rv, lv)
+        return self._homs[key]
 
 
 def rho_iso(X, hrec, module, reduced=False):

@@ -1,5 +1,6 @@
 import pytest
 
+from eqmack import abelian as ab
 from eqmack.abelian import AbGroup, AbHom
 from eqmack.groups import FiniteGroup, subgroup_classes
 from eqmack.gsets import (
@@ -7,7 +8,6 @@ from eqmack.gsets import (
     coset_space,
     disjoint_union,
     empty_gset,
-    fixed_points,
     point_gset,
     regular_gset,
     std_orbit,
@@ -113,23 +113,17 @@ def test_evaluate_at_orbit_counit():
                 M = FixedPointMackey(G, hrec, module)
                 wm = M.weyl_module_at(hrec)
                 assert wm.value.iso_eq(module.value)
-                # evaluation at the identity coset intertwines the actions
+                # evaluation at the identity coset intertwines the actions; a
+                # function is given by its values at the orbit representatives,
+                # and psi(e) = u psi(rep) for the identity coset e = u rep
                 orb = std_orbit(G, hrec)
-                fp = fixed_points(orb, hrec.elements)
+                fp, (_, stabs, where), _ = M._orbit_layout(orb)
                 _, _, e_idx = coset_space(G, hrec.elements)
-                slot = fp.points.index(e_idx)
-                ev_rows = []
-                for x in range(wm.value.ngens):
-                    vec = tuple(1 if i == x else 0 for i in range(wm.value.ngens))
-                    ev_rows.append(M.function_of_element(orb, vec)[slot])
-                ev = AbHom(
-                    wm.value,
-                    module.value,
-                    tuple(
-                        tuple(ev_rows[j][i] for j in range(wm.value.ngens))
-                        for i in range(module.value.ngens)
-                    ),
-                )
+                i, u = where[fp.index[e_idx]]
+                block = module.hom(u).compose(module.fixed(stabs[i])[1])
+                parts = [module.fixed(k)[0] for k in stabs]
+                cols = ab.assemble_block_hom(parts, [module.value], [(0, i, block)])[0].cols
+                ev = AbHom.from_columns(wm.value, module.value, cols)
                 assert ev.is_iso()
                 for w in hrec.weyl.elements():
                     lhs = ev.compose(wm.hom(w))
@@ -149,29 +143,6 @@ def test_burnside_weyl_at_trivial_subgroup():
 @pytest.mark.parametrize("G", [C2, C3, S3])
 def test_axioms_burnside(G):
     assert verify_axioms(burnside_mackey(G)).passed
-
-
-def test_function_of_element_matches_dense_projections():
-    from eqmack import abelian as ab
-
-    for G in (C2, S3):
-        u, _ = disjoint_union([regular_gset(G), point_gset(G)])
-        for hrec in subgroup_classes(G):
-            for module in (
-                WeylModule.trivial(hrec.weyl, AbGroup.free(1)),
-                WeylModule.trivial(hrec.weyl, AbGroup.cyclic(2)),
-                WeylModule.regular(hrec.weyl),
-            ):
-                M = FixedPointMackey(G, hrec, module)
-                for S in (point_gset(G), regular_gset(G), u, std_orbit(G, hrec)):
-                    fp, _, ker, incl = M._container(S)
-                    _, _, projs = ab.direct_sum([module.value] * len(fp.points))
-                    n = ker.ngens
-                    vecs = [tuple(int(i == c) for i in range(n)) for c in range(n)]
-                    vecs.append(tuple(range(2, n + 2)))
-                    for x in vecs:
-                        dense = [projs[p](incl(x)) for p in range(len(fp.points))]
-                        assert M.function_of_element(S, x) == dense
 
 
 def test_orbit_index_of_point_covers_every_point_once():

@@ -40,6 +40,7 @@ from eqmack.simplicial import (
 from eqmack.tensor import ModuleTensor
 
 from delta_reference import cylinder_inclusions
+from module_chains import chain_complex
 
 C2 = FiniteGroup.cyclic(2)
 C3 = FiniteGroup.cyclic(3)
@@ -49,7 +50,7 @@ def reduced_homology(X, n):
     """Integral homology of the underlying simplicial set, reduced when X
     is based."""
     trivial = WeylModule.trivial(X.group, AbGroup.free(1))
-    return ModuleTensor(X, trivial, reduced=X.based).chain_complex().homology(n).invariants()
+    return chain_complex(ModuleTensor(X, trivial, reduced=X.based)).homology(n).invariants()
 
 
 def test_monotone_helpers():

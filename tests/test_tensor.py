@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from eqmack import abelian as ab
 from eqmack.abelian import AbGroup, AbHom
 from eqmack.groups import FiniteGroup, subgroup_classes
 from eqmack.gsets import (
@@ -19,6 +20,7 @@ from eqmack.mackey import (
     FixedPointMackey,
     MackeyError,
     MackeyMorphism,
+    OrbitMap,
     WeylModule,
     based_contravariant,
     based_covariant,
@@ -52,7 +54,6 @@ from eqmack.tensor import (
     identity_rep,
     injective_normal_form,
     normalize_coend_rep,
-    reduced_as_cokernel,
     reduced_tensor,
     rho_iso,
     ses_from_coefficients,
@@ -62,6 +63,8 @@ from eqmack.tensor import (
     tensor,
     transfer_via_pullback,
 )
+
+from module_chains import chain_complex
 
 C2 = FiniteGroup.cyclic(2)
 S3 = FiniteGroup.symmetric(3)
@@ -225,6 +228,37 @@ def test_splitting_unreduced_vs_reduced():
             assert sorted(tors_t) == sorted(mt + rt)
 
 
+def reduced_as_cokernel(X, M, n, S):
+    """The literal cokernel presentation of the reduced value, with the
+    comparison iso onto the block presentation (a consistency oracle)."""
+    T = TensorMackey(X, M, reduced=False)
+    ls = T.level_set(n, S)
+    # basepoint inclusion pt x S -> X_n x S
+    base = X.base(n)
+    ptset = GSet(M.group, S.size, S.action)
+    vals = tuple(ls.index[(base, s)] for s in range(S.size))
+    incl = GMap(ptset, ls.gset, vals)
+    i_star = M.covariant(incl)
+    coker, proj = i_star.cokernel()
+    red = TensorMackey(X, M, reduced=True)
+    ev = red.value(n, S)
+    ls_red = red.level_set(n, S)
+    big = T.value(n, S)
+    G = M.group
+    # send each reduced block to the cokernel class of the matching
+    # unreduced block, transporting between the two basepoint choices
+    entries = []
+    for i, o in enumerate(ev.orbits):
+        x, s = ls_red.pairs[o.basepoint]
+        p_idx = ls.index[(x, s)]
+        j = big.orbit_index_of_point(p_idx)
+        oj = big.orbits[j]
+        c = next(c for c in G.elements() if ls.gset.action[c][oj.basepoint] == p_idx)
+        entries.append((j, i, M.orbit_covariant(OrbitMap(o.record, oj.record, c))))
+    blocks, _, _ = ab.assemble_block_hom(ev.summands, big.summands, entries)
+    return coker, proj, proj.compose(blocks)
+
+
 def test_reduced_matches_cokernel_presentation():
     M = burnside_mackey(C2)
     X = sign_circle(C2, (0,), bound=2)
@@ -255,12 +289,12 @@ def test_module_tensor_spheres():
     A = WeylModule.trivial(W, AbGroup.free(1))
     K = s0_space(W, bound=2)
     mt = ModuleTensor(K, A)
-    c = mt.chain_complex().check()
+    c = chain_complex(mt).check()
     assert c.homology(0).invariants() == (1, ())
     assert c.homology(1).is_trivial()
     circle = circle_space(W, bound=3)
     mt2 = ModuleTensor(circle, A)
-    c2 = mt2.chain_complex().check()
+    c2 = chain_complex(mt2).check()
     assert c2.homology(0).is_trivial()
     assert c2.homology(1).invariants() == (1, ())
 
@@ -273,7 +307,7 @@ def test_module_tensor_chains_equal_the_restricted_full_faces(reduced):
     for A in (WeylModule.regular(C2), WeylModule.trivial(C2, AbGroup.cyclic(2))):
         mt = ModuleTensor(K, A, reduced=reduced)
         a = A.value.ngens
-        c = mt.chain_complex()
+        c = chain_complex(mt)
 
         def kept(n):
             flags = K.degenerate_flags(n)
@@ -416,15 +450,16 @@ def _perm(*cols):
 
 
 # (subgroup of the coefficients, orbit class, level) -> (rho, sigma), each as
-# (source, target, matrix).  With Z[C2] at e, rho at G/e in level 1 reorders
-# the last four generators and sigma undoes it.  Captured from the code that
-# placed and read blocks through dense inclusion and projection matrices.
+# (source, target, matrix).  With Z[C2] at e, rho at G/e in level 1 carries
+# the last orbit's value at its left representative to the right one, which
+# is its translate by the generator, so it swaps the last two generators,
+# and sigma swaps them back.  Recorded when rho and sigma became block maps
+# between orbit representatives; the constraint-kernel code of
+# fixed_point_reference.py gave the permutations (0, 1, 2, 3, 7, 6, 4, 5)
+# and (0, 1, 2, 3, 6, 7, 5, 4) here, in its own presentation.
 RHO_SIGMA_C2_SIGN_SPHERE = {
     ("e", 0, 0): (("Z^4", "Z^4", _perm(0, 1, 2, 3)),) * 2,
-    ("e", 0, 1): (
-        ("Z^8", "Z^8", _perm(0, 1, 2, 3, 7, 6, 4, 5)),
-        ("Z^8", "Z^8", _perm(0, 1, 2, 3, 6, 7, 5, 4)),
-    ),
+    ("e", 0, 1): (("Z^8", "Z^8", _perm(0, 1, 2, 3, 4, 5, 7, 6)),) * 2,
     ("e", 1, 0): (("Z^2", "Z^2", _perm(0, 1)),) * 2,
     ("e", 1, 1): (("Z^4", "Z^4", _perm(0, 1, 2, 3)),) * 2,
     ("G", 0, 0): (("0", "0", ()),) * 2,
@@ -486,9 +521,10 @@ def rho_sigma_outputs():
     return out
 
 
-# sha256 of the repr of rho_sigma_outputs(), recorded when rho decoded one
-# unit vector at a time and sigma sliced rows of the dense container inclusion
-RHO_SIGMA_SHA256 = "ff17a799c5dcf8e095ccba40ef7a22ef372f3e4c85134cedaa2ac96d234c39fb"
+# sha256 of the repr of rho_sigma_outputs(), recorded when rho and sigma
+# became block maps between fixed parts in orbit coordinates; test_fixed_points
+# checks them against the constraint-kernel code they replaced
+RHO_SIGMA_SHA256 = "feed42a64d85eb57df8830c2fc69bf8b030158fe6b7f34a661bdf720fb9ce32b"
 
 
 def test_rho_sigma_on_three_groups_are_bit_identical():
