@@ -3,8 +3,8 @@
 A group is Z^n modulo the span of its relations, stored as sparse columns
 ({generator: coefficient} dicts, zeros omitted); elements are length-n
 coordinate vectors, and homomorphisms carry the source relation lattice into
-the target lattice.  Sums, kernels, cokernels, images, Hom groups and
-homology are built as columns and solved by column reduction.  Invariants
+the target lattice.  Sums, kernels, cokernels, images and homology are
+built as columns and solved by column reduction.  Invariants
 remove the unit pivots of the relations first and run Smith normal form
 only on what remains.  The dense relation matrix `rels` and the dense SNF of
 element_key() and elements() are built only when read.
@@ -15,6 +15,12 @@ from itertools import product
 from math import prod
 
 from . import intlinalg as la
+
+__all__ = [
+    "ContractError", "AbGroup", "AbHom", "fmt_invariants", "direct_sum_data", "direct_sum",
+    "assemble_block_hom", "ChainComplex", "ChainMap", "homology_map", "homology_at",
+    "is_exact_at", "connecting_hom",
+]
 
 
 class ContractError(ValueError):
@@ -409,46 +415,6 @@ def assemble_block_hom(src_groups, tgt_groups, entries):
             la.subtract(cols[co + c], {ro + r: v for r, v in col.items()}, -1)
     h = AbHom.from_columns(src_total, tgt_total, cols)
     return h, src_total, tgt_total
-
-
-def hom_group(a, b):
-    """Hom(a, b) as (group, basis maps, evaluate) where evaluate(z, x) applies
-    the class with coordinates z to the element x of a."""
-    na, nb = a.ngens, b.ngens
-    nunk = na * nb  # X[t][j], flattened row-major: index t*na + j
-
-    # one constraint row X rel = (b-relation slack) per a-relation rj and
-    # target generator t, at row rj * nb + t; slack columns follow X's
-    cols = [{} for _ in range(nunk)]
-    for rj, rel in enumerate(a.relcols):
-        for j, x in rel.items():
-            for t in range(nb):
-                cols[t * na + j][rj * nb + t] = x
-    cols += [
-        {rj * nb + t: -x for t, x in rel.items()}
-        for rj in range(a.nrels)
-        for rel in b.relcols
-    ]
-    lat = _heads(la.ColumnReduction(cols, a.nrels * nb).kernel_basis(), nunk)
-    r = len(lat)
-
-    # trivial maps: every generator image lies in the relation lattice of b
-    triv = [{t * na + j: x for t, x in rel.items()} for j in range(na) for rel in b.relcols]
-    h = AbGroup.from_columns(r, _relations(la.ColumnReduction(lat + triv, nunk), r))
-
-    basis = []
-    for v in lat:
-        maps = [{} for _ in range(na)]
-        for k, x in sorted(v.items()):
-            t, j = divmod(k, na)
-            maps[j][t] = x
-        basis.append(AbHom.from_columns(a, b, maps))
-
-    def evaluate(z, x):
-        images = [h(x) for h in basis]
-        return tuple(sum(zc * y[t] for zc, y in zip(z, images)) for t in range(nb))
-
-    return h, basis, evaluate
 
 
 class ChainComplex:

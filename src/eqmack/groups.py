@@ -9,6 +9,12 @@ import itertools
 import json
 from functools import lru_cache
 
+__all__ = [
+    "GroupError", "FiniteGroup", "SubgroupRecord", "load_group", "all_subgroups",
+    "normalizer", "is_subgroup", "weyl_group", "subgroup_classes", "classify_subgroup",
+    "conjugation_witness",
+]
+
 
 class GroupError(ValueError):
     pass

@@ -19,6 +19,12 @@ from .groups import (
     weyl_group,
 )
 
+__all__ = [
+    "GSetError", "GSet", "GMap", "Orbit", "FixedPoints", "Induction", "empty_gset",
+    "point_gset", "trivial_gset", "regular_gset", "coset_space", "std_orbit",
+    "orbit_decompose", "disjoint_union", "pullback", "fixed_points", "induce_from_weyl",
+]
+
 
 class GSetError(ValueError):
     pass
@@ -200,7 +206,9 @@ def orbit_decompose(S):
         pts = S.orbit_of(x)
         seen.update(pts)
         rec, _ = classify_subgroup(G, S.stabilizer(x))
-        base = min(p for p in pts if S.stabilizer(p) == rec.elements)
+        # every stabilizer in one orbit has |H| elements, so H fixing p
+        # means the stabilizer of p is H
+        base = next(p for p in pts if all(S.action[h][p] == p for h in rec.elements))
         space, reps, _ = coset_space(G, rec.elements)
         from_std = tuple(S.action[r][base] for r in reps)
         to_std = tuple(sorted((p, i) for i, p in enumerate(from_std)))
@@ -233,28 +241,6 @@ def disjoint_union(parts):
     return u, incls
 
 
-def product(S, T):
-    """(P, proj1, proj2) with points ordered lexicographically as (s, t)."""
-    G = S.group
-    n = S.size * T.size
-
-    def idx(s, t):
-        return s * T.size + t
-
-    action = tuple(
-        tuple(
-            idx(S.action[g][s], T.action[g][t])
-            for s in range(S.size)
-            for t in range(T.size)
-        )
-        for g in G.elements()
-    )
-    p = GSet(G, n, action)
-    p1 = GMap(p, S, tuple(s for s in range(S.size) for _ in range(T.size)))
-    p2 = GMap(p, T, tuple(t for _ in range(S.size) for t in range(T.size)))
-    return p, p1, p2
-
-
 def pullback(h, k):
     """Fiber product of h: B -> D and k: C -> D.
 
@@ -280,13 +266,6 @@ def pullback(h, k):
     f = GMap(a, B, tuple(b for b, _ in pairs))
     g = GMap(a, C, tuple(c for _, c in pairs))
     return a, f, g
-
-
-def pullback_mediator(f, g, u, v):
-    """The unique map into the pullback (f, g) agreeing with the cone (u, v)."""
-    index = {(f.values[i], g.values[i]): i for i in range(f.src.size)}
-    vals = tuple(index[(u.values[x], v.values[x])] for x in range(u.src.size))
-    return GMap(u.src, f.src, vals)
 
 
 class FixedPoints(Frozen):
@@ -319,33 +298,6 @@ def fixed_points(S, elems):
     )
 
 
-def enumerate_gmaps(S, T):
-    """All equivariant maps S -> T, in a deterministic order."""
-    orbits = orbit_decompose(S)
-    choicesets = []
-    for o in orbits:
-        targets = T.fixed_by(o.record.elements)
-        choicesets.append(targets)
-    out = []
-
-    def rec(i, valmap):
-        if i == len(orbits):
-            out.append(GMap(S, T, tuple(valmap)))
-            return
-        o = orbits[i]
-        space, reps, _ = coset_space(S.group, o.record.elements)
-        for t in choicesets[i]:
-            vals = list(valmap)
-            for ci, r in enumerate(reps):
-                vals[o.from_std[ci]] = T.action[r][t]
-            rec(i + 1, vals)
-
-    rec(0, [0] * S.size)
-    if S.size == 0:
-        return (GMap(S, T, ()),)
-    return tuple(out)
-
-
 class Induction(Frozen):
     """Balanced product G/H x_W Y for a Weyl-group set Y, the source.
 
@@ -368,14 +320,6 @@ class Induction(Frozen):
 
     def class_of(self, coset_idx, y):
         return self.class_index[(coset_idx, y)]
-
-    def induced_map(self, f):
-        """L(f) for a W-map f: Y -> Y'."""
-        other = induce_from_weyl(self.group, self.helems, f.tgt)
-        vals = []
-        for i, y in self.classes:
-            vals.append(other.class_of(i, f.values[y]))
-        return GMap(self.gset, other.gset, tuple(vals))
 
 
 @lru_cache(maxsize=None)
@@ -446,14 +390,3 @@ def _coset_index(G, helems, g):
     space, reps, _ = coset_space(G, helems)
     coset = tuple(sorted(G.mul[g][h] for h in hs))
     return reps.index(coset[0])
-
-
-def counit(G, helems, X):
-    """epsilon: L(X^H) -> X, [(gH, x)] -> g . x."""
-    fp = fixed_points(X, helems)
-    ind = induce_from_weyl(G, helems, fp.wset)
-    space, reps, _ = coset_space(G, helems)
-    vals = []
-    for i, y in ind.classes:
-        vals.append(X.action[reps[i]][fp.points[y]])
-    return ind, GMap(ind.gset, X, tuple(vals))

@@ -55,6 +55,13 @@ from .simplicial import (
 )
 from .tensor import PsiMap, TensorMackey, _build_level, reduced_tensor
 
+__all__ = [
+    "HomotopyError", "MackeyChainComplex", "normalized_chains", "bredon_homology",
+    "bredon_groups", "MappingComplex", "EquivariantMappingComplex", "homotopy_classes",
+    "OmegaReport", "omega_spectrum_check", "GradedTable", "ro_graded_table",
+    "exact_chain_maps", "homology_les", "cofibration_les", "coefficient_les",
+]
+
 
 class HomotopyError(ValueError):
     pass
@@ -206,12 +213,13 @@ def _chain_map(src, src_rec, tgt, tgt_rec, hom):
 # -- Bredon homology -------------------------------------------------------------
 
 
-def bredon_homology(X, M, n, based=True):
-    """H_n of the (reduced) tensor, as a Mackey functor on orbit classes.
+def bredon_homology(X, M, n):
+    """H_n of the reduced tensor X (x~) M, as a Mackey functor on orbit
+    classes; X must be based.
 
     Read off the normalized chains, built on nondegenerate simplices only.
     """
-    T = TensorMackey(X, M, reduced=based)
+    T = reduced_tensor(X, M)
     chains = MackeyChainComplex(T)
     G = M.group
     values = {}
@@ -227,9 +235,10 @@ def bredon_homology(X, M, n, based=True):
     return WrappedMackey(G, values, cov, con, label="H_%d" % n)
 
 
-def bredon_groups(X, M, degrees, based=True):
-    """Invariant-factor table: degree -> class_id -> (free, torsion)."""
-    T = TensorMackey(X, M, reduced=based)
+def bredon_groups(X, M, degrees):
+    """Invariant-factor table of the reduced tensor X (x~) M, for a based X:
+    degree -> class_id -> (free, torsion)."""
+    T = reduced_tensor(X, M)
     chains = MackeyChainComplex(T)
     out = {}
     for n in degrees:

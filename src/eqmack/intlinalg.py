@@ -13,6 +13,11 @@ import heapq
 from collections import defaultdict
 from functools import lru_cache
 
+__all__ = [
+    "identity", "columns", "dense", "snf", "invariant_factors", "ColumnReduction",
+    "reduction", "kernel_basis", "solve", "solve_matrix",
+]
+
 
 def shape(a):
     rows = len(a)
@@ -46,16 +51,6 @@ def matmul(a, b, bcols=None):
 
 def matadd(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def hstack(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) != len(b):
-        raise ValueError("hstack of %d and %d rows" % (len(a), len(b)))
-    return tuple(ra + rb for ra, rb in zip(a, b))
 
 
 def apply(a, v):

@@ -8,8 +8,9 @@ is the same sum with the basepoint's orbit left out, and a block sent to
 the target's basepoint vanishes, so reduced and unreduced values and maps
 share one evaluation and one cache per operation.  Three backings are
 provided: fixed-point functors of Weyl modules, the Burnside functor, and
-explicit tables; kernels, cokernels, images and homology give derived
-functors through a generic wrapper.
+explicit tables of values, Weyl actions, restrictions and transfers on the
+class representatives; kernels, cokernels, images and homology give
+derived functors through a generic wrapper.
 """
 
 from functools import lru_cache
@@ -34,6 +35,14 @@ from .gsets import (
     regular_gset,
     std_orbit,
 )
+
+__all__ = [
+    "MackeyError", "OrbitMap", "orbit_maps_between", "WeylModule", "Evaluated",
+    "MackeyFunctor", "FixedPointMackey", "fixed_point_morphism", "constant_mackey",
+    "BurnsideMackey", "burnside_mackey", "TableMackey", "MackeyMorphism", "WrappedMackey",
+    "kernel_mackey", "cokernel_mackey", "image_mackey", "direct_sum_mackey", "AxiomReport",
+    "verify_axioms",
+]
 
 
 class MackeyError(ValueError):
@@ -133,7 +142,10 @@ class WeylModule(Frozen):
 
     def check(self):
         """Check the action; a permutation module's moves its base's along
-        the action of a W-set, so only the base is checked."""
+        the action of a W-set, so only the base is checked.  A module is
+        immutable, so a passing check is kept in _fixed and not repeated."""
+        if "checked" in self._fixed:
+            return self
         if self._perm is not None:
             self._perm[0].check()
             return self
@@ -147,6 +159,7 @@ class WeylModule(Frozen):
             for h in W.elements():
                 if not self.hom(g).compose(self.hom(h)).same_as(self.hom(W.mul[g][h])):
                     raise MackeyError("action is not a homomorphism")
+        self._fixed["checked"] = True
         return self
 
     @staticmethod
@@ -338,10 +351,6 @@ class MackeyFunctor:
         """M(G/H) as a module over the Weyl group of H."""
         homs = tuple(self.weyl_action_hom(rec, w) for w in rec.weyl.elements())
         return WeylModule(rec.weyl, self.orbit_value(rec), homs)
-
-
-def evaluate_at_orbit(M, rec):
-    return M.weyl_module_at(rec)
 
 
 # -- based (reduced) evaluation ---------------------------------------------
@@ -654,32 +663,6 @@ class TableMackey(MackeyFunctor):
         v_j = self.values[pair[0]]
         v_h = self.values[pair[1]]
         return rot.compose(AbHom(v_h, v_j, self.res[pair]))
-
-
-def tabulate(M):
-    """Extract the canonical table of any Mackey functor."""
-    G = M.group
-    recs = subgroup_classes(G)
-    values = {r.class_id: M.orbit_value(r) for r in recs}
-    weyl_mats = {
-        r.class_id: tuple(
-            M.weyl_action_hom(r, w).mat for w in r.weyl.elements()
-        )
-        for r in recs
-    }
-    res = {}
-    tr = {}
-    for j in recs:
-        for h in recs:
-            if j.class_id == h.class_id:
-                continue
-            w = conjugation_witness(G, j.elements, h.elements)
-            if w is None:
-                continue
-            om = OrbitMap(j, h, G.inv(w))
-            tr[(j.class_id, h.class_id)] = M.orbit_covariant(om).mat
-            res[(j.class_id, h.class_id)] = M.orbit_contravariant(om).mat
-    return TableMackey(G, values, weyl_mats, res, tr)
 
 
 # -- morphisms and derived functors -------------------------------------------

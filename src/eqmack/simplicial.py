@@ -16,6 +16,14 @@ from functools import lru_cache, partial
 from .groups import Frozen
 from .gsets import GMap, GSet, fixed_points, point_gset, trivial_gset
 
+__all__ = [
+    "SimplicialError", "DEFAULT_BOUND", "SimplicialGSet", "build_from_generators",
+    "SimplicialGMap", "point_space", "s0_space", "circle_space", "sign_circle",
+    "rotation_sphere", "join", "smash", "wedge", "collapse", "fixed_system", "phi_transition",
+    "RepDescriptor", "trivial_rep", "sign_rep", "rotation_rep", "representation_sphere",
+    "sphere_for_descriptors", "suspend", "discrete_space", "discrete_inclusion",
+]
+
 
 class SimplicialError(ValueError):
     pass
@@ -870,24 +878,6 @@ def discrete_inclusion(src, tgt, vertex_values):
     vertex = [src.operator((n,), 0, n) for n in levels]
     degen = [tgt.operator((0,) * (n + 1), n, 0) for n in levels]
     return _levelwise(src, tgt, lambda n, p: degen[n][vertex_values[vertex[n][p]]])
-
-
-def smash_assoc(A, B, C):
-    """The associator smash(A, smash(B, C)) -> smash(smash(A, B), C)."""
-    inner_r = smash(B, C)
-    left = smash(A, inner_r)
-    inner_l = smash(A, B)
-    right = smash(inner_l, C)
-
-    def value(n, p):
-        pair = left._smash_points[n][p]
-        if pair is None:
-            return right.base(n)
-        a, bc = pair
-        b, c = inner_r._smash_points[n][bc]
-        return right._smash_index[n][(inner_l._smash_index[n][(a, b)], c)]
-
-    return _levelwise(left, right, value)
 
 
 # -- auxiliary: standard simplex ------------------------------------------------

@@ -2,9 +2,8 @@
 
 Values are stored post-collapse: the level-n value on a finite G-set S is
 M(X_n x S) (reduced: the quotient by the basepoint part, presented as the
-sum over non-basepoint orbits).  Coend representatives exist as explicit
-objects only at the API boundary, where the pullback recipe for the
-contravariant maps can be exercised against the collapsed form.
+sum over non-basepoint orbits).  No coend representative is formed; the
+tests check the collapsed maps against the coend's pullback recipe.
 
 Every level has one layout, LevelSet: the points (x, s) of X_n x S on the
 kept simplices x, with a sink when some simplex is left out.  Full,
@@ -20,9 +19,15 @@ from itertools import accumulate
 from . import abelian as ab
 from .abelian import AbHom
 from .groups import Frozen, subgroup_classes
-from .gsets import GMap, GSet, coset_space, pullback, std_orbit
+from .gsets import GMap, GSet, coset_space, std_orbit
 from .mackey import FixedPointMackey, WeylModule, _fixed_block_hom
 from .simplicial import delta, fixed_system, smash, sphere_for_descriptors
+
+__all__ = [
+    "TensorError", "LevelSet", "TensorMackey", "tensor", "reduced_tensor", "ModuleTensor",
+    "RhoIso", "rho_iso", "PsiMap", "structure_map_psi", "ShortExactSequence",
+    "CofibrationSES", "ses_from_cofibration", "CoefficientSES", "ses_from_coefficients",
+]
 
 
 class TensorError(ValueError):
@@ -172,20 +177,6 @@ class TensorMackey:
             self._homs[key] = self._induced(kind, src, tgt, lambda x, s: (x, f.values[s]))
         return self._homs[key]
 
-    def orbit_transition(self, n, om):
-        """Restriction along the orbit map om at level n, between std orbits."""
-        return self.contravariant_S(n, om.gmap())
-
-    def space_hom(self, other, table, n, S):
-        """The hom induced by a level map of spaces (x, s) -> (table[x], s).
-
-        `other` is the tensor of the target space with the same coefficients;
-        for a reduced target, points landing on the basepoint are crushed.  A
-        reduced tensor has no such hom into an unreduced one.
-        """
-        src, tgt = self.level_set(n, S), other.level_set(n, S)
-        return self._induced("cov", src, tgt, lambda x, s: (table[x], s))
-
     def describe(self, n, S):
         return self.group_at(n, S).describe()
 
@@ -196,70 +187,6 @@ def tensor(X, M):
 
 def reduced_tensor(X, M):
     return TensorMackey(X, M, reduced=True)
-
-
-# -- coend representatives ----------------------------------------------------
-
-
-class CoendRep(Frozen):
-    """(carrier, map into X_n x S, coefficient in M(carrier))."""
-
-    __slots__ = ("carrier", "gmap", "coeff")
-
-    def __init__(self, carrier, gmap, coeff):
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "gmap", gmap)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "_key", (carrier, gmap, coeff))
-
-    def is_injective(self):
-        return self.gmap.is_injective()
-
-
-def normalize_coend_rep(T, n, S, rep):
-    """Collapse a representative to its class in M(X_n x S)."""
-    ls = T.level_set(n, S)
-    if rep.gmap.tgt != ls.gset:
-        raise TensorError("representative does not land in the right level")
-    return T.M.covariant(rep.gmap)(rep.coeff)
-
-
-def injective_normal_form(T, n, S, rep):
-    """Factor a representative through its image, per the injectivity trick."""
-    img = sorted(set(rep.gmap.values))
-    ls = T.level_set(n, S)
-    pos = {p: i for i, p in enumerate(img)}
-    G = T.group
-    action = tuple(
-        tuple(pos[ls.gset.action[g][p]] for p in img) for g in G.elements()
-    )
-    iset = GSet(G, len(img), action)
-    surj = GMap(rep.carrier, iset, tuple(pos[v] for v in rep.gmap.values))
-    incl = GMap(iset, ls.gset, tuple(img))
-    coeff = T.M.covariant(surj)(rep.coeff)
-    return CoendRep(carrier=iset, gmap=incl, coeff=coeff)
-
-
-def identity_rep(T, n, S, element):
-    ls = T.level_set(n, S)
-    return CoendRep(
-        carrier=ls.gset, gmap=GMap.identity(ls.gset), coeff=tuple(element)
-    )
-
-
-def transfer_via_pullback(T, n, f, rep):
-    """The contravariant map along f: S -> T computed by the pullback recipe.
-
-    rep represents a class in (X (x) M)(T)_n; the result is the class in
-    (X (x) M)(S)_n obtained by pulling the representative back along
-    id x f and applying the coefficient restriction of the fiber map.
-    """
-    if T.reduced:
-        raise TensorError("the pullback recipe is exercised on the unreduced tensor")
-    idxf = T.level_set(n, f.src).gmap(T.level_set(n, f.tgt), lambda x, s: (x, f.values[s]))
-    b, beta, fmap = pullback(idxf, rep.gmap)
-    coeff = T.M.contravariant(fmap)(rep.coeff)
-    return T.M.covariant(beta)(coeff)
 
 
 # -- module tensors -----------------------------------------------------------
@@ -297,40 +224,6 @@ class ModuleTensor:
         W, pos, act = self.K.group, {x: i for i, x in enumerate(keep)}, self.K.levels[n].action
         rows = tuple(tuple(pos[act[w][x]] for x in keep) for w in W.elements())
         return WeylModule.permutation(self.A, GSet._trusted(W, len(keep), rows))
-
-    def face_hom(self, n, i):
-        table = self.K.faces[n][i].values
-        return _routed_hom(self.A.value, self.support(n), self.support(n - 1), table)
-
-
-def _routed_hom(A, sup_src, sup_tgt, table):
-    """The hom between sums of copies of A, one per support simplex, that
-    sends the block of x to the block of table[x]; a block sent off the
-    target support vanishes."""
-    pos = {x: i for i, x in enumerate(sup_tgt)}
-    ident = AbHom.identity(A)
-    blocks = [
-        (pos[table[x]], i, ident) for i, x in enumerate(sup_src) if table[x] in pos
-    ]
-    return ab.assemble_block_hom([A] * len(sup_src), [A] * len(sup_tgt), blocks)[0]
-
-
-def smash_module_map(Y, K, A, n, y):
-    """The pairing x |-> (y, x) into Y smash K, linearized at level n.
-
-    Returns the hom from the level module of K to the level module of the
-    smash induced by pairing with the simplex y of Y_n (zero when y or x
-    is a basepoint).
-    """
-    sm = smash(Y, K)
-    mt_k = ModuleTensor(K, A)
-    mt_s = ModuleTensor(sm, A)
-    index = sm._smash_index[n]
-    table = [
-        index[None if y == Y.base(n) or x == K.base(n) else (y, x)]
-        for x in range(K.levels[n].size)
-    ]
-    return _routed_hom(A.value, mt_k.support(n), mt_s.support(n), table)
 
 
 # -- the comparison with fixed-point coefficient systems ------------------------
@@ -441,14 +334,6 @@ class PsiMap:
         self.SX = smash(self.SW, X)
         self.T_src = TensorMackey(X, M, reduced=True)
         self.T_tgt = TensorMackey(self.SX, M, reduced=True)
-
-    def sphere_fixed_simplices(self, rec, n):
-        """Raw sphere simplices fixed by the subgroup, basepoint excluded."""
-        return tuple(
-            a
-            for a in self.SW.levels[n].fixed_by(rec.elements)
-            if a != self.SW.base(n)
-        )
 
     def level_map(self, rec, n, alpha):
         """The based G-map (x, t) |-> ((alpha-hat(t), x), t) at level n."""

@@ -13,8 +13,8 @@ normalized chains (eqmack.homotopy.MappingComplex).  This copy of the older
 engine stays as an independent oracle: pinned digests of its complexes and
 of its comparison matrices show it is faithful, and the tests compare the
 package's pi_n and Omega verdicts against it.  The cylinder X smash
-Delta[1]_+ and its two end inclusions are kept here too, for the pinned
-constructor digest.
+Delta[1]_+ with its two end inclusions, and the associator of smash
+products, are kept here too, for the pinned constructor digest.
 """
 
 from dataclasses import dataclass
@@ -41,7 +41,9 @@ from eqmack.simplicial import (
     smash,
     standard_simplex_plus,
 )
-from eqmack.tensor import PsiMap, _routed_hom
+from eqmack.tensor import PsiMap
+
+from module_chains import face_hom, routed_hom
 
 
 def normal_form(Y, m, p):
@@ -109,6 +111,24 @@ def cylinder_inclusions(X):
     return cyl, ins(0), ins(1)
 
 
+def smash_assoc(A, B, C):
+    """The associator smash(A, smash(B, C)) -> smash(smash(A, B), C)."""
+    inner_r = smash(B, C)
+    left = smash(A, inner_r)
+    inner_l = smash(A, B)
+    right = smash(inner_l, C)
+
+    def value(n, p):
+        pair = left._smash_points[n][p]
+        if pair is None:
+            return right.base(n)
+        a, bc = pair
+        b, c = inner_r._smash_points[n][bc]
+        return right._smash_index[n][(inner_l._smash_index[n][(a, b)], c)]
+
+    return _levelwise(left, right, value)
+
+
 @lru_cache(maxsize=None)
 def _smash_index_map(sm, m):
     return {q: i for i, q in enumerate(sm._smash_points[m]) if q is not None}
@@ -116,6 +136,11 @@ def _smash_index_map(sm, m):
 
 def _smash_pair_index(sm, m, kappa, tau_idx):
     return _smash_index_map(sm, m).get((kappa, tau_idx), sm.base(m))
+
+
+def orbit_transition(T, n, om):
+    """Restriction along the orbit map om at level n, between std orbits."""
+    return T.contravariant_S(n, om.gmap())
 
 
 class DeltaMappingComplex:
@@ -149,7 +174,7 @@ class DeltaMappingComplex:
                         Relation(
                             h.class_id,
                             j.class_id,
-                            partial(T.orbit_transition, om=om),
+                            partial(orbit_transition, T, om=om),
                             phi_transition(K, om),
                         )
                     )
@@ -313,7 +338,9 @@ class DeltaEquivariantMappingComplex(DeltaMappingComplex):
     def __init__(self, K, mt, degree_bound):
         self._start(K, degree_bound)
         W = K.group
-        self.charts[0] = Chart(K, lambda m: mt.module(m).value, mt.face_hom, partial(_degen_hom, mt))
+        self.charts[0] = Chart(
+            K, lambda m: mt.module(m).value, partial(face_hom, mt), partial(_degen_hom, mt)
+        )
         for w in W.elements():
             if w != W.identity:
                 self.relations.append(
@@ -328,7 +355,7 @@ class DeltaEquivariantMappingComplex(DeltaMappingComplex):
 
 def _degen_hom(mt, m, i):
     table = mt.K.degens[m][i].values
-    return _routed_hom(mt.A.value, mt.support(m), mt.support(m + 1), table)
+    return routed_hom(mt.A.value, mt.support(m), mt.support(m + 1), table)
 
 
 def delta_phi_induced(psi, krec, kspace, orb_space, mc, chains, n):

@@ -17,7 +17,9 @@ from eqmack.abelian import AbHom
 from eqmack.gsets import GMap, fixed_points, std_orbit
 from eqmack.mackey import MackeyError, MackeyFunctor
 from eqmack.simplicial import fixed_system
-from eqmack.tensor import ModuleTensor, TensorMackey, _routed_hom
+from eqmack.tensor import ModuleTensor, TensorMackey
+
+from module_chains import routed_hom
 
 
 def restrict_map_to_fixed(f, elems):
@@ -145,11 +147,11 @@ class ConstraintRhoIso:
     def rho(self, rec, n):
         total, order, incl = self._layout(rec, n)
         k = range(len(order))
-        perm = _routed_hom(self.module.value, k, k, order)
+        perm = routed_hom(self.module.value, k, k, order)
         return incl.preimage_matrix(perm.compose(total))
 
     def sigma(self, rec, n):
         total, order, incl = self._layout(rec, n)
         k = range(len(order))
-        back = _routed_hom(self.module.value, k, k, sorted(k, key=order.__getitem__))
+        back = routed_hom(self.module.value, k, k, sorted(k, key=order.__getitem__))
         return total.preimage_matrix(back.compose(incl))

@@ -2,7 +2,8 @@
 
 The oracle that W-equivariant Hom complexes (their fixed ranks) and the
 homology of simplicial sets are checked against: an alternating sum of
-faces on one copy of A per nondegenerate support simplex.
+faces on one copy of A per nondegenerate support simplex.  The face maps
+on every support block, routed_hom, are the references' level maps.
 """
 
 from eqmack import abelian as ab
@@ -45,3 +46,21 @@ def chain_action(mt, n, w):
     blocks = [(pos[act[x]], i, aw) for i, x in enumerate(keep) if act[x] in pos]
     summands = [mt.A.value] * len(keep)
     return ab.assemble_block_hom(summands, summands, blocks)[0]
+
+
+def routed_hom(A, sup_src, sup_tgt, table):
+    """The hom between sums of copies of A, one per support simplex, that
+    sends the block of x to the block of table[x]; a block sent off the
+    target support vanishes."""
+    pos = {x: i for i, x in enumerate(sup_tgt)}
+    ident = AbHom.identity(A)
+    blocks = [
+        (pos[table[x]], i, ident) for i, x in enumerate(sup_src) if table[x] in pos
+    ]
+    return ab.assemble_block_hom([A] * len(sup_src), [A] * len(sup_tgt), blocks)[0]
+
+
+def face_hom(mt, n, i):
+    """The i-th face of mt from level n to level n - 1, on every support block."""
+    table = mt.K.faces[n][i].values
+    return routed_hom(mt.A.value, mt.support(n), mt.support(n - 1), table)

@@ -19,7 +19,6 @@ from eqmack.abelian import (
     direct_sum,
     direct_sum_data,
     fmt_invariants,
-    hom_group,
     homology_at,
     is_exact_at,
 )
@@ -90,18 +89,6 @@ def test_kernel_of_projection():
     k, incl = f.kernel()
     assert k.invariants() == (1, ())
     assert f.compose(incl).is_zero_hom()
-
-
-def test_hom_groups():
-    h, _, _ = hom_group(Z2, Z)
-    assert h.is_trivial()
-    h, basis, ev = hom_group(Z2, Z4)
-    assert h.invariants() == (0, (2,))
-    # the generator sends 1 to 2 mod 4
-    gen = next(b for b in basis if not b.is_zero_hom())
-    assert Z4.elements_equal(gen((1,)), (2,))
-    h, _, _ = hom_group(AbGroup.free(2), Z)
-    assert h.invariants() == (2, ())
 
 
 def test_homology_of_times_two():
@@ -273,19 +260,30 @@ def by_columns(h):
     return AbHom.from_columns(h.src, h.tgt, cols)
 
 
+def hstack(a, b):
+    """The dense matrices a and b side by side."""
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) != len(b):
+        raise ValueError("hstack of %d and %d rows" % (len(a), len(b)))
+    return tuple(ra + rb for ra, rb in zip(a, b))
+
+
 def dense_reduction(f):
     """Reference: the solver for f(x) = y mod tgt relations on [mat | rels]."""
-    return la.reduction(la.hstack(f.mat, f.tgt.rels), f.tgt.ngens, f.src.ngens + f.tgt.nrels)
+    return la.reduction(hstack(f.mat, f.tgt.rels), f.tgt.ngens, f.src.ngens + f.tgt.nrels)
 
 
 def dense_kernel_and_image(f):
     """Reference: kernel and image groups and the kernel's inclusion matrix,
     computed on dense matrices."""
     n = f.src.ngens
-    sols = la.kernel_basis(la.hstack(f.mat, f.tgt.rels), f.tgt.ngens, n + f.tgt.nrels)
+    sols = la.kernel_basis(hstack(f.mat, f.tgt.rels), f.tgt.ngens, n + f.tgt.nrels)
     r = len(sols[0]) if sols else 0
     basis, nl = sols[:n], f.src.nrels
-    aug = la.hstack(basis, f.src.rels) if nl else basis
+    aug = hstack(basis, f.src.rels) if nl else basis
     rels = la.kernel_basis(aug, n, r + nl)[:r] if n else la.identity(r)
     return AbGroup(r, rels), basis, AbGroup(n, basis)
 
@@ -530,7 +528,7 @@ def test_input_contracts_hold_under_optimized_python():
         "    (ContractError, lambda: AbHom.identity(two).preimage((1, 0, 7))),\n"
         "    (ContractError, lambda: flat.homology_class(0, (1,))),\n"
         "    (ContractError, lambda: flat.cycle_of_class(0, (1, 0, 7))),\n"
-        "    (ValueError, lambda: la.hstack(((1,),), ((1,), (2,)))),\n"
+        "    (ValueError, lambda: la.matmul(((1,),), ((1,), (2,)))),\n"
         "    (GSetError, lambda: pt.compose(reg)),\n"
         "    (MackeyError, lambda: OrbitMap.identity(e).compose(OrbitMap.identity(g))),\n"
         "    (HomotopyError, lambda: les(1)),\n"

@@ -284,3 +284,25 @@ def test_weyl_groups_are_built_once_per_subgroup():
         for rec in subgroup_classes(G):
             assert weyl_group(G, rec.elements) is weyl_group(G, tuple(reversed(rec.elements)))
             assert fixed_points(std_orbit(G, rec), rec.elements).weyl is rec.weyl
+
+
+def test_a_module_is_checked_once(monkeypatch):
+    # a RhoIso checks its module in its FixedPointMackey and its ModuleTensor,
+    # and every rhs_functor(n) checks the level module's base once more
+    checked = []
+    is_well_defined = AbHom.is_well_defined
+
+    def counted(h):
+        checked.append(h)
+        return is_well_defined(h)
+
+    monkeypatch.setattr(AbHom, "is_well_defined", counted)
+    e = subgroup_classes(C2)[0]
+    W, one = e.weyl, AbHom.identity(Z)
+    sign = WeylModule(W, Z, [one if w == W.identity else -one for w in W.elements()])
+    X = sphere_for_descriptors(C2, [sign_rep()] * 2, 3)
+    for iso in (RhoIso(X, e, sign), RhoIso(X, e, sign)):
+        for n in range(X.bound + 1):
+            iso.rhs_functor(n)
+    # the action loop visits each element of W once, in the first check only
+    assert len(checked) == W.order

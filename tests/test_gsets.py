@@ -4,32 +4,33 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eqmack.groups import FiniteGroup, subgroup_classes
+from eqmack.groups import FiniteGroup, all_subgroups, subgroup_classes
 from eqmack.gsets import (
     GMap,
     GSet,
     GSetError,
     coset_space,
-    counit,
     disjoint_union,
     empty_gset,
-    enumerate_gmaps,
     fixed_points,
     induce_from_weyl,
     orbit_decompose,
     point_gset,
-    product,
     pullback,
-    pullback_mediator,
     regular_gset,
     std_orbit,
     trivial_gset,
 )
 
+from gset_reference import counit, enumerate_gmaps, induced_map, pullback_mediator
+
 
 C2 = FiniteGroup.cyclic(2)
 C3 = FiniteGroup.cyclic(3)
+C4 = FiniteGroup.cyclic(4)
 S3 = FiniteGroup.symmetric(3)
 
 
@@ -60,6 +61,30 @@ def test_orbit_decompose_mixed():
     assert [o.points for o in orbs] == [(0, 1), (2,)]
     assert orbs[0].record.order == 1
     assert orbs[1].record.order == 2
+
+
+@st.composite
+def relabelled_gsets(draw):
+    """A G-set of C2, C3, C4 or S3: coset spaces of any subgroups, conjugate
+    ones included, with the points of their disjoint union relabelled."""
+    G = draw(st.sampled_from([C2, C3, C4, S3]))
+    parts = draw(st.lists(st.sampled_from(all_subgroups(G)), min_size=1, max_size=4))
+    union = disjoint_union([coset_space(G, h)[0] for h in parts])[0]
+    perm = draw(st.permutations(range(union.size)))
+    action = [[0] * union.size for _ in G.elements()]
+    for g in G.elements():
+        for x in range(union.size):
+            action[g][perm[x]] = perm[union.action[g][x]]
+    return GSet(G, union.size, action)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_gsets())
+def test_basepoint_is_the_smallest_point_stabilized_by_exactly_the_representative(S):
+    orbits = orbit_decompose(S)
+    assert sorted(p for o in orbits for p in o.points) == list(range(S.size))
+    for o in orbits:
+        assert o.basepoint == min(p for p in o.points if S.stabilizer(p) == o.record.elements)
 
 
 def test_orbit_iso_to_standard():
@@ -105,15 +130,6 @@ def test_pullback_universal_property():
         med = pullback_mediator(f, g, u, u)
         assert f.compose(med).values == u.values
         assert g.compose(med).values == u.values
-
-
-def test_product_is_pullback_over_point():
-    s = regular_gset(C2)
-    t = GSet(C2, 3, ((0, 1, 2), (1, 0, 2)))
-    p, p1, p2 = product(s, t)
-    pt = point_gset(C2)
-    a, f, g = pullback(GMap(s, pt, (0, 0)), GMap(t, pt, (0, 0, 0)))
-    assert a.size == p.size == 6
 
 
 def test_enumerate_gmaps_counts():
@@ -179,7 +195,7 @@ def test_counit_after_induced_unit_is_identity():
         for rec in recs(G):
             Y = regular_gset(rec.weyl)
             ind = induce_from_weyl(G, rec.elements, Y)
-            lifted = ind.induced_map(ind.unit)
+            lifted = induced_map(ind, ind.unit)
             ind2, eps = counit(G, rec.elements, ind.gset)
             assert ind2.gset.size == lifted.tgt.size
             comp = eps.compose(lifted)

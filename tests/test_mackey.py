@@ -2,7 +2,7 @@ import pytest
 
 from eqmack import abelian as ab
 from eqmack.abelian import AbGroup, AbHom
-from eqmack.groups import FiniteGroup, subgroup_classes
+from eqmack.groups import FiniteGroup, conjugation_witness, subgroup_classes
 from eqmack.gsets import (
     GMap,
     coset_space,
@@ -26,12 +26,10 @@ from eqmack.mackey import (
     cokernel_mackey,
     constant_mackey,
     direct_sum_mackey,
-    evaluate_at_orbit,
     fixed_point_morphism,
     image_mackey,
     kernel_mackey,
     orbit_maps_between,
-    tabulate,
     verify_axioms,
 )
 
@@ -175,6 +173,32 @@ def test_axioms_fixed_point_grid():
                 M = FixedPointMackey(G, hrec, module)
                 rep = verify_axioms(M)
                 assert rep.passed, rep.summary()
+
+
+def tabulate(M):
+    """Extract the canonical table of any Mackey functor."""
+    G = M.group
+    recs = subgroup_classes(G)
+    values = {r.class_id: M.orbit_value(r) for r in recs}
+    weyl_mats = {
+        r.class_id: tuple(
+            M.weyl_action_hom(r, w).mat for w in r.weyl.elements()
+        )
+        for r in recs
+    }
+    res = {}
+    tr = {}
+    for j in recs:
+        for h in recs:
+            if j.class_id == h.class_id:
+                continue
+            w = conjugation_witness(G, j.elements, h.elements)
+            if w is None:
+                continue
+            om = OrbitMap(j, h, G.inv(w))
+            tr[(j.class_id, h.class_id)] = M.orbit_covariant(om).mat
+            res[(j.class_id, h.class_id)] = M.orbit_contravariant(om).mat
+    return TableMackey(G, values, weyl_mats, res, tr)
 
 
 def test_corrupted_burnside_fails_with_witness():

@@ -39,7 +39,7 @@ from eqmack.simplicial import (
 )
 from eqmack.tensor import ModuleTensor
 
-from delta_reference import cylinder_inclusions
+from delta_reference import cylinder_inclusions, smash_assoc
 from module_chains import chain_complex
 
 C2 = FiniteGroup.cyclic(2)
@@ -397,7 +397,7 @@ def constructor_outputs():
     inclusions, cylinders, associators and fixed-point systems."""
     from eqmack.gsets import trivial_gset
     from eqmack.mackey import orbit_maps_between
-    from eqmack.simplicial import discrete_inclusion, phi_transition, smash_assoc
+    from eqmack.simplicial import discrete_inclusion, phi_transition
 
     S3 = FiniteGroup.symmetric(3)
     a3 = next(r for r in subgroup_classes(S3) if r.order == 3)

@@ -1,14 +1,17 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 SOURCES = sorted((SRC / "eqmack").glob("*.py"))
+MODULES = [p.stem for p in SOURCES if p.stem != "__init__"]
 
 
 def unused_imports(tree):
@@ -114,3 +117,130 @@ def test_import_leaves_out_dataclasses_and_inspect():
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert run.stdout.split() == ["[]"], run.stderr
+
+
+def top_level_names(tree):
+    """{name: node} for the functions, classes and assigned names at the top
+    level of a module."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node
+    return names
+
+
+def declared(tree):
+    """The names a module lists in __all__."""
+    node = top_level_names(tree).get("__all__")
+    return set(ast.literal_eval(node.value)) if node else set()
+
+
+def references(trees):
+    """The (module, name) pairs of top-level names that the modules trees of
+    one package read: by a relative import, by name in the defining module
+    outside the name's own definition, or as an attribute of an imported
+    module."""
+    found = set()
+    for mod, tree in trees.items():
+        own = top_level_names(tree)
+        bound = {name: (mod, name) for name in own}
+        modules = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        bound[alias.asname or alias.name] = (node.module, alias.name)
+                        found.add((node.module, alias.name))
+        for top in tree.body:
+            for node in ast.walk(top):
+                ref = None
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    ref = bound.get(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    if node.value.id in modules:
+                        ref = (modules[node.value.id], node.attr)
+                if ref and not (ref[0] == mod and own.get(ref[1]) is top):
+                    found.add(ref)
+    return found
+
+
+def uncalled(trees, pinned=()):
+    """Public top-level names outside their module's __all__ that no module
+    reads and that pinned does not name, as (module, name) pairs."""
+    called = references(trees) | set(pinned)
+    return sorted(
+        (mod, name)
+        for mod, tree in trees.items()
+        for name in top_level_names(tree).keys() - declared(tree)
+        if not name.startswith("_") and (mod, name) not in called
+    )
+
+
+def test_uncalled_names_are_found():
+    # b's product is itertools', so a's has no caller
+    a = (
+        "__all__ = ['entry']\n"
+        "def entry(): return used()\ndef helper(): return 1\ndef used(): return 2\n"
+        "def product(): return 3\ndef recursive(): return recursive()\ndef pinned(): return 4\n"
+    )
+    b = (
+        "from itertools import product\nfrom . import a as mod_a\nfrom .a import helper\n"
+        "X = product(mod_a.entry())\n"
+    )
+    trees = {"a": ast.parse(a), "b": ast.parse(b)}
+    assert uncalled(trees, pinned=[("a", "pinned")]) == [
+        ("a", "product"), ("a", "recursive"), ("b", "X"),
+    ]
+
+
+def tracer_pins():
+    """(module, name) for every function and cache bench/tracer.py names."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    specs = []
+    for node in tree.body:
+        name = getattr(node.targets[0], "id", None) if isinstance(node, ast.Assign) else None
+        if name in ("LAYERS", "CACHES"):
+            value = ast.literal_eval(node.value)
+            specs += [s for v in value.values() for s in v] if isinstance(value, dict) else value
+    return {tuple(spec.split(".")[:2]) for spec in specs}
+
+
+def test_every_public_name_is_declared_or_called():
+    # a name the benchmark's tracer pins counts as called: based_value,
+    # based_covariant, based_contravariant, matmul, matadd,
+    # std_orbit_for_subgroup and standard_simplex_plus have no caller in the
+    # package and leave with the benchmark change that unpins them
+    trees = {mod: ast.parse((SRC / "eqmack" / (mod + ".py")).read_text()) for mod in MODULES}
+    assert uncalled(trees, tracer_pins()) == []
+
+
+@pytest.mark.parametrize("mod", MODULES)
+def test_every_declared_name_is_defined_by_its_module(mod):
+    tree = ast.parse((SRC / "eqmack" / (mod + ".py")).read_text())
+    module = importlib.import_module("eqmack." + mod)
+    names = module.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if n not in top_level_names(tree) or not hasattr(module, n)] == []
+
+
+def test_every_name_the_benchmark_imports_is_declared():
+    tree = ast.parse((ROOT / "bench" / "cases.py").read_text())
+    imports = [
+        (node.module.split(".")[1], alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("eqmack.")
+        for alias in node.names
+    ]
+    assert imports
+    missing = [
+        (mod, name)
+        for mod, name in imports
+        if name not in importlib.import_module("eqmack." + mod).__all__
+    ]
+    assert missing == []

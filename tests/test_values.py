@@ -19,7 +19,9 @@ from eqmack.gsets import (
 )
 from eqmack.mackey import OrbitMap, WeylModule
 from eqmack.simplicial import SimplicialGMap, rotation_rep, sign_circle, sign_rep, smash
-from eqmack.tensor import CoendRep, product_level
+from eqmack.tensor import product_level
+
+from coend_reference import CoendRep
 
 C2 = FiniteGroup.cyclic(2)
 C3 = FiniteGroup.cyclic(3)
