@@ -61,12 +61,8 @@ class AbGroup:
         self._key = self._rels = self._red = None
 
     @property
-    def nrels(self):
-        return len(self.relcols)
-
-    @property
     def rels(self):
-        """The dense ngens x nrels relation matrix."""
+        """The dense relation matrix, one column per relation."""
         if self._rels is None:
             self._rels = la.dense(self.relcols, self.ngens)
         return self._rels
@@ -110,9 +106,6 @@ class AbGroup:
         """Group order, or None if infinite."""
         free, tors = self.invariants()
         return None if free else prod(tors)
-
-    def iso_eq(self, other):
-        return self.invariants() == other.invariants()
 
     def contains(self, col):
         """Whether the sparse column col lies in the relation lattice."""

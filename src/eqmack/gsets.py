@@ -53,9 +53,6 @@ class GSet(Frozen):
                     if action[g][action[h][x]] != action[gh][x]:
                         raise GSetError("action is not a homomorphism")
 
-    def act(self, g, x):
-        return self.action[g][x]
-
     def points(self):
         return range(self.size)
 
@@ -189,10 +186,6 @@ class Orbit(Frozen):
         object.__setattr__(self, "to_std", to_std)
         object.__setattr__(self, "_key", (points, basepoint, record, from_std, to_std))
 
-    @property
-    def std(self):
-        return std_orbit(self.record.group, self.record)
-
 
 @lru_cache(maxsize=None)
 def orbit_decompose(S):
@@ -317,9 +310,6 @@ class Induction(Frozen):
         object.__setattr__(self, "class_index", class_index)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "_key", (group, helems, source, gset, classes, unit))
-
-    def class_of(self, coset_idx, y):
-        return self.class_index[(coset_idx, y)]
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,11 @@
 """Homotopy-level computations: normalized chains, Bredon homology,
 equivariant mapping complexes, loop-space comparisons, graded tables.
 
-Normalized chains N_n are built on the nondegenerate n-simplices only: the
-degenerate part D of the chains C is a subcomplex and N = C/D, so a face
-that lands on a degenerate simplex or on the basepoint is dropped.  Each
-level is a tensor.LevelSet that keeps the nondegenerate simplices, and a
-dropped point goes to its sink.
+Normalized chains N_n are built on the nondegenerate n-simplices as the
+space stores them (SimplicialGSet.nd, nd_faces), without a full level: the
+degenerate chains D are a subcomplex and N = C/D, so a face stored with a
+degeneracy, or on the basepoint, is dropped.  Each level is a LevelSet on
+their G-set, named by full-level index; a dropped point goes to its sink.
 
 Homotopy groups of mapping objects are read from Hom complexes of
 normalized chains.  The target T is a simplicial abelian group, so based
@@ -100,9 +100,9 @@ class MackeyChainComplex:
     lands on a degenerate simplex or on the basepoint contributes nothing.
     A level with no kept simplex has no orbit and is the zero group, and
     every map into or out of it is the zero hom, built without a G-map.
-    The level sets and face maps do not depend on the coefficients, so they
-    are kept on the space (SimplicialGSet._layouts) and shared by every
-    tensor over it.
+    The level sets and face maps, read off the nondegenerate simplices, do
+    not depend on the coefficients, so they are kept on the space
+    (SimplicialGSet._layouts) and shared by every tensor over it.
     """
 
     def __init__(self, T):
@@ -113,18 +113,17 @@ class MackeyChainComplex:
 
     def level(self, rec, n):
         """(LevelSet, Evaluated) of level n at G/H on the nondegenerate
-        simplices, minus the basepoint for a reduced tensor; the value omits
-        the orbit of the sink, so a point sent there is dropped.  The level
-        set is kept on the space, for every tensor over it."""
+        simplices, named by full-level index, minus the basepoint for a
+        reduced tensor; the value omits the orbit of the sink, so a point
+        sent there is dropped.  The level set is kept on the space."""
         key = (rec.class_id, n)
         if key not in self._levels:
             X, layout = self.T.X, (self.T.reduced, rec.class_id, n)
             if layout not in X._layouts:
-                flags = X.degenerate_flags(n)
-                base = X.base(n) if self.T.reduced else None
-                kept = [x for x in range(X.levels[n].size) if not flags[x] and x != base]
+                base = X.nd_base if self.T.reduced and n == 0 else None
+                kept = {y: p for y, p in enumerate(X.nondegenerate(n)) if y != base}
                 S = std_orbit(self.T.group, rec)
-                X._layouts[layout] = _build_level(X.levels[n], kept, S, sink=True)
+                X._layouts[layout] = _build_level(X.nd[n], kept, S, sink=True)
             ls = X._layouts[layout]
             self._levels[key] = ls, self.T.M.evaluate(ls.gset, 0)
         return self._levels[key]
@@ -134,7 +133,7 @@ class MackeyChainComplex:
         X = self.T.X
         key = (self.T.reduced, rec.class_id, n, i)
         if key not in X._layouts:
-            table = X.faces[n][i].values
+            table = X.nd_face_table(n, i)
             src, tgt = self.level(rec, n)[0], self.level(rec, n - 1)[0]
             X._layouts[key] = src.gmap(tgt, lambda x, s: (table[x], s))
         return X._layouts[key]
@@ -367,8 +366,8 @@ class MappingComplex:
             if (key, k, y) in offsets:
                 entries.append((t, offsets[(key, k, y)], chart.chains.diffs[k + n]))
             one = AbHom.identity(chart.chains.groups[k + n - 1])
-            for i, face in enumerate(chart.space.faces[k]):
-                s = offsets.get((key, k - 1, face.values[y]))
+            for i in range(k + 1 if k else 0):
+                s = offsets.get((key, k - 1, chart.space.nd_face_table(k, i)[y]))
                 if s is not None:
                     entries.append((t, s, one.scale((-1) ** (n + i + 1))))
         return entries

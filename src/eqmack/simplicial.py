@@ -1,17 +1,18 @@
 """Truncated simplicial G-sets: spheres, smashes, joins, fixed points.
 
-A simplicial G-set is stored as one GSet per level together with face and
-degeneracy GMaps, truncated at a dimension bound.  One routine, _assemble,
-lays out every constructed object: a constructor lists the points of each
-level and gives a point rule for the action, each face and each
-degeneracy, and _assemble tabulates them.  The generating builder's points
-are the (generator, surjection) normal forms of the nondegenerate
-simplices; smash, wedge, collapse and Delta[n]_+ add a crushed basepoint.
-Maps given by a rule on points are tabulated and checked by _levelwise.
+A simplicial G-set is stored per dimension by its nondegenerate simplices,
+their G-action, their faces as (degeneracy, nondegenerate simplex) and the
+basepoint.  By the Eilenberg-Zilber lemma every simplex is s_I y for one
+nondegenerate y (Goerss-Jardine, Simplicial Homotopy Theory, 1999), so the
+full levels follow, built on first read.  A smash pairs its factors'
+nondegenerate simplices by shuffles.  Wedges, collapses, fixed points,
+Delta[n]_+ and a smash's full levels are laid out by _assemble from point
+rules.  Maps given by point rules are checked by _levelwise.
 """
 
 import itertools
-from functools import lru_cache, partial
+from functools import lru_cache
+from math import comb
 
 from .groups import Frozen
 from .gsets import GMap, GSet, fixed_points, point_gset, trivial_gset
@@ -47,7 +48,7 @@ def eta(i, n):
 
 def compose_monotone(f, g):
     """f o g for value-tuple maps."""
-    return tuple(f[v] for v in g)
+    return tuple([f[v] for v in g])
 
 
 def is_identity(f):
@@ -92,49 +93,60 @@ def monotones(n, m):
 
 
 class SimplicialGSet(Frozen):
-    """levels holds a GSet per degree 0..bound; faces[n][i] is the GMap
-    levels[n] -> levels[n-1], with faces[0] = (), and degens[n][i] the GMap
-    levels[n] -> levels[n+1], with an empty last entry; basepoints holds the
-    basepoint index per level, or is None if the space is unbased.  The
-    builders of smashes and joins attach their point tables afterwards.
-    Two slots are not compared: _flags keeps the degeneracy flags read so
-    far, and _layouts the normalized level sets and their face maps that
-    the chains over the space have built (homotopy.MackeyChainComplex), so
-    that every tensor over the space shares them."""
+    """A simplicial G-set truncated at bound, stored by its nondegenerate
+    simplices: nd[n] is their GSet in full-level order, nondegenerate(n)
+    their full-level indices, nd_faces[n][i][y] is d_i y as (sigma, z) for
+    sigma^* z with sigma a degeneracy's surjection, nd_base the basepoint.
+
+    The fields are the full levels: levels holds a GSet per degree
+    0..bound; faces[n][i] is the GMap levels[n] -> levels[n-1], with
+    faces[0] = (), and degens[n][i] the GMap levels[n] -> levels[n+1], with
+    an empty last entry; basepoints holds the basepoint index per level, or
+    is None.  A space built from its nondegenerate simplices by _recipe
+    builds levels, faces and degens (and a smash's or join's point tables)
+    on first read, as == and hash do; one given by its full levels reads off
+    its nondegenerate form on first read.  Not compared: _flags, the
+    degeneracy flags read so far, and _layouts, the normalized level sets
+    and face maps of the chains over it (homotopy.MackeyChainComplex).
+    """
 
     __slots__ = (
-        "group",
-        "levels",
-        "faces",
-        "degens",
-        "basepoints",
-        "_smash_points",
-        "_smash_index",
-        "_join_points",
-        "_flags",
-        "_layouts",
+        "group", "levels", "faces", "degens", "basepoints", "_smash_points", "_smash_index",
+        "_join_points", "_nd", "_recipe", "_parts", "_flags", "_layouts",
     )
+    _FULL = ("levels", "faces", "degens", "_key", "_smash_points", "_smash_index", "_join_points")
 
     def __init__(self, group, levels, faces, degens, basepoints=None):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "degens", degens)
-        object.__setattr__(self, "basepoints", basepoints)
-        object.__setattr__(self, "_key", (group, levels, faces, degens, basepoints))
-        object.__setattr__(self, "_flags", {})
-        object.__setattr__(self, "_layouts", {})
+        key = (group, levels, faces, degens, basepoints)
+        _fill(self, (*zip(self.__slots__, key), ("_key", key)), None, None, None)
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: a recipe's full levels and key
+        if name not in self._FULL or self._recipe is None:
+            raise AttributeError(name)
+        try:
+            object.__getattribute__(self, "_key")
+        except AttributeError:
+            _materialize(self)
+        return object.__getattribute__(self, name)
 
     @property
     def bound(self):
-        return len(self.levels) - 1
+        return len(self._nd[0] if self._recipe else self.levels) - 1
 
     @property
     def based(self):
         return self.basepoints is not None
 
-    def level(self, n):
-        return self.levels[n]
+    def _nd_form(self):
+        """(nd, nd_faces, nd_base, nondegenerate indices, full level sizes)."""
+        if self._nd is None:
+            object.__setattr__(self, "_nd", _read_nd(self))
+        return self._nd
+
+    nd = property(lambda self: self._nd_form()[0])
+    nd_faces = property(lambda self: self._nd_form()[1])
+    nd_base = property(lambda self: self._nd_form()[2])
 
     def face(self, n, i):
         return self.faces[n][i]
@@ -146,6 +158,11 @@ class SimplicialGSet(Frozen):
         return self.basepoints[n]
 
     def check(self):
+        """The simplicial identities: on the nondegenerate simplices of a
+        space built from them (_check_nd), on every full level of one given
+        by its full levels."""
+        if self._recipe is not None:
+            return _check_nd(self)
         b = self.bound
         for n in range(b + 1):
             if len(self.faces[n]) != (n + 1 if n else 0):
@@ -160,39 +177,24 @@ class SimplicialGSet(Frozen):
                 if op.src != self.levels[n] or op.tgt != self.levels[n + 1]:
                     raise SimplicialError("s_%d of level %d is mis-levelled" % (i, n))
         d, s = self.face, self.degen
-        for n in range(2, b + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    if _table(d(n - 1, i), d(n, j)) != _table(d(n - 1, j - 1), d(n, i)):
-                        raise SimplicialError("d_i d_j fails at level %d" % n)
-        for n in range(b - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    if _table(s(n + 1, j + 1), s(n, i)) != _table(s(n + 1, i), s(n, j)):
-                        raise SimplicialError("s_i s_j fails at level %d" % n)
-        for n in range(b):
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    comp = _table(d(n + 1, i), s(n, j))
-                    if i == j or i == j + 1:
-                        if comp != tuple(range(self.levels[n].size)):
-                            raise SimplicialError("d_i s_j != id at level %d" % n)
-                    elif i < j:
-                        if comp != _table(s(n - 1, j - 1), d(n, i)):
-                            raise SimplicialError("d_i s_j fails at level %d" % n)
-                    elif comp != _table(s(n - 1, j), d(n, i - 1)):
-                        raise SimplicialError("d_i s_j fails at level %d" % n)
-        if self.based:
-            G = self.group
-            for n in range(b + 1):
-                p = self.base(n)
-                for g in G.elements():
-                    if self.levels[n].action[g][p] != p:
-                        raise SimplicialError("basepoint must be G-fixed")
-            for n in range(b):
-                for i in range(n + 1):
-                    if self.degen(n, i).values[self.base(n)] != self.base(n + 1):
-                        raise SimplicialError("basepoint must be closed under degeneracies")
+        identities = itertools.chain(  # (name, level, lhs, rhs), rhs None for the identity
+            (("d_i d_j fails", n, (d(n - 1, i), d(n, j)), (d(n - 1, j - 1), d(n, i)))
+             for n in range(2, b + 1) for j in range(n + 1) for i in range(j)),
+            (("s_i s_j fails", n, (s(n + 1, j + 1), s(n, i)), (s(n + 1, i), s(n, j)))
+             for n in range(b - 1) for j in range(n + 1) for i in range(j + 1)),
+            (("d_i s_j != id" if i in (j, j + 1) else "d_i s_j fails", n, (d(n + 1, i), s(n, j)),
+              None if i in (j, j + 1)
+              else (s(n - 1, j - 1), d(n, i)) if i < j else (s(n - 1, j), d(n, i - 1)))
+             for n in range(b) for j in range(n + 1) for i in range(n + 2)),
+        )
+        for name, n, lhs, rhs in identities:
+            if _table(*lhs) != (tuple(range(self.levels[n].size)) if rhs is None else _table(*rhs)):
+                raise SimplicialError("%s at level %d" % (name, n))
+        p = self.basepoints
+        if p and any(p[n] != row[p[n]] for n, lv in enumerate(self.levels) for row in lv.action):
+            raise SimplicialError("basepoint must be G-fixed")
+        if p and any(s(n, i).values[p[n]] != p[n + 1] for n in range(b) for i in range(n + 1)):
+            raise SimplicialError("basepoint must be closed under degeneracies")
         return self
 
     def degenerate_flags(self, n):
@@ -204,8 +206,17 @@ class SimplicialGSet(Frozen):
         return flags
 
     def nondegenerate(self, n):
-        flags = self.degenerate_flags(n)
-        return tuple(p for p in range(self.levels[n].size) if not flags[p])
+        """The indices in full level n of the nondegenerate n-simplices."""
+        return self._nd_form()[3][n]
+
+    def nd_face_table(self, n, i):
+        """d_i on the nondegenerate n-simplices by full-level index: the
+        index of a nondegenerate face, -1 for a degenerate one; kept in _layouts."""
+        key, below = ("d", n, i), self.nondegenerate(n - 1)
+        if key not in self._layouts:
+            faces = zip(self.nondegenerate(n), self.nd_faces[n][i])
+            self._layouts[key] = {p: below[z] if s[-1] == n - 1 else -1 for p, (s, z) in faces}
+        return self._layouts[key]
 
     def operator(self, alpha, n_src, n_tgt):
         """The simplicial operator alpha*: level n_tgt -> level n_src for a
@@ -233,13 +244,10 @@ class SimplicialGSet(Frozen):
 
     def as_based(self, base_vertex):
         """Re-declare an unbased object as based at a fixed vertex."""
-        pts = [base_vertex]
-        for n in range(self.bound):
-            pts.append(self.degens[n][0].values[pts[-1]])
-        out = SimplicialGSet(
-            self.group, self.levels, self.faces, self.degens, tuple(pts)
-        )
-        return out.check()
+        nd, faces, _, index, _ = self._nd_form()
+        if not 0 <= base_vertex < nd[0].size:
+            raise SimplicialError("no vertex %r to base at" % (base_vertex,))
+        return _nd_space(self.group, ("based", self), nd, faces, base_vertex, None, index).check()
 
 
 def _table(f, g):
@@ -281,12 +289,196 @@ def _degenerate_flags(X, n):
     return tuple(flags)
 
 
+# -- the nondegenerate form ------------------------------------------------------
+
+
+def _fill(X, fields, nd, recipe, parts):
+    for name, value in (*fields, ("_nd", nd), ("_recipe", recipe), ("_parts", parts)):
+        object.__setattr__(X, name, value)
+    object.__setattr__(X, "_flags", {})
+    object.__setattr__(X, "_layouts", {})
+
+
+def _nd_space(G, recipe, nd, faces, base, parts=None, index=None):
+    """The space of the nondegenerate simplices nd with faces and base, its
+    full levels built on first read by the recipe (kind, factors...); parts
+    names each simplex's factor simplices, index its full-level index."""
+    X, memo = object.__new__(SimplicialGSet), {}
+    sizes = tuple(sum(nd[k].size * comb(n, k) for k in range(n + 1)) for n in range(len(nd)))
+    _fill(X, [("group", G)], (nd, faces, base, index, sizes), recipe, parts)
+    ident = [tuple(range(n + 1)) for n in range(len(nd))]
+    if index is None:
+        index = tuple(
+            tuple(_position(X, s, z, memo) for z in range(lv.size)) for s, lv in zip(ident, nd)
+        )
+        object.__setattr__(X, "_nd", (nd, faces, base, index, sizes))
+    points = base is not None and tuple(_position(X, (0,) * len(s), base, memo) for s in ident)
+    object.__setattr__(X, "basepoints", points or None)
+    return X
+
+
+def _position(X, sigma, z, memo):
+    """The index in its full level of the simplex sigma^* z of X, for a
+    surjection sigma: [n] ->> [m] and a nondegenerate m-simplex z, in the
+    order of X's constructor; memo keeps the indices found so far.  A smash
+    lays out its basepoint, then the pairs of non-base points; a join the
+    points ("b", p, x, y) by (p, x, y), then ("l", x), then ("r", y)."""
+    key, n, m = (id(X), sigma, z), len(sigma) - 1, sigma[-1]
+    kind = X._recipe and X._recipe[0]
+    if key in memo:
+        return memo[key]
+    if kind == "based":
+        p = _position(X._recipe[1], sigma, z, memo)
+    elif kind == "gen":  # the triples (k, x, s) in order
+        p = sum(X.nd[k].size * comb(n, k) for k in range(m)) + z * comb(n, m)
+        p += surjections(n, m).index(sigma)
+    elif not kind:  # given by its full levels
+        p = X.nondegenerate(m)[z]
+        for i in degeneracy_word(sigma):
+            p, m = X.degens[m][i].values[p], m + 1
+    else:
+        point, (A, B) = _point(X, X._parts[m][z], sigma, memo), X._recipe[1:]
+        sa, sb = A._nd_form()[4], B._nd_form()[4]
+        if kind == "smash" and point is None:  # the basepoint
+            p = 0
+        elif kind == "smash":
+            (pa, pb), (ba, bb) = point, (A.basepoints[n], B.basepoints[n])
+            p = 1 + (pa - (pa > ba)) * (sb[n] - 1) + pb - (pb > bb)
+        else:
+            k = point[1] if point[0] == "b" else n
+            p = sum(sa[j] * sb[n - 1 - j] for j in range(k))
+            if point[0] == "b":
+                p += point[2] * sb[n - 1 - k] + point[3]
+            else:
+                p += (sa[n] if point[0] == "r" else 0) + point[1]
+    memo[key] = p
+    return p
+
+
+def _point(X, part, sigma, memo):
+    """The point sigma^* z of the smash or join X, z made of the factor
+    simplices part, as its full level names it by its factors' points."""
+    A, B = X._recipe[1:]
+    if X._recipe[0] == "smash":
+        return part and (
+            _position(A, compose_monotone(part[0], sigma), part[1], memo),
+            _position(B, compose_monotone(part[2], sigma), part[3], memo),
+        )
+    if part[0] != "b":
+        return part[0], _position(A if part[0] == "l" else B, sigma, part[1], memo)
+    k = sum(v <= part[1] for v in sigma)  # sigma^* joins s1^* x to s2^* y
+    s1, s2 = sigma[:k], tuple(v - part[1] - 1 for v in sigma[k:])
+    return "b", k - 1, _position(A, s1, part[2], memo), _position(B, s2, part[3], memo)
+
+
+def _face_nf(faces, i, sigma, z):
+    """d_i of the simplex sigma^* z, as (sigma', z') over the nondegenerate
+    faces: sigma delta_i = delta_v pi where the value v = sigma(i) is lost,
+    and then d_i sigma^* z = pi^* d_v z."""
+    v = sigma[i]
+    rest = sigma[:i] + sigma[i + 1 :]
+    if v in rest:
+        return rest, z
+    tau, w = faces[sigma[-1]][v][z]
+    return tuple(tau[u - (u > v)] for u in rest), w
+
+
+def _check_nd(X):
+    """The faces of the nondegenerate simplices commute with the action and
+    satisfy d_i d_j = d_{j-1} d_i, and the basepoint is G-fixed; with the
+    degeneracies formal, the other identities hold by construction."""
+    nd, faces = X.nd, X.nd_faces
+    for n in range(1, X.bound + 1):
+        for (i, row), (g, act) in itertools.product(enumerate(faces[n]), enumerate(nd[n].action)):
+            if any(row[act[y]] != (s, nd[s[-1]].action[g][z]) for y, (s, z) in enumerate(row)):
+                raise SimplicialError("d_%d of level %d is not equivariant" % (i, n))
+        for d, j in itertools.product(zip(*faces[n]) if n > 1 else (), range(n + 1)):
+            if any(_face_nf(faces, i, *d[j]) != _face_nf(faces, j - 1, *d[i]) for i in range(j)):
+                raise SimplicialError("d_i d_j fails at level %d" % n)
+    if X.based and any(row[X.nd_base] != X.nd_base for row in nd[0].action):
+        raise SimplicialError("basepoint must be G-fixed")
+    return X
+
+
+def _read_nd(X):
+    """The nondegenerate form of a space given by its full levels: the points
+    no degeneracy flag marks, each face walked down d_i while s_i d_i fixes it."""
+    flags = [X.degenerate_flags(n) for n in range(X.bound + 1)]
+    index = tuple(tuple(p for p, f in enumerate(fl) if not f) for fl in flags)
+    pos = [{p: y for y, p in enumerate(ix)} for ix in index]
+
+    def normal(m, p):
+        sigma = tuple(range(m + 1))
+        while p not in pos[m]:
+            i = next(i for i in range(m) if X.degens[m - 1][i].values[X.faces[m][i].values[p]] == p)
+            p, m, sigma = X.faces[m][i].values[p], m - 1, compose_monotone(eta(i, m - 1), sigma)
+        return sigma, pos[m][p]
+
+    nd = tuple(
+        GSet._trusted(X.group, len(ix), tuple(tuple(pos[n][r[p]] for p in ix) for r in lv.action))
+        for n, (ix, lv) in enumerate(zip(index, X.levels))
+    )
+    faces = tuple(
+        tuple(tuple(normal(n - 1, f.values[p]) for p in ix) for f in X.faces[n])
+        for n, ix in enumerate(index)
+    )
+    return nd, faces, X.basepoints[0] if X.based else None, index, tuple(lv.size for lv in X.levels)
+
+
+def _materialize(X):
+    """Lay out the full levels of X in its constructor's order: a smash
+    pairs its factors' points (_smash_levels); any other space puts each
+    simplex s^* z at its _position, acted on by the simplicial identities."""
+    nd, nd_faces, _, _, sizes = X._nd_form()
+    if X._recipe[0] == "smash":
+        full, tables = _smash_levels(*X._recipe[1:])
+    else:
+        memo, pts = {}, [[None] * size for size in sizes]
+        for m, n in itertools.combinations_with_replacement(range(len(sizes)), 2):
+            for s, z in itertools.product(surjections(n, m), range(nd[m].size)):
+                pts[n][_position(X, s, z, memo)] = s, z
+        full, _ = _assemble(
+            X.group, pts, lambda g, n: lambda p: (p[0], nd[p[0][-1]].action[g][p[1]]),
+            lambda n, i: lambda p: _face_nf(nd_faces, i, *p),
+            lambda n, j: lambda p, e=eta(j, n): (compose_monotone(p[0], e), p[1]), trusted=True,
+        )
+        tables = {}
+        if X._recipe[0] == "join":
+            points = [[_point(X, X._parts[s[-1]][z], s, memo) for s, z in lv] for lv in pts]
+            tables["_join_points"] = points
+    for name, value in (*zip(("levels", "faces", "degens"), full), *tables.items()):
+        object.__setattr__(X, name, value)
+    object.__setattr__(X, "_key", (X.group, *full[:3], X.basepoints))
+
+
+def _smash_levels(X, Y):
+    """The full levels of X smash Y: the crushed basepoint None, then the
+    pairs (x, y) of non-base points, moved by the factors' point tables."""
+    pts = [
+        [None] + [(x, y) for x in range(X.levels[n].size) if x != X.base(n)
+                  for y in range(Y.levels[n].size) if y != Y.base(n)]
+        for n in range(min(X.bound, Y.bound) + 1)
+    ]
+
+    def pair_rule(m, fx, fy):
+        """(x, y) -> (fx[x], fy[y]) into level m, crushing the basepoints."""
+        bx, by = X.base(m), Y.base(m)
+        return lambda p: None if fx[p[0]] == bx or fy[p[1]] == by else (fx[p[0]], fy[p[1]])
+
+    full, index = _assemble(
+        X.group, pts, lambda g, n: pair_rule(n, X.levels[n].action[g], Y.levels[n].action[g]),
+        lambda n, i: pair_rule(n - 1, X.faces[n][i].values, Y.faces[n][i].values),
+        lambda n, i: pair_rule(n + 1, X.degens[n][i].values, Y.degens[n][i].values), trusted=True,
+    )
+    return full, {"_smash_points": pts, "_smash_index": index}
+
+
 # -- assembly from point rules -------------------------------------------------
 
 
 def _assemble(G, pts, act, face, degen, basepoints=None, trusted=False):
-    """The simplicial G-set whose level n has the points pts[n], with the
-    per-level point -> index dicts.
+    """The full levels (levels, faces, degens, basepoints) with points
+    pts[n] in level n, and the per-level point -> index dicts.
 
     act(g, n), face(n, i) and degen(n, i) each return the point rule of
     that operator: a function from a point of its source level to a point
@@ -318,7 +510,7 @@ def _assemble(G, pts, act, face, degen, basepoints=None, trusted=False):
     ) + ((),)
     if basepoints is not None:
         basepoints = tuple(idx[p] for idx, p in zip(index, basepoints))
-    return SimplicialGSet(G, levels, faces, degens, basepoints), index
+    return (levels, faces, degens, basepoints), index
 
 
 def _levelwise(X, Y, rule):
@@ -335,56 +527,37 @@ def _levelwise(X, Y, rule):
 
 
 def build_from_generators(G, nd_levels, nd_faces, bound=DEFAULT_BOUND, base_vertex=None):
-    """Assemble a simplicial G-set from nondegenerate simplices.
+    """A simplicial G-set from its nondegenerate simplices, checked on them.
 
     nd_levels: list of GSets (level m holds the nondegenerate m-simplices).
     nd_faces: nd_faces[m][i][x] = index into the generated full level m-1,
-    for m >= 1.  Degeneracies are formal: full level n consists of the
-    triples (m, x, sigma) with sigma: [n] ->> [m] monotone surjective.
+    for m >= 1, whose points are the triples (k, z, sigma) in order, one per
+    nondegenerate k-simplex z and surjection sigma: [m-1] ->> [k].
     """
-    ndmax = len(nd_levels) - 1
-    points = []  # per level: sorted list of triples
-    for n in range(bound + 1):
-        pts = []
-        for m in range(min(n, ndmax) + 1):
-            for x in range(nd_levels[m].size):
-                for s in surjections(n, m):
-                    pts.append((m, x, s))
-        pts.sort()
-        points.append(pts)
+    out = _generated(G, nd_levels, nd_faces, bound)
+    return out.check() if base_vertex is None else out.as_based(base_vertex)
 
-    def act_total(alpha, triple):
-        """alpha* applied to a full-level point."""
-        m, x, sigma = triple
-        tau = compose_monotone(sigma, alpha)
-        iota, pi = epi_mono(tau)
-        m2, x2, sigma2 = act_generator(m, x, iota)
-        return (m2, x2, compose_monotone(sigma2, pi))
 
-    def act_generator(m, x, iota):
-        """iota*: injective iota: [k] -> [m] applied to a generator."""
-        if is_identity(iota) and len(iota) == m + 1:
-            return (m, x, tuple(range(m + 1)))
-        missing = max(v for v in range(m + 1) if v not in iota)
-        iota2 = tuple(v if v < missing else v - 1 for v in iota)
-        fidx = nd_faces[m][missing][x]
-        return act_total(iota2, points[m - 1][fidx])
+def _generated(G, nd_levels, nd_faces, bound):
+    """The unbased space of build_from_generators, not yet checked."""
+    top = min(len(nd_levels), bound + 1)
+    nd = tuple(nd_levels[:top]) + (GSet._trusted(G, 0, ((),) * G.order),) * (bound + 1 - top)
 
-    def act(g, n):
-        return lambda t: (t[0], nd_levels[t[0]].action[g][t[1]], t[2])
+    def point(m, f):
+        """(sigma, z) of the point f of the generated full level m."""
+        for k, c in ((k, comb(m, k)) for k in range(m + 1)):
+            if 0 <= f < nd[k].size * c:
+                return surjections(m, k)[f % c], f // c
+            f -= nd[k].size * c
+        raise SimplicialError("a face of level %d is out of range" % (m + 1))
 
-    def face(n, i):
-        return partial(act_total, delta(i, n))
-
-    def degen(n, i):
-        e = eta(i, n)
-        return lambda t: (t[0], t[1], compose_monotone(t[2], e))
-
-    basepoints = None
-    if base_vertex is not None:
-        basepoints = [(0, base_vertex, surjections(n, 0)[0]) for n in range(bound + 1)]
-    out, _ = _assemble(G, points, act, face, degen, basepoints)
-    return out.check()
+    faces = [()]
+    for n in range(1, bound + 1):
+        given = nd_faces[n] if nd[n].size else ((),) * (n + 1)
+        if len(given) != n + 1 or any(len(f) != nd[n].size for f in given):
+            raise SimplicialError("level %d needs %d faces of each simplex" % (n, n + 1))
+        faces.append(tuple(tuple(point(n - 1, f) for f in face) for face in given))
+    return _nd_space(G, ("gen",), nd, tuple(faces), None)
 
 
 # -- maps of simplicial G-sets --------------------------------------------------
@@ -521,124 +694,142 @@ def rotation_sphere(G, n, k, bound=DEFAULT_BOUND):
     poles = build_from_generators(
         G, [trivial_gset(G, 2)], [None], bound=bound
     )
-    j = join(ngon, poles)
-    basevertex = j._join_points[0].index(("r", 0))  # first cone point
-    return j.as_based(basevertex)
+    return join(ngon, poles).as_based(n)  # the first cone point, after the n-gon
 
 
 def join(K, L):
-    """The join of two unbased simplicial G-sets."""
-    bound = min(K.bound, L.bound)
-    pts = []
-    for n in range(bound + 1):
-        level = []
-        for x in range(K.levels[n].size):
-            level.append(("l", x))
-        for y in range(L.levels[n].size):
-            level.append(("r", y))
-        for p in range(n):
-            q = n - 1 - p
-            for x in range(K.levels[p].size):
-                for y in range(L.levels[q].size):
-                    level.append(("b", p, x, y))
-        level.sort()
-        pts.append(level)
+    """The join of two unbased simplicial G-sets, whose nondegenerate
+    n-simplices are ("b", p, x, y), joining the p-simplex x of K to the
+    (n-1-p)-simplex y of L, then ("l", x) and ("r", y), in full-level order."""
+    G, bound, kn, ln = K.group, min(K.bound, L.bound), K.nd, L.nd
+    parts = [
+        tuple(
+            ("b", p, x, y)
+            for p in range(n) for x in range(kn[p].size) for y in range(ln[n - 1 - p].size)
+        )
+        + tuple(("l", x) for x in range(kn[n].size)) + tuple(("r", y) for y in range(ln[n].size))
+        for n in range(bound + 1)
+    ]
+    ix = [{t: k for k, t in enumerate(level)} for level in parts]
 
-    def face_point(n, i, p):
-        if p[0] == "l":
-            return ("l", K.faces[n][i].values[p[1]])
-        if p[0] == "r":
-            return ("r", L.faces[n][i].values[p[1]])
-        _, pp, x, y = p
-        q = n - 1 - pp
-        if i <= pp:
-            if pp == 0:
-                return ("r", y)
-            return ("b", pp - 1, K.faces[pp][i].values[x], y)
-        j = i - pp - 1
-        if q == 0:
-            return ("l", x)
-        return ("b", pp, x, L.faces[q][j].values[y])
+    def act(g, n, t):
+        if t[0] == "b":
+            return ix[n]["b", t[1], kn[t[1]].action[g][t[2]], ln[n - 1 - t[1]].action[g][t[3]]]
+        return ix[n][t[0], (kn if t[0] == "l" else ln)[n].action[g][t[1]]]
 
-    def degen_point(n, i, p):
-        if p[0] == "l":
-            return ("l", K.degens[n][i].values[p[1]])
-        if p[0] == "r":
-            return ("r", L.degens[n][i].values[p[1]])
-        _, pp, x, y = p
-        q = n - 1 - pp
-        if i <= pp:
-            return ("b", pp + 1, K.degens[pp][i].values[x], y)
-        j = i - pp - 1
-        return ("b", pp, x, L.degens[q][j].values[y])
+    def face(n, i, t):
+        if t[0] != "b":
+            s, z = (K if t[0] == "l" else L).nd_faces[n][i][t[1]]
+            return s, ix[s[-1]][t[0], z]
+        _, p, x, y = t
+        q = n - 1 - p
+        if (p if i <= p else q) == 0:  # the face drops the one vertex of a side
+            return tuple(range(n)), ix[n - 1][("r", y) if i <= p else ("l", x)]
+        if i <= p:
+            s, z = K.nd_faces[p][i][x]
+            return s + tuple(range(s[-1] + 1, s[-1] + q + 2)), ix[s[-1] + q + 1]["b", s[-1], z, y]
+        s, w = L.nd_faces[q][i - p - 1][y]
+        return tuple(range(p + 1)) + tuple(p + 1 + v for v in s), ix[p + s[-1] + 1]["b", p, x, w]
 
-    def act_point(g, n, p):
-        if p[0] == "l":
-            return ("l", K.levels[n].action[g][p[1]])
-        if p[0] == "r":
-            return ("r", L.levels[n].action[g][p[1]])
-        _, pp, x, y = p
-        q = n - 1 - pp
-        return ("b", pp, K.levels[pp].action[g][x], L.levels[q].action[g][y])
-
-    out, _ = _assemble(
-        K.group,
-        pts,
-        lambda g, n: partial(act_point, g, n),
-        lambda n, i: partial(face_point, n, i),
-        lambda n, i: partial(degen_point, n, i),
+    nd = tuple(
+        GSet._trusted(G, len(lv), tuple(tuple(act(g, n, t) for t in lv) for g in G.elements()))
+        for n, lv in enumerate(parts)
     )
-    object.__setattr__(out, "_join_points", pts)
-    return out.check()
+    faces = tuple(
+        tuple(tuple(face(n, i, t) for t in lv) for i in range(n + 1 if n else 0))
+        for n, lv in enumerate(parts)
+    )
+    return _nd_space(G, ("join", K, L), nd, faces, None, tuple(parts)).check()
 
 
 # -- smash / wedge / collapse ---------------------------------------------------
 
 
 def smash(X, Y):
-    """Levelwise smash product of based simplicial G-sets.
+    """Smash product of based simplicial G-sets.
 
-    The product of two simplicial G-sets is one, and so is its quotient by
-    the wedge: built from checked factors, the smash is not re-checked, and
-    its faces and degeneracies skip the equivariance check of GMap.
+    Its nondegenerate simplices are the crushed basepoint, vertex 0, and
+    the pairs (a^* x, b^* y) of non-base nondegenerate simplices whose
+    degeneracies repeat no position in common, the Eilenberg-Zilber
+    shuffles, in the order of the full level.  Built from checked factors
+    the smash is a simplicial G-set, so it is not checked.
     """
     if not (X.based and Y.based):
         raise SimplicialError("smash needs based inputs")
-    bound = min(X.bound, Y.bound)
-    pts = []
+    G, bound = X.group, min(X.bound, Y.bound)
+    (xnd, xf, xb), (ynd, yf, yb) = X._nd_form()[:3], Y._nd_form()[:3]
+    kept = [
+        [[z for z in range(nd[m].size) if m or z != b] for m in range(bound + 1)]
+        for nd, b in ((xnd, xb), (ynd, yb))
+    ]
+    nd, faces, index, lookup, joints = [], [()], [], [], {}
     for n in range(bound + 1):
-        level = [None]  # 0 is the basepoint
-        for x in range(X.levels[n].size):
-            if x == X.base(n):
-                continue
-            for y in range(Y.levels[n].size):
-                if y == Y.base(n):
+        found, memo, wide = [], {}, Y._nd_form()[4][n] - 1
+
+        def rank_of(S, s, z):
+            """The index of s^* z among the non-base points of level n of S."""
+            p = _position(S, s, z, memo)
+            return p - (p > S.basepoints[n])
+
+        for p, q in itertools.product(range(n + 1), repeat=2):
+            if p + q >= n and kept[0][p] and kept[1][q]:
+                for a, b in _shuffle_pairs(n, p, q):
+                    for x in kept[0][p]:
+                        rank = 1 + rank_of(X, a, x) * wide
+                        found.extend((rank + rank_of(Y, b, y), (a, x, b, y)) for y in kept[1][q])
+        found.sort()
+        level = ((None,) if n == 0 else ()) + tuple(t for _, t in found)
+        ix = {t: k for k, t in enumerate(level)}
+        acts = zip(zip(*(lv.action for lv in xnd)), zip(*(lv.action for lv in ynd)))
+        act = tuple(
+            tuple(
+                0 if t is None else ix[t[0], xa[t[0][-1]][t[1]], t[2], ya[t[2][-1]][t[3]]]
+                for t in level
+            )
+            for xa, ya in acts
+        )
+        nd.append(GSet._trusted(G, len(level), act))
+        index.append(((0,) if n == 0 else ()) + tuple(r for r, _ in found))
+        lookup.append(ix)
+        if n:
+            fx, fy, rows = {}, {}, []
+            for (a, x, b, y), i in itertools.product(level, range(n + 1)):
+                if (i, a, x) not in fx:
+                    fx[i, a, x] = _face_nf(xf, i, a, x)
+                if (i, b, y) not in fy:
+                    fy[i, b, y] = _face_nf(yf, i, b, y)
+                (s, u), (t, v) = fx[i, a, x], fy[i, b, y]
+                if (u == xb and s[-1] == 0) or (v == yb and t[-1] == 0):
+                    rows.append(((0,) * n, 0))  # the basepoint
                     continue
-                level.append((x, y))
-        pts.append(level)
+                if (s, t) not in joints:
+                    joints[s, t] = _joint(s, t)
+                eps, s, t = joints[s, t]
+                rows.append((eps, lookup[eps[-1]][s, u, t, v]))
+            faces.append(tuple(tuple(rows[i :: n + 1]) for i in range(n + 1)))
+    parts = tuple(tuple(ix) for ix in lookup)  # each level's keys, in order
+    return _nd_space(G, ("smash", X, Y), tuple(nd), tuple(faces), 0, parts, tuple(index))
 
-    def pair_rule(m, fx, fy):
-        """(x, y) -> (fx[x], fy[y]) into level m, crushing the basepoints."""
-        bx, by = X.base(m), Y.base(m)
 
-        def rule(p):
-            x, y = fx[p[0]], fy[p[1]]
-            return None if x == bx or y == by else (x, y)
+def _shuffle_pairs(n, p, q):
+    """The surjections a: [n] ->> [p] and b: [n] ->> [q] that repeat no
+    position in common: s_I and s_J with I and J disjoint, which for
+    p + q = n are the shuffles homotopy._shuffles enumerates."""
+    repeats = [(b, [k for k in range(1, n + 1) if b[k] == b[k - 1]]) for b in surjections(n, q)]
+    return [
+        (a, b) for a in surjections(n, p) for b, r in repeats if all(a[k] != a[k - 1] for k in r)
+    ]
 
-        return rule
 
-    out, index = _assemble(
-        X.group,
-        pts,
-        lambda g, n: pair_rule(n, X.levels[n].action[g], Y.levels[n].action[g]),
-        lambda n, i: pair_rule(n - 1, X.faces[n][i].values, Y.faces[n][i].values),
-        lambda n, i: pair_rule(n + 1, X.degens[n][i].values, Y.degens[n][i].values),
-        [None] * (bound + 1),
-        trusted=True,
-    )
-    object.__setattr__(out, "_smash_points", pts)
-    object.__setattr__(out, "_smash_index", index)
-    return out
+def _joint(s, t):
+    """(eps, a, b) with s = a eps and t = b eps, where the surjection eps
+    merges each position that both s and t repeat into the one before."""
+    pairs = sorted(set(zip(s, t)))
+    if len(pairs) == len(s):
+        return tuple(range(len(s))), s, t
+    pos = {pair: k for k, pair in enumerate(pairs)}
+    a, b = zip(*pairs)
+    return tuple(pos[pair] for pair in zip(s, t)), a, b
 
 
 def wedge(X, Y):
@@ -670,7 +861,7 @@ def wedge(X, Y):
 
         return rule
 
-    out, index = _assemble(
+    full, index = _assemble(
         X.group,
         pts,
         lambda g, n: side_rule(n, X.levels[n].action[g], Y.levels[n].action[g]),
@@ -678,6 +869,7 @@ def wedge(X, Y):
         lambda n, i: side_rule(n + 1, X.degens[n][i].values, Y.degens[n][i].values),
         [None] * (bound + 1),
     )
+    out = SimplicialGSet(X.group, *full)
     incl_x = _levelwise(X, out, lambda n, x: index[n][None if x == X.base(n) else ("l", x)])
     incl_y = _levelwise(Y, out, lambda n, y: index[n][None if y == Y.base(n) else ("r", y)])
     return out, incl_x, incl_y
@@ -724,7 +916,7 @@ def collapse(X, subcomplex_points):
 
         return rule
 
-    out, index = _assemble(
+    full, index = _assemble(
         G,
         pts,
         lambda g, n: crush_rule(n, X.levels[n].action[g]),
@@ -732,7 +924,7 @@ def collapse(X, subcomplex_points):
         lambda n, i: crush_rule(n + 1, X.degens[n][i].values),
         [None] * (bound + 1),
     )
-    out.check()
+    out = SimplicialGSet(G, *full).check()
     proj = _levelwise(X, out, lambda n, p: index[n][None if p in subs[n] else p])
     return out, proj
 
@@ -890,7 +1082,7 @@ def standard_simplex_plus(G, n, bound=DEFAULT_BOUND):
     def op_rule(alpha):
         return lambda p: compose_monotone(p, alpha)
 
-    out, _ = _assemble(
+    full, _ = _assemble(
         G,
         pts,
         lambda g, m: lambda p: p,
@@ -898,4 +1090,4 @@ def standard_simplex_plus(G, n, bound=DEFAULT_BOUND):
         lambda m, i: op_rule(eta(i, m)),
         [None] * (bound + 1),
     )
-    return out.check()
+    return SimplicialGSet(G, *full).check()

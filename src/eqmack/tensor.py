@@ -8,7 +8,8 @@ tests check the collapsed maps against the coend's pullback recipe.
 Every level has one layout, LevelSet: the points (x, s) of X_n x S on the
 kept simplices x, with a sink when some simplex is left out.  Full,
 reduced and normalized levels differ only in the simplices they keep, and
-every map between levels, including the comparison rho, reads that layout.
+every map between levels, including the comparison rho, reads that layout;
+a normalized level is built on the nondegenerate simplices' G-set alone.
 A level's sink is its basepoint: values and maps are the coefficients'
 evaluations at the level sets' basepoints, reduced or not alike.
 """
@@ -75,34 +76,32 @@ class LevelSet(Frozen):
         return GMap._trusted(self.gset, tgt.gset, tuple(vals))
 
 
-def _build_level(xlevel, kept, S, sink):
-    """The LevelSet of xlevel x S on the simplices in kept, a G-invariant
-    set, with a sink at point 0 if sink.  The product action restricted to
-    an invariant set is an action, so the G-set skips GSet's checks; a kept
-    set that is not invariant fails at the index lookup."""
-    kept = frozenset(kept)
-    pairs = ((None,) if sink else ()) + tuple(
-        (x, s) for x in range(xlevel.size) if x in kept for s in range(S.size)
-    )
-    index = {p: i for i, p in enumerate(pairs) if p is not None}
-    xact, sact = xlevel.action, S.action
+def _build_level(xlevel, names, S, sink):
+    """The LevelSet of xlevel x S on names, a dict from a G-invariant set of
+    simplices to the names they take in the pairs, with a sink at point 0 if
+    sink.  The restricted product action is an action, so the G-set skips
+    GSet's checks; a kept set that is not invariant fails."""
+    xs = [x for x in range(xlevel.size) if x in names]
+    rank, m, start = {x: r for r, x in enumerate(xs)}, S.size, int(sink)
     action = tuple(
-        tuple(0 if p is None else index[(xact[g][p[0]], sact[g][p[1]])] for p in pairs)
-        for g in xlevel.group.elements()
+        (0,) * start + tuple(start + rank[xa[x]] * m + sa[s] for x in xs for s in range(m))
+        for xa, sa in zip(xlevel.action, S.action)
     )
+    pairs = (None,) * start + tuple((names[x], s) for x in xs for s in range(m))
+    index = {p: i for i, p in enumerate(pairs) if p is not None}
     gset = GSet._trusted(xlevel.group, len(pairs), action)
-    return LevelSet(gset, 0 if sink else None, pairs, kept, index)
+    return LevelSet(gset, 0 if sink else None, pairs, frozenset(names.values()), index)
 
 
 @lru_cache(maxsize=None)
 def product_level(xlevel, S):
-    return _build_level(xlevel, range(xlevel.size), S, sink=False)
+    return _build_level(xlevel, {x: x for x in range(xlevel.size)}, S, sink=False)
 
 
 @lru_cache(maxsize=None)
 def smash_level(xlevel, xbase, S):
     """(X_n smash S_+): collapse of the basepoint column of X_n x S."""
-    return _build_level(xlevel, set(range(xlevel.size)) - {xbase}, S, sink=True)
+    return _build_level(xlevel, {x: x for x in range(xlevel.size) if x != xbase}, S, sink=True)
 
 
 class TensorMackey:

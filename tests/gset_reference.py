@@ -48,7 +48,7 @@ def induced_map(ind, f):
     other = induce_from_weyl(ind.group, ind.helems, f.tgt)
     vals = []
     for i, y in ind.classes:
-        vals.append(other.class_of(i, f.values[y]))
+        vals.append(other.class_index[(i, f.values[y])])
     return GMap(ind.gset, other.gset, tuple(vals))
 
 

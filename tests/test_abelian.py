@@ -23,6 +23,8 @@ from eqmack.abelian import (
     is_exact_at,
 )
 
+from abelian_helpers import iso_eq, nrels
+
 
 Z = AbGroup.free(1)
 Z2 = AbGroup.cyclic(2)
@@ -273,16 +275,16 @@ def hstack(a, b):
 
 def dense_reduction(f):
     """Reference: the solver for f(x) = y mod tgt relations on [mat | rels]."""
-    return la.reduction(hstack(f.mat, f.tgt.rels), f.tgt.ngens, f.src.ngens + f.tgt.nrels)
+    return la.reduction(hstack(f.mat, f.tgt.rels), f.tgt.ngens, f.src.ngens + nrels(f.tgt))
 
 
 def dense_kernel_and_image(f):
     """Reference: kernel and image groups and the kernel's inclusion matrix,
     computed on dense matrices."""
     n = f.src.ngens
-    sols = la.kernel_basis(hstack(f.mat, f.tgt.rels), f.tgt.ngens, n + f.tgt.nrels)
+    sols = la.kernel_basis(hstack(f.mat, f.tgt.rels), f.tgt.ngens, n + nrels(f.tgt))
     r = len(sols[0]) if sols else 0
-    basis, nl = sols[:n], f.src.nrels
+    basis, nl = sols[:n], nrels(f.src)
     aug = hstack(basis, f.src.rels) if nl else basis
     rels = la.kernel_basis(aug, n, r + nl)[:r] if n else la.identity(r)
     return AbGroup(r, rels), basis, AbGroup(n, basis)
@@ -331,7 +333,7 @@ def test_kernel_and_cokernel_are_exact(data):
     assert incl.is_injective() and proj.is_surjective()
     assert is_exact_at(incl, f) and is_exact_at(f, proj)
     # the first isomorphism theorem: im f = src / ker f
-    assert f.image()[0].iso_eq(incl.cokernel()[0])
+    assert iso_eq(f.image()[0], incl.cokernel()[0])
 
 
 def test_assemble_block_hom_rejects_out_of_range_positions():

@@ -19,6 +19,7 @@ from eqmack.mackey import (
 from eqmack.simplicial import rotation_rep, s0_space, sign_rep, sphere_for_descriptors
 from eqmack.tensor import ModuleTensor, RhoIso
 
+from abelian_helpers import nrels
 from fixed_point_reference import ConstraintFixedPointMackey, ConstraintRhoIso
 
 Z = AbGroup.free(1)
@@ -230,9 +231,9 @@ def test_c4_mod_2_values_are_one_copy_per_orbit():
     # kernel kept all four generators and four relations
     M = constant_mackey(C4, Z2)
     e = subgroup_classes(C4)[0]
-    assert (M.orbit_value(e).ngens, M.orbit_value(e).nrels) == (1, 1)
+    assert (M.orbit_value(e).ngens, nrels(M.orbit_value(e))) == (1, 1)
     old = ConstraintFixedPointMackey(C4, e, WeylModule.trivial(e.weyl, Z2))
-    assert (old.orbit_value(e).ngens, old.orbit_value(e).nrels) == (4, 4)
+    assert (old.orbit_value(e).ngens, nrels(old.orbit_value(e))) == (4, 4)
     K = sphere_for_descriptors(C4, [rotation_rep(4, 1)], 3)
     mc = EquivariantMappingComplex(K, ModuleTensor(K, WeylModule.trivial(C4, Z2)))
     assert mc.group(-1).ngens == 39
@@ -244,7 +245,7 @@ def test_permutation_fixed_parts_split_over_orbits():
     for k in subgroup_classes(C4):
         A = WeylModule.regular(C4)
         F, incl = A.fixed(k.elements)
-        assert (F.ngens, F.nrels) == (4 // k.order, 0)
+        assert (F.ngens, nrels(F)) == (4 // k.order, 0)
         assert incl.is_injective()
         for w in C4.elements():
             if w in k.elements:

@@ -892,6 +892,42 @@ def test_exact_chain_maps_equal_the_restricted_full_levels(kind):
                 assert maps[k].comps[n] == restricted(full, parts[k], parts[k + 1])
 
 
+# -- spheres past the digests' bound, on their nondegenerate simplices -------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_bredon_groups_of_sign_spheres_have_the_hand_values(k):
+    # cellular chains of S^{k sigma}: at G/G, Z/2 in even degrees below k and
+    # Z in degree k when k is even; at G/e, Z in degree k only
+    X = sphere_for_descriptors(C2, [sign_rep()] * k, k + 1)
+    table = bredon_groups(X, constant_mackey(C2, Z), range(k + 1))
+    e, full = (rec.class_id for rec in subgroup_classes(C2))
+    for n, row in table.items():
+        top = "Z" if n == k else "0"
+        fixed = "Z/2" if n % 2 == 0 and n < k else ("Z" if n == k and k % 2 == 0 else "0")
+        assert (row[e].describe(), row[full].describe()) == (top, fixed)
+
+
+def test_homology_builds_no_full_level(monkeypatch):
+    # the normalized chains read the nondegenerate simplices and their faces,
+    # so Bredon groups, the RO(G) rows and the coefficient sequence never lay
+    # out a full level of a sphere or of a smash with one
+    def refuse(X):
+        raise AssertionError("a full level was built")
+
+    monkeypatch.setattr("eqmack.simplicial._materialize", refuse)
+    M = constant_mackey(C2, Z)
+    X = sphere_for_descriptors(C2, [sign_rep()] * 3, 4)
+    assert bredon_groups(X, M, range(4))[3][0].describe() == "Z"
+    rows = [(p, [sign_rep()] * k) for p in range(3) for k in range(3)]
+    assert len(ro_graded_table(s0_space(C2, 3), M, rows).rows) == 9
+    ses = c2_exact_sequence("coefficients-reduced", 4)
+    for rec in subgroup_classes(C2):
+        assert all(coefficient_les(ses, rec, 2)[1])
+    with pytest.raises(AssertionError, match="a full level was built"):
+        X.levels
+
+
 # -- empty levels and layouts kept on the space ----------------------------------
 
 

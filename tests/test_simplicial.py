@@ -1,10 +1,14 @@
 import hashlib
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqmack.abelian import AbGroup
 from eqmack.groups import FiniteGroup, subgroup_classes
+from eqmack.gsets import GSet
 from eqmack.mackey import WeylModule
 from eqmack.simplicial import (
     DEFAULT_BOUND,
@@ -41,6 +45,7 @@ from eqmack.tensor import ModuleTensor
 
 from delta_reference import cylinder_inclusions, smash_assoc
 from module_chains import chain_complex
+from simplicial_reference import full_level_check, generated_levels, join_levels, smash_levels
 
 C2 = FiniteGroup.cyclic(2)
 C3 = FiniteGroup.cyclic(3)
@@ -475,3 +480,161 @@ def test_discrete_inclusion_needs_one_target_vertex_per_source_vertex():
     for values in ((0, -1), (0, 5), (0,), (0, 1, 1)):
         with pytest.raises(SimplicialError, match="one vertex of the target per vertex"):
             discrete_inclusion(s0, sig, values)
+
+
+# -- the nondegenerate form ---------------------------------------------------------
+
+
+def nondegenerate_spaces():
+    """Spaces from every constructor, some with factors given by their full
+    levels (Delta[1]_+, a fixed-point system, a wedge)."""
+    S3, C4 = FiniteGroup.symmetric(3), FiniteGroup.cyclic(4)
+    a3 = next(r for r in subgroup_classes(S3) if r.order == 3)
+    sig = sign_circle(C2, (0,), 3)
+    return [
+        sphere_for_descriptors(C2, [sign_rep()] * 3, 4),
+        sphere_for_descriptors(C3, [rotation_rep(3, 1)] * 2, 4),
+        sphere_for_descriptors(S3, [sign_rep(a3.elements), trivial_rep(1)], 4),
+        sphere_for_descriptors(C4, [rotation_rep(4, 1), sign_rep((0, 2))], 4),
+        suspend(sphere_for_descriptors(C3, [rotation_rep(3, 1)], 3), trivial_rep(2)),
+        smash(standard_simplex_plus(C2, 1, 3), sig),
+        smash(fixed_system(sphere_for_descriptors(C2, [sign_rep()] * 2, 3), (0, 1))[0], sig),
+        smash(wedge(circle_space(C2, 3), sig)[0], sig),
+        join(sig, s0_space(C2, 3)),
+    ]
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_the_nondegenerate_form_is_read_off_the_full_levels(index):
+    # the same levels given in full read off the same nondegenerate form: the
+    # simplices in full-level order at their indices, their actions, their
+    # faces as (degeneracy, simplex), the basepoint and the level sizes
+    from eqmack.simplicial import SimplicialGSet
+
+    X = nondegenerate_spaces()[index]
+    full = SimplicialGSet(X.group, X.levels, X.faces, X.degens, X.basepoints)
+    assert X._nd_form() == full._nd_form()
+    assert X == full and hash(X) == hash(full)
+    assert X.check() is X and full.check() is full
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_full_levels_are_laid_out_as_the_point_rules_lay_them(index):
+    # the full levels laid out on first read equal those that the point rules
+    # of the smash and the join build from the factors' full levels, point
+    # tables included
+    X = nondegenerate_spaces()[index]
+    recipe = X._recipe
+    while recipe[0] == "based":
+        recipe = recipe[1]._recipe
+    if recipe[0] == "smash":
+        want = smash_levels(*recipe[1:])
+        assert X._smash_points == want[3]
+    elif recipe[0] == "join":
+        want = join_levels(*recipe[1:])
+        assert X._join_points == want[3]
+    assert (X.levels, X.faces, X.degens) == want[:3]
+
+
+def test_generated_full_levels_are_laid_out_as_the_point_rules_lay_them():
+    from eqmack.gsets import trivial_gset
+
+    v, e, one = trivial_gset(C2, 3), GSet(C2, 2, ((0, 1), (1, 0))), trivial_gset(C2, 1)
+    swap = GSet(C2, 3, ((0, 1, 2), (1, 0, 2)))
+    # two edges swapped from vertex 2 to the swapped vertices 0 and 1; an
+    # edge from vertex 0 to vertex 1 (full index 3 of level 1) and a triangle
+    # with faces s_0 of vertex 1 (full index 1), the edge and the edge
+    for levels, faces in [
+        ([v], [None]),
+        ([swap, e], [None, [(0, 1), (2, 2)]]),
+        ([v, one, one], [None, [(1,), (0,)], [(1,), (3,), (3,)]]),
+    ]:
+        X = build_from_generators(C2, levels, faces, bound=4)
+        assert (X.levels, X.faces, X.degens) == generated_levels(C2, levels, faces, 4)
+
+
+def shuffle_count(X, Y, n):
+    """Nondegenerate non-base n-simplices of X smash Y: a p-simplex of X and
+    a q-simplex of Y, each non-base, with disjoint degeneracies I and J,
+    |I| = n - p and |J| = n - q, chosen in C(n, n - p) C(p, n - q) ways."""
+    nx, ny = ([S.nd[k].size - (k == 0) for k in range(n + 1)] for S in (X, Y))
+    return sum(
+        nx[p] * ny[q] * math.comb(n, n - p) * math.comb(p, n - q)
+        for p in range(n + 1)
+        for q in range(n - p, n + 1)
+    )
+
+
+@pytest.mark.parametrize("k, bound, total", [(4, 5, 1697), (5, 6, 24483)])
+def test_sphere_counts_follow_the_shuffle_formula(k, bound, total):
+    sig = sign_circle(C2, (0,), bound)
+    X = sig
+    for _ in range(k - 1):
+        Y = smash(X, sig)
+        assert [Y.nd[n].size - (n == 0) for n in range(bound + 1)] == [
+            shuffle_count(X, sig, n) for n in range(bound + 1)
+        ]
+        X = Y
+    assert X._nd_form() == sphere_for_descriptors(C2, [sign_rep()] * k, bound)._nd_form()
+    assert sum(X.nd[n].size for n in range(bound + 1)) - 1 == total
+
+
+C2_SETS = [((0,), (0,)), ((0, 1), (0, 1)), ((0, 1), (1, 0)), ((0, 1, 2), (1, 0, 2))]
+
+
+@st.composite
+def presentations(draw):
+    """Small C2 presentations for build_from_generators: vertices, maybe
+    edges and maybe triangles, each with an action, and faces anywhere in
+    the generated full level below."""
+    sets = (C2_SETS, C2_SETS[:3], C2_SETS[:2])[: draw(st.integers(1, 3))]
+    levels = [GSet(C2, len(rows[0]), rows) for rows in (draw(st.sampled_from(s)) for s in sets)]
+    faces = [None]
+    for m in range(1, len(levels)):
+        size = sum(levels[k].size * math.comb(m - 1, k) for k in range(m))
+        face = st.integers(0, size - 1)
+        faces.append([[draw(face) for _ in range(levels[m].size)] for _ in range(m + 1)])
+    return levels, faces
+
+
+@settings(max_examples=400, deadline=None)
+@given(presentations())
+def test_the_nondegenerate_check_accepts_what_the_full_levels_accept(presentation):
+    from eqmack.gsets import GSetError
+    from eqmack.simplicial import _generated
+
+    levels, faces = presentation
+    try:
+        full_level_check(_generated(C2, levels, faces, 3))
+        oracle = True
+    except (GSetError, SimplicialError):
+        oracle = False
+    try:
+        build_from_generators(C2, levels, faces, bound=3)
+        checked = True
+    except SimplicialError:
+        checked = False
+    assert checked == oracle
+
+
+def test_the_nondegenerate_check_rejects_a_bad_presentation():
+    from eqmack.gsets import trivial_gset
+
+    v, e, t = trivial_gset(C2, 2), trivial_gset(C2, 1), trivial_gset(C2, 1)
+    swap = GSet(C2, 2, ((0, 1), (1, 0)))
+    # the edge from vertex 1 to vertex 0 (full level 0 is the vertices)
+    assert build_from_generators(C2, [v, e], [None, [(0,), (1,)]]).nd_faces[1][0] == (((0,), 0),)
+    with pytest.raises(SimplicialError, match="d_0 of level 1 is not equivariant"):
+        build_from_generators(C2, [swap, e], [None, [(0,), (1,)]])
+    # a triangle whose faces are the edge (full index 2 of level 1) and the
+    # two degenerate edges at the vertices (0 and 1): d_0 d_1 = d_0 d_0 fails
+    with pytest.raises(SimplicialError, match="d_i d_j fails at level 2"):
+        build_from_generators(C2, [v, e, t], [None, [(0,), (1,)], [(2,), (0,), (1,)]])
+    with pytest.raises(SimplicialError, match="out of range"):
+        build_from_generators(C2, [v, e], [None, [(0,), (2,)]])
+    with pytest.raises(SimplicialError, match="needs 2 faces"):
+        build_from_generators(C2, [v, e], [None, [(0,)]])
+    with pytest.raises(SimplicialError, match="no vertex 2"):
+        build_from_generators(C2, [v], [None], base_vertex=2)
+    with pytest.raises(SimplicialError, match="basepoint must be G-fixed"):
+        build_from_generators(C2, [swap], [None], base_vertex=0)

@@ -56,6 +56,7 @@ from eqmack.tensor import (
     tensor,
 )
 
+from abelian_helpers import iso_eq
 from coend_reference import (
     CoendRep,
     identity_rep,
@@ -105,7 +106,7 @@ def test_point_tensor_recovers_m():
             for S in gset_suite(G):
                 base = M.evaluate(S).value
                 for n in range(pt.bound + 1):
-                    assert T.group_at(n, S).iso_eq(base)
+                    assert iso_eq(T.group_at(n, S), base)
                 # faces are isomorphisms (all simplices degenerate)
                 for i in range(2):
                     assert T.face(1, i, S).is_iso()
@@ -120,7 +121,7 @@ def test_s0_tensor_doubles():
         mv = M.evaluate(S).value
         free, tors = mv.invariants()
         assert T.group_at(0, S).invariants() == (2 * free, tors + tors)
-        assert R.group_at(0, S).iso_eq(mv)
+        assert iso_eq(R.group_at(0, S), mv)
 
 
 def test_discrete_free_orbit_tensor():
@@ -359,7 +360,7 @@ def test_module_tensor_fixed_points_vs_equivariant_maps():
             fixed = _fixed_subgroup(mt)
             rhs = FixedPointMackey(G, e, mtK.module(n))
             rv = rhs.value_of(S)
-            assert fixed.iso_eq(rv)
+            assert iso_eq(fixed, rv)
 
 
 def _smash_with_plus(K, S, n):
@@ -551,7 +552,7 @@ def test_rho_point_space_is_identity_sized():
     for rec in subgroup_classes(G):
         r = iso.rho(rec, 0)
         assert r.is_iso()
-        assert r.src.iso_eq(r.tgt)
+        assert iso_eq(r.src, r.tgt)
 
 
 def test_rho_naturality_both_variances():
@@ -665,7 +666,7 @@ def test_ses_cofibration_trivial_cases():
     for S in gset_suite(G)[:2]:
         for n in range(2):
             assert ses.check_exact(n, S)
-            assert ses.quot.group_at(n, S).iso_eq(R.group_at(n, S))
+            assert iso_eq(ses.quot.group_at(n, S), R.group_at(n, S))
     # Y = X collapses to a point: the quotient functor vanishes
     full_incl = discrete_inclusion(s0_space(G, bound=2), s0_space(G, bound=2), (0, 1))
     ses2 = ses_from_cofibration(full_incl, M)
