@@ -13,7 +13,10 @@ maps K -> T are the homs Z~K -> T, and by Dold-Kan pi_n of the mapping
 space is H_n of Hom(N Z~K, N T), whose degree n holds the natural families
 N_k Z~K -> N_{k+n} T, one free block per orbit representative, from degree
 -1 up, so that the chain maps are the cycles of D_0.  There is one engine,
-MappingComplex, over the orbit category.  A W-equivariant map Z~K -> A[Y]
+MappingComplex, over the orbit category.  Its chart at G/H is K^H as a
+subset of K, its H-fixed nondegenerate simplices, and an orbit map G/J ->
+G/H of element c acts on it by c, so no fixed-point space is built and the
+source lays out no full level.  A W-equivariant map Z~K -> A[Y]
 is a family natural over the orbit category of W into Y (x~) R_A, where
 R_A is the fixed-point functor W/J |-> A^J, so that (Y (x~) R_A)(W/J) is
 A~[Y]^J (Elmendorf, Systems of fixed point sets, 1983); the
@@ -46,13 +49,7 @@ from .mackey import (
     covariant_between,
     orbit_maps_between,
 )
-from .simplicial import (
-    discrete_space,
-    fixed_system,
-    phi_transition,
-    smash,
-    sphere_for_descriptors,
-)
+from .simplicial import _position, discrete_space, smash, sphere_for_descriptors
 from .tensor import PsiMap, TensorMackey, _build_level, reduced_tensor
 
 __all__ = [
@@ -248,34 +245,6 @@ def bredon_groups(X, M, degrees):
 # -- mapping complexes ------------------------------------------------------------
 
 
-class Chart:
-    """A based space and the normalized chains of the target over it.
-
-    A degree-n family has one block per nondegenerate non-base k-simplex y
-    of space, valued in chains.groups[k + n]; a block whose level k + n is
-    past the top of chains is empty.
-    """
-
-    def __init__(self, space, chains):
-        self.space = space
-        self.chains = chains
-
-
-class Relation:
-    """hom[k + n] f_src(y) = f_tgt(level[k][y]) for every block y of the
-    source chart in degree n, where hom[m] maps level m of the source
-    chart's chains to level m of the target chart's.  level[k] is an
-    injective simplicial point table, so it keeps simplices nondegenerate.
-    src and tgt are chart keys, and src is never below tgt.  A relation
-    carries a representative's value to a block of its orbit."""
-
-    def __init__(self, src, tgt, hom, level):
-        self.src = src
-        self.tgt = tgt
-        self.hom = hom
-        self.level = level
-
-
 class MappingComplex:
     """The Hom complex of normalized chains Hom(N Z~K, N T), natural over
     the orbit category; its H_n is pi_n of Map_*(K, T) by Dold-Kan
@@ -290,12 +259,14 @@ class MappingComplex:
     are the cycles of D_0, and H_0 is pi_0.
 
     Here K is a based simplicial G-set standing for its fixed-point system
-    and T a reduced tensor over the same group: the chart of the orbit
-    class H is K^H with the normalized chains of T at G/H, and every
-    non-identity orbit map G/J -> G/H relates the charts of H and J by the
-    normalized restriction and phi_transition.  By Yoneda a G-orbit [y] of
-    simplices is one free block N T(G/G_y) (Bredon, LNM 34), at its
-    representative in the chart of G_y.
+    and T a reduced tensor over the same group.  The chart of the orbit
+    class H is K^H read off K itself: the H-fixed non-base nondegenerate
+    simplices of K, by their index in K.nd, with their faces in K and the
+    normalized chains of T at G/H.  Every non-identity orbit map G/J -> G/H,
+    of element c, relates the charts of H and J by the normalized
+    restriction and the action of c on K, which carries K^H into K^J.  By
+    Yoneda a G-orbit [y] of simplices is one free block N T(G/G_y) (Bredon,
+    LNM 34), at its representative in the chart of G_y.
 
     K.bound ends the source's simplices and T.X.bound the target's chains,
     and a block past T.X.bound is empty.  The complex is exact when K and
@@ -312,23 +283,26 @@ class MappingComplex:
             raise HomotopyError("the source and the target are over different groups")
         self.K, self.T = K, T
         self.chains = normalized_chains(T)
-        self.charts, self.relations = {}, []
         self._degree, self._diffs, self._complexes = {}, {}, {}
         G = T.group
         self.recs = subgroup_classes(G)
+        # charts[H]: K^H as its non-base nondegenerate simplices per level,
+        # and the chains at G/H.  relations[H]: per orbit map G/J -> G/H of
+        # element c but the identity, (J, res, c), where res[k + n] f_H(y) =
+        # f_J(c y) on every block y of the chart of H; J is never above H
+        self.charts, self.relations = {}, {}
         for rec in self.recs:
-            self.charts[rec.class_id] = Chart(
-                fixed_system(K, rec.elements)[0], self.chains.complex(rec)
-            )
+            fixed = [K.nd[k].fixed_by(rec.elements) for k in range(K.bound + 1)]
+            fixed[0] = tuple(y for y in fixed[0] if y != K.nd_base)
+            self.charts[rec.class_id] = fixed, self.chains.complex(rec)
+            self.relations[rec.class_id] = []
         for j in self.recs:
             for h in self.recs:
                 for om in orbit_maps_between(j, h):
                     if j is h and om.c == G.identity:
                         continue
                     res = self.chains.transition_chain_map(om, "res")
-                    self.relations.append(
-                        Relation(h.class_id, j.class_id, res.comps, phi_transition(K, om))
-                    )
+                    self.relations[h.class_id].append((j.class_id, res.comps, om.c))
 
     def degree_data(self, n):
         if n not in self._degree:
@@ -342,57 +316,55 @@ class MappingComplex:
 
     def _layout(self, n):
         """(blocks, values) of degree n: a block (key, k, y) per chart, from
-        the highest key down, and nondegenerate non-base k-simplex y whose
-        level k + n is one of the chart's chains, valued there."""
+        the highest key down, and fixed non-base nondegenerate k-simplex y
+        whose level k + n is one of the chart's chains, valued there."""
         blocks, values = [], []
         for key in sorted(self.charts, reverse=True):
-            Y, groups = self.charts[key].space, self.charts[key].chains.groups
-            for k in range(max(0, -n), Y.bound + 1):
-                if k + n not in groups:
+            fixed, chains = self.charts[key]
+            for k in range(max(0, -n), self.K.bound + 1):
+                if k + n not in chains.groups:
                     break
-                base = Y.base(k)
-                for y in Y.nondegenerate(k):
-                    if y != base:
-                        blocks.append((key, k, y))
-                        values.append(groups[k + n])
+                blocks.extend((key, k, y) for y in fixed[k])
+                values.extend([chains.groups[k + n]] * len(fixed[k]))
         return blocks, values
 
     def _d_entries(self, offsets, tgt_blocks, n):
         """The blocks of D_n from the degree-n blocks at offsets into
-        tgt_blocks: d_T on the same simplex, -(-1)^n (-1)^i on its i-th face."""
-        entries = []
+        tgt_blocks: d_T on the same simplex, -(-1)^n (-1)^i on its i-th face,
+        dropped when the face is degenerate."""
+        entries, faces = [], self.K.nd_faces
         for t, (key, k, y) in enumerate(tgt_blocks):
-            chart = self.charts[key]
+            chains = self.charts[key][1]
             if (key, k, y) in offsets:
-                entries.append((t, offsets[(key, k, y)], chart.chains.diffs[k + n]))
-            one = AbHom.identity(chart.chains.groups[k + n - 1])
+                entries.append((t, offsets[(key, k, y)], chains.diffs[k + n]))
+            one = AbHom.identity(chains.groups[k + n - 1])
             for i in range(k + 1 if k else 0):
-                s = offsets.get((key, k - 1, chart.space.nd_face_table(k, i)[y]))
+                sigma, z = faces[k][i][y]
+                s = offsets.get((key, k - 1, z)) if sigma[-1] == k - 1 else None
                 if s is not None:
                     entries.append((t, s, one.scale((-1) ** (n + i + 1))))
         return entries
 
     def _build_degree(self, n):
         """Degree n in one walk over the blocks: a block no relation has
-        reached is the next representative, and the relations from it give
-        incl on the blocks of its orbit.  The orbit category relates no
+        reached is the next representative, and the relations from its chart
+        give incl on the blocks of its orbit.  The orbit category relates no
         block to itself, so a block reached twice raises."""
         blocks, values = self._layout(n)
         offsets = {b: i for i, b in enumerate(blocks)}
-        source, reps, entries = {}, [], []
+        source, reps, entries, nd = {}, [], [], self.K.nd
         for i, (key, k, y) in enumerate(blocks):
             if i in source:
                 continue
             p = source[i] = len(reps)
             reps.append(i)
             entries.append((i, p, AbHom.identity(values[i])))
-            for r in self.relations:
-                if r.src == key:
-                    j = offsets[(r.tgt, k, r.level[k][y])]
-                    if j in source:
-                        raise HomotopyError("a relation joins two representatives")
-                    source[j] = p
-                    entries.append((j, p, r.hom[k + n]))
+            for tgt, hom, c in self.relations[key]:
+                j = offsets[(tgt, k, nd[k].action[c][y])]
+                if j in source:
+                    raise HomotopyError("a relation joins two representatives")
+                source[j] = p
+                entries.append((j, p, hom[k + n]))
         incl, group, total = ab.assemble_block_hom([values[i] for i in reps], values, entries)
         starts = tuple(accumulate((v.ngens for v in values), initial=0))
         return dict(
@@ -430,14 +402,21 @@ class MappingComplex:
 
     def element_from_blocks(self, n, assign):
         """Encode a family given per block (chart key, k, simplex) by its
-        values at the representatives; raise unless incl gives the family
-        back, that is unless it is natural."""
+        values at the representatives; raise unless every block is one of
+        degree n with one entry per generator, and unless incl gives the
+        family back, that is unless it is natural."""
         data = self.degree_data(n)
         starts, amb = data["starts"], [0] * data["total"].ngens
         for key, vec in assign.items():
-            start = starts[data["offsets"][key]]
-            for k, v in enumerate(vec):
-                amb[start + k] += v
+            i = data["offsets"].get(key)
+            if i is None:
+                raise HomotopyError("degree %d has no block %r" % (n, key))
+            start, end = starts[i], starts[i + 1]
+            if len(vec) != end - start:
+                raise HomotopyError(
+                    "block %r needs a vector of length %d, not %d" % (key, end - start, len(vec))
+                )
+            amb[start:end] = vec
         x = tuple(amb[s] for i in data["reps"] for s in range(starts[i], starts[i + 1]))
         if not data["total"].elements_equal(data["incl"](x), amb):
             raise HomotopyError("the family is not natural")
@@ -462,12 +441,19 @@ class EquivariantMappingComplex(MappingComplex):
         self.mt = mt
 
 
-# bench/tracer.CACHES pins this cache; nothing in the package calls it
+# bench/tracer.CACHES pins these caches; nothing in the package calls them
 @lru_cache(maxsize=None)
 def _smash_index_map(sm, m):
     return {
         q: i for i, q in enumerate(sm._smash_points[m]) if q is not None
     }
+
+
+@lru_cache(maxsize=None)
+def _discrete_vertex_table(space, m):
+    """level-m point -> its last vertex, which is its only one for a
+    discrete space."""
+    return space.operator((m,), 0, m)
 
 
 # -- homotopy classes and the loop comparison -------------------------------------
@@ -534,13 +520,13 @@ def omega_spectrum_check(X, M, desc, n_max):
         mc = MappingComplex(kspace, psi.T_tgt)
         for n in range(n_max + 1):
             lhs, rhs = chains.homology(krec, n), mc.homotopy_group(n)
-            ok, mat = _phi_induced(psi, krec, kspace, orb_space, mc, chains, n)
+            ok, mat = _phi_induced(psi, krec, kspace, mc, chains, n)
             row = (lhs.describe(), rhs.describe(), ok and mat.is_iso())
             entries.append((krec.class_id, n, *row))
     return OmegaReport(desc=desc, entries=tuple(entries))
 
 
-def _phi_induced(psi, krec, kspace, orb_space, mc, chains, n):
+def _phi_induced(psi, krec, kspace, mc, chains, n):
     """The matrix of the loop-adjoint comparison on degree-n homology.
 
     A cycle z of N_n T_src(G/K) lifts to the family whose value on a
@@ -565,7 +551,7 @@ def _phi_induced(psi, krec, kspace, orb_space, mc, chains, n):
     def block_hom(cid, k, y):
         """N_n T_src(G/K) -> N_{k+n} T_tgt(G/H): the lift's block at y."""
         rec = mc.recs[cid]
-        alpha, u = _decode_kspace_point(kspace, orb_space, rec, k, y)
+        alpha, u = _decode_kspace_point(kspace, k, y)
         res = chains.transition_chain_map(OrbitMap(rec, krec, reps[u]), "res").comps[n]
         (src, sev), (tgt, tev) = chains.level(rec, n), mc.chains.level(rec, k + n)
         h = AbHom.zero(sev.value, tev.value)
@@ -602,20 +588,12 @@ def _shuffles(k, n):
         yield (-1) ** inversions, up_y, tuple(j - c for j, c in enumerate(up_y))
 
 
-def _decode_kspace_point(kspace, orb_space, rec, m, kappa):
-    """Split a fixed point of (S^W smash (G/K)_+) into its two factors."""
-    y, pts = fixed_system(kspace, rec.elements)
-    raw = pts[m][kappa]
-    w_pt, orbplus_pt = kspace._smash_points[m][raw]
-    u = _discrete_vertex_table(orb_space, m)[orbplus_pt]
-    return w_pt, u
-
-
-@lru_cache(maxsize=None)
-def _discrete_vertex_table(space, m):
-    """level-m point -> its last vertex, which is its only one for a
-    discrete space."""
-    return space.operator((m,), 0, m)
+def _decode_kspace_point(kspace, m, y):
+    """Split the nondegenerate non-base m-simplex y = (a^* x, b^* u) of
+    S^W smash (G/K)_+ into the index of a^* x in level m of S^W and the
+    vertex u of (G/K)_+."""
+    a, x, _, u = kspace._parts[m][y]
+    return _position(kspace._recipe[1], a, x, {}), u
 
 
 # -- graded tables -----------------------------------------------------------------

@@ -28,7 +28,7 @@ from eqmack.gsets import coset_space, std_orbit
 from eqmack.homotopy import (
     HomotopyError,
     MackeyChainComplex,
-    _decode_kspace_point,
+    _discrete_vertex_table,
     based_orbit_space,
 )
 from eqmack.mackey import OrbitMap, covariant_between, orbit_maps_between
@@ -356,6 +356,15 @@ class DeltaEquivariantMappingComplex(DeltaMappingComplex):
 def _degen_hom(mt, m, i):
     table = mt.K.degens[m][i].values
     return routed_hom(mt.A.value, mt.support(m), mt.support(m + 1), table)
+
+
+def _decode_kspace_point(kspace, orb_space, rec, m, kappa):
+    """Split a fixed point of (S^W smash (G/K)_+) into its two factors."""
+    y, pts = fixed_system(kspace, rec.elements)
+    raw = pts[m][kappa]
+    w_pt, orbplus_pt = kspace._smash_points[m][raw]
+    u = _discrete_vertex_table(orb_space, m)[orbplus_pt]
+    return w_pt, u
 
 
 def delta_phi_induced(psi, krec, kspace, orb_space, mc, chains, n):

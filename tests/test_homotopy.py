@@ -26,6 +26,7 @@ from eqmack.homotopy import (
     HomotopyError,
     MackeyChainComplex,
     MappingComplex,
+    _decode_kspace_point,
     based_orbit_space,
     bredon_groups,
     bredon_homology,
@@ -48,6 +49,7 @@ from eqmack.mackey import (
 )
 from eqmack.simplicial import (
     discrete_inclusion,
+    fixed_system,
     rotation_rep,
     s0_space,
     sign_rep,
@@ -71,6 +73,7 @@ from eqmack.tensor import (
 from delta_reference import (
     DeltaEquivariantMappingComplex,
     DeltaMappingComplex,
+    _decode_kspace_point as fixed_system_decode,
     delta_omega_entries,
     delta_phi_induced,
 )
@@ -751,6 +754,24 @@ def test_element_from_blocks_accepts_natural_and_rejects_other_families():
         mc.element_from_blocks(0, {(1, 0, 1): (1,)})
 
 
+def test_element_from_blocks_rejects_malformed_families():
+    # S^sigma into S^0 (x~) Z at bound 3: the fixed vertex has a block of one
+    # generator in each chart, the two edges of the chart of e have none
+    K = sphere_for_descriptors(C2, [sign_rep()], 3)
+    mc = MappingComplex(K, reduced_tensor(s0_space(C2, 3), constant_mackey(C2, Z)))
+    data = mc.degree_data(0)
+    assert [v.ngens for v in data["values"]] == [1, 1, 0, 0]
+    assert data["blocks"][:2] == ((1, 0, 1), (0, 0, 1))
+    # a vector too long for its block no longer spills into the next one
+    with pytest.raises(HomotopyError, match=r"block \(1, 0, 1\) needs a vector of length 1, not 2"):
+        mc.element_from_blocks(0, {(1, 0, 1): (1, 1)})
+    with pytest.raises(HomotopyError, match=r"degree 0 has no block \(2, 0, 1\)"):
+        mc.element_from_blocks(0, {(2, 0, 1): (1,)})
+    last = data["blocks"][-1]
+    with pytest.raises(HomotopyError, match="needs a vector of length 0, not 1"):
+        mc.element_from_blocks(0, {last: (1,)})
+
+
 # -- normalized chains against the full levels ------------------------------------
 
 
@@ -924,8 +945,35 @@ def test_homology_builds_no_full_level(monkeypatch):
     ses = c2_exact_sequence("coefficients-reduced", 4)
     for rec in subgroup_classes(C2):
         assert all(coefficient_les(ses, rec, 2)[1])
+    # the Hom complex reads its charts off the source's nondegenerate simplices
+    target = sphere_for_descriptors(C2, [sign_rep()] * 2, 3)
+    assert homotopy_classes([sign_rep()] * 2, target, M).describe() == "Z"
     with pytest.raises(AssertionError, match="a full level was built"):
         X.levels
+
+
+def test_omega_check_lays_out_only_the_suspension(monkeypatch):
+    # the loop comparison reads S^W, X and S^W smash X on full levels; the
+    # mapping complexes out of S^W smash (G/K)_+ and the decode of their
+    # simplices read the nondegenerate form alone
+    from eqmack import simplicial
+
+    laid, made, materialize = [], [], simplicial._materialize
+
+    def recording(X):
+        laid.append(X._recipe)
+        materialize(X)
+
+    def recording_psi(*args):
+        made.append(PsiMap(*args))
+        return made[-1]
+
+    monkeypatch.setattr("eqmack.simplicial._materialize", recording)
+    monkeypatch.setattr("eqmack.homotopy.PsiMap", recording_psi)
+    X = sphere_for_descriptors(C2, [sign_rep()], 3)
+    assert omega_spectrum_check(X, constant_mackey(C2, Z), sign_rep(), 1).passed
+    (psi,) = made
+    assert sorted(map(id, laid)) == sorted(id(Y._recipe) for Y in (psi.SW, X, psi.SX))
 
 
 # -- empty levels and layouts kept on the space ----------------------------------
@@ -1070,6 +1118,29 @@ def phi_outputs():
     return out
 
 
+def hom_complex_outputs():
+    """The degree groups, their inclusions into the blocks and the
+    differentials in degrees 0..2 of the package's Hom complexes: the omega
+    complexes for Burnside, Z and Z/2, S^sigma into S^{2 sigma} (x~) Z/2, and
+    the three W-equivariant complexes out of S^sigma.  Block names are left
+    out."""
+    complexes = [
+        mc
+        for M in (burnside_mackey(C2), constant_mackey(C2, Z), constant_mackey(C2, Z2))
+        for mc in omega_complexes(M)
+    ]
+    complexes.append(sigma_into_two_sigma_mod_2())
+    K = sphere_for_descriptors(C2, [sign_rep()], 3)
+    for coeffs in ("Z", "Z/2", "Z[C2]"):
+        complexes.append(EquivariantMappingComplex(K, ModuleTensor(K, module(coeffs))))
+    out = []
+    for mc in complexes:
+        for n in range(3):
+            data = mc.degree_data(n)
+            out.append((_group_data(data["group"]), data["incl"].mat, mc.differential(n).mat))
+    return out
+
+
 # sha256 of the repr of each output list, recorded when the normalized levels
 # had their own layout class and the loop comparison copied each
 # nondegenerate block to its offset in the full level by hand; the chains and
@@ -1078,6 +1149,9 @@ def phi_outputs():
 NORMALIZED_CHAINS_SHA256 = "39af5b86aef5b23cef935c2ce8276cd8331cfadb0f892b23f130eefa0805905a"
 LES_SHA256 = "cdf169fd8d9a2e1627655717d937d0e8c0f5fa229032a7377a98bdcfd629b8d3"
 PHI_SHA256 = "f01ae533ad45cad7eb591d2246df0919beb4bafdd08e97e062dc1f3dd7629b96"
+# recorded while the charts were the fixed-point systems of the source and
+# the orbit maps acted by phi_transition tables
+HOM_COMPLEXES_SHA256 = "4b97e20bf627c87b569f90bf0c297b98b209bf93e5d6ec33685293b561bc96c1"
 
 
 @pytest.mark.parametrize(
@@ -1086,8 +1160,9 @@ PHI_SHA256 = "f01ae533ad45cad7eb591d2246df0919beb4bafdd08e97e062dc1f3dd7629b96"
         (normalized_chain_outputs, NORMALIZED_CHAINS_SHA256),
         (les_outputs, LES_SHA256),
         (phi_outputs, PHI_SHA256),
+        (hom_complex_outputs, HOM_COMPLEXES_SHA256),
     ],
-    ids=["normalized-chains", "les", "phi"],
+    ids=["normalized-chains", "les", "phi", "hom-complexes"],
 )
 def test_homotopy_outputs_are_bit_identical(outputs, digest):
     assert hashlib.sha256(repr(outputs()).encode()).hexdigest() == digest
@@ -1180,3 +1255,26 @@ def test_omega_check_matches_the_reference(G, X, coeffs, desc, n_max, bound):
     assert got.entries == delta_omega_entries(space, M, desc, n_max)
     assert got.passed
 
+
+
+@pytest.mark.parametrize(
+    "G, desc",
+    [(C2, sign_rep()), (FiniteGroup.cyclic(3), rotation_rep(3, 1)), (S3, SIGN_A3)],
+    ids=["C2-sign", "C3-rot", "S3-sign"],
+)
+def test_kspace_decode_matches_the_fixed_system_decode(G, desc):
+    # a block (H, k, y) of an omega complex names the nondegenerate simplex y
+    # of S^W smash (G/K)_+ and is decoded from its smash parts; the reference
+    # decodes the same simplex through the fixed system and the full levels
+    SW = sphere_for_descriptors(G, [desc], 3)
+    for krec in subgroup_classes(G):
+        orb_space = based_orbit_space(G, krec, 3)
+        kspace = smash(SW, orb_space)
+        for rec in subgroup_classes(G):
+            points = fixed_system(kspace, rec.elements)[1]
+            for k in range(kspace.bound + 1):
+                for y in kspace.nd[k].fixed_by(rec.elements):
+                    p = kspace.nondegenerate(k)[y]
+                    if p != kspace.base(k):
+                        want = fixed_system_decode(kspace, orb_space, rec, k, points[k].index(p))
+                        assert _decode_kspace_point(kspace, k, y) == want
