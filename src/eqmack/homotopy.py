@@ -21,7 +21,8 @@ is a family natural over the orbit category of W into Y (x~) R_A, where
 R_A is the fixed-point functor W/J |-> A^J, so that (Y (x~) R_A)(W/J) is
 A~[Y]^J (Elmendorf, Systems of fixed point sets, 1983); the
 EquivariantMappingComplex is that orbit-category complex.  The loop
-comparison lifts a cycle by the Eilenberg-Zilber shuffle map.
+comparison lifts a cycle by the Eilenberg-Zilber shuffle map, on shuffle
+pairs among the nondegenerate simplices of S^W smash X.
 
 Truncation.  Every space is cut off at its bound, and by Dold-Kan two rules
 decide what such a cut reads exactly, each stated once below.  The chain
@@ -49,7 +50,7 @@ from .mackey import (
     covariant_between,
     orbit_maps_between,
 )
-from .simplicial import _position, discrete_space, smash, sphere_for_descriptors
+from .simplicial import discrete_space, smash, sphere_for_descriptors
 from .tensor import PsiMap, TensorMackey, _build_level, reduced_tensor
 
 __all__ = [
@@ -530,11 +531,11 @@ def _phi_induced(psi, krec, kspace, mc, chains, n):
     """The matrix of the loop-adjoint comparison on degree-n homology.
 
     A cycle z of N_n T_src(G/K) lifts to the family whose value on a
-    nondegenerate k-simplex y = (alpha, u) of (S^W smash (G/K)_+)^H is the
+    nondegenerate k-simplex y = (a^* x, u) of (S^W smash (G/K)_+)^H is the
     Eilenberg-Zilber shuffle map of z tensor y:
 
         f(y) = sum over (k, n)-shuffles (mu, nu) of
-               sign(nu, mu) psi(s_nu alpha smash s_mu z_u),
+               sign(nu, mu) psi(s_nu a^* x smash s_mu z_u),
 
     projected onto the normalized level k + n of T_tgt.  z_u is z restricted
     to G/H along the orbit map named by u; y steps up at the positions mu
@@ -542,22 +543,32 @@ def _phi_induced(psi, krec, kspace, mc, chains, n):
     sign(nu, mu) = (-1)^(kn) sign(mu, nu) is the sign of the permutation
     listing nu before mu.  With that sign f is a cycle of D f = d f -
     (-1)^n f d.
+
+    The terms are pairs of nondegenerate simplices: at (x', t) in N_n, the
+    pair ((a up_y)^* (g_t x), up_z^* x') of S^W smash X, with g_t the
+    representative of t in G/H, is degenerate, and goes to the sink,
+    exactly when a up_y and up_z repeat a common position.
     """
-    G = psi.M.group
+    G, SX = psi.M.group, psi.SX
     data = mc.degree_data(n)
     reps = coset_space(G, krec.elements)[1]
-    homs = {}
+    nd_x = {p: i for i, p in enumerate(psi.X.nondegenerate(n))}
+    names, homs = {}, {}  # names[m]: the smash parts of level m -> full-level name
 
     def block_hom(cid, k, y):
         """N_n T_src(G/K) -> N_{k+n} T_tgt(G/H): the lift's block at y."""
         rec = mc.recs[cid]
-        alpha, u = _decode_kspace_point(kspace, k, y)
+        a, x, _, u = kspace._parts[k][y]
         res = chains.transition_chain_map(OrbitMap(rec, krec, reps[u]), "res").comps[n]
         (src, sev), (tgt, tev) = chains.level(rec, n), mc.chains.level(rec, k + n)
+        if k + n not in names:
+            names[k + n] = dict(zip(SX._parts[k + n], SX.nondegenerate(k + n)))
+        name, act = names[k + n], psi.SW.nd[a[-1]].action
+        gx = [act[g][x] for g in coset_space(G, rec.elements)[1]]
         h = AbHom.zero(sev.value, tev.value)
         for sign, up_y, up_z in _shuffles(k, n):
-            a = psi.SW.operator(up_y, k + n, k)[alpha]
-            f = psi.pair_map(rec, k + n, a, src, tgt, psi.X.operator(up_z, k + n, n))
+            s = tuple(a[v] for v in up_y)
+            f = src.gmap(tgt, lambda p, t: (name.get((s, gx[t], up_z, nd_x[p])), t))
             h = h + covariant_between(psi.M, f, sev, tev, 0).scale(sign)
         return h.compose(res)
 
@@ -586,14 +597,6 @@ def _shuffles(k, n):
         up_y = tuple(sum(i < j for i in mu) for j in range(k + n + 1))
         inversions = sum(n + p - i for p, i in enumerate(mu))  # pairs mu_p < nu_q
         yield (-1) ** inversions, up_y, tuple(j - c for j, c in enumerate(up_y))
-
-
-def _decode_kspace_point(kspace, m, y):
-    """Split the nondegenerate non-base m-simplex y = (a^* x, b^* u) of
-    S^W smash (G/K)_+ into the index of a^* x in level m of S^W and the
-    vertex u of (G/K)_+."""
-    a, x, _, u = kspace._parts[m][y]
-    return _position(kspace._recipe[1], a, x, {}), u
 
 
 # -- graded tables -----------------------------------------------------------------

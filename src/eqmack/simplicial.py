@@ -534,8 +534,14 @@ def build_from_generators(G, nd_levels, nd_faces, bound=DEFAULT_BOUND, base_vert
     for m >= 1, whose points are the triples (k, z, sigma) in order, one per
     nondegenerate k-simplex z and surjection sigma: [m-1] ->> [k].
     """
+    _check_bound(bound)
     out = _generated(G, nd_levels, nd_faces, bound)
     return out.check() if base_vertex is None else out.as_based(base_vertex)
+
+
+def _check_bound(bound):
+    if bound < 0:
+        raise SimplicialError("bound %d is negative" % bound)
 
 
 def _generated(G, nd_levels, nd_faces, bound):
@@ -701,6 +707,7 @@ def join(K, L):
     """The join of two unbased simplicial G-sets, whose nondegenerate
     n-simplices are ("b", p, x, y), joining the p-simplex x of K to the
     (n-1-p)-simplex y of L, then ("l", x) and ("r", y), in full-level order."""
+    _check_groups(K, L)
     G, bound, kn, ln = K.group, min(K.bound, L.bound), K.nd, L.nd
     parts = [
         tuple(
@@ -756,6 +763,7 @@ def smash(X, Y):
     """
     if not (X.based and Y.based):
         raise SimplicialError("smash needs based inputs")
+    _check_groups(X, Y)
     G, bound = X.group, min(X.bound, Y.bound)
     (xnd, xf, xb), (ynd, yf, yb) = X._nd_form()[:3], Y._nd_form()[:3]
     kept = [
@@ -811,6 +819,11 @@ def smash(X, Y):
     return _nd_space(G, ("smash", X, Y), tuple(nd), tuple(faces), 0, parts, tuple(index))
 
 
+def _check_groups(X, Y):
+    if X.group != Y.group:
+        raise SimplicialError("the factors are over different groups")
+
+
 def _shuffle_pairs(n, p, q):
     """The surjections a: [n] ->> [p] and b: [n] ->> [q] that repeat no
     position in common: s_I and s_J with I and J disjoint, which for
@@ -834,6 +847,7 @@ def _joint(s, t):
 
 def wedge(X, Y):
     """One-point union of based simplicial G-sets."""
+    _check_groups(X, Y)
     bound = min(X.bound, Y.bound)
     pts = []
     for n in range(bound + 1):
@@ -1062,8 +1076,10 @@ def discrete_space(G, S, bound=DEFAULT_BOUND, base_vertex=None):
 def discrete_inclusion(src, tgt, vertex_values):
     """A simplicial map out of a discrete space, given on vertices: one
     vertex of tgt per vertex of src."""
-    vertices = range(tgt.levels[0].size)
-    if len(vertex_values) != src.levels[0].size or not all(v in vertices for v in vertex_values):
+    if any(src.nd[n].size for n in range(1, src.bound + 1)):
+        raise SimplicialError("the source is not discrete")
+    vertices = range(tgt.nd[0].size)
+    if len(vertex_values) != src.nd[0].size or not all(v in vertices for v in vertex_values):
         raise SimplicialError("need one vertex of the target per vertex of the source")
     # every point of a discrete space is a degeneracy of its last vertex
     levels = range(min(src.bound, tgt.bound) + 1)
@@ -1077,6 +1093,7 @@ def discrete_inclusion(src, tgt, vertex_values):
 
 def standard_simplex_plus(G, n, bound=DEFAULT_BOUND):
     """Delta[n] with a disjoint G-fixed basepoint, trivial action."""
+    _check_bound(bound)
     pts = [[None] + list(monotones(m, n)) for m in range(bound + 1)]
 
     def op_rule(alpha):

@@ -323,7 +323,9 @@ def rho_iso(X, hrec, module, reduced=False):
 
 class PsiMap:
     """The map smashing a fixed sphere simplex onto a reduced tensor class;
-    S^W is the sphere of the descriptors descs, built at X.bound."""
+    S^W is the sphere of the descriptors descs, built at X.bound.  component
+    reads full levels; the loop comparison (homotopy._phi_induced) reads
+    shuffle pairs among the smash's nondegenerate simplices instead."""
 
     def __init__(self, descs, X, M):
         self.descs = descs
@@ -335,26 +337,13 @@ class PsiMap:
         self.T_tgt = TensorMackey(self.SX, M, reduced=True)
 
     def level_map(self, rec, n, alpha):
-        """The based G-map (x, t) |-> ((alpha-hat(t), x), t) at level n."""
+        """The based G-map (x, t) |-> ((alpha-hat(t), x), t) of the full
+        level-n sets; for the basepoint alpha every pair goes to the sink."""
         S = std_orbit(self.M.group, rec)
         src, tgt = self.T_src.level_set(n, S), self.T_tgt.level_set(n, S)
-        return self.pair_map(rec, n, alpha, src, tgt, range(self.X.levels[n].size))
-
-    def pair_map(self, rec, n, alpha, src, tgt, op):
-        """The G-map of level sets (x, t) |-> ((alpha-hat(t), op[x]), t) into
-        level n of the smash, for a fixed sphere simplex alpha of level n and
-        a point table op into level n of X; a pair on a basepoint, or on a
-        simplex tgt leaves out, goes to tgt's sink."""
-        _, reps, _ = coset_space(self.M.group, rec.elements)
-        act = self.SW.levels[n].action
-        wbase, xbase = self.SW.base(n), self.X.base(n)
-        index = self.SX._smash_index[n]
-
-        def rule(x, t):
-            w, v = act[reps[t]][alpha], op[x]
-            return index[None if w == wbase or v == xbase else (w, v)], t
-
-        return src.gmap(tgt, rule)
+        reps, act = coset_space(self.M.group, rec.elements)[1], self.SW.levels[n].action
+        index, base = self.SX._smash_index[n], alpha == self.SW.base(n)
+        return src.gmap(tgt, lambda x, t: (index[None if base else (act[reps[t]][alpha], x)], t))
 
     def component(self, rec, n, alpha):
         """The homomorphism induced by a fixed sphere simplex alpha."""

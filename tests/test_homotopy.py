@@ -26,7 +26,7 @@ from eqmack.homotopy import (
     HomotopyError,
     MackeyChainComplex,
     MappingComplex,
-    _decode_kspace_point,
+    _phi_induced,
     based_orbit_space,
     bredon_groups,
     bredon_homology,
@@ -34,6 +34,7 @@ from eqmack.homotopy import (
     cofibration_les,
     exact_chain_maps,
     homotopy_classes,
+    normalized_chains,
     omega_spectrum_check,
     ro_graded_table,
 )
@@ -49,7 +50,6 @@ from eqmack.mackey import (
 )
 from eqmack.simplicial import (
     discrete_inclusion,
-    fixed_system,
     rotation_rep,
     s0_space,
     sign_rep,
@@ -73,7 +73,6 @@ from eqmack.tensor import (
 from delta_reference import (
     DeltaEquivariantMappingComplex,
     DeltaMappingComplex,
-    _decode_kspace_point as fixed_system_decode,
     delta_omega_entries,
     delta_phi_induced,
 )
@@ -83,7 +82,9 @@ Z = AbGroup.free(1)
 Z2 = AbGroup.cyclic(2)
 C2 = FiniteGroup.cyclic(2)
 S3 = FiniteGroup.symmetric(3)
+C4 = FiniteGroup.cyclic(4)
 SIGN_A3 = sign_rep(next(r for r in subgroup_classes(S3) if r.order == 3).elements)
+SIGN_C4 = sign_rep(next(r for r in subgroup_classes(C4) if r.order == 2).elements)
 
 
 def described(table):
@@ -952,28 +953,20 @@ def test_homology_builds_no_full_level(monkeypatch):
         X.levels
 
 
-def test_omega_check_lays_out_only_the_suspension(monkeypatch):
-    # the loop comparison reads S^W, X and S^W smash X on full levels; the
-    # mapping complexes out of S^W smash (G/K)_+ and the decode of their
-    # simplices read the nondegenerate form alone
-    from eqmack import simplicial
+def test_omega_check_lays_out_no_full_level(monkeypatch):
+    # the loop comparison lifts on the nondegenerate simplices of S^W, X and
+    # S^W smash X, and the mapping complexes out of S^W smash (G/K)_+ read
+    # their nondegenerate form alone
+    def refuse(X):
+        raise AssertionError("a full level was built")
 
-    laid, made, materialize = [], [], simplicial._materialize
-
-    def recording(X):
-        laid.append(X._recipe)
-        materialize(X)
-
-    def recording_psi(*args):
-        made.append(PsiMap(*args))
-        return made[-1]
-
-    monkeypatch.setattr("eqmack.simplicial._materialize", recording)
-    monkeypatch.setattr("eqmack.homotopy.PsiMap", recording_psi)
+    monkeypatch.setattr("eqmack.simplicial._materialize", refuse)
     X = sphere_for_descriptors(C2, [sign_rep()], 3)
     assert omega_spectrum_check(X, constant_mackey(C2, Z), sign_rep(), 1).passed
-    (psi,) = made
-    assert sorted(map(id, laid)) == sorted(id(Y._recipe) for Y in (psi.SW, X, psi.SX))
+    Y = sphere_for_descriptors(C2, [sign_rep()] * 2, 4)
+    assert omega_spectrum_check(Y, coefficients("Z/2"), trivial_rep(1), 2).passed
+    with pytest.raises(AssertionError, match="a full level was built"):
+        X.levels
 
 
 # -- empty levels and layouts kept on the space ----------------------------------
@@ -1118,6 +1111,36 @@ def phi_outputs():
     return out
 
 
+def package_phi_outputs():
+    """(ok, matrix) of the package's loop comparison, as the omega check
+    computes it, for n <= n_max: C2 with Burnside, Z and Z/2 coefficients,
+    S^0, S^sigma and S^1 sources and trivial and sign twists at bound 3,
+    then C3 rot:3:1, the S3 sign of A3, C4 rot:4:1 and the C4 sign with
+    kernel C2."""
+    cases = [
+        (C2, X, coeffs, desc, 2, 3)
+        for coeffs in ("burnside", "Z", "Z/2")
+        for X in ([], [sign_rep()], [trivial_rep(1)])
+        for desc in (trivial_rep(1), sign_rep())
+    ] + [
+        (FiniteGroup.cyclic(3), [], "burnside", rotation_rep(3, 1), 1, 3),
+        (S3, [], "burnside", SIGN_A3, 1, 2),
+        (C4, [], "burnside", rotation_rep(4, 1), 0, 3),
+        (C4, [], "Z", SIGN_C4, 1, 2),
+    ]
+    out = []
+    for G, X, coeffs, desc, n_max, bound in cases:
+        psi = PsiMap([desc], sphere_for_descriptors(G, X, bound), coefficients(coeffs, G))
+        chains = normalized_chains(psi.T_src)
+        for krec in subgroup_classes(G):
+            kspace = smash(psi.SW, based_orbit_space(G, krec, bound))
+            mc = MappingComplex(kspace, psi.T_tgt)
+            for n in range(n_max + 1):
+                ok, mat = _phi_induced(psi, krec, kspace, mc, chains, n)
+                out.append((ok, mat and _hom_data(mat)))
+    return out
+
+
 def hom_complex_outputs():
     """The degree groups, their inclusions into the blocks and the
     differentials in degrees 0..2 of the package's Hom complexes: the omega
@@ -1152,6 +1175,9 @@ PHI_SHA256 = "f01ae533ad45cad7eb591d2246df0919beb4bafdd08e97e062dc1f3dd7629b96"
 # recorded while the charts were the fixed-point systems of the source and
 # the orbit maps acted by phi_transition tables
 HOM_COMPLEXES_SHA256 = "4b97e20bf627c87b569f90bf0c297b98b209bf93e5d6ec33685293b561bc96c1"
+# recorded while the lift decoded each source simplex into its full level and
+# paired the factors' point tables through the smash's full-level index
+PACKAGE_PHI_SHA256 = "e3a7ff2ac7500184b9f3587b71d39030923d4784cc5fe343e2a70a900b12496b"
 
 
 @pytest.mark.parametrize(
@@ -1161,8 +1187,9 @@ HOM_COMPLEXES_SHA256 = "4b97e20bf627c87b569f90bf0c297b98b209bf93e5d6ec33685293b5
         (les_outputs, LES_SHA256),
         (phi_outputs, PHI_SHA256),
         (hom_complex_outputs, HOM_COMPLEXES_SHA256),
+        (package_phi_outputs, PACKAGE_PHI_SHA256),
     ],
-    ids=["normalized-chains", "les", "phi", "hom-complexes"],
+    ids=["normalized-chains", "les", "phi", "hom-complexes", "package-phi"],
 )
 def test_homotopy_outputs_are_bit_identical(outputs, digest):
     assert hashlib.sha256(repr(outputs()).encode()).hexdigest() == digest
@@ -1254,27 +1281,3 @@ def test_omega_check_matches_the_reference(G, X, coeffs, desc, n_max, bound):
     got = omega_spectrum_check(space, M, desc, n_max)
     assert got.entries == delta_omega_entries(space, M, desc, n_max)
     assert got.passed
-
-
-
-@pytest.mark.parametrize(
-    "G, desc",
-    [(C2, sign_rep()), (FiniteGroup.cyclic(3), rotation_rep(3, 1)), (S3, SIGN_A3)],
-    ids=["C2-sign", "C3-rot", "S3-sign"],
-)
-def test_kspace_decode_matches_the_fixed_system_decode(G, desc):
-    # a block (H, k, y) of an omega complex names the nondegenerate simplex y
-    # of S^W smash (G/K)_+ and is decoded from its smash parts; the reference
-    # decodes the same simplex through the fixed system and the full levels
-    SW = sphere_for_descriptors(G, [desc], 3)
-    for krec in subgroup_classes(G):
-        orb_space = based_orbit_space(G, krec, 3)
-        kspace = smash(SW, orb_space)
-        for rec in subgroup_classes(G):
-            points = fixed_system(kspace, rec.elements)[1]
-            for k in range(kspace.bound + 1):
-                for y in kspace.nd[k].fixed_by(rec.elements):
-                    p = kspace.nondegenerate(k)[y]
-                    if p != kspace.base(k):
-                        want = fixed_system_decode(kspace, orb_space, rec, k, points[k].index(p))
-                        assert _decode_kspace_point(kspace, k, y) == want

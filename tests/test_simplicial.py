@@ -482,6 +482,48 @@ def test_discrete_inclusion_needs_one_target_vertex_per_source_vertex():
             discrete_inclusion(s0, sig, values)
 
 
+def test_discrete_inclusion_rejects_a_source_that_is_not_discrete(monkeypatch):
+    # S^sigma has edges: (0, 0) was taken for a constant map, and (0, 1)
+    # failed as "map does not commute with d_1"; the check reads the
+    # nondegenerate simplices, so nothing is laid out before it
+    def refuse(X):
+        raise AssertionError("a full level was built")
+
+    sig = sphere_for_descriptors(C2, [sign_rep()], 3)
+    monkeypatch.setattr("eqmack.simplicial._materialize", refuse)
+    for values in ((0, 0), (0, 1)):
+        with pytest.raises(SimplicialError, match="the source is not discrete"):
+            discrete_inclusion(sig, sig, values)
+
+
+@pytest.mark.parametrize("build", [smash, join, wedge], ids=["smash", "join", "wedge"])
+@pytest.mark.parametrize("orders", [(4, 2), (2, 4), (2, 3)])
+def test_products_reject_factors_over_different_groups(build, orders):
+    # smash gave a space over its first factor's group from zip-truncated
+    # actions, whose Bredon groups came out wrong or raised IndexError; join
+    # took mixed groups, and wedge raised GSetError or IndexError by order
+    X, Y = (s0_space(FiniteGroup.cyclic(k), 2) for k in orders)
+    with pytest.raises(SimplicialError, match="the factors are over different groups"):
+        build(X, Y)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: s0_space(C2, -1),
+        lambda: sphere_for_descriptors(C2, [sign_rep()], -1),
+        lambda: build_from_generators(C2, [GSet(C2, 1, ((0,), (0,)))], [None], bound=-1),
+        lambda: standard_simplex_plus(C2, 1, -1),
+    ],
+    ids=["s0", "sphere", "generators", "simplex"],
+)
+def test_a_negative_bound_is_rejected(build):
+    # the based constructors raised IndexError in as_based, and
+    # build_from_generators and standard_simplex_plus built no level at all
+    with pytest.raises(SimplicialError, match="bound -1 is negative"):
+        build()
+
+
 # -- the nondegenerate form ---------------------------------------------------------
 
 
@@ -498,7 +540,8 @@ def nondegenerate_spaces():
         sphere_for_descriptors(C4, [rotation_rep(4, 1), sign_rep((0, 2))], 4),
         suspend(sphere_for_descriptors(C3, [rotation_rep(3, 1)], 3), trivial_rep(2)),
         smash(standard_simplex_plus(C2, 1, 3), sig),
-        smash(fixed_system(sphere_for_descriptors(C2, [sign_rep()] * 2, 3), (0, 1))[0], sig),
+        # the fixed points of the trivial subgroup: a C2-space given by its full levels
+        smash(fixed_system(sphere_for_descriptors(C2, [sign_rep()] * 2, 3), (0,))[0], sig),
         smash(wedge(circle_space(C2, 3), sig)[0], sig),
         join(sig, s0_space(C2, 3)),
     ]
