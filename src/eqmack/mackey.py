@@ -227,12 +227,27 @@ class WeylModule(Frozen):
                 terms = [[(wset.action[W.inv(w)][y], w) for w in ws] for y in lay[0]]
                 out = _fixed_block_hom(base, self.orbits(src), lay, terms, fs, ft)
             else:
-                out = sum((self.hom(w) for w in ws[1:]), self.hom(ws[0])).compose(incl_s)
-                out = out if ft is self.value else incl_t.preimage_matrix(out)
+                out = self.into_fixed(tgt, sum((self.hom(w) for w in ws[1:]), self.hom(ws[0])).compose(incl_s))
                 if out is None:
                     raise MackeyError("a sum of translates is not fixed")
             self._fixed[key] = out
         return self._fixed[key]
+
+    def into_fixed(self, K, h):
+        """The hom h into A, whose image K fixes, as a hom into A^K.  A
+        permutation module reads h at the representative y of each K-orbit
+        off y's copy of its base, lifted into the base's fixed part at K_y,
+        as fixed_map reads a sum; any other lifts it through A^K, a single
+        copy of A, and gives None when K moves the image."""
+        F, incl = self.fixed(K)
+        if F is self.value or self._perm is None:
+            return h if F is self.value else incl.preimage_matrix(h)
+        (reps, stabs, _), base, blocks = self.orbits(K), self._perm[0], []
+        for j, (y, stab) in enumerate(zip(reps, stabs)):
+            lo, hi = y * base.value.ngens, (y + 1) * base.value.ngens
+            cols = [{r - lo: v for r, v in col.items() if lo <= r < hi} for col in h.cols]
+            blocks.append((j, 0, base.into_fixed(stab, AbHom.from_columns(h.src, base.value, cols))))
+        return ab.assemble_block_hom([h.src], [base.fixed(k)[0] for k in stabs], blocks)[0]
 
 
 def _fixed_block_hom(A, src, tgt, terms, src_value, tgt_value):
@@ -476,8 +491,7 @@ def fp_postcompose(f_src, f_tgt, theta, S):
     (_, orbits, sv), tv = f_src._orbit_layout(S), f_tgt.value_of(S)
     parts, entries = [[M.fixed(k)[0] for k in orbits[1]] for M in (A, B)], []
     for i, k in enumerate(orbits[1]):
-        h, (fb, incl) = theta.compose(A.fixed(k)[1]), B.fixed(k)
-        entries.append((i, i, h if fb is B.value else incl.preimage_matrix(h)))
+        entries.append((i, i, B.into_fixed(k, theta.compose(A.fixed(k)[1]))))
     return AbHom.from_columns(sv, tv, ab.assemble_block_hom(*parts, entries)[0].cols)
 
 

@@ -5,12 +5,14 @@ their G-action, their faces as (degeneracy, nondegenerate simplex) and the
 basepoint.  By the Eilenberg-Zilber lemma every simplex is s_I y for one
 nondegenerate y (Goerss-Jardine, Simplicial Homotopy Theory, 1999), so the
 full levels follow, built on first read.  A smash pairs its factors'
-nondegenerate simplices by shuffles.  Wedges, collapses, fixed points,
-Delta[n]_+ and a smash's full levels are laid out by _assemble from point
-rules.  Maps given by point rules are checked by _levelwise.
+nondegenerate simplices by shuffles, a wedge joins them at one basepoint,
+and a quotient X/Y keeps those of X off Y; a map is given by the images of
+the nondegenerate simplices.  Fixed-point systems, Delta[n]_+ and a smash's
+full levels are laid out by _assemble from point rules.
 """
 
 import itertools
+from bisect import bisect_left
 from functools import lru_cache
 from math import comb
 
@@ -98,16 +100,20 @@ class SimplicialGSet(Frozen):
     their full-level indices, nd_faces[n][i][y] is d_i y as (sigma, z) for
     sigma^* z with sigma a degeneracy's surjection, nd_base the basepoint.
 
-    The fields are the full levels: levels holds a GSet per degree
+    The full levels are fields too: levels holds a GSet per degree
     0..bound; faces[n][i] is the GMap levels[n] -> levels[n-1], with
     faces[0] = (), and degens[n][i] the GMap levels[n] -> levels[n+1], with
     an empty last entry; basepoints holds the basepoint index per level, or
     is None.  A space built from its nondegenerate simplices by _recipe
-    builds levels, faces and degens (and a smash's or join's point tables)
-    on first read, as == and hash do; one given by its full levels reads off
-    its nondegenerate form on first read.  Not compared: _flags, the
+    lays out levels, faces and degens (and a smash's or join's point
+    tables) only when they are read: by == and hash, by the public psi
+    (tensor.PsiMap.component), by TensorMackey's level API, by tests and by
+    the benchmark's tracer; nothing else in the package reads them.  One
+    given by its full levels reads off its nondegenerate form on first
+    read.  Not compared: _flags, the
     degeneracy flags read so far, and _layouts, the normalized level sets
-    and face maps of the chains over it (homotopy.MackeyChainComplex).
+    and face maps of the chains over it (homotopy.MackeyChainComplex) and
+    the orbits of rho over it (tensor.RhoIso).
     """
 
     __slots__ = (
@@ -169,7 +175,6 @@ class SimplicialGSet(Frozen):
                 raise SimplicialError("level %d needs %d faces" % (n, n + 1))
             if n < b and len(self.degens[n]) != n + 1:
                 raise SimplicialError("level %d needs %d degeneracies" % (n, n + 1))
-        for n in range(b + 1):
             for i, op in enumerate(self.faces[n]):
                 if op.src != self.levels[n] or op.tgt != self.levels[n - 1]:
                     raise SimplicialError("d_%d of level %d is mis-levelled" % (i, n))
@@ -221,14 +226,10 @@ class SimplicialGSet(Frozen):
     def operator(self, alpha, n_src, n_tgt):
         """The simplicial operator alpha*: level n_tgt -> level n_src for a
         monotone alpha: [n_src] -> [n_tgt], as a point table."""
-        if (
-            len(alpha) != n_src + 1
-            or any(not 0 <= v <= n_tgt for v in alpha)
-            or any(u > v for u, v in zip(alpha, alpha[1:]))
+        if len(alpha) != n_src + 1 or any(not 0 <= v <= n_tgt for v in alpha) or any(
+            u > v for u, v in zip(alpha, alpha[1:])
         ):
-            raise SimplicialError(
-                "%r is not a monotone map [%d] -> [%d]" % (alpha, n_src, n_tgt)
-            )
+            raise SimplicialError("%r is not a monotone map [%d] -> [%d]" % (alpha, n_src, n_tgt))
         iota, pi = epi_mono(alpha)
         vals = list(range(self.levels[n_tgt].size))
         cur = n_tgt
@@ -276,17 +277,9 @@ def degeneracy_word(pi):
 
 @lru_cache(maxsize=None)
 def _degenerate_flags(X, n):
-    size = X.levels[n].size
-    flags = [False] * size
-    if n == 0:
-        return tuple(flags)
-    for i in range(n):
-        s = X.degens[n - 1][i]
-        d = X.faces[n][i]
-        for p in range(size):
-            if s.values[d.values[p]] == p:
-                flags[p] = True
-    return tuple(flags)
+    """p is degenerate exactly when s_i d_i p = p for some i < n."""
+    pairs = [(X.degens[n - 1][i].values, X.faces[n][i].values) for i in range(n)]
+    return tuple(any(s[d[p]] == p for s, d in pairs) for p in range(X.levels[n].size))
 
 
 # -- the nondegenerate form ------------------------------------------------------
@@ -306,7 +299,7 @@ def _nd_space(G, recipe, nd, faces, base, parts=None, index=None):
     X, memo = object.__new__(SimplicialGSet), {}
     sizes = tuple(sum(nd[k].size * comb(n, k) for k in range(n + 1)) for n in range(len(nd)))
     _fill(X, [("group", G)], (nd, faces, base, index, sizes), recipe, parts)
-    ident = [tuple(range(n + 1)) for n in range(len(nd))]
+    ident = _identities(len(nd) - 1)
     if index is None:
         index = tuple(
             tuple(_position(X, s, z, memo) for z in range(lv.size)) for s, lv in zip(ident, nd)
@@ -322,7 +315,9 @@ def _position(X, sigma, z, memo):
     surjection sigma: [n] ->> [m] and a nondegenerate m-simplex z, in the
     order of X's constructor; memo keeps the indices found so far.  A smash
     lays out its basepoint, then the pairs of non-base points; a join the
-    points ("b", p, x, y) by (p, x, y), then ("l", x), then ("r", y)."""
+    points ("b", p, x, y) by (p, x, y), then ("l", x), then ("r", y); a
+    wedge its basepoint, then the non-base points of each side; a quotient
+    its crushed class, then the points off the subcomplex in order."""
     key, n, m = (id(X), sigma, z), len(sigma) - 1, sigma[-1]
     kind = X._recipe and X._recipe[0]
     if key in memo:
@@ -336,6 +331,17 @@ def _position(X, sigma, z, memo):
         p = X.nondegenerate(m)[z]
         for i in degeneracy_word(sigma):
             p, m = X.degens[m][i].values[p], m + 1
+    elif kind in ("wedge", "quotient"):  # point 0 is the base or the crushed class
+        part, A = X._parts[m][z], X._recipe[1]
+        if part is None:
+            p = 0
+        elif kind == "quotient":
+            p = _position(A, sigma, part, memo)
+            p += 1 - bisect_left(X._recipe[2][n], p)
+        else:
+            S = X._recipe[1 + (part[0] == "r")]
+            p = _position(S, sigma, part[1], memo)
+            p += (p < S.basepoints[n]) + (part[0] == "r" and A._nd_form()[4][n] - 1)
     else:
         point, (A, B) = _point(X, X._parts[m][z], sigma, memo), X._recipe[1:]
         sa, sb = A._nd_form()[4], B._nd_form()[4]
@@ -513,16 +519,6 @@ def _assemble(G, pts, act, face, degen, basepoints=None, trusted=False):
     return (levels, faces, degens, basepoints), index
 
 
-def _levelwise(X, Y, rule):
-    """The checked simplicial map X -> Y sending the level-n point p to the
-    point rule(n, p) of Y_n."""
-    comps = tuple(
-        GMap(X.levels[n], Y.levels[n], tuple(rule(n, p) for p in range(X.levels[n].size)))
-        for n in range(min(X.bound, Y.bound) + 1)
-    )
-    return SimplicialGMap(X, Y, comps).check()
-
-
 # -- generation from nondegenerate data ----------------------------------------
 
 
@@ -570,84 +566,110 @@ def _generated(G, nd_levels, nd_faces, bound):
 
 
 class SimplicialGMap(Frozen):
-    """comps holds a GMap per level; _cofiber, which is not compared, keeps
-    the cofiber once it is built."""
+    """A simplicial G-map src -> tgt by the images of the nondegenerate
+    simplices up to the lower bound: images[n][y] = (sigma, z) is the image
+    sigma^* z of the nondegenerate n-simplex y.  comps, a GMap per full
+    level, is laid out only when read, as == and hash do.  Not compared:
+    _cofiber, the cofiber once built, and _tables, the images of
+    nondegenerate simplices by full-level index read so far."""
 
-    __slots__ = ("src", "tgt", "comps", "_cofiber")
+    __slots__ = ("src", "tgt", "images", "_comps", "_cofiber", "_tables")
+    comps = property(lambda self: self._comps)
 
-    def __init__(self, src, tgt, comps):
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "tgt", tgt)
-        object.__setattr__(self, "comps", comps)
-        object.__setattr__(self, "_key", (src, tgt, comps))
-        object.__setattr__(self, "_cofiber", None)
+    def __init__(self, src, tgt, images):
+        fields = ("src", src), ("tgt", tgt), ("images", tuple(map(tuple, images)))
+        for name, value in (*fields, ("_cofiber", None), ("_tables", {})):
+            object.__setattr__(self, name, value)
 
-    def comp(self, n):
-        return self.comps[n]
+    def __getattr__(self, name):
+        # reached only for an unset slot: the full levels and the key
+        if name not in ("_comps", "_key"):
+            raise AttributeError(name)
+        X, Y, memo, comps = self.src, self.tgt, {}, []
+        for n, size in enumerate(X._nd_form()[4][: len(self.images)]):
+            values = [None] * size
+            for k, s in ((k, s) for k in range(n + 1) for s in surjections(n, k)):
+                for y, (t, z) in enumerate(self.images[k]):
+                    values[_position(X, s, y, memo)] = _position(Y, compose_monotone(t, s), z, memo)
+            comps.append(GMap._trusted(X.levels[n], Y.levels[n], tuple(values)))
+        object.__setattr__(self, "_comps", tuple(comps))
+        object.__setattr__(self, "_key", (X, Y, self._comps))
+        return object.__getattribute__(self, name)
+
+    def image_of(self, n, p):
+        """The full-level index in tgt of the image of the level-n point p of
+        src: read off images when p is nondegenerate, off comps otherwise."""
+        if n not in self._tables:
+            memo, nd = {}, self.src.nondegenerate(n)
+            self._tables[n] = {p: _position(self.tgt, s, z, memo) for p, (s, z) in zip(nd, self.images[n])}
+        table = self._tables[n]
+        return table[p] if p in table else self.comps[n].values[p]
 
     def cofiber(self):
-        """(tgt / image, projection) for a checked levelwise injection,
-        built once per map."""
+        """(tgt / image, projection) for a checked levelwise injection, built
+        once per map.  By the Eilenberg-Zilber lemma the map is injective
+        exactly when it sends the nondegenerate simplices one to one onto
+        nondegenerate simplices, which then make up the image."""
         if self._cofiber is None:
             X = self.check().tgt
             if self.src.bound != X.bound:
-                raise SimplicialError(
-                    "a cofibration needs one bound, not %d and %d" % (self.src.bound, X.bound)
-                )
-            if not all(f.is_injective() for f in self.comps):
+                raise SimplicialError("a cofibration needs one bound, not %d and %d" % (self.src.bound, X.bound))
+            subs = [{z for s, z in row if s[-1] == n} for n, row in enumerate(self.images)]
+            if any(len(sub) < len(row) for sub, row in zip(subs, self.images)):
                 raise SimplicialError("cofibration needs a levelwise injection")
-            subs = [set(self.comps[n].values) for n in range(X.bound + 1)]
             object.__setattr__(self, "_cofiber", collapse(X, subs))
         return self._cofiber
 
     def check(self):
-        X, Y, f = self.src, self.tgt, self.comps
-        b = min(X.bound, Y.bound)
-        for n in range(b + 1):
-            if f[n].src != X.levels[n] or f[n].tgt != Y.levels[n]:
+        """The images, their equivariance, the faces and the basepoint, on
+        the nondegenerate simplices; with the degeneracies formal, the map
+        commutes with them by construction."""
+        X, Y, images = self.src, self.tgt, self.images
+        if len(images) != min(X.bound, Y.bound) + 1:
+            raise SimplicialError("the map needs images at levels 0..%d" % min(X.bound, Y.bound))
+        for n, row in enumerate(images):
+            if len(row) != X.nd[n].size or any(
+                s not in surjections(n, s[-1]) or not 0 <= z < Y.nd[s[-1]].size for s, z in row
+            ):
                 raise SimplicialError("component %d of the map is mis-levelled" % n)
-        for n in range(1, b + 1):
-            for i in range(n + 1):
-                if _table(Y.face(n, i), f[n]) != _table(f[n - 1], X.face(n, i)):
-                    raise SimplicialError("map does not commute with d_%d" % i)
-        for n in range(b):
-            for i in range(n + 1):
-                if _table(Y.degen(n, i), f[n]) != _table(f[n + 1], X.degen(n, i)):
-                    raise SimplicialError("map does not commute with s_%d" % i)
-        if self.src.based and self.tgt.based:
-            for n in range(b + 1):
-                if self.comps[n].values[self.src.base(n)] != self.tgt.base(n):
-                    raise SimplicialError("map is not based")
+            for g, act in enumerate(X.nd[n].action):
+                if any(row[act[y]] != (s, Y.nd[s[-1]].action[g][z]) for y, (s, z) in enumerate(row)):
+                    raise SimplicialError("map is not equivariant at level %d" % n)
+            for i, faces in enumerate(X.nd_faces[n]):
+                for (s, z), (t, w) in zip(row, faces):
+                    u, v = images[t[-1]][w]
+                    if _face_nf(Y.nd_faces, i, s, z) != (compose_monotone(u, t), v):
+                        raise SimplicialError("map does not commute with d_%d" % i)
+        if X.based and Y.based and images[0][X.nd_base] != ((0,), Y.nd_base):
+            raise SimplicialError("map is not based")
         return self
 
     @staticmethod
     def identity(x):
-        return SimplicialGMap(
-            x, x, tuple(GMap.identity(l) for l in x.levels)
-        )
+        return SimplicialGMap(x, x, ([(s, y) for y in range(lv.size)] for s, lv in zip(_identities(x.bound), x.nd)))
+
+
+def _identities(bound):
+    """The identity maps of [0], ..., [bound] as value tuples."""
+    return [tuple(range(n + 1)) for n in range(bound + 1)]
 
 
 # -- basic spaces ---------------------------------------------------------------
 
 
 def point_space(G, bound=DEFAULT_BOUND):
-    pt = point_gset(G)
-    return build_from_generators(G, [pt], [None], bound=bound, base_vertex=0)
+    return build_from_generators(G, [point_gset(G)], [None], bound=bound, base_vertex=0)
 
 
 def s0_space(G, bound=DEFAULT_BOUND):
-    v = trivial_gset(G, 2)
-    return build_from_generators(G, [v], [None], bound=bound, base_vertex=0)
+    return build_from_generators(G, [trivial_gset(G, 2)], [None], bound=bound, base_vertex=0)
 
 
 def circle_space(G, bound=DEFAULT_BOUND):
-    """Minimal based circle with trivial action: one vertex, one edge."""
+    """Minimal based circle with trivial action: one vertex, one edge, both
+    of whose ends are at the vertex."""
     v = trivial_gset(G, 1)
-    e = trivial_gset(G, 1)
-    faces1 = [(0,), (0,)]  # both ends at the vertex
-    return build_from_generators(
-        G, [v, e], [None, faces1], bound=bound, base_vertex=0
-    )
+    return build_from_generators(G, [v, v], [None, [(0,), (0,)]], bound=bound, base_vertex=0)
 
 
 def sign_circle(G, kernel, bound=DEFAULT_BOUND):
@@ -659,22 +681,16 @@ def sign_circle(G, kernel, bound=DEFAULT_BOUND):
     ker = frozenset(kernel)
     if len(ker) * 2 != G.order:
         raise SimplicialError("sign sphere needs an index-2 kernel")
-    v = GSet(G, 2, tuple((0, 1) for _ in G.elements()))
-    e_action = tuple(
-        ((0, 1) if g in ker else (1, 0)) for g in G.elements()
-    )
-    e = GSet(G, 2, e_action)
+    e = GSet(G, 2, tuple(((0, 1) if g in ker else (1, 0)) for g in G.elements()))
     faces1 = [(0, 0), (1, 1)]  # d_0 = base vertex, d_1 = the other vertex
-    return build_from_generators(G, [v, e], [None, faces1], bound=bound, base_vertex=0)
+    return build_from_generators(G, [trivial_gset(G, 2), e], [None, faces1], bound=bound, base_vertex=0)
 
 
 def rotation_sphere(G, n, k, bound=DEFAULT_BOUND):
     """Unreduced suspension of the n-gon rotated by k, based at a cone point."""
     if G.order != n:
         raise SimplicialError("rotation sphere needs the cyclic group C%d" % n)
-    gen = next(
-        (g for g in G.elements() if G.element_order(g) == n), None
-    )
+    gen = next((g for g in G.elements() if G.element_order(g) == n), None)
     if gen is None:
         raise SimplicialError("group is not cyclic of order %d" % n)
     # order elements as powers of the generator
@@ -682,24 +698,11 @@ def rotation_sphere(G, n, k, bound=DEFAULT_BOUND):
     for _ in range(n - 1):
         powers.append(G.mul[powers[-1]][gen])
     expo = {g: i for i, g in enumerate(powers)}
-    vert = GSet(
-        G,
-        n,
-        tuple(
-            tuple((expo[g] * k + v) % n for v in range(n)) for g in G.elements()
-        ),
-    )
-    edge = vert  # same free rotation action on edges
-    # edge i runs from vertex i to vertex i+1
-    ngon = build_from_generators(
-        G,
-        [vert, edge],
-        [None, [tuple((i + 1) % n for i in range(n)), tuple(range(n))]],
-        bound=bound,
-    )
-    poles = build_from_generators(
-        G, [trivial_gset(G, 2)], [None], bound=bound
-    )
+    vert = GSet(G, n, tuple(tuple((expo[g] * k + v) % n for v in range(n)) for g in G.elements()))
+    # the edges rotate as the vertices do, and edge i runs from vertex i to vertex i+1
+    faces1 = [tuple((i + 1) % n for i in range(n)), tuple(range(n))]
+    ngon = build_from_generators(G, [vert, vert], [None, faces1], bound=bound)
+    poles = build_from_generators(G, [trivial_gset(G, 2)], [None], bound=bound)
     return join(ngon, poles).as_based(n)  # the first cone point, after the n-gon
 
 
@@ -846,101 +849,77 @@ def _joint(s, t):
 
 
 def wedge(X, Y):
-    """One-point union of based simplicial G-sets."""
+    """One-point union of based simplicial G-sets, with its two inclusions.
+
+    Its nondegenerate simplices are those of X and Y with the two
+    basepoints made one, the vertex 0: in the order of the full level, the
+    basepoint, then ("l", x) for the non-base x of X, then ("r", y).  Built
+    from checked spaces, it and the inclusions are not checked."""
+    if not (X.based and Y.based):
+        raise SimplicialError("wedge needs based inputs")
     _check_groups(X, Y)
-    bound = min(X.bound, Y.bound)
-    pts = []
-    for n in range(bound + 1):
-        level = [None]
-        for x in range(X.levels[n].size):
-            if x != X.base(n):
-                level.append(("l", x))
-        for y in range(Y.levels[n].size):
-            if y != Y.base(n):
-                level.append(("r", y))
-        pts.append(level)
+    G, bound, sides = X.group, min(X.bound, Y.bound), {"l": X, "r": Y}
+    parts = [(None,) * (n == 0) + tuple((c, x) for c, S in sides.items() for x in range(S.nd[n].size)
+                                        if n or x != S.nd_base) for n in range(bound + 1)]
+    ix = [{t: k for k, t in enumerate(level)} for level in parts]
 
-    def side_rule(m, fx, fy):
-        """(l, x) -> (l, fx[x]) and (r, y) -> (r, fy[y]) into level m,
-        crushing the basepoints."""
-        bx, by = X.base(m), Y.base(m)
+    def name(c, s, x):
+        """(s, the wedge's index of x) for the simplex s^* x of side c."""
+        return s, 0 if s[-1] == 0 and x == sides[c].nd_base else ix[s[-1]][c, x]
 
-        def rule(p):
-            side, v = p
-            if side == "l":
-                v = fx[v]
-                return None if v == bx else ("l", v)
-            v = fy[v]
-            return None if v == by else ("r", v)
-
-        return rule
-
-    full, index = _assemble(
-        X.group,
-        pts,
-        lambda g, n: side_rule(n, X.levels[n].action[g], Y.levels[n].action[g]),
-        lambda n, i: side_rule(n - 1, X.faces[n][i].values, Y.faces[n][i].values),
-        lambda n, i: side_rule(n + 1, X.degens[n][i].values, Y.degens[n][i].values),
-        [None] * (bound + 1),
+    nd = tuple(GSet._trusted(G, len(level), tuple(
+        tuple(ix[n][t[0], sides[t[0]].nd[n].action[g][t[1]]] if t else 0 for t in level) for g in G.elements()
+    )) for n, level in enumerate(parts))
+    faces = ((),) + tuple(
+        tuple(tuple(name(c, *sides[c].nd_faces[n][i][x]) for c, x in level) for i in range(n + 1))
+        for n, level in enumerate(parts) if n
     )
-    out = SimplicialGSet(X.group, *full)
-    incl_x = _levelwise(X, out, lambda n, x: index[n][None if x == X.base(n) else ("l", x)])
-    incl_y = _levelwise(Y, out, lambda n, y: index[n][None if y == Y.base(n) else ("r", y)])
-    return out, incl_x, incl_y
+    out, ident = _nd_space(G, ("wedge", X, Y), nd, faces, 0, tuple(parts)), _identities(bound)
+    return out, *(SimplicialGMap(S, out, ([name(c, s, x) for x in range(S.nd[len(s) - 1].size)] for s in ident))
+                  for c, S in sides.items())
 
 
-def collapse(X, subcomplex_points):
-    """X / A for a G-stable subcomplex given as per-level point sets.
+def collapse(X, subcomplex):
+    """X / Y, with its projection, for the G-stable subcomplex Y given by
+    its nondegenerate simplices: subcomplex[n] lists indices into X.nd[n],
+    closed under faces and holding the basepoint.
 
-    The subcomplex must contain the basepoints and be closed under faces,
-    degeneracies, and the action; the quotient is based at the crushed class.
-    """
-    G = X.group
-    bound = X.bound
-    subs = [frozenset(s) for s in subcomplex_points]
-    for n in range(bound + 1):
-        for p in subs[n]:
-            for g in G.elements():
-                if X.levels[n].action[g][p] not in subs[n]:
-                    raise SimplicialError("subcomplex is not G-stable")
-        if n:
-            for i in range(n + 1):
-                for p in subs[n]:
-                    if X.faces[n][i].values[p] not in subs[n - 1]:
-                        raise SimplicialError("subcomplex not closed under faces")
-        if n < bound:
-            for i in range(n + 1):
-                for p in subs[n]:
-                    if X.degens[n][i].values[p] not in subs[n + 1]:
-                        raise SimplicialError("subcomplex not closed under degeneracies")
-        if X.based and X.base(n) not in subs[n]:
-            raise SimplicialError("subcomplex must contain the basepoint")
-    pts = [
-        [None] + [p for p in range(X.levels[n].size) if p not in subs[n]]
-        for n in range(bound + 1)
-    ]
+    The nondegenerate simplices of X / Y are the crushed class, its
+    basepoint, then those of X off Y, in full-level order; a face in Y goes
+    to the crushed class.  Built from a checked space, the quotient and the
+    projection are not checked."""
+    G, nd, faces, memo = X.group, X.nd, X.nd_faces, {}
+    subs = [frozenset(s) for s in subcomplex]
+    if len(subs) != X.bound + 1:
+        raise SimplicialError("need the subcomplex's simplices at each level 0..%d" % X.bound)
+    for n, sub in enumerate(subs):
+        if any(nd[n].action[g][y] not in sub for g in G.elements() for y in sub):
+            raise SimplicialError("subcomplex is not G-stable")
+        if any(z not in subs[t[-1]] for row in faces[n] for t, z in map(row.__getitem__, sub)):
+            raise SimplicialError("subcomplex not closed under faces")
+    if X.based and X.nd_base not in subs[0]:
+        raise SimplicialError("subcomplex must contain the basepoint")
+    parts = [(None,) * (n == 0) + tuple(y for y in range(nd[n].size) if y not in sub)
+             for n, sub in enumerate(subs)]
+    ix = [{y: k for k, y in enumerate(level)} for level in parts]
 
-    def crush_rule(m, f):
-        """p -> f[p] into level m, crushing the subcomplex."""
-        sub = subs[m]
+    def name(s, y):
+        """The quotient's (s, index) of the simplex s^* y of X."""
+        return ((0,) * len(s), 0) if y in subs[s[-1]] else (s, ix[s[-1]][y])
 
-        def rule(p):
-            q = f[p]
-            return None if q in sub else q
-
-        return rule
-
-    full, index = _assemble(
-        G,
-        pts,
-        lambda g, n: crush_rule(n, X.levels[n].action[g]),
-        lambda n, i: crush_rule(n - 1, X.faces[n][i].values),
-        lambda n, i: crush_rule(n + 1, X.degens[n][i].values),
-        [None] * (bound + 1),
+    below = tuple(  # the sorted full-level indices of the subcomplex, for _position
+        sorted(_position(X, s, y, memo) for k in range(n + 1) for s in surjections(n, k) for y in subs[k])
+        for n in range(X.bound + 1)
     )
-    out = SimplicialGSet(G, *full).check()
-    proj = _levelwise(X, out, lambda n, p: index[n][None if p in subs[n] else p])
-    return out, proj
+    qnd = tuple(GSet._trusted(G, len(level), tuple(
+        tuple(0 if y is None else ix[n][act[y]] for y in level) for act in nd[n].action
+    )) for n, level in enumerate(parts))
+    qfaces = ((),) + tuple(
+        tuple(tuple(name(*row[y]) for y in level) for row in faces[n]) for n, level in enumerate(parts) if n
+    )
+    out = _nd_space(G, ("quotient", X, below), qnd, qfaces, 0, tuple(parts))
+    return out, SimplicialGMap(X, out, ([name(s, y) for y in range(nd[len(s) - 1].size)]
+                                        for s in _identities(X.bound)))
 
 
 # -- fixed points ---------------------------------------------------------------
@@ -950,34 +929,20 @@ def collapse(X, subcomplex_points):
 def fixed_system(X, helems):
     """(Y over the Weyl group, per-level point lists into X)."""
     fps = [fixed_points(X.levels[n], helems) for n in range(X.bound + 1)]
-    W = fps[0].weyl
-    levels = tuple(fp.wset for fp in fps)
+    W, levels = fps[0].weyl, tuple(fp.wset for fp in fps)
 
     def restrict(f, n_src, n_tgt):
         index = fps[n_tgt].index
-        return GMap(
-            levels[n_src],
-            levels[n_tgt],
-            tuple(index[f.values[p]] for p in fps[n_src].points),
-        )
+        return GMap(levels[n_src], levels[n_tgt], tuple(index[f.values[p]] for p in fps[n_src].points))
 
-    faces = [()]
-    for n in range(1, X.bound + 1):
-        faces.append(
-            tuple(restrict(X.faces[n][i], n, n - 1) for i in range(n + 1))
-        )
-    degens = []
-    for n in range(X.bound):
-        degens.append(
-            tuple(restrict(X.degens[n][i], n, n + 1) for i in range(n + 1))
-        )
-    degens.append(())
-    basepoints = None
-    if X.based:
-        basepoints = tuple(
-            fps[n].index[X.base(n)] for n in range(X.bound + 1)
-        )
-    Y = SimplicialGSet(W, levels, tuple(faces), tuple(degens), basepoints)
+    faces = ((),) + tuple(
+        tuple(restrict(X.faces[n][i], n, n - 1) for i in range(n + 1)) for n in range(1, X.bound + 1)
+    )
+    degens = tuple(
+        tuple(restrict(X.degens[n][i], n, n + 1) for i in range(n + 1)) for n in range(X.bound)
+    ) + ((),)
+    basepoints = X.based and tuple(fps[n].index[X.base(n)] for n in range(X.bound + 1)) or None
+    Y = SimplicialGSet(W, levels, faces, degens, basepoints)
     return Y, tuple(fp.points for fp in fps)
 
 
@@ -1006,11 +971,7 @@ class RepDescriptor(Frozen):
         object.__setattr__(self, "_key", (kind, n, k, kernel))
 
     def __str__(self):
-        if self.kind == "trivial":
-            return "trivial:%d" % self.n
-        if self.kind == "sign":
-            return "sign"
-        return "rot:%d:%d" % (self.n, self.k)
+        return {"trivial": "trivial:%d" % self.n, "sign": "sign"}.get(self.kind, "rot:%d:%d" % (self.n, self.k))
 
     @property
     def dim(self):
@@ -1081,11 +1042,9 @@ def discrete_inclusion(src, tgt, vertex_values):
     vertices = range(tgt.nd[0].size)
     if len(vertex_values) != src.nd[0].size or not all(v in vertices for v in vertex_values):
         raise SimplicialError("need one vertex of the target per vertex of the source")
-    # every point of a discrete space is a degeneracy of its last vertex
-    levels = range(min(src.bound, tgt.bound) + 1)
-    vertex = [src.operator((n,), 0, n) for n in levels]
-    degen = [tgt.operator((0,) * (n + 1), n, 0) for n in levels]
-    return _levelwise(src, tgt, lambda n, p: degen[n][vertex_values[vertex[n][p]]])
+    # a discrete space's nondegenerate simplices are its vertices
+    images = [tuple(((0,), v) for v in vertex_values)] + [()] * min(src.bound, tgt.bound)
+    return SimplicialGMap(src, tgt, images).check()
 
 
 # -- auxiliary: standard simplex ------------------------------------------------
@@ -1099,12 +1058,6 @@ def standard_simplex_plus(G, n, bound=DEFAULT_BOUND):
     def op_rule(alpha):
         return lambda p: compose_monotone(p, alpha)
 
-    full, _ = _assemble(
-        G,
-        pts,
-        lambda g, m: lambda p: p,
-        lambda m, i: op_rule(delta(i, m)),
-        lambda m, i: op_rule(eta(i, m)),
-        [None] * (bound + 1),
-    )
+    full, _ = _assemble(G, pts, lambda g, m: lambda p: p, lambda m, i: op_rule(delta(i, m)),
+                        lambda m, i: op_rule(eta(i, m)), [None] * (bound + 1))
     return SimplicialGSet(G, *full).check()

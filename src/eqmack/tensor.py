@@ -7,22 +7,27 @@ tests check the collapsed maps against the coend's pullback recipe.
 
 Every level has one layout, LevelSet: the points (x, s) of X_n x S on the
 kept simplices x, with a sink when some simplex is left out.  Full,
-reduced and normalized levels differ only in the simplices they keep, and
-every map between levels, including the comparison rho, reads that layout;
-a normalized level is built on the nondegenerate simplices' G-set alone.
-A level's sink is its basepoint: values and maps are the coefficients'
+reduced and normalized levels differ only in the simplices they keep; a
+normalized level is built on the nondegenerate simplices' G-set alone.  A
+level's sink is its basepoint: values and maps are the coefficients'
 evaluations at the level sets' basepoints, reduced or not alike.
+
+The package's computations read normalized levels only: the chains of
+homotopy.MackeyChainComplex, both exact sequences' maps, and rho and
+sigma, which place copies of the nondegenerate simplices in full-level
+order.  Full levels are laid out only by TensorMackey's level API
+(level_set, value, op and the maps along S), by the public psi
+(PsiMap.component), by ModuleTensor and by tests.
 """
 
 from functools import lru_cache
-from itertools import accumulate
 
 from . import abelian as ab
 from .abelian import AbHom
-from .groups import Frozen, subgroup_classes
+from .groups import Frozen, classify_subgroup, subgroup_classes
 from .gsets import GMap, GSet, coset_space, std_orbit
 from .mackey import FixedPointMackey, WeylModule, _fixed_block_hom
-from .simplicial import delta, fixed_system, smash, sphere_for_descriptors
+from .simplicial import _position, delta, smash, sphere_for_descriptors, surjections
 
 __all__ = [
     "TensorError", "LevelSet", "TensorMackey", "tensor", "reduced_tensor", "ModuleTensor",
@@ -117,9 +122,7 @@ class TensorMackey:
             raise TensorError("reduced tensor needs a based space")
         if X.group != M.group:
             raise TensorError("space and coefficients must share the group")
-        self.X = X
-        self.M = M
-        self.reduced = reduced
+        self.X, self.M, self.reduced = X, M, reduced
         self._homs, self._chains = {}, None  # _chains: homotopy.normalized_chains
 
     @property
@@ -176,9 +179,6 @@ class TensorMackey:
             self._homs[key] = self._induced(kind, src, tgt, lambda x, s: (x, f.values[s]))
         return self._homs[key]
 
-    def describe(self, n, S):
-        return self.group_at(n, S).describe()
-
 
 def tensor(X, M):
     return TensorMackey(X, M, reduced=False)
@@ -192,7 +192,8 @@ def reduced_tensor(X, M):
 
 
 class ModuleTensor:
-    """Levelwise linearization of a based simplicial Weyl-set with module A."""
+    """Levelwise linearization of a based simplicial Weyl-set with module A,
+    on its full levels."""
 
     def __init__(self, K, A, reduced=True):
         if K.group != A.group:
@@ -204,25 +205,18 @@ class ModuleTensor:
 
     def support(self, n):
         """The simplices carrying a block of A at level n."""
-        if self.reduced:
-            return tuple(
-                x for x in range(self.K.levels[n].size) if x != self.K.base(n)
-            )
-        return tuple(range(self.K.levels[n].size))
+        drop = self.K.base(n) if self.reduced else None
+        return tuple(x for x in range(self.K.levels[n].size) if x != drop)
 
     def module(self, n):
         """The level-n W-module: one copy of A per support simplex, a
         permutation module, so its fixed parts split over orbits."""
         if n not in self._levels:
-            self._levels[n] = self._permutation(self.support(n), n)
+            W, keep, act = self.K.group, self.support(n), self.K.levels[n].action
+            pos = {x: i for i, x in enumerate(keep)}
+            rows = tuple(tuple(pos[act[w][x]] for x in keep) for w in W.elements())
+            self._levels[n] = WeylModule.permutation(self.A, GSet._trusted(W, len(keep), rows))
         return self._levels[n]
-
-    def _permutation(self, keep, n):
-        """The permutation module of A on keep, a W-stable set of level-n
-        simplices."""
-        W, pos, act = self.K.group, {x: i for i, x in enumerate(keep)}, self.K.levels[n].action
-        rows = tuple(tuple(pos[act[w][x]] for x in keep) for w in W.elements())
-        return WeylModule.permutation(self.A, GSet._trusted(W, len(keep), rows))
 
 
 # -- the comparison with fixed-point coefficient systems ------------------------
@@ -230,88 +224,141 @@ class ModuleTensor:
 
 class RhoIso:
     """The natural identification of X (x) R_A with the fixed-point functor
-    of the linearized fixed-point space, level by level and orbit by orbit.
+    of A[X^H], the linearized fixed-point space, level by level and orbit
+    by orbit.
 
-    Both sides are A-valued W-equivariant functions on (X_n x S)^H = Y_n x
-    S^H, in orbit coordinates: a value in A^{W_c} at the representative c
+    Both sides are A-valued W-equivariant functions on (X_n x S)^H = X^H_n
+    x S^H, in orbit coordinates: a value in A^{W_c} at the representative c
     of each W-orbit.  The left side takes its representatives orbit by
     orbit of X_n x S, the right side by W-orbit [s] of S^H and then by
-    W_s-orbit of Y_n.  A left representative is w times a right one, so
+    W_s-orbit of X^H_n.  A left representative is w times a right one, so
     rho is the block map a |-> w^-1 a and sigma the block map b |-> w b
     between fixed parts of A (WeylModule.fixed_map); neither solves over
     the sums.
+
+    No full level is laid out.  By the Eilenberg-Zilber lemma X_n is the
+    sum of the G-sets s^* ND_k over the surjections s: [n] ->> [k], so the
+    orbits of X_n x S are those of ND_k x S and the W_s-orbits of X^H_n
+    those of the H-fixed ND_k, one copy per s.  Each is found once on the
+    nondegenerate simplices, and each copy is placed by the full-level
+    indices of its simplices (simplicial._position), so the orbits, their
+    representatives and the values come in the order of the full level.
     """
 
     def __init__(self, X, hrec, module, reduced=False):
-        G = hrec.group
-        self.X = X
-        self.hrec = hrec
-        self.module = module
-        self.reduced = reduced
-        self.RA = FixedPointMackey(G, hrec, module)
+        self.X, self.hrec, self.module, self.reduced = X, hrec, module, reduced
+        self.RA = FixedPointMackey(hrec.group, hrec, module)
         self.T = TensorMackey(X, self.RA, reduced=reduced)
-        self.Y, self.ypoints = fixed_system(X, hrec.elements)
-        self.MT = ModuleTensor(self.Y, module, reduced=reduced)
-        self._rhs, self._layouts, self._homs = {}, {}, {}
+        self._layouts, self._homs = {}, {}
 
-    def rhs_functor(self, n):
-        """The fixed-point Mackey functor with coefficients A[X^H_n]."""
-        if n not in self._rhs:
-            self._rhs[n] = FixedPointMackey(
-                self.hrec.group, self.hrec, self.MT.module(n)
-            )
-        return self._rhs[n]
-
-    def _layout(self, rec, n):
+    def _build_layout(self, rec, n, nondegenerate=False):
         """(left value, right value, left orbits, right orbits, rho's terms,
-        sigma's terms) at G/H and level n, the orbits with their stabilizers
-        as _orbits_under gives them; built once for rho and sigma."""
-        key = (rec.class_id, n)
-        if key not in self._layouts:
-            self._layouts[key] = self._build_layout(rec, n)
-        return self._layouts[key]
+        sigma's terms) at G/H and level n, or on the nondegenerate
+        n-simplices alone, the orbits with their stabilizers as
+        _orbits_under gives them.  What reads no coefficients is kept in
+        X._layouts, for every rho over X."""
+        X, G, W, A, H = self.X, self.hrec.group, self.hrec.weyl, self.module, self.hrec.elements
+        S, nd, memo, drop = std_orbit(G, rec), X.nd, {}, {(0, X.nd_base)} if self.reduced else ()
+        copies = [s for k in range(n + 1) for s in surjections(n, k)]
+        copies = [tuple(range(n + 1))] if nondegenerate else copies
 
-    def _build_layout(self, rec, n):
-        G, W = self.hrec.group, self.hrec.weyl
-        S, big = std_orbit(G, rec), self.MT.module(n)
-        lev, pairs = self.T.value(n, S), self.T.level_set(n, S).pairs
-        fp, (_, s_stabs, s_where), rvalue = self.rhs_functor(n)._orbit_layout(S)
-        table = big._perm[1].action  # W on the support of Y_n
-        ypos = {self.ypoints[n][y]: i for i, y in enumerate(self.MT.support(n))}
-        # the right-hand orbits: by orbit [s] of S^H, then by W_s-orbit of Y_n
-        starts = list(accumulate((len(big.orbits(k)[0]) for k in s_stabs), initial=0))
-        rstabs = [k for stab in s_stabs for k in big.orbits(stab)[1]]
-        lstabs, to_left, to_right = [], [], [None] * len(rstabs)
-        for o in lev.orbits:
-            fo, (reps, stabs, _), _ = self.RA._orbit_layout(std_orbit(G, o.record))
+        def at(s):  # the full-level index of s^* y for each nondegenerate y
+            return _on(X, ("at", s), lambda: [_position(X, s, y, memo) for y in range(nd[s[-1]].size)])
+
+        def wmove(w, s, y):
+            return nd[s[-1]].action[self.hrec.weyl_reps[w]][y]
+
+        def left_orbits():
+            # the orbits of X_n x S: copies of those of ND_k x S, placed by
+            # their least points and based at the least point fixed by the
+            # class representative of their stabilizers, as orbit_decompose has
+            found = []
+            for s in copies:
+                act, pos = nd[s[-1]].action, at(s)
+                moves = [lambda p, a=act[g], b=S.action[g]: (a[p[0]], b[p[1]]) for g in G.elements()]
+                points = [(y, t) for y in range(nd[s[-1]].size) if (s[-1], y) not in drop for t in range(S.size)]
+                for orbit in _on(X, ("left", self.reduced, s[-1], S), lambda: _orbits(points, moves)):
+                    p = min(orbit)
+                    orec = classify_subgroup(G, [g for g in G.elements() if moves[g](p) == p])[0]
+                    fixed = [q for q in orbit if all(moves[h](q) == q for h in orec.elements)]
+                    base = min(fixed, key=lambda q: (pos[q[0]], q[1]))
+                    found.append((min((pos[y], t) for y, t in orbit), orec, s, base))
+            return [entry[1:] for entry in sorted(found, key=lambda entry: entry[0])]
+
+        fp, (_, s_stabs, s_where), _ = self.RA._orbit_layout(S)
+        # the right-hand orbits: by orbit [s] of S^H, then by W_s-orbit of X^H_n,
+        # each a copy of a W_s-orbit of the H-fixed ND_k at its least point
+        rstabs, where, rvalues = [], [], []
+        for K in s_stabs:
+            found = []
+            for s in copies:
+                fixed = [y for y in nd[s[-1]].fixed_by(H) if (s[-1], y) not in drop]
+                moves = [lambda y, w=w, s=s: wmove(w, s, y) for w in K]
+                orbits, pos = _on(X, ("fixed", self.reduced, s[-1], H, K), lambda: _orbits(fixed, moves)), at(s)
+                found += (min((pos[y], s, y) for y in orbit) for orbit in orbits)
+            found.sort()
+            stabs = [tuple(w for w in K if wmove(w, s, y) == y) for _, s, y in found]
+            where.append({(s, wmove(w, s, y)): (len(rstabs) + j, w)
+                          for j, (_, s, y) in enumerate(found) for w in reversed(K)})
+            rvalues.append(ab.direct_sum_data([A.fixed(k)[0] for k in stabs])[0])
+            rstabs += stabs
+        left = _on(X, ("rho", self.reduced, rec.class_id, n, nondegenerate), left_orbits)
+        lstabs, to_left, to_right, orbit_reps = [], [], [None] * len(rstabs), {}
+        for orec, s, (y0, t0) in left:
+            if orec not in orbit_reps:
+                fo, (reps, stabs, _), _ = self.RA._orbit_layout(std_orbit(G, orec))
+                orbit_reps[orec] = fo, reps, stabs, coset_space(G, orec.elements)[1]
+            fo, reps, stabs, cosets = orbit_reps[orec]
             for c, k in zip(reps, stabs):
-                # the left representative (x, s) is w = u v times a right one
-                x, s = pairs[o.from_std[fo.points[c]]]
-                i, u = s_where[fp.index[s]]
-                j, v = big.orbits(s_stabs[i])[2][table[W.inv(u)][ypos[x]]]
-                w, r = W.mul[u][v], starts[i] + j
+                # the left representative g (y0, t0) is w = u v times a right one
+                g = cosets[fo.points[c]]
+                i, u = s_where[fp.index[S.action[g][t0]]]
+                r, v = where[i][s, wmove(W.inv(u), s, nd[s[-1]].action[g][y0])]
+                w = W.mul[u][v]
                 to_right[r] = [(len(lstabs), W.inv(w))]
                 to_left.append([(r, w)])
                 lstabs.append(k)
+        lvalue = ab.direct_sum_data([self.RA.orbit_value(entry[0]) for entry in left])[0]
         # as layouts for _fixed_block_hom, each representative its own orbit
         ends = [(None, st, [(i, W.identity) for i in range(len(st))]) for st in (lstabs, rstabs)]
-        return lev.value, rvalue, *ends, to_right, to_left
+        return lvalue, ab.direct_sum_data(rvalues)[0], *ends, to_right, to_left
+
+    def _hom(self, kind, rec, n, nondegenerate=False):
+        """rho or sigma at G/H and level n, or on the nondegenerate
+        n-simplices alone; rho_n is the sum of their copies s^* ND_k."""
+        key = (rec.class_id, n, nondegenerate)
+        if key not in self._layouts:
+            self._layouts[key] = self._build_layout(rec, n, nondegenerate)
+        if (kind, *key) not in self._homs:
+            lv, rv, left, right, to_right, to_left = self._layouts[key]
+            ends = (left, right, to_right, lv, rv) if kind == "rho" else (right, left, to_left, rv, lv)
+            self._homs[kind, *key] = _fixed_block_hom(self.module, *ends)
+        return self._homs[kind, *key]
 
     def rho(self, rec, n):
         """a |-> w^-1 a from each left representative to its right one."""
-        key = ("rho", rec.class_id, n)
-        if key not in self._homs:
-            lv, rv, left, right, terms, _ = self._layout(rec, n)
-            self._homs[key] = _fixed_block_hom(self.module, left, right, terms, lv, rv)
-        return self._homs[key]
+        return self._hom("rho", rec, n)
 
     def sigma(self, rec, n):
         """b |-> w b from each right representative to its left one."""
-        key = ("sigma", rec.class_id, n)
-        if key not in self._homs:
-            lv, rv, left, right, _, terms = self._layout(rec, n)
-            self._homs[key] = _fixed_block_hom(self.module, right, left, terms, rv, lv)
-        return self._homs[key]
+        return self._hom("sigma", rec, n)
+
+
+def _on(X, key, build):
+    """build(), kept in X._layouts under key."""
+    if key not in X._layouts:
+        X._layouts[key] = build()
+    return X._layouts[key]
+
+
+def _orbits(points, moves):
+    """The orbits of points under the point maps moves, each as a set."""
+    seen, out = set(), []
+    for p in points:
+        if p not in seen:
+            out.append({move(p) for move in moves})
+            seen |= out[-1]
+    return out
 
 
 def rho_iso(X, hrec, module, reduced=False):
@@ -349,9 +396,7 @@ class PsiMap:
         """The homomorphism induced by a fixed sphere simplex alpha."""
         if alpha == self.SW.base(n):
             S = std_orbit(self.M.group, rec)
-            return AbHom.zero(
-                self.T_src.group_at(n, S), self.T_tgt.group_at(n, S)
-            )
+            return AbHom.zero(self.T_src.group_at(n, S), self.T_tgt.group_at(n, S))
         return self.M.covariant(self.level_map(rec, n, alpha), 0, 0)
 
 
@@ -368,9 +413,10 @@ class ShortExactSequence:
     A subclass states its two maps once, in map(k, n, src, tgt): the first
     (k = 0) or the second (k = 1) map at level n, from the level set src of
     tensors[k] to the level set tgt of tensors[k + 1].  Full and normalized
-    levels are both LevelSets, so map reads them alike: at(n, S) gives the
-    maps on the full levels, homotopy.exact_chain_maps on normalized chains.
-    names label the three tensors in the long exact sequence.
+    levels are both LevelSets, so map reads them alike:
+    homotopy.exact_chain_maps reads it on normalized chains, which is all
+    the package reads; at(n, S) lays out the full levels, for tests.  names
+    label the three tensors in the long exact sequence.
     """
 
     def at(self, n, S):
@@ -391,9 +437,11 @@ class CofibrationSES(ShortExactSequence):
     """0 -> Y (x) M -> X (x) M -> (X/Y) (x~) M -> 0 for a based subcomplex.
 
     The quotient X/Y and its projection are incl.cofiber(), which the map
-    builds and checks once: every sequence of one inclusion, whatever its
-    coefficients, shares one quotient, so their tensors meet the functor
-    caches by identity.  The maps are M_* of incl and proj.
+    builds and checks once on nondegenerate simplices: every sequence of
+    one inclusion, whatever its coefficients, shares one quotient, so their
+    tensors meet the functor caches by identity.  The maps are M_* of incl
+    and proj, read at a nondegenerate simplex off the image of each
+    (SimplicialGMap.image_of), so normalized levels lay out no full level.
     """
 
     names = ("sub", "total", "quot")
@@ -407,8 +455,8 @@ class CofibrationSES(ShortExactSequence):
         self.tensors = (self.sub, self.total, self.quot)
 
     def map(self, k, n, src, tgt):
-        table = (self.incl, self.proj)[k].comps[n].values
-        return self.tensors[k]._induced("cov", src, tgt, lambda x, s: (table[x], s))
+        f = (self.incl, self.proj)[k]
+        return self.tensors[k]._induced("cov", src, tgt, lambda x, s: (f.image_of(n, x), s))
 
 
 def ses_from_cofibration(incl, M):
@@ -422,8 +470,7 @@ class CoefficientSES(ShortExactSequence):
     names = ("M", "N", "P")
 
     def __init__(self, phi, psi, X, reduced=False):
-        self.phi = phi
-        self.psi = psi
+        self.phi, self.psi = phi, psi
         for rec in subgroup_classes(phi.src.group):
             if not _exact_pair(phi.comp(rec), psi.comp(rec)):
                 raise TensorError("coefficients are not exact at class %d" % rec.class_id)

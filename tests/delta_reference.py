@@ -33,7 +33,6 @@ from eqmack.homotopy import (
 )
 from eqmack.mackey import OrbitMap, covariant_between, orbit_maps_between
 from eqmack.simplicial import (
-    _levelwise,
     eta,
     fixed_system,
     monotones,
@@ -44,6 +43,7 @@ from eqmack.simplicial import (
 from eqmack.tensor import PsiMap
 
 from module_chains import face_hom, routed_hom
+from simplicial_reference import levelwise
 
 
 def normal_form(Y, m, p):
@@ -104,7 +104,7 @@ def cylinder_inclusions(X):
 
     def ins(vertex):
         vtx = [idx_of_vertex(cyl_factor, vertex, n) for n in range(X.bound + 1)]
-        return _levelwise(
+        return levelwise(
             X, cyl, lambda n, x: cyl._smash_index[n][None if x == X.base(n) else (x, vtx[n])]
         )
 
@@ -126,7 +126,7 @@ def smash_assoc(A, B, C):
         b, c = inner_r._smash_points[n][bc]
         return right._smash_index[n][(inner_l._smash_index[n][(a, b)], c)]
 
-    return _levelwise(left, right, value)
+    return levelwise(left, right, value)
 
 
 @lru_cache(maxsize=None)

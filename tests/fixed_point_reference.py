@@ -15,7 +15,7 @@ commutes with that isomorphism.
 from eqmack import abelian as ab
 from eqmack.abelian import AbHom
 from eqmack.gsets import GMap, fixed_points, std_orbit
-from eqmack.mackey import MackeyError, MackeyFunctor
+from eqmack.mackey import FixedPointMackey, MackeyError, MackeyFunctor
 from eqmack.simplicial import fixed_system
 from eqmack.tensor import ModuleTensor, TensorMackey
 
@@ -101,6 +101,27 @@ class ConstraintFixedPointMackey(MackeyFunctor):
         src, tgt, blocks = self._fixed_point_blocks(q)
         h, _, _ = ab.assemble_block_hom(tgt, src, [(s, t, b) for t, s, b in blocks])
         return _restricted(h, inkt, inks, "restriction does not preserve equivariance")
+
+
+def fp_postcompose_by_lift(f_src, f_tgt, theta, S):
+    """R(theta) with each block lifted through the whole inclusion of the
+    fixed part B^K into B, as mackey.fp_postcompose did for permutation
+    modules before it read the block at the orbit representatives."""
+    A, B = f_src.module, f_tgt.module
+    (_, orbits, sv), tv = f_src._orbit_layout(S), f_tgt.value_of(S)
+    parts, entries = [[M.fixed(k)[0] for k in orbits[1]] for M in (A, B)], []
+    for i, k in enumerate(orbits[1]):
+        h, (fb, incl) = theta.compose(A.fixed(k)[1]), B.fixed(k)
+        entries.append((i, i, h if fb is B.value else incl.preimage_matrix(h)))
+    return AbHom.from_columns(sv, tv, ab.assemble_block_hom(*parts, entries)[0].cols)
+
+
+def rhs_functor(iso, n):
+    """The target of the RhoIso iso at level n: the fixed-point functor of
+    A[X^H_n], built on the full level n of the fixed-point system X^H."""
+    Y = fixed_system(iso.X, iso.hrec.elements)[0]
+    module = ModuleTensor(Y, iso.module, reduced=iso.reduced).module(n)
+    return FixedPointMackey(iso.hrec.group, iso.hrec, module)
 
 
 class ConstraintRhoIso:

@@ -2,15 +2,17 @@
 
 The package stores a simplicial G-set by its nondegenerate simplices and
 lays out its full levels on first read.  Kept here are the point rules that
-built those full levels directly, for generated spaces, smashes and joins,
-as an oracle for the layout, and the check of every simplicial identity on
-every full level, as an oracle for the check on nondegenerate simplices.
+built those full levels directly, for generated spaces, smashes, joins,
+wedges and quotients, as an oracle for the layout, the check of every
+simplicial identity on every full level, as an oracle for the check on
+nondegenerate simplices, and maps given by a rule on full-level points.
 """
 
 from functools import partial
 
 from eqmack.gsets import GMap
 from eqmack.simplicial import (
+    SimplicialError,
     SimplicialGSet,
     _assemble,
     compose_monotone,
@@ -124,3 +126,101 @@ def join_levels(K, L):
         lambda n, i: partial(rule, "degen", n, i),
     )
     return full[:3] + (pts,)
+
+
+class FullLevelMap:
+    """A simplicial map given by its full levels: comps holds a GMap per
+    level."""
+
+    def __init__(self, src, tgt, comps):
+        self.src, self.tgt, self.comps = src, tgt, comps
+
+
+def levelwise(X, Y, rule):
+    """The map X -> Y sending the level-n point p to the point rule(n, p) of
+    Y_n, checked on every full level: equivariance, faces, degeneracies and
+    basepoint."""
+    b = min(X.bound, Y.bound)
+    f = tuple(GMap(X.levels[n], Y.levels[n], tuple(rule(n, p) for p in range(X.levels[n].size)))
+              for n in range(b + 1))
+    for n in range(1, b + 1):
+        for i in range(n + 1):
+            if Y.face(n, i).compose(f[n]) != f[n - 1].compose(X.face(n, i)):
+                raise SimplicialError("map does not commute with d_%d" % i)
+    for n in range(b):
+        for i in range(n + 1):
+            if Y.degen(n, i).compose(f[n]) != f[n + 1].compose(X.degen(n, i)):
+                raise SimplicialError("map does not commute with s_%d" % i)
+    if X.based and Y.based and any(f[n].values[X.base(n)] != Y.base(n) for n in range(b + 1)):
+        raise SimplicialError("map is not based")
+    return FullLevelMap(X, Y, f)
+
+
+def full_level_wedge(X, Y):
+    """(X v Y, incl_x, incl_y) laid out from the factors' full levels: the
+    crushed basepoint None, then ("l", x) and ("r", y) for the non-base
+    points."""
+    bound = min(X.bound, Y.bound)
+    pts = [
+        [None] + [("l", x) for x in range(X.levels[n].size) if x != X.base(n)]
+        + [("r", y) for y in range(Y.levels[n].size) if y != Y.base(n)]
+        for n in range(bound + 1)
+    ]
+
+    def side_rule(m, fx, fy):
+        bx, by = X.base(m), Y.base(m)
+
+        def rule(p):
+            f, b = (fx, bx) if p[0] == "l" else (fy, by)
+            v = f[p[1]]
+            return None if v == b else (p[0], v)
+
+        return rule
+
+    full, index = _assemble(
+        X.group,
+        pts,
+        lambda g, n: side_rule(n, X.levels[n].action[g], Y.levels[n].action[g]),
+        lambda n, i: side_rule(n - 1, X.faces[n][i].values, Y.faces[n][i].values),
+        lambda n, i: side_rule(n + 1, X.degens[n][i].values, Y.degens[n][i].values),
+        [None] * (bound + 1),
+    )
+    out = SimplicialGSet(X.group, *full)
+    incl_x = levelwise(X, out, lambda n, x: index[n][None if x == X.base(n) else ("l", x)])
+    incl_y = levelwise(Y, out, lambda n, y: index[n][None if y == Y.base(n) else ("r", y)])
+    return out, incl_x, incl_y
+
+
+def full_level_collapse(X, subcomplex_points):
+    """(X / A, projection) for a G-stable subcomplex given as per-level
+    point sets, laid out from X's full levels: the crushed class None, then
+    the points off A in order.  The subcomplex must contain the basepoints
+    and be closed under faces, degeneracies and the action."""
+    G, bound = X.group, X.bound
+    subs = [frozenset(s) for s in subcomplex_points]
+    for n in range(bound + 1):
+        if any(X.levels[n].action[g][p] not in subs[n] for p in subs[n] for g in G.elements()):
+            raise SimplicialError("subcomplex is not G-stable")
+        if n and any(X.faces[n][i].values[p] not in subs[n - 1] for i in range(n + 1) for p in subs[n]):
+            raise SimplicialError("subcomplex not closed under faces")
+        if n < bound and any(
+            X.degens[n][i].values[p] not in subs[n + 1] for i in range(n + 1) for p in subs[n]
+        ):
+            raise SimplicialError("subcomplex not closed under degeneracies")
+        if X.based and X.base(n) not in subs[n]:
+            raise SimplicialError("subcomplex must contain the basepoint")
+    pts = [[None] + [p for p in range(X.levels[n].size) if p not in subs[n]] for n in range(bound + 1)]
+
+    def crush_rule(m, f):
+        return lambda p: None if f[p] in subs[m] else f[p]
+
+    full, index = _assemble(
+        G,
+        pts,
+        lambda g, n: crush_rule(n, X.levels[n].action[g]),
+        lambda n, i: crush_rule(n - 1, X.faces[n][i].values),
+        lambda n, i: crush_rule(n + 1, X.degens[n][i].values),
+        [None] * (bound + 1),
+    )
+    out = SimplicialGSet(G, *full).check()
+    return out, levelwise(X, out, lambda n, p: index[n][None if p in subs[n] else p])

@@ -6,7 +6,7 @@ import pytest
 from eqmack import abelian as ab
 from eqmack.abelian import AbGroup, AbHom
 from eqmack.groups import FiniteGroup, all_subgroups, subgroup_classes, weyl_group
-from eqmack.gsets import fixed_points, std_orbit
+from eqmack.gsets import GSet, fixed_points, regular_gset, std_orbit
 from eqmack.homotopy import EquivariantMappingComplex, MackeyChainComplex, omega_spectrum_check
 from eqmack.mackey import (
     FixedPointMackey,
@@ -14,13 +14,19 @@ from eqmack.mackey import (
     WeylModule,
     constant_mackey,
     fixed_point_morphism,
+    fp_postcompose,
     orbit_maps_between,
 )
 from eqmack.simplicial import rotation_rep, s0_space, sign_rep, sphere_for_descriptors
 from eqmack.tensor import ModuleTensor, RhoIso
 
 from abelian_helpers import nrels
-from fixed_point_reference import ConstraintFixedPointMackey, ConstraintRhoIso
+from fixed_point_reference import (
+    ConstraintFixedPointMackey,
+    ConstraintRhoIso,
+    fp_postcompose_by_lift,
+    rhs_functor,
+)
 
 Z = AbGroup.free(1)
 Z2 = AbGroup.cyclic(2)
@@ -169,7 +175,7 @@ def test_rho_and_sigma_commute_with_the_reading(X, hrec, name, reduced):
             cols = ab.assemble_block_hom(lev_old.summands, lev_new.summands, blocks)[0].cols
             phi_left = AbHom.from_columns(lev_old.value, lev_new.value, cols)
             rhs_old = old.rhs_functor(n)._container(S)[3]
-            phi_right = reading(new.rhs_functor(n), S, rhs_old)
+            phi_right = reading(rhs_functor(new, n), S, rhs_old)
             rho, sigma = new.rho(rec, n), new.sigma(rec, n)
             assert phi_left.is_iso() and phi_right.is_iso()
             assert phi_right.compose(old.rho(rec, n)).same_as(rho.compose(phi_left))
@@ -178,7 +184,7 @@ def test_rho_and_sigma_commute_with_the_reading(X, hrec, name, reduced):
     # the right-hand functors' restrictions and transfers, whose module A[Y_n]
     # is a permutation module over A
     for n in range(X.bound + 1):
-        assert_maps_commute_with_the_reading(new.rhs_functor(n), old.rhs_functor(n))
+        assert_maps_commute_with_the_reading(rhs_functor(new, n), old.rhs_functor(n))
 
 
 def test_rho_solves_on_one_copy_of_the_module_at_most(monkeypatch):
@@ -288,8 +294,9 @@ def test_weyl_groups_are_built_once_per_subgroup():
 
 
 def test_a_module_is_checked_once(monkeypatch):
-    # a RhoIso checks its module in its FixedPointMackey and its ModuleTensor,
-    # and every rhs_functor(n) checks the level module's base once more
+    # a RhoIso checks its module in its FixedPointMackey, and every
+    # rhs_functor(iso, n) checks it in a ModuleTensor and the level module's
+    # base once more
     checked = []
     is_well_defined = AbHom.is_well_defined
 
@@ -304,6 +311,67 @@ def test_a_module_is_checked_once(monkeypatch):
     X = sphere_for_descriptors(C2, [sign_rep()] * 2, 3)
     for iso in (RhoIso(X, e, sign), RhoIso(X, e, sign)):
         for n in range(X.bound + 1):
-            iso.rhs_functor(n)
+            rhs_functor(iso, n)
     # the action loop visits each element of W once, in the first check only
     assert len(checked) == W.order
+
+
+def coset_set(W, K):
+    """(W/K as a W-set, the index of the coset K), built here rather than by
+    the cached gsets.coset_space, whose cache would hand W's name to a later
+    caller's equal group."""
+    cosets = sorted({tuple(sorted(W.mul[w][k] for k in K)) for w in W.elements()})
+    index = {w: i for i, c in enumerate(cosets) for w in c}
+    rows = tuple(tuple(index[W.mul[g][c[0]]] for c in cosets) for g in W.elements())
+    return GSet(W, len(cosets), rows), index[W.identity]
+
+
+def postcompose_cases():
+    """(label, G, A, B, theta) for H = e, so W = G: equivariant maps into
+    Z[W] and into the permutation modules Z[W/K] and Z/2[W/K], whose points
+    have the stabilizers K, from the trivial module (the norm), from Z[W]
+    (the projection onto cosets, or a right translation into Z[W]) and from
+    Z/2."""
+    for G in (C2, C4, S3):
+        W = subgroup_classes(G)[0].weyl
+        regular = WeylModule.regular(W)
+        right = W.elements()[-1]
+        translate = [{W.mul[x][right]: 1} for x in W.elements()]
+        yield "%s Z[W]->Z[W]" % G.name, G, regular, regular, AbHom.from_columns(
+            regular.value, regular.value, translate
+        )
+        for K in subgroup_classes(W):
+            cosets, unit = coset_set(W, K.elements)
+            for value in (Z, Z2):
+                B = WeylModule.permutation(WeylModule.trivial(W, value), cosets)
+                norm = AbHom.from_columns(value, B.value, [{y: 1 for y in range(cosets.size)}])
+                yield "%s %s->%s[W/K%d]" % (G.name, value.describe(), value.describe(), K.order), \
+                    G, WeylModule.trivial(W, value), B, norm
+            B = WeylModule.permutation(WeylModule.trivial(W, Z), cosets)
+            to_cosets = [{cosets.action[x][unit]: 1} for x in regular_gset(W).points()]
+            yield "%s Z[W]->Z[W/K%d]" % (G.name, K.order), G, regular, B, AbHom.from_columns(
+                regular.value, B.value, to_cosets
+            )
+
+
+@pytest.mark.parametrize("label, G, A, B, theta", list(postcompose_cases()), ids=label_id)
+def test_postcomposition_reads_the_target_at_orbit_representatives(monkeypatch, label, G, A, B, theta):
+    # the same hom as the lift through the whole fixed-part inclusion, with
+    # every lift on one copy of the base module
+    e = subgroup_classes(G)[0]
+    f_src, f_tgt = FixedPointMackey(G, e, A), FixedPointMackey(G, e, B)
+    for rec in subgroup_classes(G):
+        S = std_orbit(G, rec)
+        old = fp_postcompose_by_lift(f_src, f_tgt, theta, S)
+        sizes, lift = [], AbHom.preimage_matrix
+
+        def counted(h, b):
+            sizes.append(h.tgt.ngens)
+            return lift(h, b)
+
+        monkeypatch.setattr(AbHom, "preimage_matrix", counted)
+        new = fp_postcompose(f_src, f_tgt, theta, S)
+        monkeypatch.undo()
+        assert (new.src, new.tgt) == (old.src, old.tgt) and new.same_as(old)
+        assert new.mat == old.mat
+        assert all(size <= 1 for size in sizes)

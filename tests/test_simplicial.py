@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from eqmack.abelian import AbGroup
 from eqmack.groups import FiniteGroup, subgroup_classes
-from eqmack.gsets import GSet
+from eqmack.gsets import GMap, GSet
 from eqmack.mackey import WeylModule
 from eqmack.simplicial import (
     DEFAULT_BOUND,
@@ -45,7 +45,14 @@ from eqmack.tensor import ModuleTensor
 
 from delta_reference import cylinder_inclusions, smash_assoc
 from module_chains import chain_complex
-from simplicial_reference import full_level_check, generated_levels, join_levels, smash_levels
+from simplicial_reference import (
+    full_level_check,
+    full_level_collapse,
+    full_level_wedge,
+    generated_levels,
+    join_levels,
+    smash_levels,
+)
 
 C2 = FiniteGroup.cyclic(2)
 C3 = FiniteGroup.cyclic(3)
@@ -227,17 +234,8 @@ def test_operator_composition():
 
 
 def vertex_subcomplex(X):
-    """Per-level point sets: all iterated degeneracies of the vertices."""
-    subs = []
-    for n in range(X.bound + 1):
-        pts = set()
-        for v in range(X.levels[0].size):
-            y = v
-            for m in range(n):
-                y = X.degens[m][0].values[y]
-            pts.add(y)
-        subs.append(pts)
-    return subs
+    """The vertices as a subcomplex, by its nondegenerate simplices."""
+    return [set(range(X.nd[0].size))] + [set()] * X.bound
 
 
 def test_collapse_to_wedge_of_circles():
@@ -246,6 +244,76 @@ def test_collapse_to_wedge_of_circles():
     assert q.levels[0].size == 1
     assert reduced_homology(q, 0) == (0, ())
     assert reduced_homology(q, 1) == (2, ())
+
+
+def full_points(X, subcomplex):
+    """The points of the full levels of X in the subcomplex given by its
+    nondegenerate simplices: theirs and all their degeneracies."""
+    points = [{X.nondegenerate(n)[y] for y in sub} for n, sub in enumerate(subcomplex)]
+    for n in range(X.bound):
+        points[n + 1] |= {s.values[p] for s in X.degens[n] for p in points[n]}
+    return points
+
+
+def quotient_cases():
+    """(X, a G-stable subcomplex by its nondegenerate simplices): the
+    vertices, the image of S^0, the fixed points of a normal subgroup, the
+    basepoint alone and the whole space."""
+    S3 = FiniteGroup.symmetric(3)
+    a3 = next(r for r in subgroup_classes(S3) if r.order == 3)
+    sig, two = sign_circle(C2, (0,), 3), sphere_for_descriptors(C2, [sign_rep()] * 2, 3)
+    rot = sphere_for_descriptors(C3, [rotation_rep(3, 1)], 3)
+    s3 = sphere_for_descriptors(S3, [sign_rep(a3.elements), trivial_rep(1)], 3)
+    yield "sign-vertices", sig, vertex_subcomplex(sig)
+    incl = discrete_inclusion(s0_space(C2, 3), two, (0, 1))
+    yield "2sigma-S0", two, [{z for _, z in row} for row in incl.images]
+    yield "2sigma-fixed", two, [set(two.nd[n].fixed_by((0, 1))) for n in range(4)]
+    yield "rot-base", rot, [{rot.nd_base}] + [set()] * 3
+    yield "rot-all", rot, [set(range(rot.nd[n].size)) for n in range(4)]
+    yield "S3-A3-fixed", s3, [set(s3.nd[n].fixed_by(a3.elements)) for n in range(4)]
+
+
+@pytest.mark.parametrize("label, X, sub", list(quotient_cases()), ids=lambda x: x if isinstance(x, str) else "")
+def test_the_quotient_lays_out_the_full_level_quotient(label, X, sub):
+    # X / Y on nondegenerate simplices lays out the levels, point tables and
+    # projection of the quotient of X's full levels by Y's full levels
+    want, want_proj = full_level_collapse(X, full_points(X, sub))
+    got, proj = collapse(X, sub)
+    assert (got.levels, got.faces, got.degens, got.basepoints) == (
+        want.levels, want.faces, want.degens, want.basepoints
+    )
+    assert proj.check() is proj and proj.comps == want_proj.comps
+    assert got.check() is got and got == want
+
+
+def test_the_wedge_lays_out_the_full_level_wedge():
+    S3 = FiniteGroup.symmetric(3)
+    a3 = next(r for r in subgroup_classes(S3) if r.order == 3)
+    pairs = [
+        (circle_space(C2, 3), sign_circle(C2, (0,), 3)),
+        (sphere_for_descriptors(C2, [sign_rep()] * 2, 3), s0_space(C2, 3)),
+        (sphere_for_descriptors(C3, [rotation_rep(3, 1)], 3), circle_space(C3, 2)),
+        (sphere_for_descriptors(S3, [sign_rep(a3.elements), trivial_rep(1)], 3), s0_space(S3, 3)),
+    ]
+    for X, Y in pairs:
+        got, want = wedge(X, Y), full_level_wedge(X, Y)
+        assert (got[0].levels, got[0].faces, got[0].degens) == (want[0].levels, want[0].faces, want[0].degens)
+        assert got[0].basepoints == want[0].basepoints and got[0].check() is got[0]
+        for f, g in zip(got[1:], want[1:]):
+            assert f.check() is f and f.comps == g.comps
+
+
+def test_collapse_rejects_what_is_not_a_subcomplex():
+    two = sphere_for_descriptors(C2, [sign_rep()] * 2, 3)
+    edge = next(y for y in range(two.nd[1].size) if two.nd[1].action[1][y] != y)
+    for sub, message in [
+        ([{0}, {edge}, set(), set()], "not G-stable"),
+        ([{0}, {edge, two.nd[1].action[1][edge]}, set(), set()], "not closed under faces"),
+        ([{1}, set(), set(), set()], "must contain the basepoint"),
+        ([{0}, set()], "each level 0..3"),
+    ]:
+        with pytest.raises(SimplicialError, match=message):
+            collapse(two, sub)
 
 
 def test_wedge_homology():
@@ -350,23 +418,19 @@ def test_smash_trusts_its_checked_factors(monkeypatch):
 
 
 def test_map_check_rejects_a_broken_square_and_a_mis_levelled_component():
-    from eqmack.gsets import GMap
-
     X = standard_simplex_plus(C2, 1)
     ident = SimplicialGMap.identity(X)
     assert ident.check() is ident
+    assert ident.comps == tuple(GMap.identity(lv) for lv in X.levels)
     # swap the two vertices but not the edges: d_0 no longer commutes
-    base = X.base(0)
-    u, v = (p for p in range(X.levels[0].size) if p != base)
-    swap = [base] * X.levels[0].size
-    swap[u], swap[v] = v, u
-    comps = list(ident.comps)
-    comps[0] = GMap(X.levels[0], X.levels[0], tuple(swap))
+    images = [list(row) for row in ident.images]
+    u, v = (y for y in range(X.nd[0].size) if y != X.nd_base)
+    images[0][u], images[0][v] = images[0][v], images[0][u]
     with pytest.raises(SimplicialError, match="commute with d_"):
-        SimplicialGMap(X, X, tuple(comps)).check()
-    comps[0] = GMap.identity(X.levels[1])
+        SimplicialGMap(X, X, images).check()
+    images[0] = ident.images[1]
     with pytest.raises(SimplicialError, match="mis-levelled"):
-        SimplicialGMap(X, X, tuple(comps)).check()
+        SimplicialGMap(X, X, images).check()
 
 
 def test_operator_rejects_a_map_that_is_not_monotone_into_its_levels():

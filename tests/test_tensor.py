@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from eqmack.simplicial import (
     circle_space,
     discrete_inclusion,
     discrete_space,
+    fixed_system,
     point_space,
     rotation_rep,
     s0_space,
@@ -65,11 +67,13 @@ from coend_reference import (
     transfer_via_pullback,
 )
 from delta_reference import smash_assoc
+from fixed_point_reference import rhs_functor
 from gset_reference import enumerate_gmaps
 from module_chains import chain_complex, face_hom
 
 C2 = FiniteGroup.cyclic(2)
 S3 = FiniteGroup.symmetric(3)
+Z, Z2 = AbGroup.free(1), AbGroup.cyclic(2)
 
 
 def space_hom(T, other, table, n, S):
@@ -442,9 +446,9 @@ def test_rho_and_sigma_share_each_layout(monkeypatch):
     built = []
     build = RhoIso._build_layout
 
-    def counted(self, rec, n):
+    def counted(self, rec, n, *nondegenerate):
         built.append((rec.class_id, n))
-        return build(self, rec, n)
+        return build(self, rec, n, *nondegenerate)
 
     monkeypatch.setattr(RhoIso, "_build_layout", counted)
     e, full = subgroup_classes(C2)
@@ -545,6 +549,43 @@ def test_rho_sigma_on_three_groups_are_bit_identical():
     assert digest == RHO_SIGMA_SHA256
 
 
+def rho_splitting_spaces():
+    a3 = next(r for r in subgroup_classes(S3) if r.order == 3)
+    for k in (1, 2, 3):
+        yield pytest.param(C2, [sign_rep()] * k, id="C2-%dsigma" % k)
+    yield pytest.param(FiniteGroup.cyclic(3), [rotation_rep(3, 1)], id="C3-rot")
+    yield pytest.param(S3, [sign_rep(a3.elements), trivial_rep(1)], id="S3-sigma+1")
+
+
+@pytest.mark.parametrize("G, descs", list(rho_splitting_spaces()))
+def test_rho_is_the_sum_of_rho_on_the_nondegenerate_simplices(G, descs):
+    # X_n is the sum of the copies s^* ND_k over the surjections s: [n] ->> [k],
+    # so rho_n is an iso exactly when rho on every ND_k with k <= n is one, and
+    # its ends are the sums of theirs; rho on ND_n starts at the normalized level
+    from eqmack.homotopy import normalized_chains
+
+    X = sphere_for_descriptors(G, descs, 3)
+    for hrec in subgroup_classes(G):
+        W = hrec.weyl
+        for module in (WeylModule.trivial(W, Z), WeylModule.regular(W), WeylModule.trivial(W, Z2)):
+            for reduced in (False, True):
+                iso = rho_iso(X, hrec, module, reduced=reduced)
+                for rec in subgroup_classes(G):
+                    parts = [iso._hom("rho", rec, k, True) for k in range(X.bound + 1)]
+                    for k, part in enumerate(parts):
+                        sigma = iso._hom("sigma", rec, k, True)
+                        assert sigma.compose(part).same_as(AbHom.identity(part.src))
+                        assert part.src == normalized_chains(iso.T).level(rec, k)[1].value
+                    for n in range(X.bound + 1):
+                        rho = iso.rho(rec, n)
+                        assert rho.is_iso() == all(part.is_iso() for part in parts[: n + 1])
+                        for end in ("src", "tgt"):
+                            copies = [getattr(p, end) for k, p in enumerate(parts[: n + 1])
+                                      for _ in range(math.comb(n, k))]
+                            summed = ab.direct_sum_data(copies)[0]
+                            assert summed.invariants() == getattr(rho, end).invariants()
+
+
 def test_rho_point_space_is_identity_sized():
     G = C2
     e = subgroup_classes(G)[0]
@@ -562,7 +603,7 @@ def test_rho_naturality_both_variances():
     X = sign_circle(G, (0,), bound=2)
     iso = rho_iso(X, e, module)
     n = 1
-    rhsf = iso.rhs_functor(n)
+    rhsf = rhs_functor(iso, n)
     for j in subgroup_classes(G):
         for h in subgroup_classes(G):
             for om in orbit_maps_between(j, h):
@@ -588,10 +629,10 @@ def test_rho_naturality_in_x():
     for rec in subgroup_classes(G):
         S = std_orbit(G, rec)
         for i in range(2):
-            theta = face_hom(iso.MT, 1, i)
+            theta = face_hom(ModuleTensor(fixed_system(X, e.elements)[0], module, reduced=False), 1, i)
             lhs = iso.rho(rec, 0).compose(iso.T.face(1, i, S))
             rhs = fp_postcompose(
-                iso.rhs_functor(1), iso.rhs_functor(0), theta, S
+                rhs_functor(iso, 1), rhs_functor(iso, 0), theta, S
             ).compose(iso.rho(rec, 1))
             assert lhs.same_as(rhs)
 
