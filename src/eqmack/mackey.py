@@ -227,7 +227,8 @@ class WeylModule(Frozen):
                 terms = [[(wset.action[W.inv(w)][y], w) for w in ws] for y in lay[0]]
                 out = _fixed_block_hom(base, self.orbits(src), lay, terms, fs, ft)
             else:
-                out = self.into_fixed(tgt, sum((self.hom(w) for w in ws[1:]), self.hom(ws[0])).compose(incl_s))
+                out = sum((self.hom(w) for w in ws[1:]), self.hom(ws[0])).compose(incl_s)
+                out = self.into_fixed(tgt, out)
                 if out is None:
                     raise MackeyError("a sum of translates is not fixed")
             self._fixed[key] = out
@@ -246,7 +247,8 @@ class WeylModule(Frozen):
         for j, (y, stab) in enumerate(zip(reps, stabs)):
             lo, hi = y * base.value.ngens, (y + 1) * base.value.ngens
             cols = [{r - lo: v for r, v in col.items() if lo <= r < hi} for col in h.cols]
-            blocks.append((j, 0, base.into_fixed(stab, AbHom.from_columns(h.src, base.value, cols))))
+            block = AbHom.from_columns(h.src, base.value, cols)
+            blocks.append((j, 0, base.into_fixed(stab, block)))
         return ab.assemble_block_hom([h.src], [base.fixed(k)[0] for k in stabs], blocks)[0]
 
 

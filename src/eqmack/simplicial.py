@@ -110,10 +110,10 @@ class SimplicialGSet(Frozen):
     (tensor.PsiMap.component), by TensorMackey's level API, by tests and by
     the benchmark's tracer; nothing else in the package reads them.  One
     given by its full levels reads off its nondegenerate form on first
-    read.  Not compared: _flags, the
-    degeneracy flags read so far, and _layouts, the normalized level sets
-    and face maps of the chains over it (homotopy.MackeyChainComplex) and
-    the orbits of rho over it (tensor.RhoIso).
+    read.  Not compared: _flags, the degeneracy flags read so far, and
+    _layouts, the normalized level sets and face maps of the chains over
+    it (homotopy.MackeyChainComplex) and the copies of its nondegenerate
+    simplices that rho reads (tensor.RhoIso).
     """
 
     __slots__ = (
@@ -175,6 +175,7 @@ class SimplicialGSet(Frozen):
                 raise SimplicialError("level %d needs %d faces" % (n, n + 1))
             if n < b and len(self.degens[n]) != n + 1:
                 raise SimplicialError("level %d needs %d degeneracies" % (n, n + 1))
+        for n in range(b + 1):
             for i, op in enumerate(self.faces[n]):
                 if op.src != self.levels[n] or op.tgt != self.levels[n - 1]:
                     raise SimplicialError("d_%d of level %d is mis-levelled" % (i, n))
@@ -226,10 +227,14 @@ class SimplicialGSet(Frozen):
     def operator(self, alpha, n_src, n_tgt):
         """The simplicial operator alpha*: level n_tgt -> level n_src for a
         monotone alpha: [n_src] -> [n_tgt], as a point table."""
-        if len(alpha) != n_src + 1 or any(not 0 <= v <= n_tgt for v in alpha) or any(
-            u > v for u, v in zip(alpha, alpha[1:])
+        if (
+            len(alpha) != n_src + 1
+            or any(not 0 <= v <= n_tgt for v in alpha)
+            or any(u > v for u, v in zip(alpha, alpha[1:]))
         ):
-            raise SimplicialError("%r is not a monotone map [%d] -> [%d]" % (alpha, n_src, n_tgt))
+            raise SimplicialError(
+                "%r is not a monotone map [%d] -> [%d]" % (alpha, n_src, n_tgt)
+            )
         iota, pi = epi_mono(alpha)
         vals = list(range(self.levels[n_tgt].size))
         cur = n_tgt
@@ -277,9 +282,17 @@ def degeneracy_word(pi):
 
 @lru_cache(maxsize=None)
 def _degenerate_flags(X, n):
-    """p is degenerate exactly when s_i d_i p = p for some i < n."""
-    pairs = [(X.degens[n - 1][i].values, X.faces[n][i].values) for i in range(n)]
-    return tuple(any(s[d[p]] == p for s, d in pairs) for p in range(X.levels[n].size))
+    size = X.levels[n].size
+    flags = [False] * size
+    if n == 0:
+        return tuple(flags)
+    for i in range(n):
+        s = X.degens[n - 1][i]
+        d = X.faces[n][i]
+        for p in range(size):
+            if s.values[d.values[p]] == p:
+                flags[p] = True
+    return tuple(flags)
 
 
 # -- the nondegenerate form ------------------------------------------------------
@@ -568,40 +581,41 @@ def _generated(G, nd_levels, nd_faces, bound):
 class SimplicialGMap(Frozen):
     """A simplicial G-map src -> tgt by the images of the nondegenerate
     simplices up to the lower bound: images[n][y] = (sigma, z) is the image
-    sigma^* z of the nondegenerate n-simplex y.  comps, a GMap per full
-    level, is laid out only when read, as == and hash do.  Not compared:
-    _cofiber, the cofiber once built, and _tables, the images of
-    nondegenerate simplices by full-level index read so far."""
+    sigma^* z of the nondegenerate n-simplex y, and == and hash compare
+    them.  comps, a GMap per full level, is laid out on first read.  Not
+    compared: _comps, _cofiber, the cofiber once built, and _tables, the
+    images of nondegenerate simplices by full-level index read so far."""
 
     __slots__ = ("src", "tgt", "images", "_comps", "_cofiber", "_tables")
-    comps = property(lambda self: self._comps)
 
     def __init__(self, src, tgt, images):
-        fields = ("src", src), ("tgt", tgt), ("images", tuple(map(tuple, images)))
-        for name, value in (*fields, ("_cofiber", None), ("_tables", {})):
+        images = tuple(map(tuple, images))
+        fields = ("src", src), ("tgt", tgt), ("images", images), ("_key", (src, tgt, images))
+        for name, value in (*fields, ("_comps", None), ("_cofiber", None), ("_tables", {})):
             object.__setattr__(self, name, value)
 
-    def __getattr__(self, name):
-        # reached only for an unset slot: the full levels and the key
-        if name not in ("_comps", "_key"):
-            raise AttributeError(name)
-        X, Y, memo, comps = self.src, self.tgt, {}, []
-        for n, size in enumerate(X._nd_form()[4][: len(self.images)]):
-            values = [None] * size
-            for k, s in ((k, s) for k in range(n + 1) for s in surjections(n, k)):
-                for y, (t, z) in enumerate(self.images[k]):
-                    values[_position(X, s, y, memo)] = _position(Y, compose_monotone(t, s), z, memo)
-            comps.append(GMap._trusted(X.levels[n], Y.levels[n], tuple(values)))
-        object.__setattr__(self, "_comps", tuple(comps))
-        object.__setattr__(self, "_key", (X, Y, self._comps))
-        return object.__getattribute__(self, name)
+    @property
+    def comps(self):
+        if self._comps is None:
+            X, Y, memo, comps = self.src, self.tgt, {}, []
+            for n, size in enumerate(X._nd_form()[4][: len(self.images)]):
+                values = [None] * size
+                for k, s in ((k, s) for k in range(n + 1) for s in surjections(n, k)):
+                    for y, (t, z) in enumerate(self.images[k]):
+                        image = _position(Y, compose_monotone(t, s), z, memo)
+                        values[_position(X, s, y, memo)] = image
+                comps.append(GMap._trusted(X.levels[n], Y.levels[n], tuple(values)))
+            object.__setattr__(self, "_comps", tuple(comps))
+        return self._comps
 
     def image_of(self, n, p):
         """The full-level index in tgt of the image of the level-n point p of
         src: read off images when p is nondegenerate, off comps otherwise."""
         if n not in self._tables:
             memo, nd = {}, self.src.nondegenerate(n)
-            self._tables[n] = {p: _position(self.tgt, s, z, memo) for p, (s, z) in zip(nd, self.images[n])}
+            self._tables[n] = {
+                p: _position(self.tgt, s, z, memo) for p, (s, z) in zip(nd, self.images[n])
+            }
         table = self._tables[n]
         return table[p] if p in table else self.comps[n].values[p]
 
@@ -613,7 +627,9 @@ class SimplicialGMap(Frozen):
         if self._cofiber is None:
             X = self.check().tgt
             if self.src.bound != X.bound:
-                raise SimplicialError("a cofibration needs one bound, not %d and %d" % (self.src.bound, X.bound))
+                raise SimplicialError(
+                    "a cofibration needs one bound, not %d and %d" % (self.src.bound, X.bound)
+                )
             subs = [{z for s, z in row if s[-1] == n} for n, row in enumerate(self.images)]
             if any(len(sub) < len(row) for sub, row in zip(subs, self.images)):
                 raise SimplicialError("cofibration needs a levelwise injection")
@@ -633,7 +649,8 @@ class SimplicialGMap(Frozen):
             ):
                 raise SimplicialError("component %d of the map is mis-levelled" % n)
             for g, act in enumerate(X.nd[n].action):
-                if any(row[act[y]] != (s, Y.nd[s[-1]].action[g][z]) for y, (s, z) in enumerate(row)):
+                moved = [(s, Y.nd[s[-1]].action[g][z]) for s, z in row]
+                if any(row[act[y]] != image for y, image in enumerate(moved)):
                     raise SimplicialError("map is not equivariant at level %d" % n)
             for i, faces in enumerate(X.nd_faces[n]):
                 for (s, z), (t, w) in zip(row, faces):
@@ -646,7 +663,8 @@ class SimplicialGMap(Frozen):
 
     @staticmethod
     def identity(x):
-        return SimplicialGMap(x, x, ([(s, y) for y in range(lv.size)] for s, lv in zip(_identities(x.bound), x.nd)))
+        images = [[(s, y) for y in range(lv.size)] for s, lv in zip(_identities(x.bound), x.nd)]
+        return SimplicialGMap(x, x, images)
 
 
 def _identities(bound):
@@ -658,18 +676,23 @@ def _identities(bound):
 
 
 def point_space(G, bound=DEFAULT_BOUND):
-    return build_from_generators(G, [point_gset(G)], [None], bound=bound, base_vertex=0)
+    pt = point_gset(G)
+    return build_from_generators(G, [pt], [None], bound=bound, base_vertex=0)
 
 
 def s0_space(G, bound=DEFAULT_BOUND):
-    return build_from_generators(G, [trivial_gset(G, 2)], [None], bound=bound, base_vertex=0)
+    v = trivial_gset(G, 2)
+    return build_from_generators(G, [v], [None], bound=bound, base_vertex=0)
 
 
 def circle_space(G, bound=DEFAULT_BOUND):
-    """Minimal based circle with trivial action: one vertex, one edge, both
-    of whose ends are at the vertex."""
+    """Minimal based circle with trivial action: one vertex, one edge."""
     v = trivial_gset(G, 1)
-    return build_from_generators(G, [v, v], [None, [(0,), (0,)]], bound=bound, base_vertex=0)
+    e = trivial_gset(G, 1)
+    faces1 = [(0,), (0,)]  # both ends at the vertex
+    return build_from_generators(
+        G, [v, e], [None, faces1], bound=bound, base_vertex=0
+    )
 
 
 def sign_circle(G, kernel, bound=DEFAULT_BOUND):
@@ -681,16 +704,22 @@ def sign_circle(G, kernel, bound=DEFAULT_BOUND):
     ker = frozenset(kernel)
     if len(ker) * 2 != G.order:
         raise SimplicialError("sign sphere needs an index-2 kernel")
-    e = GSet(G, 2, tuple(((0, 1) if g in ker else (1, 0)) for g in G.elements()))
+    v = GSet(G, 2, tuple((0, 1) for _ in G.elements()))
+    e_action = tuple(
+        ((0, 1) if g in ker else (1, 0)) for g in G.elements()
+    )
+    e = GSet(G, 2, e_action)
     faces1 = [(0, 0), (1, 1)]  # d_0 = base vertex, d_1 = the other vertex
-    return build_from_generators(G, [trivial_gset(G, 2), e], [None, faces1], bound=bound, base_vertex=0)
+    return build_from_generators(G, [v, e], [None, faces1], bound=bound, base_vertex=0)
 
 
 def rotation_sphere(G, n, k, bound=DEFAULT_BOUND):
     """Unreduced suspension of the n-gon rotated by k, based at a cone point."""
     if G.order != n:
         raise SimplicialError("rotation sphere needs the cyclic group C%d" % n)
-    gen = next((g for g in G.elements() if G.element_order(g) == n), None)
+    gen = next(
+        (g for g in G.elements() if G.element_order(g) == n), None
+    )
     if gen is None:
         raise SimplicialError("group is not cyclic of order %d" % n)
     # order elements as powers of the generator
@@ -698,11 +727,24 @@ def rotation_sphere(G, n, k, bound=DEFAULT_BOUND):
     for _ in range(n - 1):
         powers.append(G.mul[powers[-1]][gen])
     expo = {g: i for i, g in enumerate(powers)}
-    vert = GSet(G, n, tuple(tuple((expo[g] * k + v) % n for v in range(n)) for g in G.elements()))
-    # the edges rotate as the vertices do, and edge i runs from vertex i to vertex i+1
-    faces1 = [tuple((i + 1) % n for i in range(n)), tuple(range(n))]
-    ngon = build_from_generators(G, [vert, vert], [None, faces1], bound=bound)
-    poles = build_from_generators(G, [trivial_gset(G, 2)], [None], bound=bound)
+    vert = GSet(
+        G,
+        n,
+        tuple(
+            tuple((expo[g] * k + v) % n for v in range(n)) for g in G.elements()
+        ),
+    )
+    edge = vert  # same free rotation action on edges
+    # edge i runs from vertex i to vertex i+1
+    ngon = build_from_generators(
+        G,
+        [vert, edge],
+        [None, [tuple((i + 1) % n for i in range(n)), tuple(range(n))]],
+        bound=bound,
+    )
+    poles = build_from_generators(
+        G, [trivial_gset(G, 2)], [None], bound=bound
+    )
     return join(ngon, poles).as_based(n)  # the first cone point, after the n-gon
 
 
@@ -859,24 +901,42 @@ def wedge(X, Y):
         raise SimplicialError("wedge needs based inputs")
     _check_groups(X, Y)
     G, bound, sides = X.group, min(X.bound, Y.bound), {"l": X, "r": Y}
-    parts = [(None,) * (n == 0) + tuple((c, x) for c, S in sides.items() for x in range(S.nd[n].size)
-                                        if n or x != S.nd_base) for n in range(bound + 1)]
+    parts = [
+        (None,) * (n == 0)
+        + tuple(
+            (c, x) for c, S in sides.items() for x in range(S.nd[n].size) if n or x != S.nd_base
+        )
+        for n in range(bound + 1)
+    ]
     ix = [{t: k for k, t in enumerate(level)} for level in parts]
 
     def name(c, s, x):
         """(s, the wedge's index of x) for the simplex s^* x of side c."""
         return s, 0 if s[-1] == 0 and x == sides[c].nd_base else ix[s[-1]][c, x]
 
-    nd = tuple(GSet._trusted(G, len(level), tuple(
-        tuple(ix[n][t[0], sides[t[0]].nd[n].action[g][t[1]]] if t else 0 for t in level) for g in G.elements()
-    )) for n, level in enumerate(parts))
+    def moved(n, g, t):
+        """The wedge's index of g t for the level-n simplex t of parts."""
+        return 0 if t is None else ix[n][t[0], sides[t[0]].nd[n].action[g][t[1]]]
+
+    def level(n):
+        act = tuple(tuple(moved(n, g, t) for t in parts[n]) for g in G.elements())
+        return GSet._trusted(G, len(parts[n]), act)
+
     faces = ((),) + tuple(
-        tuple(tuple(name(c, *sides[c].nd_faces[n][i][x]) for c, x in level) for i in range(n + 1))
-        for n, level in enumerate(parts) if n
+        tuple(
+            tuple(name(c, *sides[c].nd_faces[n][i][x]) for c, x in parts[n]) for i in range(n + 1)
+        )
+        for n in range(1, bound + 1)
     )
-    out, ident = _nd_space(G, ("wedge", X, Y), nd, faces, 0, tuple(parts)), _identities(bound)
-    return out, *(SimplicialGMap(S, out, ([name(c, s, x) for x in range(S.nd[len(s) - 1].size)] for s in ident))
-                  for c, S in sides.items())
+    nd = tuple(map(level, range(bound + 1)))
+    out = _nd_space(G, ("wedge", X, Y), nd, faces, 0, tuple(parts))
+    ident = _identities(bound)
+
+    def inclusion(c, S):
+        images = [[name(c, s, x) for x in range(S.nd[n].size)] for n, s in enumerate(ident)]
+        return SimplicialGMap(S, out, images)
+
+    return out, inclusion("l", X), inclusion("r", Y)
 
 
 def collapse(X, subcomplex):
@@ -899,27 +959,37 @@ def collapse(X, subcomplex):
             raise SimplicialError("subcomplex not closed under faces")
     if X.based and X.nd_base not in subs[0]:
         raise SimplicialError("subcomplex must contain the basepoint")
-    parts = [(None,) * (n == 0) + tuple(y for y in range(nd[n].size) if y not in sub)
-             for n, sub in enumerate(subs)]
+    parts = [
+        (None,) * (n == 0) + tuple(y for y in range(nd[n].size) if y not in sub)
+        for n, sub in enumerate(subs)
+    ]
     ix = [{y: k for k, y in enumerate(level)} for level in parts]
 
     def name(s, y):
         """The quotient's (s, index) of the simplex s^* y of X."""
         return ((0,) * len(s), 0) if y in subs[s[-1]] else (s, ix[s[-1]][y])
 
+    def level(n):
+        act = [[0 if y is None else ix[n][row[y]] for y in parts[n]] for row in nd[n].action]
+        return GSet._trusted(G, len(parts[n]), tuple(map(tuple, act)))
+
     below = tuple(  # the sorted full-level indices of the subcomplex, for _position
-        sorted(_position(X, s, y, memo) for k in range(n + 1) for s in surjections(n, k) for y in subs[k])
+        sorted(
+            _position(X, s, y, memo)
+            for k in range(n + 1)
+            for s in surjections(n, k)
+            for y in subs[k]
+        )
         for n in range(X.bound + 1)
     )
-    qnd = tuple(GSet._trusted(G, len(level), tuple(
-        tuple(0 if y is None else ix[n][act[y]] for y in level) for act in nd[n].action
-    )) for n, level in enumerate(parts))
     qfaces = ((),) + tuple(
-        tuple(tuple(name(*row[y]) for y in level) for row in faces[n]) for n, level in enumerate(parts) if n
+        tuple(tuple(name(*row[y]) for y in parts[n]) for row in faces[n])
+        for n in range(1, X.bound + 1)
     )
+    qnd = tuple(map(level, range(X.bound + 1)))
     out = _nd_space(G, ("quotient", X, below), qnd, qfaces, 0, tuple(parts))
-    return out, SimplicialGMap(X, out, ([name(s, y) for y in range(nd[len(s) - 1].size)]
-                                        for s in _identities(X.bound)))
+    images = [[name(s, y) for y in range(nd[n].size)] for n, s in enumerate(_identities(X.bound))]
+    return out, SimplicialGMap(X, out, images)
 
 
 # -- fixed points ---------------------------------------------------------------
@@ -929,20 +999,34 @@ def collapse(X, subcomplex):
 def fixed_system(X, helems):
     """(Y over the Weyl group, per-level point lists into X)."""
     fps = [fixed_points(X.levels[n], helems) for n in range(X.bound + 1)]
-    W, levels = fps[0].weyl, tuple(fp.wset for fp in fps)
+    W = fps[0].weyl
+    levels = tuple(fp.wset for fp in fps)
 
     def restrict(f, n_src, n_tgt):
         index = fps[n_tgt].index
-        return GMap(levels[n_src], levels[n_tgt], tuple(index[f.values[p]] for p in fps[n_src].points))
+        return GMap(
+            levels[n_src],
+            levels[n_tgt],
+            tuple(index[f.values[p]] for p in fps[n_src].points),
+        )
 
-    faces = ((),) + tuple(
-        tuple(restrict(X.faces[n][i], n, n - 1) for i in range(n + 1)) for n in range(1, X.bound + 1)
-    )
-    degens = tuple(
-        tuple(restrict(X.degens[n][i], n, n + 1) for i in range(n + 1)) for n in range(X.bound)
-    ) + ((),)
-    basepoints = X.based and tuple(fps[n].index[X.base(n)] for n in range(X.bound + 1)) or None
-    Y = SimplicialGSet(W, levels, faces, degens, basepoints)
+    faces = [()]
+    for n in range(1, X.bound + 1):
+        faces.append(
+            tuple(restrict(X.faces[n][i], n, n - 1) for i in range(n + 1))
+        )
+    degens = []
+    for n in range(X.bound):
+        degens.append(
+            tuple(restrict(X.degens[n][i], n, n + 1) for i in range(n + 1))
+        )
+    degens.append(())
+    basepoints = None
+    if X.based:
+        basepoints = tuple(
+            fps[n].index[X.base(n)] for n in range(X.bound + 1)
+        )
+    Y = SimplicialGSet(W, levels, tuple(faces), tuple(degens), basepoints)
     return Y, tuple(fp.points for fp in fps)
 
 
@@ -971,7 +1055,11 @@ class RepDescriptor(Frozen):
         object.__setattr__(self, "_key", (kind, n, k, kernel))
 
     def __str__(self):
-        return {"trivial": "trivial:%d" % self.n, "sign": "sign"}.get(self.kind, "rot:%d:%d" % (self.n, self.k))
+        if self.kind == "trivial":
+            return "trivial:%d" % self.n
+        if self.kind == "sign":
+            return "sign"
+        return "rot:%d:%d" % (self.n, self.k)
 
     @property
     def dim(self):
@@ -1058,6 +1146,12 @@ def standard_simplex_plus(G, n, bound=DEFAULT_BOUND):
     def op_rule(alpha):
         return lambda p: compose_monotone(p, alpha)
 
-    full, _ = _assemble(G, pts, lambda g, m: lambda p: p, lambda m, i: op_rule(delta(i, m)),
-                        lambda m, i: op_rule(eta(i, m)), [None] * (bound + 1))
+    full, _ = _assemble(
+        G,
+        pts,
+        lambda g, m: lambda p: p,
+        lambda m, i: op_rule(delta(i, m)),
+        lambda m, i: op_rule(eta(i, m)),
+        [None] * (bound + 1),
+    )
     return SimplicialGSet(G, *full).check()

@@ -21,12 +21,13 @@ order.  Full levels are laid out only by TensorMackey's level API
 """
 
 from functools import lru_cache
+from itertools import accumulate
 
 from . import abelian as ab
 from .abelian import AbHom
-from .groups import Frozen, classify_subgroup, subgroup_classes
-from .gsets import GMap, GSet, coset_space, std_orbit
-from .mackey import FixedPointMackey, WeylModule, _fixed_block_hom
+from .groups import Frozen, subgroup_classes
+from .gsets import GMap, GSet, coset_space, fixed_points, orbit_decompose, std_orbit
+from .mackey import FixedPointMackey, WeylModule, _fixed_block_hom, _orbits_under
 from .simplicial import _position, delta, smash, sphere_for_descriptors, surjections
 
 __all__ = [
@@ -122,7 +123,9 @@ class TensorMackey:
             raise TensorError("reduced tensor needs a based space")
         if X.group != M.group:
             raise TensorError("space and coefficients must share the group")
-        self.X, self.M, self.reduced = X, M, reduced
+        self.X = X
+        self.M = M
+        self.reduced = reduced
         self._homs, self._chains = {}, None  # _chains: homotopy.normalized_chains
 
     @property
@@ -205,18 +208,25 @@ class ModuleTensor:
 
     def support(self, n):
         """The simplices carrying a block of A at level n."""
-        drop = self.K.base(n) if self.reduced else None
-        return tuple(x for x in range(self.K.levels[n].size) if x != drop)
+        if self.reduced:
+            return tuple(
+                x for x in range(self.K.levels[n].size) if x != self.K.base(n)
+            )
+        return tuple(range(self.K.levels[n].size))
 
     def module(self, n):
         """The level-n W-module: one copy of A per support simplex, a
         permutation module, so its fixed parts split over orbits."""
         if n not in self._levels:
-            W, keep, act = self.K.group, self.support(n), self.K.levels[n].action
-            pos = {x: i for i, x in enumerate(keep)}
-            rows = tuple(tuple(pos[act[w][x]] for x in keep) for w in W.elements())
-            self._levels[n] = WeylModule.permutation(self.A, GSet._trusted(W, len(keep), rows))
+            self._levels[n] = self._permutation(self.support(n), n)
         return self._levels[n]
+
+    def _permutation(self, keep, n):
+        """The permutation module of A on keep, a W-stable set of level-n
+        simplices."""
+        W, pos, act = self.K.group, {x: i for i, x in enumerate(keep)}, self.K.levels[n].action
+        rows = tuple(tuple(pos[act[w][x]] for x in keep) for w in W.elements())
+        return WeylModule.permutation(self.A, GSet._trusted(W, len(keep), rows))
 
 
 # -- the comparison with fixed-point coefficient systems ------------------------
@@ -237,11 +247,11 @@ class RhoIso:
     the sums.
 
     No full level is laid out.  By the Eilenberg-Zilber lemma X_n is the
-    sum of the G-sets s^* ND_k over the surjections s: [n] ->> [k], so the
-    orbits of X_n x S are those of ND_k x S and the W_s-orbits of X^H_n
-    those of the H-fixed ND_k, one copy per s.  Each is found once on the
-    nondegenerate simplices, and each copy is placed by the full-level
-    indices of its simplices (simplicial._position), so the orbits, their
+    sum of the G-sets s^* ND_k over the surjections s: [n] ->> [k].  The
+    G-set C of each copy lists its simplices in the order of their
+    full-level indices (simplicial._position).  The orbits of X_n x S are
+    those of each C x S (orbit_decompose) merged by least point, and X^H_n
+    is the copies' H-fixed points merged alike, so the orbits, their
     representatives and the values come in the order of the full level.
     """
 
@@ -251,60 +261,50 @@ class RhoIso:
         self.T = TensorMackey(X, self.RA, reduced=reduced)
         self._layouts, self._homs = {}, {}
 
-    def _build_layout(self, rec, n, nondegenerate=False):
+    def _copy(self, s, memo):
+        """The copy s^* ND_k in X_n of the nondegenerate k-simplices, for a
+        surjection s: [n] ->> [k], less the basepoint in a reduced tensor:
+        its G-set in the order of the full level, and the full-level index
+        of each of its points; kept in X._layouts, for every rho over X."""
+        X, key = self.X, ("copy", self.reduced, s)
+        if key not in X._layouts:
+            nd, base = X.nd[s[-1]], X.nd_base if self.reduced and s[-1] == 0 else None
+            pos = {y: _position(X, s, y, memo) for y in range(nd.size) if y != base}
+            ys = sorted(pos, key=pos.__getitem__)
+            rank = {y: r for r, y in enumerate(ys)}
+            action = tuple(tuple(rank[row[y]] for y in ys) for row in nd.action)
+            X._layouts[key] = GSet._trusted(X.group, len(ys), action), [pos[y] for y in ys]
+        return X._layouts[key]
+
+    def _build_layout(self, rec, n):
         """(left value, right value, left orbits, right orbits, rho's terms,
-        sigma's terms) at G/H and level n, or on the nondegenerate
-        n-simplices alone, the orbits with their stabilizers as
-        _orbits_under gives them.  What reads no coefficients is kept in
-        X._layouts, for every rho over X."""
-        X, G, W, A, H = self.X, self.hrec.group, self.hrec.weyl, self.module, self.hrec.elements
-        S, nd, memo, drop = std_orbit(G, rec), X.nd, {}, {(0, X.nd_base)} if self.reduced else ()
-        copies = [s for k in range(n + 1) for s in surjections(n, k)]
-        copies = [tuple(range(n + 1))] if nondegenerate else copies
-
-        def at(s):  # the full-level index of s^* y for each nondegenerate y
-            return _on(X, ("at", s), lambda: [_position(X, s, y, memo) for y in range(nd[s[-1]].size)])
-
-        def wmove(w, s, y):
-            return nd[s[-1]].action[self.hrec.weyl_reps[w]][y]
-
-        def left_orbits():
-            # the orbits of X_n x S: copies of those of ND_k x S, placed by
-            # their least points and based at the least point fixed by the
-            # class representative of their stabilizers, as orbit_decompose has
-            found = []
-            for s in copies:
-                act, pos = nd[s[-1]].action, at(s)
-                moves = [lambda p, a=act[g], b=S.action[g]: (a[p[0]], b[p[1]]) for g in G.elements()]
-                points = [(y, t) for y in range(nd[s[-1]].size) if (s[-1], y) not in drop for t in range(S.size)]
-                for orbit in _on(X, ("left", self.reduced, s[-1], S), lambda: _orbits(points, moves)):
-                    p = min(orbit)
-                    orec = classify_subgroup(G, [g for g in G.elements() if moves[g](p) == p])[0]
-                    fixed = [q for q in orbit if all(moves[h](q) == q for h in orec.elements)]
-                    base = min(fixed, key=lambda q: (pos[q[0]], q[1]))
-                    found.append((min((pos[y], t) for y, t in orbit), orec, s, base))
-            return [entry[1:] for entry in sorted(found, key=lambda entry: entry[0])]
-
+        sigma's terms) at G/H and level n, the orbits with their stabilizers
+        as _orbits_under gives them; built once for rho and sigma."""
+        G, W, H = self.hrec.group, self.hrec.weyl, self.hrec.elements
+        S, memo = std_orbit(G, rec), {}
+        m = S.size  # the points of C x S are (y, t) at y m + t
+        copies = {s: self._copy(s, memo) for k in range(n + 1) for s in surjections(n, k)}
+        # the orbits of X_n x S by least point: each copy's C x S by orbit_decompose
+        left = sorted(
+            (pos[o.points[0] // m], o.points[0] % m, o.record, s, divmod(o.basepoint, m))
+            for s, (C, pos) in copies.items()
+            for o in orbit_decompose(product_level(C, S).gset)
+        )
+        # X^H_n as a W-set: the copies' H-fixed points, in full-level order
+        fixed = {s: fixed_points(C, H) for s, (C, _) in copies.items()}
+        points = sorted(
+            (copies[s][1][p], s, i) for s, fc in fixed.items() for i, p in enumerate(fc.points)
+        )
+        index = {(s, i): j for j, (_, s, i) in enumerate(points)}
+        wact = [[index[s, fixed[s].wset.action[w][i]] for _, s, i in points] for w in W.elements()]
+        # the right-hand orbits: by orbit [s] of S^H, then by W_s-orbit of X^H_n
         fp, (_, s_stabs, s_where), _ = self.RA._orbit_layout(S)
-        # the right-hand orbits: by orbit [s] of S^H, then by W_s-orbit of X^H_n,
-        # each a copy of a W_s-orbit of the H-fixed ND_k at its least point
-        rstabs, where, rvalues = [], [], []
-        for K in s_stabs:
-            found = []
-            for s in copies:
-                fixed = [y for y in nd[s[-1]].fixed_by(H) if (s[-1], y) not in drop]
-                moves = [lambda y, w=w, s=s: wmove(w, s, y) for w in K]
-                orbits, pos = _on(X, ("fixed", self.reduced, s[-1], H, K), lambda: _orbits(fixed, moves)), at(s)
-                found += (min((pos[y], s, y) for y in orbit) for orbit in orbits)
-            found.sort()
-            stabs = [tuple(w for w in K if wmove(w, s, y) == y) for _, s, y in found]
-            where.append({(s, wmove(w, s, y)): (len(rstabs) + j, w)
-                          for j, (_, s, y) in enumerate(found) for w in reversed(K)})
-            rvalues.append(ab.direct_sum_data([A.fixed(k)[0] for k in stabs])[0])
-            rstabs += stabs
-        left = _on(X, ("rho", self.reduced, rec.class_id, n, nondegenerate), left_orbits)
+        orbits = [_orbits_under(wact, K, len(points)) for K in s_stabs]
+        starts = list(accumulate((len(o[0]) for o in orbits), initial=0))
+        rstabs = [k for o in orbits for k in o[1]]
+        rvalues = [ab.direct_sum_data([self.module.fixed(k)[0] for k in o[1]])[0] for o in orbits]
         lstabs, to_left, to_right, orbit_reps = [], [], [None] * len(rstabs), {}
-        for orec, s, (y0, t0) in left:
+        for _, _, orec, s, (y0, t0) in left:
             if orec not in orbit_reps:
                 fo, (reps, stabs, _), _ = self.RA._orbit_layout(std_orbit(G, orec))
                 orbit_reps[orec] = fo, reps, stabs, coset_space(G, orec.elements)[1]
@@ -313,25 +313,28 @@ class RhoIso:
                 # the left representative g (y0, t0) is w = u v times a right one
                 g = cosets[fo.points[c]]
                 i, u = s_where[fp.index[S.action[g][t0]]]
-                r, v = where[i][s, wmove(W.inv(u), s, nd[s[-1]].action[g][y0])]
-                w = W.mul[u][v]
+                y = index[s, fixed[s].index[copies[s][0].action[g][y0]]]
+                j, v = orbits[i][2][wact[W.inv(u)][y]]
+                w, r = W.mul[u][v], starts[i] + j
                 to_right[r] = [(len(lstabs), W.inv(w))]
                 to_left.append([(r, w)])
                 lstabs.append(k)
-        lvalue = ab.direct_sum_data([self.RA.orbit_value(entry[0]) for entry in left])[0]
+        lvalue = ab.direct_sum_data([self.RA.orbit_value(entry[2]) for entry in left])[0]
         # as layouts for _fixed_block_hom, each representative its own orbit
         ends = [(None, st, [(i, W.identity) for i in range(len(st))]) for st in (lstabs, rstabs)]
         return lvalue, ab.direct_sum_data(rvalues)[0], *ends, to_right, to_left
 
-    def _hom(self, kind, rec, n, nondegenerate=False):
-        """rho or sigma at G/H and level n, or on the nondegenerate
-        n-simplices alone; rho_n is the sum of their copies s^* ND_k."""
-        key = (rec.class_id, n, nondegenerate)
+    def _hom(self, kind, rec, n):
+        """rho or sigma at G/H and level n."""
+        key = (rec.class_id, n)
         if key not in self._layouts:
-            self._layouts[key] = self._build_layout(rec, n, nondegenerate)
+            self._layouts[key] = self._build_layout(rec, n)
         if (kind, *key) not in self._homs:
             lv, rv, left, right, to_right, to_left = self._layouts[key]
-            ends = (left, right, to_right, lv, rv) if kind == "rho" else (right, left, to_left, rv, lv)
+            if kind == "rho":
+                ends = left, right, to_right, lv, rv
+            else:
+                ends = right, left, to_left, rv, lv
             self._homs[kind, *key] = _fixed_block_hom(self.module, *ends)
         return self._homs[kind, *key]
 
@@ -342,23 +345,6 @@ class RhoIso:
     def sigma(self, rec, n):
         """b |-> w b from each right representative to its left one."""
         return self._hom("sigma", rec, n)
-
-
-def _on(X, key, build):
-    """build(), kept in X._layouts under key."""
-    if key not in X._layouts:
-        X._layouts[key] = build()
-    return X._layouts[key]
-
-
-def _orbits(points, moves):
-    """The orbits of points under the point maps moves, each as a set."""
-    seen, out = set(), []
-    for p in points:
-        if p not in seen:
-            out.append({move(p) for move in moves})
-            seen |= out[-1]
-    return out
 
 
 def rho_iso(X, hrec, module, reduced=False):
@@ -396,7 +382,9 @@ class PsiMap:
         """The homomorphism induced by a fixed sphere simplex alpha."""
         if alpha == self.SW.base(n):
             S = std_orbit(self.M.group, rec)
-            return AbHom.zero(self.T_src.group_at(n, S), self.T_tgt.group_at(n, S))
+            return AbHom.zero(
+                self.T_src.group_at(n, S), self.T_tgt.group_at(n, S)
+            )
         return self.M.covariant(self.level_map(rec, n, alpha), 0, 0)
 
 
@@ -470,7 +458,8 @@ class CoefficientSES(ShortExactSequence):
     names = ("M", "N", "P")
 
     def __init__(self, phi, psi, X, reduced=False):
-        self.phi, self.psi = phi, psi
+        self.phi = phi
+        self.psi = psi
         for rec in subgroup_classes(phi.src.group):
             if not _exact_pair(phi.comp(rec), psi.comp(rec)):
                 raise TensorError("coefficients are not exact at class %d" % rec.class_id)

@@ -16,8 +16,8 @@ from eqmack import abelian as ab
 from eqmack.abelian import AbHom
 from eqmack.gsets import GMap, fixed_points, std_orbit
 from eqmack.mackey import FixedPointMackey, MackeyError, MackeyFunctor
-from eqmack.simplicial import fixed_system
-from eqmack.tensor import ModuleTensor, TensorMackey
+from eqmack.simplicial import collapse, fixed_system
+from eqmack.tensor import ModuleTensor, TensorMackey, rho_iso
 
 from module_chains import routed_hom
 
@@ -122,6 +122,19 @@ def rhs_functor(iso, n):
     Y = fixed_system(iso.X, iso.hrec.elements)[0]
     module = ModuleTensor(Y, iso.module, reduced=iso.reduced).module(n)
     return FixedPointMackey(iso.hrec.group, iso.hrec, module)
+
+
+def rho_on_nondegenerate(iso, rec, k):
+    """(rho, sigma) of the RhoIso iso on the nondegenerate k-simplices alone.
+    Level 0 has no others; for k > 0 they are level k of X / sk_{k-1} X
+    less its basepoint, the crushed skeleton, so these are rho_k and
+    sigma_k of the reduced tensor over that quotient."""
+    if k == 0:
+        return iso.rho(rec, 0), iso.sigma(rec, 0)
+    X = iso.X
+    quotient = collapse(X, [range(X.nd[j].size) if j < k else () for j in range(X.bound + 1)])[0]
+    top = rho_iso(quotient, iso.hrec, iso.module, reduced=True)
+    return top.rho(rec, k), top.sigma(rec, k)
 
 
 class ConstraintRhoIso:

@@ -10,7 +10,7 @@ nondegenerate simplices, and maps given by a rule on full-level points.
 
 from functools import partial
 
-from eqmack.gsets import GMap
+from eqmack.gsets import GMap, GSet
 from eqmack.simplicial import (
     SimplicialError,
     SimplicialGSet,
@@ -31,6 +31,34 @@ def full_level_check(X):
         for f in row:
             GMap(f.src, f.tgt, f.values)
     return SimplicialGSet(X.group, X.levels, X.faces, X.degens, X.basepoints).check()
+
+
+def relabelled(X, perms):
+    """X given by its full levels with the level-n point p renamed
+    perms[n][p], checked.  Renaming at one level and not the next makes
+    the degeneracies, and so the copies s^* ND_k in a full level, run out
+    of the order of the nondegenerate simplices."""
+
+    def rename(values, n_src, n_tgt):
+        out = [None] * len(values)
+        for p, q in enumerate(values):
+            out[perms[n_src][p]] = perms[n_tgt][q]
+        return tuple(out)
+
+    levels = tuple(
+        GSet(X.group, lv.size, tuple(rename(row, n, n) for row in lv.action))
+        for n, lv in enumerate(X.levels)
+    )
+    faces = tuple(
+        tuple(GMap(levels[n], levels[n - 1], rename(f.values, n, n - 1)) for f in row)
+        for n, row in enumerate(X.faces)
+    )
+    degens = tuple(
+        tuple(GMap(levels[n], levels[n + 1], rename(f.values, n, n + 1)) for f in row)
+        for n, row in enumerate(X.degens)
+    )
+    base = X.basepoints and tuple(perms[n][p] for n, p in enumerate(X.basepoints))
+    return SimplicialGSet(X.group, levels, faces, degens, base).check()
 
 
 def generated_levels(G, nd_levels, nd_faces, bound):

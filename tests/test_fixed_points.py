@@ -27,6 +27,7 @@ from fixed_point_reference import (
     fp_postcompose_by_lift,
     rhs_functor,
 )
+from simplicial_reference import relabelled
 
 Z = AbGroup.free(1)
 Z2 = AbGroup.cyclic(2)
@@ -151,13 +152,18 @@ def test_restriction_and_transfer_commute_with_the_reading(label, new, old):
 
 
 def rho_cases():
-    for G, desc in cases():
-        X = sphere_for_descriptors(G, [desc], 2)
+    spaces = [(G, sphere_for_descriptors(G, [desc], 2), G.name) for G, desc in cases()]
+    # S^sigma given by full levels whose level 1 runs backwards, so that the
+    # copies of the vertices in it run against their order in level 0
+    X = sphere_for_descriptors(C2, [sign_rep()], 2)
+    perms = [range(lv.size)[:: -1 if n == 1 else 1] for n, lv in enumerate(X.levels)]
+    spaces.append((C2, relabelled(X, perms), "C2 relabelled"))
+    for G, X, space in spaces:
         for hrec in subgroup_classes(G):
             for name in modules(hrec.weyl):
                 for reduced in (False, True):
                     kind = "reduced" if reduced else "unreduced"
-                    label = "%s H=%d %s %s" % (G.name, hrec.class_id, name, kind)
+                    label = "%s H=%d %s %s" % (space, hrec.class_id, name, kind)
                     yield pytest.param(X, hrec, name, reduced, id=label)
 
 

@@ -67,7 +67,7 @@ from coend_reference import (
     transfer_via_pullback,
 )
 from delta_reference import smash_assoc
-from fixed_point_reference import rhs_functor
+from fixed_point_reference import rho_on_nondegenerate, rhs_functor
 from gset_reference import enumerate_gmaps
 from module_chains import chain_complex, face_hom
 
@@ -446,9 +446,9 @@ def test_rho_and_sigma_share_each_layout(monkeypatch):
     built = []
     build = RhoIso._build_layout
 
-    def counted(self, rec, n, *nondegenerate):
+    def counted(self, rec, n):
         built.append((rec.class_id, n))
-        return build(self, rec, n, *nondegenerate)
+        return build(self, rec, n)
 
     monkeypatch.setattr(RhoIso, "_build_layout", counted)
     e, full = subgroup_classes(C2)
@@ -561,7 +561,7 @@ def rho_splitting_spaces():
 def test_rho_is_the_sum_of_rho_on_the_nondegenerate_simplices(G, descs):
     # X_n is the sum of the copies s^* ND_k over the surjections s: [n] ->> [k],
     # so rho_n is an iso exactly when rho on every ND_k with k <= n is one, and
-    # its ends are the sums of theirs; rho on ND_n starts at the normalized level
+    # its ends are the sums of theirs; rho on ND_k starts at the normalized level
     from eqmack.homotopy import normalized_chains
 
     X = sphere_for_descriptors(G, descs, 3)
@@ -571,11 +571,12 @@ def test_rho_is_the_sum_of_rho_on_the_nondegenerate_simplices(G, descs):
             for reduced in (False, True):
                 iso = rho_iso(X, hrec, module, reduced=reduced)
                 for rec in subgroup_classes(G):
-                    parts = [iso._hom("rho", rec, k, True) for k in range(X.bound + 1)]
-                    for k, part in enumerate(parts):
-                        sigma = iso._hom("sigma", rec, k, True)
+                    parts = []
+                    for k in range(X.bound + 1):
+                        part, sigma = rho_on_nondegenerate(iso, rec, k)
                         assert sigma.compose(part).same_as(AbHom.identity(part.src))
                         assert part.src == normalized_chains(iso.T).level(rec, k)[1].value
+                        parts.append(part)
                     for n in range(X.bound + 1):
                         rho = iso.rho(rec, n)
                         assert rho.is_iso() == all(part.is_iso() for part in parts[: n + 1])
