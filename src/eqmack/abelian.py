@@ -33,6 +33,14 @@ def _check_length(x, ngens):
         raise ContractError("element has %d coordinates for %d generators" % (len(x), ngens))
 
 
+def _rows(mat):
+    """The dense matrix mat as row tuples and its shape; raise unless its rows have one length."""
+    rows = tuple(map(tuple, mat))
+    if len({len(r) for r in rows}) > 1:
+        raise ContractError("matrix rows have lengths %s" % sorted({len(r) for r in rows}))
+    return (rows, *la.shape(rows))
+
+
 class AbGroup:
     """Z^ngens modulo the span of relcols.  Equal groups have the same
     ngens and the same relation columns, in order."""
@@ -41,12 +49,10 @@ class AbGroup:
 
     def __init__(self, ngens, rels=()):
         """rels: the dense ngens x k relation matrix, columns are relations."""
-        rels = tuple(map(tuple, rels))
-        if rels and len(rels) != ngens:
-            raise ContractError(
-                "relation matrix has %d rows for %d generators" % (len(rels), ngens)
-            )
-        self._set(ngens, la.columns(rels, len(rels[0]) if rels else 0))
+        rels, m, k = _rows(rels)
+        if m and m != ngens:
+            raise ContractError("relation matrix has %d rows for %d generators" % (m, ngens))
+        self._set(ngens, la.columns(rels, k))
 
     @classmethod
     def from_columns(cls, ngens, cols):
@@ -192,8 +198,7 @@ class AbHom:
     __slots__ = ("src", "tgt", "cols", "_mat", "_red")
 
     def __init__(self, src, tgt, mat):
-        mat = tuple(tuple(r) for r in mat)
-        m, n = la.shape(mat)
+        mat, m, n = _rows(mat)
         # a matrix without rows also stands for any hom with a zero side
         if (m, n) != (tgt.ngens, src.ngens) and (m or tgt.ngens and src.ngens):
             raise ContractError(

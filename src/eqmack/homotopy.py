@@ -5,7 +5,7 @@ Normalized chains N_n are built on the nondegenerate n-simplices as the
 space stores them (SimplicialGSet.nd, nd_faces), without a full level: the
 degenerate chains D are a subcomplex and N = C/D, so a face stored with a
 degeneracy, or on the basepoint, is dropped.  Each level is a LevelSet on
-their G-set, named by full-level index; a dropped point goes to its sink.
+their G-set, named by index in nd[n]; a dropped point goes to its sink.
 
 Homotopy groups of mapping objects are read from Hom complexes of
 normalized chains.  The target T is a simplicial abelian group, so based
@@ -111,7 +111,7 @@ class MackeyChainComplex:
 
     def level(self, rec, n):
         """(LevelSet, Evaluated) of level n at G/H on the nondegenerate
-        simplices, named by full-level index, minus the basepoint for a
+        simplices, named by their index in X.nd[n], minus the basepoint for a
         reduced tensor; the value omits the orbit of the sink, so a point
         sent there is dropped.  The level set is kept on the space."""
         key = (rec.class_id, n)
@@ -119,7 +119,7 @@ class MackeyChainComplex:
             X, layout = self.T.X, (self.T.reduced, rec.class_id, n)
             if layout not in X._layouts:
                 base = X.nd_base if self.T.reduced and n == 0 else None
-                kept = {y: p for y, p in enumerate(X.nondegenerate(n)) if y != base}
+                kept = [y for y in range(X.nd[n].size) if y != base]
                 S = std_orbit(self.T.group, rec)
                 X._layouts[layout] = _build_level(X.nd[n], kept, S, sink=True)
             ls = X._layouts[layout]
@@ -127,13 +127,13 @@ class MackeyChainComplex:
         return self._levels[key]
 
     def _face(self, rec, n, i):
-        """d_i of level n at G/H as a G-map of level sets, kept on the space."""
+        """d_i of level n at G/H, a degenerate face sent to the sink; kept on the space."""
         X = self.T.X
         key = (self.T.reduced, rec.class_id, n, i)
         if key not in X._layouts:
-            table = X.nd_face_table(n, i)
+            face = [z if s[-1] == n - 1 else None for s, z in X.nd_faces[n][i]]
             src, tgt = self.level(rec, n)[0], self.level(rec, n - 1)[0]
-            X._layouts[key] = src.gmap(tgt, lambda x, s: (table[x], s))
+            X._layouts[key] = src.gmap(tgt, lambda y, t: (face[y], t))
         return X._layouts[key]
 
     def homology(self, rec, n):
@@ -552,8 +552,7 @@ def _phi_induced(psi, krec, kspace, mc, chains, n):
     G, SX = psi.M.group, psi.SX
     data = mc.degree_data(n)
     reps = coset_space(G, krec.elements)[1]
-    nd_x = {p: i for i, p in enumerate(psi.X.nondegenerate(n))}
-    names, homs = {}, {}  # names[m]: the smash parts of level m -> full-level name
+    names, homs = {}, {}  # names[m]: the smash parts of level m -> index in SX.nd[m]
 
     def block_hom(cid, k, y):
         """N_n T_src(G/K) -> N_{k+n} T_tgt(G/H): the lift's block at y."""
@@ -562,13 +561,13 @@ def _phi_induced(psi, krec, kspace, mc, chains, n):
         res = chains.transition_chain_map(OrbitMap(rec, krec, reps[u]), "res").comps[n]
         (src, sev), (tgt, tev) = chains.level(rec, n), mc.chains.level(rec, k + n)
         if k + n not in names:
-            names[k + n] = dict(zip(SX._parts[k + n], SX.nondegenerate(k + n)))
+            names[k + n] = {part: y for y, part in enumerate(SX._parts[k + n])}
         name, act = names[k + n], psi.SW.nd[a[-1]].action
         gx = [act[g][x] for g in coset_space(G, rec.elements)[1]]
         h = AbHom.zero(sev.value, tev.value)
         for sign, up_y, up_z in _shuffles(k, n):
             s = tuple(a[v] for v in up_y)
-            f = src.gmap(tgt, lambda p, t: (name.get((s, gx[t], up_z, nd_x[p])), t))
+            f = src.gmap(tgt, lambda y, t: (name.get((s, gx[t], up_z, y)), t))
             h = h + covariant_between(psi.M, f, sev, tev, 0).scale(sign)
         return h.compose(res)
 

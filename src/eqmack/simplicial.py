@@ -96,9 +96,10 @@ def monotones(n, m):
 
 class SimplicialGSet(Frozen):
     """A simplicial G-set truncated at bound, stored by its nondegenerate
-    simplices: nd[n] is their GSet in full-level order, nondegenerate(n)
-    their full-level indices, nd_faces[n][i][y] is d_i y as (sigma, z) for
-    sigma^* z with sigma a degeneracy's surjection, nd_base the basepoint.
+    simplices: nd[n] is their GSet in full-level order, nd_faces[n][i][y]
+    is d_i y as (sigma, z) for sigma^* z with sigma a degeneracy's
+    surjection, nd_base the basepoint.  Outside this module a simplex is
+    named by its index y in nd[n]; its full-level index is found here only.
 
     The full levels are fields too: levels holds a GSet per degree
     0..bound; faces[n][i] is the GMap levels[n] -> levels[n-1], with
@@ -112,8 +113,8 @@ class SimplicialGSet(Frozen):
     given by its full levels reads off its nondegenerate form on first
     read.  Not compared: _flags, the degeneracy flags read so far, and
     _layouts, the normalized level sets and face maps of the chains over
-    it (homotopy.MackeyChainComplex) and the copies of its nondegenerate
-    simplices that rho reads (tensor.RhoIso).
+    it (homotopy.MackeyChainComplex), and what nondegenerate and nd_copies
+    have read so far.
     """
 
     __slots__ = (
@@ -145,7 +146,7 @@ class SimplicialGSet(Frozen):
         return self.basepoints is not None
 
     def _nd_form(self):
-        """(nd, nd_faces, nd_base, nondegenerate indices, full level sizes)."""
+        """(nd, nd_faces, nd_base, full level sizes)."""
         if self._nd is None:
             object.__setattr__(self, "_nd", _read_nd(self))
         return self._nd
@@ -212,16 +213,31 @@ class SimplicialGSet(Frozen):
         return flags
 
     def nondegenerate(self, n):
-        """The indices in full level n of the nondegenerate n-simplices."""
-        return self._nd_form()[3][n]
+        """The full-level indices of the nondegenerate n-simplices: the points
+        unflagged in a space given by its full levels, else their _position."""
+        if ("nd", n) not in self._layouts:
+            ident, memo = tuple(range(n + 1)), {}
+            if self._recipe is None:
+                ix = (p for p, f in enumerate(self.degenerate_flags(n)) if not f)
+            else:
+                ix = (_position(self, ident, y, memo) for y in range(self.nd[n].size))
+            self._layouts["nd", n] = tuple(ix)
+        return self._layouts["nd", n]
 
-    def nd_face_table(self, n, i):
-        """d_i on the nondegenerate n-simplices by full-level index: the
-        index of a nondegenerate face, -1 for a degenerate one; kept in _layouts."""
-        key, below = ("d", n, i), self.nondegenerate(n - 1)
+    def nd_copies(self, n, reduced):
+        """The copies s^* ND_k in level n of the nondegenerate k-simplices,
+        one per surjection s: [n] ->> [k], less the basepoint if reduced: per
+        s, its G-set in full-level order and the full-level index of each point."""
+        key, memo = ("copies", reduced, n), {}
         if key not in self._layouts:
-            faces = zip(self.nondegenerate(n), self.nd_faces[n][i])
-            self._layouts[key] = {p: below[z] if s[-1] == n - 1 else -1 for p, (s, z) in faces}
+            copies = self._layouts[key] = {}
+            for s in (s for k in range(n + 1) for s in surjections(n, k)):
+                nd, base = self.nd[s[-1]], self.nd_base if reduced and s[-1] == 0 else None
+                pos = {y: _position(self, s, y, memo) for y in range(nd.size) if y != base}
+                ys = sorted(pos, key=pos.__getitem__)
+                rank = {y: r for r, y in enumerate(ys)}
+                action = tuple(tuple(rank[row[y]] for y in ys) for row in nd.action)
+                copies[s] = GSet._trusted(self.group, len(ys), action), [pos[y] for y in ys]
         return self._layouts[key]
 
     def operator(self, alpha, n_src, n_tgt):
@@ -250,10 +266,10 @@ class SimplicialGSet(Frozen):
 
     def as_based(self, base_vertex):
         """Re-declare an unbased object as based at a fixed vertex."""
-        nd, faces, _, index, _ = self._nd_form()
+        nd, faces, _, _ = self._nd_form()
         if not 0 <= base_vertex < nd[0].size:
             raise SimplicialError("no vertex %r to base at" % (base_vertex,))
-        return _nd_space(self.group, ("based", self), nd, faces, base_vertex, None, index).check()
+        return _nd_space(self.group, ("based", self), nd, faces, base_vertex).check()
 
 
 def _table(f, g):
@@ -305,19 +321,14 @@ def _fill(X, fields, nd, recipe, parts):
     object.__setattr__(X, "_layouts", {})
 
 
-def _nd_space(G, recipe, nd, faces, base, parts=None, index=None):
+def _nd_space(G, recipe, nd, faces, base, parts=None):
     """The space of the nondegenerate simplices nd with faces and base, its
     full levels built on first read by the recipe (kind, factors...); parts
-    names each simplex's factor simplices, index its full-level index."""
+    names each simplex's factor simplices."""
     X, memo = object.__new__(SimplicialGSet), {}
     sizes = tuple(sum(nd[k].size * comb(n, k) for k in range(n + 1)) for n in range(len(nd)))
-    _fill(X, [("group", G)], (nd, faces, base, index, sizes), recipe, parts)
+    _fill(X, [("group", G)], (nd, faces, base, sizes), recipe, parts)
     ident = _identities(len(nd) - 1)
-    if index is None:
-        index = tuple(
-            tuple(_position(X, s, z, memo) for z in range(lv.size)) for s, lv in zip(ident, nd)
-        )
-        object.__setattr__(X, "_nd", (nd, faces, base, index, sizes))
     points = base is not None and tuple(_position(X, (0,) * len(s), base, memo) for s in ident)
     object.__setattr__(X, "basepoints", points or None)
     return X
@@ -354,10 +365,10 @@ def _position(X, sigma, z, memo):
         else:
             S = X._recipe[1 + (part[0] == "r")]
             p = _position(S, sigma, part[1], memo)
-            p += (p < S.basepoints[n]) + (part[0] == "r" and A._nd_form()[4][n] - 1)
+            p += (p < S.basepoints[n]) + (part[0] == "r" and A._nd_form()[3][n] - 1)
     else:
         point, (A, B) = _point(X, X._parts[m][z], sigma, memo), X._recipe[1:]
-        sa, sb = A._nd_form()[4], B._nd_form()[4]
+        sa, sb = A._nd_form()[3], B._nd_form()[3]
         if kind == "smash" and point is None:  # the basepoint
             p = 0
         elif kind == "smash":
@@ -422,8 +433,7 @@ def _check_nd(X):
 def _read_nd(X):
     """The nondegenerate form of a space given by its full levels: the points
     no degeneracy flag marks, each face walked down d_i while s_i d_i fixes it."""
-    flags = [X.degenerate_flags(n) for n in range(X.bound + 1)]
-    index = tuple(tuple(p for p, f in enumerate(fl) if not f) for fl in flags)
+    index = [X.nondegenerate(n) for n in range(X.bound + 1)]
     pos = [{p: y for y, p in enumerate(ix)} for ix in index]
 
     def normal(m, p):
@@ -441,14 +451,14 @@ def _read_nd(X):
         tuple(tuple(normal(n - 1, f.values[p]) for p in ix) for f in X.faces[n])
         for n, ix in enumerate(index)
     )
-    return nd, faces, X.basepoints[0] if X.based else None, index, tuple(lv.size for lv in X.levels)
+    return nd, faces, X.basepoints[0] if X.based else None, tuple(lv.size for lv in X.levels)
 
 
 def _materialize(X):
     """Lay out the full levels of X in its constructor's order: a smash
     pairs its factors' points (_smash_levels); any other space puts each
     simplex s^* z at its _position, acted on by the simplicial identities."""
-    nd, nd_faces, _, _, sizes = X._nd_form()
+    nd, nd_faces, _, sizes = X._nd_form()
     if X._recipe[0] == "smash":
         full, tables = _smash_levels(*X._recipe[1:])
     else:
@@ -583,22 +593,21 @@ class SimplicialGMap(Frozen):
     simplices up to the lower bound: images[n][y] = (sigma, z) is the image
     sigma^* z of the nondegenerate n-simplex y, and == and hash compare
     them.  comps, a GMap per full level, is laid out on first read.  Not
-    compared: _comps, _cofiber, the cofiber once built, and _tables, the
-    images of nondegenerate simplices by full-level index read so far."""
+    compared: _comps, and _cofiber, the cofiber once built."""
 
-    __slots__ = ("src", "tgt", "images", "_comps", "_cofiber", "_tables")
+    __slots__ = ("src", "tgt", "images", "_comps", "_cofiber")
 
     def __init__(self, src, tgt, images):
         images = tuple(map(tuple, images))
         fields = ("src", src), ("tgt", tgt), ("images", images), ("_key", (src, tgt, images))
-        for name, value in (*fields, ("_comps", None), ("_cofiber", None), ("_tables", {})):
+        for name, value in (*fields, ("_comps", None), ("_cofiber", None)):
             object.__setattr__(self, name, value)
 
     @property
     def comps(self):
         if self._comps is None:
             X, Y, memo, comps = self.src, self.tgt, {}, []
-            for n, size in enumerate(X._nd_form()[4][: len(self.images)]):
+            for n, size in enumerate(X._nd_form()[3][: len(self.images)]):
                 values = [None] * size
                 for k, s in ((k, s) for k in range(n + 1) for s in surjections(n, k)):
                     for y, (t, z) in enumerate(self.images[k]):
@@ -607,17 +616,6 @@ class SimplicialGMap(Frozen):
                 comps.append(GMap._trusted(X.levels[n], Y.levels[n], tuple(values)))
             object.__setattr__(self, "_comps", tuple(comps))
         return self._comps
-
-    def image_of(self, n, p):
-        """The full-level index in tgt of the image of the level-n point p of
-        src: read off images when p is nondegenerate, off comps otherwise."""
-        if n not in self._tables:
-            memo, nd = {}, self.src.nondegenerate(n)
-            self._tables[n] = {
-                p: _position(self.tgt, s, z, memo) for p, (s, z) in zip(nd, self.images[n])
-            }
-        table = self._tables[n]
-        return table[p] if p in table else self.comps[n].values[p]
 
     def cofiber(self):
         """(tgt / image, projection) for a checked levelwise injection, built
@@ -815,9 +813,9 @@ def smash(X, Y):
         [[z for z in range(nd[m].size) if m or z != b] for m in range(bound + 1)]
         for nd, b in ((xnd, xb), (ynd, yb))
     ]
-    nd, faces, index, lookup, joints = [], [()], [], [], {}
+    nd, faces, lookup, joints = [], [()], [], {}
     for n in range(bound + 1):
-        found, memo, wide = [], {}, Y._nd_form()[4][n] - 1
+        found, memo, wide = [], {}, Y._nd_form()[3][n] - 1
 
         def rank_of(S, s, z):
             """The index of s^* z among the non-base points of level n of S."""
@@ -842,7 +840,6 @@ def smash(X, Y):
             for xa, ya in acts
         )
         nd.append(GSet._trusted(G, len(level), act))
-        index.append(((0,) if n == 0 else ()) + tuple(r for r, _ in found))
         lookup.append(ix)
         if n:
             fx, fy, rows = {}, {}, []
@@ -861,7 +858,7 @@ def smash(X, Y):
                 rows.append((eps, lookup[eps[-1]][s, u, t, v]))
             faces.append(tuple(tuple(rows[i :: n + 1]) for i in range(n + 1)))
     parts = tuple(tuple(ix) for ix in lookup)  # each level's keys, in order
-    return _nd_space(G, ("smash", X, Y), tuple(nd), tuple(faces), 0, parts, tuple(index))
+    return _nd_space(G, ("smash", X, Y), tuple(nd), tuple(faces), 0, parts)
 
 
 def _check_groups(X, Y):
@@ -953,6 +950,8 @@ def collapse(X, subcomplex):
     if len(subs) != X.bound + 1:
         raise SimplicialError("need the subcomplex's simplices at each level 0..%d" % X.bound)
     for n, sub in enumerate(subs):
+        if not sub <= frozenset(range(nd[n].size)):
+            raise SimplicialError("subcomplex names a simplex out of range at level %d" % n)
         if any(nd[n].action[g][y] not in sub for g in G.elements() for y in sub):
             raise SimplicialError("subcomplex is not G-stable")
         if any(z not in subs[t[-1]] for row in faces[n] for t, z in map(row.__getitem__, sub)):

@@ -8,16 +8,17 @@ tests check the collapsed maps against the coend's pullback recipe.
 Every level has one layout, LevelSet: the points (x, s) of X_n x S on the
 kept simplices x, with a sink when some simplex is left out.  Full,
 reduced and normalized levels differ only in the simplices they keep; a
-normalized level is built on the nondegenerate simplices' G-set alone.  A
-level's sink is its basepoint: values and maps are the coefficients'
-evaluations at the level sets' basepoints, reduced or not alike.
+normalized level is built on the nondegenerate simplices' G-set alone,
+and names each simplex by its index y in X.nd[n].  A level's sink is its
+basepoint: values and maps are the coefficients' evaluations at the level
+sets' basepoints, reduced or not alike.
 
 The package's computations read normalized levels only: the chains of
 homotopy.MackeyChainComplex, both exact sequences' maps, and rho and
-sigma, which place copies of the nondegenerate simplices in full-level
-order.  Full levels are laid out only by TensorMackey's level API
-(level_set, value, op and the maps along S), by the public psi
-(PsiMap.component), by ModuleTensor and by tests.
+sigma, which read the copies of the nondegenerate simplices in full-level
+order off the space (SimplicialGSet.nd_copies).  Full levels are laid out
+only by TensorMackey's level API (level_set, value, op and the maps along
+S), by the public psi (PsiMap.component), by ModuleTensor and by tests.
 """
 
 from functools import lru_cache
@@ -28,7 +29,7 @@ from .abelian import AbHom
 from .groups import Frozen, subgroup_classes
 from .gsets import GMap, GSet, coset_space, fixed_points, orbit_decompose, std_orbit
 from .mackey import FixedPointMackey, WeylModule, _fixed_block_hom, _orbits_under
-from .simplicial import _position, delta, smash, sphere_for_descriptors, surjections
+from .simplicial import delta, smash, sphere_for_descriptors
 
 __all__ = [
     "TensorError", "LevelSet", "TensorMackey", "tensor", "reduced_tensor", "ModuleTensor",
@@ -82,32 +83,31 @@ class LevelSet(Frozen):
         return GMap._trusted(self.gset, tgt.gset, tuple(vals))
 
 
-def _build_level(xlevel, names, S, sink):
-    """The LevelSet of xlevel x S on names, a dict from a G-invariant set of
-    simplices to the names they take in the pairs, with a sink at point 0 if
+def _build_level(xlevel, xs, S, sink):
+    """The LevelSet of xlevel x S on the simplices xs, an increasing list of
+    points of xlevel making a G-invariant set, with a sink at point 0 if
     sink.  The restricted product action is an action, so the G-set skips
     GSet's checks; a kept set that is not invariant fails."""
-    xs = [x for x in range(xlevel.size) if x in names]
     rank, m, start = {x: r for r, x in enumerate(xs)}, S.size, int(sink)
     action = tuple(
         (0,) * start + tuple(start + rank[xa[x]] * m + sa[s] for x in xs for s in range(m))
         for xa, sa in zip(xlevel.action, S.action)
     )
-    pairs = (None,) * start + tuple((names[x], s) for x in xs for s in range(m))
+    pairs = (None,) * start + tuple((x, s) for x in xs for s in range(m))
     index = {p: i for i, p in enumerate(pairs) if p is not None}
     gset = GSet._trusted(xlevel.group, len(pairs), action)
-    return LevelSet(gset, 0 if sink else None, pairs, frozenset(names.values()), index)
+    return LevelSet(gset, 0 if sink else None, pairs, frozenset(xs), index)
 
 
 @lru_cache(maxsize=None)
 def product_level(xlevel, S):
-    return _build_level(xlevel, {x: x for x in range(xlevel.size)}, S, sink=False)
+    return _build_level(xlevel, range(xlevel.size), S, sink=False)
 
 
 @lru_cache(maxsize=None)
 def smash_level(xlevel, xbase, S):
     """(X_n smash S_+): collapse of the basepoint column of X_n x S."""
-    return _build_level(xlevel, {x: x for x in range(xlevel.size) if x != xbase}, S, sink=True)
+    return _build_level(xlevel, [x for x in range(xlevel.size) if x != xbase], S, sink=True)
 
 
 class TensorMackey:
@@ -249,7 +249,7 @@ class RhoIso:
     No full level is laid out.  By the Eilenberg-Zilber lemma X_n is the
     sum of the G-sets s^* ND_k over the surjections s: [n] ->> [k].  The
     G-set C of each copy lists its simplices in the order of their
-    full-level indices (simplicial._position).  The orbits of X_n x S are
+    full-level indices (SimplicialGSet.nd_copies).  The orbits of X_n x S are
     those of each C x S (orbit_decompose) merged by least point, and X^H_n
     is the copies' H-fixed points merged alike, so the orbits, their
     representatives and the values come in the order of the full level.
@@ -261,29 +261,13 @@ class RhoIso:
         self.T = TensorMackey(X, self.RA, reduced=reduced)
         self._layouts, self._homs = {}, {}
 
-    def _copy(self, s, memo):
-        """The copy s^* ND_k in X_n of the nondegenerate k-simplices, for a
-        surjection s: [n] ->> [k], less the basepoint in a reduced tensor:
-        its G-set in the order of the full level, and the full-level index
-        of each of its points; kept in X._layouts, for every rho over X."""
-        X, key = self.X, ("copy", self.reduced, s)
-        if key not in X._layouts:
-            nd, base = X.nd[s[-1]], X.nd_base if self.reduced and s[-1] == 0 else None
-            pos = {y: _position(X, s, y, memo) for y in range(nd.size) if y != base}
-            ys = sorted(pos, key=pos.__getitem__)
-            rank = {y: r for r, y in enumerate(ys)}
-            action = tuple(tuple(rank[row[y]] for y in ys) for row in nd.action)
-            X._layouts[key] = GSet._trusted(X.group, len(ys), action), [pos[y] for y in ys]
-        return X._layouts[key]
-
     def _build_layout(self, rec, n):
         """(left value, right value, left orbits, right orbits, rho's terms,
         sigma's terms) at G/H and level n, the orbits with their stabilizers
         as _orbits_under gives them; built once for rho and sigma."""
         G, W, H = self.hrec.group, self.hrec.weyl, self.hrec.elements
-        S, memo = std_orbit(G, rec), {}
+        S, copies = std_orbit(G, rec), self.X.nd_copies(n, self.reduced)
         m = S.size  # the points of C x S are (y, t) at y m + t
-        copies = {s: self._copy(s, memo) for k in range(n + 1) for s in surjections(n, k)}
         # the orbits of X_n x S by least point: each copy's C x S by orbit_decompose
         left = sorted(
             (pos[o.points[0] // m], o.points[0] % m, o.record, s, divmod(o.basepoint, m))
@@ -399,26 +383,11 @@ class ShortExactSequence:
     """0 -> A -> B -> C -> 0, level by level, for the tensors (A, B, C).
 
     A subclass states its two maps once, in map(k, n, src, tgt): the first
-    (k = 0) or the second (k = 1) map at level n, from the level set src of
-    tensors[k] to the level set tgt of tensors[k + 1].  Full and normalized
-    levels are both LevelSets, so map reads them alike:
-    homotopy.exact_chain_maps reads it on normalized chains, which is all
-    the package reads; at(n, S) lays out the full levels, for tests.  names
-    label the three tensors in the long exact sequence.
+    (k = 0) or the second (k = 1) map at level n, from the normalized level
+    set src of tensors[k] to the normalized level set tgt of tensors[k + 1],
+    as homotopy.exact_chain_maps reads them.  names label the three tensors
+    in the long exact sequence.
     """
-
-    def at(self, n, S):
-        """The two maps between the full level-n values at S."""
-        a, b, c = (T.level_set(n, S) for T in self.tensors)
-        return self.map(0, n, a, b), self.map(1, n, b, c)
-
-    def check_exact(self, n, S):
-        return _exact_pair(*self.at(n, S))
-
-
-def _exact_pair(f, g):
-    """Whether 0 -> . -f-> . -g-> . -> 0 is exact."""
-    return f.is_injective() and g.is_surjective() and ab.is_exact_at(f, g)
 
 
 class CofibrationSES(ShortExactSequence):
@@ -428,8 +397,8 @@ class CofibrationSES(ShortExactSequence):
     builds and checks once on nondegenerate simplices: every sequence of
     one inclusion, whatever its coefficients, shares one quotient, so their
     tensors meet the functor caches by identity.  The maps are M_* of incl
-    and proj, read at a nondegenerate simplex off the image of each
-    (SimplicialGMap.image_of), so normalized levels lay out no full level.
+    and proj, read at a nondegenerate simplex y off its image (s, z): z when
+    s is the identity, the sink when the image is degenerate.
     """
 
     names = ("sub", "total", "quot")
@@ -443,8 +412,8 @@ class CofibrationSES(ShortExactSequence):
         self.tensors = (self.sub, self.total, self.quot)
 
     def map(self, k, n, src, tgt):
-        f = (self.incl, self.proj)[k]
-        return self.tensors[k]._induced("cov", src, tgt, lambda x, s: (f.image_of(n, x), s))
+        image = [z if s[-1] == n else None for s, z in (self.incl, self.proj)[k].images[n]]
+        return self.tensors[k]._induced("cov", src, tgt, lambda y, t: (image[y], t))
 
 
 def ses_from_cofibration(incl, M):
@@ -461,7 +430,8 @@ class CoefficientSES(ShortExactSequence):
         self.phi = phi
         self.psi = psi
         for rec in subgroup_classes(phi.src.group):
-            if not _exact_pair(phi.comp(rec), psi.comp(rec)):
+            f, g = phi.comp(rec), psi.comp(rec)
+            if not (f.is_injective() and g.is_surjective() and ab.is_exact_at(f, g)):
                 raise TensorError("coefficients are not exact at class %d" % rec.class_id)
         self.T_m = TensorMackey(X, phi.src, reduced=reduced)
         self.T_n = TensorMackey(X, phi.tgt, reduced=reduced)

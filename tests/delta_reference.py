@@ -375,7 +375,7 @@ def delta_phi_induced(psi, krec, kspace, orb_space, mc, chains, n):
     mc.homotopy_group(n)
     S_k = std_orbit(G, krec)
     lvl, lev = chains.level(krec, n)
-    full = lvl.gmap(T.level_set(n, S_k), lambda x, s: (x, s))
+    full = lvl.gmap(T.level_set(n, S_k), lambda y, s: (psi.X.nondegenerate(n)[y], s))
     incl = covariant_between(psi.M, full, lev, T.value(n, S_k), 0)
     data = mc.degree_data(n)
 

@@ -490,6 +490,20 @@ def test_input_contracts_raise_contract_error():
         AbHom.identity(Z) + AbHom.zero(Z, Z2)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AbGroup(2, ((1, 2), (3,))),  # once zero-padded to Z/6
+        lambda: AbGroup(2, ((1,), (3, 4))),  # once a bare IndexError
+        lambda: AbHom(AbGroup.free(2), AbGroup.free(2), ((1, 0), (0,))),  # once accepted
+    ],
+    ids=["short-second-relation-row", "long-second-relation-row", "short-hom-row"],
+)
+def test_ragged_dense_matrices_raise_contract_error(build):
+    with pytest.raises(ContractError, match="rows have lengths \\[1, 2\\]"):
+        build()
+
+
 def test_input_contracts_hold_under_optimized_python():
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (

@@ -59,6 +59,7 @@ from eqmack.simplicial import (
 )
 from eqmack.tensor import (
     ModuleTensor,
+    CofibrationSES,
     PsiMap,
     TensorMackey,
     _build_level,
@@ -855,25 +856,22 @@ def test_normalized_level_gmap_sends_dropped_simplices_to_the_sink():
     rec = subgroup_classes(C2)[0]
     levels = [chains.level(rec, n)[0] for n in range(3)]
     for n, ls in enumerate(levels):
-        flags = X.degenerate_flags(n)
         assert (ls.base, ls.pairs[0]) == (0, None)
-        assert ls.kept == {x for x in range(X.levels[n].size) if not (flags[x] or x == X.base(n))}
-    # the faces d_i: level 1 -> level 0, where some edge ends at the basepoint
-    crushed = 0
-    for i in range(2):
-        table = X.faces[1][i].values
-        f = levels[1].gmap(levels[0], lambda x, s: (table[x], s))
-        for p, (x, s) in enumerate(levels[1].pairs[1:], 1):
-            if table[x] == X.base(0):
-                crushed += 1
+        assert ls.kept == {y for y in range(X.nd[n].size) if n or y != X.nd_base}
+    # the faces d_i, read off nd_faces: an edge ending at the basepoint and a
+    # triangle face stored with a degeneracy go to the sink, any other face
+    # to its simplex
+    dropped = {"base": 0, "degenerate": 0}
+    for n, i in ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2)):
+        f = chains._face(rec, n, i)
+        for p, (y, s) in enumerate(levels[n].pairs[1:], 1):
+            sigma, z = X.nd_faces[n][i][y]
+            if sigma[-1] < n - 1 or (n == 1 and z == X.nd_base):
+                dropped["base" if n == 1 else "degenerate"] += 1
                 assert f.values[p] == 0
             else:
-                assert f.values[p] == levels[0].index[(table[x], s)]
-    assert crushed
-    # the degeneracy s_0: level 1 -> level 2 lands on degenerate simplices only
-    table = X.degens[1][0].values
-    f = levels[1].gmap(levels[2], lambda x, s: (table[x], s))
-    assert set(f.values) == {0}
+                assert f.values[p] == levels[n - 1].index[(z, s)]
+    assert all(dropped.values())
     # an image on a kept simplex must be a point of the target
     y = min(levels[0].kept)
     with pytest.raises(KeyError):
@@ -898,6 +896,19 @@ def c2_exact_sequence(kind, bound):
     return ses_from_coefficients(phi, psi, X, reduced=option == "reduced")
 
 
+def full_level_maps(ses, n, S):
+    """Reference: the two maps of ses between the full level-n values at S,
+    M_* of the full-level components of a cofibration's inclusion and
+    projection, or the coefficient maps between the full values."""
+    sets = [T.level_set(n, S) for T in ses.tensors]
+    for k, (T, U) in enumerate(zip(ses.tensors, ses.tensors[1:])):
+        if isinstance(ses, CofibrationSES):
+            table, (a, b) = (ses.incl, ses.proj)[k].comps[n].values, sets[k : k + 2]
+            yield T.M.covariant(a.gmap(b, lambda x, s: (table[x], s)), a.base, b.base)
+        else:
+            yield (ses.phi, ses.psi)[k].between(T.value(n, S), U.value(n, S))
+
+
 @pytest.mark.parametrize(
     "kind",
     ["cofibration-Burnside", "cofibration-Z", "coefficients-reduced", "coefficients-unreduced"],
@@ -910,7 +921,7 @@ def test_exact_chain_maps_equal_the_restricted_full_levels(kind):
         maps = exact_chain_maps(ses, rec)
         for n in range(bound + 1):
             parts = [nondegenerate_part(T, n, S) for T in ses.tensors]
-            for k, full in enumerate(ses.at(n, S)):
+            for k, full in enumerate(full_level_maps(ses, n, S)):
                 assert maps[k].comps[n] == restricted(full, parts[k], parts[k + 1])
 
 

@@ -316,6 +316,18 @@ def test_collapse_rejects_what_is_not_a_subcomplex():
             collapse(two, sub)
 
 
+def test_collapse_rejects_indices_off_the_level():
+    # S^sigma has two vertices: index 5 once raised a bare IndexError, and
+    # index -1 wrapped around to vertex 1, reported as not G-stable
+    sig = sign_circle(C2, (0,), 2)
+    for sub in ([[0, 1, 5], [], []], [[0, -1], [], []]):
+        with pytest.raises(SimplicialError, match="out of range at level 0"):
+            collapse(sig, sub)
+    edge = sig.nd[1].size
+    with pytest.raises(SimplicialError, match="out of range at level 1"):
+        collapse(sig, [[0, 1], [edge], []])
+
+
 def test_wedge_homology():
     c = circle_space(C2)
     s0 = s0_space(C2)
@@ -621,6 +633,7 @@ def test_the_nondegenerate_form_is_read_off_the_full_levels(index):
     X = nondegenerate_spaces()[index]
     full = SimplicialGSet(X.group, X.levels, X.faces, X.degens, X.basepoints)
     assert X._nd_form() == full._nd_form()
+    assert all(X.nondegenerate(n) == full.nondegenerate(n) for n in range(X.bound + 1))
     assert X == full and hash(X) == hash(full)
     assert X.check() is X and full.check() is full
 

@@ -119,6 +119,38 @@ def test_import_leaves_out_dataclasses_and_inspect():
     assert run.stdout.split() == ["[]"], run.stderr
 
 
+def full_level_readers(tree):
+    """Lines that name _position or call a nondegenerate method: the reads
+    of a nondegenerate simplex's full-level index."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            hit = node.func.attr == "nondegenerate"
+        else:
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            hit = "_position" in (name, getattr(node, "name", None))
+        if hit:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_full_level_readers_are_found():
+    source = (
+        "from .simplicial import _position, nd\nx = X.nondegenerate(2)\n"
+        "y = simplicial._position\nz = X.nd[2], X.nd_faces\nw = _position(X, s, y, {})\n"
+    )
+    assert full_level_readers(ast.parse(source)) == [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.stem != "simplicial"], ids=lambda p: p.name
+)
+def test_only_simplicial_reads_full_level_indices(path):
+    # the chain layer names a simplex by its index y in X.nd[n]; where that
+    # simplex sits in a full level is simplicial.py's business alone
+    assert full_level_readers(ast.parse(path.read_text())) == []
+
+
 def top_level_names(tree):
     """{name: node} for the functions, classes and assigned names at the top
     level of a module."""

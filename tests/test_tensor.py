@@ -16,6 +16,7 @@ from eqmack.gsets import (
     regular_gset,
     std_orbit,
 )
+from eqmack.homotopy import exact_chain_maps
 from eqmack.mackey import (
     FixedPointMackey,
     MackeyError,
@@ -684,6 +685,20 @@ def test_psi_transitivity_square():
                     assert fix.compose(step).same_as(direct)
 
 
+def exact_levels(ses, levels):
+    """Whether 0 -> N_n A -> N_n B -> N_n C -> 0 is exact at each of the levels
+    n and every orbit class, on the normalized maps of ses.  By Dold-Kan
+    levelwise exactness of the chains C is levelwise exactness of N, and a
+    Mackey functor's value at a G-set is the sum of its values at the orbits."""
+    for rec in subgroup_classes(ses.tensors[0].group):
+        f, g = exact_chain_maps(ses, rec)
+        for n in levels:
+            fn, gn = f.comps[n], g.comps[n]
+            if not (fn.is_injective() and gn.is_surjective() and ab.is_exact_at(fn, gn)):
+                return False
+    return True
+
+
 def test_ses_from_cofibration_exactness():
     G = C2
     M = burnside_mackey(G)
@@ -691,9 +706,7 @@ def test_ses_from_cofibration_exactness():
     s0 = s0_space(G, bound=3)
     incl = discrete_inclusion(s0, sig, (0, 1))
     ses = ses_from_cofibration(incl, M)
-    for S in gset_suite(G)[:3]:
-        for n in range(3):
-            assert ses.check_exact(n, S)
+    assert exact_levels(ses, range(3))
 
 
 def test_ses_cofibration_trivial_cases():
@@ -705,9 +718,9 @@ def test_ses_cofibration_trivial_cases():
     ses = ses_from_cofibration(incl, M)
     # quotient recovers the reduced tensor of the whole space
     R = reduced_tensor(sig, M)
+    assert exact_levels(ses, range(2))
     for S in gset_suite(G)[:2]:
         for n in range(2):
-            assert ses.check_exact(n, S)
             assert iso_eq(ses.quot.group_at(n, S), R.group_at(n, S))
     # Y = X collapses to a point: the quotient functor vanishes
     full_incl = discrete_inclusion(s0_space(G, bound=2), s0_space(G, bound=2), (0, 1))
@@ -735,8 +748,7 @@ def test_sequences_of_one_inclusion_share_the_cofiber(monkeypatch):
     assert collapsed == [sig]
     # the memo is not compared: the map still equals a fresh copy of itself
     assert incl == discrete_inclusion(s0_space(C2, bound=3), sig, (0, 1))
-    for S in gset_suite(C2)[:2]:
-        assert first.check_exact(1, S) and second.check_exact(1, S)
+    assert exact_levels(first, [1]) and exact_levels(second, [1])
     # a map that is not levelwise injective has no cofiber
     fold = discrete_inclusion(s0_space(C2, bound=3), sig, (0, 0))
     with pytest.raises(SimplicialError, match="levelwise injection"):
@@ -771,9 +783,7 @@ def test_ses_from_coefficients():
     psi = fixed_point_morphism(M, P, theta).check()
     X = sign_circle(G, (0,), bound=3)
     ses = ses_from_coefficients(phi, psi, X)
-    for S in gset_suite(G)[:3]:
-        for n in range(3):
-            assert ses.check_exact(n, S)
+    assert exact_levels(ses, range(3))
 
 
 def test_ses_from_coefficients_split():
@@ -785,8 +795,7 @@ def test_ses_from_coefficients_split():
     total, incls, projs = direct_sum_mackey([M, N])
     X = s0_space(G, bound=2)
     ses = ses_from_coefficients(incls[0], projs[1], X)
-    for n in range(2):
-        assert ses.check_exact(n, std_orbit(G, subgroup_classes(G)[0]))
+    assert exact_levels(ses, range(2))
 
 
 @pytest.mark.parametrize("reduced", [False, True])
