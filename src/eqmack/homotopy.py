@@ -6,6 +6,9 @@ space stores them (SimplicialGSet.nd, nd_faces), without a full level: the
 degenerate chains D are a subcomplex and N = C/D, so a face stored with a
 degeneracy, or on the basepoint, is dropped.  Each level is a LevelSet on
 their G-set, named by index in nd[n]; a dropped point goes to its sink.
+Bredon homology reads the same chains cut down by a G-invariant Morse
+matching on the space (_morse), so M is evaluated on the critical orbits
+alone; the exact sequences and mapping complexes read the normalized ones.
 
 Homotopy groups of mapping objects are read from Hom complexes of
 normalized chains.  The target T is a simplicial abelian group, so based
@@ -47,6 +50,7 @@ from .mackey import (
     OrbitMap,
     WrappedMackey,
     _orbit_blocks,
+    _orbit_map_to,
     covariant_between,
     orbit_maps_between,
 )
@@ -105,23 +109,29 @@ class MackeyChainComplex:
 
     def __init__(self, T):
         self.T = T
+        self._kind = T.reduced  # names the level sets kept on the space
         self._levels = {}
         self._complexes = {}
         self._chainmaps = {}
 
+    def _kept(self, n):
+        """The kept n-simplices: every nondegenerate one, minus the
+        basepoint for a reduced tensor."""
+        X = self.T.X
+        base = X.nd_base if self.T.reduced and n == 0 else None
+        return [y for y in range(X.nd[n].size) if y != base]
+
     def level(self, rec, n):
-        """(LevelSet, Evaluated) of level n at G/H on the nondegenerate
-        simplices, named by their index in X.nd[n], minus the basepoint for a
-        reduced tensor; the value omits the orbit of the sink, so a point
-        sent there is dropped.  The level set is kept on the space."""
+        """(LevelSet, Evaluated) of level n at G/H on the kept simplices,
+        named by their index in X.nd[n]; the value omits the orbit of the
+        sink, so a point sent there is dropped.  The level set is kept on
+        the space."""
         key = (rec.class_id, n)
         if key not in self._levels:
-            X, layout = self.T.X, (self.T.reduced, rec.class_id, n)
+            X, layout = self.T.X, (self._kind, rec.class_id, n)
             if layout not in X._layouts:
-                base = X.nd_base if self.T.reduced and n == 0 else None
-                kept = [y for y in range(X.nd[n].size) if y != base]
                 S = std_orbit(self.T.group, rec)
-                X._layouts[layout] = _build_level(X.nd[n], kept, S, sink=True)
+                X._layouts[layout] = _build_level(X.nd[n], self._kept(n), S, sink=True)
             ls = X._layouts[layout]
             self._levels[key] = ls, self.T.M.evaluate(ls.gset, 0)
         return self._levels[key]
@@ -180,6 +190,98 @@ class MackeyChainComplex:
         return self._chainmaps[key]
 
 
+class _MorseChains(MackeyChainComplex):
+    """The Morse complex of the reduced tensor T: its normalized chains cut
+    down to the critical simplices of _morse(T.X).  A term c y of the
+    boundary of x is the G-map x |-> y on the X coordinate, so d_n has a
+    block c M_*(G/J -> G/K) per source orbit and term; restrictions and
+    transfers act on the S coordinate alone, as on the normalized chains."""
+
+    def __init__(self, T):
+        super().__init__(T)
+        self._kind = "morse"
+
+    def _kept(self, n):
+        return list(_morse(self.T.X)[n])
+
+    def _differential(self, rec, n, sev, tev):
+        M, bd, entries = self.T.M, _morse(self.T.X)[n], []
+        src, tgt = self.level(rec, n)[0], self.level(rec, n - 1)[0]
+        for si, o in enumerate(sev.orbits):
+            x, s = src.pairs[o.basepoint]
+            for y, c in bd[x].items():
+                ti, om = _orbit_map_to(M, o, tev, tgt.index[y, s])
+                entries.append((ti, si, M.orbit_covariant(om).scale(c)))
+        return ab.assemble_block_hom(sev.summands, tev.summands, entries)[0]
+
+
+def _morse(X):
+    """A G-invariant Morse matching on the reduced normalized chains of the
+    based X, kept on X for every coefficient system: per degree n, each
+    critical n-simplex in order with its reduced boundary {y: c} (Forman,
+    Adv. Math. 134, 1998; Freij, Discrete Math. 309, 2009).
+
+    The chains are Z[ND_n] without the basepoint vertex, d y the sum of
+    (-1)^i d_i y over the faces stored with the identity surjection.  From
+    the top degree down, in index order, the orbit of (a, b) is cancelled
+    when <d a, b> = +-1 and no other simplex of G a has b in its boundary.
+    Then G_a = G_b, as g in G_b off G_a would put b in d(g a), so the block
+    cancelled is +-M_* of a G-isomorphism for every Mackey functor M, and
+    each term y of a boundary d x has G_x inside G_y.  One degree's
+    boundaries are held at a time."""
+    if "morse" not in X._layouts:
+        nd, faces = X.nd, X.nd_faces
+        bd, gone = [{}] * (len(nd) + 1), set()
+        for n in range(X.bound, 0, -1):
+            cols, cob, down = {}, {}, gone  # cob[y]: the columns holding y
+            gone = {X.nd_base} if n == 1 else set()  # the rows left out
+            for x in (x for x in range(nd[n].size) if x not in down):
+                col = {}
+                for i, row in enumerate(faces[n]):
+                    s, z = row[x]
+                    if s[-1] == n - 1 and z not in gone:
+                        col[z] = col.get(z, 0) + (-1) ** i
+                cols[x] = {z: c for z, c in col.items() if c}
+                for z in cols[x]:
+                    cob.setdefault(z, set()).add(x)
+            act, lower = nd[n].action, nd[n - 1].action
+            for a in list(cols):
+                orbit = {row[a] for row in act}
+                units = (b for b, c in sorted(cols.get(a, {}).items()) if c in (1, -1))
+                b = next((b for b in units if not (cob[b] & orbit) - {a}), None)
+                if b is not None:
+                    for g in {row[a]: g for g, row in enumerate(act)}.values():
+                        _cancel(cols, cob, act[g][a], lower[g][b])
+                        gone.add(lower[g][b])
+            bd[n], bd[n + 1] = cols, {
+                x: {y: c for y, c in col.items() if y in cols} for x, col in bd[n + 1].items()
+            }
+        bd[0] = dict.fromkeys(sorted(set(range(nd[0].size)) - gone - {X.nd_base}), {})
+        X._layouts["morse"] = tuple(bd[:-1])
+    return X._layouts["morse"]
+
+
+def _cancel(cols, cob, a, b):
+    """Cancel the column a and the row b, the unit u = <d a, b>: d x -= u
+    <d x, b> d a for every other column x."""
+    col = cols.pop(a)
+    u = col[b]
+    for y in col:
+        cob[y].discard(a)
+    for x in list(cob.pop(b)):
+        xcol = cols[x]
+        k = u * xcol[b]
+        for y, c in col.items():
+            v = xcol.get(y, 0) - k * c
+            if v:
+                xcol[y] = v
+                cob[y].add(x)
+            else:
+                del xcol[y]
+                if y != b:
+                    cob[y].discard(x)
+
+
 def normalized_chains(T):
     """The MackeyChainComplex of the tensor T, built once and kept on T, as
     the level layouts are kept on the space: every mapping complex into T
@@ -212,35 +314,24 @@ def _chain_map(src, src_rec, tgt, tgt_rec, hom):
 
 def bredon_homology(X, M, n):
     """H_n of the reduced tensor X (x~) M, as a Mackey functor on orbit
-    classes; X must be based.
+    classes; X must be based.  Read off the Morse complex of X (_morse),
+    whose restrictions and transfers are those of the normalized chains."""
+    chains = _MorseChains(reduced_tensor(X, M))
+    values = {rec.class_id: chains.homology(rec, n) for rec in subgroup_classes(M.group)}
 
-    Read off the normalized chains, built on nondegenerate simplices only.
-    """
-    T = reduced_tensor(X, M)
-    chains = MackeyChainComplex(T)
-    G = M.group
-    values = {}
-    for rec in subgroup_classes(G):
-        values[rec.class_id] = chains.homology(rec, n)
+    def induced(variance, om):
+        return chains.transition_chain_map(om, variance).induced(n)
 
-    def cov(om):
-        return chains.transition_chain_map(om, "tr").induced(n)
-
-    def con(om):
-        return chains.transition_chain_map(om, "res").induced(n)
-
-    return WrappedMackey(G, values, cov, con, label="H_%d" % n)
+    cov, con = partial(induced, "tr"), partial(induced, "res")
+    return WrappedMackey(M.group, values, cov, con, label="H_%d" % n)
 
 
 def bredon_groups(X, M, degrees):
     """Invariant-factor table of the reduced tensor X (x~) M, for a based X:
-    degree -> class_id -> (free, torsion)."""
-    T = reduced_tensor(X, M)
-    chains = MackeyChainComplex(T)
-    out = {}
-    for n in degrees:
-        out[n] = {rec.class_id: chains.homology(rec, n) for rec in subgroup_classes(M.group)}
-    return out
+    degree -> class_id -> (free, torsion).  Read off the Morse complex of X
+    (_morse), which evaluates M on the critical orbits alone."""
+    chains, recs = _MorseChains(reduced_tensor(X, M)), subgroup_classes(M.group)
+    return {n: {rec.class_id: chains.homology(rec, n) for rec in recs} for n in degrees}
 
 
 # -- mapping complexes ------------------------------------------------------------
@@ -632,8 +723,8 @@ def ro_graded_table(X, M, rows):
 
     S^W is built at X.bound, so S^W smash X has X.bound too, and every row
     is checked against the chain rule before any is computed.  S^W smash X
-    and its chains are built once per twist W, for all of that twist's
-    degrees."""
+    and its Morse complex (bredon_groups) are built once per twist W, for
+    all of that twist's degrees."""
     G = M.group
     for p, _ in rows:
         _check_degree(p, X.bound)
@@ -679,8 +770,7 @@ def homology_les(ses, rec, through_degree):
     _check_nonnegative(through_degree)
     _check_degree(through_degree, ses.tensors[0].bound)
     chains, fmap, gmap = _exact_chains(ses, rec)
-    nodes = []
-    homs = []
+    nodes, homs = [], []
     for n in range(through_degree, -1, -1):
         groups = [ch.homology(rec, n) for ch in chains]
         nodes.extend(("H_%d %s" % (n, name), h) for name, h in zip(ses.names, groups))

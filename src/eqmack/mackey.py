@@ -382,17 +382,21 @@ def based_value(M, S, base):
 def _orbit_blocks(M, f, sev, tev, tgt_base):
     """(src index, tgt index, OrbitMap) covering f orbit by orbit; source
     orbits sent to tgt_base have no block."""
-    G = M.group
     out = []
     for i, o in enumerate(sev.orbits):
         t = f.values[o.basepoint]
-        if t == tgt_base:
-            continue
-        j = tev.orbit_index_of_point(t)
-        to = tev.orbits[j]
-        c = next(c for c in G.elements() if f.tgt.action[c][to.basepoint] == t)
-        out.append((i, j, OrbitMap(o.record, to.record, c)))
+        if t != tgt_base:
+            out.append((i, *_orbit_map_to(M, o, tev, t)))
     return out
+
+
+def _orbit_map_to(M, o, tev, t):
+    """(tgt index, OrbitMap) of the G-map from the orbit o that sends its
+    basepoint to the point t of the presentation tev; the map must exist."""
+    j = tev.orbit_index_of_point(t)
+    to, act = tev.orbits[j], tev.gset.action
+    c = next(c for c in M.group.elements() if act[c][to.basepoint] == t)
+    return j, OrbitMap(o.record, to.record, c)
 
 
 def covariant_between(M, f, sev, tev, tgt_base=None):
@@ -718,10 +722,6 @@ class MackeyMorphism:
                     if not lhs.same_as(rhs):
                         raise MackeyError("morphism fails contravariant naturality")
         return self
-
-    def at(self, S):
-        """The component on an arbitrary G-set, blockwise over orbits."""
-        return self.between(self.src.evaluate(S), self.tgt.evaluate(S))
 
     def between(self, sev, tev):
         """The component between two presentations over the same orbits."""

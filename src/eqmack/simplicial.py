@@ -113,8 +113,9 @@ class SimplicialGSet(Frozen):
     given by its full levels reads off its nondegenerate form on first
     read.  Not compared: _flags, the degeneracy flags read so far, and
     _layouts, the normalized level sets and face maps of the chains over
-    it (homotopy.MackeyChainComplex), and what nondegenerate and nd_copies
-    have read so far.
+    it (homotopy.MackeyChainComplex), its Morse matching (homotopy._morse),
+    what nondegenerate and nd_copies have read so far, and a quotient's
+    crushed full-level indices (_below).
     """
 
     __slots__ = (
@@ -361,7 +362,7 @@ def _position(X, sigma, z, memo):
             p = 0
         elif kind == "quotient":
             p = _position(A, sigma, part, memo)
-            p += 1 - bisect_left(X._recipe[2][n], p)
+            p += 1 - bisect_left(_below(X, memo)[n], p)
         else:
             S = X._recipe[1 + (part[0] == "r")]
             p = _position(S, sigma, part[1], memo)
@@ -383,6 +384,23 @@ def _position(X, sigma, z, memo):
                 p += (sa[n] if point[0] == "r" else 0) + point[1]
     memo[key] = p
     return p
+
+
+def _below(Q, memo):
+    """The sorted full-level indices, per level, of the subcomplex that the
+    quotient Q crushes, laid out on the first read and kept on Q."""
+    if "below" not in Q._layouts:
+        X, subs = Q._recipe[1:]
+        Q._layouts["below"] = tuple(
+            sorted(
+                _position(X, s, y, memo)
+                for k in range(n + 1)
+                for s in surjections(n, k)
+                for y in subs[k]
+            )
+            for n in range(X.bound + 1)
+        )
+    return Q._layouts["below"]
 
 
 def _point(X, part, sigma, memo):
@@ -945,7 +963,7 @@ def collapse(X, subcomplex):
     basepoint, then those of X off Y, in full-level order; a face in Y goes
     to the crushed class.  Built from a checked space, the quotient and the
     projection are not checked."""
-    G, nd, faces, memo = X.group, X.nd, X.nd_faces, {}
+    G, nd, faces = X.group, X.nd, X.nd_faces
     subs = [frozenset(s) for s in subcomplex]
     if len(subs) != X.bound + 1:
         raise SimplicialError("need the subcomplex's simplices at each level 0..%d" % X.bound)
@@ -972,21 +990,12 @@ def collapse(X, subcomplex):
         act = [[0 if y is None else ix[n][row[y]] for y in parts[n]] for row in nd[n].action]
         return GSet._trusted(G, len(parts[n]), tuple(map(tuple, act)))
 
-    below = tuple(  # the sorted full-level indices of the subcomplex, for _position
-        sorted(
-            _position(X, s, y, memo)
-            for k in range(n + 1)
-            for s in surjections(n, k)
-            for y in subs[k]
-        )
-        for n in range(X.bound + 1)
-    )
     qfaces = ((),) + tuple(
         tuple(tuple(name(*row[y]) for y in parts[n]) for row in faces[n])
         for n in range(1, X.bound + 1)
     )
     qnd = tuple(map(level, range(X.bound + 1)))
-    out = _nd_space(G, ("quotient", X, below), qnd, qfaces, 0, tuple(parts))
+    out = _nd_space(G, ("quotient", X, subs), qnd, qfaces, 0, tuple(parts))
     images = [[name(s, y) for y in range(nd[n].size)] for n, s in enumerate(_identities(X.bound))]
     return out, SimplicialGMap(X, out, images)
 

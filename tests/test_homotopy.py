@@ -928,7 +928,7 @@ def test_exact_chain_maps_equal_the_restricted_full_levels(kind):
 # -- spheres past the digests' bound, on their nondegenerate simplices -------------
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_bredon_groups_of_sign_spheres_have_the_hand_values(k):
     # cellular chains of S^{k sigma}: at G/G, Z/2 in even degrees below k and
     # Z in degree k when k is even; at G/e, Z in degree k only

@@ -286,6 +286,17 @@ def test_the_quotient_lays_out_the_full_level_quotient(label, X, sub):
     assert got.check() is got and got == want
 
 
+def test_the_quotient_places_the_crushed_simplices_on_first_read():
+    # collapse does not look up where the subcomplex sits in X's full
+    # levels; the quotient does when its own full levels are first laid out
+    X = sphere_for_descriptors(C2, [sign_rep()] * 2, 3)
+    sub = [range(X.nd[j].size) if j < 2 else () for j in range(4)]
+    Q, _ = collapse(X, sub)
+    assert "below" not in Q._layouts
+    assert Q.levels == full_level_collapse(X, full_points(X, sub))[0].levels
+    assert [len(b) for b in Q._layouts["below"]] == [len(p) for p in full_points(X, sub)]
+
+
 def test_the_wedge_lays_out_the_full_level_wedge():
     S3 = FiniteGroup.symmetric(3)
     a3 = next(r for r in subgroup_classes(S3) if r.order == 3)
