@@ -8,10 +8,15 @@ built as columns and solved by column reduction.  Invariants
 remove the unit pivots of the relations first and run Smith normal form
 only on what remains.  The dense relation matrix `rels` and the dense SNF of
 element_key() and elements() are built only when read.
+
+Over free groups (no relation columns) some questions need no reduction: a
+column is 0 when no entry is nonzero, homs into them agree entry by entry,
+and a signed partial permutation, such as rho between free fixed parts, is
+injective without a zero column and surjective when it hits every generator.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 
 from . import intlinalg as la
@@ -19,7 +24,7 @@ from . import intlinalg as la
 __all__ = [
     "ContractError", "AbGroup", "AbHom", "fmt_invariants", "direct_sum_data", "direct_sum",
     "assemble_block_hom", "ChainComplex", "ChainMap", "homology_map", "homology_at",
-    "is_exact_at", "connecting_hom",
+    "is_exact_at", "connecting_hom", "place_blocks",
 ]
 
 
@@ -114,9 +119,9 @@ class AbGroup:
         return None if free else prod(tors)
 
     def contains(self, col):
-        """Whether the sparse column col lies in the relation lattice."""
-        if not col:
-            return True
+        """Whether col lies in the relation lattice; in a free group, whether it is 0."""
+        if not (col and self.relcols):
+            return not any(col.values())
         if self._red is None:
             self._red = la.ColumnReduction(self.relcols, self.ngens)
         return self._red.solve_column(col) is not None
@@ -279,7 +284,10 @@ class AbHom:
         return all(map(self.tgt.contains, self.cols))
 
     def same_as(self, other):
-        return (self - other).is_zero_hom()
+        """Whether self - other is zero; into a free group, entry by entry."""
+        if self.tgt.relcols or self.src != other.src or self.tgt != other.tgt:
+            return (self - other).is_zero_hom()
+        return all(map(_same_column, self.cols, other.cols))
 
     def _graph_reduction(self):
         # solver for mat * x = y mod tgt relations: [mat | rels], kept on self
@@ -312,8 +320,10 @@ class AbHom:
         return AbHom.from_columns(b.src, self.src, _heads(cols, self.src.ngens))
 
     def kernel(self):
-        """(K, incl) with 0 -> K -> src exact."""
+        """(K, incl) with 0 -> K -> src exact; no solutions give K = 0 at once."""
         basis = self._solutions()
+        if not basis:
+            return AbGroup.zero(), AbHom.from_columns(AbGroup.zero(), self.src, ())
         red = la.ColumnReduction([*basis, *self.src.relcols], self.src.ngens)
         k = AbGroup.from_columns(len(basis), _relations(red, len(basis)))
         incl = AbHom.from_columns(k, self.src, basis)
@@ -335,19 +345,44 @@ class AbHom:
             AbHom.from_columns(self.src, img, _units(n)),
         )
 
+    def _unit_rows(self):
+        """The number of nonzero columns when src and tgt are free and those
+        columns are signed unit vectors on distinct rows, else None."""
+        if self.src.relcols or self.tgt.relcols:
+            return None
+        hit = set()
+        for col in self.cols:
+            before = len(hit)
+            for i, v in col.items():
+                if v:
+                    if v not in (1, -1) or len(hit) > before or i in hit:
+                        return None
+                    hit.add(i)
+        return len(hit)
+
     def is_injective(self):
-        k, _ = self.kernel()
-        return k.is_trivial()
+        """By _unit_rows, no zero column; any other hom asks its kernel."""
+        rows = self._unit_rows()
+        return self.kernel()[0].is_trivial() if rows is None else rows == self.src.ngens
 
     def is_surjective(self):
-        c, _ = self.cokernel()
-        return c.is_trivial()
+        """By _unit_rows, every generator hit; any other hom asks its cokernel."""
+        rows = self._unit_rows()
+        return self.cokernel()[0].is_trivial() if rows is None else rows == self.tgt.ngens
 
     def is_iso(self):
-        return self.is_injective() and self.is_surjective()
+        rows = self._unit_rows()
+        if rows is None:
+            return self.is_injective() and self.is_surjective()
+        return rows == self.src.ngens == self.tgt.ngens
 
     def __repr__(self):
         return "AbHom(%s -> %s)" % (self.src.describe(), self.tgt.describe())
+
+
+def _same_column(a, b):
+    """Whether the sparse columns a and b agree, a missing entry being 0."""
+    return a == b or all(a.get(i, 0) == b.get(i, 0) for i in a.keys() | b.keys())
 
 
 def _heads(cols, r):
@@ -389,30 +424,35 @@ def direct_sum(groups):
     return total, incls, projs
 
 
-def assemble_block_hom(src_groups, tgt_groups, entries):
-    """A hom between direct sums written blockwise in one pass.
-
-    entries: iterable of (tgt_index, src_index, AbHom) blocks; repeated
-    positions accumulate.  Returns (hom, src_total, tgt_total).
-    """
-    src_groups, tgt_groups = list(src_groups), list(tgt_groups)
-    src_total, src_off = direct_sum_data(src_groups)
-    tgt_total, tgt_off = direct_sum_data(tgt_groups)
-    cols = [{} for _ in range(src_total.ngens)]
+def place_blocks(src_sizes, tgt_sizes, entries):
+    """The sparse columns of a hom between sums of summands with src_sizes and
+    tgt_sizes generators: entries are (tgt_index, src_index, AbHom) blocks at
+    the offsets the sizes give, written in one pass; repeated positions add."""
+    src_off = list(accumulate(src_sizes, initial=0))
+    tgt_off = list(accumulate(tgt_sizes, initial=0))
+    cols, ns, nt = [{} for _ in range(src_off[-1])], len(src_sizes), len(tgt_sizes)
     for ti, si, hom in entries:
-        if not (0 <= ti < len(tgt_groups) and 0 <= si < len(src_groups)):
+        if not (0 <= ti < nt and 0 <= si < ns):
             raise ContractError(
-                "block position (%d, %d) outside %d x %d summands"
-                % (ti, si, len(tgt_groups), len(src_groups))
+                "block position (%d, %d) outside %d x %d summands" % (ti, si, nt, ns)
             )
-        shape = (tgt_groups[ti].ngens, src_groups[si].ngens)
-        if (hom.tgt.ngens, hom.src.ngens) != shape:
+        if hom.tgt.ngens != tgt_sizes[ti] or hom.src.ngens != src_sizes[si]:
             raise ContractError("block %r does not fit position (%d, %d)" % (hom, ti, si))
-        ro, co = tgt_off[ti], src_off[si]
-        for c, col in enumerate(hom.cols):
-            la.subtract(cols[co + c], {ro + r: v for r, v in col.items()}, -1)
-    h = AbHom.from_columns(src_total, tgt_total, cols)
-    return h, src_total, tgt_total
+        ro = tgt_off[ti]
+        for c, col in enumerate(hom.cols, src_off[si]):
+            if cols[c]:
+                la.subtract(cols[c], {ro + r: v for r, v in col.items()}, -1)
+            else:
+                cols[c] = {ro + r: v for r, v in col.items() if v}
+    return cols
+
+
+def assemble_block_hom(src_groups, tgt_groups, entries):
+    """(hom, src_total, tgt_total) for a hom between direct sums, by place_blocks."""
+    src_groups, tgt_groups = list(src_groups), list(tgt_groups)
+    src_total, tgt_total = direct_sum_data(src_groups)[0], direct_sum_data(tgt_groups)[0]
+    cols = place_blocks([g.ngens for g in src_groups], [g.ngens for g in tgt_groups], entries)
+    return AbHom.from_columns(src_total, tgt_total, cols), src_total, tgt_total
 
 
 class ChainComplex:
@@ -424,7 +464,7 @@ class ChainComplex:
         self._hcache = {}
 
     def group(self, n):
-        return self.groups.get(n, AbGroup.zero())
+        return self.groups[n] if n in self.groups else AbGroup.zero()
 
     def diff(self, n):
         if n in self.diffs:

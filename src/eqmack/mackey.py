@@ -176,11 +176,10 @@ class WeylModule(Frozen):
         """One copy of the module base per point of the W-set wset, w
         sending the copy of x to that of w x through its action on base."""
         A, size, table = base.value, wset.size, wset.action
-        value, homs = ab.direct_sum_data([A] * size)[0], []
+        value, homs, sizes = ab.direct_sum_data([A] * size)[0], [], [A.ngens] * size
         for w in base.group.elements():
-            blocks = [(table[w][x], x, base.hom(w)) for x in range(size)]
-            cols = ab.assemble_block_hom([A] * size, [A] * size, blocks)[0].cols
-            homs.append(AbHom.from_columns(value, value, cols))
+            blocks = ((table[w][x], x, base.hom(w)) for x in range(size))
+            homs.append(AbHom.from_columns(value, value, ab.place_blocks(sizes, sizes, blocks)))
         module = WeylModule(base.group, value, homs)
         object.__setattr__(module, "_perm", (base, wset))
         return module
@@ -253,21 +252,23 @@ class WeylModule(Frozen):
 
 
 def _fixed_block_hom(A, src, tgt, terms, src_value, tgt_value):
-    """The hom src_value -> tgt_value between sums of fixed parts of the
-    module A, one per orbit of the layouts src and tgt (_orbits_under),
-    whose value at the j-th tgt representative is the sum of w f(z) over the
-    pairs (z, w) in terms[j], f(z) being the value at the src point z; it
-    reads f(z) = u f(rep) off src, so it is a block map of fixed parts."""
-    W, entries = A.group, []
-    for j, pairs in enumerate(terms):
-        acc = {}
-        for z, w in pairs:
-            i, u = src[2][z]
-            acc.setdefault(i, []).append(W.mul[w][u])
-        for i, us in acc.items():
-            entries.append((j, i, A.fixed_map(src[1][i], tgt[1][j], tuple(sorted(us)))))
-    parts = [[A.fixed(k)[0] for k in lay[1]] for lay in (src, tgt)]
-    return AbHom.from_columns(src_value, tgt_value, ab.assemble_block_hom(*parts, entries)[0].cols)
+    """The hom src_value -> tgt_value between the sums of A's fixed parts over
+    the orbits of the layouts src and tgt (_orbits_under): the sum of w f(z)
+    over (z, w) in terms[j] at the j-th tgt representative.  As f(z) = u f(rep),
+    a block map, placed block by block at the parts' ngens (ab.place_blocks)."""
+
+    def entries():
+        for j, pairs in enumerate(terms):
+            acc = {}
+            for z, w in pairs:
+                i, u = src[2][z]
+                acc.setdefault(i, []).append(A.group.mul[w][u])
+            for i, us in acc.items():
+                yield j, i, A.fixed_map(src[1][i], tgt[1][j], tuple(sorted(us)))
+
+    ngens = {k: A.fixed(k)[0].ngens for lay in (src, tgt) for k in set(lay[1])}
+    sizes = [list(map(ngens.__getitem__, lay[1])) for lay in (src, tgt)]
+    return AbHom.from_columns(src_value, tgt_value, ab.place_blocks(*sizes, entries()))
 
 
 class Evaluated:
@@ -494,11 +495,10 @@ def fp_postcompose(f_src, f_tgt, theta, S):
     for w in A.group.elements():
         if not theta.compose(A.hom(w)).same_as(B.hom(w).compose(theta)):
             raise MackeyError("postcomposition does not preserve equivariance")
-    (_, orbits, sv), tv = f_src._orbit_layout(S), f_tgt.value_of(S)
-    parts, entries = [[M.fixed(k)[0] for k in orbits[1]] for M in (A, B)], []
-    for i, k in enumerate(orbits[1]):
-        entries.append((i, i, B.into_fixed(k, theta.compose(A.fixed(k)[1]))))
-    return AbHom.from_columns(sv, tv, ab.assemble_block_hom(*parts, entries)[0].cols)
+    (_, (_, stabs, _), sv), tv = f_src._orbit_layout(S), f_tgt.value_of(S)
+    sizes = [[M.fixed(k)[0].ngens for k in stabs] for M in (A, B)]
+    entries = ((i, i, B.into_fixed(k, theta.compose(A.fixed(k)[1]))) for i, k in enumerate(stabs))
+    return AbHom.from_columns(sv, tv, ab.place_blocks(*sizes, entries))
 
 
 def fixed_point_morphism(f_src, f_tgt, theta):

@@ -245,7 +245,10 @@ class RhoIso:
     W_s-orbit of X^H_n.  A left representative is w times a right one, so
     rho is the block map a |-> w^-1 a and sigma the block map b |-> w b
     between fixed parts of A (WeylModule.fixed_map); neither solves over
-    the sums.
+    the sums.  When those fixed parts are free and W moves them by signed
+    permutations, as for Z[W] and Z, rho is a signed permutation between
+    free groups, and AbHom.is_iso reads it off the columns with no kernel
+    or cokernel.
 
     No full level is laid out.  By the Eilenberg-Zilber lemma X_n is the
     sum of the G-sets s^* ND_k over the surjections s: [n] ->> [k].  The

@@ -23,7 +23,15 @@ from eqmack.abelian import (
     is_exact_at,
 )
 
-from abelian_helpers import iso_eq, nrels
+from abelian_helpers import (
+    general_is_injective,
+    general_is_surjective,
+    general_kernel,
+    general_same_as,
+    iso_eq,
+    lattice_contains,
+    nrels,
+)
 
 
 Z = AbGroup.free(1)
@@ -566,3 +574,108 @@ def test_input_contracts_hold_under_optimized_python():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert run.stdout.split() == ["rejected"] * 19, run.stderr
+
+
+# -- answers read off the columns over free groups -------------------------------
+
+
+@st.composite
+def shortcut_groups(draw):
+    """A free group, a group with relations, or one with an empty relation column."""
+    n = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["free", "free", "relations", "empty"]))
+    if kind == "free" or n == 0:
+        return AbGroup.free(n)
+    if kind == "empty":
+        return AbGroup.from_columns(n, [{}])
+    return AbGroup(n, tuple(map(tuple, draw(matrices(n, draw(st.integers(1, 2)))))))
+
+
+@st.composite
+def stored_zeros(draw, h):
+    """h with an explicit 0 stored in some columns, at a row they leave empty."""
+    cols, m = [], h.tgt.ngens
+    for col in h.cols:
+        col = dict(col)
+        if m and draw(st.booleans()):
+            col.setdefault(draw(st.integers(0, m - 1)), 0)
+        cols.append(col)
+    return AbHom.from_columns(h.src, h.tgt, cols)
+
+
+@st.composite
+def shortcut_homs(draw, src=None, tgt=None):
+    """A hom whose columns are a signed partial permutation, or small integers."""
+    src = draw(shortcut_groups()) if src is None else src
+    tgt = draw(shortcut_groups()) if tgt is None else tgt
+    m, n = tgt.ngens, src.ngens
+    if draw(st.booleans()):
+        rows, cols = draw(st.permutations(range(max(m, n)))), []
+        for j in range(n):
+            # a zero column one time in four, so that some homs are isos
+            unit = rows[j] < m and draw(st.integers(0, 3)) > 0
+            cols.append({rows[j]: draw(st.sampled_from([1, -1]))} if unit else {})
+        return AbHom.from_columns(src, tgt, cols)
+    return AbHom(src, tgt, draw(matrices(m, n)))
+
+
+# The general route reads columns with zeros omitted, as AbHom stores them;
+# an explicit 0 is compared where an answer is read off the columns alone.
+
+
+@settings(max_examples=300, deadline=None)
+@given(shortcut_homs(), st.data())
+def test_structural_answers_agree_with_the_general_route(h, data):
+    injective, surjective = general_is_injective(h), general_is_surjective(h)
+    stored = data.draw(stored_zeros(h))
+    for f in (h, stored) if h._unit_rows() is not None else (h,):
+        assert f._unit_rows() == h._unit_rows()
+        assert f.is_injective() == injective
+        assert f.is_surjective() == surjective
+        assert f.is_iso() == (injective and surjective)
+    k, incl = h.kernel()
+    assert k == general_kernel(h) and k.invariants() == general_kernel(h).invariants()
+    assert incl.src == k and incl.tgt == h.src and h.compose(incl).is_zero_hom()
+
+
+@settings(max_examples=200, deadline=None)
+@given(shortcut_homs(), st.data())
+def test_contains_and_same_as_agree_with_the_general_route(h, data):
+    k = data.draw(st.one_of(st.just(h), shortcut_homs(h.src, h.tgt)))
+    h0, k0 = data.draw(stored_zeros(h)), data.draw(stored_zeros(k))
+    assert h0.same_as(k0) == h.same_as(k) == general_same_as(h, k)
+    assert h0.same_as(h) and k0.same_as(k)
+    for col, col0 in zip((*h.cols, *k.cols), (*h0.cols, *k0.cols)):
+        assert h.tgt.contains(col) == lattice_contains(h.tgt, col)
+        if not h.tgt.relcols:
+            assert h.tgt.contains(col0) == lattice_contains(h.tgt, col)
+
+
+def test_structural_answers_by_hand():
+    Z_2, Z_3 = AbGroup.free(2), AbGroup.free(3)
+    turn = AbHom(Z_2, Z_2, ((0, 1), (-1, 0)))
+    assert turn._unit_rows() == 2 and turn.is_iso()
+    shear = AbHom(Z_2, Z_2, ((1, 1), (0, 1)))
+    assert shear._unit_rows() is None and shear.is_iso()
+    assert AbHom.identity(Z2).is_iso()
+    fold = AbHom(Z_2, Z, ((1, 1),))
+    assert not fold.is_injective() and fold.is_surjective()
+    zero_column = AbHom(Z_2, Z_2, ((1, 0), (0, 0)))
+    assert not zero_column.is_injective() and not zero_column.is_surjective()
+    partial = AbHom(Z_2, Z_3, ((0, -1), (1, 0), (0, 0)))
+    assert partial.is_injective() and not partial.is_surjective() and not partial.is_iso()
+    # an explicit 0 is no entry: the column is zero
+    stored = AbHom.from_columns(Z_2, Z_2, [{0: 1, 1: 0}, {0: 0}])
+    assert not stored.is_injective() and Z_2.contains({1: 0}) and not Z_2.contains({1: 2})
+    assert stored.same_as(AbHom(Z_2, Z_2, ((1, 0), (0, 0))))
+    # a kernel without solutions is the zero group, its inclusion without columns
+    k, incl = turn.kernel()
+    assert k == AbGroup.zero() and incl.cols == () and incl.tgt == Z_2
+    assert incl.preimage((0, 0)) == ()
+
+
+def test_same_as_still_refuses_mismatched_homs():
+    with pytest.raises(ContractError):
+        AbHom.zero(Z2, Z).same_as(AbHom.zero(Z, Z))
+    with pytest.raises(ContractError):
+        AbHom.zero(Z, Z).same_as(AbHom.zero(Z, AbGroup.free(2)))

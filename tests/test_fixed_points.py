@@ -4,7 +4,7 @@ constraint-kernel presentations kept in fixed_point_reference.py."""
 import pytest
 
 from eqmack import abelian as ab
-from eqmack.abelian import AbGroup, AbHom
+from eqmack.abelian import AbGroup, AbHom, ContractError
 from eqmack.groups import FiniteGroup, all_subgroups, subgroup_classes, weyl_group
 from eqmack.gsets import GSet, fixed_points, regular_gset, std_orbit
 from eqmack.homotopy import EquivariantMappingComplex, MackeyChainComplex, omega_spectrum_check
@@ -12,6 +12,7 @@ from eqmack.mackey import (
     FixedPointMackey,
     MackeyError,
     WeylModule,
+    _fixed_block_hom,
     constant_mackey,
     fixed_point_morphism,
     fp_postcompose,
@@ -262,6 +263,21 @@ def test_permutation_fixed_parts_split_over_orbits():
         for w in C4.elements():
             if w in k.elements:
                 assert A.hom(w).compose(incl).same_as(incl)
+
+
+def test_fixed_block_hom_keeps_the_placement_checks(monkeypatch):
+    # one orbit on each side, its representative fixed by C2
+    A, K, e = WeylModule.trivial(C2, Z), tuple(C2.elements()), C2.identity
+    lay, terms = ((0,), (K,), [(0, e)]), [[(0, e)]]
+    assert _fixed_block_hom(A, lay, lay, terms, Z, Z).mat == ((1,),)
+    # a point whose orbit lies outside the summands
+    with pytest.raises(ContractError, match="outside"):
+        _fixed_block_hom(A, ((0,), (K,), [(-1, e)]), lay, terms, Z, Z)
+    # a block of another shape than the fixed parts it joins
+    wide = AbHom.identity(AbGroup.free(2))
+    monkeypatch.setattr(WeylModule, "fixed_map", lambda self, src, tgt, ws: wide)
+    with pytest.raises(ContractError, match="does not fit"):
+        _fixed_block_hom(A, lay, lay, terms, Z, Z)
 
 
 def test_a_map_that_is_not_equivariant_raises():
