@@ -4,11 +4,13 @@ equivariant mapping complexes, loop-space comparisons, graded tables.
 Normalized chains N_n are built on the nondegenerate n-simplices as the
 space stores them (SimplicialGSet.nd, nd_faces), without a full level: the
 degenerate chains D are a subcomplex and N = C/D, so a face stored with a
-degeneracy, or on the basepoint, is dropped.  Each level is a LevelSet on
-their G-set, named by index in nd[n]; a dropped point goes to its sink.
-Bredon homology reads the same chains cut down by a G-invariant Morse
-matching on the space (_morse), so M is evaluated on the critical orbits
-alone; the exact sequences and mapping complexes read the normalized ones.
+degeneracy, or on the basepoint, is dropped.  _boundary gives each
+degree's boundary table {x: {y: c}}, and three consumers read it:
+MackeyChainComplex, whose levels are LevelSets on the table's keys named
+by index in nd[n], with a sink; the Morse matching on the space (_morse),
+whose critical table MackeyChainComplex reads for Bredon homology, so M
+is evaluated on the critical orbits alone; and the source of a mapping
+complex.  The exact sequences read the normalized chains.
 
 Homotopy groups of mapping objects are read from Hom complexes of
 normalized chains.  The target T is a simplicial abelian group, so based
@@ -42,6 +44,7 @@ from functools import lru_cache, partial
 from itertools import accumulate, combinations
 
 from . import abelian as ab
+from . import intlinalg as la
 from .abelian import AbHom, ChainComplex, ChainMap
 from .groups import subgroup_classes
 from .gsets import GSet, coset_space, disjoint_union, std_orbit
@@ -49,7 +52,6 @@ from .mackey import (
     FixedPointMackey,
     OrbitMap,
     WrappedMackey,
-    _orbit_blocks,
     _orbit_map_to,
     covariant_between,
     orbit_maps_between,
@@ -96,55 +98,40 @@ def _check_dimension(descs, bound):
 class MackeyChainComplex:
     """Normalized chains of the tensor T, per orbit class.
 
-    N_n(G/H) is built on the nondegenerate n-simplices only, one block per
-    orbit, and never on the full level: the degenerate part D of the chains
-    C is a subcomplex, so N = C/D, and a face, transfer or restriction that
-    lands on a degenerate simplex or on the basepoint contributes nothing.
-    A level with no kept simplex has no orbit and is the zero group, and
-    every map into or out of it is the zero hom, built without a G-map.
-    The level sets and face maps, read off the nondegenerate simplices, do
-    not depend on the coefficients, so they are kept on the space
-    (SimplicialGSet._layouts) and shared by every tensor over it.
+    N_n(G/H) has one block per orbit of the simplices keying the boundary
+    table of degree n (_boundary), times G/H, and a term c y of the boundary
+    of x is the G-map x |-> y on the X coordinate, so d_n has a block
+    c M_*(G/J -> G/K) per source orbit and term; restrictions and transfers
+    act on the S coordinate alone.  A level with no kept simplex has no
+    orbit and is the zero group, and every map into or out of it is the
+    zero hom, built without a G-map.  The tables and level sets do not
+    depend on the coefficients, so they are kept on the space
+    (SimplicialGSet._layouts) for every tensor over it.  On the critical
+    table of _morse(T.X) (_morse_chains), the class is the Morse complex.
     """
 
     def __init__(self, T):
         self.T = T
         self._kind = T.reduced  # names the level sets kept on the space
+        self._table = partial(_boundary, T.X, reduced=T.reduced)
         self._levels = {}
         self._complexes = {}
         self._chainmaps = {}
 
-    def _kept(self, n):
-        """The kept n-simplices: every nondegenerate one, minus the
-        basepoint for a reduced tensor."""
-        X = self.T.X
-        base = X.nd_base if self.T.reduced and n == 0 else None
-        return [y for y in range(X.nd[n].size) if y != base]
-
     def level(self, rec, n):
-        """(LevelSet, Evaluated) of level n at G/H on the kept simplices,
-        named by their index in X.nd[n]; the value omits the orbit of the
-        sink, so a point sent there is dropped.  The level set is kept on
-        the space."""
+        """(LevelSet, Evaluated) of level n at G/H on the simplices of the
+        table, named by their index in X.nd[n]; the value omits the orbit of
+        the sink, so a point sent there is dropped.  The level set is kept
+        on the space."""
         key = (rec.class_id, n)
         if key not in self._levels:
             X, layout = self.T.X, (self._kind, rec.class_id, n)
             if layout not in X._layouts:
                 S = std_orbit(self.T.group, rec)
-                X._layouts[layout] = _build_level(X.nd[n], self._kept(n), S, sink=True)
+                X._layouts[layout] = _build_level(X.nd[n], list(self._table(n)), S, sink=True)
             ls = X._layouts[layout]
             self._levels[key] = ls, self.T.M.evaluate(ls.gset, 0)
         return self._levels[key]
-
-    def _face(self, rec, n, i):
-        """d_i of level n at G/H, a degenerate face sent to the sink; kept on the space."""
-        X = self.T.X
-        key = (self.T.reduced, rec.class_id, n, i)
-        if key not in X._layouts:
-            face = [z if s[-1] == n - 1 else None for s, z in X.nd_faces[n][i]]
-            src, tgt = self.level(rec, n)[0], self.level(rec, n - 1)[0]
-            X._layouts[key] = src.gmap(tgt, lambda y, t: (face[y], t))
-        return X._layouts[key]
 
     def homology(self, rec, n):
         """H_n at G/H under the chain rule."""
@@ -152,8 +139,7 @@ class MackeyChainComplex:
         return self.complex(rec).homology(n)
 
     def complex(self, rec):
-        """N(G/H) with d_n = sum (-1)^i d_i, one block per nondegenerate
-        source orbit and face index whose face is kept."""
+        """N(G/H) with d_n read off the boundary table."""
         if rec.class_id not in self._complexes:
             groups = {n: self.level(rec, n)[1].value for n in range(self.T.bound + 1)}
             diffs = {}
@@ -165,11 +151,14 @@ class MackeyChainComplex:
 
     def _differential(self, rec, n, sev, tev):
         """d_n at G/H between the level values sev and tev."""
-        M, entries = self.T.M, []
-        for i in range(n + 1):
-            for si, ti, om in _orbit_blocks(M, self._face(rec, n, i), sev, tev, 0):
+        M, bd, entries = self.T.M, self._table(n), []
+        src, tgt = self.level(rec, n)[0], self.level(rec, n - 1)[0]
+        for si, o in enumerate(sev.orbits):
+            x, s = src.pairs[o.basepoint]
+            for y, c in bd[x].items():
+                ti, om = _orbit_map_to(M, o, tev, tgt.index[y, s])
                 h = M.orbit_covariant(om)
-                entries.append((ti, si, h if i % 2 == 0 else -h))
+                entries.append((ti, si, h if c == 1 else h.scale(c)))
         return ab.assemble_block_hom(sev.summands, tev.summands, entries)[0]
 
     def transition_chain_map(self, om, variance):
@@ -190,29 +179,30 @@ class MackeyChainComplex:
         return self._chainmaps[key]
 
 
-class _MorseChains(MackeyChainComplex):
-    """The Morse complex of the reduced tensor T: its normalized chains cut
-    down to the critical simplices of _morse(T.X).  A term c y of the
-    boundary of x is the G-map x |-> y on the X coordinate, so d_n has a
-    block c M_*(G/J -> G/K) per source orbit and term; restrictions and
-    transfers act on the S coordinate alone, as on the normalized chains."""
-
-    def __init__(self, T):
-        super().__init__(T)
-        self._kind = "morse"
-
-    def _kept(self, n):
-        return list(_morse(self.T.X)[n])
-
-    def _differential(self, rec, n, sev, tev):
-        M, bd, entries = self.T.M, _morse(self.T.X)[n], []
-        src, tgt = self.level(rec, n)[0], self.level(rec, n - 1)[0]
-        for si, o in enumerate(sev.orbits):
-            x, s = src.pairs[o.basepoint]
-            for y, c in bd[x].items():
-                ti, om = _orbit_map_to(M, o, tev, tgt.index[y, s])
-                entries.append((ti, si, M.orbit_covariant(om).scale(c)))
-        return ab.assemble_block_hom(sev.summands, tev.summands, entries)[0]
+def _boundary(X, n, reduced, keep=True):
+    """The normalized boundary table of X in degree n, {x: {y: c}}: per
+    nondegenerate n-simplex x in index order, d x = sum (-1)^i d_i x over
+    the faces stored with the identity surjection, zero coefficients
+    omitted, less the basepoint vertex when reduced.  Kept on X for every
+    tensor and Hom complex over it; with keep false a table X does not hold
+    is built and not kept, so that _morse holds one degree at a time."""
+    key = ("boundary", reduced, n)
+    if key in X._layouts:
+        return X._layouts[key]
+    base, table = X.nd_base if reduced else None, {}
+    faces = [((-1) ** i, row) for i, row in enumerate(X.nd_faces[n])]
+    for x in range(X.nd[n].size):
+        if n == 0 and x == base:
+            continue
+        col = {}
+        for sign, row in faces:
+            s, z = row[x]
+            if s[-1] == n - 1 and (n > 1 or z != base):
+                col[z] = col.get(z, 0) + sign
+        table[x] = {z: c for z, c in col.items() if c}
+    if keep:
+        X._layouts[key] = table
+    return table
 
 
 def _morse(X):
@@ -221,65 +211,50 @@ def _morse(X):
     critical n-simplex in order with its reduced boundary {y: c} (Forman,
     Adv. Math. 134, 1998; Freij, Discrete Math. 309, 2009).
 
-    The chains are Z[ND_n] without the basepoint vertex, d y the sum of
-    (-1)^i d_i y over the faces stored with the identity surjection.  From
-    the top degree down, in index order, the orbit of (a, b) is cancelled
-    when <d a, b> = +-1 and no other simplex of G a has b in its boundary.
-    Then G_a = G_b, as g in G_b off G_a would put b in d(g a), so the block
-    cancelled is +-M_* of a G-isomorphism for every Mackey functor M, and
-    each term y of a boundary d x has G_x inside G_y.  One degree's
-    boundaries are held at a time."""
+    From the top degree down, degree n starts from a copy of its reduced
+    table (_boundary), less the columns of the simplices cancelled as rows
+    above, and _match cancels unit pairs in it; a simplex cancelled as a
+    column leaves the critical boundaries of degree n + 1.  One degree's
+    boundaries are held at a time: a table X does not keep is not kept."""
     if "morse" not in X._layouts:
-        nd, faces = X.nd, X.nd_faces
-        bd, gone = [{}] * (len(nd) + 1), set()
-        for n in range(X.bound, 0, -1):
-            cols, cob, down = {}, {}, gone  # cob[y]: the columns holding y
-            gone = {X.nd_base} if n == 1 else set()  # the rows left out
-            for x in (x for x in range(nd[n].size) if x not in down):
-                col = {}
-                for i, row in enumerate(faces[n]):
-                    s, z = row[x]
-                    if s[-1] == n - 1 and z not in gone:
-                        col[z] = col.get(z, 0) + (-1) ** i
-                cols[x] = {z: c for z, c in col.items() if c}
-                for z in cols[x]:
-                    cob.setdefault(z, set()).add(x)
-            act, lower = nd[n].action, nd[n - 1].action
-            for a in list(cols):
-                orbit = {row[a] for row in act}
-                units = (b for b, c in sorted(cols.get(a, {}).items()) if c in (1, -1))
-                b = next((b for b in units if not (cob[b] & orbit) - {a}), None)
-                if b is not None:
-                    for g in {row[a]: g for g, row in enumerate(act)}.values():
-                        _cancel(cols, cob, act[g][a], lower[g][b])
-                        gone.add(lower[g][b])
+        bd, gone = [{}] * (X.bound + 2), set()
+        for n in range(X.bound, -1, -1):
+            table = _boundary(X, n, True, keep=False)  # copied: X may keep it
+            cols = {x: dict(col) for x, col in table.items() if x not in gone}
+            del table  # not held while _match runs
+            gone = _match(X, n, cols) if n else set()
             bd[n], bd[n + 1] = cols, {
                 x: {y: c for y, c in col.items() if y in cols} for x, col in bd[n + 1].items()
             }
-        bd[0] = dict.fromkeys(sorted(set(range(nd[0].size)) - gone - {X.nd_base}), {})
         X._layouts["morse"] = tuple(bd[:-1])
     return X._layouts["morse"]
 
 
-def _cancel(cols, cob, a, b):
-    """Cancel the column a and the row b, the unit u = <d a, b>: d x -= u
-    <d x, b> d a for every other column x."""
-    col = cols.pop(a)
-    u = col[b]
-    for y in col:
-        cob[y].discard(a)
-    for x in list(cob.pop(b)):
-        xcol = cols[x]
-        k = u * xcol[b]
-        for y, c in col.items():
-            v = xcol.get(y, 0) - k * c
-            if v:
-                xcol[y] = v
-                cob[y].add(x)
-            else:
-                del xcol[y]
-                if y != b:
-                    cob[y].discard(x)
+def _match(X, n, cols):
+    """Cancel, in the columns cols of degree n and in index order, the orbit
+    of (a, b) by intlinalg.cancel_unit when <d a, b> = +-1 and no other
+    simplex of G a has b in its boundary; returns the rows cancelled.  Then
+    G_a = G_b, as g in G_b off G_a would put b in d(g a), so the block
+    cancelled is +-M_* of a G-isomorphism for every Mackey functor M, and
+    each term y of a boundary d x has G_x inside G_y."""
+    cob, act, lower, gone = la._rows_of(cols.items()), X.nd[n].action, X.nd[n - 1].action, set()
+    for a in list(cols):
+        orbit = {row[a] for row in act}
+        units = (b for b, c in sorted(cols.get(a, {}).items()) if c in (1, -1))
+        b = next((b for b in units if not (cob[b] & orbit) - {a}), None)
+        if b is not None:
+            for g in {row[a]: g for g, row in enumerate(act)}.values():
+                la.cancel_unit(cols, cob, act[g][a], lower[g][b])
+                gone.add(lower[g][b])
+    return gone
+
+
+def _morse_chains(T):
+    """The Morse complex of the reduced tensor T: MackeyChainComplex on the
+    critical table of _morse(T.X), whose level sets are kept on the space."""
+    chains = MackeyChainComplex(T)
+    chains._kind, chains._table = "morse", _morse(T.X).__getitem__
+    return chains
 
 
 def normalized_chains(T):
@@ -316,7 +291,7 @@ def bredon_homology(X, M, n):
     """H_n of the reduced tensor X (x~) M, as a Mackey functor on orbit
     classes; X must be based.  Read off the Morse complex of X (_morse),
     whose restrictions and transfers are those of the normalized chains."""
-    chains = _MorseChains(reduced_tensor(X, M))
+    chains = _morse_chains(reduced_tensor(X, M))
     values = {rec.class_id: chains.homology(rec, n) for rec in subgroup_classes(M.group)}
 
     def induced(variance, om):
@@ -330,7 +305,7 @@ def bredon_groups(X, M, degrees):
     """Invariant-factor table of the reduced tensor X (x~) M, for a based X:
     degree -> class_id -> (free, torsion).  Read off the Morse complex of X
     (_morse), which evaluates M on the critical orbits alone."""
-    chains, recs = _MorseChains(reduced_tensor(X, M)), subgroup_classes(M.group)
+    chains, recs = _morse_chains(reduced_tensor(X, M)), subgroup_classes(M.group)
     return {n: {rec.class_id: chains.homology(rec, n) for rec in recs} for n in degrees}
 
 
@@ -422,19 +397,19 @@ class MappingComplex:
 
     def _d_entries(self, offsets, tgt_blocks, n):
         """The blocks of D_n from the degree-n blocks at offsets into
-        tgt_blocks: d_T on the same simplex, -(-1)^n (-1)^i on its i-th face,
-        dropped when the face is degenerate."""
-        entries, faces = [], self.K.nd_faces
+        tgt_blocks: d_T on the same simplex, and -(-1)^n c on each term c z
+        of its boundary in K's reduced table (_boundary)."""
+        entries = []
         for t, (key, k, y) in enumerate(tgt_blocks):
             chains = self.charts[key][1]
             if (key, k, y) in offsets:
                 entries.append((t, offsets[(key, k, y)], chains.diffs[k + n]))
-            one = AbHom.identity(chains.groups[k + n - 1])
-            for i in range(k + 1 if k else 0):
-                sigma, z = faces[k][i][y]
-                s = offsets.get((key, k - 1, z)) if sigma[-1] == k - 1 else None
-                if s is not None:
-                    entries.append((t, s, one.scale((-1) ** (n + i + 1))))
+            if k:
+                one = AbHom.identity(chains.groups[k + n - 1])
+                for z, c in _boundary(self.K, k, True)[y].items():
+                    s = offsets.get((key, k - 1, z))
+                    if s is not None:
+                        entries.append((t, s, one.scale(-(-1) ** n * c)))
         return entries
 
     def _build_degree(self, n):

@@ -178,12 +178,17 @@ def invariant_factors(a):
 
 
 def _rows_of(cols):
-    """{row: set of the columns nonzero in it} for sparse columns."""
+    """{row: set of the columns nonzero in it} for the (name, column) pairs cols."""
     rows_of = defaultdict(set)
-    for j, col in enumerate(cols):
+    for j, col in cols:
         for i in col:
             rows_of[i].add(j)
     return rows_of
+
+
+def _nonzero(col):
+    """A copy of the column col without its zero entries."""
+    return dict(col) if all(col.values()) else {i: x for i, x in col.items() if x}
 
 
 def subtract(a, b, q):
@@ -209,30 +214,38 @@ def _subtract_tracked(cols, j, k, q, rows_of):
             rows_of[i].discard(j)
 
 
+def cancel_unit(cols, rows_of, j, r):
+    """Cancel the unit pair (j, r), u = cols[j][r] = +-1: clear row r from
+    every other column c by cols[c] -= u cols[c][r] cols[j], then take
+    column j out of cols, a dict of sparse columns, and row r out of
+    rows_of, which is kept current (see _rows_of)."""
+    pivot = cols[j]
+    u = pivot[r]
+    for i in pivot:
+        rows_of[i].discard(j)
+    for c in list(rows_of[r]):
+        _subtract_tracked(cols, c, j, u * cols[c][r], rows_of)
+    del cols[j], rows_of[r]
+
+
 def prune_units(cols):
-    """Remove the unit pivots of the presentation Z^n / <cols>: each solves one
-    generator by the others and is cleared from the other relations, taking
-    short relations and sparse rows first to limit fill-in.  Returns (k, rest):
-    the number of pivots removed and the dense matrix of the remaining nonzero
-    relations on the rows they touch; the group is Z^(n - k - len(rest)) +
-    coker(rest)."""
-    cols = [dict(c) for c in cols if c]
-    rows_of = _rows_of(cols)
+    """Remove the unit pivots of the presentation Z^n / <cols> by cancel_unit:
+    each solves one generator by the others and is cleared from the other
+    relations, taking short relations and sparse rows first to limit
+    fill-in.  Returns (k, rest): the number of pivots removed and the dense
+    matrix of the remaining nonzero relations on the rows they touch; the
+    group is Z^(n - k - len(rest)) + coker(rest)."""
+    cols = dict(enumerate(c for c in map(_nonzero, cols) if c))
+    rows_of = _rows_of(cols.items())
     k, found = 0, True
     while found:
         found = False
-        for j in sorted(range(len(cols)), key=lambda j: len(cols[j])):
-            pivot, units = cols[j], [i for i, x in cols[j].items() if x in (1, -1)]
-            if not units:
-                continue
-            r = min(units, key=lambda i: len(rows_of[i]))
-            for c in rows_of[r] - {j}:
-                _subtract_tracked(cols, c, j, cols[c][r] * pivot[r], rows_of)
-            for i in pivot:
-                rows_of[i].discard(j)
-            cols[j] = {}
-            k, found = k + 1, True
-    rows, rest = sorted(i for i, js in rows_of.items() if js), [col for col in cols if col]
+        for j in sorted(cols, key=lambda j: len(cols[j])):
+            units = [i for i, x in cols.get(j, {}).items() if x in (1, -1)]
+            if units:
+                cancel_unit(cols, rows_of, j, min(units, key=lambda i: len(rows_of[i])))
+                k, found = k + 1, True
+    rows, rest = sorted(i for i, js in rows_of.items() if js), [col for col in cols.values() if col]
     return k, tuple(tuple(col.get(i, 0) for col in rest) for i in rows)
 
 
@@ -247,15 +260,16 @@ class ColumnReduction:
     """
 
     def __init__(self, cols, nrows):
-        """cols: the sparse columns of A, which has nrows rows; not modified."""
+        """cols: the sparse columns of A, which has nrows rows; not modified.
+        A zero entry is dropped, so it is never taken as a pivot."""
         self.nrows = nrows
         self.ncols = len(cols)
-        self._run([dict(c) for c in cols])
+        self._run([_nonzero(c) for c in cols])
 
     def _run(self, cols):
         ncols = self.ncols
         vcols = [{j: 1} for j in range(ncols)]
-        rows_of = _rows_of(cols)
+        rows_of = _rows_of(enumerate(cols))
         assigned = set()
         pivots = []  # (row, col, value) in processing order
 

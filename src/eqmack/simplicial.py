@@ -112,8 +112,9 @@ class SimplicialGSet(Frozen):
     the benchmark's tracer; nothing else in the package reads them.  One
     given by its full levels reads off its nondegenerate form on first
     read.  Not compared: _flags, the degeneracy flags read so far, and
-    _layouts, the normalized level sets and face maps of the chains over
-    it (homotopy.MackeyChainComplex), its Morse matching (homotopy._morse),
+    _layouts, the normalized boundary tables (homotopy._boundary) and the
+    level sets of the chains over it (homotopy.MackeyChainComplex), its
+    Morse matching (homotopy._morse),
     what nondegenerate and nd_copies have read so far, and a quotient's
     crushed full-level indices (_below).
     """

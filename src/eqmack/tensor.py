@@ -14,12 +14,13 @@ basepoint: values and maps are the coefficients' evaluations at the level
 sets' basepoints, reduced or not alike.
 
 The package's computations read normalized levels only: the chains of
-homotopy.MackeyChainComplex and their Morse cut for Bredon homology, both
-exact sequences' maps, and rho and sigma, which read the copies of the
-nondegenerate simplices in full-level order off the space
-(SimplicialGSet.nd_copies).  Full levels are laid out
-only by TensorMackey's level API (level_set, value, op and the maps along
-S), by the public psi (PsiMap.component), by ModuleTensor and by tests.
+homotopy.MackeyChainComplex, laid out on the space's normalized boundary
+table or, for Bredon homology, on its Morse table; both exact sequences'
+maps; and rho and sigma, which read the copies of the nondegenerate
+simplices in full-level order off the space (SimplicialGSet.nd_copies).
+Full levels are laid out only by TensorMackey's level API (level_set,
+value, op and the maps along S), by the public psi (PsiMap.component), by
+ModuleTensor and by tests.
 """
 
 from functools import lru_cache

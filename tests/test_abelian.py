@@ -101,6 +101,21 @@ def test_kernel_of_projection():
     assert f.compose(incl).is_zero_hom()
 
 
+def test_kernels_read_past_explicit_zero_entries():
+    # a stored zero is no entry: the zero map Z -> Z has kernel Z, and
+    # (a, b) |-> b on Z^2 has kernel Z on (1, 0)
+    k, incl = AbHom.from_columns(Z, Z, [{0: 0}]).kernel()
+    assert k.invariants() == (1, ())
+    assert incl.cols == ({0: 1},)
+    k, incl = AbHom.from_columns(AbGroup.free(2), Z, [{0: 0}, {0: 1}]).kernel()
+    assert k.invariants() == (1, ())
+    assert incl.cols == ({0: 1},)
+    # nor is a stored zero a unit pivot or a relation
+    assert la.prune_units([{0: 0}]) == (0, ())
+    assert la.prune_units([{0: 0, 1: 1}, {0: 2}]) == (1, ((2,),))
+    assert AbGroup.from_columns(2, [{0: 0}, {1: 0, 0: 3}]).invariants() == (1, (3,))
+
+
 def test_homology_of_times_two():
     #  0 -> Z --x2--> Z -> 0, homology at degree 0 is Z/2
     c = ChainComplex(

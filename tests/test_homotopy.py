@@ -26,6 +26,8 @@ from eqmack.homotopy import (
     HomotopyError,
     MackeyChainComplex,
     MappingComplex,
+    _boundary,
+    _morse,
     _phi_induced,
     based_orbit_space,
     bredon_groups,
@@ -41,7 +43,7 @@ from eqmack.homotopy import (
 from eqmack.mackey import (
     MackeyMorphism,
     WeylModule,
-    _orbit_blocks,
+    _orbit_map_to,
     burnside_mackey,
     constant_mackey,
     fixed_point_morphism,
@@ -858,24 +860,72 @@ def test_normalized_level_gmap_sends_dropped_simplices_to_the_sink():
     for n, ls in enumerate(levels):
         assert (ls.base, ls.pairs[0]) == (0, None)
         assert ls.kept == {y for y in range(X.nd[n].size) if n or y != X.nd_base}
-    # the faces d_i, read off nd_faces: an edge ending at the basepoint and a
-    # triangle face stored with a degeneracy go to the sink, any other face
-    # to its simplex
+    # the boundary table, read off nd_faces: an edge's face on the basepoint
+    # and a triangle's face stored with a degeneracy are absent, any other
+    # face enters with its sign
     dropped = {"base": 0, "degenerate": 0}
-    for n, i in ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2)):
-        f = chains._face(rec, n, i)
-        for p, (y, s) in enumerate(levels[n].pairs[1:], 1):
-            sigma, z = X.nd_faces[n][i][y]
-            if sigma[-1] < n - 1 or (n == 1 and z == X.nd_base):
-                dropped["base" if n == 1 else "degenerate"] += 1
-                assert f.values[p] == 0
-            else:
-                assert f.values[p] == levels[n - 1].index[(z, s)]
+    for n in (1, 2):
+        table = _boundary(X, n, True)
+        assert list(table) == sorted(levels[n].kept)
+        for y, col in table.items():
+            kept = Counter()
+            for i, faces in enumerate(X.nd_faces[n]):
+                sigma, z = faces[y]
+                if sigma[-1] < n - 1 or (n == 1 and z == X.nd_base):
+                    dropped["base" if n == 1 else "degenerate"] += 1
+                else:
+                    kept[z] += (-1) ** i
+            assert col == {z: c for z, c in kept.items() if c}
+            assert n > 1 or X.nd_base not in col
     assert all(dropped.values())
-    # an image on a kept simplex must be a point of the target
+    # a point whose image simplex is not kept goes to the sink; an image on
+    # a kept simplex must be a point of the target
+    assert set(levels[1].gmap(levels[0], lambda x, s: (X.nd_base, s)).values) == {0}
     y = min(levels[0].kept)
     with pytest.raises(KeyError):
         levels[1].gmap(levels[0], lambda x, s: (y, s + 2))
+
+
+def test_boundary_tables_of_the_sign_circle_have_the_hand_values(monkeypatch):
+    # C2 S^sigma: each edge has d_0 = base and d_1 = v, and its two edges
+    # form one free orbit that hits v, so the matching keeps them both
+    X = sphere_for_descriptors(C2, [sign_rep()], 2)
+    base, (v,) = X.nd_base, [y for y in range(X.nd[0].size) if y != X.nd_base]
+    assert X.nd[1].size == 2
+    assert _boundary(X, 1, False) == {0: {base: 1, v: -1}, 1: {base: 1, v: -1}}
+    assert _boundary(X, 1, True) == {0: {v: -1}, 1: {v: -1}}
+    assert _boundary(X, 0, True) == {v: {}}
+    # the Morse matching, the normalized chains and the Hom complex out of X
+    # read one table
+    read = []
+
+    def spy(X, n, reduced, keep=True):
+        read.append((n, reduced, _boundary(X, n, reduced, keep)))
+        return read[-1][2]
+
+    monkeypatch.setattr("eqmack.homotopy._boundary", spy)
+    T = reduced_tensor(X, constant_mackey(C2, Z))
+    for rec in subgroup_classes(C2):
+        MackeyChainComplex(T).complex(rec)
+    MappingComplex(X, T).differential(2)
+    chains_and_hom = len(read)
+    assert _morse(X)[1] == {0: {v: -1}, 1: {v: -1}}
+    assert {n for n, _, _ in read[chains_and_hom:]} == {0, 1, 2}
+    assert all(reduced for _, reduced, _ in read)
+    for n in range(3):
+        first, *rest = (table for m, _, table in read if m == n)
+        assert rest and all(table is first for table in rest)
+
+
+def test_the_matching_keeps_no_boundary_table():
+    # _morse holds one degree's table at a time, so a space only it has
+    # read keeps none, while the normalized chains keep theirs
+    X = sphere_for_descriptors(C2, [sign_rep()] * 2, 3)
+    _morse(X)
+    assert [key for key in X._layouts if key[0] == "boundary"] == []
+    normalized_chains(reduced_tensor(X, constant_mackey(C2, Z))).complex(subgroup_classes(C2)[0])
+    kept = sorted(key for key in X._layouts if key[0] == "boundary")
+    assert kept == [("boundary", True, n) for n in range(4)]
 
 
 def c2_exact_sequence(kind, bound):
@@ -988,19 +1038,19 @@ def test_empty_levels_build_no_gmap(monkeypatch):
     # one vertex and two edges; S^0 unreduced has two vertices; the cofibre
     # S^sigma / S^0 reduced has only the two edges.
     sig = sphere_for_descriptors(C2, [sign_rep()], 6)
-    sources = []
+    blocks = []
 
-    def counting(M, f, sev, tev, tgt_base):
-        sources.append(f.src)
-        return _orbit_blocks(M, f, sev, tev, tgt_base)
+    def counting(M, o, tev, t):
+        blocks.append(o)
+        return _orbit_map_to(M, o, tev, t)
 
-    monkeypatch.setattr("eqmack.homotopy._orbit_blocks", counting)
+    monkeypatch.setattr("eqmack.homotopy._orbit_map_to", counting)
     for rec in subgroup_classes(C2):
         chains = MackeyChainComplex(reduced_tensor(sig, burnside_mackey(C2)))
-        sources.clear()
+        blocks.clear()
         c = chains.complex(rec)
-        # d_1 alone, once per face
-        assert sources == [chains.level(rec, 1)[0].gset] * 2
+        # d_1 alone, one block per edge orbit and the one term of its table
+        assert blocks == list(chains.level(rec, 1)[1].orbits)
         assert [c.groups[n].ngens for n in range(2, 7)] == [0] * 5
 
     M = constant_mackey(C2, Z)
@@ -1040,11 +1090,13 @@ def test_tensors_over_one_space_share_their_layouts(monkeypatch):
                 assert all(ls is first for ls in rest)
             for ch in chains:
                 ch.complex(rec)
-            for n in range(1, X.bound + 1):
-                first, *rest = ([ch._face(rec, n, i) for i in range(n + 1)] for ch in chains)
-                assert all(f is g for faces in rest for f, g in zip(first, faces))
+            for n in range(X.bound + 1):
+                first, *rest = (ch._table(n) for ch in chains)
+                assert first is _boundary(X, n, reduced)
+                assert all(table is first for table in rest)
     # once per (reduced, class, n)
     assert len(built) == 2 * len(recs) * (X.bound + 1)
+    assert sum(key[0] == "boundary" for key in X._layouts) == 2 * (X.bound + 1)
 
 
 # -- bit-identical normalized chains, exact sequences and loop comparisons ----------

@@ -202,15 +202,32 @@ def references(trees):
     return found
 
 
-def uncalled(trees, pinned=()):
-    """Public top-level names outside their module's __all__ that no module
-    reads and that pinned does not name, as (module, name) pairs."""
-    called = references(trees) | set(pinned)
+def unread(trees, pinned, counted):
+    """The top-level names that counted(tree, name) selects, that no module
+    of trees reads and that pinned does not name, as (module, name) pairs."""
+    read = references(trees) | set(pinned)
     return sorted(
         (mod, name)
         for mod, tree in trees.items()
-        for name in top_level_names(tree).keys() - declared(tree)
-        if not name.startswith("_") and (mod, name) not in called
+        for name in top_level_names(tree)
+        if counted(tree, name) and (mod, name) not in read
+    )
+
+
+def uncalled(trees, pinned=()):
+    """Public top-level names outside their module's __all__ that no module
+    reads and that pinned does not name, as (module, name) pairs."""
+    return unread(
+        trees, pinned, lambda tree, name: not name.startswith("_") and name not in declared(tree)
+    )
+
+
+def orphaned(trees, pinned=()):
+    """Private top-level names, dunders aside, that no module reads and that
+    pinned does not name, as (module, name) pairs: a helper left behind by
+    the code that called it."""
+    return unread(
+        trees, pinned, lambda tree, name: name.startswith("_") and not name.startswith("__")
     )
 
 
@@ -229,6 +246,20 @@ def test_uncalled_names_are_found():
     assert uncalled(trees, pinned=[("a", "pinned")]) == [
         ("a", "product"), ("a", "recursive"), ("b", "X"),
     ]
+
+
+def test_orphaned_private_names_are_found():
+    # _cancel lost its caller; _step is read by b, _kept by a itself, and
+    # _pinned by the pins; a private name's own recursion reads nothing
+    a = (
+        "__all__ = ['entry']\n_TABLE = {}\n"
+        "def entry(): return _kept(_TABLE)\ndef _kept(t): return t\n"
+        "def _cancel(x): return _cancel(x)\ndef _step(): return 1\ndef _pinned(): return 2\n"
+    )
+    b = "from . import a as mod_a\nY = mod_a._step()\n"
+    trees = {"a": ast.parse(a), "b": ast.parse(b)}
+    assert orphaned(trees, pinned=[("a", "_pinned")]) == [("a", "_cancel")]
+    assert uncalled(trees) == [("b", "Y")]
 
 
 def tracer_pins():
@@ -250,6 +281,13 @@ def test_every_public_name_is_declared_or_called():
     # package and leave with the benchmark change that unpins them
     trees = {mod: ast.parse((SRC / "eqmack" / (mod + ".py")).read_text()) for mod in MODULES}
     assert uncalled(trees, tracer_pins()) == []
+
+
+def test_every_private_name_is_read():
+    # a private helper whose last caller went is dead code; the names the
+    # benchmark's tracer pins count as read, as for the public names
+    trees = {mod: ast.parse((SRC / "eqmack" / (mod + ".py")).read_text()) for mod in MODULES}
+    assert orphaned(trees, tracer_pins()) == []
 
 
 @pytest.mark.parametrize("mod", MODULES)
