@@ -4,13 +4,16 @@ equivariant mapping complexes, loop-space comparisons, graded tables.
 Normalized chains N_n are built on the nondegenerate n-simplices as the
 space stores them (SimplicialGSet.nd, nd_faces), without a full level: the
 degenerate chains D are a subcomplex and N = C/D, so a face stored with a
-degeneracy, or on the basepoint, is dropped.  _boundary gives each
-degree's boundary table {x: {y: c}}, and three consumers read it:
-MackeyChainComplex, whose levels are LevelSets on the table's keys named
-by index in nd[n], with a sink; the Morse matching on the space (_morse),
-whose critical table MackeyChainComplex reads for Bredon homology, so M
-is evaluated on the critical orbits alone; and the source of a mapping
-complex.  The exact sequences read the normalized chains.
+degeneracy, or on the basepoint, is dropped.  The chain engine,
+MackeyChainComplex, reads a cell table: per degree n, (cells, table), the
+G-set of cells and the boundary table {x: {y: c}} keyed by the cells kept,
+the base left out of a reduced one and standing for the sink of every
+level.  Three things make one: _boundary, each degree's normalized table
+on nd[n], which the exact sequences and the source of a mapping complex
+read too; _morse, the critical table of a Morse matching on the space; and
+_tensor, the matched tensor of two tables.  Bredon homology reads _cells:
+a smash's from its factors' by _tensor, so no smash is laid out, and any
+other space's from _morse, so M is evaluated on few orbits.
 
 Homotopy groups of mapping objects are read from Hom complexes of
 normalized chains.  The target T is a simplicial abelian group, so based
@@ -98,37 +101,42 @@ def _check_dimension(descs, bound):
 class MackeyChainComplex:
     """Normalized chains of the tensor T, per orbit class.
 
-    N_n(G/H) has one block per orbit of the simplices keying the boundary
-    table of degree n (_boundary), times G/H, and a term c y of the boundary
-    of x is the G-map x |-> y on the X coordinate, so d_n has a block
+    N_n(G/H) has one block per orbit of the cells keying the boundary table
+    of degree n of the cell table _cells(n), here the normalized one
+    (_boundary), times G/H, and a term c y of the boundary of x is the
+    G-map x |-> y on the cell coordinate, so d_n has a block
     c M_*(G/J -> G/K) per source orbit and term; restrictions and transfers
-    act on the S coordinate alone.  A level with no kept simplex has no
-    orbit and is the zero group, and every map into or out of it is the
-    zero hom, built without a G-map.  The tables and level sets do not
-    depend on the coefficients, so they are kept on the space
-    (SimplicialGSet._layouts) for every tensor over it.  On the critical
-    table of _morse(T.X) (_morse_chains), the class is the Morse complex.
+    act on the S coordinate alone.  A level with no kept cell has no orbit
+    and is the zero group, and every map into or out of it is the zero
+    hom, built without a G-map.  The tables and level sets do not depend on
+    the coefficients, so they are kept on the space
+    (SimplicialGSet._layouts) for every tensor over it.  On the cell table
+    of _cells(T.X) (_cell_chains), the class is Bredon homology's complex.
     """
 
     def __init__(self, T):
+        X, reduced = T.X, T.reduced
         self.T = T
-        self._kind = T.reduced  # names the level sets kept on the space
-        self._table = partial(_boundary, T.X, reduced=T.reduced)
+        self._kind = reduced  # names the level sets kept on the space
+        self._cells = lambda n: (X.nd[n], _boundary(X, n, reduced))
         self._levels = {}
         self._complexes = {}
         self._chainmaps = {}
 
     def level(self, rec, n):
-        """(LevelSet, Evaluated) of level n at G/H on the simplices of the
-        table, named by their index in X.nd[n]; the value omits the orbit of
-        the sink, so a point sent there is dropped.  The level set is kept
-        on the space."""
+        """(LevelSet, Evaluated) of level n at G/H on the cells of the
+        table, named by their index in its G-set; the value omits the orbit
+        of the sink, so a point sent there is dropped.  The level set is
+        kept on the space, where every level of G/H with no kept cell shares
+        one."""
         key = (rec.class_id, n)
         if key not in self._levels:
-            X, layout = self.T.X, (self._kind, rec.class_id, n)
+            X, (cells, table) = self.T.X, self._cells(n)
+            # a level with no kept cell is the sink alone, one per class
+            layout = (self._kind, rec.class_id, n) if table else ("sink", rec.class_id)
             if layout not in X._layouts:
                 S = std_orbit(self.T.group, rec)
-                X._layouts[layout] = _build_level(X.nd[n], list(self._table(n)), S, sink=True)
+                X._layouts[layout] = _build_level(cells, list(table), S, sink=True)
             ls = X._layouts[layout]
             self._levels[key] = ls, self.T.M.evaluate(ls.gset, 0)
         return self._levels[key]
@@ -151,7 +159,7 @@ class MackeyChainComplex:
 
     def _differential(self, rec, n, sev, tev):
         """d_n at G/H between the level values sev and tev."""
-        M, bd, entries = self.T.M, self._table(n), []
+        M, bd, entries = self.T.M, self._cells(n)[1], []
         src, tgt = self.level(rec, n)[0], self.level(rec, n - 1)[0]
         for si, o in enumerate(sev.orbits):
             x, s = src.pairs[o.basepoint]
@@ -179,20 +187,21 @@ class MackeyChainComplex:
         return self._chainmaps[key]
 
 
-def _boundary(X, n, reduced, keep=True):
+def _boundary(X, n, reduced, skip=None):
     """The normalized boundary table of X in degree n, {x: {y: c}}: per
     nondegenerate n-simplex x in index order, d x = sum (-1)^i d_i x over
     the faces stored with the identity surjection, zero coefficients
     omitted, less the basepoint vertex when reduced.  Kept on X for every
-    tensor and Hom complex over it; with keep false a table X does not hold
-    is built and not kept, so that _morse holds one degree at a time."""
+    tensor and Hom complex over it.  Given a set skip, a table X does not
+    hold is built without the columns of skip and is not kept, so that
+    _morse holds one degree at a time and builds no column it cancelled."""
     key = ("boundary", reduced, n)
     if key in X._layouts:
         return X._layouts[key]
     base, table = X.nd_base if reduced else None, {}
     faces = [((-1) ** i, row) for i, row in enumerate(X.nd_faces[n])]
     for x in range(X.nd[n].size):
-        if n == 0 and x == base:
+        if (n == 0 and x == base) or (skip and x in skip):
             continue
         col = {}
         for sign, row in faces:
@@ -200,7 +209,7 @@ def _boundary(X, n, reduced, keep=True):
             if s[-1] == n - 1 and (n > 1 or z != base):
                 col[z] = col.get(z, 0) + sign
         table[x] = {z: c for z, c in col.items() if c}
-    if keep:
+    if skip is None:
         X._layouts[key] = table
     return table
 
@@ -209,35 +218,44 @@ def _morse(X):
     """A G-invariant Morse matching on the reduced normalized chains of the
     based X, kept on X for every coefficient system: per degree n, each
     critical n-simplex in order with its reduced boundary {y: c} (Forman,
-    Adv. Math. 134, 1998; Freij, Discrete Math. 309, 2009).
-
-    From the top degree down, degree n starts from a copy of its reduced
-    table (_boundary), less the columns of the simplices cancelled as rows
-    above, and _match cancels unit pairs in it; a simplex cancelled as a
-    column leaves the critical boundaries of degree n + 1.  One degree's
-    boundaries are held at a time: a table X does not keep is not kept."""
+    Adv. Math. 134, 1998; Freij, Discrete Math. 309, 2009), by _reduce on
+    the tables of _boundary.  A table X does not keep is not kept, and one
+    it keeps is copied, as _match changes what it is given."""
     if "morse" not in X._layouts:
-        bd, gone = [{}] * (X.bound + 2), set()
-        for n in range(X.bound, -1, -1):
-            table = _boundary(X, n, True, keep=False)  # copied: X may keep it
-            cols = {x: dict(col) for x, col in table.items() if x not in gone}
-            del table  # not held while _match runs
-            gone = _match(X, n, cols) if n else set()
-            bd[n], bd[n + 1] = cols, {
-                x: {y: c for y, c in col.items() if y in cols} for x, col in bd[n + 1].items()
-            }
-        X._layouts["morse"] = tuple(bd[:-1])
+
+        def columns(n, gone):
+            kept, table = ("boundary", True, n) in X._layouts, _boundary(X, n, True, gone)
+            return {x: dict(col) for x, col in table.items() if x not in gone} if kept else table
+
+        X._layouts["morse"] = _reduce(X.nd, columns)
     return X._layouts["morse"]
 
 
-def _match(X, n, cols):
-    """Cancel, in the columns cols of degree n and in index order, the orbit
-    of (a, b) by intlinalg.cancel_unit when <d a, b> = +-1 and no other
-    simplex of G a has b in its boundary; returns the rows cancelled.  Then
-    G_a = G_b, as g in G_b off G_a would put b in d(g a), so the block
-    cancelled is +-M_* of a G-isomorphism for every Mackey functor M, and
-    each term y of a boundary d x has G_x inside G_y."""
-    cob, act, lower, gone = la._rows_of(cols.items()), X.nd[n].action, X.nd[n - 1].action, set()
+def _reduce(gsets, columns):
+    """The critical boundary tables of a Morse matching on the cells of the
+    G-sets gsets, whose degree-n columns, less those of the set gone, are
+    columns(n, gone).  From the top degree down, degree n starts without the
+    columns of the cells cancelled as rows above, and _match cancels unit
+    pairs in it; a cell cancelled as a column leaves the boundaries of
+    degree n + 1.  One degree's columns are held at a time."""
+    bd, gone = [{}] * (len(gsets) + 1), set()
+    for n in range(len(gsets) - 1, -1, -1):
+        bd[n] = cols = columns(n, gone)
+        size = len(cols)
+        gone = _match(gsets[n], gsets[n - 1], cols) if n and cols else set()
+        if len(cols) < size:
+            bd[n + 1] = {x: {y: c for y, c in d.items() if y in cols} for x, d in bd[n + 1].items()}
+    return tuple(bd[:-1])
+
+
+def _match(cells, faces, cols):
+    """Cancel, in the columns cols on the G-set cells and in order, the orbit
+    of (a, b) by intlinalg.cancel_unit when <d a, b> = +-1 and no other cell
+    of G a has b in its boundary; returns the rows cancelled, cells of the
+    G-set faces.  Then G_a = G_b, as g in G_b off G_a would put b in
+    d(g a), so the block cancelled is +-M_* of a G-isomorphism for every
+    Mackey functor M, and each term y of a boundary d x has G_x inside G_y."""
+    cob, act, lower, gone = la._rows_of(cols.items()), cells.action, faces.action, set()
     for a in list(cols):
         orbit = {row[a] for row in act}
         units = (b for b, c in sorted(cols.get(a, {}).items()) if c in (1, -1))
@@ -249,11 +267,59 @@ def _match(X, n, cols):
     return gone
 
 
-def _morse_chains(T):
-    """The Morse complex of the reduced tensor T: MackeyChainComplex on the
-    critical table of _morse(T.X), whose level sets are kept on the space."""
+def _tensor(A, B, bound):
+    """The tensor of the reduced cell tables A and B cut at bound, matched
+    by _reduce.  Its n-cells are the triples (p, x, y) of a p-cell x of A
+    and an (n - p)-cell y of B, in that order, under the diagonal action,
+    and d(x (x) y) = dx (x) y + (-1)^p x (x) dy.  By Eilenberg-Zilber the
+    reduced chains of a smash retract onto the tensor of its factors'
+    (Eilenberg-Zilber, Amer. J. Math. 75, 1953), by maps natural in the
+    space, so G-maps that M_* keeps for every Mackey functor M, and a tensor
+    of such retractions is one, as Kenzo composes them (Rubio-Sergeraert,
+    Bull. Sci. Math. 126, 2002).  As in each factor, the stabilizer of each
+    term of d(x (x) y) contains G_x cap G_y, that of x (x) y."""
+    triples = [[(p, x, y) for p in range(n + 1) for x in A[p][1] for y in B[n - p][1]]
+               for n in range(bound + 1)]
+    index = [{t: i for i, t in enumerate(level)} for level in triples]
+    G, gsets = A[0][0].group, []
+    for n, (level, ix) in enumerate(zip(triples, index)):
+        rows = [
+            tuple([ix[p, A[p][0].action[g][x], B[n - p][0].action[g][y]] for p, x, y in level])
+            for g in range(G.order)
+        ]
+        gsets.append(GSet._trusted(G, len(level), tuple(rows)))
+
+    def columns(n, gone):
+        cols, down = {}, index[n - 1] if n else {}
+        for i, (p, x, y) in enumerate(triples[n]):
+            if i not in gone:
+                col = cols[i] = {down[p - 1, z, y]: c for z, c in A[p][1][x].items()}
+                for z, c in B[n - p][1][y].items():
+                    col[down[p, x, z]] = (-1) ** p * c
+        return cols
+
+    return tuple(zip(gsets, _reduce(gsets, columns)))
+
+
+def _cells(X):
+    """The reduced cell table Bredon homology reads for the based X, kept on
+    X: a smash's, by its recipe ("smash", A, B), is _tensor of _cells(A) and
+    _cells(B) cut at X.bound, so its nondegenerate simplices are never laid
+    out; any other space's is its Morse complex (_morse) on X.nd."""
+    if "cells" not in X._layouts:
+        kind, *factors = X._recipe or (None,)
+        if kind == "smash":
+            X._layouts["cells"] = _tensor(*map(_cells, factors), X.bound)
+        else:
+            X._layouts["cells"] = tuple(zip(X.nd, _morse(X)))
+    return X._layouts["cells"]
+
+
+def _cell_chains(T):
+    """Bredon homology's complex of the reduced tensor T: MackeyChainComplex
+    on the cell table _cells(T.X), whose level sets are kept on the space."""
     chains = MackeyChainComplex(T)
-    chains._kind, chains._table = "morse", _morse(T.X).__getitem__
+    chains._kind, chains._cells = "cells", _cells(T.X).__getitem__
     return chains
 
 
@@ -289,9 +355,11 @@ def _chain_map(src, src_rec, tgt, tgt_rec, hom):
 
 def bredon_homology(X, M, n):
     """H_n of the reduced tensor X (x~) M, as a Mackey functor on orbit
-    classes; X must be based.  Read off the Morse complex of X (_morse),
-    whose restrictions and transfers are those of the normalized chains."""
-    chains = _morse_chains(reduced_tensor(X, M))
+    classes; X must be based.  Read off the cell table of X (_cells): a
+    smash's comes from its factors', any other space's is its Morse
+    complex, and its restrictions and transfers are those of the normalized
+    chains."""
+    chains = _cell_chains(reduced_tensor(X, M))
     values = {rec.class_id: chains.homology(rec, n) for rec in subgroup_classes(M.group)}
 
     def induced(variance, om):
@@ -303,9 +371,11 @@ def bredon_homology(X, M, n):
 
 def bredon_groups(X, M, degrees):
     """Invariant-factor table of the reduced tensor X (x~) M, for a based X:
-    degree -> class_id -> (free, torsion).  Read off the Morse complex of X
-    (_morse), which evaluates M on the critical orbits alone."""
-    chains, recs = _morse_chains(reduced_tensor(X, M)), subgroup_classes(M.group)
+    degree -> class_id -> (free, torsion).  Read off the cell table of X
+    (_cells), which evaluates M on few orbits: a smash's cells come from its
+    factors' cell tables, not from its own simplices, and any other space's
+    are the critical simplices of its Morse matching."""
+    chains, recs = _cell_chains(reduced_tensor(X, M)), subgroup_classes(M.group)
     return {n: {rec.class_id: chains.homology(rec, n) for rec in recs} for n in degrees}
 
 
@@ -698,8 +768,9 @@ def ro_graded_table(X, M, rows):
 
     S^W is built at X.bound, so S^W smash X has X.bound too, and every row
     is checked against the chain rule before any is computed.  S^W smash X
-    and its Morse complex (bredon_groups) are built once per twist W, for
-    all of that twist's degrees."""
+    is built once per twist W, for all of that twist's degrees, and its
+    cells come from the factors' cell tables (bredon_groups), so neither it
+    nor S^W, itself a smash of spheres, is laid out."""
     G = M.group
     for p, _ in rows:
         _check_degree(p, X.bound)

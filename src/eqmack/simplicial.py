@@ -4,11 +4,12 @@ A simplicial G-set is stored per dimension by its nondegenerate simplices,
 their G-action, their faces as (degeneracy, nondegenerate simplex) and the
 basepoint.  By the Eilenberg-Zilber lemma every simplex is s_I y for one
 nondegenerate y (Goerss-Jardine, Simplicial Homotopy Theory, 1999), so the
-full levels follow, built on first read.  A smash pairs its factors'
-nondegenerate simplices by shuffles, a wedge joins them at one basepoint,
-and a quotient X/Y keeps those of X off Y; a map is given by the images of
-the nondegenerate simplices.  Fixed-point systems, Delta[n]_+ and a smash's
-full levels are laid out by _assemble from point rules.
+full levels follow, built on first read.  A smash keeps its factors and
+pairs their nondegenerate simplices by shuffles on first read, a wedge
+joins them at one basepoint, and a quotient X/Y keeps those of X off Y; a
+map is given by the images of the nondegenerate simplices.  Fixed-point
+systems, Delta[n]_+ and a smash's full levels are laid out by _assemble
+from point rules.
 """
 
 import itertools
@@ -111,12 +112,18 @@ class SimplicialGSet(Frozen):
     (tensor.PsiMap.component), by TensorMackey's level API, by tests and by
     the benchmark's tracer; nothing else in the package reads them.  One
     given by its full levels reads off its nondegenerate form on first
-    read.  Not compared: _flags, the degeneracy flags read so far, and
-    _layouts, the normalized boundary tables (homotopy._boundary) and the
-    level sets of the chains over it (homotopy.MackeyChainComplex), its
-    Morse matching (homotopy._morse),
-    what nondegenerate and nd_copies have read so far, and a quotient's
-    crushed full-level indices (_below).
+    read.  A smash keeps its recipe ("smash", X, Y) and lays out its
+    nondegenerate form (_smash_nd) on the first read of nd, nd_faces,
+    nd_base, _parts or a full level: by rho, psi, the loop comparison, Hom
+    complexes out of or into it, both exact sequences, the normalized
+    chains and _morse; Bredon homology reads its factors' cell tables
+    (homotopy._cells) instead, and bound, based and group read nothing.
+    Not compared: _flags, the degeneracy flags read so far, and _layouts,
+    the normalized boundary tables (homotopy._boundary) and the level sets
+    of the chains over it (homotopy.MackeyChainComplex), its Morse matching
+    (homotopy._morse) and cell table (homotopy._cells), what nondegenerate
+    and nd_copies have read so far, and a quotient's crushed full-level
+    indices (_below).
     """
 
     __slots__ = (
@@ -130,18 +137,25 @@ class SimplicialGSet(Frozen):
         _fill(self, (*zip(self.__slots__, key), ("_key", key)), None, None, None)
 
     def __getattr__(self, name):
-        # reached only for an unset slot: a recipe's full levels and key
-        if name not in self._FULL or self._recipe is None:
+        # reached only for an unset slot: a recipe's full levels and key, and
+        # a smash's parts before its nondegenerate form is laid out
+        if self._recipe is None or name not in self._FULL + ("_parts",):
             raise AttributeError(name)
-        try:
-            object.__getattribute__(self, "_key")
-        except AttributeError:
-            _materialize(self)
+        if name == "_parts":
+            self._nd_form()
+        else:
+            try:
+                object.__getattribute__(self, "_key")
+            except AttributeError:
+                _materialize(self)
         return object.__getattribute__(self, name)
 
     @property
     def bound(self):
-        return len(self._nd[0] if self._recipe else self.levels) - 1
+        if self._nd:
+            return len(self._nd[0]) - 1
+        # a smash not yet laid out is based, with a basepoint per level
+        return len(self.basepoints if self._recipe else self.levels) - 1
 
     @property
     def based(self):
@@ -150,7 +164,7 @@ class SimplicialGSet(Frozen):
     def _nd_form(self):
         """(nd, nd_faces, nd_base, full level sizes)."""
         if self._nd is None:
-            object.__setattr__(self, "_nd", _read_nd(self))
+            object.__setattr__(self, "_nd", _smash_nd(self) if self._recipe else _read_nd(self))
         return self._nd
 
     nd = property(lambda self: self._nd_form()[0])
@@ -316,8 +330,9 @@ def _degenerate_flags(X, n):
 # -- the nondegenerate form ------------------------------------------------------
 
 
-def _fill(X, fields, nd, recipe, parts):
-    for name, value in (*fields, ("_nd", nd), ("_recipe", recipe), ("_parts", parts)):
+def _fill(X, fields, nd, recipe, parts=None):
+    fields = (*fields, ("_nd", nd), ("_recipe", recipe)) + ((("_parts", parts),) if parts else ())
+    for name, value in fields:
         object.__setattr__(X, name, value)
     object.__setattr__(X, "_flags", {})
     object.__setattr__(X, "_layouts", {})
@@ -328,12 +343,17 @@ def _nd_space(G, recipe, nd, faces, base, parts=None):
     full levels built on first read by the recipe (kind, factors...); parts
     names each simplex's factor simplices."""
     X, memo = object.__new__(SimplicialGSet), {}
-    sizes = tuple(sum(nd[k].size * comb(n, k) for k in range(n + 1)) for n in range(len(nd)))
-    _fill(X, [("group", G)], (nd, faces, base, sizes), recipe, parts)
+    _fill(X, [("group", G)], (nd, faces, base, _sizes(nd)), recipe, parts)
     ident = _identities(len(nd) - 1)
     points = base is not None and tuple(_position(X, (0,) * len(s), base, memo) for s in ident)
     object.__setattr__(X, "basepoints", points or None)
     return X
+
+
+def _sizes(nd):
+    """The full level sizes over the nondegenerate simplices nd: level n
+    holds s^* z for each nondegenerate k-simplex z and s: [n] ->> [k]."""
+    return tuple(sum(nd[k].size * comb(n, k) for k in range(n + 1)) for n in range(len(nd)))
 
 
 def _position(X, sigma, z, memo):
@@ -474,9 +494,10 @@ def _read_nd(X):
 
 
 def _materialize(X):
-    """Lay out the full levels of X in its constructor's order: a smash
-    pairs its factors' points (_smash_levels); any other space puts each
-    simplex s^* z at its _position, acted on by the simplicial identities."""
+    """Lay out the full levels of X in its constructor's order, after its
+    nondegenerate form: a smash pairs its factors' points (_smash_levels);
+    any other space puts each simplex s^* z at its _position, acted on by
+    the simplicial identities."""
     nd, nd_faces, _, sizes = X._nd_form()
     if X._recipe[0] == "smash":
         full, tables = _smash_levels(*X._recipe[1:])
@@ -820,13 +841,23 @@ def smash(X, Y):
     Its nondegenerate simplices are the crushed basepoint, vertex 0, and
     the pairs (a^* x, b^* y) of non-base nondegenerate simplices whose
     degeneracies repeat no position in common, the Eilenberg-Zilber
-    shuffles, in the order of the full level.  Built from checked factors
+    shuffles, in the order of the full level.  They are laid out on first
+    read (_smash_nd); until then the smash holds its recipe ("smash", X, Y)
+    and its basepoint, vertex 0 at every level.  Built from checked factors
     the smash is a simplicial G-set, so it is not checked.
     """
     if not (X.based and Y.based):
         raise SimplicialError("smash needs based inputs")
     _check_groups(X, Y)
-    G, bound = X.group, min(X.bound, Y.bound)
+    S, base = object.__new__(SimplicialGSet), (0,) * (min(X.bound, Y.bound) + 1)
+    _fill(S, [("group", X.group), ("basepoints", base)], None, ("smash", X, Y))
+    return S
+
+
+def _smash_nd(S):
+    """The nondegenerate form of the smash S of X and Y, laid out from the
+    factors' and kept with its parts, each simplex's (a, x, b, y)."""
+    (X, Y), G, bound = S._recipe[1:], S.group, S.bound
     (xnd, xf, xb), (ynd, yf, yb) = X._nd_form()[:3], Y._nd_form()[:3]
     kept = [
         [[z for z in range(nd[m].size) if m or z != b] for m in range(bound + 1)]
@@ -876,8 +907,8 @@ def smash(X, Y):
                 eps, s, t = joints[s, t]
                 rows.append((eps, lookup[eps[-1]][s, u, t, v]))
             faces.append(tuple(tuple(rows[i :: n + 1]) for i in range(n + 1)))
-    parts = tuple(tuple(ix) for ix in lookup)  # each level's keys, in order
-    return _nd_space(G, ("smash", X, Y), tuple(nd), tuple(faces), 0, parts)
+    object.__setattr__(S, "_parts", tuple(tuple(ix) for ix in lookup))  # each level's keys
+    return tuple(nd), tuple(faces), 0, _sizes(nd)
 
 
 def _check_groups(X, Y):

@@ -769,3 +769,62 @@ def test_the_nondegenerate_check_rejects_a_bad_presentation():
         build_from_generators(C2, [v], [None], base_vertex=2)
     with pytest.raises(SimplicialError, match="basepoint must be G-fixed"):
         build_from_generators(C2, [swap], [None], base_vertex=0)
+
+
+# -- a smash lays out its nondegenerate simplices on first read ------------------
+
+# sha256 of the repr of smash_nd_data over the smashes of nondegenerate_spaces(),
+# recorded when smash laid out its nondegenerate simplices as it was built
+SMASH_ND_SHA256 = "71df2d77a63ec1c369cb3074cdb06dfb826aa64c1e9c34c61c952a6a56de063c"
+
+
+def smash_nd_data(X):
+    """The nondegenerate form of X: each level's size and action, the faces,
+    the basepoint and each simplex's parts."""
+    return [(lv.size, lv.action) for lv in X.nd], X.nd_faces, X.nd_base, X._parts
+
+
+def smashes():
+    return [X for X in nondegenerate_spaces() if X._recipe[0] == "smash"]
+
+
+def test_a_smash_is_not_laid_out_to_read_its_bound_basepoint_or_group(monkeypatch):
+    from eqmack.mackey import constant_mackey
+    from eqmack.tensor import reduced_tensor
+
+    def refuse(X):
+        raise AssertionError("a smash's nondegenerate simplices were laid out")
+
+    spaces = smashes()
+    monkeypatch.setattr("eqmack.simplicial._smash_nd", refuse)
+    assert [X.bound for X in spaces] == [4, 4, 4, 4, 3, 3, 3, 3]
+    for X in spaces:
+        A, B = X._recipe[1:]
+        assert X.bound == min(A.bound, B.bound) and X.based and X.group is A.group
+        T = reduced_tensor(X, constant_mackey(X.group, AbGroup.free(1)))
+        assert T.X is X and T.bound == X.bound
+    assert all(X._nd is None for X in spaces)
+
+
+def test_a_smash_lays_out_what_the_eager_build_laid_out():
+    digest = hashlib.sha256(repr([smash_nd_data(X) for X in smashes()]).encode()).hexdigest()
+    assert digest == SMASH_ND_SHA256
+    # a first read of the parts lays out the same form as one of nd
+    for X, Y in zip(smashes(), smashes()):
+        assert Y._parts is not None and Y._nd is not None
+        assert smash_nd_data(X) == smash_nd_data(Y)
+
+
+def test_the_full_levels_of_a_smash_are_laid_out_after_its_nondegenerate_form(monkeypatch):
+    from eqmack import simplicial
+
+    order, nd, levels = [], simplicial._smash_nd, simplicial._smash_levels
+    monkeypatch.setattr(simplicial, "_smash_nd", lambda X: order.append("nd") or nd(X))
+    monkeypatch.setattr(simplicial, "_smash_levels", lambda *f: order.append("levels") or levels(*f))
+    sig = sign_circle(C2, (0,), 3)
+    X, Y = smash(sig, sig), smash(sig, sig)
+    # == compares the full levels, as the benchmark's tracer reads them
+    assert X == Y and hash(X) == hash(Y)
+    assert order == ["nd", "levels", "nd", "levels"]
+    assert X.levels[2].size == len(X._smash_points[2])
+    assert order == ["nd", "levels", "nd", "levels"]
