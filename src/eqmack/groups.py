@@ -5,7 +5,6 @@ interest fit in a few dozen elements, so O(|G|^3) validation and exhaustive
 subgroup enumeration are the simplest trustworthy tools.
 """
 
-import itertools
 import json
 from functools import lru_cache
 
@@ -168,13 +167,9 @@ class FiniteGroup(Frozen):
 
     @staticmethod
     def symmetric(n):
-        perms = sorted(itertools.permutations(range(n)))
-        index = {p: i for i, p in enumerate(perms)}
-        mul = tuple(
-            tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms)
-            for p in perms
-        )
-        return FiniteGroup(mul, name="S%d" % n)
+        """S_n on its sorted permutations, generated by adjacent transpositions."""
+        swaps = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n)) for i in range(n - 1)]
+        return FiniteGroup.from_permutations(swaps, n, name="S%d" % n)
 
     @staticmethod
     def from_permutations(gens, degree, name="G"):

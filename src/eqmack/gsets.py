@@ -320,37 +320,17 @@ def induce_from_weyl(G, helems, Y):
     if Y.group != W:
         raise GSetError("Y must carry the Weyl group action of H")
 
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
-    # identify (g n H, y) with (g H, (nH) . y) for n in N(H)
-    pairs = [(i, y) for i in range(space.size) for y in range(Y.size)]
-    for p in pairs:
-        parent[p] = p
-    for i in range(space.size):
-        r = reps[i]
-        for w in W.elements():
-            n = wreps[w]
-            j = _coset_index(G, helems, G.mul[r][n])
-            for y in range(Y.size):
-                union((j, y), (i, Y.action[w][y]))
-
-    classes = sorted({find(p) for p in pairs})
-    cindex = {}
-    for p in pairs:
-        cindex[p] = classes.index(find(p))
+    # (g n H, y) ~ (g H, (nH) . y) for n in N(H): the class of (i, y) is its
+    # orbit under the action of W on pairs, named by the orbit's minimum
+    moved = [[_coset_index(G, helems, G.mul[r][n]) for n in wreps] for r in reps]
+    least = {
+        (i, y): min((j, Y.action[W.inv(w)][y]) for w, j in enumerate(moved[i]))
+        for i in range(space.size)
+        for y in range(Y.size)
+    }
+    classes = sorted(set(least.values()))
+    rank = {c: k for k, c in enumerate(classes)}
+    cindex = {p: rank[c] for p, c in least.items()}
     action = []
     for g in G.elements():
         row = []

@@ -44,7 +44,7 @@ and its homology is read without a reduction.
 """
 
 from functools import lru_cache, partial
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 from . import abelian as ab
 from . import intlinalg as la
@@ -56,10 +56,17 @@ from .mackey import (
     OrbitMap,
     WrappedMackey,
     _orbit_map_to,
+    _orbit_maps,
     covariant_between,
-    orbit_maps_between,
 )
-from .simplicial import discrete_space, smash, sphere_for_descriptors
+from .simplicial import (
+    _shuffle_pairs,
+    discrete_space,
+    representation_sphere,
+    s0_space,
+    smash,
+    sphere_for_descriptors,
+)
 from .tensor import PsiMap, TensorMackey, _build_level, reduced_tensor
 
 __all__ = [
@@ -433,13 +440,10 @@ class MappingComplex:
             fixed[0] = tuple(y for y in fixed[0] if y != K.nd_base)
             self.charts[rec.class_id] = fixed, self.chains.complex(rec)
             self.relations[rec.class_id] = []
-        for j in self.recs:
-            for h in self.recs:
-                for om in orbit_maps_between(j, h):
-                    if j is h and om.c == G.identity:
-                        continue
-                    res = self.chains.transition_chain_map(om, "res")
-                    self.relations[h.class_id].append((j.class_id, res.comps, om.c))
+        for om in _orbit_maps(G):
+            if om.src != om.tgt or om.c != G.identity:
+                res = self.chains.transition_chain_map(om, "res")
+                self.relations[om.tgt.class_id].append((om.src.class_id, res.comps, om.c))
 
     def degree_data(self, n):
         if n not in self._degree:
@@ -678,7 +682,10 @@ def _phi_induced(psi, krec, kspace, mc, chains, n):
     and z at nu, so s_nu and s_mu repeat the positions nu and mu; and
     sign(nu, mu) = (-1)^(kn) sign(mu, nu) is the sign of the permutation
     listing nu before mu.  With that sign f is a cycle of D f = d f -
-    (-1)^n f d.
+    (-1)^n f d.  The shuffles are the pairs (up_y, up_z) of surjections
+    that simplicial._shuffle_pairs(k + n, k, n) lists, the ones the smash
+    pairs its simplices by, listed once per k; the sign is read off the
+    positions where up_y and up_z step up.
 
     The terms are pairs of nondegenerate simplices: at (x', t) in N_n, the
     pair ((a up_y)^* (g_t x), up_z^* x') of S^W smash X, with g_t the
@@ -688,7 +695,9 @@ def _phi_induced(psi, krec, kspace, mc, chains, n):
     G, SX = psi.M.group, psi.SX
     data = mc.degree_data(n)
     reps = coset_space(G, krec.elements)[1]
-    names, homs = {}, {}  # names[m]: the smash parts of level m -> index in SX.nd[m]
+    # names[m]: the smash parts of level m -> index in SX.nd[m]; shuffles[k]:
+    # the (k, n)-shuffles with their signs
+    names, homs, shuffles = {}, {}, {}
 
     def block_hom(cid, k, y):
         """N_n T_src(G/K) -> N_{k+n} T_tgt(G/H): the lift's block at y."""
@@ -700,8 +709,13 @@ def _phi_induced(psi, krec, kspace, mc, chains, n):
             names[k + n] = {part: y for y, part in enumerate(SX._parts[k + n])}
         name, act = names[k + n], psi.SW.nd[a[-1]].action
         gx = [act[g][x] for g in coset_space(G, rec.elements)[1]]
+        if k not in shuffles:  # n - z[j] steps of z come after a step j of y
+            shuffles[k] = [
+                ((-1) ** sum(n - z[j] for j in range(k + n) if y[j] < y[j + 1]), y, z)
+                for y, z in _shuffle_pairs(k + n, k, n)
+            ]
         h = AbHom.zero(sev.value, tev.value)
-        for sign, up_y, up_z in _shuffles(k, n):
+        for sign, up_y, up_z in shuffles[k]:
             s = tuple(a[v] for v in up_y)
             f = src.gmap(tgt, lambda y, t: (name.get((s, gx[t], up_z, y)), t))
             h = h + covariant_between(psi.M, f, sev, tev, 0).scale(sign)
@@ -722,16 +736,6 @@ def _phi_induced(psi, krec, kspace, mc, chains, n):
     except HomotopyError:
         return False, None
     return True, mat
-
-
-def _shuffles(k, n):
-    """(sign, up_y, up_z) per (k, n)-shuffle (mu, nu): the monotone
-    surjections [k+n] -> [k] and [k+n] -> [n] that step up at the positions
-    mu and nu, and the sign of the permutation listing nu before mu."""
-    for mu in combinations(range(k + n), k):
-        up_y = tuple(sum(i < j for i in mu) for j in range(k + n + 1))
-        inversions = sum(n + p - i for p, i in enumerate(mu))  # pairs mu_p < nu_q
-        yield (-1) ** inversions, up_y, tuple(j - c for j, c in enumerate(up_y))
 
 
 # -- graded tables -----------------------------------------------------------------
@@ -770,15 +774,29 @@ def ro_graded_table(X, M, rows):
     is checked against the chain rule before any is computed.  S^W smash X
     is built once per twist W, for all of that twist's degrees, and its
     cells come from the factors' cell tables (bredon_groups), so neither it
-    nor S^W, itself a smash of spheres, is laid out."""
+    nor S^W, itself a smash of spheres, is laid out.  The spheres are kept
+    for the call: S^{d0...dk} is smash(S^{d0...dk-1}, S^dk), the left fold
+    of sphere_for_descriptors, so each representation sphere is built once
+    and twists sharing a prefix share its sphere and its cell table."""
     G = M.group
     for p, _ in rows:
         _check_degree(p, X.bound)
-    spaces, degrees = {}, {}
+    spheres, spaces, degrees = {}, {}, {}
+
+    def sphere(key):
+        if key not in spheres:
+            if len(key) > 1:
+                spheres[key] = smash(sphere(key[:-1]), sphere(key[-1:]))
+            elif key:
+                spheres[key] = representation_sphere(G, key[0], X.bound)
+            else:
+                spheres[key] = s0_space(G, X.bound)
+        return spheres[key]
+
     for p, descs in rows:
         key = tuple(descs)
         if key not in spaces:
-            spaces[key] = smash(sphere_for_descriptors(G, list(descs), X.bound), X)
+            spaces[key] = smash(sphere(key), X)
         degrees.setdefault(key, []).append(p)
     groups = {key: bredon_groups(spaces[key], M, degrees[key]) for key in spaces}
     out = []

@@ -14,6 +14,7 @@ derived functors through a generic wrapper.
 """
 
 from functools import lru_cache
+from itertools import product
 
 from . import abelian as ab
 from .abelian import AbGroup, AbHom
@@ -97,6 +98,13 @@ def orbit_maps_between(jrec, hrec):
     for t in t_space.fixed_by(jrec.elements):
         out.append(OrbitMap(jrec, hrec, t_reps[t]))
     return tuple(out)
+
+
+def _orbit_maps(G):
+    """Every orbit map G/J -> G/H, over the pairs (J, H) of orbit classes in
+    order: the one walk of the orbit category, not kept."""
+    recs = subgroup_classes(G)
+    return [om for j in recs for h in recs for om in orbit_maps_between(j, h)]
 
 
 def _orbits_under(action, elems, size):
@@ -615,16 +623,11 @@ class TableMackey(MackeyFunctor):
         self.weyl_mats = {k: tuple(v) for k, v in weyl_mats.items()}
         self.res = dict(res)  # (j, h) -> matrix  M(G/H) -> M(G/J)
         self.tr = dict(tr)  # (j, h) -> matrix  M(G/J) -> M(G/H)
-        self._check_fusion()
+        for om in _orbit_maps(group):  # rejects a fusion the tables cannot express
+            self._factor(om)
 
     def name(self):
         return "table"
-
-    def _check_fusion(self):
-        for jrec in subgroup_classes(self.group):
-            for hrec in subgroup_classes(self.group):
-                for om in orbit_maps_between(jrec, hrec):
-                    self._factor(om)
 
     def orbit_value(self, rec):
         return self.values[rec.class_id]
@@ -708,19 +711,14 @@ class MackeyMorphism:
         return self.comps[rec.class_id]
 
     def check(self):
-        G = self.src.group
-        recs = subgroup_classes(G)
-        for j in recs:
-            for h in recs:
-                for om in orbit_maps_between(j, h):
-                    lhs = self.comp(h).compose(self.src.orbit_covariant(om))
-                    rhs = self.tgt.orbit_covariant(om).compose(self.comp(j))
-                    if not lhs.same_as(rhs):
-                        raise MackeyError("morphism fails covariant naturality")
-                    lhs = self.comp(j).compose(self.src.orbit_contravariant(om))
-                    rhs = self.tgt.orbit_contravariant(om).compose(self.comp(h))
-                    if not lhs.same_as(rhs):
-                        raise MackeyError("morphism fails contravariant naturality")
+        for om in _orbit_maps(self.src.group):
+            f_j, f_h = self.comp(om.src), self.comp(om.tgt)
+            lhs = f_h.compose(self.src.orbit_covariant(om))
+            if not lhs.same_as(self.tgt.orbit_covariant(om).compose(f_j)):
+                raise MackeyError("morphism fails covariant naturality")
+            lhs = f_j.compose(self.src.orbit_contravariant(om))
+            if not lhs.same_as(self.tgt.orbit_contravariant(om).compose(f_h)):
+                raise MackeyError("morphism fails contravariant naturality")
         return self
 
     def between(self, sev, tev):
@@ -786,29 +784,23 @@ def _sub_functor(M, values, incls, label):
     return WrappedMackey(M.group, values, cov, con, label=label)
 
 
+def _per_class(phi, op):
+    """op on the component of phi at every orbit class, as one dict
+    class_id -> part for each part of op's result."""
+    out = {r.class_id: op(phi.comp(r)) for r in subgroup_classes(phi.src.group)}
+    return [dict(zip(out, parts)) for parts in zip(*out.values())]
+
+
 def kernel_mackey(phi):
     """Levelwise kernel of a Mackey morphism, with induced structure maps."""
-    recs = subgroup_classes(phi.src.group)
-    kers = {}
-    incls = {}
-    for r in recs:
-        k, incl = phi.comp(r).kernel()
-        kers[r.class_id] = k
-        incls[r.class_id] = incl
+    kers, incls = _per_class(phi, AbHom.kernel)
     func = _sub_functor(phi.src, kers, incls, "kernel")
-    incl_morphism = MackeyMorphism(func, phi.src, incls)
-    return func, incl_morphism
+    return func, MackeyMorphism(func, phi.src, incls)
 
 
 def cokernel_mackey(phi):
     """Levelwise cokernel: same generator matrices, larger relation lattices."""
-    recs = subgroup_classes(phi.src.group)
-    cokers = {}
-    projs = {}
-    for r in recs:
-        c, proj = phi.comp(r).cokernel()
-        cokers[r.class_id] = c
-        projs[r.class_id] = proj
+    cokers, projs = _per_class(phi, AbHom.cokernel)
 
     def cov(om):
         inner = phi.tgt.orbit_covariant(om).cols
@@ -819,25 +811,14 @@ def cokernel_mackey(phi):
         return AbHom.from_columns(cokers[om.tgt.class_id], cokers[om.src.class_id], inner)
 
     func = WrappedMackey(phi.src.group, cokers, cov, con, label="cokernel")
-    proj_morphism = MackeyMorphism(phi.tgt, func, projs)
-    return func, proj_morphism
+    return func, MackeyMorphism(phi.tgt, func, projs)
 
 
 def image_mackey(phi):
     """Levelwise image with its inclusion into the target functor."""
-    recs = subgroup_classes(phi.src.group)
-    imgs = {}
-    incls = {}
-    projs = {}
-    for r in recs:
-        img, incl, proj = phi.comp(r).image()
-        imgs[r.class_id] = img
-        incls[r.class_id] = incl
-        projs[r.class_id] = proj
+    imgs, incls, projs = _per_class(phi, AbHom.image)
     func = _sub_functor(phi.tgt, imgs, incls, "image")
-    incl_morphism = MackeyMorphism(func, phi.tgt, incls)
-    proj_morphism = MackeyMorphism(phi.src, func, projs)
-    return func, incl_morphism, proj_morphism
+    return func, MackeyMorphism(func, phi.tgt, incls), MackeyMorphism(phi.src, func, projs)
 
 
 def direct_sum_mackey(ms):
@@ -847,19 +828,18 @@ def direct_sum_mackey(ms):
     sums = {r.class_id: ab.direct_sum([m.orbit_value(r) for m in ms]) for r in recs}
     values = {cid: data[0] for cid, data in sums.items()}
 
-    def cov(om):
-        src = [m.orbit_value(om.src) for m in ms]
-        tgt = [m.orbit_value(om.tgt) for m in ms]
-        blocks = [(k, k, m.orbit_covariant(om)) for k, m in enumerate(ms)]
-        return ab.assemble_block_hom(src, tgt, blocks)[0]
+    def summed(variance):
+        """The block-diagonal sum of the summands' maps of one variance."""
 
-    def con(om):
-        src = [m.orbit_value(om.tgt) for m in ms]
-        tgt = [m.orbit_value(om.src) for m in ms]
-        blocks = [(k, k, m.orbit_contravariant(om)) for k, m in enumerate(ms)]
-        return ab.assemble_block_hom(src, tgt, blocks)[0]
+        def hom(om):
+            src, tgt = (om.src, om.tgt) if variance == "covariant" else (om.tgt, om.src)
+            blocks = [(k, k, getattr(m, "orbit_" + variance)(om)) for k, m in enumerate(ms)]
+            ends = ([m.orbit_value(rec) for m in ms] for rec in (src, tgt))
+            return ab.assemble_block_hom(*ends, blocks)[0]
 
-    func = WrappedMackey(group, values, cov, con, label="sum")
+        return hom
+
+    func = WrappedMackey(group, values, summed("covariant"), summed("contravariant"), label="sum")
     incl_ms = [
         MackeyMorphism(m, func, {r.class_id: sums[r.class_id][1][k] for r in recs})
         for k, m in enumerate(ms)
@@ -891,101 +871,66 @@ class AxiomReport:
 
 
 def verify_axioms(M):
-    """Check identity, functoriality, additivity and the pullback axiom."""
+    """Check identity, functoriality, additivity and the pullback axiom.
+
+    Each axiom walks its instances in a fixed order as a generator of
+    failure witnesses, and the report keeps its first failure: the walk
+    stops there, so a failing axiom reports the first instance it fails."""
     G = M.group
-    recs = subgroup_classes(G)
-    checks = []
+    recs, maps = subgroup_classes(G), _orbit_maps(G)
 
-    ok = True
-    witness = ""
-    for r in recs:
-        ident = OrbitMap.identity(r)
-        if not M.orbit_covariant(ident).same_as(AbHom.identity(M.orbit_value(r))):
-            ok, witness = False, "covariant identity at class %d" % r.class_id
-            break
-        if not M.orbit_contravariant(ident).same_as(
-            AbHom.identity(M.orbit_value(r))
-        ):
-            ok, witness = False, "contravariant identity at class %d" % r.class_id
-            break
-    checks.append(("identity", ok, witness))
+    def identity():
+        for r in recs:
+            ident, one = OrbitMap.identity(r), AbHom.identity(M.orbit_value(r))
+            if not M.orbit_covariant(ident).same_as(one):
+                yield "covariant identity at class %d" % r.class_id
+            if not M.orbit_contravariant(ident).same_as(one):
+                yield "contravariant identity at class %d" % r.class_id
 
-    ok = True
-    witness = ""
-    for j in recs:
-        for h in recs:
-            for om1 in orbit_maps_between(j, h):
-                for l in recs:
-                    for om2 in orbit_maps_between(h, l):
-                        comp = om2.compose(om1)
-                        lhs = M.orbit_covariant(om2).compose(M.orbit_covariant(om1))
-                        if not lhs.same_as(M.orbit_covariant(comp)):
-                            ok = False
-                            witness = "covariant composite %d->%d->%d" % (
-                                j.class_id,
-                                h.class_id,
-                                l.class_id,
-                            )
-                        lhs = M.orbit_contravariant(om1).compose(
-                            M.orbit_contravariant(om2)
-                        )
-                        if not lhs.same_as(M.orbit_contravariant(comp)):
-                            ok = False
-                            witness = "contravariant composite %d->%d->%d" % (
-                                j.class_id,
-                                h.class_id,
-                                l.class_id,
-                            )
-    checks.append(("functoriality", ok, witness))
+    def functoriality():
+        for om1, om2 in ((a, b) for a, b in product(maps, repeat=2) if b.src == a.tgt):
+            comp = om2.compose(om1)
+            path = "%d->%d->%d" % (om1.src.class_id, om1.tgt.class_id, om2.tgt.class_id)
+            lhs = M.orbit_covariant(om2).compose(M.orbit_covariant(om1))
+            if not lhs.same_as(M.orbit_covariant(comp)):
+                yield "covariant composite " + path
+            lhs = M.orbit_contravariant(om1).compose(M.orbit_contravariant(om2))
+            if not lhs.same_as(M.orbit_contravariant(comp)):
+                yield "contravariant composite " + path
 
-    ok = True
-    witness = ""
-    for j in recs:
-        for h in recs:
-            s = std_orbit(G, j)
-            t = std_orbit(G, h)
-            u, incls = disjoint_union([s, t])
-            i_s = M.covariant(incls[0])
-            i_t = M.covariant(incls[1])
-            r_s = M.contravariant(incls[0])
-            r_t = M.contravariant(incls[1])
-            ident = AbHom.identity(M.evaluate(u).value)
+    def additivity():
+        for j, h in product(recs, repeat=2):
+            s, t = std_orbit(G, j), std_orbit(G, h)
+            u, (inc_s, inc_t) = disjoint_union([s, t])
+            i_s, i_t = M.covariant(inc_s), M.covariant(inc_t)
+            r_s, r_t = M.contravariant(inc_s), M.contravariant(inc_t)
             if not (
                 r_s.compose(i_s).same_as(AbHom.identity(M.evaluate(s).value))
                 and r_t.compose(i_s).is_zero_hom()
-                and (i_s.compose(r_s) + i_t.compose(r_t)).same_as(ident)
+                and (i_s.compose(r_s) + i_t.compose(r_t)).same_as(
+                    AbHom.identity(M.evaluate(u).value)
+                )
             ):
-                ok = False
-                witness = "additivity on classes (%d, %d)" % (j.class_id, h.class_id)
-    checks.append(("additivity", ok, witness))
+                yield "additivity on classes (%d, %d)" % (j.class_id, h.class_id)
 
-    ok = True
-    witness = ""
-    for drec in recs:
-        for brec in recs:
-            for crec in recs:
-                for hm in (om.gmap() for om in orbit_maps_between(brec, drec)):
-                    for km in (om.gmap() for om in orbit_maps_between(crec, drec)):
-                        a, f, g = pullback(hm, km)
-                        lhs = M.covariant(f).compose(M.contravariant(g))
-                        rhs = M.contravariant(hm).compose(M.covariant(km))
-                        if not lhs.same_as(rhs):
-                            ok = False
-                            witness = (
-                                "pullback square B=G/%d, C=G/%d, D=G/%d (h c=%s, k c=%s)"
-                                % (
-                                    brec.class_id,
-                                    crec.class_id,
-                                    drec.class_id,
-                                    hm.values,
-                                    km.values,
-                                )
-                            )
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-    checks.append(("pullback squares", ok, witness))
+    def pullback_squares():
+        for d in recs:
+            into = [(om.src, om.gmap()) for om in maps if om.tgt == d]
+            for (b, hm), (c, km) in product(into, repeat=2):
+                _, f, g = pullback(hm, km)
+                lhs = M.covariant(f).compose(M.contravariant(g))
+                if not lhs.same_as(M.contravariant(hm).compose(M.covariant(km))):
+                    yield "pullback square B=G/%d, C=G/%d, D=G/%d (h c=%s, k c=%s)" % (
+                        b.class_id, c.class_id, d.class_id, hm.values, km.values
+                    )
 
-    passed = all(c[1] for c in checks)
-    return AxiomReport(passed=passed, checks=tuple(checks))
+    checks = []
+    for name, failures in (
+        ("identity", identity()),
+        ("functoriality", functoriality()),
+        ("additivity", additivity()),
+        ("pullback squares", pullback_squares()),
+    ):
+        witness = next(failures, None)
+        checks.append((name, witness is None, witness or ""))
+    return AxiomReport(passed=all(c[1] for c in checks), checks=tuple(checks))

@@ -7,9 +7,10 @@ nondegenerate y (Goerss-Jardine, Simplicial Homotopy Theory, 1999), so the
 full levels follow, built on first read.  A smash keeps its factors and
 pairs their nondegenerate simplices by shuffles on first read, a wedge
 joins them at one basepoint, and a quotient X/Y keeps those of X off Y; a
-map is given by the images of the nondegenerate simplices.  Fixed-point
-systems, Delta[n]_+ and a smash's full levels are laid out by _assemble
-from point rules.
+map is given by the images of the nondegenerate simplices.  One layout
+serves every space built from its nondegenerate simplices: each s^* y sits
+at its _position, and _assemble gives the full levels from the simplicial
+identities, as it gives Delta[n]_+'s from point rules.
 """
 
 import itertools
@@ -108,7 +109,8 @@ class SimplicialGSet(Frozen):
     an empty last entry; basepoints holds the basepoint index per level, or
     is None.  A space built from its nondegenerate simplices by _recipe
     lays out levels, faces and degens (and a smash's or join's point
-    tables) only when they are read: by == and hash, by the public psi
+    tables, its points named by the factors' points) by one route,
+    _materialize, only when they are read: by == and hash, by the public psi
     (tensor.PsiMap.component), by TensorMackey's level API, by tests and by
     the benchmark's tracer; nothing else in the package reads them.  One
     given by its full levels reads off its nondegenerate form on first
@@ -495,51 +497,28 @@ def _read_nd(X):
 
 def _materialize(X):
     """Lay out the full levels of X in its constructor's order, after its
-    nondegenerate form: a smash pairs its factors' points (_smash_levels);
-    any other space puts each simplex s^* z at its _position, acted on by
-    the simplicial identities."""
+    nondegenerate form: each simplex s^* z at its _position, acted on by the
+    simplicial identities; a smash or a join also names each point by its
+    factors' points (_point), the crushed basepoint of a smash by None."""
     nd, nd_faces, _, sizes = X._nd_form()
-    if X._recipe[0] == "smash":
-        full, tables = _smash_levels(*X._recipe[1:])
-    else:
-        memo, pts = {}, [[None] * size for size in sizes]
-        for m, n in itertools.combinations_with_replacement(range(len(sizes)), 2):
-            for s, z in itertools.product(surjections(n, m), range(nd[m].size)):
-                pts[n][_position(X, s, z, memo)] = s, z
-        full, _ = _assemble(
-            X.group, pts, lambda g, n: lambda p: (p[0], nd[p[0][-1]].action[g][p[1]]),
-            lambda n, i: lambda p: _face_nf(nd_faces, i, *p),
-            lambda n, j: lambda p, e=eta(j, n): (compose_monotone(p[0], e), p[1]), trusted=True,
-        )
-        tables = {}
-        if X._recipe[0] == "join":
-            points = [[_point(X, X._parts[s[-1]][z], s, memo) for s, z in lv] for lv in pts]
-            tables["_join_points"] = points
+    memo, pts, kind = {}, [[None] * size for size in sizes], X._recipe[0]
+    for m, n in itertools.combinations_with_replacement(range(len(sizes)), 2):
+        for s, z in itertools.product(surjections(n, m), range(nd[m].size)):
+            pts[n][_position(X, s, z, memo)] = s, z
+    full, _ = _assemble(
+        X.group, pts, lambda g, n: lambda p: (p[0], nd[p[0][-1]].action[g][p[1]]),
+        lambda n, i: lambda p: _face_nf(nd_faces, i, *p),
+        lambda n, j: lambda p, e=eta(j, n): (compose_monotone(p[0], e), p[1]), trusted=True,
+    )
+    tables = {}
+    if kind in ("smash", "join"):
+        points = [[_point(X, X._parts[s[-1]][z], s, memo) for s, z in lv] for lv in pts]
+        tables["_%s_points" % kind] = points
+        if kind == "smash":
+            tables["_smash_index"] = [{p: i for i, p in enumerate(lv)} for lv in points]
     for name, value in (*zip(("levels", "faces", "degens"), full), *tables.items()):
         object.__setattr__(X, name, value)
     object.__setattr__(X, "_key", (X.group, *full[:3], X.basepoints))
-
-
-def _smash_levels(X, Y):
-    """The full levels of X smash Y: the crushed basepoint None, then the
-    pairs (x, y) of non-base points, moved by the factors' point tables."""
-    pts = [
-        [None] + [(x, y) for x in range(X.levels[n].size) if x != X.base(n)
-                  for y in range(Y.levels[n].size) if y != Y.base(n)]
-        for n in range(min(X.bound, Y.bound) + 1)
-    ]
-
-    def pair_rule(m, fx, fy):
-        """(x, y) -> (fx[x], fy[y]) into level m, crushing the basepoints."""
-        bx, by = X.base(m), Y.base(m)
-        return lambda p: None if fx[p[0]] == bx or fy[p[1]] == by else (fx[p[0]], fy[p[1]])
-
-    full, index = _assemble(
-        X.group, pts, lambda g, n: pair_rule(n, X.levels[n].action[g], Y.levels[n].action[g]),
-        lambda n, i: pair_rule(n - 1, X.faces[n][i].values, Y.faces[n][i].values),
-        lambda n, i: pair_rule(n + 1, X.degens[n][i].values, Y.degens[n][i].values), trusted=True,
-    )
-    return full, {"_smash_points": pts, "_smash_index": index}
 
 
 # -- assembly from point rules -------------------------------------------------
@@ -919,7 +898,8 @@ def _check_groups(X, Y):
 def _shuffle_pairs(n, p, q):
     """The surjections a: [n] ->> [p] and b: [n] ->> [q] that repeat no
     position in common: s_I and s_J with I and J disjoint, which for
-    p + q = n are the shuffles homotopy._shuffles enumerates."""
+    p + q = n are the (p, q)-shuffles of the Eilenberg-Zilber map that
+    homotopy._phi_induced lifts cycles by."""
     repeats = [(b, [k for k in range(1, n + 1) if b[k] == b[k - 1]]) for b in surjections(n, q)]
     return [
         (a, b) for a in surjections(n, p) for b, r in repeats if all(a[k] != a[k - 1] for k in r)

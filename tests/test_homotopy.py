@@ -198,13 +198,15 @@ def test_ro_graded_table_builds_each_twist_once(monkeypatch):
     ]
     built = []
 
-    def counted(G, descs, bound):
-        built.append(tuple(descs))
-        return sphere_for_descriptors(G, descs, bound)
+    def counted(A, B):
+        if B is X:  # S^W smash X, the space of one twist
+            built.append(A)
+        return smash(A, B)
 
-    monkeypatch.setattr("eqmack.homotopy.sphere_for_descriptors", counted)
+    monkeypatch.setattr("eqmack.homotopy.smash", counted)
     table = ro_graded_table(X, M, rows)
-    assert built == [(sign_rep(),), (), (sign_rep(), sign_rep())]
+    twists = ([sign_rep()], [], [sign_rep()] * 2)
+    assert built == [sphere_for_descriptors(C2, list(d), 3) for d in twists]
     assert table.rows == tuple(
         (p, d, {cid: g.describe() for cid, g in groups.items()}) for p, d, groups in want
     )

@@ -220,6 +220,44 @@ def test_corrupted_burnside_fails_with_witness():
     assert "pullback square" in witness
 
 
+def corrupted(A, weyl=None, tr=None):
+    """The table A with the Weyl matrices weyl[(class, element)] and the
+    transfers tr[(j, h)] put in."""
+    mats = {cid: list(ms) for cid, ms in A.weyl_mats.items()}
+    for (cid, w), mat in (weyl or {}).items():
+        mats[cid][w] = mat
+    return TableMackey(A.group, A.values, mats, A.res, {**A.tr, **(tr or {})})
+
+
+@pytest.mark.parametrize(
+    "axiom, source, weyl, tr, witness",
+    [
+        # the identity of Z at G/e doubled: the walk meets the covariant
+        # identity of class 0 first
+        ("identity", "C2 Burnside", {(0, 0): ((2,),)}, None, "covariant identity at class 0"),
+        # a generator of W = C3 acting by 2 on Z at G/e, so R_g R_g != R_{g^2};
+        # the loops 0->0->0 come before the paths through G/G
+        ("functoriality", "C3 Z", {(0, 1): ((2,),)}, None, "covariant composite 0->0->0"),
+        # the identity at G/G doubled: (0, 0) holds, (0, 1) is the first
+        # union with a G/G summand
+        ("additivity", "C2 Burnside", {(1, 0): ((2, 0), (0, 2))}, None,
+         "additivity on classes (0, 1)"),
+        # the transfer G/e -> G/G tripled: every square over G/e holds, and
+        # the first over G/G fails
+        ("pullback squares", "C2 Burnside", None, {(0, 1): ((3,), (0,))},
+         "pullback square B=G/0, C=G/0, D=G/1 (h c=(0, 0), k c=(0, 0))"),
+    ],
+)
+def test_each_axiom_reports_its_first_failure(axiom, source, weyl, tr, witness):
+    M = {"C2 Burnside": burnside_mackey(C2), "C3 Z": constant_mackey(C3, AbGroup.free(1))}[source]
+    A = tabulate(M)
+    assert verify_axioms(A).passed
+    report = verify_axioms(corrupted(A, weyl, tr))
+    assert not report.passed
+    assert {name: (ok, w) for name, ok, w in report.checks}[axiom] == (False, witness)
+    assert "  FAIL %s: %s" % (axiom, witness) in report.summary().splitlines()
+
+
 def test_tabulate_agrees_with_source():
     A = burnside_mackey(S3)
     T = tabulate(A)

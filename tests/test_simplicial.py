@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from eqmack.abelian import AbGroup
 from eqmack.groups import FiniteGroup, subgroup_classes
 from eqmack.gsets import GMap, GSet
-from eqmack.mackey import WeylModule
+from eqmack.homotopy import bredon_groups, ro_graded_table
+from eqmack.mackey import WeylModule, constant_mackey
 from eqmack.simplicial import (
     DEFAULT_BOUND,
     RepDescriptor,
@@ -560,6 +561,29 @@ def test_each_sphere_is_built_once_per_call(monkeypatch):
     assert built == ["sphere", "sphere", "circle"]
 
 
+def test_a_graded_table_builds_each_sphere_once_per_call(monkeypatch):
+    # twists of 0 to 3 sign factors, and one with a trivial factor: each
+    # twist is its prefix smashed with its last sphere, so the sign circle
+    # and the circle are built once for the whole table
+    X, M = s0_space(C2, 4), constant_mackey(C2, AbGroup.free(1))
+    twists = [[sign_rep()] * 3, [], [sign_rep()] * 2, [sign_rep()], [sign_rep(), trivial_rep(1)]]
+    rows = [(p, d) for d in twists for p in range(4)]
+
+    def row(p, d):
+        groups = bredon_groups(smash(sphere_for_descriptors(C2, d, 4), X), M, [p])[p]
+        return p, tuple(d), {cid: g.describe() for cid, g in groups.items()}
+
+    want, built = tuple(row(p, d) for p, d in rows), []
+
+    def counted(G, desc, bound):
+        built.append(desc)
+        return representation_sphere(G, desc, bound)
+
+    monkeypatch.setattr("eqmack.homotopy.representation_sphere", counted)
+    assert ro_graded_table(X, M, rows).rows == want
+    assert built == [sign_rep(), trivial_rep(1)]
+
+
 def test_discrete_inclusion_needs_one_target_vertex_per_source_vertex():
     s0, sig = s0_space(C2, 3), sphere_for_descriptors(C2, [sign_rep()], 3)
     assert discrete_inclusion(s0, sig, (0, 1)).comps[0].values == (0, 1)
@@ -818,9 +842,11 @@ def test_a_smash_lays_out_what_the_eager_build_laid_out():
 def test_the_full_levels_of_a_smash_are_laid_out_after_its_nondegenerate_form(monkeypatch):
     from eqmack import simplicial
 
-    order, nd, levels = [], simplicial._smash_nd, simplicial._smash_levels
+    # the spy on _materialize records the layout once it is done, so "nd"
+    # before "levels" says the nondegenerate form came first
+    order, nd, levels = [], simplicial._smash_nd, simplicial._materialize
     monkeypatch.setattr(simplicial, "_smash_nd", lambda X: order.append("nd") or nd(X))
-    monkeypatch.setattr(simplicial, "_smash_levels", lambda *f: order.append("levels") or levels(*f))
+    monkeypatch.setattr(simplicial, "_materialize", lambda X: levels(X) or order.append("levels"))
     sig = sign_circle(C2, (0,), 3)
     X, Y = smash(sig, sig), smash(sig, sig)
     # == compares the full levels, as the benchmark's tracer reads them

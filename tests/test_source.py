@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -262,8 +263,67 @@ def test_orphaned_private_names_are_found():
     assert uncalled(trees) == [("b", "Y")]
 
 
-def tracer_pins():
-    """(module, name) for every function and cache bench/tracer.py names."""
+def private_methods(tree):
+    """(class, method node) for the private methods, dunders aside, of the
+    top-level classes of a module."""
+    return [
+        (cls.name, fn)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and fn.name.startswith("_")
+        and not fn.name.startswith("__")
+    ]
+
+
+def attribute_reads(node):
+    """How often each name is read under node as an attribute, or named by a
+    string, as getattr names it."""
+    return Counter(
+        n.attr if isinstance(n, ast.Attribute) else n.value
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) or (isinstance(n, ast.Constant) and isinstance(n.value, str))
+    )
+
+
+def orphaned_methods(trees, pinned=(), hooked=()):
+    """Private methods of the classes of trees whose name no module reads
+    outside the method's own body, that pinned does not name as (module,
+    class, method) and that hooked, names read from outside the package,
+    does not hold, as (module, class, method) triples.  A method is matched
+    by name alone, so an override counts as read where its base's is."""
+    reads = sum((attribute_reads(tree) for tree in trees.values()), Counter())
+    return sorted(
+        (mod, cls, fn.name)
+        for mod, tree in trees.items()
+        for cls, fn in private_methods(tree)
+        if reads[fn.name] == attribute_reads(fn)[fn.name]
+        and (mod, cls, fn.name) not in set(pinned)
+        and fn.name not in hooked
+    )
+
+
+def test_orphaned_private_methods_are_found():
+    # _dead lost its caller and _walk only calls itself; _used is read by b,
+    # _named by a getattr string, _pinned by the pins and _hooked by a hook
+    a = (
+        "class A:\n"
+        "    def run(self): return getattr(self, '_named')()\n"
+        "    def _used(self): return 1\n    def _dead(self): return 2\n"
+        "    def _walk(self): return self._walk()\n    def _named(self): return 3\n"
+        "    def _pinned(self): return 4\n    def _hooked(self): return 5\n"
+        "    def __len__(self): return 0\n"
+    )
+    b = "from .a import A\nY = A()._used()\n"
+    trees = {"a": ast.parse(a), "b": ast.parse(b)}
+    found = orphaned_methods(trees, pinned=[("a", "A", "_pinned")], hooked={"_hooked"})
+    assert found == [("a", "A", "_dead"), ("a", "A", "_walk")]
+
+
+def tracer_specs():
+    """Every function, method and cache bench/tracer.py names, as
+    "module.name" or "module.Class.method"."""
     tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
     specs = []
     for node in tree.body:
@@ -271,7 +331,26 @@ def tracer_pins():
         if name in ("LAYERS", "CACHES"):
             value = ast.literal_eval(node.value)
             specs += [s for v in value.values() for s in v] if isinstance(value, dict) else value
-    return {tuple(spec.split(".")[:2]) for spec in specs}
+    return specs
+
+
+def tracer_pins():
+    """(module, name) for every function and cache bench/tracer.py names."""
+    return {tuple(spec.split(".")[:2]) for spec in tracer_specs()}
+
+
+def tracer_hook_reads():
+    """The private attributes bench/tracer.py reads off objects other than
+    its own tracer, as its hooks read the package's caches."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    return {
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute)
+        and n.attr.startswith("_")
+        and not n.attr.startswith("__")
+        and getattr(n.value, "id", None) not in ("self", "tracer")
+    }
 
 
 def test_every_public_name_is_declared_or_called():
@@ -288,6 +367,15 @@ def test_every_private_name_is_read():
     # benchmark's tracer pins count as read, as for the public names
     trees = {mod: ast.parse((SRC / "eqmack" / (mod + ".py")).read_text()) for mod in MODULES}
     assert orphaned(trees, tracer_pins()) == []
+
+
+def test_every_private_method_is_read():
+    # as for the top-level names, a private method no module reads is dead
+    # code; the methods the tracer wraps and the attributes its hooks read
+    # count as read
+    trees = {mod: ast.parse((SRC / "eqmack" / (mod + ".py")).read_text()) for mod in MODULES}
+    pins = {tuple(spec.split(".")) for spec in tracer_specs() if spec.count(".") == 2}
+    assert orphaned_methods(trees, pins, tracer_hook_reads()) == []
 
 
 @pytest.mark.parametrize("mod", MODULES)
