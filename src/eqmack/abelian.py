@@ -9,6 +9,12 @@ remove the unit pivots of the relations first and run Smith normal form
 only on what remains.  The dense relation matrix `rels` and the dense SNF of
 element_key() and elements() are built only when read.
 
+Maps on homology stay in columns as well: homology_map lifts each column of
+a cycle basis to a column and solves its class on the reduction the target
+degree keeps, and is_exact_at reads exactness off the graph reductions the
+two maps keep.  homology_class, cycle_of_class, preimage and AbHom.__call__
+take and give coordinate vectors, for callers that hold them.
+
 Over free groups (no relation columns) some questions need no reduction: a
 column is 0 when no entry is nonzero, homs into them agree entry by entry,
 and a signed partial permutation, such as rho between free fixed parts, is
@@ -385,9 +391,14 @@ def _same_column(a, b):
     return a == b or all(a.get(i, 0) == b.get(i, 0) for i in a.keys() | b.keys())
 
 
+def _head(col, r):
+    """The first r rows of a sparse column."""
+    return {i: v for i, v in col.items() if i < r}
+
+
 def _heads(cols, r):
     """The first r rows of sparse columns."""
-    return [{i: v for i, v in col.items() if i < r} for col in cols]
+    return [_head(col, r) for col in cols]
 
 
 def _units(n):
@@ -503,18 +514,25 @@ class ChainComplex:
                 self._hcache[n] = [AbGroup.from_columns(len(zb), rels), zb, None]
         return self._hcache[n]
 
-    def homology_class(self, n, z):
-        """Coordinates of the cycle z in homology(n)."""
-        _check_length(z, self.group(n).ngens)
+    def _class_column(self, n, z):
+        """The class of the cycle z, a sparse column, as a sparse column of
+        H_n: solve_column on the kept reduction of [cycles | rels], read at
+        its heads below H_n.ngens."""
         entry = self._homology(n)
         h, zb, red = entry
         if red is None:
             g = self.group(n)
             red = entry[2] = la.ColumnReduction([*zb, *g.relcols], g.ngens)
-        sol = red.solve(tuple(z))
+        sol = red.solve_column(z)
         if sol is None:
             raise ContractError("vector is not a cycle in degree %d" % n)
-        return sol[: h.ngens]
+        return _head(sol, h.ngens)
+
+    def homology_class(self, n, z):
+        """Coordinates of the cycle z in homology(n)."""
+        _check_length(z, self.group(n).ngens)
+        w = self._class_column(n, {i: v for i, v in enumerate(z) if v})
+        return tuple(w.get(i, 0) for i in range(self.homology(n).ngens))
 
     def cycle_of_class(self, n, w):
         h, zb, _ = self._homology(n)
@@ -543,26 +561,35 @@ class ChainMap:
         return self
 
     def induced(self, n):
-        return homology_map(self.src, n, self.tgt, n, self.comp(n))
+        comp = self.comp(n)
+        return homology_map(self.src, n, self.tgt, n, lambda z: la.combine(comp.cols, z.items()))
 
 
 def homology_map(src, n, tgt, m, lift):
     """The hom H_n(src) -> H_m(tgt) sending the class of each generator's
-    cycle z to the class of the cycle lift(z).  A zero source gives the hom
-    with no columns; a zero target still lifts every class, since the lift
-    is what checks a chain map or a connecting map."""
-    hs, ht = src.homology(n), tgt.homology(m)
-    cols = []
-    for c in range(hs.ngens):
-        z = src.cycle_of_class(n, tuple(1 if i == c else 0 for i in range(hs.ngens)))
-        cols.append({i: x for i, x in enumerate(tgt.homology_class(m, lift(z))) if x})
-    return AbHom.from_columns(hs, ht, cols)
+    cycle to the class of its lift.  The cycle is the sparse column zb[c]
+    of src's cycle basis, and lift maps it to a sparse column of C_m(tgt),
+    which must be a cycle; its class is solve_column on tgt's kept
+    reduction of [cycles | rels], read at the heads below H_m.ngens.  A
+    zero source gives the hom with no columns; a zero target still lifts
+    every class, since the lift is what checks a chain map or a connecting
+    map."""
+    hs, zb, _ = src._homology(n)
+    ht = tgt.homology(m)
+    return AbHom.from_columns(hs, ht, [tgt._class_column(m, lift(z)) for z in zb])
+
+
+def _check_composable(f, g):
+    """Raise unless the target of f is the source of g."""
+    if f.tgt != g.src:
+        raise ContractError("cannot compose %r after %r" % (g, f))
 
 
 def homology_at(f, g):
-    """ker(g)/im(f) for composable homs with g o f = 0; a middle group
-    without generators is its own homology."""
-    if not (f.tgt.ngens or g.src.ngens):
+    """ker(g)/im(f) for homs f: A -> B and g: B -> C with g o f = 0; a
+    middle group without generators is its own homology."""
+    _check_composable(f, g)
+    if not g.src.ngens:
         return g.src
     if not g.compose(f).is_zero_hom():
         raise ContractError("composite is not zero")
@@ -570,20 +597,36 @@ def homology_at(f, g):
 
 
 def is_exact_at(f, g):
-    return homology_at(f, g).is_trivial()
+    """Whether ker g = im f for homs f: A -> B and g: B -> C with g o f = 0,
+    as homology_at(f, g).is_trivial() says, but read off the two maps' own
+    graph reductions: every kernel generator of g (g._solutions()) must
+    solve against f's [mat | rels].  In a long exact sequence each map is f
+    at one node and g at the next, so its one reduction serves both, and no
+    complex or Smith form is built."""
+    _check_composable(f, g)
+    if not g.src.ngens:
+        return True
+    if not g.compose(f).is_zero_hom():
+        raise ContractError("composite is not zero")
+    red = f._graph_reduction()
+    return all(red.solve_column(x) is not None for x in g._solutions())
 
 
 def connecting_hom(f, g, n):
     """Connecting homomorphism H_n(C) -> H_{n-1}(A) of a short exact sequence
-    of complexes 0 -> A -f-> B -g-> C -> 0."""
+    of complexes 0 -> A -f-> B -g-> C -> 0.  A cycle z of C_n lifts to b in
+    B_n by solve_column on g_n's graph reduction, and d b to a in A_{n-1} on
+    f_{n-1}'s, each read at its heads, as preimage_matrix reads them; every
+    column stays sparse."""
+    gn, fn, d = g.comp(n), f.comp(n - 1), f.tgt.diff(n)
 
     def lift(z):
-        b = g.comp(n).preimage(z)
+        b = gn._graph_reduction().solve_column(z)
         if b is None:
             raise ContractError("quotient chain map is not surjective")
-        a = f.comp(n - 1).preimage(f.tgt.diff(n)(b))
+        a = fn._graph_reduction().solve_column(la.combine(d.cols, _head(b, gn.src.ngens).items()))
         if a is None:
             raise ContractError("boundary does not lift to the subcomplex")
-        return a
+        return _head(a, fn.src.ngens)
 
     return homology_map(g.tgt, n, f.src, n - 1, lift)

@@ -126,9 +126,7 @@ class MackeyChainComplex:
         self.T = T
         self._kind = reduced  # names the level sets kept on the space
         self._cells = lambda n: (X.nd[n], _boundary(X, n, reduced))
-        self._levels = {}
-        self._complexes = {}
-        self._chainmaps = {}
+        self._levels, self._diffs, self._complexes, self._chainmaps = {}, {}, {}, {}
 
     def level(self, rec, n):
         """(LevelSet, Evaluated) of level n at G/H on the cells of the
@@ -155,26 +153,37 @@ class MackeyChainComplex:
 
     def complex(self, rec):
         """N(G/H) with d_n read off the boundary table."""
-        if rec.class_id not in self._complexes:
-            groups = {n: self.level(rec, n)[1].value for n in range(self.T.bound + 1)}
-            diffs = {}
-            for n in range(1, self.T.bound + 1):
-                sev, tev = self.level(rec, n)[1], self.level(rec, n - 1)[1]
-                diffs[n] = _zero_between(sev, tev) or self._differential(rec, n, sev, tev)
-            self._complexes[rec.class_id] = ChainComplex(groups=groups, diffs=diffs)
-        return self._complexes[rec.class_id]
+        return self._complex(rec, self.T.bound)
 
-    def _differential(self, rec, n, sev, tev):
-        """d_n at G/H between the level values sev and tev."""
-        M, bd, entries = self.T.M, self._cells(n)[1], []
-        src, tgt = self.level(rec, n)[0], self.level(rec, n - 1)[0]
-        for si, o in enumerate(sev.orbits):
-            x, s = src.pairs[o.basepoint]
-            for y, c in bd[x].items():
-                ti, om = _orbit_map_to(M, o, tev, tgt.index[y, s])
-                h = M.orbit_covariant(om)
-                entries.append((ti, si, h if c == 1 else h.scale(c)))
-        return ab.assemble_block_hom(sev.summands, tev.summands, entries)[0]
+    def _complex(self, rec, top):
+        """N(G/H) in degrees 0..top, without d_{top + 1}, so that H_n is
+        read for n < top only; kept per (class, top), and every complex of
+        a class shares its levels and differentials."""
+        key = (rec.class_id, top)
+        if key not in self._complexes:
+            groups = {n: self.level(rec, n)[1].value for n in range(top + 1)}
+            diffs = {n: self._differential(rec, n) for n in range(1, top + 1)}
+            self._complexes[key] = ChainComplex(groups=groups, diffs=diffs)
+        return self._complexes[key]
+
+    def _differential(self, rec, n):
+        """d_n at G/H, kept per (class, n): a block c M_*(G/J -> G/K) per
+        source orbit and term c y of the boundary table."""
+        key = (rec.class_id, n)
+        if key not in self._diffs:
+            (src, sev), (tgt, tev) = self.level(rec, n), self.level(rec, n - 1)
+            d = _zero_between(sev, tev)
+            if d is None:
+                M, bd, entries = self.T.M, self._cells(n)[1], []
+                for si, o in enumerate(sev.orbits):
+                    x, s = src.pairs[o.basepoint]
+                    for y, c in bd[x].items():
+                        ti, om = _orbit_map_to(M, o, tev, tgt.index[y, s])
+                        h = M.orbit_covariant(om)
+                        entries.append((ti, si, h if c == 1 else h.scale(c)))
+                d = ab.assemble_block_hom(sev.summands, tev.summands, entries)[0]
+            self._diffs[key] = d
+        return self._diffs[key]
 
     def transition_chain_map(self, om, variance):
         """res (contravariant, G/H -> G/J) or tr (covariant, G/J -> G/H) as
@@ -190,7 +199,7 @@ class MackeyChainComplex:
                 ends, hom = (om.tgt, om.src), lambda n, a, b: M.contravariant(along(b, a), 0, 0)
             else:
                 ends, hom = (om.src, om.tgt), lambda n, a, b: M.covariant(along(a, b), 0, 0)
-            self._chainmaps[key] = _chain_map(self, ends[0], self, ends[1], hom)
+            self._chainmaps[key] = _chain_map(self, ends[0], self, ends[1], hom, self.T.bound)
         return self._chainmaps[key]
 
 
@@ -346,15 +355,16 @@ def _zero_between(sev, tev):
         return AbHom.zero(sev.value, tev.value)
 
 
-def _chain_map(src, src_rec, tgt, tgt_rec, hom):
-    """The chain map from the normalized chains src at src_rec to tgt at
-    tgt_rec whose level-n component is hom(n, a, b), for the level sets a of
-    src and b of tgt; a level with no orbit gets the zero hom instead."""
+def _chain_map(src, src_rec, tgt, tgt_rec, hom, top):
+    """The chain map in degrees 0..top from the normalized chains src at
+    src_rec to tgt at tgt_rec whose level-n component is hom(n, a, b), for
+    the level sets a of src and b of tgt; a level with no orbit gets the
+    zero hom instead."""
     comps = {}
-    for n in range(src.T.bound + 1):
+    for n in range(top + 1):
         (a, sev), (b, tev) = src.level(src_rec, n), tgt.level(tgt_rec, n)
         comps[n] = _zero_between(sev, tev) or hom(n, a, b)
-    return ChainMap(src.complex(src_rec), tgt.complex(tgt_rec), comps)
+    return ChainMap(src._complex(src_rec, top), tgt._complex(tgt_rec, top), comps)
 
 
 # -- Bredon homology -------------------------------------------------------------
@@ -721,18 +731,21 @@ def _phi_induced(psi, krec, kspace, mc, chains, n):
             h = h + covariant_between(psi.M, f, sev, tev, 0).scale(sign)
         return h.compose(res)
 
-    def lift(z):
-        # a block valued in a group without generators has nothing to assign
-        assign = {}
+    def lift(col):
+        # the block homs read a coordinate vector, and element_from_blocks
+        # gives one; a block valued in a group without generators has
+        # nothing to assign
+        z, assign = tuple(col.get(i, 0) for i in range(lhs.group(n).ngens)), {}
         for block, value in zip(data["blocks"], data["values"]):
             if value.ngens:
                 if block not in homs:
                     homs[block] = block_hom(*block)
                 assign[block] = homs[block](z)
-        return mc.element_from_blocks(n, assign)
+        return {i: x for i, x in enumerate(mc.element_from_blocks(n, assign)) if x}
 
     try:
-        mat = ab.homology_map(chains.complex(krec), n, mc.chain_complex(n + 1), n, lift)
+        lhs = chains.complex(krec)
+        mat = ab.homology_map(lhs, n, mc.chain_complex(n + 1), n, lift)
     except HomotopyError:
         return False, None
     return True, mat
@@ -812,15 +825,16 @@ def ro_graded_table(X, M, rows):
 def exact_chain_maps(ses, rec):
     """The two maps of the short exact sequence ses as chain maps of
     normalized chains at G/H."""
-    return _exact_chains(ses, rec)[1:]
+    return _exact_chains(ses, rec, ses.tensors[0].bound)
 
 
-def _exact_chains(ses, rec):
-    """The normalized chains of ses's three tensors at G/H, and its two
-    maps between them."""
+def _exact_chains(ses, rec, top):
+    """The two maps of ses as chain maps between the normalized chains of
+    its three tensors at G/H in degrees 0..top."""
     chains = [normalized_chains(T) for T in ses.tensors]
-    f, g = (_chain_map(chains[k], rec, chains[k + 1], rec, partial(ses.map, k)) for k in (0, 1))
-    return chains, f, g
+    return tuple(
+        _chain_map(chains[k], rec, chains[k + 1], rec, partial(ses.map, k), top) for k in (0, 1)
+    )
 
 
 def homology_les(ses, rec, through_degree):
@@ -830,13 +844,17 @@ def homology_les(ses, rec, through_degree):
     Returns (nodes, exact_flags, homs): nodes lists the LES nodes (name,
     group) from degree through_degree down to 0, exact_flags the exactness
     at each interior node and homs the maps between consecutive nodes.
+    The three complexes and both chain maps are built in degrees
+    0..through_degree + 1 only, as H_n needs d_{n + 1}; each map of the
+    sequence is checked at the two nodes it meets by its own reduction
+    (abelian.is_exact_at).
     """
     _check_nonnegative(through_degree)
     _check_degree(through_degree, ses.tensors[0].bound)
-    chains, fmap, gmap = _exact_chains(ses, rec)
+    fmap, gmap = _exact_chains(ses, rec, through_degree + 1)
     nodes, homs = [], []
     for n in range(through_degree, -1, -1):
-        groups = [ch.homology(rec, n) for ch in chains]
+        groups = (fmap.src.homology(n), fmap.tgt.homology(n), gmap.tgt.homology(n))
         nodes.extend(("H_%d %s" % (n, name), h) for name, h in zip(ses.names, groups))
         homs.extend((fmap.induced(n), gmap.induced(n)))
         if n > 0:

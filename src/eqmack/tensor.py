@@ -428,16 +428,24 @@ def ses_from_cofibration(incl, M):
 
 class CoefficientSES(ShortExactSequence):
     """0 -> X (x) M -> X (x) N -> X (x) P -> 0 from an exact coefficient pair;
-    the maps are phi and psi between the values of the level sets."""
+    the maps are phi and psi between the values of the level sets.  The
+    pair must meet at one functor N, and at every orbit class phi must be
+    injective, psi surjective and psi phi zero with ker psi = im phi."""
 
     names = ("M", "N", "P")
 
     def __init__(self, phi, psi, X, reduced=False):
+        if phi.tgt is not psi.src:
+            raise TensorError("the target of phi is not the source of psi")
         self.phi = phi
         self.psi = psi
         for rec in subgroup_classes(phi.src.group):
             f, g = phi.comp(rec), psi.comp(rec)
-            if not (f.is_injective() and g.is_surjective() and ab.is_exact_at(f, g)):
+            try:
+                exact = f.is_injective() and g.is_surjective() and ab.is_exact_at(f, g)
+            except ab.ContractError as err:
+                raise TensorError("coefficients at class %d: %s" % (rec.class_id, err)) from err
+            if not exact:
                 raise TensorError("coefficients are not exact at class %d" % rec.class_id)
         self.T_m = TensorMackey(X, phi.src, reduced=reduced)
         self.T_n = TensorMackey(X, phi.tgt, reduced=reduced)

@@ -380,7 +380,7 @@ def delta_phi_induced(psi, krec, kspace, orb_space, mc, chains, n):
     data = mc.degree_data(n)
 
     def lift(z):
-        z_full = incl(z)
+        z_full = incl(tuple(z.get(i, 0) for i in range(incl.src.ngens)))
         assign = {}
         for cid, m, p in data["blocks"]:
             rec = mc.recs[cid]
@@ -392,7 +392,7 @@ def delta_phi_induced(psi, krec, kspace, orb_space, mc, chains, n):
             zj = T.contravariant_S(n, um.gmap())(z_full)
             zjm = T.op(tau, m, n, S_j)(zj)
             assign[(cid, m, p)] = psi.component(rec, m, alpha)(zjm)
-        return mc.element_from_blocks(n, assign)
+        return {i: x for i, x in enumerate(mc.element_from_blocks(n, assign)) if x}
 
     try:
         mat = ab.homology_map(chains.complex(krec), n, mc.chain_complex(n + 1), n, lift)

@@ -482,6 +482,49 @@ def test_zero_middle_groups_keep_the_composability_checks():
         homology_at(AbHom.identity(Z), AbHom.identity(Z))
 
 
+def test_exactness_needs_the_middle_groups_to_agree():
+    # f: Z -> Z/2 and g: Z -> Z have matching shapes and g o f = 0, but the
+    # middle groups Z/2 and Z differ
+    f, g = AbHom.zero(Z, Z2), AbHom.zero(Z, Z)
+    for check in (is_exact_at, homology_at):
+        with pytest.raises(ContractError, match="cannot compose"):
+            check(f, g)
+
+
+@st.composite
+def composable_pairs(draw):
+    """Homs f: A -> B and g: B -> C, each group free or with Z/2, Z/3 or Z/4
+    summands.  The columns of f are combinations of the kernel generators of
+    g and the relations of B, so g o f = 0, unless one entry of f is then
+    moved by one."""
+
+    def group():
+        moduli = [draw(st.sampled_from([0, 0, 2, 3, 4])) for _ in range(draw(st.integers(0, 3)))]
+        return AbGroup.from_columns(len(moduli), [{i: m} for i, m in enumerate(moduli) if m])
+
+    a, b, c = group(), group(), group()
+    g = AbHom(b, c, draw(matrices(c.ngens, b.ngens)))
+    span = [*g.kernel()[1].cols, *b.relcols]
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(span), max_size=len(span))
+    cols = [la.combine(span, enumerate(draw(coeffs))) for _ in range(a.ngens)]
+    if a.ngens and b.ngens and draw(st.booleans()):
+        j, i = draw(st.integers(0, a.ngens - 1)), draw(st.integers(0, b.ngens - 1))
+        cols[j] = la.combine([cols[j], {i: 1}], [(0, 1), (1, 1)])
+    return AbHom.from_columns(a, b, cols), g
+
+
+@settings(max_examples=200, deadline=None)
+@given(composable_pairs())
+def test_exactness_from_the_maps_matches_the_homology(pair):
+    f, g = pair
+    if g.compose(f).is_zero_hom():
+        assert is_exact_at(f, g) == homology_at(f, g).is_trivial()
+    else:
+        for check in (is_exact_at, homology_at):
+            with pytest.raises(ContractError, match="composite is not zero"):
+                check(f, g)
+
+
 def test_connecting_hom_still_lifts_into_a_zero_homology():
     # A is zero, so every H(A) is zero; C = Z in degree 1 with H_1(C) = Z
     zero = AbGroup.zero()

@@ -734,6 +734,51 @@ def test_exact_sequences_check_their_degree_before_building(monkeypatch):
                 les(rec, bound)
 
 
+def two_sigma_sequences(bound):
+    """The cofibration sequence of S^0 -> S^{2 sigma} with Burnside
+    coefficients and the coefficient sequence of Z -2-> Z -> Z/2 over
+    S^{2 sigma}, on C2 at bound, as functions of (rec, through_degree)."""
+    recs = subgroup_classes(C2)
+    M = constant_mackey(C2, Z)
+    X = sphere_for_descriptors(C2, [sign_rep()] * 2, bound)
+    incl = discrete_inclusion(s0_space(C2, bound), X, (0, 1))
+    twice = {r.class_id: AbHom(M.orbit_value(r), M.orbit_value(r), ((2,),)) for r in recs}
+    psi = fixed_point_morphism(M, constant_mackey(C2, Z2), AbHom(Z, Z2, ((1,),)))
+    return (
+        partial(cofibration_les, ses_from_cofibration(incl, burnside_mackey(C2))),
+        partial(coefficient_les, ses_from_coefficients(MackeyMorphism(M, M, twice), psi, X)),
+    )
+
+
+def test_exact_sequences_through_lower_degrees_are_tails():
+    bound = 4
+    for les in two_sigma_sequences(bound):
+        for rec in subgroup_classes(C2):
+            nodes, flags, homs = les(rec, bound - 1)
+            for d in range(bound - 1):
+                low = les(rec, d)
+                assert low[0] == nodes[len(nodes) - len(low[0]) :]
+                assert low[1] == flags[len(flags) - len(low[1]) :]
+                assert [h.mat for h in low[2]] == [h.mat for h in homs[len(homs) - len(low[2]) :]]
+
+
+def test_exact_sequences_build_no_level_above_the_degree_after(monkeypatch):
+    built, level = [], MackeyChainComplex.level
+
+    def spy(self, rec, n):
+        built.append(n)
+        return level(self, rec, n)
+
+    monkeypatch.setattr(MackeyChainComplex, "level", spy)
+    bound = 5
+    for les in two_sigma_sequences(bound):
+        for d in range(bound):
+            for rec in subgroup_classes(C2):
+                built.clear()
+                les(rec, d)
+                assert max(built) == d + 1
+
+
 def test_element_from_blocks_accepts_natural_and_rejects_other_families():
     K = s0_space(C2, 3)
     emc = EquivariantMappingComplex(K, ModuleTensor(K, module("Z")))

@@ -786,6 +786,29 @@ def test_ses_from_coefficients():
     assert exact_levels(ses, range(3))
 
 
+def test_coefficient_pairs_are_checked_class_by_class():
+    from eqmack.mackey import fixed_point_morphism
+
+    M, P = constant_mackey(C2, AbGroup.free(1)), constant_mod2(C2)
+    recs = subgroup_classes(C2)
+    X = sphere_for_descriptors(C2, [sign_rep()], 3)
+
+    def times(k):
+        return MackeyMorphism(
+            M, M, {r.class_id: AbHom(M.orbit_value(r), M.orbit_value(r), ((k,),)) for r in recs}
+        )
+
+    mod2 = fixed_point_morphism(M, P, AbHom(AbGroup.free(1), AbGroup.cyclic(2), ((1,),)))
+    ident = MackeyMorphism(P, P, {r.class_id: AbHom.identity(P.orbit_value(r)) for r in recs})
+    # Z -2-> Z then the identity of Z/2: the pair does not meet at one functor
+    with pytest.raises(TensorError, match="target of phi is not the source of psi"):
+        ses_from_coefficients(times(2), ident, X)
+    with pytest.raises(TensorError, match="at class 0: composite is not zero"):
+        ses_from_coefficients(times(1), mod2, X)
+    with pytest.raises(TensorError, match="not exact at class 0"):
+        ses_from_coefficients(times(4), mod2, X)
+
+
 def test_ses_from_coefficients_split():
     from eqmack.mackey import direct_sum_mackey
 
